@@ -203,6 +203,11 @@ class Node:
         return self.store.head
 
     @property
+    def head_hash(self) -> str:
+        """Canonical head block hash, as stored — nothing is re-hashed."""
+        return self.store.head_hash
+
+    @property
     def height(self) -> int:
         """Canonical chain height."""
         return self.store.height

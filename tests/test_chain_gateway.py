@@ -6,15 +6,30 @@ programs against:
 * ``InProcessGateway`` delegation and instrumentation;
 * typed error mapping (unknown contract / unknown method / reverted call
   / rejected transaction) — asserted identical across both backends;
+* ``InProcessGateway``'s head-keyed read memo against an un-memoised
+  oracle (hypothesis state machine over imports, side chains, reorgs,
+  failed reorgs and snapshot syncs);
 * ``BatchingGateway`` head-keyed caching with the bounded staleness
   window, and that the backend never changes an end-to-end result;
+* full ``chain_stats()`` digests of four small runs, pinned in
+  ``tests/fixtures/chain_stats_digests.json``;
 * the architectural seam: no FL-layer module reaches into ``.node``.
+
+Re-pin the digests (deliberate counter changes only)::
+
+    PYTHONPATH=src python tests/test_chain_gateway.py --regenerate
 """
 
+import copy
+import hashlib
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.chain.crypto import KeyPair
 from repro.chain.gateway import (
@@ -27,6 +42,7 @@ from repro.chain.gateway import (
 )
 from repro.chain.node import GenesisSpec, Node, NodeConfig
 from repro.chain.runtime import ContractRuntime
+from repro.chain.scale import ColdStore, snapshot_key
 from repro.chain.transaction import Transaction
 from repro.contracts import register_all
 from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
@@ -34,8 +50,12 @@ from repro.core.peer import FullPeer, PeerConfig
 from repro.data.dataset import Dataset
 from repro.errors import (
     CallRevertedError,
+    ContractNotFoundError,
+    ContractRevertError,
     GatewayError,
     GatewayTimeoutError,
+    InvalidBlockError,
+    MethodNotFoundError,
     NetworkError,
     RoundError,
     TransactionRejectedError,
@@ -46,8 +66,10 @@ from repro.fl.trainer import TrainConfig
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_hash
+from repro.scenarios import FaultSpec, cohort_scenario, run_scenario
 from repro.utils.events import Simulator
 from repro.utils.rng import RngFactory
+from repro.utils.serialization import canonical_dumps
 
 
 def make_node(seed: str = "gw-node") -> tuple[Node, KeyPair]:
@@ -106,6 +128,34 @@ class TestCallRequest:
         a = CallRequest("0xabc", "is_member", {"address": "0x1"})
         b = CallRequest("0xabc", "is_member", {"address": "0x2"})
         assert a.key() != b.key()
+
+    def test_key_classes_are_those_of_canonical_json(self):
+        """Equal keys exactly when the canonical encodings are equal —
+        including the values Python itself calls equal (1 == 1.0 == True,
+        0.0 == -0.0) and the numpy scalars the encoder reduces."""
+        values = [
+            1, 1.0, True, 0, 0.0, -0.0, False, None, "1", "", "None",
+            float("nan"), float("inf"), 2**70,
+            np.int64(1), np.float64(1.0), np.float32(0.5), 0.5, np.bool_(True),
+            [1], [1.0], (1,), {"a": 1}, b"1", np.array([1]), np.array([1.0]),
+        ]
+        requests = [CallRequest("0xabc", "m", {"x": value, "y": 1}) for value in values]
+        for a in requests:
+            for b in requests:
+                same_json = canonical_dumps(a.args) == canonical_dumps(b.args)
+                assert (a.key() == b.key()) == same_json, (a.args, b.args)
+            assert hash(a.key()) == hash(CallRequest(a.contract, a.method, dict(a.args)).key())
+
+    def test_scalar_key_encodes_nothing(self, monkeypatch):
+        import repro.chain.gateway as gateway_module
+
+        def refuse(_value):
+            raise AssertionError("scalar arguments must not reach the encoder")
+
+        monkeypatch.setattr(gateway_module, "canonical_dumps", refuse)
+        CallRequest("0xabc", "round_submissions", {"round_id": 3}).key()
+        CallRequest("0xabc", "is_credible", {"address": "0x1", "threshold": 0.5}).key()
+        CallRequest("0xabc", "member_count").key()
 
 
 class TestInProcessGateway:
@@ -196,6 +246,422 @@ class TestInProcessGateway:
         sim.schedule_in(2.0, lambda: seen.append(True))
         assert gateway.wait_for(lambda: bool(seen), "flag", deadline=10.0) == 2.0
         assert gateway.stats.waits == 1
+
+
+# ---------------------------------------------------------------------------
+# Head-keyed read memo
+# ---------------------------------------------------------------------------
+
+MEMO_KEYPAIRS = [KeyPair.from_seed(f"gw-memo-{i}") for i in range(24)]
+MEMO_GENESIS = GenesisSpec(allocations={kp.address: 10**15 for kp in MEMO_KEYPAIRS})
+
+#: What the gateway turns each raw node error into.
+TYPED_ERRORS = {
+    ContractNotFoundError: UnknownContractError,
+    MethodNotFoundError: UnknownMethodError,
+    ContractRevertError: CallRevertedError,
+}
+
+
+def outcome(read):
+    """``("ok", value)`` or ``("raised", <gateway error name>)`` of a read."""
+    try:
+        return ("ok", read())
+    except (GatewayError, *TYPED_ERRORS) as exc:
+        return ("raised", TYPED_ERRORS.get(type(exc), type(exc)).__name__)
+
+
+class UnmemoisedGateway:
+    """The read and submit accounting before the memo: execute every read
+    on the node and encode both payloads of every read for their sizes."""
+
+    def __init__(self, node: Node) -> None:
+        self.node = node
+        self.stats = GatewayStats()
+
+    def _read(self, request: CallRequest):
+        value = self.node.call_contract(request.contract, request.method, **request.args)
+        self.stats.request_bytes += len(
+            canonical_dumps({"to": request.contract, "method": request.method, "args": request.args})
+        )
+        self.stats.response_bytes += len(canonical_dumps(value))
+        return value
+
+    def call(self, contract, method, **args):
+        self.stats.calls += 1
+        return self._read(CallRequest(contract, method, args))
+
+    def batch_call(self, requests):
+        self.stats.batch_calls += 1
+        self.stats.batched_reads += len(requests)
+        return [self._read(request) for request in requests]
+
+    def submit(self, tx: Transaction) -> None:
+        self.stats.submits += 1
+        self.stats.request_bytes += len(
+            canonical_dumps({"to": tx.to, "method": tx.method, "args": tx.args, "nonce": tx.nonce})
+        )
+
+
+def memo_reads(registry: str, ledger: str, own: str, other: str) -> dict[str, CallRequest]:
+    """The reads the memo tests poll, by name; ``own`` is the reading
+    node's address (the ``caller`` of its simulated calls)."""
+    return {
+        "member_count": CallRequest(registry, "member_count"),
+        "members": CallRequest(registry, "members"),
+        "is_member_own": CallRequest(registry, "is_member", {"address": own}),
+        "is_member_other": CallRequest(registry, "is_member", {"address": other}),
+        # Simulating a registration succeeds until the node's own one is
+        # canonical, reverts while it is, succeeds again if a reorg drops
+        # it; the record carries the head height.
+        "register": CallRequest(registry, "register", {"display_name": "probe"}),
+        "register_list_arg": CallRequest(registry, "register", {"display_name": ["probe", 1]}),
+        "score_of": CallRequest(ledger, "score_of", {"address": other}),
+        "is_credible_int": CallRequest(ledger, "is_credible", {"address": other, "threshold": 50}),
+        "is_credible_float": CallRequest(
+            ledger, "is_credible", {"address": other, "threshold": 50.0}
+        ),
+        "reverts": CallRequest(ledger, "rate", {"round_id": 1, "subject": own, "delta": 5}),
+        "unknown_method": CallRequest(registry, "no_such_method"),
+        "unknown_contract": CallRequest("0x" + "ee" * 20, "member_count"),
+    }
+
+
+READ_NAMES = tuple(memo_reads("", "", "", ""))
+
+
+class SteeredChain:
+    """A node behind an ``InProcessGateway`` plus a rival miner that moves
+    the node's canonical head every way it can move: extension, side
+    chain, reorg, a reorg that fails its state-root check and is rolled
+    back, and a snapshot ``sync_from`` fast-forward.
+    """
+
+    def __init__(self) -> None:
+        runtime = ContractRuntime()
+        register_all(runtime)
+        self.cold = ColdStore()
+        self.node = Node(MEMO_KEYPAIRS[0], MEMO_GENESIS, runtime, NodeConfig())
+        self.rival = Node(
+            MEMO_KEYPAIRS[1],
+            MEMO_GENESIS,
+            runtime,
+            NodeConfig(cold_store=self.cold, snapshot_interval=1),
+        )
+        self.clock = 0.0
+        self.unregistered = list(MEMO_KEYPAIRS)
+        self.gateway = InProcessGateway(self.node)
+        self.oracle = UnmemoisedGateway(self.node)
+        self.registry = self._deploy(contract="participant_registry", open_enrollment=True)
+        self.ledger = self._deploy(contract="reputation_ledger")
+        self.rival_follows_node()
+        self.reads = memo_reads(
+            self.registry, self.ledger, self.node.address, MEMO_KEYPAIRS[2].address
+        )
+
+    # -- chain steering ----------------------------------------------------
+
+    def _mine(self, miner: Node, difficulty: int = 1):
+        self.clock += 1.0
+        block = miner.build_block_candidate(self.clock, difficulty=difficulty)
+        miner.seal_and_import(block, nonce=0)
+        return block
+
+    def _deploy(self, **args) -> str:
+        self.clock += 1.0
+        return deploy_contract(self.node, MEMO_KEYPAIRS[0], self.clock, **args)
+
+    def canonical_blocks(self, node: Node) -> list:
+        return [
+            node.store.get(node.store.canonical_hash(number))
+            for number in range(1, node.height + 1)
+        ]
+
+    def submit_registration(self) -> None:
+        """Register the next unused key through the gateway under test."""
+        if not self.unregistered:
+            return
+        kp = self.unregistered.pop(0)
+        tx = Transaction(
+            sender=kp.address,
+            to=self.registry,
+            nonce=self.node.next_nonce_for(kp.address),
+            method="register",
+            args={"display_name": f"peer-{len(self.unregistered)}"},
+        ).sign_with(kp)
+        self.gateway.submit(tx)
+        self.oracle.submit(tx)
+
+    def node_mines(self) -> None:
+        self._mine(self.node)
+
+    def rival_mines(self, difficulty: int = 1) -> None:
+        """One empty rival block, imported by the node: a side chain while
+        the rival's branch is no heavier, a reorg once it is (to the same
+        height or a lower one, when ``difficulty`` makes up the weight)."""
+        self.node.import_block(self._mine(self.rival, difficulty))
+
+    def rival_follows_node(self) -> None:
+        for block in self.canonical_blocks(self.node):
+            self.rival.import_block(block)
+
+    def failed_reorg(self) -> None:
+        """A heavier rival block whose state root is wrong: fork choice
+        switches the node's head to it, execution fails, the switch is
+        rolled back."""
+        self.clock += 1.0
+        lead = self.node.store.total_difficulty(self.node.head_hash) - (
+            self.rival.store.total_difficulty(self.rival.head_hash)
+        )
+        bad = self.rival.build_block_candidate(self.clock, difficulty=max(lead, 0) + 1)
+        bad.header.state_root = "0x" + "de" * 32
+        bad.header.tx_root = bad.compute_tx_root()
+        before = self.node.head_hash
+        with pytest.raises(InvalidBlockError):
+            self.node.import_block(bad)
+        assert self.node.head_hash == before
+
+    def snapshot_sync(self, ahead: int) -> None:
+        """The rival gets ``ahead`` >= 2 blocks in front of the node, which
+        fast-forwards from the rival's snapshot one block below its head."""
+        self.rival_follows_node()
+        if self.rival.head_hash != self.node.head_hash:
+            self.rival_mines()  # equal weight on another branch: break the tie
+        assert self.rival.head_hash == self.node.head_hash
+        base = self.node.height
+        for _ in range(ahead):
+            self._mine(self.rival)
+        lineage = self.canonical_blocks(self.rival)[base:]
+        payload = self.cold.get(snapshot_key(lineage[-2].block_hash))
+        assert self.node.sync_from(payload, lineage[:-1], lineage[-1:]) == 1
+        assert self.node.head_hash == self.rival.head_hash
+
+    # -- reads -------------------------------------------------------------
+
+    def read_both(self, how: str, names: list[str]):
+        """One ``call`` / ``batch_call`` on the gateway and on the oracle;
+        returns (gateway outcome, oracle outcome, reads the gateway had
+        the node execute)."""
+        requests = [self.reads[name] for name in names]
+
+        def ask(gateway):
+            if how == "call":
+                (request,) = requests
+                return outcome(
+                    lambda: gateway.call(request.contract, request.method, **request.args)
+                )
+            return outcome(lambda: gateway.batch_call(requests))
+
+        original = self.node.call_contract
+        executed = 0
+
+        def counting(contract, method, **args):
+            nonlocal executed
+            executed += 1
+            return original(contract, method, **args)
+
+        self.node.call_contract = counting
+        try:
+            got = ask(self.gateway)
+        finally:
+            del self.node.call_contract
+        return got, ask(self.oracle), executed
+
+    def close(self) -> None:
+        self.cold.close()
+
+
+class ReadMemoMachine(RuleBasedStateMachine):
+    """Random reads interleaved with every way the head can move.
+
+    After every step: each read equals a fresh ``node.call_contract``,
+    every ``GatewayStats`` counter equals the un-memoised oracle's, the
+    node executed exactly the reads not yet answered at this head, and
+    ``Node.head_hash`` is the hash of the head block.
+    """
+
+    read_names = st.sampled_from(READ_NAMES)
+
+    @initialize(poll_everything=st.booleans())
+    def build(self, poll_everything):
+        self.chain = SteeredChain()
+        self.answered_head = None
+        self.answered: set[str] = set()
+        # Half the runs re-read everything after every step (any stale
+        # answer shows at once); the other half leave the memo as sparse
+        # as the drawn reads make it.
+        self.poll_everything = poll_everything
+
+    def _expect_executions(self, names: list[str]) -> int:
+        """Reads the memo cannot answer: first at this head, or raising.
+        A batch stops at its first raising read."""
+        head = self.chain.node.head_hash
+        if head != self.answered_head:
+            self.answered_head, self.answered = head, set()
+        expected = 0
+        for name in names:
+            if name in self.answered:
+                continue
+            expected += 1
+            request = self.chain.reads[name]
+            result = outcome(
+                lambda: self.chain.node.call_contract(
+                    request.contract, request.method, **request.args
+                )
+            )
+            if result[0] == "raised":
+                break
+            self.answered.add(name)
+        return expected
+
+    def _read(self, how: str, names: list[str]) -> None:
+        expected = self._expect_executions(names)
+        got, want, executed = self.chain.read_both(how, names)
+        assert got == want
+        assert executed == expected
+
+    @rule(name=read_names)
+    def call(self, name):
+        self._read("call", [name])
+
+    @rule(names=st.lists(read_names, max_size=6))
+    def batch_call(self, names):
+        self._read("batch_call", names)
+
+    @rule(register=st.booleans())
+    def submit_mine_import(self, register):
+        if register:
+            self.chain.submit_registration()
+        self.chain.node_mines()
+
+    @rule(difficulty=st.integers(min_value=1, max_value=3))
+    def rival_block(self, difficulty):
+        head, answered = self.chain.node.head_hash, dict(self.chain.gateway._memo)
+        self.chain.rival_mines(difficulty)
+        if self.chain.node.head_hash == head and self.chain.gateway._memo_head == head:
+            # A side-chain import leaves the head where it was: nothing
+            # the gateway has answered at this head is forgotten.
+            assert self.chain.gateway._memo == answered
+
+    @rule()
+    def rival_follows_node(self):
+        self.chain.rival_follows_node()
+
+    @rule()
+    def failed_reorg(self):
+        self.chain.failed_reorg()
+
+    @rule(ahead=st.integers(min_value=2, max_value=4))
+    def snapshot_sync(self, ahead):
+        self.chain.snapshot_sync(ahead)
+
+    @invariant()
+    def every_read_matches(self):
+        if self.poll_everything:
+            for name in READ_NAMES:
+                self._read("call", [name])
+
+    @invariant()
+    def counters_match_the_oracle(self):
+        assert self.chain.gateway.stats.as_dict() == self.chain.oracle.stats.as_dict()
+
+    @invariant()
+    def stored_head_hash_is_the_head_blocks_hash(self):
+        for node in (self.chain.node, self.chain.rival):
+            assert node.head_hash == node.head.block_hash
+
+    def teardown(self):
+        self.chain.close()
+
+
+TestReadMemoMachine = ReadMemoMachine.TestCase
+TestReadMemoMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+
+
+class TestReadMemo:
+    def test_each_read_runs_once_per_head_and_counts_every_time(self):
+        chain = SteeredChain()
+        polls = [chain.read_both("call", ["members"]) for _ in range(5)]
+        assert [executed for _, _, executed in polls] == [1, 0, 0, 0, 0]
+        assert all(got == want for got, want, _ in polls)
+        assert chain.gateway.stats.calls == 5
+        assert chain.gateway.stats.as_dict() == chain.oracle.stats.as_dict()
+        chain.submit_registration()
+        chain.node_mines()
+        got, want, executed = chain.read_both("call", ["members"])
+        assert executed == 1 and got == want == ("ok", [chain.node.address])
+        chain.close()
+
+    def test_head_hash_is_the_head_blocks_hash_through_every_head_move(self):
+        chain = SteeredChain()
+
+        def check():
+            for node in (chain.node, chain.rival):
+                assert node.head_hash == node.head.block_hash
+            assert chain.gateway.head_hash() == chain.node.head.block_hash
+
+        check()  # after import (the two deployments)
+        chain.node_mines()
+        chain.node_mines()
+        head = chain.node.head_hash
+        chain.rival_mines()  # side chain: one rival block against two
+        assert chain.node.head_hash == head
+        check()
+        chain.rival_mines()
+        chain.rival_mines()  # the rival's branch is heavier now
+        assert chain.node.head_hash == chain.rival.head_hash != head
+        assert chain.node.reorgs_seen == 1
+        check()
+        chain.failed_reorg()
+        check()
+        chain.snapshot_sync(3)
+        assert chain.node.scale_stats()["storage"]["snap_syncs"] == 1
+        check()
+        chain.close()
+
+    def test_a_failure_is_never_served_at_a_later_head(self):
+        """``register`` simulated by the node reverts while the node's own
+        registration is canonical (head A) and succeeds once a reorg has
+        dropped it (head B)."""
+        chain = SteeredChain()
+        chain.submit_registration()  # the node's own key comes first
+        chain.node_mines()
+        reverted, want, _ = chain.read_both("call", ["register"])
+        assert reverted == want == ("raised", "CallRevertedError")
+        # Still head A: a raised read is not kept, it runs (and raises) again.
+        again, _, executed = chain.read_both("call", ["register"])
+        assert again == reverted and executed == 1
+        chain.rival_mines()
+        chain.rival_mines()  # two empty blocks outweigh the registration
+        assert chain.node.head_hash == chain.rival.head_hash
+        got, want, executed = chain.read_both("call", ["register"])
+        assert got == want and got[0] == "ok" and executed == 1
+        assert got[1]["address"] == chain.node.address
+        chain.close()
+
+    def test_fl_layer_leaves_shared_read_results_untouched(self, monkeypatch):
+        """Repeats of a read share one value, so its consumers —
+        ``fetch_updates``, the registration check, the reputation reads,
+        the finalization polls — must treat it as read-only: after a whole
+        run every value the transport handed out still equals the deep
+        copy taken when it was first returned."""
+        handed_out: dict[int, tuple] = {}
+        execute_read = InProcessGateway._execute_read
+
+        def recording(self, request):
+            value = execute_read(self, request)
+            if id(value) not in handed_out:
+                handed_out[id(value)] = (value, copy.deepcopy(value))
+            return value
+
+        monkeypatch.setattr(InProcessGateway, "_execute_read", recording)
+        run_tiny_driver("inprocess")
+        shared = [value for value, _ in handed_out.values() if isinstance(value, (list, dict))]
+        assert len(shared) > 10  # submissions lists, round records
+        for value, first_seen in handed_out.values():
+            assert value == first_seen
 
 
 class TestErrorMappingParity:
@@ -452,6 +918,49 @@ class TestBackendEquivalence:
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+DIGEST_FIXTURE = REPO_ROOT / "tests" / "fixtures" / "chain_stats_digests.json"
+
+
+def digest_specs() -> dict:
+    """Four small runs whose transport counters take different paths."""
+    base = replace(cohort_scenario(4).quick(), rounds=2)
+    sampled = replace(cohort_scenario(8, sampled_k=3).quick(), rounds=2)
+    return {
+        "inprocess": base,
+        "batching": replace(base, chain=replace(base.chain, gateway="batching")),
+        "faults": replace(
+            base,
+            faults=FaultSpec(
+                transient_rate=0.05,
+                timeout_rate=0.02,
+                latency_rate=0.1,
+                duplicate_rate=0.05,
+                stale_read_rate=0.1,
+            ),
+        ),
+        "cold_storage_sampling": replace(
+            sampled,
+            chain=replace(sampled.chain, cold_storage=True, hot_window=4, snapshot_interval=4),
+        ),
+    }
+
+
+def chain_stats_digest(spec) -> str:
+    """SHA-256 of the whole ``chain_stats()``: in-process it holds no
+    wall-clock field (``GatewayStats.as_dict`` leaves those out, and the
+    ``wire`` block is the multiprocess runtime's)."""
+    return hashlib.sha256(canonical_dumps(run_scenario(spec).chain_stats)).hexdigest()
+
+
+class TestChainStatsDigests:
+    """Every counter of ``chain_stats()`` — not only the heights the
+    benchmark's ``result_digest`` covers — is a pinned function of the
+    run.  The fixture was recorded at the commit before the read memo."""
+
+    @pytest.mark.parametrize("name", sorted(digest_specs()))
+    def test_full_chain_stats_unchanged(self, name):
+        pinned = json.loads(DIGEST_FIXTURE.read_text())["digests"]
+        assert chain_stats_digest(digest_specs()[name]) == pinned[name]
 
 
 class TestGatewaySeam:
@@ -486,3 +995,21 @@ class TestGatewaySeam:
         inner = InProcessGateway(node)
         assert isinstance(inner, ChainGateway)
         assert isinstance(BatchingGateway(inner), ChainGateway)
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regenerate" in sys.argv:
+        payload = {
+            "_comment": (
+                "SHA-256 of the canonical JSON of chain_stats(), per spec of "
+                "digest_specs(). Regenerate only on a deliberate counter change: "
+                "PYTHONPATH=src python tests/test_chain_gateway.py --regenerate"
+            ),
+            "digests": {name: chain_stats_digest(spec) for name, spec in digest_specs().items()},
+        }
+        DIGEST_FIXTURE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {DIGEST_FIXTURE}")
+    else:
+        sys.exit(pytest.main([__file__, "-q"]))
