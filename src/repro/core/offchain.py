@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.nn.serialize import WeightArchive, WeightsLike, as_archive
+from repro.nn.serialize import SharedWeights, WeightArchive, WeightsLike, as_archive
 from repro.utils.hashing import keccak_like
 
 #: Decoded archives kept live at once.  A round re-fetches only the current
@@ -145,7 +145,7 @@ class OffchainStore:
             return None
         return self.get_weights(key)
 
-    def fetch_available(self, keys: Iterable[str]) -> dict[str, dict[str, np.ndarray]]:
+    def fetch_available(self, keys: Iterable[str]) -> dict[str, SharedWeights]:
         """Batched fetch: every *present* key's weights in one lookup.
 
         The round-trip-shaped read path of the FL layer: a peer resolves
@@ -154,12 +154,18 @@ class OffchainStore:
         commitment.  Missing keys — blobs that have not propagated yet —
         are simply absent from the result.  Duplicate keys are fetched
         once.
+
+        Every reader of a key gets the decoded archive's own arrays as
+        read-only views (writing to one raises) together with the content
+        fingerprint computed once per archive — a cohort of ``n`` peers
+        reading ``n`` models costs ``n`` hashes and no copies, not ``n^2``
+        of each.  :meth:`get_weights` is the call for arrays to mutate.
         """
         self.batch_fetches += 1
-        found: dict[str, dict[str, np.ndarray]] = {}
+        found: dict[str, SharedWeights] = {}
         for key in keys:
             if key not in found and key in self._blobs:
-                found[key] = self.get_weights(key)
+                found[key] = self.get_archive(key).shared_weights()
         return found
 
     def marshalling_stats(self) -> dict:

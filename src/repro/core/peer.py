@@ -222,6 +222,7 @@ class FullPeer:
                     num_samples=record["num_samples"],
                     round_id=round_id,
                     reported_accuracy=record["reported_accuracy"],
+                    fingerprint=weights.fingerprint,
                 )
             )
         return updates

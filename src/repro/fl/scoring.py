@@ -1,13 +1,12 @@
-"""Parallel, memoized combination-scoring engine.
+"""Batched, memoized combination-scoring engine.
 
 The paper's "consider" aggregation makes every peer score subsets of the
 models it received on its private test set each round.  The seed
 implementation (:mod:`repro.fl.selection`) pays, per subset, one full
-FedAvg recompute (stack + tensordot over every member) plus a full
-save/restore of the scratch model around every evaluation — the wall-clock
-bottleneck at 25+ peers flagged by the ROADMAP.  This module is the fast
-path; :mod:`repro.fl.selection` remains the serial reference it is tested
-against.
+FedAvg recompute (stack + tensordot over every member), a save/restore of
+the scratch model, and one forward pass of its own.  This module is the
+fast path; :mod:`repro.fl.selection` remains the serial reference it is
+tested against.
 
 Memoization key
 ---------------
@@ -18,8 +17,12 @@ under a **content-addressed** key ``(weights_id, test_set_id)``:
   computed once per engine — distinct test sets can share one cache
   without ever sharing entries.
 * For raw weight dicts (solo models, external callers) ``weights_id`` is
-  a SHA-256 over the sorted ``(key, dtype, shape, buffer)`` stream, so a
-  *mutated* weight dict never produces a stale hit.
+  :func:`~repro.nn.serialize.weights_fingerprint`, a SHA-256 over the
+  sorted ``(key, dtype, shape, buffer)`` stream, so a *mutated* weight
+  dict never produces a stale hit.  Updates fetched from the off-chain
+  store arrive read-only with that value already attached
+  (``ModelUpdate.fingerprint``, hashed once per committed model, not once
+  per reader); hand-built updates are hashed here.
 * For subsets the engine aggregates itself, ``weights_id`` is derived
   structurally: ``("fedavg", ((member_id, num_samples), ...))`` in
   evaluation order, where each ``member_id`` is the member's content
@@ -40,25 +43,36 @@ FedAvg over a subset is ``(sum_k n_k * w_k) / (sum_k n_k)``.  The engine
 pre-scales each update once (``n_k * w_k``) and walks subsets
 depth-first, extending a running left-to-right sum — each subset costs
 one tensor add and one scale instead of a stack-and-tensordot over all
-members.  The summation order (sorted members, left to right) is fixed,
-so serial and parallel runs produce bit-identical aggregates.  The
-scratch model's own weights are saved once per search and restored once
-at the end (lazily: a search served entirely from cache never touches
-the model), instead of the seed's save/restore around every call.
+members.  The summation order (sorted members, left to right) is fixed.
+
+Batched evaluation
+------------------
+No candidate is ever installed into the scratch model (only its shapes
+are read).  Every search — the exhaustive walk, a greedy step, the solo
+pass, ``threshold_filter``, a single ``solo_accuracy`` — asks a
+:class:`_Batch` for each candidate's accuracy in the order the serial
+reference would evaluate them.  A request answered by the cache costs
+nothing; otherwise the candidate's weights (the running sum, divided) are
+written into the next free slot of a :data:`BATCH_WIDTH`-slot workspace —
+one per process, shared by every engine of the same architecture — and
+when the workspace is full or the step ends, all occupied slots go
+through :meth:`repro.nn.model.Sequential.evaluate_stacked` at once: the
+layers ahead of the first trained one run once, and the first ``Dense``
+multiplies the shared test batch by all candidates in a single GEMM.
+Each candidate's logits are bit-for-bit those of a forward pass with it
+installed, results are stored and ``instrument`` fires in request order,
+and a key requested twice before its batch runs is evaluated once and
+counts one cache hit, exactly as if the first request had finished.
 
 Determinism contract
 --------------------
-For every mode (serial, ``workers > 0``) and both strategies
-(exhaustive, greedy), the engine returns the same chosen members, the
-same accuracy table, and consumes tie-break RNG draws exactly like the
-serial reference in :mod:`repro.fl.selection`:
+For both strategies (exhaustive, greedy) the engine returns the same
+chosen members, the same accuracy table, and consumes tie-break RNG
+draws exactly like the serial reference in :mod:`repro.fl.selection`:
 
 * subsets are enumerated in a fixed order and re-sorted by
   ``(-accuracy, members)`` exactly like the reference;
-* parallel runs chunk that fixed enumeration contiguously, workers score
-  their chunks with the same left-to-right arithmetic, and results merge
-  back in submission order — worker count never changes any value;
-* tie-breaking happens in the parent via
+* tie-breaking happens in the caller via
   :func:`repro.fl.selection.pick_best` with the caller's RNG, so the
   stream sees one draw per multi-way tie, same as the reference;
 * the *adopted* combination's weights are materialized with the
@@ -82,24 +96,34 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.errors import SelectionError
+from repro.errors import ConfigError, SelectionError
 from repro.fl.aggregation import ModelUpdate, _check_compatible, fedavg
 from repro.fl.selection import CombinationResult, pick_best
 from repro.nn.model import Sequential
+from repro.nn.serialize import weights_fingerprint
 
 Aggregator = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
 
+#: Candidates evaluated per kernel call.  The workspace holds this many
+#: weight sets: 8 x 62k float64 parameters = 4 MB for ``simple_nn``, 2.3 %
+#: of ``paper3_tradeoff``'s resident set, whose ``peak_rss_mb`` bound is
+#: 5 %.  Sixteen slots score ~15 % faster per candidate and cost twice that.
+BATCH_WIDTH = 8
 
-def weights_fingerprint(weights: dict[str, np.ndarray]) -> str:
-    """Content hash of a weight dict (sorted keys, dtype, shape, buffer)."""
-    digest = hashlib.sha256()
-    for key in sorted(weights):
-        array = np.ascontiguousarray(weights[key])
-        digest.update(key.encode("utf-8"))
-        digest.update(str(array.dtype).encode("ascii"))
-        digest.update(str(array.shape).encode("ascii"))
-        digest.update(array.data)
-    return digest.hexdigest()
+#: ``(architecture, stack)``: the process's one candidate workspace, rebuilt
+#: when an engine with another architecture needs it.
+_WORKSPACE: Optional[tuple[tuple, dict[str, np.ndarray]]] = None
+
+
+def _workspace(model: Sequential) -> dict[str, np.ndarray]:
+    """The shared :data:`BATCH_WIDTH`-slot candidate stack for ``model``."""
+    global _WORKSPACE
+    architecture = tuple(
+        (key, value.shape, value.dtype.str) for key, value in model.parameters().items()
+    )
+    if _WORKSPACE is None or _WORKSPACE[0] != architecture:
+        _WORKSPACE = (architecture, model.candidate_stack(BATCH_WIDTH))
+    return _WORKSPACE[1]
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
@@ -111,6 +135,11 @@ def dataset_fingerprint(dataset: Dataset) -> str:
         digest.update(str(array.shape).encode("ascii"))
         digest.update(array.data)
     return digest.hexdigest()
+
+
+def _fingerprint(update: ModelUpdate) -> str:
+    """The update's content hash: carried if known, else hashed now."""
+    return update.fingerprint or weights_fingerprint(update.weights)
 
 
 class EvaluationCache:
@@ -165,95 +194,138 @@ class ScoredSubset:
         return ",".join(self.members)
 
 
-# ---------------------------------------------------------------------------
-# Worker-process plumbing (opt-in parallelism)
-# ---------------------------------------------------------------------------
+class _Batch:
+    """One search step's accuracy requests, answered in request order.
 
-#: Per-process search state installed by the pool initializer.
-_WORKER_STATE: dict = {}
-
-
-def _init_subset_worker(model: Sequential, test_x, test_y, payload, batch_size: int) -> None:
-    """Install one peer's search state in a pool worker.
-
-    ``payload`` is ``[(client_id, weights, num_samples), ...]`` in the
-    engine's canonical (sorted) order; the scaled tensors are precomputed
-    here once so chunk tasks only pay adds.
+    :meth:`claim` either answers a request (cache hit, or a key already
+    waiting in this batch) or hands out a workspace slot for the caller to
+    write the candidate's weights into; :meth:`finish` returns one
+    accuracy per request.  Dropping a batch (a search that raised) leaves
+    nothing behind: slots are scratch and the cache only learns results.
     """
-    keys = sorted(payload[0][1])
-    params = model.parameters()
-    if set(keys) != set(params):
-        raise SelectionError(f"weight keys {keys} do not match model {sorted(params)}")
-    for key in keys:
-        if params[key].shape != payload[0][1][key].shape:
-            raise SelectionError(
-                f"{key}: shape {payload[0][1][key].shape} != model {params[key].shape}"
+
+    def __init__(self, engine: "CombinationEngine") -> None:
+        self.engine = engine
+        #: ``stack[key][slot]`` is where a claimed slot's ``key`` goes.
+        self.stack = _workspace(engine.model)
+        self.accuracies: list[Optional[float]] = []
+        self._slots: dict[object, int] = {}  # key -> request position, in slot order
+        self._repeats: list[tuple[int, object]] = []
+
+    def claim(self, key: object) -> Optional[int]:
+        """Register a request for ``key``'s accuracy.
+
+        Returns the slot to fill with the candidate's weights, or None
+        when no evaluation is needed.
+        """
+        engine = self.engine
+        position = len(self.accuracies)
+        cached = engine.cache.lookup(key)
+        self.accuracies.append(cached)
+        if cached is not None:
+            return None
+        if key in self._slots:
+            self._repeats.append((position, key))
+            return None
+        if len(self._slots) == BATCH_WIDTH:
+            self._flush()
+        if engine.instrument is not None:
+            engine.instrument(key)
+        self._slots[key] = position
+        return len(self._slots) - 1
+
+    def _flush(self) -> None:
+        engine = self.engine
+        if self._slots:
+            evaluated = engine.model.evaluate_stacked(
+                engine.test_set.x,
+                engine.test_set.y,
+                self.stack,
+                len(self._slots),
+                batch_size=engine.batch_size,
             )
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        model=model,
-        test_x=test_x,
-        test_y=test_y,
-        batch_size=batch_size,
-        keys=keys,
-        payload=payload,
-        scaled=[{key: num * weights[key] for key in keys} for _, weights, num in payload],
-        params=model.parameters(),
-        cache={},
-    )
+            for (key, position), accuracy in zip(self._slots.items(), evaluated):
+                engine.cache.store(key, accuracy)
+                self.accuracies[position] = accuracy
+            self._slots.clear()
+        for position, key in self._repeats:
+            self.accuracies[position] = engine.cache.lookup(key)
+        self._repeats.clear()
+
+    def finish(self) -> list[float]:
+        """Evaluate what is still queued; every request's accuracy."""
+        self._flush()
+        return self.accuracies
 
 
-def _worker_evaluate(weights: dict[str, np.ndarray]) -> float:
-    state = _WORKER_STATE
-    params = state["params"]
-    for key in state["keys"]:
-        np.copyto(params[key], weights[key])
-    return state["model"].evaluate_accuracy(
-        state["test_x"], state["test_y"], batch_size=state["batch_size"]
-    )
+class _PackedSums:
+    """FedAvg numerators as flat vectors, laid out like the workspace.
+
+    Row ``k`` of :attr:`scaled` is update ``k``'s ``n_k * w_k`` with every
+    parameter packed end to end; :attr:`scratch` rows hold running sums,
+    so extending a sum by one member is a single vector add.  Each
+    parameter lies in its row in the *memory order of its workspace slot*
+    (the first ``Dense`` keeps ``W`` transposed), so :meth:`divide_into` —
+    the one place a sum becomes candidate weights — streams over
+    contiguous memory on both sides.  Element-wise arithmetic never
+    reassociates: every value is bit-identical to the per-parameter
+    ``(n_a * w_a + n_b * w_b + ...) / n``, whatever the layout.
+    """
+
+    def __init__(
+        self,
+        stack: dict[str, np.ndarray],
+        updates: Sequence[ModelUpdate],
+        keys: list[str],
+        scratch_rows: int,
+    ) -> None:
+        template = updates[0].weights
+        self._rooms = [stack[key] for key in keys]  # each parameter's workspace entry
+        self._ends = np.cumsum([template[key].size for key in keys]).tolist()
+        dtype = template[keys[0]].dtype
+        self.scaled = np.empty((len(updates), self._ends[-1]), dtype=dtype)
+        self.scratch = np.empty((scratch_rows, self._ends[-1]), dtype=dtype)
+        for row, update in zip(self.scaled, updates):
+            for key, view in zip(keys, self._views(row)):
+                np.multiply(update.weights[key], update.num_samples, out=view)
+        self._scratch_views = [self._views(row) for row in self.scratch]
+
+    def _views(self, row: np.ndarray) -> list[np.ndarray]:
+        """``row``'s parameters, each shaped and strided like its slot."""
+        views = []
+        for room, start, end in zip(self._rooms, [0] + self._ends, self._ends):
+            shape = room.shape[1:]
+            if room[0].flags.c_contiguous:
+                views.append(row[start:end].reshape(shape))
+            else:  # Layer.allocate_stack's transposed layout
+                views.append(row[start:end].reshape(shape[::-1]).T)
+        return views
+
+    def divide_into(self, scratch_row: int, total: int, slot: int) -> None:
+        """Write ``scratch[scratch_row] / total`` into workspace ``slot``."""
+        for room, view in zip(self._rooms, self._scratch_views[scratch_row]):
+            np.divide(view, total, out=room[slot])
 
 
-def _worker_subset_accuracy(index_tuple: tuple[int, ...]) -> float:
-    """Accuracy of one subset, with the engine's exact arithmetic."""
-    state = _WORKER_STATE
-    cached = state["cache"].get(index_tuple)
-    if cached is not None:
-        return cached
-    payload, scaled, keys = state["payload"], state["scaled"], state["keys"]
-    if len(index_tuple) == 1:
-        weights = payload[index_tuple[0]][1]
-    else:
-        sums = scaled[index_tuple[0]]
-        for index in index_tuple[1:]:
-            member = scaled[index]
-            sums = {key: sums[key] + member[key] for key in keys}
-        total = sum(payload[index][2] for index in index_tuple)
-        weights = {key: sums[key] / total for key in keys}
-    accuracy = _worker_evaluate(weights)
-    state["cache"][index_tuple] = accuracy
-    state["evaluations"] = state.get("evaluations", 0) + 1
-    return accuracy
-
-
-def _score_chunk(chunk: list[tuple[int, ...]]) -> tuple[list[float], int]:
-    """Score a contiguous chunk of subsets; returns (accuracies, evals)."""
-    _WORKER_STATE["evaluations"] = 0
-    return [_worker_subset_accuracy(indices) for indices in chunk], _WORKER_STATE["evaluations"]
+def _uniform_float(weights: dict[str, np.ndarray]) -> bool:
+    """Whether packing ``weights`` into one vector keeps every parameter's
+    arithmetic precision (mixed or integer dtypes would not)."""
+    dtypes = {value.dtype for value in weights.values()}
+    return len(dtypes) == 1 and np.issubdtype(dtypes.pop(), np.floating)
 
 
 class CombinationEngine:
-    """Memoized (optionally parallel) combination scorer for one peer.
+    """Batched, memoized combination scorer for one peer.
 
-    One engine wraps one scratch ``model`` and one private ``test_set``
-    and exposes the same searches as :mod:`repro.fl.selection` —
-    :meth:`enumerate`, :meth:`best`, :meth:`greedy`,
-    :meth:`threshold_filter` — with identical results (see the module
-    docstring's determinism contract).
+    One engine wraps one scratch ``model`` (read for its architecture,
+    never written) and one private ``test_set`` and exposes the same
+    searches as :mod:`repro.fl.selection` — :meth:`enumerate`,
+    :meth:`best`, :meth:`greedy`, :meth:`threshold_filter` — with
+    identical results (see the module docstring's determinism contract).
 
-    ``workers=0`` runs in-process; ``workers > 0`` fans subset scoring
-    out to a fork-based process pool with deterministic chunking.
-    ``instrument``, when set, is called with the cache key before every
-    *real* model evaluation (cache hits never fire it).
+    ``instrument``, when set, is called with the cache key of every
+    *real* model evaluation, in evaluation order (cache hits never fire
+    it).
     """
 
     def __init__(
@@ -262,132 +334,70 @@ class CombinationEngine:
         test_set: Dataset,
         aggregator: Aggregator = fedavg,
         cache: Optional[EvaluationCache] = None,
-        workers: int = 0,
         batch_size: int = 512,
         instrument: Optional[Callable[[object], None]] = None,
     ) -> None:
-        if workers < 0:
-            raise SelectionError(f"workers must be >= 0, got {workers}")
+        if batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self.model = model
         self.test_set = test_set
         self.aggregator = aggregator
         self.cache = cache if cache is not None else EvaluationCache()
-        self.workers = workers
         self.batch_size = batch_size
         self.instrument = instrument
         self.test_set_id = dataset_fingerprint(test_set)
         #: Structural subset keys are only valid for the reference FedAvg.
         self._incremental = aggregator is fedavg
-        self._saved: Optional[dict[str, np.ndarray]] = None
-        self._params: Optional[dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    # Scratch-model session (one save/restore per search, lazily)
+    # Scoring primitives
     # ------------------------------------------------------------------
 
-    def _ensure_session(self, weights_like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Open the scratch-model session (first real evaluation only).
+    def _request(self, batch: _Batch, key: object, weights: dict[str, np.ndarray]) -> None:
+        """Ask ``batch`` for the accuracy of a raw weight dict."""
+        slot = batch.claim(key)
+        if slot is not None:
+            # Raw dicts arrive from arbitrary callers (threshold_filter,
+            # score_weights), so every one is re-validated: a partial dict
+            # must never be scored with a previous candidate's leftovers.
+            self._check_against_model(batch.stack, weights)
+            for name, value in weights.items():
+                np.copyto(batch.stack[name][slot], value)
 
-        Snapshots the model once — a search answered fully from cache
-        never copies anything — and validates key set/shapes once against
-        ``weights_like``; later installs are raw buffer writes.
-        """
-        if self._saved is None:
-            self._saved = self.model.get_weights()
-            params = self.model.parameters()
-            if set(weights_like) != set(params):
-                raise SelectionError(
-                    f"weight keys {sorted(weights_like)} do not match model {sorted(params)}"
-                )
-            for key, value in weights_like.items():
-                if params[key].shape != value.shape:
-                    raise SelectionError(
-                        f"{key}: shape {value.shape} != model {params[key].shape}"
-                    )
-            self._params = params
-        return self._params
-
-    def _end_session(self) -> None:
-        if self._saved is not None:
-            self.model.set_weights(self._saved)
-            self._saved = None
-            self._params = None
-
-    # ------------------------------------------------------------------
-    # Cached scoring primitives
-    # ------------------------------------------------------------------
-
-    def _evaluate_installed(self, key: object) -> float:
-        accuracy = self.model.evaluate_accuracy(
-            self.test_set.x, self.test_set.y, batch_size=self.batch_size
-        )
-        self.cache.store(key, accuracy)
-        return accuracy
-
-    def _score(self, key: object, realize: Callable[[], dict[str, np.ndarray]]) -> float:
-        """Cached accuracy under ``key``; ``realize`` builds the weights
-        only on a miss (a hit skips even the aggregate's final scale)."""
-        cached = self.cache.lookup(key)
-        if cached is not None:
-            return cached
-        if self.instrument is not None:
-            self.instrument(key)
-        weights = realize()
-        params = self._ensure_session(weights)
-        # Raw dicts arrive from arbitrary callers (threshold_filter,
-        # score_weights), so every install re-validates: a partial dict
-        # must never leave stale parameters behind, and np.copyto would
-        # otherwise broadcast a shape mismatch silently.
-        if len(weights) != len(params):
+    @staticmethod
+    def _check_against_model(stack: dict[str, np.ndarray], weights: dict[str, np.ndarray]) -> None:
+        """Keys and shapes must be the model's: np.copyto / ``out=`` would
+        otherwise broadcast a mismatch silently."""
+        if set(weights) != set(stack):
             raise SelectionError(
-                f"weight keys {sorted(weights)} do not match model {sorted(params)}"
+                f"weight keys {sorted(weights)} do not match model {sorted(stack)}"
             )
         for name, value in weights.items():
-            target = params.get(name)
-            if target is None:
-                raise SelectionError(f"unexpected weight key {name!r}")
-            if target.shape != np.shape(value):
+            if stack[name].shape[1:] != np.shape(value):
                 raise SelectionError(
-                    f"{name}: shape {np.shape(value)} != model {target.shape}"
+                    f"{name}: shape {np.shape(value)} != model {stack[name].shape[1:]}"
                 )
-            np.copyto(target, value)
-        return self._evaluate_installed(key)
 
-    def _score_fedavg(self, key: object, sums: dict[str, np.ndarray], total: int) -> float:
-        """Cached FedAvg-subset accuracy: on a miss the final scale is
-        written straight into the model's parameter buffers (no aggregate
-        dict is ever materialized)."""
-        cached = self.cache.lookup(key)
-        if cached is not None:
-            return cached
-        if self.instrument is not None:
-            self.instrument(key)
-        params = self._ensure_session(sums)
-        for name, value in sums.items():
-            np.divide(value, total, out=params[name])
-        return self._evaluate_installed(key)
+    def _score(self, key: object, weights: dict[str, np.ndarray]) -> float:
+        batch = _Batch(self)
+        self._request(batch, key, weights)
+        return batch.finish()[0]
 
     def solo_key(self, update: ModelUpdate) -> tuple[str, str]:
         """Cache key of one update's raw weights on this test set."""
-        return (weights_fingerprint(update.weights), self.test_set_id)
+        return (_fingerprint(update), self.test_set_id)
 
     def solo_accuracy(self, update: ModelUpdate) -> float:
         """Accuracy of one update's own model (cached)."""
-        try:
-            return self._score(self.solo_key(update), lambda: update.weights)
-        finally:
-            self._end_session()
+        return self._score(self.solo_key(update), update.weights)
 
     def score_weights(self, weights: dict[str, np.ndarray]) -> float:
         """Accuracy of an arbitrary weight dict (content-hash cached)."""
-        try:
-            return self._score((weights_fingerprint(weights), self.test_set_id), lambda: weights)
-        finally:
-            self._end_session()
+        return self._score((weights_fingerprint(weights), self.test_set_id), weights)
 
-    def absorb_solo(self, update: ModelUpdate, accuracy: float) -> None:
-        """Merge a solo score evaluated elsewhere (worker process)."""
-        self.cache.absorb(self.solo_key(update), accuracy)
+    def _subset_key(self, trace: tuple[tuple[str, int], ...]) -> tuple:
+        """Structural cache key for a FedAvg aggregate (evaluation order)."""
+        return ("fedavg", trace, self.test_set_id)
 
     # ------------------------------------------------------------------
     # Searches
@@ -411,15 +421,10 @@ class CombinationEngine:
         keys = _check_compatible(updates)
         ordered = sorted(updates, key=lambda update: update.client_id)
         limit = min(max_size if max_size is not None else len(ordered), len(ordered))
-        try:
-            if not self._incremental:
-                scored = self._enumerate_generic(ordered, min_size, limit)
-            elif self.workers > 0:
-                scored = self._enumerate_parallel(ordered, keys, min_size, limit)
-            else:
-                scored = self._enumerate_serial(ordered, keys, min_size, limit)
-        finally:
-            self._end_session()
+        if self._incremental:
+            scored = self._enumerate_fedavg(ordered, keys, min_size, limit)
+        else:
+            scored = self._enumerate_generic(ordered, min_size, limit)
         scored.sort(key=lambda result: (-result.accuracy, result.members))
         return scored
 
@@ -428,217 +433,79 @@ class CombinationEngine:
     ) -> list[ScoredSubset]:
         """Per-subset aggregator calls for non-FedAvg aggregators (keys
         fall back to content hashes of the aggregated weights)."""
-        scored = []
+        batch = _Batch(self)
+        members = []
         for size in range(min_size, limit + 1):
             for subset in iter_combinations(ordered, size):
                 weights = self.aggregator(subset)
-                accuracy = self._score(
-                    (weights_fingerprint(weights), self.test_set_id), lambda: weights
-                )
-                scored.append(
-                    ScoredSubset(tuple(update.client_id for update in subset), accuracy)
-                )
-        return scored
+                self._request(batch, (weights_fingerprint(weights), self.test_set_id), weights)
+                members.append(tuple(update.client_id for update in subset))
+        return [ScoredSubset(subset, accuracy) for subset, accuracy in zip(members, batch.finish())]
 
-    def _fingerprints(self, ordered: list[ModelUpdate]) -> list[str]:
-        return [weights_fingerprint(update.weights) for update in ordered]
-
-    def _subset_key(self, trace: tuple[tuple[str, int], ...]) -> tuple:
-        """Structural cache key for a FedAvg aggregate (evaluation order)."""
-        return ("fedavg", trace, self.test_set_id)
-
-    def _flat_layout(
-        self, template: dict[str, np.ndarray], keys: list[str]
-    ) -> list[tuple[str, int, int, tuple[int, ...]]]:
-        """(key, start, end, shape) spans of the packed parameter vector."""
-        layout = []
-        start = 0
-        for key in keys:
-            size = int(np.prod(template[key].shape, dtype=np.int64))
-            layout.append((key, start, start + size, template[key].shape))
-            start += size
-        return layout
-
-    def _score_fedavg_flat(
-        self,
-        key_obj: object,
-        flat_sums: np.ndarray,
-        total: int,
-        layout: list[tuple[str, int, int, tuple[int, ...]]],
-        template: dict[str, np.ndarray],
-    ) -> float:
-        """Cached FedAvg-subset accuracy from a packed sum vector.
-
-        Element-wise ops never reassociate, so the packed add/divide are
-        bit-identical to the per-key path the workers (and greedy) use.
-        """
-        cached = self.cache.lookup(key_obj)
-        if cached is not None:
-            return cached
-        if self.instrument is not None:
-            self.instrument(key_obj)
-        params = self._ensure_session(template)
-        for key, start, end, shape in layout:
-            np.divide(flat_sums[start:end].reshape(shape), total, out=params[key])
-        return self._evaluate_installed(key_obj)
-
-    def _enumerate_serial(
+    def _enumerate_fedavg(
         self, ordered: list[ModelUpdate], keys: list[str], min_size: int, limit: int
     ) -> list[ScoredSubset]:
         """Depth-first incremental enumeration (one add + scale per subset).
 
-        Each update's scaled weights are packed into one flat vector, so
-        extending a prefix is a single vectorized add.  Depth ``d`` owns
-        one preallocated sum vector: a node's sum stays valid for its
-        whole subtree, siblings overwrite it only after the subtree
-        finishes — the hot loop allocates nothing.
+        Depth ``d`` owns one :class:`_PackedSums` scratch row: a node's
+        sum stays valid for its whole subtree, siblings overwrite it only
+        after the subtree finishes — the hot loop allocates nothing.  A
+        subset's weights exist only as the quotient written into a
+        workspace slot at the moment the subset is requested.
         """
         if min_size > limit:
             return []  # the reference's empty size range
-        fingerprints = self._fingerprints(ordered)
+        fingerprints = [_fingerprint(update) for update in ordered]
+        batch = _Batch(self)
         if limit == 1:
+            for update, fingerprint in zip(ordered, fingerprints):
+                self._request(batch, (fingerprint, self.test_set_id), update.weights)
             return [
-                ScoredSubset(
-                    (update.client_id,),
-                    self._score(
-                        (fingerprints[index], self.test_set_id),
-                        lambda update=update: update.weights,
-                    ),
-                )
-                for index, update in enumerate(ordered)
+                ScoredSubset((update.client_id,), accuracy)
+                for update, accuracy in zip(ordered, batch.finish())
             ]
         template = ordered[0].weights
-        dtypes = {template[key].dtype for key in keys}
-        if len(dtypes) != 1 or not np.issubdtype(next(iter(dtypes)), np.floating):
-            # Packing mixed/integer dtypes into one vector would change
-            # the arithmetic precision; take the reference-shaped path.
+        if not _uniform_float(template):
             return self._enumerate_generic(ordered, min_size, limit)
-        dtype = next(iter(dtypes))
-        layout = self._flat_layout(template, keys)
-        width = layout[-1][2]
-        scaled = np.empty((len(ordered), width), dtype=dtype)
-        for row, update in enumerate(ordered):
-            for key, start, end, _shape in layout:
-                scaled[row, start:end] = update.num_samples * update.weights[key].ravel()
+        self._check_against_model(batch.stack, template)  # once: the updates agree
+        packed = _PackedSums(batch.stack, ordered, keys, scratch_rows=limit + 1)
+        scaled, scratch = packed.scaled, packed.scratch
+        out_members: list[tuple[str, ...]] = []
         n = len(ordered)
-        buffers = np.empty((limit + 1, width), dtype=dtype)
-        out: list[ScoredSubset] = []
 
-        def visit(start, members, trace, sums, total, size) -> None:
+        def visit(start, members, trace, sums, total) -> None:
+            size = len(members) + 1
             for index in range(start, n):
                 update = ordered[index]
                 new_members = members + (update.client_id,)
                 new_trace = trace + ((fingerprints[index], update.num_samples),)
                 new_total = total + update.num_samples
-                new_size = size + 1
-                if size == 0:
+                if size == 1:
                     new_sums = scaled[index]
-                elif new_size == limit and new_size >= min_size:
-                    # Leaf: the sum is only needed on a cache miss.
-                    new_sums = None
+                elif size < limit:
+                    new_sums = np.add(sums, scaled[index], out=scratch[size])
                 else:
-                    new_sums = buffers[new_size]
-                    np.add(sums, scaled[index], out=new_sums)
-                if new_size >= min_size:
-                    if new_size == 1:
-                        accuracy = self._score(
-                            (fingerprints[index], self.test_set_id),
-                            lambda update=update: update.weights,
+                    new_sums = None  # leaf: only summed if it must be evaluated
+                if size >= min_size:
+                    out_members.append(new_members)
+                    if size == 1:
+                        self._request(
+                            batch, (fingerprints[index], self.test_set_id), update.weights
                         )
                     else:
-                        key_obj = self._subset_key(new_trace)
-                        if new_sums is None:
-                            accuracy = self.cache.lookup(key_obj)
-                            if accuracy is None:
-                                new_sums = buffers[new_size]
-                                np.add(sums, scaled[index], out=new_sums)
-                                accuracy = self._score_fedavg_flat(
-                                    key_obj, new_sums, new_total, layout, template
-                                )
-                        else:
-                            accuracy = self._score_fedavg_flat(
-                                key_obj, new_sums, new_total, layout, template
-                            )
-                    out.append(ScoredSubset(new_members, accuracy))
-                if new_size < limit:
-                    visit(index + 1, new_members, new_trace, new_sums, new_total, new_size)
+                        slot = batch.claim(self._subset_key(new_trace))
+                        if slot is not None:
+                            if new_sums is None:
+                                np.add(sums, scaled[index], out=scratch[size])
+                            packed.divide_into(size, new_total, slot)
+                if size < limit:
+                    visit(index + 1, new_members, new_trace, new_sums, new_total)
 
-        visit(0, (), (), None, 0, 0)
-        return out
-
-    def _enumerate_parallel(
-        self, ordered: list[ModelUpdate], keys: list[str], min_size: int, limit: int
-    ) -> list[ScoredSubset]:
-        """Chunked pool enumeration; merge order is the submission order."""
-        fingerprints = self._fingerprints(ordered)
-        n = len(ordered)
-        subsets = [
-            indices
-            for size in range(min_size, limit + 1)
-            for indices in iter_combinations(range(n), size)
-        ]
-
-        def key_of(indices: tuple[int, ...]) -> object:
-            if len(indices) == 1:
-                return (fingerprints[indices[0]], self.test_set_id)
-            return self._subset_key(
-                tuple((fingerprints[i], ordered[i].num_samples) for i in indices)
-            )
-
-        # Serve already-known subsets from the cache; only the remainder
-        # is farmed out, in its original (deterministic) order.
-        accuracies: dict[tuple[int, ...], float] = {}
-        pending: list[tuple[int, ...]] = []
-        for indices in subsets:
-            cached = self.cache.lookup(key_of(indices))
-            if cached is not None:
-                accuracies[indices] = cached
-            else:
-                pending.append(indices)
-        if pending:
-            executor = self._executor(ordered)
-            if executor is None:
-                return self._enumerate_serial(ordered, keys, min_size, limit)
-            try:
-                with executor:
-                    chunk_size = max(
-                        1, (len(pending) + 4 * self.workers - 1) // (4 * self.workers)
-                    )
-                    chunks = [
-                        pending[start : start + chunk_size]
-                        for start in range(0, len(pending), chunk_size)
-                    ]
-                    for chunk, (chunk_accs, _evals) in zip(
-                        chunks, executor.map(_score_chunk, chunks)
-                    ):
-                        for indices, accuracy in zip(chunk, chunk_accs):
-                            self.cache.absorb(key_of(indices), accuracy)
-                            accuracies[indices] = accuracy
-            except (BrokenExecutor, OSError):  # pragma: no cover - host-dependent
-                # Workers spawn lazily, so a host that cannot fork fails
-                # here, not at pool construction.  Already-absorbed chunks
-                # stay valid cache entries; the serial path reuses them.
-                return self._enumerate_serial(ordered, keys, min_size, limit)
+        visit(0, (), (), None, 0)
         return [
-            ScoredSubset(tuple(ordered[i].client_id for i in indices), accuracies[indices])
-            for indices in subsets
+            ScoredSubset(members, accuracy)
+            for members, accuracy in zip(out_members, batch.finish())
         ]
-
-    def _executor(self, ordered: list[ModelUpdate]) -> Optional[ProcessPoolExecutor]:
-        """A pool primed with this search's state, or None if the host
-        cannot fork (the engine then degrades to the serial path)."""
-        payload = [
-            (update.client_id, update.weights, update.num_samples) for update in ordered
-        ]
-        try:
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_subset_worker,
-                initargs=(self.model, self.test_set.x, self.test_set.y, payload, self.batch_size),
-            )
-        except (OSError, ValueError):  # pragma: no cover - host-dependent
-            return None
 
     def materialize(
         self, members: Sequence[str], updates: Sequence[ModelUpdate], accuracy: float
@@ -665,111 +532,69 @@ class CombinationEngine:
     ) -> CombinationResult:
         """Forward selection replicating the reference step for step.
 
-        Candidate sets are scored from a running sum of the chosen
-        members (insertion order) plus the candidate, so each step costs
-        one add + scale per candidate instead of a growing recompute.
+        With the reference FedAvg, candidate sets are scored from a
+        running sum of the chosen members (insertion order) plus the
+        candidate and keyed structurally, so each step costs one add +
+        scale per candidate and one kernel call per :data:`BATCH_WIDTH`
+        candidates; other aggregators pay one aggregator call per
+        candidate and content-hash keys.
         """
         if not updates:
             raise SelectionError("no updates to combine")
-        if not self._incremental:
-            return self._greedy_generic(updates, seed_client)
         keys = _check_compatible(updates)
         pool = {update.client_id: update for update in updates}
-        fingerprints = {
-            update.client_id: weights_fingerprint(update.weights) for update in updates
-        }
-        scaled = {
-            update.client_id: {
-                key: update.num_samples * update.weights[key] for key in keys
-            }
-            for update in updates
-        }
-        try:
-            if seed_client is not None:
-                if seed_client not in pool:
-                    raise SelectionError(f"seed client {seed_client!r} not among updates")
-                chosen = [pool.pop(seed_client)]
-            else:
-                solos = self.enumerate(list(pool.values()), min_size=1, max_size=1)
-                chosen = [pool.pop(solos[0].members[0])]
-            first = chosen[0]
+        if seed_client is not None:
+            if seed_client not in pool:
+                raise SelectionError(f"seed client {seed_client!r} not among updates")
+            chosen = [pool.pop(seed_client)]
+        else:
+            solos = self.enumerate(list(pool.values()), min_size=1, max_size=1)
+            chosen = [pool.pop(solos[0].members[0])]
+        first = chosen[0]
+        incremental = self._incremental and _uniform_float(first.weights)
+        if incremental:
+            stack = _workspace(self.model)
+            self._check_against_model(stack, first.weights)  # once: the updates agree
+            # Scratch row 0 is the chosen members' running sum, row 1 the
+            # candidate's: the same adds, in the same order, as enumerate.
+            packed = _PackedSums(stack, updates, keys, scratch_rows=2)
+            scaled = {update.client_id: row for update, row in zip(updates, packed.scaled)}
+            fingerprints = {update.client_id: _fingerprint(update) for update in updates}
             trace = ((fingerprints[first.client_id], first.num_samples),)
             sums = scaled[first.client_id]
             total = first.num_samples
-            best_acc = self._score(
-                (fingerprints[first.client_id], self.test_set_id), lambda: first.weights
-            )
-            cand_buffer = {key: np.empty_like(sums[key]) for key in keys}
-            improved = True
-            while improved and pool:
-                improved = False
-                best_candidate = None
-                for client_id in sorted(pool):
-                    candidate = pool[client_id]
-                    cand_trace = trace + ((fingerprints[client_id], candidate.num_samples),)
-                    key_obj = self._subset_key(cand_trace)
-                    accuracy = self.cache.lookup(key_obj)
-                    if accuracy is None:
-                        member = scaled[client_id]
-                        for key in keys:
-                            np.add(sums[key], member[key], out=cand_buffer[key])
-                        accuracy = self._score_fedavg(
-                            key_obj, cand_buffer, total + candidate.num_samples
-                        )
-                    if accuracy > best_acc:
-                        best_acc = accuracy
-                        best_candidate = client_id
-                        improved = True
-                if best_candidate is not None:
-                    candidate = pool.pop(best_candidate)
-                    member = scaled[best_candidate]
-                    sums = {key: sums[key] + member[key] for key in keys}
-                    total += candidate.num_samples
-                    trace = trace + ((fingerprints[best_candidate], candidate.num_samples),)
-                    chosen.append(candidate)
-        finally:
-            self._end_session()
-        return self.materialize(
-            tuple(update.client_id for update in chosen), updates, best_acc
-        )
-
-    def _greedy_generic(
-        self, updates: Sequence[ModelUpdate], seed_client: Optional[str]
-    ) -> CombinationResult:
-        """Reference-shaped greedy for non-FedAvg aggregators: one
-        aggregator call per candidate, content-hash cache keys."""
-        _check_compatible(updates)
-        pool = {update.client_id: update for update in updates}
-        try:
-            if seed_client is not None:
-                if seed_client not in pool:
-                    raise SelectionError(f"seed client {seed_client!r} not among updates")
-                chosen = [pool.pop(seed_client)]
-            else:
-                solos = self.enumerate(list(pool.values()), min_size=1, max_size=1)
-                chosen = [pool.pop(solos[0].members[0])]
-            best_weights = self.aggregator(chosen)
-            best_acc = self._score(
-                (weights_fingerprint(best_weights), self.test_set_id), lambda: best_weights
-            )
-            improved = True
-            while improved and pool:
-                improved = False
-                best_candidate = None
-                for client_id in sorted(pool):
-                    weights = self.aggregator(chosen + [pool[client_id]])
-                    accuracy = self._score(
-                        (weights_fingerprint(weights), self.test_set_id),
-                        lambda weights=weights: weights,
-                    )
-                    if accuracy > best_acc:
-                        best_acc = accuracy
-                        best_candidate = client_id
-                        improved = True
-                if best_candidate is not None:
-                    chosen.append(pool.pop(best_candidate))
-        finally:
-            self._end_session()
+            best_acc = self._score((fingerprints[first.client_id], self.test_set_id), first.weights)
+        else:
+            weights = self.aggregator(chosen)
+            best_acc = self._score((weights_fingerprint(weights), self.test_set_id), weights)
+        while pool:
+            batch = _Batch(self)
+            candidates = sorted(pool)
+            for client_id in candidates:
+                candidate = pool[client_id]
+                if not incremental:
+                    weights = self.aggregator(chosen + [candidate])
+                    self._request(batch, (weights_fingerprint(weights), self.test_set_id), weights)
+                    continue
+                slot = batch.claim(
+                    self._subset_key(trace + ((fingerprints[client_id], candidate.num_samples),))
+                )
+                if slot is not None:
+                    np.add(sums, scaled[client_id], out=packed.scratch[1])
+                    packed.divide_into(1, total + candidate.num_samples, slot)
+            best_candidate = None
+            for client_id, accuracy in zip(candidates, batch.finish()):
+                if accuracy > best_acc:
+                    best_acc = accuracy
+                    best_candidate = client_id
+            if best_candidate is None:
+                break
+            candidate = pool.pop(best_candidate)
+            chosen.append(candidate)
+            if incremental:
+                sums = np.add(sums, scaled[best_candidate], out=packed.scratch[0])
+                total += candidate.num_samples
+                trace = trace + ((fingerprints[best_candidate], candidate.num_samples),)
         return self.materialize(
             tuple(update.client_id for update in chosen), updates, best_acc
         )
@@ -781,17 +606,17 @@ class CombinationEngine:
         always_keep: Optional[str] = None,
     ) -> list[ModelUpdate]:
         """Reference fitness gate, served from the solo-score cache."""
-        kept = []
-        try:
-            for update in sorted(updates, key=lambda update: update.client_id):
-                if always_keep is not None and update.client_id == always_keep:
-                    kept.append(update)
-                    continue
-                accuracy = self._score(self.solo_key(update), lambda u=update: u.weights)
-                if accuracy >= threshold:
-                    kept.append(update)
-        finally:
-            self._end_session()
+        ordered = sorted(updates, key=lambda update: update.client_id)
+        batch = _Batch(self)
+        for update in ordered:
+            if update.client_id != always_keep:
+                self._request(batch, self.solo_key(update), update.weights)
+        accuracies = iter(batch.finish())  # one per update not always kept
+        kept = [
+            update
+            for update in ordered
+            if update.client_id == always_keep or next(accuracies) >= threshold
+        ]
         if not kept:
             raise SelectionError(f"no update passed threshold {threshold}")
         return kept
@@ -800,6 +625,9 @@ class CombinationEngine:
 # ---------------------------------------------------------------------------
 # Peer-level fan-out (DecentralizedFL: independent searches in parallel)
 # ---------------------------------------------------------------------------
+
+#: Per-process search state installed by the pool initializer.
+_WORKER_STATE: dict = {}
 
 
 def _init_peer_worker(

@@ -5,6 +5,12 @@ Each layer owns named parameters (``params``) and matching gradients
 receives dL/d(output) and returns dL/d(input), accumulating parameter
 gradients.  Layers flagged ``trainable = False`` (the frozen backbone)
 skip gradient accumulation, implementing transfer learning.
+
+``forward_stacked`` is the inference pass for several candidate parameter
+sets at once (:meth:`repro.nn.model.Sequential.predict_stacked`): candidate
+``c``'s output is bit-for-bit what ``forward(..., training=False)`` returns
+with candidate ``c``'s parameters installed.  The base class loops over the
+candidates; :class:`Dense` and the element-wise layers do better.
 """
 
 from __future__ import annotations
@@ -53,6 +59,46 @@ class Layer:
         if not self.built:
             raise NotBuiltError(f"layer {self.name!r} used before build()")
 
+    def allocate_stack(self, width: int, shared: bool) -> dict[str, np.ndarray]:
+        """Uninitialised room for ``width`` candidates' parameters.
+
+        ``{name: (width, *shape)}`` per parameter.  ``shared`` tells the
+        layer it will be fed the input all candidates share (see
+        :meth:`forward_stacked`); a layer may then pick another memory
+        layout behind the same logical shape.
+        """
+        return {
+            name: np.empty((width,) + value.shape, dtype=value.dtype)
+            for name, value in self.params.items()
+        }
+
+    def forward_stacked(
+        self, x: np.ndarray, params: dict[str, np.ndarray], count: int, shared: bool
+    ) -> np.ndarray:
+        """Inference outputs ``(count, batch, ...)`` of ``count`` candidates.
+
+        ``params[name][c]`` is candidate ``c``'s value of
+        ``self.params[name]``.  ``x`` is one ``(batch, ...)`` input common
+        to all candidates when ``shared``, per-candidate
+        ``(count, batch, ...)`` inputs otherwise.  This fallback runs
+        ``forward`` once per candidate with the candidate's arrays bound
+        in place of the layer's own, which are never written.
+        """
+        own = self.params
+        try:
+            outputs = []
+            for index in range(count):
+                self.params = {name: stack[index] for name, stack in params.items()}
+                outputs.append(self.forward(x if shared else x[index], training=False))
+        finally:
+            self.params = own
+        return np.stack(outputs)
+
+
+#: (rows, fan_in, units, count, dtype) -> did one stacked GEMM reproduce the
+#: per-candidate products bit for bit (see :meth:`Dense.forward_stacked`).
+_STACKED_GEMM_EXACT: dict[tuple, bool] = {}
+
 
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""
@@ -86,6 +132,59 @@ class Dense(Layer):
             self._cache_x = x
         return x @ self.params["W"] + self.params["b"]
 
+    def allocate_stack(self, width: int, shared: bool) -> dict[str, np.ndarray]:
+        stack = super().allocate_stack(width, shared)
+        if shared:
+            # Each candidate's ``W.T`` is a block of rows of one contiguous
+            # (width * units, fan_in) matrix — what forward_stacked's single
+            # GEMM multiplies by — behind the usual (width, fan_in, units).
+            fan_in, units = self.params["W"].shape
+            rows = np.empty((width, units, fan_in), dtype=self.params["W"].dtype)
+            stack["W"] = rows.transpose(0, 2, 1)
+        return stack
+
+    def forward_stacked(
+        self, x: np.ndarray, params: dict[str, np.ndarray], count: int, shared: bool
+    ) -> np.ndarray:
+        self._require_built()
+        weights, bias = params["W"], params["b"]
+        fan_in, units = weights.shape[1:]
+        if x.ndim != (2 if shared else 3) or x.shape[-1] != fan_in:
+            raise ShapeError(f"{self.name}: expected (batch, {fan_in}), got {x.shape}")
+        if not shared:
+            # One GEMM per candidate, as in forward().
+            return np.matmul(x, weights) + bias[:, None, :]
+        # All candidates in one GEMM: the shared input is read once and the
+        # product is count * units columns wide instead of a skinny `units`
+        # (about twice the rate at 150 x 3072 x 20).  A BLAS picks its
+        # micro-kernels — and with them the order a dot product is summed
+        # in — from the operand shapes, so the wide product matches the
+        # per-candidate ones bit for bit on some shapes and misses by an ulp
+        # on others (OpenBLAS/Haswell: equal at 150 rows, not at 37 rows
+        # with 3 candidates, nor below ~16 rows).  The order depends on
+        # shapes, strides and thread count, never on values: the first call
+        # with a shape computes both and keeps the verdict for the process.
+        rows = len(x)
+        out = np.empty((count, rows, units), dtype=np.result_type(x, weights))
+        shape = (rows, fan_in, units, count, x.dtype.str)
+        exact = None  # None: this shape has not been compared yet
+        if not x.flags.c_contiguous or x.dtype != weights.dtype:
+            exact = False
+        elif shape in _STACKED_GEMM_EXACT:
+            exact = _STACKED_GEMM_EXACT[shape]
+        if exact is not False:
+            # A view when `weights` came from allocate_stack.
+            stacked = weights.transpose(0, 2, 1).reshape(count * units, fan_in)
+            wide = (x @ stacked.T).reshape(rows, count, units).transpose(1, 0, 2)
+        if exact:
+            np.copyto(out, wide)
+        else:
+            for index in range(count):
+                np.matmul(x, np.ascontiguousarray(weights[index]), out=out[index])
+            if exact is None and wide.any():  # all zeros would agree in any order
+                _STACKED_GEMM_EXACT[shape] = np.array_equal(wide, out)
+        return out + bias[:, None, :]
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         self._require_built()
         if self._cache_x is None:
@@ -109,6 +208,9 @@ class ReLU(Layer):
         if training:
             self._mask = mask
         return np.where(mask, x, 0.0)
+
+    def forward_stacked(self, x, params, count, shared):
+        return self.forward(x, training=False)  # element-wise
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -161,6 +263,9 @@ class Dropout(Layer):
         self._mask = (self.rng.random(x.shape) < keep) / keep
         return x * self._mask
 
+    def forward_stacked(self, x, params, count, shared):
+        return x  # identity at inference
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_out
@@ -182,6 +287,9 @@ class Flatten(Layer):
         if training:
             self._input_shape = x.shape
         return x.reshape(x.shape[0], -1)
+
+    def forward_stacked(self, x, params, count, shared):
+        return x.reshape(count, x.shape[1], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

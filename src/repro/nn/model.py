@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import NotBuiltError, ShapeError
+from repro.errors import ConfigError, NotBuiltError, ShapeError
 from repro.nn.layers import Layer
 from repro.nn.losses import CrossEntropyLoss
 
@@ -156,12 +156,77 @@ class Sequential:
 
     def evaluate_accuracy(self, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
         """Classification accuracy over a dataset, batched for memory."""
+        _check_batch_size(batch_size)
         correct = 0
         for start in range(0, len(x), batch_size):
             logits = self.predict(x[start : start + batch_size])
             correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
         return correct / len(x) if len(x) else 0.0
 
+    # ------------------------------------------------------------------
+    # Stacked inference: several candidate weight sets, one sweep
+    # ------------------------------------------------------------------
+
+    def candidate_stack(self, width: int) -> dict[str, np.ndarray]:
+        """Uninitialised room for ``width`` candidate weight sets.
+
+        Keyed like :meth:`parameters`, each entry ``(width, *shape)``:
+        write candidate ``c``'s value of a parameter to ``stack[key][c]``.
+        """
+        self._require_built()
+        stack: dict[str, np.ndarray] = {}
+        shared = True
+        for layer in self.layers:
+            for name, room in layer.allocate_stack(width, shared).items():
+                stack[f"{layer.name}/{name}"] = room
+            shared = shared and not layer.params
+        return stack
+
+    def predict_stacked(
+        self, x: np.ndarray, stack: dict[str, np.ndarray], count: int
+    ) -> np.ndarray:
+        """Inference outputs ``(count, batch, ...)`` of the first ``count``
+        candidates in ``stack``; candidate ``c``'s slice equals
+        :meth:`predict` with ``{key: stack[key][c]}`` installed, bit for
+        bit.  The model's own parameters are neither read nor written.
+
+        Layers ahead of the first one with parameters (flatten, a frozen
+        parameterless backbone) run once, on the input all candidates share.
+        """
+        self._require_built()
+        shared = True
+        for layer in self.layers:
+            if shared and not layer.params:
+                x = layer.forward(x, training=False)
+                continue
+            params = {name: stack[f"{layer.name}/{name}"][:count] for name in layer.params}
+            x = layer.forward_stacked(x, params, count, shared)
+            shared = False
+        return np.broadcast_to(x, (count,) + x.shape) if shared else x
+
+    def evaluate_stacked(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        stack: dict[str, np.ndarray],
+        count: int,
+        batch_size: int = 512,
+    ) -> list[float]:
+        """:meth:`evaluate_accuracy` of each of ``stack``'s first ``count``
+        candidates, in order, without installing any of them."""
+        _check_batch_size(batch_size)
+        correct = np.zeros(count, dtype=np.int64)
+        for start in range(0, len(x), batch_size):
+            logits = self.predict_stacked(x[start : start + batch_size], stack, count)
+            correct += (logits.argmax(axis=2) == y[start : start + batch_size]).sum(axis=1)
+        return [int(hits) / len(x) if len(x) else 0.0 for hits in correct]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(layer.name for layer in self.layers)
         return f"Sequential(name={self.name!r}, layers=[{inner}])"
+
+
+def _check_batch_size(batch_size: int) -> None:
+    """A batch size below one would score nothing (or make ``range`` raise)."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")

@@ -30,6 +30,7 @@ tests and benchmarks can assert the hot path serializes once per model.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -165,6 +166,42 @@ def weights_from_bytes(payload: bytes) -> dict[str, np.ndarray]:
     return weights
 
 
+def weights_fingerprint(weights: dict[str, np.ndarray]) -> str:
+    """Content hash of a weight dict (sorted keys, dtype, shape, buffer).
+
+    The in-memory identity of a model — what the scoring engine's
+    evaluation cache is keyed by (:mod:`repro.fl.scoring`) — as opposed to
+    :attr:`WeightArchive.hash`, the commitment over the *encoded* bytes.
+    """
+    digest = hashlib.sha256()
+    for key in sorted(weights):
+        array = np.ascontiguousarray(weights[key])
+        digest.update(key.encode("utf-8"))
+        digest.update(str(array.dtype).encode("ascii"))
+        digest.update(str(array.shape).encode("ascii"))
+        digest.update(array.data)
+    return digest.hexdigest()
+
+
+class SharedWeights(dict):
+    """One archive's arrays as read-only views, with their fingerprint.
+
+    What :meth:`WeightArchive.shared_weights` hands to readers: a plain
+    weight dict to everything that only reads it, whose arrays refuse
+    writes and whose :func:`weights_fingerprint` is already known.
+    """
+
+    __slots__ = ("fingerprint",)
+
+    def __init__(self, weights: dict[str, np.ndarray], fingerprint: str) -> None:
+        super().__init__()
+        for key, value in weights.items():
+            view = value.view()
+            view.flags.writeable = False
+            self[key] = view
+        self.fingerprint = fingerprint
+
+
 class WeightArchive:
     """One weight dict behind a single cached encoding.
 
@@ -176,8 +213,10 @@ class WeightArchive:
     decodes lazily, once.
 
     Arrays reachable through :attr:`weights` are shared, not copied:
-    treat them as read-only (the off-chain store hands out copies to
-    callers that may mutate).
+    treat them as read-only.  Readers get :meth:`shared_weights` —
+    non-writeable views plus the dict's :attr:`fingerprint`, hashed once
+    per archive however many peers read it — or :meth:`copy_weights` when
+    they need arrays of their own.
 
     Exactly one of ``weights`` / ``payload`` may be supplied: the other
     view is always *derived* from it, so an archive can never carry an
@@ -186,7 +225,7 @@ class WeightArchive:
     decoded cache under an honest commitment hash).
     """
 
-    __slots__ = ("_weights", "_payload", "_hash")
+    __slots__ = ("_weights", "_payload", "_hash", "_fingerprint")
 
     def __init__(
         self,
@@ -198,6 +237,7 @@ class WeightArchive:
         self._weights = weights
         self._payload = payload
         self._hash: Optional[str] = None
+        self._fingerprint: Optional[str] = None
 
     @classmethod
     def from_weights(cls, weights: dict[str, np.ndarray]) -> "WeightArchive":
@@ -240,9 +280,20 @@ class WeightArchive:
         """Serialized byte size — the paper's 'model size' metric."""
         return len(self.payload)
 
+    @property
+    def fingerprint(self) -> str:
+        """:func:`weights_fingerprint` of the weight dict (hashed once)."""
+        if self._fingerprint is None:
+            self._fingerprint = weights_fingerprint(self.weights)
+        return self._fingerprint
+
     def copy_weights(self) -> dict[str, np.ndarray]:
         """Fresh array copies, safe for callers to mutate."""
         return {key: value.copy() for key, value in self.weights.items()}
+
+    def shared_weights(self) -> SharedWeights:
+        """The archive's own arrays, read-only, with their fingerprint."""
+        return SharedWeights(self.weights, self.fingerprint)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.size}B" if self.encoded else "unencoded"

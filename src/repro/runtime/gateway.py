@@ -338,5 +338,5 @@ class RemoteOffchain:
         found: dict[str, dict] = {}
         for key in keys:
             if key not in found and key in self._mirror:
-                found[key] = self._mirror.get_weights(key)
+                found[key] = self._mirror.get_archive(key).shared_weights()
         return found

@@ -115,7 +115,7 @@ class TestCohortScalingSmoke:
 class TestSelectionEngineSmoke:
     """Smoke-tier scoring engine: speedup, equivalence, cache contract.
 
-    ``compare_engines`` asserts serial/memoized/parallel equality
+    ``compare_engines`` asserts serial/memoized equality and ``compare_kernel`` batched/per-candidate identity
     internally; the deterministic cache counters are the hard contract
     here, the wall-clock ratio gets CI slack (1.3x floor vs the 3x the
     opt-in full bench enforces at the 25-update profile).
@@ -128,6 +128,12 @@ class TestSelectionEngineSmoke:
         assert result["speedup"] >= params["floor"]
         assert result["evaluations"] <= result["subsets"]
         assert result["reuse_evaluations"] == 0
+
+    def test_batched_kernel_matches_per_candidate_oracle(self):
+        # Accuracy and logit identity are asserted inside compare_kernel.
+        candidates, n_test = bench_selection_engine.engine_params(smoke=True)["kernel"]
+        result = bench_selection_engine.compare_kernel(candidates, n_test)
+        assert result["batched_evaluations"] == candidates
 
     def test_solo_scores_reused(self):
         counters = bench_selection_engine.solo_reuse_counters()

@@ -13,7 +13,12 @@ import pytest
 from repro.core.offchain import OffchainStore
 from repro.errors import SerializationError
 from repro.fl.aggregation import ModelUpdate
-from repro.nn.serialize import SERIALIZATION_STATS, WeightArchive, weights_to_bytes
+from repro.nn.serialize import (
+    SERIALIZATION_STATS,
+    WeightArchive,
+    weights_fingerprint,
+    weights_to_bytes,
+)
 
 from test_core_decentralized import make_driver
 
@@ -62,6 +67,19 @@ class TestOffchainStoreMarshalling:
         fetched = store.get_weights(key)
         fetched["h/W"] += 100.0
         np.testing.assert_array_equal(store.get_weights(key)["h/W"], weights["h/W"])
+
+    def test_batched_fetch_shares_read_only_arrays_and_one_fingerprint(self, weights):
+        """``fetch_available`` is the many-readers path: no copies, one
+        content hash per archive, and arrays nobody can write through."""
+        store = OffchainStore()
+        key = store.put_weights(weights)
+        first = store.fetch_available([key])[key]
+        second = store.fetch_available([key, key])[key]
+        assert first.fingerprint == second.fingerprint == weights_fingerprint(weights)
+        assert np.shares_memory(first["h/W"], second["h/W"])
+        with pytest.raises(ValueError):
+            first["h/W"][0, 0] = 1.0
+        assert store.get_weights(key)["h/W"].flags.writeable  # still detached copies
 
     def test_corrupted_blob_detected_on_first_materialization(self, weights):
         store = OffchainStore()

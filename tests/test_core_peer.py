@@ -15,7 +15,7 @@ from repro.errors import ConfigError
 from repro.fl.trainer import TrainConfig
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
-from repro.nn.serialize import weights_hash
+from repro.nn.serialize import weights_fingerprint, weights_hash
 
 
 def easy_dataset(rng, n=60):
@@ -112,6 +112,26 @@ class TestCommitFlow:
         assert len(fetched) == 1
         assert fetched[0].client_id == "A"
         for key, value in fetched[0].weights.items():
+            np.testing.assert_array_equal(value, update.weights[key])
+
+    def test_fetched_weights_are_read_only_and_fingerprinted(self, peer):
+        """Every reader shares the store's decoded arrays: a write must
+        raise instead of corrupting the other peers' view, and the content
+        hash arrives with the update instead of being recomputed per peer."""
+        self._deploy_store(peer)
+        update, tx = peer.train_and_commit(1)
+        peer.gateway.node.submit_transaction(tx)
+        block = peer.gateway.node.build_block_candidate(26.0, difficulty=1)
+        peer.gateway.node.seal_and_import(block, nonce=0)
+
+        (fetched,) = peer.fetch_updates(1, {peer.address: "A"})
+        assert fetched.fingerprint == weights_fingerprint(update.weights)
+        for value in fetched.weights.values():
+            with pytest.raises(ValueError):
+                value[...] = 0.0
+        (again,) = peer.fetch_updates(1, {peer.address: "A"})
+        for key, value in again.weights.items():
+            assert np.shares_memory(value, fetched.weights[key])  # no copy per reader
             np.testing.assert_array_equal(value, update.weights[key])
 
     def test_fetch_skips_unpropagated_blobs(self, peer):

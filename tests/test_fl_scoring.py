@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.errors import SelectionError
+from repro.errors import ConfigError, SelectionError
 from repro.fl.aggregation import ModelUpdate, uniform_average
 from repro.fl.evaluation import evaluate_weights
 from repro.fl.scoring import (
+    BATCH_WIDTH,
     CombinationEngine,
     EvaluationCache,
     dataset_fingerprint,
@@ -164,6 +165,127 @@ class TestExceptionSafety:
             engine.threshold_filter([upd("A", good_weights()), wrong_shape], threshold=-1.0)
 
 
+def random_updates(count, seed=3):
+    """Distinct random models, distinct sample counts, ids A, B, C, ..."""
+    rng = np.random.default_rng(seed)
+    return [
+        upd(
+            chr(ord("A") + index),
+            {"head/W": rng.normal(size=(2, 2)), "head/b": rng.normal(size=2)},
+            n=10 + index,
+        )
+        for index in range(count)
+    ]
+
+
+def key_of(engine, subset):
+    """The cache key the engine files ``subset`` (updates, in order) under."""
+    if len(subset) == 1:
+        return engine.solo_key(subset[0])
+    trace = tuple((weights_fingerprint(u.weights), u.num_samples) for u in subset)
+    return ("fedavg", trace, engine.test_set_id)
+
+
+def depth_first(updates, prefix=()):
+    """Subsets in the serial walk's evaluation order: A, AB, ABC, ..., AC, ..."""
+    for index, update in enumerate(updates):
+        subset = prefix + (update,)
+        yield subset
+        yield from depth_first(updates[index + 1 :], subset)
+
+
+class TestBatching:
+    def test_equal_keys_in_one_batch_cost_one_evaluation_and_one_hit(
+        self, scratch_model, test_set
+    ):
+        """A and C carry the same bytes and sample count: the solo pass
+        queues A, meets C's equal key before the batch has run, and must
+        account for it as the serial walk did — one evaluation, one hit."""
+        seen = []
+        engine = CombinationEngine(scratch_model, test_set, instrument=seen.append)
+        updates = [upd("A", good_weights()), upd("B", bad_weights()), upd("C", good_weights())]
+        assert BATCH_WIDTH >= len(updates)  # all three share a batch
+        scored = {s.members: s.accuracy for s in engine.enumerate(updates, max_size=1)}
+        assert scored == {("A",): 1.0, ("B",): 0.0, ("C",): 1.0}
+        assert len(seen) == 2
+        assert engine.cache.stats == {"hits": 1, "misses": 2, "absorbed": 0}
+
+    def test_equal_subset_keys_across_a_full_walk(self, scratch_model, test_set):
+        """Seven subsets of [A, B, C = A's bytes]: solo C repeats solo A's
+        key (traces are ordered, so no pair repeats) — six evaluations and
+        one hit, as in the serial walk."""
+        engine = CombinationEngine(scratch_model, test_set)
+        updates = [upd("A", good_weights()), upd("B", bad_weights()), upd("C", good_weights())]
+        reference = enumerate_combinations(updates, scratch_model, test_set)
+        scored = engine.enumerate(updates)
+        assert [(r.members, r.accuracy) for r in reference] == [
+            (s.members, s.accuracy) for s in scored
+        ]
+        assert engine.cache.stats == {"hits": 1, "misses": 6, "absorbed": 0}
+
+    def test_enumerate_evaluates_in_the_serial_order(self, scratch_model, test_set):
+        """Fifteen subsets span two kernel calls; ``instrument`` still sees
+        the depth-first order, once each, and a repeat sees nothing."""
+        seen = []
+        engine = CombinationEngine(scratch_model, test_set, instrument=seen.append)
+        updates = random_updates(4)
+        assert 2**4 - 1 > BATCH_WIDTH
+        engine.enumerate(list(reversed(updates)))  # input order is irrelevant
+        assert seen == [key_of(engine, subset) for subset in depth_first(updates)]
+        assert engine.cache.stats == {"hits": 0, "misses": 15, "absorbed": 0}
+        engine.enumerate(updates)
+        assert len(seen) == 15
+        assert engine.cache.stats == {"hits": 15, "misses": 15, "absorbed": 0}
+
+    def test_greedy_evaluates_in_the_serial_order(self, scratch_model, test_set):
+        """Solos in id order, then each step's candidates in id order after
+        the members chosen so far; the last step adds nothing."""
+        seen = []
+        engine = CombinationEngine(scratch_model, test_set, instrument=seen.append)
+        updates = random_updates(10)
+        by_id = {update.client_id: update for update in updates}
+        result = engine.greedy(updates)
+        chosen = [by_id[member] for member in result.members]
+        expected = [engine.solo_key(update) for update in updates]
+        for step in range(1, len(chosen) + 1):
+            rest = [u for u in updates if u.client_id not in result.members[:step]]
+            expected += [key_of(engine, (*chosen[:step], candidate)) for candidate in rest]
+        assert seen == expected
+        assert engine.cache.stats["misses"] == len(expected)
+        reference = greedy_combination(updates, scratch_model, test_set)
+        assert (result.members, result.accuracy) == (reference.members, reference.accuracy)
+
+    def test_scratch_model_is_never_written(self, scratch_model, test_set):
+        """Same parameter arrays, same bytes, after every kind of search —
+        also one that raises with candidates already queued."""
+        arrays = scratch_model.parameters()
+        before = scratch_model.get_weights()
+        engine = CombinationEngine(scratch_model, test_set)
+        updates = random_updates(5)
+        engine.enumerate(updates)
+        engine.greedy(updates)
+        engine.threshold_filter(updates, threshold=0.0)
+        engine.solo_accuracy(updates[0])
+        partial = upd("Z", {"head/W": np.zeros((2, 2))})
+        with pytest.raises(SelectionError):
+            engine.threshold_filter(random_updates(3, seed=8) + [partial], threshold=0.0)
+        with pytest.raises(SelectionError):
+            engine.enumerate([upd("A", {"head/W": np.zeros((3, 2)), "head/b": np.zeros(2)})] * 2)
+        after = scratch_model.parameters()
+        for key, value in before.items():
+            assert after[key] is arrays[key]
+            assert np.array_equal(after[key], value)
+
+    def test_carried_fingerprint_is_used_and_hand_built_updates_are_hashed(
+        self, scratch_model, test_set
+    ):
+        engine = CombinationEngine(scratch_model, test_set)
+        hand_built = upd("A", good_weights())
+        assert engine.solo_key(hand_built)[0] == weights_fingerprint(hand_built.weights)
+        fetched = ModelUpdate("A", good_weights(), 100, fingerprint="known")
+        assert engine.solo_key(fetched) == ("known", engine.test_set_id)
+
+
 class TestInstrumentation:
     def test_hook_fires_only_on_real_evaluations(self, scratch_model, test_set):
         seen = []
@@ -186,16 +308,16 @@ class TestEngineSearches:
             (s.members, s.accuracy) for s in scored
         ]
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_min_size_above_max_size_is_empty(self, scratch_model, test_set, workers):
-        """min_size > max_size is the reference's empty size range, in
-        every mode — not a backdoor to the solo fast path."""
+    @pytest.mark.parametrize("max_size", [0, 1])
+    def test_min_size_above_max_size_is_empty(self, scratch_model, test_set, max_size):
+        """min_size > max_size is the reference's empty size range — not
+        a backdoor to the solo fast path."""
         updates = [upd("A", good_weights()), upd("B", bad_weights())]
         reference = enumerate_combinations(
-            updates, scratch_model, test_set, min_size=2, max_size=1
+            updates, scratch_model, test_set, min_size=2, max_size=max_size
         )
-        engine = CombinationEngine(scratch_model, test_set, workers=workers)
-        assert engine.enumerate(updates, min_size=2, max_size=1) == reference == []
+        engine = CombinationEngine(scratch_model, test_set)
+        assert engine.enumerate(updates, min_size=2, max_size=max_size) == reference == []
 
     def test_empty_and_bad_min_size_rejected(self, scratch_model, test_set):
         engine = CombinationEngine(scratch_model, test_set)
@@ -237,6 +359,8 @@ class TestEngineSearches:
         for key in reference.weights:
             np.testing.assert_array_equal(reference.weights[key], candidate.weights[key])
 
-    def test_workers_validation(self, scratch_model, test_set):
-        with pytest.raises(SelectionError):
-            CombinationEngine(scratch_model, test_set, workers=-1)
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_validation(self, scratch_model, test_set, batch_size):
+        """A negative batch size used to score every candidate 0.0."""
+        with pytest.raises(ConfigError):
+            CombinationEngine(scratch_model, test_set, batch_size=batch_size)

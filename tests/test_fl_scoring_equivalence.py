@@ -6,8 +6,9 @@ sample counts), exhaustive and greedy searches through the engine return
 *identical* results to the seed implementations in
 :mod:`repro.fl.selection` — same members, same accuracies, byte-identical
 chosen weights — and consume tie-break RNG draws identically (pinned by
-comparing generator states after the search).  ``workers=2`` runs the
-same cohorts through the process pool and must change nothing.
+comparing generator states after the search).  ``warm=1`` repeats each
+search on the cache the first one filled — every request a hit, nothing
+evaluated — and must change nothing.
 
 Hypothesis is derandomized so tier-1 is reproducible; the strategies
 deliberately overweight exact ties (cluster members share weight bytes),
@@ -89,15 +90,17 @@ def assert_same_combination(reference, candidate) -> None:
         np.testing.assert_array_equal(reference.weights[key], candidate.weights[key])
 
 
-@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("warm", [0, 1])
 class TestExhaustiveEquivalence:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(data=cohorts(max_size=EXHAUSTIVE_LIMIT), rng_seed=st.integers(0, 2**16))
-    def test_enumerate_and_best(self, workers, data, rng_seed):
+    def test_enumerate_and_best(self, warm, data, rng_seed):
         updates, test_seed = data
         model = build_scratch()
         test_set = build_test_set(test_seed)
-        engine = CombinationEngine(model, test_set, workers=workers)
+        engine = CombinationEngine(model, test_set)
+        if warm:
+            engine.enumerate(updates)
 
         reference = enumerate_combinations(updates, model, test_set)
         scored = engine.enumerate(updates)
@@ -116,11 +119,13 @@ class TestExhaustiveEquivalence:
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(data=cohorts(max_size=EXHAUSTIVE_LIMIT), threshold=st.floats(0.0, 1.0))
-    def test_threshold_filter(self, workers, data, threshold):
+    def test_threshold_filter(self, warm, data, threshold):
         updates, test_seed = data
         model = build_scratch()
         test_set = build_test_set(test_seed)
-        engine = CombinationEngine(model, test_set, workers=workers)
+        engine = CombinationEngine(model, test_set)
+        if warm:
+            engine.enumerate(updates, max_size=1)
         try:
             reference = threshold_filter(updates, model, test_set, threshold)
         except Exception as error:
@@ -131,30 +136,31 @@ class TestExhaustiveEquivalence:
         assert [u.client_id for u in reference] == [u.client_id for u in kept]
 
 
-@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("warm", [0, 1])
 class TestGreedyEquivalence:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(data=cohorts(max_size=12))
-    def test_greedy(self, workers, data):
+    def test_greedy(self, warm, data):
         updates, test_seed = data
         model = build_scratch()
         test_set = build_test_set(test_seed)
-        # Subset-level workers only apply to enumerate; greedy runs the
-        # same incremental arithmetic either way — parametrized anyway so
-        # a future parallel greedy path inherits the contract.
-        engine = CombinationEngine(model, test_set, workers=workers)
+        engine = CombinationEngine(model, test_set)
+        if warm:
+            engine.greedy(updates)
         reference = greedy_combination(updates, model, test_set)
         candidate = engine.greedy(updates)
         assert_same_combination(reference, candidate)
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(data=cohorts(max_size=8), seed_index=st.integers(0, 7))
-    def test_greedy_with_seed_client(self, workers, data, seed_index):
+    def test_greedy_with_seed_client(self, warm, data, seed_index):
         updates, test_seed = data
         model = build_scratch()
         test_set = build_test_set(test_seed)
         seed_client = updates[seed_index % len(updates)].client_id
-        engine = CombinationEngine(model, test_set, workers=workers)
+        engine = CombinationEngine(model, test_set)
+        if warm:
+            engine.greedy(updates, seed_client=seed_client)
         reference = greedy_combination(updates, model, test_set, seed_client=seed_client)
         candidate = engine.greedy(updates, seed_client=seed_client)
         assert_same_combination(reference, candidate)
