@@ -19,7 +19,6 @@ import pytest
 
 from conftest import run_once
 from repro.core.config import default_config
-from repro.core.decentralized import DecentralizedConfig
 from repro.core.experiment import run_decentralized_experiment
 from repro.core.peer import PeerConfig  # noqa: F401  (documented entry point)
 from repro.fl.async_policy import WaitForAll, WaitForK
@@ -34,10 +33,6 @@ _SWEEP_CACHE: dict = {}
 TRAINING_TIMES = {"A": 20.0, "B": 60.0, "C": 150.0}
 
 
-def _staggered_chain_config(policy) -> DecentralizedConfig:
-    return DecentralizedConfig(policy=policy)
-
-
 def _sweep(model_kind: str) -> list[dict]:
     if model_kind in _SWEEP_CACHE:
         return _SWEEP_CACHE[model_kind]
@@ -46,7 +41,7 @@ def _sweep(model_kind: str) -> list[dict]:
         config = default_config(model_kind)
         result = run_decentralized_experiment(
             config,
-            chain_config=_staggered_chain_config(policy),
+            policy=policy,
             training_times=TRAINING_TIMES,
         )
         mean_wait = float(np.mean(list(result.wait_times.values())))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.chain.spec import ChainSpec
 from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
 from repro.core.peer import PeerConfig
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
@@ -49,7 +50,15 @@ def main() -> None:
         {p: factory.sample(300, rngs.get("train", p)) for p in peers},
         {p: factory.sample(200, rngs.get("test", p)) for p in peers},
         model_builder=lambda rng: build_simple_nn(np.random.default_rng(42)),
-        config=DecentralizedConfig(rounds=3, mode="global_vote", enable_reputation=True),
+        # FL knobs are DecentralizedConfig fields; chain knobs live on the
+        # ChainSpec it holds.  Every peer polls the vote tally each round,
+        # so the read-coalescing gateway fits (it never changes a result).
+        config=DecentralizedConfig(
+            rounds=3,
+            mode="global_vote",
+            enable_reputation=True,
+            chain=ChainSpec(gateway="batching"),
+        ),
         rng_factory=rngs.spawn("chain"),
     )
     print("Running 3 rounds in global-vote mode with reputation enabled ...")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ExperimentConfig
-from repro.core.decentralized import DecentralizedConfig
 from repro.core.experiment import run_decentralized_experiment
 from repro.data.synthetic import SyntheticSpec
 from repro.fl.async_policy import WaitForAll, WaitForK
@@ -35,9 +34,7 @@ def main() -> None:
 
     rows = []
     for policy in (WaitForK(1), WaitForK(2), WaitForAll()):
-        result = run_decentralized_experiment(
-            config, chain_config=DecentralizedConfig(policy=policy)
-        )
+        result = run_decentralized_experiment(config, policy=policy)
         mean_wait = float(np.mean(list(result.wait_times.values())))
         final_acc = float(
             np.mean([log.chosen_accuracy for log in result.round_logs[-3:]])

@@ -15,6 +15,8 @@ package provides the equivalent substrate in-process:
 * :mod:`repro.chain.network` — gossip network with latency and partitions.
 * :mod:`repro.chain.gateway` — the transport-agnostic ledger service API
   the FL layer programs against (in-process and batching backends).
+* :mod:`repro.chain.spec` — :class:`ChainSpec`, the one declaration and
+  validation of every chain knob.
 * :mod:`repro.chain.scale` — scale-out machinery: deterministic parallel
   transaction execution, spillable cold block/receipt storage, and
   root-verified snapshot state-sync.
@@ -41,6 +43,7 @@ from repro.chain.gateway import (
     InProcessGateway,
     transport_stats,
 )
+from repro.chain.spec import ChainSpec
 
 __all__ = [
     "KeyPair",
@@ -86,4 +89,5 @@ __all__ = [
     "GatewayStats",
     "InProcessGateway",
     "transport_stats",
+    "ChainSpec",
 ]

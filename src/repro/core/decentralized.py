@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.chain.crypto import Address, KeyPair
 from repro.chain.gateway import (
-    GATEWAY_BACKENDS,
     BatchingGateway,
     CallRequest,
     ChainGateway,
@@ -41,6 +40,7 @@ from repro.chain import ColdStore, GenesisSpec, Node, NodeConfig
 from repro.chain.network import LatencyModel, P2PNetwork
 from repro.chain.pow import ProofOfWork, RetargetRule
 from repro.chain.runtime import ContractRuntime
+from repro.chain.spec import ChainSpec
 from repro.contracts import register_all
 from repro.core.offchain import OffchainStore
 from repro.core.participation import ParticipationPlan, ParticipationSpec
@@ -57,7 +57,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyGateway, Res
 from repro.fl.aggregation import ModelUpdate, fedavg
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
 from repro.fl.scoring import CombinationEngine, ScoredSubset, run_peer_searches
-from repro.fl.selection import enumerate_combinations, greedy_combination, pick_best
+from repro.fl.selection import pick_best
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_to_bytes
 from repro.utils.events import Simulator
@@ -74,7 +74,14 @@ REPUTATION_INITIAL_SCORE = 100
 
 @dataclass
 class DecentralizedConfig:
-    """Parameters of the decentralized deployment.
+    """The decentralized driver's parameters: FL knobs plus three sub-specs.
+
+    The chain, fault and participation axes are held whole — declared,
+    documented and validated once, on :class:`~repro.chain.spec.ChainSpec`,
+    :class:`~repro.faults.FaultSpec` and
+    :class:`~repro.core.participation.ParticipationSpec` — so every field
+    name here is also a :class:`~repro.scenarios.spec.ScenarioSpec` field
+    and the scenario runner projects one onto the other by name.
 
     ``mode`` selects between the paper's two operating modes (§III-B):
 
@@ -88,61 +95,34 @@ class DecentralizedConfig:
 
     ``enable_reputation`` adds the incentive extension: after aggregating,
     each peer rates the others on the reputation ledger according to
-    whether their solo models passed its local fitness check.
+    whether their solo models scored within ``reputation_fitness_margin``
+    of its own.
 
     ``selection`` picks the combination-search strategy in personalized
     mode: ``"exhaustive"`` enumerates every subset (the paper's Tables
-    II-IV), ``"greedy"`` runs forward selection
-    (:func:`~repro.fl.selection.greedy_combination`, O(n^2) instead of
+    II-IV), ``"greedy"`` runs forward selection (O(n^2) instead of
     O(2^n)), and ``"auto"`` — the default — stays exhaustive up to
     ``exhaustive_limit`` visible updates and switches to greedy beyond it,
     so the paper's 3-peer tables are bit-identical while 10-50-peer
-    cohorts stay tractable.
+    cohorts stay tractable.  Searches run through the memoized
+    :class:`~repro.fl.scoring.CombinationEngine`; the seed per-subset
+    loops in :mod:`repro.fl.selection` are the oracle its tests compare
+    against.
 
-    ``scoring`` picks the combination-scoring implementation:
-    ``"engine"`` (the default) runs searches through the memoized
-    incremental :class:`~repro.fl.scoring.CombinationEngine`;
-    ``"serial"`` keeps the seed per-subset loop from
-    :mod:`repro.fl.selection`.  Both produce identical accuracy tables,
-    chosen combinations, and tie-break RNG draws — ``"serial"`` exists
-    as the reference for equivalence tests and benchmarks.
+    ``selection_workers`` fans the peers' independent combination
+    searches out to that many worker processes; ``0`` stays in-process.
+    Worker count never changes any result.
 
-    ``selection_workers`` (engine mode only) fans the peers' independent
-    combination searches out to that many worker processes; ``0`` stays
-    in-process.  Worker count never changes any result.
-
-    ``gateway`` selects the ledger backend every peer talks through
-    (:mod:`repro.chain.gateway`): ``"inprocess"`` is the pure-delegation
-    wrapper around each peer's node (bit-identical to the pre-gateway
-    driver), ``"batching"`` coalesces the per-round fan-out of contract
-    reads behind a head-keyed cache whose entries also expire after
-    ``gateway_staleness`` simulated seconds.  Reads are pure functions of
-    the canonical head, so the backend never changes a result — only the
-    number of transport round trips (``chain_stats()["gateway"]``).
-
-    ``faults`` (a :class:`~repro.faults.FaultSpec`) activates the
-    deterministic fault-injection harness: every peer's gateway stack
-    gains a :class:`~repro.faults.FaultyGateway` just above the transport
-    and (with ``faults.resilience``) a
-    :class:`~repro.faults.ResilientGateway` on top, rounds degrade to the
-    live quorum when peers are crashed or dropped, and ``run()`` records
+    An active ``faults`` spec puts a :class:`~repro.faults.FaultyGateway`
+    (and, with ``faults.resilience``, a
+    :class:`~repro.faults.ResilientGateway`) into every peer's gateway
+    stack, degrades rounds to the live quorum, and makes ``run()`` record
     ``completed_rounds`` / ``abort_reason`` instead of propagating round
-    failures.  The default (inactive) spec changes nothing — the stack,
-    the rng draws, and every result are identical to pre-fault builds.
-
-    ``drop_rate`` is the p2p message-drop probability, drawn from the
-    dedicated ``network/drop`` stream so fault intensities A/B cleanly
-    against each other without perturbing latency draws.
-
-    ``participation`` (a :class:`~repro.core.participation.ParticipationSpec`)
-    activates client sampling and churn: only the round's selected
-    subcohort trains/submits/rates/votes, window/churn absences partition
-    the peer like a PR-7 crash (with the same sync + FedAvg catch-up on
-    rejoin), and peers that are never selected are never materialized at
-    all — which is what lets ``cohort/1000`` run with 25 trainers per
-    round.  The default (full participation) spec changes nothing: the
-    peer set, rng draws, transactions, and results are byte-identical to
-    pre-participation builds.
+    failures.  An engaged ``participation`` spec restricts each round to
+    its sampled subcohort, partitions absent peers like a crash, and never
+    materializes peers that are never selected.  Both defaults change
+    nothing: the stack, rng draws and results are byte-identical to builds
+    without the axis.
     """
 
     rounds: int = 10
@@ -152,25 +132,10 @@ class DecentralizedConfig:
     reputation_fitness_margin: float = 0.10
     selection: str = "auto"
     exhaustive_limit: int = 6
-    scoring: str = "engine"
     selection_workers: int = 0
-    gateway: str = "inprocess"
-    gateway_staleness: float = 5.0
-    target_block_interval: float = 13.0
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    gossip_batch_window: float = 0.01
-    hashrate: float = 1000.0
-    max_round_time: float = 100_000.0
-    poll_interval: float = 1.0
+    chain: ChainSpec = field(default_factory=ChainSpec)
     faults: FaultSpec = field(default_factory=FaultSpec)
-    drop_rate: float = 0.0
     participation: ParticipationSpec = field(default_factory=ParticipationSpec)
-    execution: str = "serial"
-    execution_workers: int = 0
-    parallel_min_txs: int = 64
-    cold_storage: bool = False
-    hot_window: int = 16
-    snapshot_interval: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -183,42 +148,10 @@ class DecentralizedConfig:
             raise ConfigError(
                 f"exhaustive_limit must be >= 1, got {self.exhaustive_limit}"
             )
-        if self.scoring not in ("engine", "serial"):
-            raise ConfigError(f"unknown scoring implementation {self.scoring!r}")
         if self.selection_workers < 0:
             raise ConfigError(
                 f"selection_workers must be >= 0, got {self.selection_workers}"
             )
-        if self.scoring == "serial" and self.selection_workers > 0:
-            raise ConfigError(
-                "selection_workers requires the scoring engine; "
-                'the "serial" reference path is single-process'
-            )
-        if self.gateway not in GATEWAY_BACKENDS:
-            raise ConfigError(
-                f"unknown gateway backend {self.gateway!r}; "
-                f"choose from {GATEWAY_BACKENDS}"
-            )
-        if self.gateway_staleness <= 0:
-            raise ConfigError(
-                f"gateway_staleness must be positive, got {self.gateway_staleness}"
-            )
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if self.execution not in ("serial", "parallel"):
-            raise ConfigError(
-                f"execution must be 'serial' or 'parallel', got {self.execution!r}"
-            )
-        if self.execution_workers < 0:
-            raise ConfigError("execution_workers must be >= 0")
-        if self.parallel_min_txs < 1:
-            raise ConfigError("parallel_min_txs must be >= 1")
-        if self.hot_window < 1:
-            raise ConfigError("hot_window must be >= 1")
-        if self.snapshot_interval < 0:
-            raise ConfigError("snapshot_interval must be >= 0")
-        if self.snapshot_interval > 0 and not self.cold_storage:
-            raise ConfigError("snapshot_interval requires cold_storage")
 
 
 @dataclass
@@ -253,31 +186,21 @@ class PeerRoundLog:
 
 def choose_combination(
     peer: FullPeer,
-    engine: Optional[CombinationEngine],
+    engine: CombinationEngine,
     updates: list[ModelUpdate],
     use_greedy: bool,
 ) -> tuple[list, object]:
     """One peer's combination search; returns ``(scored, chosen)``.
 
-    Tie-breaking draws from ``peer.rng`` (exhaustive paths only), so the
+    Tie-breaking draws from ``peer.rng`` (exhaustive path only), so the
     caller must hold the peer's canonical named stream.
     """
     if use_greedy:
-        if engine is not None:
-            chosen = engine.greedy(updates)
-        else:
-            chosen = greedy_combination(
-                updates, peer.client.model, peer.client.test_set, aggregator=fedavg
-            )
+        chosen = engine.greedy(updates)
         return [chosen], chosen
-    if engine is not None:
-        scored = engine.enumerate(updates)
-        top = pick_best(scored, peer.rng)
-        return scored, engine.materialize(top.members, updates, top.accuracy)
-    scored = enumerate_combinations(
-        updates, peer.client.model, peer.client.test_set, aggregator=fedavg
-    )
-    return scored, pick_best(scored, peer.rng)
+    scored = engine.enumerate(updates)
+    top = pick_best(scored, peer.rng)
+    return scored, engine.materialize(top.members, updates, top.accuracy)
 
 
 def adopt_choice(
@@ -304,7 +227,7 @@ def adopt_choice(
 
 def rate_visible_updates(
     rater: FullPeer,
-    engine: Optional[CombinationEngine],
+    engine: CombinationEngine,
     updates: list[ModelUpdate],
     round_id: int,
     reputation_address: Address,
@@ -316,22 +239,16 @@ def rate_visible_updates(
     A peer whose solo model scores within ``fitness_margin`` of the
     rater's own solo earns +5; one that falls further behind earns -10.
     Solo scores were already computed during the aggregation search, so
-    in engine mode the fitness lookups are pure cache hits.
+    the fitness lookups are pure cache hits.
     """
-
-    def solo_fitness(update: ModelUpdate) -> float:
-        if engine is not None:
-            return engine.solo_accuracy(update)
-        return rater.evaluate_weights(update.weights)
-
     own = next((u for u in updates if u.client_id == rater.peer_id), None)
     if own is None:
         return
-    own_accuracy = solo_fitness(own)
+    own_accuracy = engine.solo_accuracy(own)
     for update in updates:
         if update.client_id == rater.peer_id:
             continue
-        fit = solo_fitness(update)
+        fit = engine.solo_accuracy(update)
         delta = 5 if fit >= own_accuracy - fitness_margin else -10
         rate_tx = rater.make_transaction(
             to=reputation_address,
@@ -401,13 +318,14 @@ class DecentralizedFL:
         if len(peer_configs) < 2:
             raise ConfigError("decentralized FL needs at least two peers")
         self.config = config
+        chain = config.chain
         self.rngs = rng_factory if rng_factory is not None else RngFactory(0)
 
         # --- chain fabric -------------------------------------------------
         self.sim = Simulator()
         self.pow = ProofOfWork(
             self.rngs.get("pow"),
-            retarget=RetargetRule(target_interval=config.target_block_interval),
+            retarget=RetargetRule(target_interval=chain.target_block_interval),
         )
         self.runtime = ContractRuntime()
         register_all(self.runtime)
@@ -417,7 +335,7 @@ class DecentralizedFL:
         # Start at the retarget equilibrium so the very first blocks already
         # arrive near the target interval (a real private net warms up the
         # same way via its genesis difficulty).
-        equilibrium_difficulty = max(int(config.hashrate * config.target_block_interval), 1)
+        equilibrium_difficulty = max(int(chain.hashrate * chain.target_block_interval), 1)
         genesis = GenesisSpec(
             allocations={kp.address: PEER_ALLOCATION for kp in keypairs.values()},
             difficulty=equilibrium_difficulty,
@@ -425,10 +343,10 @@ class DecentralizedFL:
         self.network = P2PNetwork(
             self.sim,
             self.pow,
-            latency=config.latency,
+            latency=LatencyModel(base=chain.latency_base, jitter=chain.latency_jitter),
             rng=self.rngs.get("network"),
-            drop_rate=config.drop_rate,
-            batch_window=config.gossip_batch_window,
+            drop_rate=chain.drop_rate,
+            batch_window=chain.gossip_batch_window,
             drop_rng=self.rngs.get("network", "drop"),
         )
         self.peer_ids = [pc.peer_id for pc in peer_configs]
@@ -454,25 +372,25 @@ class DecentralizedFL:
         # One content-addressed cold store backs the whole cohort: blocks,
         # receipts, and snapshots are consensus data, so the first node to
         # spill pays the encode and everyone else dedups against it.
-        self.cold_store: Optional[ColdStore] = ColdStore() if config.cold_storage else None
+        self.cold_store: Optional[ColdStore] = ColdStore() if chain.cold_storage else None
         node_config = NodeConfig(
-            execution=config.execution,
-            execution_workers=config.execution_workers,
-            parallel_min_txs=config.parallel_min_txs,
+            execution=chain.execution,
+            execution_workers=chain.execution_workers,
+            parallel_min_txs=chain.parallel_min_txs,
             cold_store=self.cold_store,
-            hot_window=config.hot_window if self.cold_store is not None else None,
-            snapshot_interval=config.snapshot_interval,
+            hot_window=chain.hot_window if self.cold_store is not None else None,
+            snapshot_interval=chain.snapshot_interval,
         )
         for pc in peer_configs:
             if pc.peer_id not in self.participation.ever_active:
                 continue  # registered on chain below, but never trains
             node = Node(keypairs[pc.peer_id], genesis, self.runtime, replace(node_config))
-            self.network.add_node(node, hashrate=config.hashrate)
+            self.network.add_node(node, hashrate=chain.hashrate)
             gateway: ChainGateway = InProcessGateway(
                 node,
                 network=self.network,
                 simulator=self.sim,
-                default_deadline=config.max_round_time,
+                default_deadline=chain.max_round_time,
             )
             if self.fault_injector is not None:
                 gateway = FaultyGateway(
@@ -482,8 +400,8 @@ class DecentralizedFL:
                     simulator=self.sim,
                     network_stats=self.network.stats,
                 )
-            if config.gateway == "batching":
-                gateway = BatchingGateway(gateway, staleness=config.gateway_staleness)
+            if chain.gateway == "batching":
+                gateway = BatchingGateway(gateway, staleness=chain.gateway_staleness)
             if self.fault_injector is not None and config.faults.resilience:
                 gateway = ResilientGateway(gateway, policy=config.faults.retry)
             self.peers[pc.peer_id] = self._build_peer(
@@ -512,8 +430,8 @@ class DecentralizedFL:
         #: finished (what rejoin catch-up fetches — never the dense count).
         self.skipped_rounds: list[int] = []
         self.last_finished_round = 0
-        #: Per-peer scoring engines (empty in the serial reference mode).
-        #: Tests may attach an ``instrument`` hook to count evaluations.
+        #: Per-peer scoring engines.  Tests may attach an ``instrument``
+        #: hook to count evaluations.
         self.engines: dict[str, CombinationEngine] = self._build_engines()
 
     def _build_peer(
@@ -546,10 +464,8 @@ class DecentralizedFL:
         )
 
     def _build_engines(self) -> dict[str, CombinationEngine]:
-        """Per-peer scoring engines (empty for serial scoring and for the
-        multiprocess coordinator, whose engines live worker-side)."""
-        if self.config.scoring != "engine":
-            return {}
+        """Per-peer scoring engines (overridden empty by the multiprocess
+        coordinator, whose engines live worker-side)."""
         return {
             peer_id: CombinationEngine(peer.client.model, peer.client.test_set)
             for peer_id, peer in self.peers.items()
@@ -957,7 +873,7 @@ class DecentralizedFL:
         self, round_id: int, survivors: list[str], updates_by_view: dict[str, list[ModelUpdate]]
     ) -> list[PeerRoundLog]:
         """Combination search + adoption for every survivor, in cohort order."""
-        if self.engines and self.config.selection_workers > 0:
+        if self.config.selection_workers > 0:
             logs = self._aggregate_round_parallel(round_id, updates_by_view)
             if logs is not None:
                 return logs
@@ -974,9 +890,8 @@ class DecentralizedFL:
         log records only the adopted combination (the full table would
         have 2^n rows).
         """
-        engine = self.engines.get(peer.peer_id)
         scored, chosen = choose_combination(
-            peer, engine, updates, self._use_greedy(len(updates))
+            peer, self.engines[peer.peer_id], updates, self._use_greedy(len(updates))
         )
         return self._adopt_choice(peer, round_id, updates, scored, chosen)
 
@@ -1074,15 +989,15 @@ class DecentralizedFL:
         record used to exclude low-credibility peers.
 
         Every solo model was already scored during this round's
-        aggregation search, so in engine mode the fitness lookups here
-        are pure cache hits — the rating pass adds zero model
-        evaluations (the seed re-evaluated every solo a second time).
+        aggregation search, so the fitness lookups here are pure cache
+        hits — the rating pass adds zero model evaluations (the seed
+        re-evaluated every solo a second time).
         """
         raters = [peer_id for peer_id in self.peer_ids if peer_id in updates_by_view]
         for rater_id in raters:
             rate_visible_updates(
                 self.peers[rater_id],
-                self.engines.get(rater_id),
+                self.engines[rater_id],
                 updates_by_view[rater_id],
                 round_id,
                 self.reputation_address,
@@ -1154,7 +1069,7 @@ class DecentralizedFL:
         if self.config.enable_reputation:
             # Let the final round's rating transactions get mined before
             # the chain quiesces.
-            self.network.run_for(5 * self.config.target_block_interval)
+            self.network.run_for(5 * self.config.chain.target_block_interval)
         self.network.stop_mining()
         return self.round_logs
 
@@ -1221,7 +1136,7 @@ class DecentralizedFL:
             transport.add(transport_stats(gateway))
             everything.add(stacked_stats(gateway))
         payload = {
-            "backend": self.config.gateway,
+            "backend": self.config.chain.gateway,
             "requested": requested.as_dict(),
             "transport": transport.as_dict(),
         }

@@ -13,7 +13,7 @@ these signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.core.config import ExperimentConfig
@@ -122,8 +122,9 @@ def run_decentralized_experiment(
     homogeneous 30 s, matching the paper's three equal VMs.
 
     ``policy`` overrides only the waiting policy of ``chain_config``
-    (``dataclasses.replace``) — every other field, including ``mode`` and
-    ``enable_reputation``, survives.
+    (``dataclasses.replace``) — every other field survives, the chain,
+    fault and participation sub-specs included; ``chain_config.rounds`` is
+    the one exception, ``config.rounds`` decides.
     """
     sc = _scenarios()
     dec_config = chain_config if chain_config is not None else DecentralizedConfig()
@@ -143,27 +144,14 @@ def run_decentralized_experiment(
     else:
         heterogeneity = sc.HeterogeneitySpec()
 
+    # The driver config's fields are ScenarioSpec fields of the same name,
+    # so the caller's whole chain_config goes across; only ``rounds`` is
+    # owned by the experiment ``config`` here.
     spec = sc.ScenarioSpec.from_experiment_config(
         config,
         kind="decentralized",
-        policy=dec_config.policy,
-        mode=dec_config.mode,
-        enable_reputation=dec_config.enable_reputation,
-        reputation_fitness_margin=dec_config.reputation_fitness_margin,
-        selection=dec_config.selection,
-        exhaustive_limit=dec_config.exhaustive_limit,
         heterogeneity=heterogeneity,
-        chain=sc.ChainSpec(
-            target_block_interval=dec_config.target_block_interval,
-            gossip_batch_window=dec_config.gossip_batch_window,
-            hashrate=dec_config.hashrate,
-            max_round_time=dec_config.max_round_time,
-            poll_interval=dec_config.poll_interval,
-            latency_base=dec_config.latency.base,
-            latency_jitter=dec_config.latency.jitter,
-            gateway=dec_config.gateway,
-            gateway_staleness=dec_config.gateway_staleness,
-        ),
+        **{f.name: getattr(dec_config, f.name) for f in fields(dec_config) if f.name != "rounds"},
     )
     result = sc.run_scenario(spec)
     return DecentralizedExperimentResult(

@@ -38,7 +38,8 @@ Rule catalog
 
 ``config-mutation`` (immutability)
     No attribute assignment on config-dataclass parameters
-    (``ExperimentConfig``, ``DecentralizedConfig``, ``ChainSpec``, …) —
+    (``ExperimentConfig``, ``DecentralizedConfig`` and the ``ChainSpec``/
+    ``FaultSpec``/``ParticipationSpec`` it holds, …) —
     copy with ``dataclasses.replace`` (the PR-3 ``chain_config`` mutation
     bug).  Scope: ``src/``.
 

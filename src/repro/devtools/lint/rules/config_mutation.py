@@ -3,8 +3,9 @@
 PR 3 fixed a real bug of this class: the ``policy=`` override path wrote
 through to the *caller's* ``chain_config``, so one run's overrides leaked
 into the next run's config object.  Config dataclasses
-(``ExperimentConfig``, ``DecentralizedConfig``, ``ChainSpec``,
-``ScenarioSpec``, ``TrainConfig``, ``PeerConfig``, …) are inputs: a
+(``ExperimentConfig``, ``DecentralizedConfig`` and the ``ChainSpec`` /
+``FaultSpec`` / ``ParticipationSpec`` it holds, ``ScenarioSpec``,
+``TrainConfig``, ``PeerConfig``, …) are inputs: a
 function that wants a variant makes its own copy with
 ``dataclasses.replace(config, ...)``.
 
@@ -28,6 +29,8 @@ CONFIG_TYPES = {
     "DecentralizedConfig",
     "ScenarioSpec",
     "ChainSpec",
+    "FaultSpec",
+    "ParticipationSpec",
     "CohortSpec",
     "AdversarySpec",
     "HeterogeneitySpec",

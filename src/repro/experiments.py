@@ -27,11 +27,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-
 from repro.chain.gateway import GATEWAY_BACKENDS
 from repro.core.config import default_config
-from repro.core.decentralized import DecentralizedConfig
 from repro.core.experiment import run_decentralized_experiment, run_vanilla_experiment
 from repro.errors import ConfigError
 from repro.fl.async_policy import WaitForAll, WaitForK
@@ -121,9 +118,7 @@ def _tradeoff(model_kind: str, seed: int) -> str:
     config = default_config(model_kind, seed=seed)
     rows = []
     for policy in (WaitForK(1), WaitForK(2), WaitForAll()):
-        result = run_decentralized_experiment(
-            config, chain_config=DecentralizedConfig(policy=policy)
-        )
+        result = run_decentralized_experiment(config, policy=policy)
         rows.append(tradeoff_row(policy.describe(), result.wait_times, result.round_logs))
     return render_table(
         f"Wait-or-not sweep ({MODEL_LABELS[model_kind]})", TRADEOFF_HEADER, rows
@@ -157,81 +152,105 @@ def _run_legacy(artifact: str, model: str, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: ``run``/``sweep`` override flags, wired once: flag -> (the
+#: :func:`~repro.scenarios.spec.replace_axis` path it sets, its argparse
+#: keywords).  Each is a pure resource/transport knob — results are
+#: byte-identical at any value — except ``--sampled-k``, which changes who
+#: trains.  A flag left out, or given as ``0``, leaves the scenario's own
+#: value alone.
+AXIS_FLAGS: dict[str, tuple[str, dict]] = {
+    "--workers": (
+        "selection_workers",
+        dict(
+            type=int,
+            help="combination-search worker processes (0 = in-process; results identical)",
+        ),
+    ),
+    "--gateway": (
+        "chain.gateway",
+        dict(
+            choices=list(GATEWAY_BACKENDS),
+            help="ledger gateway backend (batching coalesces reads; results identical)",
+        ),
+    ),
+    "--runtime": (
+        "runtime",
+        dict(
+            choices=list(RUNTIME_KINDS),
+            help="cohort process topology (multiprocess is byte-identical to inprocess)",
+        ),
+    ),
+    "--runtime-workers": (
+        "runtime_workers",
+        dict(type=int, help="worker processes for --runtime multiprocess (default 2)"),
+    ),
+    "--sampled-k": (
+        "participation.sampled_k",
+        dict(
+            type=int,
+            help="train a sampled k-peer subcohort per round (0 = full participation)",
+        ),
+    ),
+    "--execution": (
+        "chain.execution",
+        dict(
+            choices=["serial", "parallel"],
+            help="block transaction execution mode (parallel is byte-identical to serial)",
+        ),
+    ),
+    "--execution-workers": (
+        "chain.execution_workers",
+        dict(
+            type=int,
+            help="speculation worker processes for --execution parallel (0 = inline)",
+        ),
+    ),
+    "--cold-storage": (
+        "chain.cold_storage",
+        dict(
+            action="store_true",
+            help="spill old blocks/receipts to a shared cold store (results identical)",
+        ),
+    ),
+}
+
+#: The flags ``sweep`` shares with ``run`` (which takes all of them).
+SWEEP_FLAGS = ("--workers", "--gateway", "--runtime", "--runtime-workers", "--sampled-k")
+
+
+def _axis_overrides(args: argparse.Namespace) -> dict[str, object]:
+    """The ``axis -> value`` overrides the parsed flags ask for."""
+    overrides = {}
+    for flag, (axis, _keywords) in AXIS_FLAGS.items():
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if value:
+            overrides[axis] = value
+    return overrides
+
+
+def _apply_overrides(specs, overrides: dict[str, object]) -> tuple:
+    """``specs`` with every override applied to the decentralized ones
+    (vanilla specs have no chain, cohort sampling or combination search)."""
+    applied = []
+    for spec in specs:
+        if spec.kind == "decentralized":
+            for axis, value in overrides.items():
+                spec = replace_axis(spec, axis, value)
+        applied.append(spec)
+    return tuple(applied)
+
+
 def _run_named_scenario(
-    name: str,
-    seed: int,
-    quick: bool,
-    model: str | None,
-    workers: int = 0,
-    gateway: str | None = None,
-    runtime: str | None = None,
-    runtime_workers: int = 0,
-    sampled_k: int = 0,
-    execution: str | None = None,
-    execution_workers: int = 0,
-    cold_storage: bool = False,
+    name: str, seed: int, quick: bool, model: str | None, overrides: dict[str, object]
 ) -> int:
     models = None
     if model is not None:
         models = PAPER_MODELS if model == "both" else (model,)
     try:
         definition = get_scenario(name)
-        specs = definition.build(seed=seed, quick=quick, models=models)
-        if sampled_k:
-            # Participation knob: each round trains a sampled k-peer
-            # subcohort (deterministic per seed; vanilla specs have no
-            # round structure to sample).
-            specs = tuple(
-                replace_axis(spec, "participation.sampled_k", sampled_k)
-                if spec.kind == "decentralized"
-                else spec
-                for spec in specs
-            )
-        if workers:
-            # Pure wall-clock knob: the combination-scoring engine produces
-            # identical results at any worker count (vanilla specs have no
-            # combination search to parallelize and keep their field as-is).
-            specs = tuple(
-                replace(spec, selection_workers=workers) if spec.kind == "decentralized" else spec
-                for spec in specs
-            )
-        if gateway:
-            # Pure transport knob: ledger reads are head-pure, so the
-            # backend changes round trips, never results.
-            specs = tuple(
-                replace_axis(spec, "chain.gateway", gateway)
-                if spec.kind == "decentralized"
-                else spec
-                for spec in specs
-            )
-        if runtime or runtime_workers:
-            # Process-topology knob: the multiprocess runtime is
-            # byte-identical to in-process at the same seed.
-            overrides = {}
-            if runtime:
-                overrides["runtime"] = runtime
-            if runtime_workers:
-                overrides["runtime_workers"] = runtime_workers
-            specs = tuple(
-                replace(spec, **overrides) if spec.kind == "decentralized" else spec
-                for spec in specs
-            )
-        # Chain scale-out knobs: byte-neutral resource axes (parallel
-        # execution and cold storage change memory/wall-clock, never
-        # results).
-        for axis_path, value in (
-            ("chain.execution", execution),
-            ("chain.execution_workers", execution_workers or None),
-            ("chain.cold_storage", True if cold_storage else None),
-        ):
-            if value is None:
-                continue
-            specs = tuple(
-                replace_axis(spec, axis_path, value)
-                if spec.kind == "decentralized"
-                else spec
-                for spec in specs
-            )
+        specs = _apply_overrides(
+            definition.build(seed=seed, quick=quick, models=models), overrides
+        )
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -244,31 +263,11 @@ def _run_named_scenario(
 
 
 def _run_sweep(
-    axis: str,
-    sizes: list[int],
-    wait_for: int | None,
-    seed: int,
-    quick: bool,
-    workers: int = 0,
-    gateway: str | None = None,
-    runtime: str | None = None,
-    runtime_workers: int = 0,
-    sampled_k: int = 0,
+    sizes: list[int], wait_for: int | None, seed: int, quick: bool, overrides: dict[str, object]
 ) -> int:
-    del axis  # only "cohort" exists today; argparse restricts the choice
     try:
         policy = WaitForK(wait_for) if wait_for is not None else None
-        rows = cohort_sweep(
-            sizes,
-            seed=seed,
-            quick=quick,
-            policy=policy,
-            selection_workers=workers or None,
-            gateway=gateway,
-            runtime=runtime,
-            runtime_workers=runtime_workers or None,
-            sampled_k=sampled_k or None,
-        )
+        rows = cohort_sweep(sizes, seed=seed, quick=quick, policy=policy, overrides=overrides)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -320,53 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="override the scenario's model families",
     )
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="combination-search worker processes (0 = in-process; results identical)",
-    )
-    run_parser.add_argument(
-        "--gateway",
-        choices=list(GATEWAY_BACKENDS),
-        default=None,
-        help="ledger gateway backend (batching coalesces reads; results identical)",
-    )
-    run_parser.add_argument(
-        "--runtime",
-        choices=list(RUNTIME_KINDS),
-        default=None,
-        help="cohort process topology (multiprocess is byte-identical to inprocess)",
-    )
-    run_parser.add_argument(
-        "--runtime-workers",
-        type=int,
-        default=0,
-        help="worker processes for --runtime multiprocess (default 2)",
-    )
-    run_parser.add_argument(
-        "--sampled-k",
-        type=int,
-        default=0,
-        help="train a sampled k-peer subcohort per round (0 = full participation)",
-    )
-    run_parser.add_argument(
-        "--execution",
-        choices=["serial", "parallel"],
-        default=None,
-        help="block transaction execution mode (parallel is byte-identical to serial)",
-    )
-    run_parser.add_argument(
-        "--execution-workers",
-        type=int,
-        default=0,
-        help="speculation worker processes for --execution parallel (0 = inline)",
-    )
-    run_parser.add_argument(
-        "--cold-storage",
-        action="store_true",
-        help="spill old blocks/receipts to a shared cold store (results identical)",
-    )
+    for flag, (_axis, keywords) in AXIS_FLAGS.items():
+        run_parser.add_argument(flag, **keywords)
 
     sweep_parser = subparsers.add_parser(
         "sweep", help="sweep a scenario axis through the shared-dataset driver"
@@ -380,36 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep_parser.add_argument("--seed", type=int, default=None, help="experiment seed (default 42)")
     sweep_parser.add_argument("--quick", action="store_true", help="shrink to test scale")
-    sweep_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="combination-search worker processes (0 = in-process; results identical)",
-    )
-    sweep_parser.add_argument(
-        "--gateway",
-        choices=list(GATEWAY_BACKENDS),
-        default=None,
-        help="ledger gateway backend (batching coalesces reads; results identical)",
-    )
-    sweep_parser.add_argument(
-        "--runtime",
-        choices=list(RUNTIME_KINDS),
-        default=None,
-        help="cohort process topology (multiprocess is byte-identical to inprocess)",
-    )
-    sweep_parser.add_argument(
-        "--runtime-workers",
-        type=int,
-        default=0,
-        help="worker processes for --runtime multiprocess (default 2)",
-    )
-    sweep_parser.add_argument(
-        "--sampled-k",
-        type=int,
-        default=0,
-        help="train a sampled k-peer subcohort per round (0 = full participation)",
-    )
+    for flag in SWEEP_FLAGS:
+        sweep_parser.add_argument(flag, **AXIS_FLAGS[flag][1])
 
     subparsers.add_parser("list", help="list registered scenarios")
 
@@ -434,32 +360,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         return _run_named_scenario(
-            args.scenario,
-            seed,
-            args.quick,
-            model,
-            args.workers,
-            args.gateway,
-            args.runtime,
-            args.runtime_workers,
-            args.sampled_k,
-            args.execution,
-            args.execution_workers,
-            args.cold_storage,
+            args.scenario, seed, args.quick, model, _axis_overrides(args)
         )
     if args.command == "sweep":
-        return _run_sweep(
-            args.axis,
-            args.sizes,
-            args.wait_for,
-            seed,
-            args.quick,
-            args.workers,
-            args.gateway,
-            args.runtime,
-            args.runtime_workers,
-            args.sampled_k,
-        )
+        # Only the "cohort" axis exists today; argparse restricts the choice.
+        return _run_sweep(args.sizes, args.wait_for, seed, args.quick, _axis_overrides(args))
     if args.command == "list":
         return _run_list()
     return _run_legacy(args.command, model or "both", seed)

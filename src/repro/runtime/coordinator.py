@@ -75,10 +75,9 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         peer_configs: list[PeerConfig],
         config: DecentralizedConfig,
         rng_factory: Optional[RngFactory] = None,
-        workers: int = 2,
     ) -> None:
         self.spec = spec
-        self.num_workers = max(1, min(int(workers), len(peer_configs)))
+        self.num_workers = min(spec.runtime_workers, len(peer_configs))
         self.broker = Broker(self.num_workers)
         self.handles: list[WorkerHandle] = []
         self.server: Optional[GatewayServer] = None

@@ -82,6 +82,9 @@ def decode_spec(payload: Any) -> Any:
             raw = payload.get("fields", {})
             if not isinstance(raw, dict):
                 raise WireProtocolError(f"malformed fields payload for {payload[_TAG]}")
+            unknown = sorted(set(raw) - {spec.name for spec in fields(cls)})
+            if unknown:
+                raise WireProtocolError(f"{payload[_TAG]} has no field {unknown}")
             return cls(**{key: decode_spec(value) for key, value in raw.items()})
         return {key: decode_spec(value) for key, value in payload.items()}
     if isinstance(payload, list):

@@ -177,6 +177,7 @@ class WorkerRuntime:
         rngs = RngFactory(spec.seed)
         inputs = decentralized_inputs(spec, rngs, ScenarioContext())
         self.config = inputs.config
+        chain_spec = inputs.config.chain
         chain = rngs.spawn("chain")
         # Same plan the coordinator resolved: both sides derive it from the
         # chain-spawned participation/* streams, so they agree on exactly
@@ -195,12 +196,12 @@ class WorkerRuntime:
             transport = RemoteGateway(
                 self.channel,
                 pc.peer_id,
-                default_deadline=inputs.config.max_round_time,
+                default_deadline=chain_spec.max_round_time,
                 head_signal=self.head_signal,
             )
             gateway = (
-                BatchingGateway(transport, staleness=inputs.config.gateway_staleness)
-                if inputs.config.gateway == "batching"
+                BatchingGateway(transport, staleness=chain_spec.gateway_staleness)
+                if chain_spec.gateway == "batching"
                 else transport
             )
             peer = FullPeer(
@@ -218,10 +219,9 @@ class WorkerRuntime:
             )
             self.peers[pc.peer_id] = peer
             self.transports[pc.peer_id] = transport
-            if inputs.config.scoring == "engine":
-                self.engines[pc.peer_id] = CombinationEngine(
-                    peer.client.model, peer.client.test_set
-                )
+            self.engines[pc.peer_id] = CombinationEngine(
+                peer.client.model, peer.client.test_set
+            )
         return sorted(self.peers)
 
     def _configure(self, params: dict):
@@ -289,7 +289,7 @@ class WorkerRuntime:
             peer = self.peers[peer_id]
             updates = self._fetch(peer_id, round_id)
             scored, chosen = choose_combination(
-                peer, self.engines.get(peer_id), updates, self._use_greedy(len(updates))
+                peer, self.engines[peer_id], updates, self._use_greedy(len(updates))
             )
             log = adopt_choice(peer, round_id, updates, scored, chosen)
             out.append(_log_payload(log))
@@ -303,7 +303,7 @@ class WorkerRuntime:
         peer_id = params["peer"]
         rate_visible_updates(
             self.peers[peer_id],
-            self.engines.get(peer_id),
+            self.engines[peer_id],
             self._fetch(peer_id, round_id),
             round_id,
             self.reputation_address,

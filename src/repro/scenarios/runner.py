@@ -21,7 +21,7 @@ to every point of a grid so a 10-50-peer sweep pays for each dataset once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
 
@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
 from repro.core.participation import ParticipationPlan
 from repro.core.peer import PeerConfig
-from repro.chain.network import LatencyModel
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec, client_class_probs
 from repro.fl.client import ClientConfig, FLClient
@@ -376,32 +375,11 @@ def decentralized_inputs(
         model_builder = lambda rng: builder(np.random.default_rng(init_rng_seed))
     training_times = spec.heterogeneity.training_times(client_ids, rngs.get("hetero"))
 
+    # Every DecentralizedConfig field is a ScenarioSpec field of the same
+    # name (the chain/faults/participation sub-specs pass through whole),
+    # so a field added to the driver's config cannot be left behind here.
     dec_config = DecentralizedConfig(
-        rounds=spec.rounds,
-        policy=spec.policy,
-        mode=spec.mode,
-        enable_reputation=spec.enable_reputation,
-        reputation_fitness_margin=spec.reputation_fitness_margin,
-        selection=spec.selection,
-        exhaustive_limit=spec.exhaustive_limit,
-        selection_workers=spec.selection_workers,
-        gateway=spec.chain.gateway,
-        gateway_staleness=spec.chain.gateway_staleness,
-        target_block_interval=spec.chain.target_block_interval,
-        latency=LatencyModel(base=spec.chain.latency_base, jitter=spec.chain.latency_jitter),
-        gossip_batch_window=spec.chain.gossip_batch_window,
-        hashrate=spec.chain.hashrate,
-        max_round_time=spec.chain.max_round_time,
-        poll_interval=spec.chain.poll_interval,
-        faults=spec.faults,
-        drop_rate=spec.chain.drop_rate,
-        participation=spec.participation,
-        execution=spec.chain.execution,
-        execution_workers=spec.chain.execution_workers,
-        parallel_min_txs=spec.chain.parallel_min_txs,
-        cold_storage=spec.chain.cold_storage,
-        hot_window=spec.chain.hot_window,
-        snapshot_interval=spec.chain.snapshot_interval,
+        **{f.name: getattr(spec, f.name) for f in fields(DecentralizedConfig)}
     )
     train_config = _train_config(spec)
     peer_configs = [
@@ -440,7 +418,6 @@ def _run_decentralized(
             inputs.peer_configs,
             config=inputs.config,
             rng_factory=rngs.spawn("chain"),
-            workers=spec.runtime_workers,
         )
     else:
         inputs = decentralized_inputs(spec, rngs, ctx)

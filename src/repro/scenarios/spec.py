@@ -9,7 +9,9 @@ A :class:`ScenarioSpec` composes independent axes:
 * **heterogeneity** — the distribution of simulated local-training times
   (the situation that motivates not waiting);
 * **chain** — block interval, hashrate, gossip batching, link latency,
-  message drop rate;
+  message drop rate, gateway backend, scale-out
+  (:class:`~repro.chain.spec.ChainSpec`, declared in the chain layer and
+  re-exported here);
 * **faults** — deterministic fault injection at the FL <-> chain seam
   (:class:`~repro.faults.FaultSpec`: transient/timeout/latency/duplicate/
   stale rates, crash windows, retry policy);
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.chain.gateway import GATEWAY_BACKENDS
+from repro.chain.spec import ChainSpec
 from repro.core.config import MODEL_LEARNING_RATES, ExperimentConfig
 from repro.core.participation import ParticipationSpec
 from repro.data.synthetic import SyntheticSpec
@@ -255,84 +257,6 @@ class HeterogeneitySpec:
             for cid in client_ids[n - count:]:
                 times[cid] = self.base_time * self.straggler_factor
         return times
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Blockchain/network parameters of the simulated deployment.
-
-    ``gateway`` selects the ledger backend every peer talks through
-    (:mod:`repro.chain.gateway`): ``"inprocess"`` delegates straight to
-    the peer's node, ``"batching"`` coalesces the per-round read fan-out
-    behind a head-keyed cache whose entries also expire after
-    ``gateway_staleness`` simulated seconds.  The backend never changes a
-    result — only transport round trips (a sweepable axis:
-    ``replace_axis(spec, "chain.gateway", "batching")``).
-
-    ``drop_rate`` makes the p2p links lossy: each gossiped message is
-    dropped with that probability, drawn from the dedicated
-    ``network/drop`` stream so sweeping it never perturbs latency draws.
-
-    The scale-out axes are byte-neutral — they change resource usage,
-    never results: ``execution="parallel"`` routes large blocks through
-    the speculate/merge scheduler with ``execution_workers`` processes
-    (0 = inline speculation); ``cold_storage`` gives the cohort a shared
-    content-addressed cold store with ``hot_window`` resident blocks per
-    node and a world-state checkpoint every ``snapshot_interval`` blocks
-    (0 disables checkpoints).
-    """
-
-    target_block_interval: float = 13.0
-    gossip_batch_window: float = 0.01
-    hashrate: float = 1000.0
-    max_round_time: float = 100_000.0
-    poll_interval: float = 1.0
-    latency_base: float = 0.05
-    latency_jitter: float = 0.02
-    drop_rate: float = 0.0
-    gateway: str = "inprocess"
-    gateway_staleness: float = 5.0
-    execution: str = "serial"
-    execution_workers: int = 0
-    parallel_min_txs: int = 64
-    cold_storage: bool = False
-    hot_window: int = 16
-    snapshot_interval: int = 0
-
-    def __post_init__(self) -> None:
-        if self.target_block_interval <= 0:
-            raise ConfigError("target_block_interval must be positive")
-        if self.hashrate <= 0:
-            raise ConfigError("hashrate must be positive")
-        if self.gossip_batch_window < 0 or self.latency_base < 0 or self.latency_jitter < 0:
-            raise ConfigError("gossip_batch_window and latencies must be non-negative")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if self.max_round_time <= 0:
-            raise ConfigError("max_round_time must be positive")
-        if self.gateway not in GATEWAY_BACKENDS:
-            raise ConfigError(
-                f"unknown gateway backend {self.gateway!r}; "
-                f"choose from {GATEWAY_BACKENDS}"
-            )
-        if self.gateway_staleness <= 0:
-            raise ConfigError(
-                f"gateway_staleness must be positive, got {self.gateway_staleness}"
-            )
-        if self.execution not in ("serial", "parallel"):
-            raise ConfigError(
-                f"execution must be 'serial' or 'parallel', got {self.execution!r}"
-            )
-        if self.execution_workers < 0:
-            raise ConfigError("execution_workers must be >= 0")
-        if self.parallel_min_txs < 1:
-            raise ConfigError("parallel_min_txs must be >= 1")
-        if self.hot_window < 1:
-            raise ConfigError("hot_window must be >= 1")
-        if self.snapshot_interval < 0:
-            raise ConfigError("snapshot_interval must be >= 0")
-        if self.snapshot_interval > 0 and not self.cold_storage:
-            raise ConfigError("snapshot_interval requires cold_storage")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -102,39 +102,28 @@ def cohort_sweep(
     quick: bool = False,
     policy: Optional[AsyncPolicy] = None,
     context: Optional[ScenarioContext] = None,
-    selection_workers: Optional[int] = None,
-    gateway: Optional[str] = None,
-    runtime: Optional[str] = None,
-    runtime_workers: Optional[int] = None,
-    sampled_k: Optional[int] = None,
+    overrides: Optional[Mapping[str, object]] = None,
 ) -> list[dict]:
     """The ROADMAP measurement: speed/precision rows per cohort size.
 
     Each row reports the cohort size, waiting policy, mean per-peer wait
     (simulated seconds), cohort-mean final accuracy, mean adopted-
     combination size, and wall-clock cost.  All sizes share one
-    :class:`ScenarioContext`.  ``selection_workers`` overrides the
-    template's combination-search parallelism, ``gateway`` its ledger
-    backend, and ``runtime``/``runtime_workers`` the process topology
-    (all pure wall-clock/transport knobs: rows are identical at any
-    worker count, backend, or runtime).  ``sampled_k`` sweeps the sizes
-    under k-of-n client sampling (every size must admit k peers).
+    :class:`ScenarioContext`.  ``overrides`` maps dotted axes
+    (:func:`~repro.scenarios.spec.replace_axis`) to values applied to the
+    template before the sizes fan out — ``{"chain.gateway": "batching"}``,
+    ``{"runtime": "multiprocess", "runtime_workers": 4}`` (rows identical
+    at any backend, runtime or worker count), or
+    ``{"participation.sampled_k": k}`` to sweep under k-of-n client
+    sampling (every size must admit k peers).
     """
     if not sizes:
         raise ConfigError("cohort_sweep needs at least one size")
     template = base if base is not None else cohort_scenario(min(sizes), seed=seed)
     if policy is not None:
         template = replace(template, policy=policy)
-    if selection_workers is not None:
-        template = replace(template, selection_workers=selection_workers)
-    if sampled_k is not None:
-        template = replace_axis(template, "participation.sampled_k", sampled_k)
-    if gateway is not None:
-        template = replace_axis(template, "chain.gateway", gateway)
-    if runtime is not None:
-        template = replace(template, runtime=runtime)
-    if runtime_workers is not None:
-        template = replace(template, runtime_workers=runtime_workers)
+    for axis, value in (overrides or {}).items():
+        template = replace_axis(template, axis, value)
     if quick:
         template = template.quick()
     points = grid(template, {"cohort.size": list(sizes)})

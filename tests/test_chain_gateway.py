@@ -66,7 +66,7 @@ from repro.fl.trainer import TrainConfig
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_hash
-from repro.scenarios import FaultSpec, cohort_scenario, run_scenario
+from repro.scenarios import ChainSpec, FaultSpec, cohort_scenario, run_scenario
 from repro.utils.events import Simulator
 from repro.utils.rng import RngFactory
 from repro.utils.serialization import canonical_dumps
@@ -863,7 +863,9 @@ def run_tiny_driver(gateway_backend: str):
         {p: easy_dataset(data_rng, n=60) for p in peers},
         {p: easy_dataset(data_rng, n=40) for p in peers},
         lambda rng: Sequential([Dense(2, name="out")]).build(np.random.default_rng(42), (4,)),
-        DecentralizedConfig(rounds=2, enable_reputation=True, gateway=gateway_backend),
+        DecentralizedConfig(
+            rounds=2, enable_reputation=True, chain=ChainSpec(gateway=gateway_backend)
+        ),
         rng_factory=RngFactory(5),
     )
     logs = driver.run()

@@ -1,8 +1,26 @@
-"""Integration tests for the decentralized blockchain-FL orchestrator."""
+"""Integration tests for the decentralized blockchain-FL orchestrator.
+
+``tests/fixtures/driver_outcome_digests.json`` pins what the seed
+per-subset scoring loops (``repro.fl.selection``) made these small drivers
+produce: it was recorded at the commit before the ``scoring="serial"``
+runtime option was deleted, by running ``make_driver(scoring="serial",
+**case)`` for every case of ``OUTCOME_CASES`` against that commit's
+``src/`` and taking ``outcome_digest``.  The engine-driven runs below must
+reproduce those bytes.  Float results depend on the BLAS kernels, so the
+digests are compared only on the platform that recorded them; the
+function-level engine-vs-seed-loop equivalence in ``test_fl_scoring.py``
+holds everywhere.
+"""
+
+import hashlib
+import json
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.chain.spec import ChainSpec
 from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
 from repro.core.peer import PeerConfig
 from repro.data.dataset import Dataset
@@ -12,6 +30,7 @@ from repro.fl.trainer import TrainConfig
 from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential
 from repro.utils.rng import RngFactory
+from repro.utils.serialization import canonical_dumps
 
 
 def easy_dataset(rng, n=100):
@@ -75,6 +94,30 @@ class TestDeployment:
     def test_two_peers_minimum(self):
         with pytest.raises(ConfigError):
             make_driver(peers=("A",))
+
+    @pytest.mark.parametrize(
+        "chain_kwargs",
+        [
+            dict(hashrate=0),
+            dict(target_block_interval=0.0),
+            dict(target_block_interval=-13.0),
+            dict(max_round_time=0),
+            dict(gossip_batch_window=-0.01),
+            dict(latency_base=-0.05),
+            dict(latency_jitter=-0.02),
+            dict(gateway="carrier-pigeon"),
+            dict(gateway_staleness=0.0),
+            dict(drop_rate=1.0),
+            dict(execution="speculative"),
+            dict(snapshot_interval=8),
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_hand_built_driver_gets_chain_validation(self, chain_kwargs):
+        """A driver built without a ScenarioSpec holds a ChainSpec too, so
+        it cannot be constructed around a knob that would fail mid-run."""
+        with pytest.raises(ConfigError):
+            make_driver(chain=ChainSpec(**chain_kwargs))
 
 
 class TestRounds:
@@ -146,64 +189,78 @@ class TestRounds:
         assert all(0.0 <= value <= 1.0 for value in series)
 
 
-def _run_outcome(driver):
-    """Everything the scoring path can influence, for equality checks."""
+OUTCOME_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "driver_outcome_digests.json"
+
+#: The small drivers whose serial-reference outcome is pinned.
+OUTCOME_CASES = {
+    "exhaustive": dict(rounds=1),
+    "greedy": dict(rounds=1, selection="greedy"),
+    "reputation": dict(rounds=1, enable_reputation=True),
+}
+
+
+def platform_key() -> str:
+    """What bit-exact float results depend on (numpy build + CPU model)."""
+    model = "unknown cpu"
+    try:
+        for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
+            if line.startswith("model name"):
+                model = line.partition(":")[2].strip()
+                break
+    except OSError:
+        pass
+    return f"numpy {np.__version__}, {platform.machine()}, {model}"
+
+
+def outcome_digest(driver) -> str:
+    """SHA-256 over everything the scoring path can influence: every
+    peer's accuracy table (in enumeration order) and adopted combination,
+    the final model bytes, and the reputation ledger when it is on."""
     logs = driver.run()
-    return (
-        [
-            (
+    payload = {
+        "logs": [
+            [
                 log.peer_id,
                 log.round_id,
-                log.chosen_combination,
+                list(log.chosen_combination),
                 log.chosen_accuracy,
-                tuple(sorted(log.combination_accuracy.items())),
-            )
+                [[label, accuracy] for label, accuracy in log.combination_accuracy.items()],
+            ]
             for log in logs
         ],
-        {
-            peer_id: {key: value.copy() for key, value in peer.client.model.get_weights().items()}
-            for peer_id, peer in driver.peers.items()
-        },
-    )
+        "models": driver.model_digests(),
+    }
+    if driver.config.enable_reputation:
+        payload["reputation"] = driver.reputation_scores()
+    return hashlib.sha256(canonical_dumps(payload)).hexdigest()
+
+
+def pinned_outcome(case: str) -> str:
+    fixture = json.loads(OUTCOME_FIXTURE.read_text())
+    if fixture["platform"] != platform_key():
+        pytest.skip(f"serial-reference digests were recorded on {fixture['platform']!r}")
+    return fixture["digests"][case]
 
 
 class TestScoringEngineIntegration:
-    """The engine fast path vs the seed serial path, end to end."""
+    """The engine-driven driver vs the pinned seed serial path, end to end."""
 
     def test_engine_matches_serial_reference(self):
-        logs_serial, finals_serial = _run_outcome(make_driver(rounds=1, scoring="serial"))
-        logs_engine, finals_engine = _run_outcome(make_driver(rounds=1, scoring="engine"))
-        assert logs_serial == logs_engine
-        for peer_id in finals_serial:
-            for key in finals_serial[peer_id]:
-                np.testing.assert_array_equal(
-                    finals_serial[peer_id][key], finals_engine[peer_id][key]
-                )
+        driver = make_driver(**OUTCOME_CASES["exhaustive"])
+        assert set(driver.engines) == {"A", "B", "C"}
+        assert outcome_digest(driver) == pinned_outcome("exhaustive")
+
+    def test_greedy_matches_serial_reference(self):
+        assert outcome_digest(make_driver(**OUTCOME_CASES["greedy"])) == pinned_outcome("greedy")
 
     def test_parallel_workers_match_serial_reference(self):
-        logs_serial, finals_serial = _run_outcome(make_driver(rounds=1, scoring="serial"))
-        logs_parallel, finals_parallel = _run_outcome(
-            make_driver(rounds=1, selection_workers=2)
-        )
-        assert logs_serial == logs_parallel
-        for peer_id in finals_serial:
-            for key in finals_serial[peer_id]:
-                np.testing.assert_array_equal(
-                    finals_serial[peer_id][key], finals_parallel[peer_id][key]
-                )
-
-    def test_serial_mode_builds_no_engines(self):
-        assert make_driver(scoring="serial").engines == {}
-        assert set(make_driver().engines) == {"A", "B", "C"}
+        for case in ("exhaustive", "greedy"):
+            driver = make_driver(selection_workers=2, **OUTCOME_CASES[case])
+            assert outcome_digest(driver) == pinned_outcome(case)
 
     def test_invalid_scoring_config(self):
         with pytest.raises(ConfigError):
-            DecentralizedConfig(scoring="mystery")
-        with pytest.raises(ConfigError):
             DecentralizedConfig(selection_workers=-1)
-        # Workers require the engine; silently-serial would mislead.
-        with pytest.raises(ConfigError):
-            DecentralizedConfig(scoring="serial", selection_workers=2)
 
 
 class TestRateRoundReusesScores:
@@ -231,9 +288,5 @@ class TestRateRoundReusesScores:
             assert engine.cache.stats["hits"] >= 3  # the rating lookups
 
     def test_reputation_scores_match_serial_reference(self):
-        scores = {}
-        for scoring in ("serial", "engine"):
-            driver = make_driver(rounds=1, enable_reputation=True, scoring=scoring)
-            driver.run()
-            scores[scoring] = {p: driver.reputation_of(p) for p in ("A", "B", "C")}
-        assert scores["serial"] == scores["engine"]
+        driver = make_driver(**OUTCOME_CASES["reputation"])
+        assert outcome_digest(driver) == pinned_outcome("reputation")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import experiments as cli
+from repro.scenarios import get_scenario, replace_axis
 
 
 class TestArgumentParsing:
@@ -130,6 +131,67 @@ class TestRunCommand:
         serial = capsys.readouterr().out
         assert cli.main(["run", "cohort/3", "--quick", "--seed", "1", "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
+
+
+#: One valid and one invalid command-line value per override flag.
+FLAG_VALUES = {
+    "--workers": ("2", "-1"),
+    "--gateway": ("batching", None),            # argparse `choices` guards it
+    "--runtime": ("multiprocess", None),
+    "--runtime-workers": ("3", "-1"),
+    "--sampled-k": ("2", "1"),
+    "--execution": ("parallel", None),
+    "--execution-workers": ("2", "-1"),
+    "--cold-storage": (None, None),             # store_true: no value
+}
+
+
+class TestAxisFlags:
+    """The flag -> axis table is the only wiring between CLI and spec."""
+
+    def test_every_flag_has_test_values(self):
+        assert set(FLAG_VALUES) == set(cli.AXIS_FLAGS)
+        assert set(cli.SWEEP_FLAGS) <= set(cli.AXIS_FLAGS)
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("run", flag) for flag in cli.AXIS_FLAGS] + [("sweep", flag) for flag in cli.SWEEP_FLAGS],
+    )
+    def test_flag_lands_on_exactly_its_axis(self, command, flag, monkeypatch):
+        axis = cli.AXIS_FLAGS[flag][0]
+        value = FLAG_VALUES[flag][0]
+        argv = ["run", "cohort/3"] if command == "run" else ["sweep", "cohort"]
+        argv += [flag] if value is None else [flag, value]
+        seen = []
+        monkeypatch.setattr(cli, "_run_named_scenario", lambda *a: seen.append(a[-1]) or 0)
+        monkeypatch.setattr(cli, "_run_sweep", lambda *a: seen.append(a[-1]) or 0)
+        assert cli.main(argv) == 0
+        (overrides,) = seen
+        assert list(overrides) == [axis]
+        decentralized = get_scenario("cohort/4").build(seed=1, quick=True)[0]
+        vanilla = get_scenario("paper/table1").build(seed=1, quick=True)[0]
+        assert vanilla.kind == "vanilla"
+        applied = cli._apply_overrides((vanilla, decentralized), overrides)
+        assert applied[0] is vanilla
+        assert applied[1] == replace_axis(decentralized, axis, overrides[axis]) != decentralized
+
+    def test_no_flags_no_overrides(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_run_named_scenario", lambda *a: seen.append(a[-1]) or 0)
+        assert cli.main(["run", "cohort/3", "--quick", "--seed", "1"]) == 0
+        assert seen == [{}]
+
+    @pytest.mark.parametrize(
+        "flag", sorted(flag for flag, (_ok, bad) in FLAG_VALUES.items() if bad is not None)
+    )
+    def test_invalid_value_exits_2_with_config_error(self, flag, capsys):
+        axis = cli.AXIS_FLAGS[flag][0]
+        assert cli.main(["run", "cohort/3", "--quick", flag, FLAG_VALUES[flag][1]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and axis.rpartition(".")[2] in err
+        if flag in cli.SWEEP_FLAGS:
+            assert cli.main(["sweep", "cohort", "--sizes", "3", "--quick", flag, FLAG_VALUES[flag][1]]) == 2
+            assert capsys.readouterr().err == err
 
 
 class TestSweepCommand:

@@ -573,8 +573,10 @@ class TestDriverByteEquivalence:
         assert first.fault_injector.trace
 
     def test_batching_backend_composes_with_faults(self):
-        faulty = make_driver(rounds=2, faults=TRANSIENT_FAULTS, gateway="batching")
-        clean = make_driver(rounds=2, gateway="batching")
+        faulty = make_driver(
+            rounds=2, faults=TRANSIENT_FAULTS, chain=ChainSpec(gateway="batching")
+        )
+        clean = make_driver(rounds=2, chain=ChainSpec(gateway="batching"))
         assert run_fingerprints(faulty) == run_fingerprints(clean)
         assert faulty.abort_reason == ""
 
@@ -696,4 +698,5 @@ class TestSpecThreading:
 
     def test_driver_drop_rate_validated(self):
         with pytest.raises(ConfigError):
-            DecentralizedConfig(drop_rate=1.0)
+            DecentralizedConfig(chain=ChainSpec(drop_rate=1.0))
+        assert make_driver(chain=ChainSpec(drop_rate=0.3)).network.drop_rate == 0.3

@@ -211,7 +211,6 @@ class TestWorkerCrash:
             inputs.peer_configs,
             config=inputs.config,
             rng_factory=rngs.spawn("chain"),
-            workers=2,
         )
         try:
             with pytest.raises(WorkerCrashedError) as excinfo:
@@ -237,7 +236,6 @@ class TestWorkerCrash:
             inputs.peer_configs,
             config=inputs.config,
             rng_factory=rngs.spawn("chain"),
-            workers=2,
         )
         logs = driver.run()
         assert logs

@@ -316,8 +316,19 @@ class TestWireCondition:
 class TestSpecCodec:
     def test_quick_spec_round_trips_equal(self):
         spec = ScenarioSpec(name="wire", kind="decentralized", seed=3).quick()
-        rebuilt = decode_spec(encode_spec(spec))
+        payload = encode_spec(spec)
+        # The chain axis moved to repro.chain.spec; its wire tag did not.
+        assert payload["fields"]["chain"]["__spec__"] == "ChainSpec"
+        rebuilt = decode_spec(payload)
         assert rebuilt == spec
+
+    def test_removed_field_rejected_typed(self):
+        """A peer still sending a deleted knob gets a protocol error, not a
+        ``TypeError`` traceback out of the dataclass constructor."""
+        payload = encode_spec(ScenarioSpec(name="wire", kind="decentralized", seed=3))
+        payload["fields"]["chain"]["fields"]["poll_interval"] = 1.0
+        with pytest.raises(WireProtocolError, match="poll_interval"):
+            decode_spec(payload)
 
     def test_multiprocess_fields_survive(self):
         spec = dataclasses.replace(

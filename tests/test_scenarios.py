@@ -1,6 +1,6 @@
 """Tests for the declarative scenario API (spec, registry, runner, sweep)."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,10 +10,14 @@ from repro.core.experiment import run_decentralized_experiment, run_vanilla_expe
 from repro.errors import ConfigError
 from repro.fl.async_policy import WaitForK
 from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker, ScaleAttacker
+from repro.faults import RetryPolicy
 from repro.scenarios import (
     AdversarySpec,
+    ChainSpec,
     CohortSpec,
+    FaultSpec,
     HeterogeneitySpec,
+    ParticipationSpec,
     ScenarioContext,
     ScenarioSpec,
     cohort_scenario,
@@ -345,12 +349,16 @@ class TestLegacyShims:
         merged = run_decentralized_experiment(
             config,
             policy=WaitForK(1),
-            chain_config=DecentralizedConfig(mode="global_vote", gossip_batch_window=0.02),
+            chain_config=DecentralizedConfig(
+                mode="global_vote", chain=ChainSpec(gossip_batch_window=0.02)
+            ),
         )
         baked = run_decentralized_experiment(
             config,
             chain_config=DecentralizedConfig(
-                policy=WaitForK(1), mode="global_vote", gossip_batch_window=0.02
+                policy=WaitForK(1),
+                mode="global_vote",
+                chain=ChainSpec(gossip_batch_window=0.02),
             ),
         )
         assert merged.combination_accuracy == baked.combination_accuracy
@@ -365,6 +373,87 @@ class TestLegacyShims:
         run_decentralized_experiment(config, policy=WaitForK(1), chain_config=chain_config)
         assert chain_config.policy != WaitForK(1)
         assert chain_config.rounds == 10
+
+    def test_chain_config_forwarded_whole(self, monkeypatch):
+        """Every field of the caller's ``chain_config`` — and of the three
+        sub-specs it holds — reaches the spec handed to ``run_scenario``.
+        Iterating ``dataclasses.fields`` means a field added later cannot
+        be dropped silently."""
+        non_default = {
+            DecentralizedConfig: dict(
+                rounds=4,
+                policy=WaitForK(2),
+                mode="global_vote",
+                enable_reputation=True,
+                reputation_fitness_margin=0.25,
+                selection="greedy",
+                exhaustive_limit=3,
+                selection_workers=2,
+            ),
+            ChainSpec: dict(
+                target_block_interval=7.0,
+                gossip_batch_window=0.02,
+                hashrate=500.0,
+                max_round_time=9_000.0,
+                latency_base=0.1,
+                latency_jitter=0.03,
+                drop_rate=0.3,
+                gateway="batching",
+                gateway_staleness=2.5,
+                execution="parallel",
+                execution_workers=2,
+                parallel_min_txs=8,
+                cold_storage=True,
+                hot_window=4,
+                snapshot_interval=16,
+            ),
+            FaultSpec: dict(
+                transient_rate=0.2,
+                timeout_rate=0.05,
+                latency_rate=0.1,
+                latency_spike=4.0,
+                duplicate_rate=0.05,
+                stale_read_rate=0.1,
+                stale_window=12.0,
+                max_consecutive=3,
+                crash_fraction=0.3,
+                crash_round=3,
+                crash_rounds=2,
+                resilience=False,
+                retry=RetryPolicy(max_attempts=3),
+            ),
+            ParticipationSpec: dict(sampled_k=2, windows=((1, 2, 1),), churn_rate=0.1),
+        }
+        chain_config = DecentralizedConfig(
+            chain=ChainSpec(**non_default[ChainSpec]),
+            faults=FaultSpec(**non_default[FaultSpec]),
+            participation=ParticipationSpec(**non_default[ParticipationSpec]),
+            **non_default[DecentralizedConfig],
+        )
+        for value in (
+            chain_config, chain_config.chain, chain_config.faults, chain_config.participation
+        ):
+            for f in fields(value):
+                assert getattr(value, f.name) != getattr(type(value)(), f.name), (
+                    f"{type(value).__name__}.{f.name} needs a non-default value in this test"
+                )
+
+        class Captured(Exception):
+            pass
+
+        def capture(spec, context=None):
+            raise Captured(spec)
+
+        monkeypatch.setattr("repro.scenarios.run_scenario", capture)
+        config = quick_config("simple_nn", seed=3)
+        with pytest.raises(Captured) as excinfo:
+            run_decentralized_experiment(config, chain_config=chain_config)
+        (spec,) = excinfo.value.args
+        for f in fields(DecentralizedConfig):
+            # The experiment config, not the driver config, owns the round
+            # count; the sub-specs compare whole, field by field.
+            expected = config.rounds if f.name == "rounds" else getattr(chain_config, f.name)
+            assert getattr(spec, f.name) == expected, f.name
 
     def test_training_times_shim(self):
         config = quick_config("simple_nn", seed=3)
@@ -456,7 +545,7 @@ class TestGatewayAxis:
             aggregator_test_samples=40,
         )
         rows = cohort_sweep([3], base=base, seed=2)
-        batched = cohort_sweep([3], base=base, seed=2, gateway="batching")
+        batched = cohort_sweep([3], base=base, seed=2, overrides={"chain.gateway": "batching"})
         assert rows[0]["final_accuracy"] == batched[0]["final_accuracy"]
         assert rows[0]["mean_wait_s"] == batched[0]["mean_wait_s"]
 
