@@ -3,7 +3,8 @@
 Every peer is simultaneously data holder, trainer, miner, and aggregator
 (:mod:`repro.core.peer`); the decentralized orchestrator
 (:mod:`repro.core.decentralized`) runs communication rounds over the
-simulated Ethereum network, reproducing Tables II-IV and Figure 4; the
+simulated Ethereum network, reproducing Tables II-IV and Figure 4, and
+asks a :mod:`repro.core.shard` for every step of a peer's local work; the
 round state machine (:mod:`repro.core.rounds`) tracks wait-for-k progress;
 :mod:`repro.core.nonrepudiation` assembles and verifies the on-chain
 authorship evidence; :mod:`repro.core.config` and
@@ -23,7 +24,8 @@ re-deserialize.  ``OffchainStore.marshalling_stats()`` and
 from repro.core.offchain import OffchainStore
 from repro.core.rounds import RoundState, RoundTracker
 from repro.core.peer import FullPeer, PeerConfig
-from repro.core.decentralized import DecentralizedFL, DecentralizedConfig, PeerRoundLog
+from repro.core.shard import PeerRoundLog, PeerShard
+from repro.core.decentralized import DecentralizedFL, DecentralizedConfig
 from repro.core.nonrepudiation import EvidenceBundle, collect_evidence, verify_evidence
 from repro.core.config import ExperimentConfig, default_config, calibrated_spec
 from repro.core.experiment import (
@@ -42,6 +44,7 @@ __all__ = [
     "DecentralizedFL",
     "DecentralizedConfig",
     "PeerRoundLog",
+    "PeerShard",
     "EvidenceBundle",
     "collect_evidence",
     "verify_evidence",

@@ -21,12 +21,13 @@ speed/precision claim.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.chain.crypto import Address, KeyPair
+from repro.chain.crypto import Address
 from repro.chain.gateway import (
     BatchingGateway,
     CallRequest,
@@ -44,8 +45,9 @@ from repro.chain.spec import ChainSpec
 from repro.contracts import register_all
 from repro.core.offchain import OffchainStore
 from repro.core.participation import ParticipationPlan, ParticipationSpec
-from repro.core.peer import FullPeer, PeerConfig, registration_transaction
+from repro.core.peer import FullPeer, PeerConfig, peer_keypair, registration_transaction
 from repro.core.rounds import RoundTracker
+from repro.core.shard import PeerRoundLog, PeerShard
 from repro.data.dataset import Dataset
 from repro.errors import (
     ConfigError,
@@ -54,12 +56,8 @@ from repro.errors import (
     RoundError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyGateway, ResilientGateway
-from repro.fl.aggregation import ModelUpdate, fedavg
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
-from repro.fl.scoring import CombinationEngine, ScoredSubset, run_peer_searches
-from repro.fl.selection import pick_best
 from repro.nn.model import Sequential
-from repro.nn.serialize import weights_to_bytes
 from repro.utils.events import Simulator
 from repro.utils.hashing import sha256_bytes
 from repro.utils.rng import RngFactory
@@ -109,10 +107,6 @@ class DecentralizedConfig:
     loops in :mod:`repro.fl.selection` are the oracle its tests compare
     against.
 
-    ``selection_workers`` fans the peers' independent combination
-    searches out to that many worker processes; ``0`` stays in-process.
-    Worker count never changes any result.
-
     An active ``faults`` spec puts a :class:`~repro.faults.FaultyGateway`
     (and, with ``faults.resilience``, a
     :class:`~repro.faults.ResilientGateway`) into every peer's gateway
@@ -132,7 +126,6 @@ class DecentralizedConfig:
     reputation_fitness_margin: float = 0.10
     selection: str = "auto"
     exhaustive_limit: int = 6
-    selection_workers: int = 0
     chain: ChainSpec = field(default_factory=ChainSpec)
     faults: FaultSpec = field(default_factory=FaultSpec)
     participation: ParticipationSpec = field(default_factory=ParticipationSpec)
@@ -148,159 +141,6 @@ class DecentralizedConfig:
             raise ConfigError(
                 f"exhaustive_limit must be >= 1, got {self.exhaustive_limit}"
             )
-        if self.selection_workers < 0:
-            raise ConfigError(
-                f"selection_workers must be >= 0, got {self.selection_workers}"
-            )
-
-
-@dataclass
-class PeerRoundLog:
-    """One peer's view of one round."""
-
-    peer_id: str
-    round_id: int
-    combination_accuracy: dict[str, float] = field(default_factory=dict)
-    chosen_combination: tuple[str, ...] = ()
-    chosen_accuracy: float = 0.0
-    models_used: int = 0          # size of the adopted combination
-    updates_visible: int = 0      # updates on-chain when aggregation ran
-    submitted_at: float = 0.0
-    ready_at: float = 0.0
-    aggregated_at: float = 0.0
-
-    @property
-    def wait_time(self) -> float:
-        """Simulated seconds between own submission and policy readiness."""
-        return max(self.ready_at - self.submitted_at, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Per-peer round logic, shared with the out-of-process runtime
-# ---------------------------------------------------------------------------
-# These module-level functions are the single copy of the byte-sensitive
-# per-peer work: the in-process driver calls them directly and the worker
-# processes (repro.runtime.worker) call the very same code on their side of
-# the wire, so the two runtimes cannot drift apart.
-
-
-def choose_combination(
-    peer: FullPeer,
-    engine: CombinationEngine,
-    updates: list[ModelUpdate],
-    use_greedy: bool,
-) -> tuple[list, object]:
-    """One peer's combination search; returns ``(scored, chosen)``.
-
-    Tie-breaking draws from ``peer.rng`` (exhaustive path only), so the
-    caller must hold the peer's canonical named stream.
-    """
-    if use_greedy:
-        chosen = engine.greedy(updates)
-        return [chosen], chosen
-    scored = engine.enumerate(updates)
-    top = pick_best(scored, peer.rng)
-    return scored, engine.materialize(top.members, updates, top.accuracy)
-
-
-def adopt_choice(
-    peer: FullPeer,
-    round_id: int,
-    updates: list[ModelUpdate],
-    scored: list,
-    chosen,
-) -> PeerRoundLog:
-    """Shared tail of every aggregation path: log the accuracy table
-    (``scored``: anything with ``label``/``accuracy``), record the
-    adopted combination, and install its weights — one copy, so the
-    serial, pooled, and multiprocess paths cannot drift apart."""
-    log = PeerRoundLog(peer_id=peer.peer_id, round_id=round_id)
-    for result in scored:
-        log.combination_accuracy[result.label] = result.accuracy
-    log.chosen_combination = chosen.members
-    log.chosen_accuracy = chosen.accuracy
-    log.models_used = len(chosen.members)
-    log.updates_visible = len(updates)
-    peer.adopt(chosen.weights)
-    return log
-
-
-def rate_visible_updates(
-    rater: FullPeer,
-    engine: CombinationEngine,
-    updates: list[ModelUpdate],
-    round_id: int,
-    reputation_address: Address,
-    address_of: Callable[[str], Address],
-    fitness_margin: float,
-) -> None:
-    """One rater's reputation pass over its visible updates.
-
-    A peer whose solo model scores within ``fitness_margin`` of the
-    rater's own solo earns +5; one that falls further behind earns -10.
-    Solo scores were already computed during the aggregation search, so
-    the fitness lookups are pure cache hits.
-    """
-    own = next((u for u in updates if u.client_id == rater.peer_id), None)
-    if own is None:
-        return
-    own_accuracy = engine.solo_accuracy(own)
-    for update in updates:
-        if update.client_id == rater.peer_id:
-            continue
-        fit = engine.solo_accuracy(update)
-        delta = 5 if fit >= own_accuracy - fitness_margin else -10
-        rate_tx = rater.make_transaction(
-            to=reputation_address,
-            method="rate",
-            args={
-                "round_id": round_id,
-                "subject": address_of(update.client_id),
-                "delta": delta,
-                "reason": f"fitness {fit:.3f} vs own {own_accuracy:.3f}",
-            },
-        )
-        rater.gateway.submit(rate_tx)
-
-
-def submit_global_vote(
-    peer: FullPeer, updates: list[ModelUpdate], round_id: int, offchain
-) -> None:
-    """Aggregate the peer's visible set and vote its hash on chain.
-
-    Identical visible sets produce byte-identical aggregates, so the
-    content-addressed put stores the blob once; each peer still pays one
-    serialization to discover its aggregate's hash.
-    """
-    aggregate_hash = offchain.put_weights(fedavg(updates))
-    vote_tx = peer.make_transaction(
-        to=peer.coordinator_address,
-        method="vote_global",
-        args={"round_id": round_id, "aggregate_hash": aggregate_hash},
-    )
-    peer.gateway.submit(vote_tx)
-
-
-def adopt_global_model(
-    peer: FullPeer, updates: list[ModelUpdate], round_id: int, offchain
-) -> PeerRoundLog:
-    """Read the finalized aggregate, evaluate it locally, and adopt it."""
-    final_hash = peer.gateway.call(
-        peer.coordinator_address, "finalized_hash", round_id=round_id
-    )
-    weights = offchain.get_weights(final_hash)
-    accuracy = peer.evaluate_weights(weights)
-    peer.adopt(weights)
-    members = tuple(sorted(update.client_id for update in updates))
-    return PeerRoundLog(
-        peer_id=peer.peer_id,
-        round_id=round_id,
-        combination_accuracy={",".join(members): accuracy},
-        chosen_combination=members,
-        chosen_accuracy=accuracy,
-        models_used=len(members),
-        updates_visible=len(updates),
-    )
 
 
 class DecentralizedFL:
@@ -331,7 +171,7 @@ class DecentralizedFL:
         register_all(self.runtime)
         self.offchain = OffchainStore()
 
-        keypairs = {pc.peer_id: KeyPair.from_seed(f"peer-{pc.peer_id}") for pc in peer_configs}
+        keypairs = {pc.peer_id: peer_keypair(pc.peer_id) for pc in peer_configs}
         # Start at the retarget equilibrium so the very first blocks already
         # arrive near the target interval (a real private net warms up the
         # same way via its genesis difficulty).
@@ -368,7 +208,13 @@ class DecentralizedFL:
         if config.faults.active:
             self.fault_plan = FaultPlan(config.faults, self.peer_ids)
             self.fault_injector = FaultInjector(self.fault_plan, self.rngs)
-        self.peers: dict[str, FullPeer] = {}
+        # Everything local to a peer — model, datasets, rng streams, scoring
+        # engine — lives in the shard; the driver keeps the round barrier,
+        # the event engine and the ledger.  Handed no datasets (the
+        # multiprocess coordinator), the shard's peers are chain-only
+        # handles and the coordinator swaps in a proxy over its workers.
+        self.shard = PeerShard(config, self.offchain, self.rngs, model_builder)
+        self.peers: dict[str, FullPeer] = self.shard.peers
         # One content-addressed cold store backs the whole cohort: blocks,
         # receipts, and snapshots are consensus data, so the first node to
         # spill pays the encode and everyone else dedups against it.
@@ -404,12 +250,9 @@ class DecentralizedFL:
                 gateway = BatchingGateway(gateway, staleness=chain.gateway_staleness)
             if self.fault_injector is not None and config.faults.resilience:
                 gateway = ResilientGateway(gateway, policy=config.faults.retry)
-            self.peers[pc.peer_id] = self._build_peer(
-                pc, keypairs[pc.peer_id], gateway, train_sets, test_sets, model_builder
+            self.shard.add_peer(
+                pc, gateway, train_sets.get(pc.peer_id), test_sets.get(pc.peer_id)
             )
-        self.id_of_address: dict[Address, str] = {
-            self.addresses[peer_id]: peer_id for peer_id in self.peer_ids
-        }
         self.trackers: dict[str, RoundTracker] = {
             peer_id: RoundTracker(peer_id, config.policy, cohort_size=len(self.peer_ids))
             for peer_id in self.peer_ids
@@ -430,46 +273,6 @@ class DecentralizedFL:
         #: finished (what rejoin catch-up fetches — never the dense count).
         self.skipped_rounds: list[int] = []
         self.last_finished_round = 0
-        #: Per-peer scoring engines.  Tests may attach an ``instrument``
-        #: hook to count evaluations.
-        self.engines: dict[str, CombinationEngine] = self._build_engines()
-
-    def _build_peer(
-        self,
-        pc: PeerConfig,
-        keypair: KeyPair,
-        gateway: ChainGateway,
-        train_sets: dict[str, Dataset],
-        test_sets: dict[str, Dataset],
-        model_builder: Optional[Callable[[np.random.Generator], Sequential]],
-    ) -> FullPeer:
-        """Materialize one peer on its gateway stack.
-
-        Overridden by the multiprocess coordinator
-        (:mod:`repro.runtime.coordinator`), whose peers are chain-only
-        handles — datasets, models, and rng draws live in the workers.
-        """
-        return FullPeer(
-            config=pc,
-            keypair=keypair,
-            gateway=gateway,
-            offchain=self.offchain,
-            train_set=train_sets[pc.peer_id],
-            test_set=test_sets[pc.peer_id],
-            model_builder=model_builder,
-            rng=self.rngs.get("peer", pc.peer_id),
-            attack_rng=(
-                self.rngs.get("attack", pc.peer_id) if pc.attacker is not None else None
-            ),
-        )
-
-    def _build_engines(self) -> dict[str, CombinationEngine]:
-        """Per-peer scoring engines (overridden empty by the multiprocess
-        coordinator, whose engines live worker-side)."""
-        return {
-            peer_id: CombinationEngine(peer.client.model, peer.client.test_set)
-            for peer_id, peer in self.peers.items()
-        }
 
     # ------------------------------------------------------------------
     # Deployment phase
@@ -516,10 +319,6 @@ class DecentralizedFL:
         )
         deployer.gateway.submit(reputation_tx)
 
-        for peer in self.peers.values():
-            peer.model_store_address = store_address
-            peer.coordinator_address = coordinator_address
-
         # Phase 1: mine the deployments everywhere before anyone registers,
         # otherwise registration transactions execute against an address
         # with no code yet and revert.
@@ -558,6 +357,9 @@ class DecentralizedFL:
         self._wait_until(
             lambda: all(self._is_registered(peer, registry_address) for peer in self.peers.values()),
             "participant registration",
+        )
+        self.shard.configure(
+            store_address, coordinator_address, self.reputation_address, self.addresses
         )
         self._deployed = True
 
@@ -628,6 +430,19 @@ class DecentralizedFL:
             return []
         dropped: set[str] = set()
 
+        @contextmanager
+        def may_drop(peer_id: str) -> Iterator[None]:
+            """The one place a round loses a peer: with the fault harness
+            on, a gateway that gave up (:class:`GatewayUnavailableError`)
+            drops its peer from the round and abandons the guarded step;
+            fault-free runs propagate the error."""
+            try:
+                yield
+            except GatewayUnavailableError:
+                if injector is None:
+                    raise
+                dropped.add(peer_id)
+
         # The first peer is never in a crash window (windows take the
         # cohort tail and always leave the head live), so the coordinator
         # and the wait-driving gateway stay the same peer as fault-free.
@@ -651,28 +466,23 @@ class DecentralizedFL:
         submitted_at: dict[str, float] = {}
 
         # Train locally (real computation now, simulated completion later).
-        # The simulated clock is frozen throughout `_train_cohort`, nonce
+        # The simulated clock is frozen throughout `shard.train`, nonce
         # reads are per-address, and off-chain puts are content-addressed
         # — so the per-peer work is order-independent and the multiprocess
         # coordinator fans it out to workers; submissions stay serialized
         # on the event engine below either way.
         for peer_id in live:
             self.trackers[peer_id].open_round(round_id, round_start)
-        trained = self._train_cohort(live, round_id)
+        trained = self.shard.train(round_id, live)
         for peer_id in live:
             tx, duration = trained[peer_id]
 
             def submit(peer_id=peer_id, tx=tx) -> None:
                 self.trackers[peer_id].mark_trained(round_id, self.sim.now)
-                try:
-                    self._submit_trained(peer_id, tx)
-                except GatewayUnavailableError:
-                    if injector is None:
-                        raise
-                    dropped.add(peer_id)
-                    return
-                self.trackers[peer_id].mark_submitted(round_id, self.sim.now)
-                submitted_at[peer_id] = self.sim.now
+                with may_drop(peer_id):
+                    self.peers[peer_id].gateway.submit(tx)
+                    self.trackers[peer_id].mark_submitted(round_id, self.sim.now)
+                    submitted_at[peer_id] = self.sim.now
 
             self.sim.schedule_in(duration, submit, label=f"train-{peer_id}-r{round_id}")
 
@@ -683,63 +493,45 @@ class DecentralizedFL:
 
         def poll() -> bool:
             for peer_id in sorted(pending):
-                if peer_id not in submitted_at:
-                    if peer_id in dropped:
-                        pending.discard(peer_id)
-                    continue
-                peer = self.peers[peer_id]
-                try:
-                    visible = len(peer.visible_submissions(round_id))
-                except GatewayUnavailableError:
-                    if injector is None:
-                        raise
-                    dropped.add(peer_id)
-                    pending.discard(peer_id)
-                    continue
-                expected = (
-                    len(live) - len(dropped)
-                    if injector is not None or self.participation.engaged
-                    else None
-                )
-                if self.trackers[peer_id].check_ready(
-                    round_id, visible, self.sim.now, expected=expected
-                ):
-                    ready_at[peer_id] = self.sim.now
+                if peer_id in submitted_at:
+                    with may_drop(peer_id):
+                        visible = len(self.peers[peer_id].visible_submissions(round_id))
+                        expected = (
+                            len(live) - len(dropped)
+                            if injector is not None or self.participation.engaged
+                            else None
+                        )
+                        if self.trackers[peer_id].check_ready(
+                            round_id, visible, self.sim.now, expected=expected
+                        ):
+                            ready_at[peer_id] = self.sim.now
+                            pending.discard(peer_id)
+                if peer_id in dropped:
                     pending.discard(peer_id)
             return not pending
 
         self._wait_until(poll, f"round {round_id} quorum")
 
-        updates_by_view: dict[str, list[ModelUpdate]] = {}
+        # Each surviving peer's view of the round is fetched (and memoized)
+        # by its shard; the barrier itself only needs to know it is there.
+        viewers: set[str] = set()
         for peer_id in live:
             if peer_id in dropped:
                 continue
-            try:
-                updates = self._fetch_view(peer_id, round_id)
-            except GatewayUnavailableError:
-                if injector is None:
-                    raise
-                dropped.add(peer_id)
-                continue
-            if not updates:
-                raise RoundError(f"{peer_id}: no updates visible in round {round_id}")
-            updates_by_view[peer_id] = updates
-        if not updates_by_view:
+            with may_drop(peer_id):
+                if not self.shard.view(round_id, peer_id):
+                    raise RoundError(f"{peer_id}: no updates visible in round {round_id}")
+                viewers.add(peer_id)
+        if not viewers:
             raise RoundError(f"round {round_id}: every peer crashed or was dropped")
-
-        # Scores never carry across rounds (every peer retrains), so the
-        # engine caches are cleared here to bound memory; within a round
-        # the solo scores stay live for the reputation rating pass.
-        for engine in self.engines.values():
-            engine.cache.clear()
 
         # Survivors in cohort order: fault-free this IS self.peer_ids, so
         # every downstream iteration is byte-identical to the seed's.
-        survivors = [peer_id for peer_id in self.peer_ids if peer_id in updates_by_view]
+        survivors = [peer_id for peer_id in self.peer_ids if peer_id in viewers]
         if self.config.mode == "global_vote":
-            logs = self._global_vote_round(round_id, updates_by_view)
+            logs = self._global_vote_round(round_id, survivors)
         else:
-            logs = self._personalized_round(round_id, survivors, updates_by_view)
+            logs = self.shard.score(round_id, survivors)
         for log in logs:
             log.submitted_at = submitted_at[log.peer_id]
             log.ready_at = ready_at[log.peer_id]
@@ -748,7 +540,10 @@ class DecentralizedFL:
             self.round_logs.append(log)
 
         if self.config.enable_reputation:
-            self._rate_round(round_id, updates_by_view)
+            # One rater at a time, cohort order: rating transactions must
+            # reach the mempool in the same order under every runtime.
+            for rater_id in survivors:
+                self.shard.rate(round_id, rater_id)
         self.last_finished_round = round_id
         return logs
 
@@ -804,23 +599,10 @@ class DecentralizedFL:
             # Fetch the last round that actually *finished* — under
             # participation skips that can be further back than round_id-1,
             # and for fault-only runs it is exactly round_id-1 as before.
-            models = self._catch_up_peer(peer_id, self.last_finished_round)
+            models = self.shard.catch_up(self.last_finished_round, peer_id)
             self.catch_ups.append(
                 {"peer": peer_id, "round": round_id, "models": models}
             )
-
-    def _catch_up_peer(self, peer_id: str, fetch_round: int) -> int:
-        """FL-layer rejoin catch-up: adopt the FedAvg of ``fetch_round``.
-
-        Runtime seam — the multiprocess coordinator ships this to the
-        worker that owns the peer, since the model lives worker-side.
-        Returns how many on-chain updates fed the catch-up aggregate.
-        """
-        rejoined = self.peers[peer_id]
-        updates = rejoined.fetch_updates(fetch_round, self.id_of_address)
-        if updates:
-            rejoined.adopt(fedavg(updates))
-        return len(updates)
 
     def _finalize_faults(self) -> None:
         """Rejoin any peers still crashed or absent when the run ends.
@@ -840,129 +622,19 @@ class DecentralizedFL:
         if self.fault_plan is not None or self.participation.has_absences:
             self._transition_crashes(frozenset(), self.last_finished_round + 1)
 
-    def _use_greedy(self, n_updates: int) -> bool:
-        """Whether this round's combination search should be greedy."""
-        if self.config.selection == "greedy":
-            return True
-        return self.config.selection == "auto" and n_updates > self.config.exhaustive_limit
-
-    # -- runtime seams -----------------------------------------------------
-    # Everything a round needs from a peer's *local* side (its datasets,
-    # model, rng) funnels through these four methods, so the multiprocess
-    # coordinator can ship exactly this work to the owning worker while the
-    # round barrier, event engine, and ledger stay right here.
-
-    def _train_cohort(self, live: list[str], round_id: int) -> dict[str, tuple]:
-        """Train every live peer; returns ``{peer_id: (commit_tx, duration)}``."""
-        return {peer_id: self._train_peer(peer_id, round_id) for peer_id in live}
-
-    def _train_peer(self, peer_id: str, round_id: int) -> tuple:
-        peer = self.peers[peer_id]
-        _update, tx = peer.train_and_commit(round_id)
-        return tx, peer.sample_training_time()
-
-    def _submit_trained(self, peer_id: str, tx) -> None:
-        """Broadcast a peer's commit transaction (event-engine context)."""
-        self.peers[peer_id].gateway.submit(tx)
-
-    def _fetch_view(self, peer_id: str, round_id: int) -> list[ModelUpdate]:
-        """One peer's decoded view of the round's on-chain submissions."""
-        return self.peers[peer_id].fetch_updates(round_id, self.id_of_address)
-
-    def _personalized_round(
-        self, round_id: int, survivors: list[str], updates_by_view: dict[str, list[ModelUpdate]]
-    ) -> list[PeerRoundLog]:
-        """Combination search + adoption for every survivor, in cohort order."""
-        if self.config.selection_workers > 0:
-            logs = self._aggregate_round_parallel(round_id, updates_by_view)
-            if logs is not None:
-                return logs
-        return [
-            self._aggregate_for(self.peers[peer_id], round_id, updates_by_view[peer_id])
-            for peer_id in survivors
-        ]
-
-    def _aggregate_for(self, peer: FullPeer, round_id: int, updates: list[ModelUpdate]) -> PeerRoundLog:
-        """Search combinations on the peer's test set; adopt the best.
-
-        Exhaustive enumeration reproduces the paper's tables; above the
-        configured cohort threshold forward selection takes over and the
-        log records only the adopted combination (the full table would
-        have 2^n rows).
-        """
-        scored, chosen = choose_combination(
-            peer, self.engines[peer.peer_id], updates, self._use_greedy(len(updates))
-        )
-        return self._adopt_choice(peer, round_id, updates, scored, chosen)
-
-    def _adopt_choice(
-        self,
-        peer: FullPeer,
-        round_id: int,
-        updates: list[ModelUpdate],
-        scored: list,
-        chosen,
-    ) -> PeerRoundLog:
-        """Shared tail of every aggregation path — see :func:`adopt_choice`."""
-        return adopt_choice(peer, round_id, updates, scored, chosen)
-
-    def _aggregate_round_parallel(
-        self, round_id: int, updates_by_view: dict[str, list[ModelUpdate]]
-    ) -> Optional[list[PeerRoundLog]]:
-        """Fan the peers' independent searches out to a process pool.
-
-        Workers only *score*; tie-breaking (with each peer's own RNG, in
-        peer order), winner materialization, and adoption happen here —
-        so logs, RNG streams, and adopted weights are identical to the
-        serial path.  Returns None when the host cannot fork, and the
-        caller falls back to the in-process loop.
-        """
-        searchers = [peer_id for peer_id in self.peer_ids if peer_id in updates_by_view]
-        tasks = []
-        for peer_id in searchers:
-            peer = self.peers[peer_id]
-            updates = updates_by_view[peer_id]
-            tasks.append(
-                (peer.client.model, peer.client.test_set, updates, self._use_greedy(len(updates)))
-            )
-        outcomes = run_peer_searches(tasks, workers=self.config.selection_workers)
-        if outcomes is None:  # pragma: no cover - host-dependent
-            return None
-        logs = []
-        for peer_id, outcome in zip(searchers, outcomes):
-            peer = self.peers[peer_id]
-            updates = updates_by_view[peer_id]
-            engine = self.engines[peer_id]
-            for key, accuracy in outcome["solos"]:
-                engine.cache.absorb(key, accuracy)
-            if "greedy" in outcome:
-                members, accuracy = outcome["greedy"]
-                chosen = engine.materialize(members, updates, accuracy)
-                scored = [chosen]
-            else:
-                scored = [
-                    ScoredSubset(tuple(members), accuracy)
-                    for members, accuracy in outcome["scored"]
-                ]
-                top = pick_best(scored, peer.rng)
-                chosen = engine.materialize(top.members, updates, top.accuracy)
-            logs.append(self._adopt_choice(peer, round_id, updates, scored, chosen))
-        return logs
-
-    def _global_vote_round(
-        self, round_id: int, updates_by_view: dict[str, list[ModelUpdate]]
-    ) -> list[PeerRoundLog]:
+    def _global_vote_round(self, round_id: int, voters: list[str]) -> list[PeerRoundLog]:
         """Operating mode 2: vote a common global model on chain.
 
         Every peer aggregates everything it can see, uploads the aggregate
         off-chain, and votes its hash through the coordinator.  Once a hash
         reaches the finalization threshold, all peers adopt it — a global
         model without a fixed single aggregator (the paper's single-point-
-        of-failure fix in its FL-flavoured mode).
+        of-failure fix in its FL-flavoured mode).  Votes go out one voter
+        at a time, in cohort order, so mempool arrival order is the same
+        under every runtime.
         """
-        voters = [peer_id for peer_id in self.peer_ids if peer_id in updates_by_view]
         for peer_id in voters:
-            submit_global_vote(self.peers[peer_id], updates_by_view[peer_id], round_id, self.offchain)
+            self.shard.vote(round_id, peer_id)
 
         def finalized_everywhere() -> bool:
             return all(
@@ -974,36 +646,7 @@ class DecentralizedFL:
             )
 
         self._wait_until(finalized_everywhere, f"round {round_id} finalization")
-
-        return [
-            adopt_global_model(self.peers[peer_id], updates_by_view[peer_id], round_id, self.offchain)
-            for peer_id in voters
-        ]
-
-    def _rate_round(self, round_id: int, updates_by_view: dict[str, list[ModelUpdate]]) -> None:
-        """Reputation extension: rate peers by local fitness evaluation.
-
-        A peer whose solo model scores within ``reputation_fitness_margin``
-        of the rater's own solo model earns +5; one that falls further
-        behind (an abnormal/noisy model) earns -10, building the on-chain
-        record used to exclude low-credibility peers.
-
-        Every solo model was already scored during this round's
-        aggregation search, so the fitness lookups here are pure cache
-        hits — the rating pass adds zero model evaluations (the seed
-        re-evaluated every solo a second time).
-        """
-        raters = [peer_id for peer_id in self.peer_ids if peer_id in updates_by_view]
-        for rater_id in raters:
-            rate_visible_updates(
-                self.peers[rater_id],
-                self.engines[rater_id],
-                updates_by_view[rater_id],
-                round_id,
-                self.reputation_address,
-                lambda peer_id: self.addresses[peer_id],
-                self.config.reputation_fitness_margin,
-            )
+        return [self.shard.adopt_final(round_id, peer_id) for peer_id in voters]
 
     def reputation_of(self, peer_id: str, viewer_id: Optional[str] = None) -> int:
         """Current on-chain reputation score of ``peer_id``."""
@@ -1091,8 +734,7 @@ class DecentralizedFL:
         This is the byte surface the runtime-equivalence tests compare: a
         multiprocess run must produce exactly these bytes for every peer.
         """
-        peer = self.peers[peer_id]
-        return weights_to_bytes(peer.client.model.get_weights())
+        return self.shard.export([peer_id])[0]
 
     def model_digests(self) -> dict[str, str]:
         """SHA-256 of every materialized peer's model bytes, in cohort order.

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.core.config import ExperimentConfig
-from repro.core.decentralized import DecentralizedConfig, PeerRoundLog
+from repro.core.decentralized import DecentralizedConfig
+from repro.core.shard import PeerRoundLog
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticImageDataset
 from repro.fl.async_policy import AsyncPolicy

@@ -54,6 +54,11 @@ class PeerConfig:
             raise ConfigError("training_time must be positive")
 
 
+def peer_keypair(peer_id: str) -> KeyPair:
+    """A peer's chain identity — the one recipe every process derives it by."""
+    return KeyPair.from_seed(f"peer-{peer_id}")
+
+
 def registration_transaction(
     keypair: KeyPair, registry_address: Address, display_name: str, nonce: int
 ) -> Transaction:

@@ -1,0 +1,365 @@
+"""One home for a peer's local round work: the :class:`PeerShard`.
+
+A shard builds and owns the :class:`~repro.core.peer.FullPeer`\\ s and
+:class:`~repro.fl.scoring.CombinationEngine`\\ s of a set of peer ids and
+offers everything a round needs from their *local* side — datasets,
+models, rng streams — as one method per step: ``train``, ``view``,
+``score``, ``vote``, ``adopt_final``, ``rate``, ``catch_up``, ``export``.
+The in-process driver (:mod:`repro.core.decentralized`) holds one shard
+over the whole cohort; each worker process of the multiprocess runtime
+(:mod:`repro.runtime.worker`) holds one over its slice and serves these
+methods as wire ops; the coordinator swaps in a proxy with the same
+methods (:class:`repro.runtime.coordinator.RemoteShard`) that dispatches
+by owner.  The round barrier, the event engine and the ledger never live
+here, and the byte-sensitive per-peer work below exists exactly once — so
+the two runtimes cannot drift apart.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+
+from repro.chain.crypto import Address
+from repro.chain.gateway import ChainGateway
+from repro.chain.transaction import Transaction
+from repro.core.peer import FullPeer, PeerConfig, peer_keypair
+from repro.data.dataset import Dataset
+from repro.fl.aggregation import ModelUpdate, fedavg
+from repro.fl.scoring import CombinationEngine
+from repro.fl.selection import pick_best
+from repro.nn.model import Sequential
+from repro.nn.serialize import weights_to_bytes
+from repro.utils.rng import RngFactory
+
+
+@dataclass
+class PeerRoundLog:
+    """One peer's view of one round."""
+
+    peer_id: str
+    round_id: int
+    combination_accuracy: dict[str, float] = field(default_factory=dict)
+    chosen_combination: tuple[str, ...] = ()
+    chosen_accuracy: float = 0.0
+    models_used: int = 0          # size of the adopted combination
+    updates_visible: int = 0      # updates on-chain when aggregation ran
+    submitted_at: float = 0.0
+    ready_at: float = 0.0
+    aggregated_at: float = 0.0
+
+    @property
+    def wait_time(self) -> float:
+        """Simulated seconds between own submission and policy readiness."""
+        return max(self.ready_at - self.submitted_at, 0.0)
+
+
+def choose_combination(
+    peer: FullPeer,
+    engine: CombinationEngine,
+    updates: list[ModelUpdate],
+    use_greedy: bool,
+) -> tuple[list, object]:
+    """One peer's combination search; returns ``(scored, chosen)``.
+
+    Exhaustive enumeration reproduces the paper's tables; forward
+    selection logs only the adopted combination (the full table would
+    have 2^n rows).  Tie-breaking draws from ``peer.rng`` (exhaustive path
+    only), so the caller must hold the peer's canonical named stream.
+    """
+    if use_greedy:
+        chosen = engine.greedy(updates)
+        return [chosen], chosen
+    scored = engine.enumerate(updates)
+    top = pick_best(scored, peer.rng)
+    return scored, engine.materialize(top.members, updates, top.accuracy)
+
+
+def adopt_choice(
+    peer: FullPeer,
+    round_id: int,
+    updates: list[ModelUpdate],
+    scored: list,
+    chosen,
+) -> PeerRoundLog:
+    """Tail of the combination search: log the accuracy table
+    (``scored``: anything with ``label``/``accuracy``), record the
+    adopted combination, and install its weights."""
+    log = PeerRoundLog(peer_id=peer.peer_id, round_id=round_id)
+    for result in scored:
+        log.combination_accuracy[result.label] = result.accuracy
+    log.chosen_combination = chosen.members
+    log.chosen_accuracy = chosen.accuracy
+    log.models_used = len(chosen.members)
+    log.updates_visible = len(updates)
+    peer.adopt(chosen.weights)
+    return log
+
+
+def rate_visible_updates(
+    rater: FullPeer,
+    engine: CombinationEngine,
+    updates: list[ModelUpdate],
+    round_id: int,
+    reputation_address: Address,
+    address_of: Callable[[str], Address],
+    fitness_margin: float,
+) -> None:
+    """One rater's reputation pass over its visible updates.
+
+    A peer whose solo model scores within ``fitness_margin`` of the
+    rater's own solo earns +5; one that falls further behind (an
+    abnormal/noisy model) earns -10, building the on-chain record used to
+    exclude low-credibility peers.  Solo scores were already computed
+    during the aggregation search, so the fitness lookups are pure cache
+    hits — the rating pass adds zero model evaluations.
+    """
+    own = next((u for u in updates if u.client_id == rater.peer_id), None)
+    if own is None:
+        return
+    own_accuracy = engine.solo_accuracy(own)
+    for update in updates:
+        if update.client_id == rater.peer_id:
+            continue
+        fit = engine.solo_accuracy(update)
+        delta = 5 if fit >= own_accuracy - fitness_margin else -10
+        rate_tx = rater.make_transaction(
+            to=reputation_address,
+            method="rate",
+            args={
+                "round_id": round_id,
+                "subject": address_of(update.client_id),
+                "delta": delta,
+                "reason": f"fitness {fit:.3f} vs own {own_accuracy:.3f}",
+            },
+        )
+        rater.gateway.submit(rate_tx)
+
+
+def submit_global_vote(
+    peer: FullPeer, updates: list[ModelUpdate], round_id: int, offchain
+) -> None:
+    """Aggregate the peer's visible set and vote its hash on chain.
+
+    Identical visible sets produce byte-identical aggregates, so the
+    content-addressed put stores the blob once; each peer still pays one
+    serialization to discover its aggregate's hash.
+    """
+    aggregate_hash = offchain.put_weights(fedavg(updates))
+    vote_tx = peer.make_transaction(
+        to=peer.coordinator_address,
+        method="vote_global",
+        args={"round_id": round_id, "aggregate_hash": aggregate_hash},
+    )
+    peer.gateway.submit(vote_tx)
+
+
+def adopt_global_model(
+    peer: FullPeer, updates: list[ModelUpdate], round_id: int, offchain
+) -> PeerRoundLog:
+    """Read the finalized aggregate, evaluate it locally, and adopt it."""
+    final_hash = peer.gateway.call(
+        peer.coordinator_address, "finalized_hash", round_id=round_id
+    )
+    weights = offchain.get_weights(final_hash)
+    accuracy = peer.evaluate_weights(weights)
+    peer.adopt(weights)
+    members = tuple(sorted(update.client_id for update in updates))
+    return PeerRoundLog(
+        peer_id=peer.peer_id,
+        round_id=round_id,
+        combination_accuracy={",".join(members): accuracy},
+        chosen_combination=members,
+        chosen_accuracy=accuracy,
+        models_used=len(members),
+        updates_visible=len(updates),
+    )
+
+
+class PeerShard:
+    """The local side of a set of peers: their models, data and rng streams.
+
+    ``config`` is the driver's :class:`~repro.core.decentralized
+    .DecentralizedConfig` (its ``selection``, ``exhaustive_limit`` and
+    ``reputation_fitness_margin`` are read here); ``rngs`` is the
+    chain-spawned factory whose ``peer/<id>`` and ``attack/<id>`` streams
+    are derived from (seed, label), so a peer draws the same numbers
+    whichever shard holds it.  A peer added without datasets is chain-only
+    — it signs and reads the ledger and has no engine; the multiprocess
+    coordinator holds the whole cohort that way.
+    """
+
+    def __init__(
+        self,
+        config,
+        offchain,
+        rngs: RngFactory,
+        model_builder: Optional[Callable[[np.random.Generator], Sequential]],
+    ) -> None:
+        self.config = config
+        self.offchain = offchain
+        self.rngs = rngs
+        self.model_builder = model_builder
+        self.peers: dict[str, FullPeer] = {}
+        #: Per-peer scoring engines.  Tests may attach an ``instrument``
+        #: hook to count evaluations.
+        self.engines: dict[str, CombinationEngine] = {}
+        self.reputation_address: Optional[Address] = None
+        self.addresses: dict[str, Address] = {}
+        self.id_of_address: dict[Address, str] = {}
+        self._round: Optional[int] = None
+        self._views: dict[str, list[ModelUpdate]] = {}
+
+    def add_peer(
+        self,
+        pc: PeerConfig,
+        gateway: ChainGateway,
+        train_set: Optional[Dataset],
+        test_set: Optional[Dataset],
+    ) -> None:
+        """Materialize one peer (and its engine) on its gateway stack."""
+        peer = FullPeer(
+            config=pc,
+            keypair=peer_keypair(pc.peer_id),
+            gateway=gateway,
+            offchain=self.offchain,
+            train_set=train_set,
+            test_set=test_set,
+            model_builder=self.model_builder,
+            rng=self.rngs.get("peer", pc.peer_id),
+            attack_rng=(
+                self.rngs.get("attack", pc.peer_id) if pc.attacker is not None else None
+            ),
+        )
+        self.peers[pc.peer_id] = peer
+        if peer.client is not None:
+            self.engines[pc.peer_id] = CombinationEngine(
+                peer.client.model, peer.client.test_set
+            )
+
+    def configure(
+        self,
+        model_store: Address,
+        coordinator: Address,
+        reputation: Address,
+        addresses: dict[str, Address],
+    ) -> None:
+        """Install the deployed contract addresses and the cohort's address book."""
+        for peer in self.peers.values():
+            peer.model_store_address = model_store
+            peer.coordinator_address = coordinator
+        self.reputation_address = reputation
+        self.addresses = dict(addresses)
+        self.id_of_address = {address: peer_id for peer_id, address in addresses.items()}
+
+    # -- round state -------------------------------------------------------
+
+    def _begin_round(self, round_id: int) -> None:
+        """Reset the per-round memos on the first step of a new round.
+
+        Scores never carry across rounds (every peer retrains), so the
+        engine caches are cleared to bound memory; they are
+        content-addressed, so clearing is never a correctness requirement.
+        Within a round the solo scores stay live for the rating pass.
+        """
+        if round_id == self._round:
+            return
+        self._round = round_id
+        self._views.clear()
+        for engine in self.engines.values():
+            engine.cache.clear()
+
+    def _use_greedy(self, n_updates: int) -> bool:
+        """Whether this round's combination search should be greedy."""
+        if self.config.selection == "greedy":
+            return True
+        return self.config.selection == "auto" and n_updates > self.config.exhaustive_limit
+
+    # -- round steps -------------------------------------------------------
+
+    def train(self, round_id: int, peer_ids: list[str]) -> dict[str, tuple[Transaction, float]]:
+        """Train each peer; returns ``{peer_id: (commit_tx, duration)}``.
+
+        Nothing is submitted here: the driver broadcasts the signed
+        transactions on the event engine, so mempool order is
+        scheduler-controlled whichever process trained.
+        """
+        self._begin_round(round_id)
+        trained = {}
+        for peer_id in peer_ids:
+            peer = self.peers[peer_id]
+            _update, tx = peer.train_and_commit(round_id)
+            trained[peer_id] = (tx, peer.sample_training_time())
+        return trained
+
+    def view(self, round_id: int, peer_id: str) -> list[ModelUpdate]:
+        """One peer's decoded view of the round's on-chain submissions,
+        fetched once per round and shared by the steps below."""
+        self._begin_round(round_id)
+        if peer_id not in self._views:
+            self._views[peer_id] = self.peers[peer_id].fetch_updates(
+                round_id, self.id_of_address
+            )
+        return self._views[peer_id]
+
+    def score(self, round_id: int, peer_ids: list[str]) -> list[PeerRoundLog]:
+        """Search combinations on each peer's test set; adopt the best."""
+        return [self._search(round_id, peer_id) for peer_id in peer_ids]
+
+    def _search(self, round_id: int, peer_id: str) -> PeerRoundLog:
+        # One call per peer, so a peer's accuracy table and materialized
+        # aggregate are released before the next peer's search allocates.
+        peer = self.peers[peer_id]
+        updates = self.view(round_id, peer_id)
+        scored, chosen = choose_combination(
+            peer, self.engines[peer_id], updates, self._use_greedy(len(updates))
+        )
+        return adopt_choice(peer, round_id, updates, scored, chosen)
+
+    def vote(self, round_id: int, peer_id: str) -> None:
+        """Global-vote mode: aggregate the peer's view and vote its hash."""
+        submit_global_vote(
+            self.peers[peer_id], self.view(round_id, peer_id), round_id, self.offchain
+        )
+
+    def adopt_final(self, round_id: int, peer_id: str) -> PeerRoundLog:
+        """Global-vote mode: adopt the aggregate the round finalized."""
+        return adopt_global_model(
+            self.peers[peer_id], self.view(round_id, peer_id), round_id, self.offchain
+        )
+
+    def rate(self, round_id: int, peer_id: str) -> None:
+        """Reputation extension: the peer rates the updates it saw."""
+        rate_visible_updates(
+            self.peers[peer_id],
+            self.engines[peer_id],
+            self.view(round_id, peer_id),
+            round_id,
+            self.reputation_address,
+            self.addresses.__getitem__,
+            self.config.reputation_fitness_margin,
+        )
+
+    def catch_up(self, fetch_round: int, peer_id: str) -> int:
+        """Rejoin catch-up: adopt the FedAvg of ``fetch_round``'s updates.
+
+        Returns how many on-chain updates fed the aggregate.  Deliberately
+        not the per-round view memo: the rejoining peer may have fetched
+        (an empty view of) that round while partitioned, and catch-up must
+        see the healed chain.
+        """
+        peer = self.peers[peer_id]
+        updates = peer.fetch_updates(fetch_round, self.id_of_address)
+        if updates:
+            peer.adopt(fedavg(updates))
+        return len(updates)
+
+    def export(self, peer_ids: list[str]) -> list[bytes]:
+        """Each peer's current model weights as canonical codec-v2 bytes —
+        the byte surface the runtime-equivalence tests compare."""
+        return [
+            weights_to_bytes(self.peers[peer_id].client.model.get_weights())
+            for peer_id in peer_ids
+        ]

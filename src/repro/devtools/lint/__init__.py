@@ -57,8 +57,10 @@ Rule catalog
 ``wire-discipline`` (seam)
     ``socket``/``selectors``/``struct``/``subprocess`` imports only under
     ``repro/runtime/`` — the out-of-process runtime is the library's one
-    OS-transport surface — and ``pickle`` nowhere in ``src/`` (the wire
-    codec is canonical JSON + raw blobs).  Scope: ``src/``.
+    OS-transport surface; ``multiprocessing``/``concurrent.futures`` only
+    there and in ``repro/chain/scale/executor.py`` — its workers are the
+    one FL fan-out; and ``pickle`` nowhere in ``src/`` (the wire codec is
+    canonical JSON + raw blobs).  Scope: ``src/``.
 
 ``io-discipline`` (seam)
     ``tempfile``/``shutil`` imports and builtin ``open()`` calls only

@@ -5,9 +5,14 @@ library touches real OS transport: sockets, selectors, frame packing, and
 worker process spawning.  Anywhere else, a ``socket`` or ``subprocess``
 import is a seam violation — the FL and chain layers must stay pure
 simulation, reachable from any process via the wire, never reaching for
-the OS themselves.  (``selection_workers`` fans out through
-``multiprocessing`` pools, which this rule deliberately leaves alone —
-the hazard is hand-rolled transport, not the stdlib pool.)
+the OS themselves.
+
+Process pools follow the same line: the runtime's long-lived wire workers
+are the one way to put FL work on more cores, so a ``multiprocessing`` or
+``concurrent.futures`` import anywhere else is a second fan-out growing
+back (the fork-per-round ``ProcessPoolExecutor`` that used to score
+combinations was one).  The block executor's speculation pool is the one
+allowlisted exception.
 
 ``pickle`` is banned across ``src/`` outright, runtime included: the wire
 codec is canonical JSON + raw blobs precisely so frames are
@@ -25,6 +30,13 @@ from repro.devtools.lint.engine import Finding, LintContext, LintRule
 
 #: Modules that only the runtime package may import.
 TRANSPORT_MODULES = {"socket", "selectors", "struct", "subprocess"}
+
+#: Process-pool modules (``concurrent`` is ``concurrent.futures``' root).
+POOL_MODULES = {"multiprocessing", "concurrent"}
+
+#: The one pool outside the runtime: block speculation is chain work, its
+#: specs and results are plain tuples, and it never touches a peer's model.
+POOL_ALLOWLIST = {"src/repro/chain/scale/executor.py"}
 
 #: Serialization modules banned everywhere in ``src/``.
 PICKLE_MODULES = {"pickle", "_pickle", "cPickle"}
@@ -46,11 +58,13 @@ class WireDisciplineRule(LintRule):
     category = "seam"
     description = (
         "`socket`/`selectors`/`struct`/`subprocess` only under "
-        "`repro/runtime/`; `pickle` nowhere in `src/`"
+        "`repro/runtime/`; `multiprocessing`/`concurrent.futures` only "
+        "there and in the block executor; `pickle` nowhere in `src/`"
     )
     rationale = (
-        "the runtime package is the library's only OS-transport surface; "
-        "the wire format is canonical JSON + blobs, never pickle"
+        "the runtime package is the library's only OS-transport surface and "
+        "its workers the only FL fan-out; the wire format is canonical JSON "
+        "+ blobs, never pickle"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -76,4 +90,17 @@ class WireDisciplineRule(LintRule):
                         "and process machinery live only in the runtime "
                         "package; other layers reach the ledger through a "
                         "ChainGateway",
+                    )
+                elif (
+                    root in POOL_MODULES
+                    and not in_runtime
+                    and ctx.path not in POOL_ALLOWLIST
+                ):
+                    yield self.finding(
+                        ctx,
+                        stmt,
+                        f"`{root}` import outside repro/runtime/ — the wire "
+                        "workers (`runtime=\"multiprocess\"`) are the one way "
+                        "to spread FL work over cores; do not add a second "
+                        "process pool",
                     )

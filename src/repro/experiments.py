@@ -159,13 +159,6 @@ def _run_legacy(artifact: str, model: str, seed: int) -> int:
 #: trains.  A flag left out, or given as ``0``, leaves the scenario's own
 #: value alone.
 AXIS_FLAGS: dict[str, tuple[str, dict]] = {
-    "--workers": (
-        "selection_workers",
-        dict(
-            type=int,
-            help="combination-search worker processes (0 = in-process; results identical)",
-        ),
-    ),
     "--gateway": (
         "chain.gateway",
         dict(
@@ -215,7 +208,7 @@ AXIS_FLAGS: dict[str, tuple[str, dict]] = {
 }
 
 #: The flags ``sweep`` shares with ``run`` (which takes all of them).
-SWEEP_FLAGS = ("--workers", "--gateway", "--runtime", "--runtime-workers", "--sampled-k")
+SWEEP_FLAGS = ("--gateway", "--runtime", "--runtime-workers", "--sampled-k")
 
 
 def _axis_overrides(args: argparse.Namespace) -> dict[str, object]:

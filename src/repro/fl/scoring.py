@@ -34,7 +34,7 @@ A single-member subset *is* its member's weights bit-for-bit (FedAvg's
 ``n/n = 1.0`` coefficient is exact), so solo subsets are keyed by the raw
 content hash.  That one identity is what lets
 :func:`CombinationEngine.threshold_filter` and the reputation rating pass
-(:meth:`repro.core.decentralized.DecentralizedFL._rate_round`) reuse the
+(:func:`repro.core.shard.rate_visible_updates`) reuse the
 solo scores computed during enumeration instead of re-evaluating them.
 
 Incremental aggregation
@@ -87,8 +87,6 @@ reported metric is an argmax count, which both suites pin to be equal.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations as iter_combinations
 from typing import Callable, Optional, Sequence
@@ -146,15 +144,13 @@ class EvaluationCache:
     """Content-addressed accuracy store shared across searches.
 
     Keys are ``(weights_id, test_set_id)`` tuples (see the module
-    docstring).  ``stats`` counts ``hits`` (served from cache), ``misses``
-    (real model evaluations run by the owning engine), and ``absorbed``
-    (entries merged from worker processes, which ran the evaluation
-    elsewhere).
+    docstring).  ``stats`` counts ``hits`` (served from cache) and
+    ``misses`` (real model evaluations run by the owning engine).
     """
 
     def __init__(self) -> None:
         self._entries: dict[object, float] = {}
-        self.stats = {"hits": 0, "misses": 0, "absorbed": 0}
+        self.stats = {"hits": 0, "misses": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -169,11 +165,6 @@ class EvaluationCache:
     def store(self, key: object, accuracy: float) -> None:
         """Record a freshly evaluated accuracy (counts one miss)."""
         self.stats["misses"] += 1
-        self._entries[key] = accuracy
-
-    def absorb(self, key: object, accuracy: float) -> None:
-        """Merge an entry evaluated in another process (worker result)."""
-        self.stats["absorbed"] += 1
         self._entries[key] = accuracy
 
     def clear(self) -> None:
@@ -620,116 +611,3 @@ class CombinationEngine:
         if not kept:
             raise SelectionError(f"no update passed threshold {threshold}")
         return kept
-
-
-# ---------------------------------------------------------------------------
-# Peer-level fan-out (DecentralizedFL: independent searches in parallel)
-# ---------------------------------------------------------------------------
-
-#: Per-process search state installed by the pool initializer.
-_WORKER_STATE: dict = {}
-
-
-def _init_peer_worker(
-    model: Sequential,
-    union_payload: list[tuple[str, dict[str, np.ndarray], int]],
-    batch_size: int,
-) -> None:
-    """Install the round's shared search state in a pool worker.
-
-    One scratch architecture and the *union* of the round's updates are
-    shipped once per worker; per-peer tasks then carry only the peer's
-    (small) test set and member id list — O(n) weight transfers per
-    round instead of O(n^2).  The model's own weights are irrelevant:
-    every evaluation installs the weights under test.
-    """
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        model=model,
-        batch_size=batch_size,
-        updates={
-            cid: ModelUpdate(client_id=cid, weights=weights, num_samples=num)
-            for cid, weights, num in union_payload
-        },
-    )
-
-
-def _peer_search_task(test_x, test_y, member_ids: list[str], use_greedy: bool) -> dict:
-    """One peer's whole combination search, run inside a pool worker.
-
-    Returns accuracies only (plus solo cache entries for the parent to
-    absorb); tie-breaking, weight materialization, and adoption stay in
-    the parent so RNG draws and adopted bytes match the serial path.
-    """
-    from repro.data.dataset import Dataset as _Dataset
-
-    state = _WORKER_STATE
-    updates = [state["updates"][cid] for cid in member_ids]
-    engine = CombinationEngine(
-        state["model"], _Dataset(test_x, test_y), batch_size=state["batch_size"]
-    )
-    result: dict = {}
-    if use_greedy:
-        chosen = engine.greedy(updates)
-        result["greedy"] = (chosen.members, chosen.accuracy)
-    else:
-        scored = engine.enumerate(updates)
-        result["scored"] = [(entry.members, entry.accuracy) for entry in scored]
-    result["solos"] = [
-        (engine.solo_key(update), accuracy)
-        for update in updates
-        if (accuracy := engine.cache.lookup(engine.solo_key(update))) is not None
-    ]
-    result["evaluations"] = engine.cache.stats["misses"]
-    return result
-
-
-def run_peer_searches(
-    tasks: list[tuple[Sequential, Dataset, list[ModelUpdate], bool]],
-    workers: int,
-    batch_size: int = 512,
-) -> Optional[list[dict]]:
-    """Run independent per-peer searches on a process pool, in order.
-
-    ``tasks`` is ``[(model, test_set, updates, use_greedy), ...]``;
-    results come back in the same order.  All tasks must share one model
-    architecture (the FL contract), and within a round a client id names
-    one update, so the first task's model and the de-duplicated union of
-    updates prime every worker via the pool initializer.  Returns None
-    when the host cannot fork, signalling the caller to fall back to the
-    serial path.
-    """
-    union: dict[str, ModelUpdate] = {}
-    for _model, _test_set, updates, _use_greedy in tasks:
-        for update in updates:
-            union.setdefault(update.client_id, update)
-    payload = [
-        (update.client_id, update.weights, update.num_samples)
-        for update in union.values()
-    ]
-    try:
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_peer_worker,
-            initargs=(tasks[0][0], payload, batch_size),
-        )
-    except (OSError, ValueError):  # pragma: no cover - host-dependent
-        return None
-    try:
-        with executor:
-            futures = [
-                executor.submit(
-                    _peer_search_task,
-                    test_set.x,
-                    test_set.y,
-                    [update.client_id for update in updates],
-                    use_greedy,
-                )
-                for _model, test_set, updates, use_greedy in tasks
-            ]
-            return [future.result() for future in futures]
-    except (BrokenExecutor, OSError):  # pragma: no cover - host-dependent
-        # Worker processes spawn lazily: a host that cannot fork fails at
-        # result() time, not construction — still signal serial fallback.
-        return None

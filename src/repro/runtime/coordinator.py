@@ -1,16 +1,17 @@
 """Multiprocess round driver: the DecentralizedFL barrier over worker tasks.
 
-:class:`MultiprocessDecentralizedFL` subclasses the in-process driver and
-replaces exactly its *local-compute* seams (``_train_cohort``,
-``_fetch_view``, ``_personalized_round``, ``_global_vote_round``,
-``_rate_round``, ``export_model_bytes``) with task dispatch to worker
-processes.  Everything that makes the simulation a simulation stays here,
-untouched: the event engine and its clock, the PoW chain fabric, block
-propagation, the round barrier, and the waiting policies.  Workers hold
-the datasets and models; their only ledger access is RPC frames this
-coordinator serves inline — so every submission still lands on the
-mempool in scheduler order, which is what keeps a multiprocess run
-byte-identical to the in-process one at the same seed.
+:class:`MultiprocessDecentralizedFL` runs the in-process driver's round
+loop unchanged and swaps its :class:`~repro.core.shard.PeerShard` for a
+:class:`RemoteShard` — the same methods, dispatched as tasks to the worker
+processes that own the peers.  The subclass itself adds only the worker
+fleet's lifecycle (launch, task dispatch, teardown) and its reporting.
+Everything that makes the simulation a simulation stays here, untouched:
+the event engine and its clock, the PoW chain fabric, block propagation,
+the round barrier, and the waiting policies.  Workers hold the datasets
+and models; their only ledger access is RPC frames this coordinator
+serves inline — so every submission still lands on the mempool in
+scheduler order, which is what keeps a multiprocess run byte-identical to
+the in-process one at the same seed.
 
 Wire discipline of the select loop: each worker has at most one
 outstanding task, and a worker mid-task blocks on at most one RPC at a
@@ -25,36 +26,19 @@ the same typed-error path the resilience layer already speaks.
 from __future__ import annotations
 
 import selectors
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
-from repro.chain.crypto import KeyPair
-from repro.chain.gateway import ChainGateway
 from repro.chain.transaction import Transaction
-from repro.core.decentralized import (
-    DecentralizedConfig,
-    DecentralizedFL,
-    PeerRoundLog,
-)
-from repro.core.peer import FullPeer, PeerConfig
+from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
+from repro.core.peer import PeerConfig
+from repro.core.shard import PeerRoundLog, PeerShard
 from repro.errors import ConfigError, WireProtocolError, WorkerCrashedError
 from repro.runtime.broker import Broker, WorkerHandle
 from repro.runtime.server import GatewayServer
 from repro.runtime.speccodec import encode_spec
 from repro.runtime.wire import WireClosedError, decode_error
 from repro.utils.rng import RngFactory
-
-
-@dataclass(frozen=True)
-class _UpdateStub:
-    """Coordinator-side stand-in for a worker-held :class:`ModelUpdate`.
-
-    The round barrier only ever asks a view two questions — is it empty,
-    and which peers contributed — so the stub carries the contributor id
-    and nothing else; the decoded weights never leave the workers.
-    """
-
-    client_id: str
 
 
 def _merge_numbers(into: dict, extra: dict) -> None:
@@ -64,6 +48,135 @@ def _merge_numbers(into: dict, extra: dict) -> None:
             _merge_numbers(into.setdefault(key, {}), value)
         else:
             into[key] = into.get(key, 0) + value
+
+
+def _log_from_payload(round_id: int, entry: dict) -> PeerRoundLog:
+    """Decode the worker's wire form of a :class:`PeerRoundLog`."""
+    log = PeerRoundLog(peer_id=entry["peer"], round_id=round_id)
+    for label, accuracy in entry["table"]:
+        log.combination_accuracy[label] = accuracy
+    log.chosen_combination = tuple(entry["chosen"])
+    log.chosen_accuracy = entry["accuracy"]
+    log.models_used = entry["models_used"]
+    log.updates_visible = entry["updates_visible"]
+    return log
+
+
+class RemoteShard:
+    """:class:`~repro.core.shard.PeerShard`'s methods, served by the workers.
+
+    Worker ``i`` owns the peers at cohort positions ``i, i+W, i+2W, ...``
+    — the rule the workers apply independently in ``init``, taken over
+    the *full* roster so it is stable under sampling.  Order-independent
+    steps (``train``, ``score``, ``export``) go out as one task per owning
+    worker; steps that submit a transaction (``vote``, ``rate``) go out one
+    peer at a time, because the driver calls them so.  ``local`` is the
+    coordinator's own shard of chain-only peers: it answers what the
+    ledger alone can (``view``) and holds the deployed addresses.
+    """
+
+    def __init__(self, driver: "MultiprocessDecentralizedFL", local: PeerShard) -> None:
+        self.driver = driver
+        self.local = local
+        self.owner = {
+            peer_id: position % driver.num_workers
+            for position, peer_id in enumerate(driver.peer_ids)
+        }
+        self._exports: dict[str, bytes] = {}
+
+    def _grouped(self, op: str, peer_ids: list[str], **params) -> list[tuple]:
+        """One ``op`` task per owning worker; the ``(value, blobs)`` replies."""
+        groups: dict[int, list[str]] = {}
+        for peer_id in peer_ids:
+            groups.setdefault(self.owner[peer_id], []).append(peer_id)
+        results = self.driver._run_tasks(
+            {
+                index: {"op": op, "params": {**params, "peers": owned}}
+                for index, owned in groups.items()
+            }
+        )
+        return list(results.values())
+
+    def _single(self, op: str, round_id: int, peer_id: str):
+        """One ``op`` task to the peer's owner; the reply's value."""
+        task = {"op": op, "params": {"round": round_id, "peer": peer_id}}
+        index = self.owner[peer_id]
+        return self.driver._run_tasks({index: task})[index][0]
+
+    def configure(self, model_store, coordinator, reputation, addresses) -> None:
+        self.local.configure(model_store, coordinator, reputation, addresses)
+        self.driver._run_tasks(
+            {
+                handle.index: {
+                    "op": "configure",
+                    "params": {
+                        "model_store": model_store,
+                        "coordinator": coordinator,
+                        "reputation": reputation,
+                        "addresses": addresses,
+                    },
+                }
+                for handle in self.driver.handles
+            }
+        )
+
+    def train(self, round_id: int, peer_ids: list[str]) -> dict[str, tuple]:
+        return {
+            entry["peer"]: (Transaction.from_dict(entry["tx"]), float(entry["duration"]))
+            for value, _blobs in self._grouped("train", peer_ids, round=round_id)
+            for entry in value
+        }
+
+    def view(self, round_id: int, peer_id: str) -> list[str]:
+        """Who contributed to the view the worker is about to fetch.
+
+        The coordinator-side read mirrors that fetch — same visible
+        submissions, filtered to blobs already off-chain — and the round
+        barrier only asks a view whether it is empty, so the decoded
+        weights never leave the workers.
+        """
+        id_of = self.local.id_of_address
+        return [
+            id_of.get(record["author"], record["author"])
+            for record in self.local.peers[peer_id].visible_submissions(round_id)
+            if record["weights_hash"] in self.local.offchain
+        ]
+
+    def score(self, round_id: int, peer_ids: list[str]) -> list[PeerRoundLog]:
+        payloads = {
+            entry["peer"]: entry
+            for value, _blobs in self._grouped("score", peer_ids, round=round_id)
+            for entry in value
+        }
+        return [_log_from_payload(round_id, payloads[peer_id]) for peer_id in peer_ids]
+
+    def vote(self, round_id: int, peer_id: str) -> None:
+        self._single("vote", round_id, peer_id)
+
+    def adopt_final(self, round_id: int, peer_id: str) -> PeerRoundLog:
+        return _log_from_payload(round_id, self._single("adopt_final", round_id, peer_id))
+
+    def rate(self, round_id: int, peer_id: str) -> None:
+        self._single("rate", round_id, peer_id)
+
+    def catch_up(self, fetch_round: int, peer_id: str) -> int:
+        # The chain-side heal and head-hash wait already happened
+        # coordinator-side; the FedAvg adoption runs where the model lives.
+        return int(self._single("catch_up", fetch_round, peer_id))
+
+    def export(self, peer_ids: list[str]) -> list[bytes]:
+        """Model bytes from the owning workers while they run; afterwards,
+        the ones ``run()`` collected before it shut them down."""
+        if self.driver.handles:
+            for value, blobs in self._grouped("export", peer_ids):
+                self._exports.update(zip(value, blobs))
+        missing = [peer_id for peer_id in peer_ids if peer_id not in self._exports]
+        if missing:
+            raise ConfigError(
+                f"{missing[0]}: no exported model (multiprocess exports are "
+                "collected when run() completes)"
+            )
+        return [self._exports[peer_id] for peer_id in peer_ids]
 
 
 class MultiprocessDecentralizedFL(DecentralizedFL):
@@ -81,9 +194,13 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         self.broker = Broker(self.num_workers)
         self.handles: list[WorkerHandle] = []
         self.server: Optional[GatewayServer] = None
-        self._exports: dict[str, bytes] = {}
         self._worker_stats: list[dict] = []
+        self._channel_totals = {"bytes_sent": 0, "bytes_received": 0}
         self._stamp_epoch = 0
+        # No datasets, no model builder: the base class builds chain-only
+        # peers that sign and read the ledger for the round barrier, and
+        # creates (same recipe, never draws from) the rng streams the
+        # workers re-derive.
         super().__init__(
             peer_configs,
             {},
@@ -92,46 +209,21 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             config=config,
             rng_factory=rng_factory,
         )
-        # Worker i owns peers at cohort positions i, i+W, i+2W, ... — the
-        # same assignment rule the workers apply independently in init.
-        # Positions are taken over the *full* roster (stable under
-        # sampling); workers simply skip identities the participation
-        # plan never materializes, mirroring the base-class loop.
-        self._owner = {
-            peer_id: position % self.num_workers
-            for position, peer_id in enumerate(self.peer_ids)
-        }
-
-    # -- construction seams ------------------------------------------------
-
-    def _build_peer(
-        self,
-        pc: PeerConfig,
-        keypair: KeyPair,
-        gateway: ChainGateway,
-        train_sets,
-        test_sets,
-        model_builder,
-    ) -> FullPeer:
-        # Chain-only: signs and reads the ledger for the round barrier;
-        # the model lives with the owning worker.  The peer rng stream is
-        # created (same recipe as in-process) but never drawn from here —
-        # the worker re-derives and draws the identical stream.
-        return FullPeer(
-            config=pc,
-            keypair=keypair,
-            gateway=gateway,
-            offchain=self.offchain,
-            train_set=None,
-            test_set=None,
-            model_builder=None,
-            rng=self.rngs.get("peer", pc.peer_id),
-        )
-
-    def _build_engines(self) -> dict:
-        return {}
+        self.shard = RemoteShard(self, self.shard)
 
     # -- worker fleet ------------------------------------------------------
+
+    @contextmanager
+    def _fleet_guard(self) -> Iterator[None]:
+        """Launch the workers if needed; terminate every one of them if the
+        guarded block fails — a failure never leaves a worker running."""
+        try:
+            self._ensure_runtime()
+            yield
+        except BaseException:
+            self.broker.terminate()
+            self.handles = []
+            raise
 
     def _ensure_runtime(self) -> None:
         """Launch workers and have them rebuild their peer shards."""
@@ -155,7 +247,7 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         for index, (peer_ids, _blobs) in owned.items():
             expected = sorted(
                 peer_id
-                for peer_id, owner in self._owner.items()
+                for peer_id, owner in self.shard.owner.items()
                 if owner == index and peer_id in self.peers
             )
             if list(peer_ids) != expected:
@@ -215,9 +307,6 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             selector.close()
         return results
 
-    def _run_task(self, index: int, op: str, params: dict) -> tuple:
-        return self._run_tasks({index: {"op": op, "params": params}})[index]
-
     def _head_stamp(self) -> dict:
         """Freshness token pushed with every task frame.
 
@@ -252,61 +341,29 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
                     "while a task was outstanding"
                 )
 
-    def _by_owner(self, peer_ids: list[str]) -> dict[int, list[str]]:
-        groups: dict[int, list[str]] = {}
-        for peer_id in peer_ids:
-            groups.setdefault(self._owner[peer_id], []).append(peer_id)
-        return groups
-
     # -- lifecycle ---------------------------------------------------------
 
     def deploy_contracts(self) -> None:
-        self._ensure_runtime()
-        super().deploy_contracts()
-        first = self.peers[self.peer_ids[0]]
-        self._run_tasks(
-            {
-                handle.index: {
-                    "op": "configure",
-                    "params": {
-                        "model_store": first.model_store_address,
-                        "coordinator": first.coordinator_address,
-                        "reputation": self.reputation_address,
-                        "addresses": dict(self.addresses),
-                    },
-                }
-                for handle in self.handles
-            }
-        )
+        with self._fleet_guard():
+            super().deploy_contracts()
 
     def run(self) -> list[PeerRoundLog]:
-        self._ensure_runtime()
-        try:
+        with self._fleet_guard():
             logs = super().run()
-            self._collect_exports()
+            # Collected now, served by the shard after the workers are gone.
+            self.shard.export([peer_id for peer_id in self.peer_ids if peer_id in self.peers])
             self._collect_stats()
-        except BaseException:
-            self.broker.terminate()
-            self.handles = []
-            raise
-        self._shutdown()
+            self._shutdown()
         return logs
 
-    def _collect_exports(self) -> None:
-        groups = self._by_owner(
-            [peer_id for peer_id in self.peer_ids if peer_id in self.peers]
-        )
-        results = self._run_tasks(
-            {
-                index: {"op": "export", "params": {"peers": peer_ids}}
-                for index, peer_ids in groups.items()
-            }
-        )
-        for value, blobs in results.values():
-            for peer_id, payload in zip(value, blobs):
-                self._exports[peer_id] = payload
-
     def _collect_stats(self) -> None:
+        # Channel totals are taken before the `stats` task goes out: its
+        # reply carries wall-clock floats whose printed length varies from
+        # run to run, and every byte counted up to here is deterministic.
+        self._channel_totals = {
+            "bytes_sent": sum(h.channel.bytes_sent for h in self.handles),
+            "bytes_received": sum(h.channel.bytes_received for h in self.handles),
+        }
         results = self._run_tasks(
             {handle.index: {"op": "stats", "params": {}} for handle in self.handles}
         )
@@ -328,137 +385,18 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         its channel raises, which this method surfaces as the
         :class:`WorkerCrashedError` the resilience path expects.
         """
-        self._ensure_runtime()
-        handle = self.handles[index]
-        handle.channel.send({"kind": "task", "op": "crash", "params": {}})
-        try:
-            handle.channel.recv()
-        except (WireClosedError, OSError) as exc:
-            raise WorkerCrashedError(
-                f"worker {index} crashed (exit code {handle.process.wait(timeout=30)})"
-            ) from exc
-        raise WireProtocolError(f"worker {index} survived a crash task")
-
-    # -- round seams -------------------------------------------------------
-
-    def _train_cohort(self, live: list[str], round_id: int) -> dict[str, tuple]:
-        results = self._run_tasks(
-            {
-                index: {"op": "train", "params": {"round": round_id, "peers": peer_ids}}
-                for index, peer_ids in self._by_owner(live).items()
-            }
-        )
-        trained: dict[str, tuple] = {}
-        for value, _blobs in results.values():
-            for entry in value:
-                trained[entry["peer"]] = (
-                    Transaction.from_dict(entry["tx"]),
-                    float(entry["duration"]),
-                )
-        return trained
-
-    def _fetch_view(self, peer_id: str, round_id: int) -> list[_UpdateStub]:
-        # The coordinator-side read mirrors the worker's upcoming fetch:
-        # same visible submissions, filtered to blobs already off-chain.
-        peer = self.peers[peer_id]
-        return [
-            _UpdateStub(self.id_of_address.get(record["author"], record["author"]))
-            for record in peer.visible_submissions(round_id)
-            if record["weights_hash"] in self.offchain
-        ]
-
-    def _personalized_round(
-        self, round_id: int, survivors: list[str], updates_by_view: dict
-    ) -> list[PeerRoundLog]:
-        results = self._run_tasks(
-            {
-                index: {"op": "score", "params": {"round": round_id, "peers": peer_ids}}
-                for index, peer_ids in self._by_owner(survivors).items()
-            }
-        )
-        payloads: dict[str, dict] = {}
-        for value, _blobs in results.values():
-            for entry in value:
-                payloads[entry["peer"]] = entry
-        return [
-            self._log_from_payload(round_id, payloads[peer_id])
-            for peer_id in survivors
-        ]
-
-    @staticmethod
-    def _log_from_payload(round_id: int, entry: dict) -> PeerRoundLog:
-        log = PeerRoundLog(peer_id=entry["peer"], round_id=round_id)
-        for label, accuracy in entry["table"]:
-            log.combination_accuracy[label] = accuracy
-        log.chosen_combination = tuple(entry["chosen"])
-        log.chosen_accuracy = entry["accuracy"]
-        log.models_used = entry["models_used"]
-        log.updates_visible = entry["updates_visible"]
-        return log
-
-    def _global_vote_round(
-        self, round_id: int, updates_by_view: dict
-    ) -> list[PeerRoundLog]:
-        voters = [peer_id for peer_id in self.peer_ids if peer_id in updates_by_view]
-        # Votes go out one voter at a time, in cohort order: each vote
-        # submits a transaction through the served gateway, and mempool
-        # arrival order must match the in-process loop exactly.
-        for peer_id in voters:
-            self._run_task(
-                self._owner[peer_id], "vote", {"round": round_id, "peer": peer_id}
-            )
-
-        def finalized_everywhere() -> bool:
-            return all(
-                peer.gateway.call(
-                    peer.coordinator_address, "finalized_hash", round_id=round_id
-                )
-                is not None
-                for peer in (self.peers[peer_id] for peer_id in voters)
-            )
-
-        self._wait_until(finalized_everywhere, f"round {round_id} finalization")
-
-        return [
-            self._log_from_payload(
-                round_id,
-                self._run_task(
-                    self._owner[peer_id],
-                    "adopt_final",
-                    {"round": round_id, "peer": peer_id},
-                )[0],
-            )
-            for peer_id in voters
-        ]
-
-    def _catch_up_peer(self, peer_id: str, fetch_round: int) -> int:
-        # The rejoining peer's model lives with its worker, so the FedAvg
-        # catch-up adoption runs there; the chain-side heal/partition and
-        # head-hash wait already happened coordinator-side.
-        value, _blobs = self._run_task(
-            self._owner[peer_id], "catch_up", {"round": fetch_round, "peer": peer_id}
-        )
-        return int(value)
-
-    def _rate_round(self, round_id: int, updates_by_view: dict) -> None:
-        # One rater at a time, cohort order — rating transactions must
-        # hit the mempool in the same order as the in-process pass.
-        for rater_id in self.peer_ids:
-            if rater_id in updates_by_view:
-                self._run_task(
-                    self._owner[rater_id], "rate", {"round": round_id, "peer": rater_id}
-                )
+        with self._fleet_guard():
+            handle = self.handles[index]
+            handle.channel.send({"kind": "task", "op": "crash", "params": {}})
+            try:
+                handle.channel.recv()
+            except (WireClosedError, OSError) as exc:
+                raise WorkerCrashedError(
+                    f"worker {index} crashed (exit code {handle.process.wait(timeout=30)})"
+                ) from exc
+            raise WireProtocolError(f"worker {index} survived a crash task")
 
     # -- reporting ---------------------------------------------------------
-
-    def export_model_bytes(self, peer_id: str) -> bytes:
-        payload = self._exports.get(peer_id)
-        if payload is None:
-            raise ConfigError(
-                f"{peer_id}: no exported model (multiprocess exports are "
-                "collected when run() completes)"
-            )
-        return payload
 
     def gateway_stats(self) -> dict:
         payload = super().gateway_stats()
@@ -486,12 +424,9 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
                     "channel": stats["channel"],
                 }
             )
-        # Channel totals come from the broker's handles, which outlive
-        # the shutdown handshake (closed sockets keep their counters).
         payload["wire"] = {
             "workers": self.num_workers,
-            "bytes_sent": sum(h.channel.bytes_sent for h in self.broker.handles),
-            "bytes_received": sum(h.channel.bytes_received for h in self.broker.handles),
+            **self._channel_totals,
             "rpc_round_trips": wire_trips,
             "seconds": wire_seconds,
             "method_seconds": method_seconds,

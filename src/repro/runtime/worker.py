@@ -2,12 +2,13 @@
 
 Launched as ``python -m repro.runtime.worker --connect HOST:PORT
 --worker INDEX`` by the broker.  The worker dials the coordinator, says
-``hello``, then serves tasks one at a time: ``init`` rebuilds its shard
-of peers from the :class:`~repro.scenarios.spec.ScenarioSpec` (datasets,
-models, rng streams all re-derived locally — nothing heavyweight crosses
-the wire), and the round ops (``train`` / ``score`` / ``rate`` /
-``vote`` / ``adopt_final``) execute exactly the per-peer seam functions
-the in-process driver calls, against the same named rng streams.
+``hello``, then serves tasks one at a time: ``init`` rebuilds its
+:class:`~repro.core.shard.PeerShard` from the
+:class:`~repro.scenarios.spec.ScenarioSpec` (datasets, models, rng streams
+all re-derived locally — nothing heavyweight crosses the wire), and each
+round op (:data:`SHARD_OPS`) decodes its parameters, calls the shard
+method of the same name — the very code the in-process driver runs,
+against the same named rng streams — and encodes the result.
 
 Every ledger touch goes through :class:`~repro.runtime.gateway
 .RemoteGateway` / :class:`~repro.runtime.gateway.RemoteOffchain` on the
@@ -35,7 +36,6 @@ import sys
 import traceback
 from typing import Optional
 
-from repro.chain.crypto import KeyPair
 from repro.chain.gateway import BatchingGateway, GatewayStats
 from repro.errors import (
     GatewayError,
@@ -43,7 +43,6 @@ from repro.errors import (
     SerializationError,
     WireProtocolError,
 )
-from repro.nn.serialize import weights_to_bytes
 from repro.runtime.gateway import HeadSignal, RemoteGateway, RemoteOffchain
 from repro.runtime.wire import WireChannel, WireClosedError, connect, encode_error
 from repro.utils.rng import RngFactory
@@ -52,6 +51,13 @@ from repro.utils.rng import RngFactory
 #: they cross the wire typed.  Anything else is a worker bug and crosses
 #: as a generic :class:`GatewayError` (with the traceback on stderr).
 _TASK_SAFE_ERRORS = (GatewayError, SerializationError, NetworkError)
+
+#: The round ops: each is served by the :class:`~repro.core.shard.PeerShard`
+#: method of the same name (``view`` has no op — the coordinator answers it
+#: from the ledger it already holds).
+SHARD_OPS = (
+    "configure", "train", "score", "rate", "vote", "adopt_final", "catch_up", "export",
+)
 
 
 def _log_payload(log) -> dict:
@@ -78,18 +84,11 @@ class WorkerRuntime:
     def __init__(self, channel: WireChannel, index: int) -> None:
         self.channel = channel
         self.index = index
-        self.config = None
-        self.peers: dict[str, object] = {}
+        self.shard = None  # built by ``init``
         self.transports: dict[str, RemoteGateway] = {}
-        self.engines: dict[str, object] = {}
         self._offchain_stats = GatewayStats()
         self.offchain = RemoteOffchain(channel, stats=self._offchain_stats)
         self.head_signal = HeadSignal()
-        self.reputation_address: Optional[str] = None
-        self.addresses: dict[str, str] = {}
-        self.id_of: dict[str, str] = {}
-        self._views: dict[tuple[int, str], list] = {}
-        self._cleared_round: Optional[int] = None
 
     # -- serve loop --------------------------------------------------------
 
@@ -142,16 +141,9 @@ class WorkerRuntime:
         """Route one task; returns ``(value, blobs)`` for the result frame."""
         handlers = {
             "init": self._init,
-            "configure": self._configure,
-            "train": self._train,
-            "score": self._score,
-            "rate": self._rate,
-            "vote": self._vote,
-            "adopt_final": self._adopt_final,
-            "catch_up": self._catch_up,
-            "export": self._export,
             "stats": self._stats,
             "ping": lambda params: "pong",
+            **{name: getattr(self, f"_{name}") for name in SHARD_OPS},
         }
         handler = handlers.get(op)
         if handler is None:
@@ -167,8 +159,7 @@ class WorkerRuntime:
         # Imported lazily: the scenario runner imports this package back
         # (repro.runtime.coordinator) for the multiprocess dispatch.
         from repro.core.participation import ParticipationPlan
-        from repro.fl.scoring import CombinationEngine
-        from repro.core.peer import FullPeer
+        from repro.core.shard import PeerShard
         from repro.runtime.speccodec import decode_spec
         from repro.scenarios.runner import ScenarioContext, decentralized_inputs
 
@@ -176,7 +167,6 @@ class WorkerRuntime:
         workers = int(params["workers"])
         rngs = RngFactory(spec.seed)
         inputs = decentralized_inputs(spec, rngs, ScenarioContext())
-        self.config = inputs.config
         chain_spec = inputs.config.chain
         chain = rngs.spawn("chain")
         # Same plan the coordinator resolved: both sides derive it from the
@@ -188,6 +178,7 @@ class WorkerRuntime:
             inputs.config.rounds,
             chain,
         )
+        self.shard = PeerShard(inputs.config, self.offchain, chain, inputs.model_builder)
         for position, pc in enumerate(inputs.peer_configs):
             if position % workers != self.index:
                 continue
@@ -199,166 +190,62 @@ class WorkerRuntime:
                 default_deadline=chain_spec.max_round_time,
                 head_signal=self.head_signal,
             )
-            gateway = (
+            self.transports[pc.peer_id] = transport
+            self.shard.add_peer(
+                pc,
                 BatchingGateway(transport, staleness=chain_spec.gateway_staleness)
                 if chain_spec.gateway == "batching"
-                else transport
+                else transport,
+                inputs.train_sets[pc.peer_id],
+                inputs.test_sets[pc.peer_id],
             )
-            peer = FullPeer(
-                config=pc,
-                keypair=KeyPair.from_seed(f"peer-{pc.peer_id}"),
-                gateway=gateway,
-                offchain=self.offchain,
-                train_set=inputs.train_sets[pc.peer_id],
-                test_set=inputs.test_sets[pc.peer_id],
-                model_builder=inputs.model_builder,
-                rng=chain.get("peer", pc.peer_id),
-                attack_rng=(
-                    chain.get("attack", pc.peer_id) if pc.attacker is not None else None
-                ),
-            )
-            self.peers[pc.peer_id] = peer
-            self.transports[pc.peer_id] = transport
-            self.engines[pc.peer_id] = CombinationEngine(
-                peer.client.model, peer.client.test_set
-            )
-        return sorted(self.peers)
+        return sorted(self.shard.peers)
+
+    # -- round ops: decode -> shard method -> encode -------------------------
 
     def _configure(self, params: dict):
-        for peer in self.peers.values():
-            peer.model_store_address = params["model_store"]
-            peer.coordinator_address = params["coordinator"]
-        self.reputation_address = params["reputation"]
-        self.addresses = dict(params["addresses"])
-        self.id_of = {address: pid for pid, address in self.addresses.items()}
+        self.shard.configure(
+            params["model_store"],
+            params["coordinator"],
+            params["reputation"],
+            params["addresses"],
+        )
         return "configured"
 
-    # -- round state -------------------------------------------------------
-
-    def _begin_round(self, round_id: int) -> None:
-        """Reset per-round memos on the first task of a new round.
-
-        The engine caches are content-addressed, so clearing is purely a
-        memory bound — never a correctness requirement."""
-        if round_id == self._cleared_round:
-            return
-        self._cleared_round = round_id
-        self._views.clear()
-        for engine in self.engines.values():
-            engine.cache.clear()
-
-    def _fetch(self, peer_id: str, round_id: int) -> list:
-        key = (round_id, peer_id)
-        if key not in self._views:
-            self._views[key] = self.peers[peer_id].fetch_updates(round_id, self.id_of)
-        return self._views[key]
-
-    def _use_greedy(self, n_updates: int) -> bool:
-        if self.config.selection == "greedy":
-            return True
-        return (
-            self.config.selection == "auto"
-            and n_updates > self.config.exhaustive_limit
-        )
-
-    # -- round tasks -------------------------------------------------------
-
     def _train(self, params: dict):
-        round_id = int(params["round"])
-        self._begin_round(round_id)
-        out = []
-        for peer_id in params["peers"]:
-            peer = self.peers[peer_id]
-            _update, tx = peer.train_and_commit(round_id)
-            out.append(
-                {
-                    "peer": peer_id,
-                    "tx": tx.to_dict(),
-                    "duration": peer.sample_training_time(),
-                }
-            )
-        return out
+        trained = self.shard.train(int(params["round"]), params["peers"])
+        return [
+            {"peer": peer_id, "tx": tx.to_dict(), "duration": duration}
+            for peer_id, (tx, duration) in trained.items()
+        ]
 
     def _score(self, params: dict):
-        from repro.core.decentralized import adopt_choice, choose_combination
-
-        round_id = int(params["round"])
-        self._begin_round(round_id)
-        out = []
-        for peer_id in params["peers"]:
-            peer = self.peers[peer_id]
-            updates = self._fetch(peer_id, round_id)
-            scored, chosen = choose_combination(
-                peer, self.engines[peer_id], updates, self._use_greedy(len(updates))
-            )
-            log = adopt_choice(peer, round_id, updates, scored, chosen)
-            out.append(_log_payload(log))
-        return out
+        logs = self.shard.score(int(params["round"]), params["peers"])
+        return [_log_payload(log) for log in logs]
 
     def _rate(self, params: dict):
-        from repro.core.decentralized import rate_visible_updates
-
-        round_id = int(params["round"])
-        self._begin_round(round_id)
-        peer_id = params["peer"]
-        rate_visible_updates(
-            self.peers[peer_id],
-            self.engines[peer_id],
-            self._fetch(peer_id, round_id),
-            round_id,
-            self.reputation_address,
-            lambda pid: self.addresses[pid],
-            self.config.reputation_fitness_margin,
-        )
+        self.shard.rate(int(params["round"]), params["peer"])
         return "rated"
 
     def _vote(self, params: dict):
-        from repro.core.decentralized import submit_global_vote
-
-        round_id = int(params["round"])
-        self._begin_round(round_id)
-        peer_id = params["peer"]
-        submit_global_vote(
-            self.peers[peer_id], self._fetch(peer_id, round_id), round_id, self.offchain
-        )
+        self.shard.vote(int(params["round"]), params["peer"])
         return "voted"
 
     def _adopt_final(self, params: dict):
-        from repro.core.decentralized import adopt_global_model
-
-        round_id = int(params["round"])
-        peer_id = params["peer"]
-        log = adopt_global_model(
-            self.peers[peer_id], self._fetch(peer_id, round_id), round_id, self.offchain
-        )
-        return _log_payload(log)
+        return _log_payload(self.shard.adopt_final(int(params["round"]), params["peer"]))
 
     def _catch_up(self, params: dict):
-        from repro.fl.aggregation import fedavg
-
-        fetch_round = int(params["round"])
-        peer = self.peers[params["peer"]]
-        # Deliberately NOT the per-round view memo: the rejoining peer may
-        # have fetched (an empty view of) this round while partitioned, and
-        # catch-up must see the healed chain.
-        updates = peer.fetch_updates(fetch_round, self.id_of)
-        if updates:
-            peer.adopt(fedavg(updates))
-        return len(updates)
-
-    # -- collection tasks --------------------------------------------------
+        return self.shard.catch_up(int(params["round"]), params["peer"])
 
     def _export(self, params: dict):
         peer_ids = list(params["peers"])
-        blobs = tuple(
-            weights_to_bytes(self.peers[peer_id].client.model.get_weights())
-            for peer_id in peer_ids
-        )
-        return peer_ids, blobs
+        return peer_ids, tuple(self.shard.export(peer_ids))
+
+    # -- collection tasks --------------------------------------------------
 
     def _stats(self, params: dict):
         requested = GatewayStats()
-        for peer in self.peers.values():
+        for peer in self.shard.peers.values():
             requested.add(peer.gateway.stats)
         wire = GatewayStats()
         for transport in self.transports.values():
@@ -366,7 +253,7 @@ class WorkerRuntime:
         wire.add(self._offchain_stats)
         return {
             "worker": self.index,
-            "peers": sorted(self.peers),
+            "peers": sorted(self.shard.peers),
             "requested": requested.as_dict(),
             "wire": wire.as_dict(),
             "wire_seconds": wire.wire_seconds,

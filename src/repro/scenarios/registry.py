@@ -299,10 +299,7 @@ def _build_tradeoff(seed: int = 42, quick: bool = False, models=None) -> tuple[S
 
 
 def cohort_scenario(
-    size: int,
-    seed: int = 42,
-    selection_workers: int = 0,
-    sampled_k: Optional[int] = None,
+    size: int, seed: int = 42, sampled_k: Optional[int] = None
 ) -> ScenarioSpec:
     """Bench-scale ``size``-peer decentralized scenario.
 
@@ -310,9 +307,7 @@ def cohort_scenario(
     device speeds (uniform 60 ± 40 s) make the waiting policy matter, and
     ``selection="auto"`` switches to greedy forward selection above the
     exhaustive limit — the configuration behind the ROADMAP's
-    speed/precision-at-scale measurement.  ``selection_workers`` fans the
-    per-peer combination searches out to worker processes (results are
-    identical at any worker count).  ``sampled_k`` trains only a k-peer
+    speed/precision-at-scale measurement.  ``sampled_k`` trains only a k-peer
     subcohort per round (``cohort/<n>/sampled/<k>``) — the cross-device
     configuration that stretches n into the thousands.
     """
@@ -336,7 +331,6 @@ def cohort_scenario(
         heterogeneity=HeterogeneitySpec(kind="uniform", base_time=60.0, spread=40.0),
         seed=seed,
         aggregator_test_samples=150,
-        selection_workers=selection_workers,
         participation=participation,
     )
 

@@ -274,8 +274,10 @@ class ScenarioSpec:
     ledger only through the wire-served gateway (:mod:`repro.runtime`).
     Results are byte-identical across runtimes and worker counts.  The
     ``"vanilla"`` kind has no chain and ignores the knob.  Fault
-    injection and ``selection_workers`` are in-process features and are
-    rejected in combination with the multiprocess runtime.
+    injection is an in-process feature and is rejected in combination
+    with the multiprocess runtime.  The runtime's workers are the one way
+    to put FL work on more cores (``chain.execution_workers`` does the
+    same for block speculation).
     """
 
     name: str = ""
@@ -291,7 +293,6 @@ class ScenarioSpec:
     policy: AsyncPolicy = field(default_factory=WaitForAll)
     selection: str = "auto"                # "exhaustive" | "greedy" | "auto"
     exhaustive_limit: int = 6
-    selection_workers: int = 0             # combination-search worker processes
     enable_reputation: bool = False
     reputation_fitness_margin: float = 0.10
     cohort: CohortSpec = field(default_factory=CohortSpec)
@@ -326,10 +327,6 @@ class ScenarioSpec:
             raise ConfigError(f"unknown selection strategy {self.selection!r}")
         if self.exhaustive_limit < 1:
             raise ConfigError("exhaustive_limit must be >= 1")
-        if self.selection_workers < 0:
-            raise ConfigError(
-                f"selection_workers must be >= 0, got {self.selection_workers}"
-            )
         if self.aggregator_test_samples < 1:
             raise ConfigError("aggregator_test_samples must be >= 1")
         if self.runtime not in RUNTIME_KINDS:
@@ -340,18 +337,11 @@ class ScenarioSpec:
             raise ConfigError(
                 f"runtime_workers must be >= 1, got {self.runtime_workers}"
             )
-        if self.runtime == "multiprocess":
-            if self.faults.active:
-                raise ConfigError(
-                    "fault injection is an in-process feature; "
-                    "the multiprocess runtime does not support it"
-                )
-            if self.selection_workers > 0:
-                raise ConfigError(
-                    "selection_workers forks from the driver process; "
-                    "the multiprocess runtime already owns the process "
-                    "fan-out, so combine one or the other"
-                )
+        if self.runtime == "multiprocess" and self.faults.active:
+            raise ConfigError(
+                "fault injection is an in-process feature; "
+                "the multiprocess runtime does not support it"
+            )
         if self.kind == "vanilla" and self.faults.active:
             raise ConfigError(
                 "fault injection targets the FL <-> chain seam; "

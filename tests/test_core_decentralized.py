@@ -247,27 +247,23 @@ class TestScoringEngineIntegration:
 
     def test_engine_matches_serial_reference(self):
         driver = make_driver(**OUTCOME_CASES["exhaustive"])
-        assert set(driver.engines) == {"A", "B", "C"}
+        assert set(driver.shard.engines) == {"A", "B", "C"}
         assert outcome_digest(driver) == pinned_outcome("exhaustive")
 
     def test_greedy_matches_serial_reference(self):
         assert outcome_digest(make_driver(**OUTCOME_CASES["greedy"])) == pinned_outcome("greedy")
 
-    def test_parallel_workers_match_serial_reference(self):
-        for case in ("exhaustive", "greedy"):
-            driver = make_driver(selection_workers=2, **OUTCOME_CASES[case])
-            assert outcome_digest(driver) == pinned_outcome(case)
-
     def test_invalid_scoring_config(self):
-        with pytest.raises(ConfigError):
-            DecentralizedConfig(selection_workers=-1)
+        for bad in (dict(selection="fastest"), dict(exhaustive_limit=0)):
+            with pytest.raises(ConfigError):
+                DecentralizedConfig(**bad)
 
 
 class TestRateRoundReusesScores:
     """Reputation rating re-uses the aggregation phase's solo scores.
 
     The seed re-evaluated every solo model a second time in
-    ``_rate_round``; the engine path must answer those lookups from the
+    the rating pass; the engine path must answer those lookups from the
     cache — the instrumentation hook counts every *real* evaluation, so
     a round with reputation on performs exactly one evaluation per
     distinct subset and not one more.
@@ -275,11 +271,12 @@ class TestRateRoundReusesScores:
 
     def test_rating_adds_zero_evaluations(self):
         driver = make_driver(rounds=1, enable_reputation=True)
-        evaluations = {peer_id: [] for peer_id in driver.engines}
-        for peer_id, engine in driver.engines.items():
+        engines = driver.shard.engines
+        evaluations = {peer_id: [] for peer_id in engines}
+        for peer_id, engine in engines.items():
             engine.instrument = evaluations[peer_id].append
         driver.run()
-        for peer_id, engine in driver.engines.items():
+        for peer_id, engine in engines.items():
             # 3 visible updates -> 7 subsets; the rating pass (own solo +
             # 2 subjects per rater) added nothing.
             assert len(evaluations[peer_id]) == 7, (

@@ -700,6 +700,24 @@ class TestWireDisciplineRule:
         )
         assert findings == []
 
+    def test_process_pool_outside_runtime_flagged(self):
+        findings = lint(
+            """
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            """,
+            path="src/repro/fl/scoring.py",
+        )
+        assert rule_ids(findings) == ["wire-discipline", "wire-discipline"]
+
+    def test_process_pool_allowed_in_runtime_and_block_executor(self):
+        source = """
+            import multiprocessing
+            from concurrent.futures.process import BrokenProcessPool
+            """
+        for path in ("src/repro/runtime/broker.py", "src/repro/chain/scale/executor.py"):
+            assert lint(source, path=path) == []
+
     def test_pickle_flagged_even_in_runtime(self):
         findings = lint(
             """

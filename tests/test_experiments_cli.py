@@ -122,20 +122,20 @@ class TestRunCommand:
         assert "Scenario summary" in capsys.readouterr().out
 
     def test_run_negative_workers_exits_cleanly(self, capsys):
-        assert cli.main(["run", "cohort/3", "--quick", "--workers", "-1"]) == 2
-        assert "selection_workers" in capsys.readouterr().err
+        assert cli.main(["run", "cohort/3", "--quick", "--runtime-workers", "-1"]) == 2
+        assert "runtime_workers" in capsys.readouterr().err
 
     def test_run_workers_flag_changes_nothing(self, capsys):
-        """--workers is a pure wall-clock knob: output bytes identical."""
+        """Worker processes are a pure wall-clock knob: output bytes identical."""
         assert cli.main(["run", "cohort/3", "--quick", "--seed", "1"]) == 0
         serial = capsys.readouterr().out
-        assert cli.main(["run", "cohort/3", "--quick", "--seed", "1", "--workers", "2"]) == 0
+        multiprocess = ["--runtime", "multiprocess", "--runtime-workers", "2"]
+        assert cli.main(["run", "cohort/3", "--quick", "--seed", "1", *multiprocess]) == 0
         assert capsys.readouterr().out == serial
 
 
 #: One valid and one invalid command-line value per override flag.
 FLAG_VALUES = {
-    "--workers": ("2", "-1"),
     "--gateway": ("batching", None),            # argparse `choices` guards it
     "--runtime": ("multiprocess", None),
     "--runtime-workers": ("3", "-1"),
@@ -209,7 +209,7 @@ class TestSweepCommand:
 
     def test_sweep_workers_flag_changes_nothing(self, capsys):
         """Identical rows modulo the wall-clock column (the one thing
-        --workers is allowed to change)."""
+        worker processes are allowed to change)."""
 
         def sans_wall(out: str) -> list[str]:
             return [" ".join(line.split()[:-1]) for line in out.splitlines() if line.strip()]
@@ -217,7 +217,10 @@ class TestSweepCommand:
         assert cli.main(["sweep", "cohort", "--sizes", "3", "--quick", "--seed", "1"]) == 0
         serial = capsys.readouterr().out
         assert (
-            cli.main(["sweep", "cohort", "--sizes", "3", "--quick", "--seed", "1", "--workers", "2"])
+            cli.main(
+                ["sweep", "cohort", "--sizes", "3", "--quick", "--seed", "1"]
+                + ["--runtime", "multiprocess", "--runtime-workers", "2"]
+            )
             == 0
         )
         assert sans_wall(capsys.readouterr().out) == sans_wall(serial)

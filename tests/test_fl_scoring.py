@@ -77,7 +77,7 @@ class TestCacheCorrectness:
         weights["head/W"] *= -1.0  # in-place: now classifies inverted
         second = engine.score_weights(weights)
         assert second == 0.0
-        assert engine.cache.stats == {"hits": 0, "misses": 2, "absorbed": 0}
+        assert engine.cache.stats == {"hits": 0, "misses": 2}
 
     def test_identical_content_hits(self, scratch_model, test_set):
         engine = CombinationEngine(scratch_model, test_set)
@@ -208,7 +208,7 @@ class TestBatching:
         scored = {s.members: s.accuracy for s in engine.enumerate(updates, max_size=1)}
         assert scored == {("A",): 1.0, ("B",): 0.0, ("C",): 1.0}
         assert len(seen) == 2
-        assert engine.cache.stats == {"hits": 1, "misses": 2, "absorbed": 0}
+        assert engine.cache.stats == {"hits": 1, "misses": 2}
 
     def test_equal_subset_keys_across_a_full_walk(self, scratch_model, test_set):
         """Seven subsets of [A, B, C = A's bytes]: solo C repeats solo A's
@@ -221,7 +221,7 @@ class TestBatching:
         assert [(r.members, r.accuracy) for r in reference] == [
             (s.members, s.accuracy) for s in scored
         ]
-        assert engine.cache.stats == {"hits": 1, "misses": 6, "absorbed": 0}
+        assert engine.cache.stats == {"hits": 1, "misses": 6}
 
     def test_enumerate_evaluates_in_the_serial_order(self, scratch_model, test_set):
         """Fifteen subsets span two kernel calls; ``instrument`` still sees
@@ -232,10 +232,10 @@ class TestBatching:
         assert 2**4 - 1 > BATCH_WIDTH
         engine.enumerate(list(reversed(updates)))  # input order is irrelevant
         assert seen == [key_of(engine, subset) for subset in depth_first(updates)]
-        assert engine.cache.stats == {"hits": 0, "misses": 15, "absorbed": 0}
+        assert engine.cache.stats == {"hits": 0, "misses": 15}
         engine.enumerate(updates)
         assert len(seen) == 15
-        assert engine.cache.stats == {"hits": 15, "misses": 15, "absorbed": 0}
+        assert engine.cache.stats == {"hits": 15, "misses": 15}
 
     def test_greedy_evaluates_in_the_serial_order(self, scratch_model, test_set):
         """Solos in id order, then each step's candidates in id order after

@@ -173,6 +173,15 @@ class TestParticipationEquivalence:
         assert comparable(inproc) == comparable(multi)
         assert multi.chain_stats["participation"]["catch_ups"] == 1
 
+    def test_global_vote_sampled_reputation_matches_inprocess(self):
+        # The three axes share every shard step (vote, adopt_final, rate
+        # over a sampled subcohort's views); 3 workers over 6 identities
+        # puts each voter/rater sequence across every worker.
+        spec = self.sampled_spec(mode="global_vote", enable_reputation=True)
+        inproc, multi = pair(spec, workers=3)
+        assert comparable(inproc) == comparable(multi)
+        assert inproc.reputation
+
 
 class TestRuntimeStatsSurface:
     def test_multiprocess_surfaces_wire_telemetry(self):
@@ -197,53 +206,87 @@ class TestRuntimeStatsSurface:
             assert gateway[side]["rpc_round_trips"] == 0
 
 
+def two_worker_driver():
+    """A hand-built coordinator over ``base_spec()``, workers not yet launched."""
+    from repro.runtime.coordinator import MultiprocessDecentralizedFL
+
+    spec = dataclasses.replace(base_spec(), runtime="multiprocess", runtime_workers=2)
+    rngs = RngFactory(spec.seed)
+    inputs = decentralized_inputs(spec, rngs, ScenarioContext(), materialize=False)
+    return MultiprocessDecentralizedFL(
+        spec, inputs.peer_configs, config=inputs.config, rng_factory=rngs.spawn("chain")
+    )
+
+
 class TestWorkerCrash:
     def test_crash_surfaces_typed_error_and_cleans_up(self):
-        from repro.runtime.coordinator import MultiprocessDecentralizedFL
-
-        spec = dataclasses.replace(
-            base_spec(), runtime="multiprocess", runtime_workers=2
-        )
-        rngs = RngFactory(spec.seed)
-        inputs = decentralized_inputs(spec, rngs, ScenarioContext(), materialize=False)
-        driver = MultiprocessDecentralizedFL(
-            spec,
-            inputs.peer_configs,
-            config=inputs.config,
-            rng_factory=rngs.spawn("chain"),
-        )
-        try:
-            with pytest.raises(WorkerCrashedError) as excinfo:
-                driver.crash_worker(0)
-            # The typed error enters the PR-7 resilience vocabulary.
-            assert isinstance(excinfo.value, GatewayUnavailableError)
-            assert "worker 0" in str(excinfo.value)
-        finally:
-            driver.broker.terminate()
+        driver = two_worker_driver()
+        with pytest.raises(WorkerCrashedError) as excinfo:
+            driver.crash_worker(0)
+        # The typed error enters the PR-7 resilience vocabulary.
+        assert isinstance(excinfo.value, GatewayUnavailableError)
+        assert "worker 0" in str(excinfo.value)
+        assert driver.broker.handles
         for handle in driver.broker.handles:
             assert handle.process.poll() is not None  # no zombies
 
-    def test_clean_run_reaps_every_worker(self):
-        from repro.runtime.coordinator import MultiprocessDecentralizedFL
+    def test_failure_during_launch_terminates_every_worker(self, monkeypatch):
+        # A worker that dies right after launch fails `init`; the workers
+        # that did come up must not outlive the error.
+        from repro.runtime.broker import Broker
 
-        spec = dataclasses.replace(
-            base_spec(), runtime="multiprocess", runtime_workers=2
-        )
-        rngs = RngFactory(spec.seed)
-        inputs = decentralized_inputs(spec, rngs, ScenarioContext(), materialize=False)
-        driver = MultiprocessDecentralizedFL(
-            spec,
-            inputs.peer_configs,
-            config=inputs.config,
-            rng_factory=rngs.spawn("chain"),
-        )
+        driver = two_worker_driver()
+        launch = Broker.launch
+
+        def launch_then_lose_worker_zero(broker):
+            handles = launch(broker)
+            handles[0].process.kill()
+            handles[0].process.wait(timeout=30)
+            return handles
+
+        monkeypatch.setattr(Broker, "launch", launch_then_lose_worker_zero)
+        try:
+            with pytest.raises(WorkerCrashedError):
+                driver.run()
+            assert len(driver.broker.handles) == 2
+            for handle in driver.broker.handles:
+                assert handle.process.poll() is not None
+        finally:
+            driver.broker.terminate()
+
+    def test_clean_run_reaps_every_worker(self):
+        driver = two_worker_driver()
         logs = driver.run()
         assert logs
         assert driver.handles == []  # shutdown handshake completed
         for handle in driver.broker.handles:
             assert handle.process.poll() == 0  # exited cleanly, reaped
         # Exports were collected before shutdown.
-        assert sorted(driver.model_digests()) == sorted(spec.client_ids())
+        assert sorted(driver.model_digests()) == sorted(driver.spec.client_ids())
+
+
+class TestShardSurface:
+    """A peer's local round work has one home and two callers: a step
+    added to one side only would fail here, not at the first wire run."""
+
+    def test_worker_ops_and_proxy_are_the_shard_methods(self):
+        from repro.core.shard import PeerShard
+        from repro.runtime.coordinator import RemoteShard
+        from repro.runtime.worker import SHARD_OPS, WorkerRuntime
+
+        def public(cls) -> set:
+            return {
+                name
+                for name, member in vars(cls).items()
+                if callable(member) and not name.startswith("_")
+            }
+
+        # `add_peer` builds the shard (the worker's `init` op calls it);
+        # `view` has no op: the coordinator answers it from the ledger.
+        assert public(PeerShard) - {"add_peer", "view"} == set(SHARD_OPS)
+        assert public(RemoteShard) == public(PeerShard) - {"add_peer"}
+        # Every round op has a handler: dispatch builds the whole table.
+        assert WorkerRuntime(channel=None, index=0).dispatch("ping", {}, ()) == ("pong", ())
 
 
 class TestSpecGates:
@@ -261,10 +304,6 @@ class TestSpecGates:
     def test_faults_incompatible_with_multiprocess(self):
         with pytest.raises(ConfigError):
             base_spec(runtime="multiprocess", faults=FaultSpec(transient_rate=0.1))
-
-    def test_selection_workers_incompatible_with_multiprocess(self):
-        with pytest.raises(ConfigError):
-            base_spec(runtime="multiprocess", selection_workers=2)
 
     def test_vanilla_ignores_runtime_knob(self):
         spec = ScenarioSpec(name="v", kind="vanilla", seed=1, runtime="multiprocess")

@@ -325,10 +325,14 @@ class TestSpecCodec:
     def test_removed_field_rejected_typed(self):
         """A peer still sending a deleted knob gets a protocol error, not a
         ``TypeError`` traceback out of the dataclass constructor."""
-        payload = encode_spec(ScenarioSpec(name="wire", kind="decentralized", seed=3))
-        payload["fields"]["chain"]["fields"]["poll_interval"] = 1.0
-        with pytest.raises(WireProtocolError, match="poll_interval"):
-            decode_spec(payload)
+        for path, name in ((("chain", "fields"), "poll_interval"), ((), "selection_workers")):
+            payload = encode_spec(ScenarioSpec(name="wire", kind="decentralized", seed=3))
+            fields = payload["fields"]
+            for key in path:
+                fields = fields[key]
+            fields[name] = 1
+            with pytest.raises(WireProtocolError, match=name):
+                decode_spec(payload)
 
     def test_multiprocess_fields_survive(self):
         spec = dataclasses.replace(

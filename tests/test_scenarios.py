@@ -388,7 +388,6 @@ class TestLegacyShims:
                 reputation_fitness_margin=0.25,
                 selection="greedy",
                 exhaustive_limit=3,
-                selection_workers=2,
             ),
             ChainSpec: dict(
                 target_block_interval=7.0,
