@@ -32,7 +32,7 @@ from repro.chain.state import WorldState, AccountState, StateError, STATE_STATS
 from repro.chain.mempool import Mempool
 from repro.chain.chainstore import ChainStore
 from repro.chain.runtime import ContractRuntime, Contract, CallContext
-from repro.chain.scale import ColdStore, ColdStoreStats, ExecutionStats
+from repro.chain.scale import BlockExecutionMemo, ColdStore, ColdStoreStats, ExecutionStats
 from repro.chain.node import GenesisSpec, Node, NodeConfig
 from repro.chain.network import P2PNetwork, LatencyModel
 from repro.chain.gateway import (
@@ -75,6 +75,7 @@ __all__ = [
     "ContractRuntime",
     "Contract",
     "CallContext",
+    "BlockExecutionMemo",
     "ColdStore",
     "ColdStoreStats",
     "ExecutionStats",

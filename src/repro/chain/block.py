@@ -9,6 +9,7 @@ candidate, broadcasts it, and other peers verify it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.chain.crypto import Address
 from repro.chain.merkle import merkle_root
@@ -22,7 +23,14 @@ GENESIS_PARENT = "0x" + "00" * 32
 
 @dataclass
 class BlockHeader:
-    """Consensus-relevant block metadata."""
+    """Consensus-relevant block metadata.
+
+    ``block_hash`` is memoized on the instance and dropped when any field
+    is assigned (every field is an immutable scalar and every field feeds
+    the hash), so sealing a nonce or tampering with a header still changes
+    it — the way :class:`~repro.chain.transaction.Transaction` memoizes
+    its digest.
+    """
 
     parent_hash: str
     number: int
@@ -35,6 +43,10 @@ class BlockHeader:
     gas_limit: int = 10**15
     nonce: int = 0
     extra: str = ""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        self.__dict__.pop("_block_hash", None)
+        object.__setattr__(self, name, value)
 
     def sealing_payload(self) -> bytes:
         """Canonical bytes hashed by the PoW puzzle (everything but nonce)."""
@@ -56,7 +68,11 @@ class BlockHeader:
     @property
     def block_hash(self) -> str:
         """Hash over the sealed header (payload + nonce)."""
-        return keccak_like(self.sealing_payload() + self.nonce.to_bytes(8, "big"))
+        cached = self.__dict__.get("_block_hash")
+        if cached is None:
+            cached = keccak_like(self.sealing_payload() + self.nonce.to_bytes(8, "big"))
+            self.__dict__["_block_hash"] = cached
+        return cached
 
     def to_dict(self) -> dict:
         """Canonical-serializable form (cold storage and sync payloads)."""

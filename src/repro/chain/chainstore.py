@@ -19,13 +19,11 @@ pruning never decode a cold block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.chain.block import Block, GENESIS_PARENT
+from repro.chain.scale.coldstore import ColdStore, ColdStoreError
 from repro.errors import InvalidBlockError, UnknownBlockError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scale -> errors only)
-    from repro.chain.scale import ColdStore
 
 
 @dataclass
@@ -50,7 +48,7 @@ class ChainStore:
     def __init__(
         self,
         genesis: Block,
-        cold: Optional["ColdStore"] = None,
+        cold: Optional[ColdStore] = None,
         hot_window: Optional[int] = None,
     ) -> None:
         if genesis.header.parent_hash != GENESIS_PARENT or genesis.number != 0:
@@ -100,8 +98,27 @@ class ChainStore:
         if block is not None:
             return block
         if block_hash in self._spilled:
-            return Block.from_dict(self.cold.get(block_hash))
+            return self._revive(block_hash)
         raise UnknownBlockError(block_hash)
+
+    def _revive(self, block_hash: str) -> Block:
+        """Read a spilled block back, held to its content address: the
+        header must hash to the key it was stored under and commit to the
+        transactions that came back with it.  The cold store keeps the
+        checked block, so the check runs once per segment read."""
+
+        def checked(payload: dict) -> Block:
+            try:
+                block = Block.from_dict(payload)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ColdStoreError(f"cold block {block_hash[:10]} is malformed: {exc}") from exc
+            if block.block_hash != block_hash or not block.body_matches_header():
+                raise ColdStoreError(
+                    f"cold block {block_hash[:10]} does not match its content address"
+                )
+            return block
+
+        return self.cold.get(block_hash, revive=checked)
 
     def number_of(self, block_hash: str) -> int:
         """Height of a block, hot or spilled, without decoding it."""

@@ -21,8 +21,8 @@ re-hashed when its root is computed or verified).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Optional, Sequence
 
 from repro.chain.block import Block, BlockHeader, make_genesis
 from repro.chain.chainstore import ChainStore, ReorgInfo
@@ -32,6 +32,8 @@ from repro.chain.mempool import Mempool
 from repro.chain.pow import RetargetRule, check_pow
 from repro.chain.runtime import ContractRuntime
 from repro.chain.scale import (
+    BlockExecution,
+    BlockExecutionMemo,
     ColdStore,
     ExecutionStats,
     SnapshotError,
@@ -115,17 +117,38 @@ class GenesisSpec:
     timestamp: float = 0.0
     difficulty: int = 1
 
-    def build_state(self) -> WorldState:
-        """World state implied by the allocation."""
+    def _allocate(self) -> WorldState:
         state = WorldState()
         for address, balance in sorted(self.allocations.items()):
             state.credit(address, balance)
         return state
 
+    def _commitment(self) -> tuple[dict[Address, str], str]:
+        """Account hashes and root of the allocation state.
+
+        Hashed once per allocation, not once per node: the result is kept
+        beside a copy of the allocations it was computed from and reused
+        while they still compare equal, so editing the dict afterwards
+        recomputes rather than serving the old root.
+        """
+        memo = getattr(self, "_commitment_memo", None)
+        if memo is None or memo[0] != self.allocations:
+            state = self._allocate()
+            root = state.state_root()
+            hashes = {address: state.account_hash(address) for address in self.allocations}
+            memo = self._commitment_memo = (dict(self.allocations), hashes, root)
+        return memo[1], memo[2]
+
+    def build_state(self) -> WorldState:
+        """World state implied by the allocation (hashes already known)."""
+        state = self._allocate()
+        state.adopt_hashes(*self._commitment())
+        return state
+
     def build_genesis(self) -> Block:
         """Genesis block committing to the allocation state."""
         return make_genesis(
-            self.build_state().state_root(),
+            self._commitment()[1],
             timestamp=self.timestamp,
             difficulty=self.difficulty,
         )
@@ -140,11 +163,15 @@ class Node:
         genesis_spec: GenesisSpec,
         runtime: ContractRuntime,
         config: Optional[NodeConfig] = None,
+        block_memo: Optional[BlockExecutionMemo] = None,
     ) -> None:
         self.keypair = keypair
         self.address: Address = keypair.address
         self.config = config if config is not None else NodeConfig()
         self.runtime = runtime
+        # Cohort-shared record of block executions (None: execute every
+        # block locally).  Nodes sharing one must run the same contracts.
+        self.block_memo = block_memo
         self.genesis_spec = genesis_spec
         if self.config.execution not in EXECUTION_MODES:
             raise ValueError(f"execution must be one of {EXECUTION_MODES}")
@@ -177,7 +204,7 @@ class Node:
             self._state_marks[genesis.block_hash] = self.state.checkpoint()
         # block hash -> receipts in transaction order, for executed
         # canonical blocks (the eth_getLogs range index).
-        self._receipts_by_block: dict[str, list[Receipt]] = {}
+        self._receipts_by_block: dict[str, Sequence[Receipt]] = {}
         self._orphans: dict[str, list[Block]] = {}
         # tx hash -> block hash, for receipts spilled to cold storage.
         self._receipt_location: dict[str, str] = {}
@@ -275,7 +302,7 @@ class Node:
                     matches.append(entry)
         return matches
 
-    def _block_receipts(self, block_hash: str) -> list[Receipt]:
+    def _block_receipts(self, block_hash: str) -> Sequence[Receipt]:
         """Execution receipts of a canonical block, hot or spilled."""
         receipts = self._receipts_by_block.get(block_hash)
         if receipts is not None:
@@ -430,6 +457,60 @@ class Node:
         state.credit(block.header.miner, self.config.block_reward)
         return receipts
 
+    def _advance(self, state: WorldState, block: Block) -> tuple[Receipt, ...]:
+        """Take ``state`` from ``block``'s parent state to its post-state
+        and check the root the header commits to.
+
+        With a shared :class:`BlockExecutionMemo`, a block some node of
+        the cohort already executed *on a state with this state's root* is
+        installed from the recorded diff (through the journaled setters,
+        with the recorded account hashes, root and scheduler counts);
+        otherwise the block executes here and, if its root checks out, is
+        recorded for the others.  Raises :class:`InvalidBlockError` on a
+        root mismatch, leaving ``state`` as executed — the caller rolls
+        back.
+        """
+        memo = self.block_memo
+        known = None
+        if memo is not None:
+            config = self.config
+            key = (
+                state.state_root(),
+                block.block_hash,
+                self.runtime,
+                config.block_reward,
+                config.schedule,
+                config.execution,
+                config.execution_workers,
+                config.parallel_min_txs,
+            )
+            known = memo.get(key)
+        if known is not None:
+            state.apply_diff(known.diff)
+            state.adopt_hashes(known.account_hashes, known.state_root)
+            self.execution_stats.add(known.stats)
+            receipts = known.receipts
+        else:
+            mark = state.checkpoint()
+            counted = replace(self.execution_stats)
+            receipts = tuple(self._execute_block(state, block))
+            if memo is not None and state.state_root() == block.header.state_root:
+                diff = state.diff_since(mark)
+                memo.put(
+                    key,
+                    BlockExecution(
+                        diff=diff,
+                        account_hashes={address: state.account_hash(address) for address in diff},
+                        state_root=block.header.state_root,
+                        receipts=receipts,
+                        stats=self.execution_stats.since(counted),
+                    ),
+                )
+            state.commit(mark)
+        if block.header.state_root != state.state_root():
+            raise InvalidBlockError(f"state root mismatch executing {block.block_hash[:10]}")
+        return receipts
+
     # ------------------------------------------------------------------
     # Block building (mining)
     # ------------------------------------------------------------------
@@ -529,38 +610,28 @@ class Node:
         mined on a losing branch is not silently dropped; stale ones are
         purged after the new state is in.
         """
-        rolled_back_txs = [
-            tx
-            for block_hash in reorg.rolled_back
-            for tx in self.store.get(block_hash).transactions
-        ]
+        rolled_back_txs: list[Transaction] = []
+        for block_hash in reorg.rolled_back:
+            txs = self.store.get(block_hash).transactions
+            rolled_back_txs.extend(txs)
+            self._forget_execution(block_hash, txs)
         base_hash = reorg.common_ancestor
         base_mark = self._state_marks.get(base_hash)
         if base_mark is not None and self.state.can_rollback_to(base_mark):
             state = self.state
             if state.checkpoint() != base_mark:
                 state.rollback(base_mark)
-            for block_hash in reorg.rolled_back:
-                self._state_marks.pop(block_hash, None)
-                self._receipts_by_block.pop(block_hash, None)
         else:
             state = self._replay_to(base_hash)
         ancestor_mark = state.checkpoint()
         for position, block_hash in enumerate(reorg.applied):
             block = self.store.get(block_hash)
-            receipts = self._execute_block(state, block)
-            if block.header.state_root != state.state_root():
+            try:
+                receipts = self._advance(state, block)
+            except InvalidBlockError:
                 self._abort_head_change(reorg, state, ancestor_mark, reorg.applied[:position])
-                raise InvalidBlockError(
-                    f"state root mismatch executing {block_hash[:10]}"
-                )
-            for receipt in receipts:
-                self.receipts[receipt.tx_hash] = receipt
-            self._receipts_by_block[block_hash] = receipts
-            if self.config.keep_state_snapshots:
-                self._state_marks[block_hash] = state.checkpoint()
-            else:
-                state.flatten_journal()
+                raise
+            self._record_execution(block, receipts, state)
             self._maybe_snapshot(block, state)
             self.mempool.remove(tx.tx_hash for tx in block.transactions)
         if state.can_rollback_to(ancestor_mark):
@@ -580,6 +651,29 @@ class Node:
             self._spill_floor = min(self._spill_floor, ancestor_number + 1)
         self._spill_cold()
 
+    def _record_execution(
+        self, block: Block, receipts: Sequence[Receipt], state: WorldState
+    ) -> None:
+        """Index a just-executed canonical block: receipts by transaction
+        and by block, and the journal mark reorgs roll back to."""
+        for receipt in receipts:
+            self.receipts[receipt.tx_hash] = receipt
+        self._receipts_by_block[block.block_hash] = receipts
+        if self.config.keep_state_snapshots:
+            self._state_marks[block.block_hash] = state.checkpoint()
+        else:
+            state.flatten_journal()
+
+    def _forget_execution(self, block_hash: str, txs: Sequence[Transaction]) -> None:
+        """Drop what :meth:`_record_execution` (and a later spill) indexed
+        for a block that left the canonical chain, so its transactions —
+        back in the mempool — no longer read as mined."""
+        self._state_marks.pop(block_hash, None)
+        self._receipts_by_block.pop(block_hash, None)
+        for tx in txs:
+            self.receipts.pop(tx.tx_hash, None)
+            self._receipt_location.pop(tx.tx_hash, None)
+
     def _abort_head_change(
         self,
         reorg: ReorgInfo,
@@ -598,18 +692,10 @@ class Node:
         """
         state.rollback(ancestor_mark)
         for block_hash in applied_so_far:
-            self._state_marks.pop(block_hash, None)
-            self._receipts_by_block.pop(block_hash, None)
+            self._forget_execution(block_hash, self.store.get(block_hash).transactions)
         for block_hash in reversed(reorg.rolled_back):  # ancestor-side first
             block = self.store.get(block_hash)
-            receipts = self._execute_block(state, block)
-            for receipt in receipts:
-                self.receipts[receipt.tx_hash] = receipt
-            self._receipts_by_block[block_hash] = receipts
-            if self.config.keep_state_snapshots:
-                self._state_marks[block_hash] = state.checkpoint()
-            else:
-                state.flatten_journal()
+            self._record_execution(block, self._advance(state, block), state)
         self.store.revert_head(reorg)
         self.state = state
 
@@ -671,7 +757,7 @@ class Node:
             self._state_marks[base_hash] = state.checkpoint()
         self.last_replay_blocks = len(path)
         for block in reversed(path):
-            receipts = self._execute_block(state, block)
+            receipts = self._advance(state, block)
             self._receipts_by_block[block.block_hash] = receipts
             if self.config.keep_state_snapshots:
                 self._state_marks[block.block_hash] = state.checkpoint()

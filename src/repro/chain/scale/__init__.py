@@ -1,12 +1,15 @@
 """Chain scale-out: parallel execution, cold storage, and snapshots.
 
-Three pillars for thousand-peer, long-horizon runs, each independent and
+Four pillars for thousand-peer, long-horizon runs, each independent and
 each byte-neutral with respect to consensus:
 
 * :mod:`repro.chain.scale.executor` — deterministic speculate/merge
   scheduler that executes a block's conflict-free transactions in
   parallel while producing block hashes, receipts, and state roots
   byte-identical to the serial order at any worker count;
+* :mod:`repro.chain.scale.blockmemo` — a cohort-shared, key-verified
+  record of block executions, so a block's transactions run and its
+  accounts are hashed once per cohort, not once per node;
 * :mod:`repro.chain.scale.coldstore` — append-only content-addressed
   segment file for cold blocks, receipts, and snapshots, so a node's
   resident set is O(hot window) instead of O(chain length);
@@ -20,6 +23,7 @@ This package is the library's only sanctioned file-I/O surface (the
 the executor, keeping the dependency one-directional.
 """
 
+from repro.chain.scale.blockmemo import BlockExecution, BlockExecutionMemo
 from repro.chain.scale.coldstore import ColdStore, ColdStoreStats
 from repro.chain.scale.executor import (
     ExecutionStats,
@@ -37,6 +41,8 @@ from repro.chain.scale.snapshot import (
 )
 
 __all__ = [
+    "BlockExecution",
+    "BlockExecutionMemo",
     "ColdStore",
     "ColdStoreStats",
     "ExecutionStats",

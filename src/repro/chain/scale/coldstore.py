@@ -22,7 +22,7 @@ from __future__ import annotations
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import ChainError
 from repro.utils.serialization import canonical_dumps, canonical_loads
@@ -93,11 +93,17 @@ class ColdStore:
         self.stats.bytes_written += len(encoded)
         return True
 
-    def get(self, key: str) -> Any:
+    def get(self, key: str, revive: Optional[Callable[[Any], Any]] = None) -> Any:
         """Decode and return the payload stored under ``key``.
 
         The LRU caches decoded payloads; callers must treat the returned
         object as immutable (it is shared with later cache hits).
+
+        ``revive`` turns the canonical payload into the object to cache
+        and return — and is where a reader checks it against its content
+        address, raising to reject it.  It runs once per segment read,
+        not per cache hit, so every reader of a key must pass the same
+        ``revive``.
         """
         self.stats.reads += 1
         if key in self._cache:
@@ -113,6 +119,8 @@ class ColdStore:
         if len(raw) != length:
             raise ColdStoreError(f"truncated segment read for {key!r}")
         payload = canonical_loads(raw)
+        if revive is not None:
+            payload = revive(payload)
         if self._cache_size:
             self._cache[key] = payload
             while len(self._cache) > self._cache_size:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Any, Callable, Optional, Sequence
 
 from repro.chain.crypto import Address
@@ -80,6 +80,15 @@ class ExecutionStats:
             "pool_rounds": self.pool_rounds,
             "pool_fallbacks": self.pool_fallbacks,
         }
+
+    def since(self, before: "ExecutionStats") -> "ExecutionStats":
+        """Counts added after the copy ``before`` was taken."""
+        return ExecutionStats(*(now - then for now, then in zip(astuple(self), astuple(before))))
+
+    def add(self, delta: "ExecutionStats") -> None:
+        """Count ``delta`` (a :meth:`since` result) again."""
+        for spec in fields(self):
+            setattr(self, spec.name, getattr(self, spec.name) + getattr(delta, spec.name))
 
 
 @dataclass
@@ -137,70 +146,19 @@ class _TrackingOverlay(WorldState):
         return super().storage_keys(address, prefix)
 
 
-def _record_write_key(record: tuple, writes: set[tuple]) -> None:
-    """Map one journal undo record to its conflict key (``added`` has no
-    value of its own — the mutation that follows it carries the key)."""
-    kind = record[0]
-    if kind == "balance":
-        writes.add(("b", record[1]))
-    elif kind == "nonce":
-        writes.add(("n", record[1]))
-    elif kind == "code":
-        writes.add(("c", record[1]))
-    elif kind == "sstore":
-        writes.add(("s", record[1], record[2]))
-
-
-def _extract_diff(overlay: _TrackingOverlay, mark: int) -> tuple[frozenset, dict]:
-    """Write keys plus the forward diff (final values) of a speculation.
-
-    The diff maps address -> per-field final values; repeated writes to
-    one key collapse because finals are read from the overlay's account
-    objects after execution finished.
-    """
-    writes: set[tuple] = set()
-    diff: dict[Address, dict] = {}
-    for record in overlay.journal_records_since(mark):
-        kind = record[0]
-        if kind == "added":
-            continue
-        _record_write_key(record, writes)
-        address = record[1]
-        account = overlay.account(address)
-        entry = diff.setdefault(address, {"storage_set": {}, "storage_del": []})
-        if kind == "balance":
-            entry["balance"] = account.balance
-        elif kind == "nonce":
-            entry["nonce"] = account.nonce
-        elif kind == "code":
-            entry["contract_name"] = account.contract_name
-        elif kind == "sstore":
-            key = record[2]
-            if key in account.storage:
-                entry["storage_set"][key] = account.storage[key]
-                if key in entry["storage_del"]:
-                    entry["storage_del"].remove(key)
-            elif key not in entry["storage_del"]:
-                entry["storage_del"].append(key)
-                entry["storage_set"].pop(key, None)
-    return frozenset(writes), diff
-
-
-def _apply_diff(state: WorldState, diff: dict) -> None:
-    """Install a clean transaction's final values through the journaled
-    setters, in a deterministic (sorted) order."""
-    for address in sorted(diff):
-        entry = diff[address]
+def _write_keys(diff: dict) -> frozenset:
+    """Conflict keys of a :meth:`WorldState.diff_since` forward diff."""
+    keys: set[tuple] = set()
+    for address, entry in diff.items():
         if "balance" in entry:
-            state.set_balance(address, entry["balance"])
+            keys.add(("b", address))
         if "nonce" in entry:
-            state.set_nonce(address, entry["nonce"])
+            keys.add(("n", address))
         if "contract_name" in entry:
-            state.deploy(address, entry["contract_name"])
-        for key in sorted(entry["storage_set"]):
-            state.storage_set(address, key, entry["storage_set"][key])
-        for key in sorted(entry["storage_del"]):
-            state.storage_delete(address, key)
+            keys.add(("c", address))
+        for key in (*entry["storage_set"], *entry["storage_del"]):
+            keys.add(("s", address, key))
+    return frozenset(keys)
 
 
 def _speculate_one(
@@ -217,12 +175,12 @@ def _speculate_one(
     except ChainError:
         overlay.rollback(mark)  # overlay is discarded; discharge the mark
         return SpeculationResult(index=index, ok=False)
-    writes, diff = _extract_diff(overlay, mark)
+    diff = overlay.diff_since(mark)
     return SpeculationResult(
         index=index,
         ok=True,
         reads=frozenset(overlay.reads),
-        writes=writes,
+        writes=_write_keys(diff),
         diff=diff,
         receipt=receipt,
     )
@@ -312,7 +270,7 @@ def _conflicts(
 
 
 def _absorb_writes(
-    keys: Sequence[tuple],
+    keys: frozenset,
     written: set[tuple],
     storage_written_accounts: set[Address],
 ) -> None:
@@ -350,9 +308,9 @@ def execute_block_transactions(
             and not _conflicts(spec, written, storage_written_accounts)
         )
         if clean:
-            _apply_diff(state, spec.diff)
+            state.apply_diff(spec.diff)
             state.credit(miner, spec.receipt.gas_used * tx.gas_price)
-            _absorb_writes(sorted(spec.writes), written, storage_written_accounts)
+            _absorb_writes(spec.writes, written, storage_written_accounts)
             receipt = spec.receipt
             if stats is not None:
                 stats.clean_txs += 1
@@ -360,13 +318,7 @@ def execute_block_transactions(
             mark = state.checkpoint()
             receipt = execute(state, tx, True)
             _absorb_writes(
-                [
-                    key
-                    for record in state.journal_records_since(mark)
-                    for key in _record_keys(record)
-                ],
-                written,
-                storage_written_accounts,
+                _write_keys(state.diff_since(mark)), written, storage_written_accounts
             )
             state.commit(mark)
             if stats is not None:
@@ -375,9 +327,3 @@ def execute_block_transactions(
                     stats.failed_speculations += 1
         receipts.append(receipt)
     return receipts
-
-
-def _record_keys(record: tuple) -> list[tuple]:
-    keys: set[tuple] = set()
-    _record_write_key(record, keys)
-    return list(keys)

@@ -20,9 +20,10 @@ rollback mechanisms, cheapest first:
 
 State roots are incremental: each account's canonical hash is cached and
 invalidated when the account is touched, so ``state_root()`` after a block
-re-hashes only the accounts that block touched.  The root is a hash over
-the sorted ``{address: account_hash}`` map; every node computes it with the
-same formula, which is all determinism requires.
+re-hashes only the accounts that block touched, and the root itself is
+cached until the next touch, so ``state_root()`` on a clean state is O(1).
+The root is a hash over the sorted ``{address: account_hash}`` map; every
+node computes it with the same formula, which is all determinism requires.
 
 Two caveats, enforced by convention exactly as the contract runtime
 documents: values reached through ``storage_get``/``sload`` must be treated
@@ -62,7 +63,7 @@ class StateStats:
     rollbacks: int = 0           # rollback() calls
     entries_reverted: int = 0    # undo records replayed by rollbacks
     accounts_hashed: int = 0     # per-account hashes actually computed
-    roots_computed: int = 0      # state_root() calls
+    roots_computed: int = 0      # roots actually hashed (not served cached)
 
     def reset(self) -> None:
         """Zero the counters (tests/benchmarks call this between phases)."""
@@ -126,6 +127,9 @@ class WorldState:
         # address -> cached hash of the account's canonical form; an absent
         # entry means the account is dirty and will be re-hashed on demand.
         self._hash_cache: dict[Address, str] = {}
+        # Root over the current accounts, dropped wherever a hash is.  Only
+        # detached states keep one: an overlay cannot see its base change.
+        self._root_cache: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Account access
@@ -166,7 +170,12 @@ class WorldState:
         """Append one undo record and mark the account dirty."""
         self._journal.append(record)
         STATE_STATS.journal_entries += 1
+        self._mark_dirty(address)
+
+    def _mark_dirty(self, address: Address) -> None:
+        """Forget the cached hash of ``address`` and the root over it."""
         self._hash_cache.pop(address, None)
+        self._root_cache = None
 
     def account(self, address: Address) -> AccountState:
         """Return (creating lazily) the account at ``address``.
@@ -176,7 +185,7 @@ class WorldState:
         (use the typed mutators for anything that must be rollback-able).
         """
         account = self._write_account(address)
-        self._hash_cache.pop(address, None)
+        self._mark_dirty(address)
         return account
 
     def has_account(self, address: Address) -> bool:
@@ -370,15 +379,58 @@ class WorldState:
         """Number of live undo records (diagnostics/benchmarks)."""
         return len(self._journal)
 
-    def journal_records_since(self, mark: int) -> tuple[tuple, ...]:
-        """Undo records appended since ``mark`` (read-only view).
+    def diff_since(self, mark: int) -> dict[Address, dict]:
+        """Forward diff of everything journaled since ``mark``.
 
-        The parallel executor derives write sets from these records; a
-        rolled-back span leaves no records, so the slice is always the
-        *net* mutation list.
+        Maps each touched address to the *final* value of every field a
+        record names — ``balance``, ``nonce``, ``contract_name``, and for
+        storage ``storage_set`` (key -> value) plus ``storage_del`` (keys)
+        — so repeated writes to one key collapse, and a rolled-back span,
+        which leaves no records, contributes nothing.  An account that was
+        only created maps to an entry with no fields.  Storage values are
+        shared with this state, not copied (immutable by convention).
+        :meth:`apply_diff` installs the result on a state equal to this
+        one as of ``mark``.
         """
         self._check_mark(mark)
-        return tuple(self._journal[mark - self._journal_base :])
+        diff: dict[Address, dict] = {}
+        for record in self._journal[mark - self._journal_base :]:
+            kind, address = record[0], record[1]
+            account = self._accounts[address]
+            entry = diff.get(address)
+            if entry is None:
+                entry = diff[address] = {"storage_set": {}, "storage_del": set()}
+            if kind == "balance":
+                entry["balance"] = account.balance
+            elif kind == "nonce":
+                entry["nonce"] = account.nonce
+            elif kind == "code":
+                entry["contract_name"] = account.contract_name
+            elif kind == "sstore":
+                key = record[2]
+                if key in account.storage:
+                    entry["storage_set"][key] = account.storage[key]
+                else:
+                    entry["storage_del"].add(key)
+        return diff
+
+    def apply_diff(self, diff: dict[Address, dict]) -> None:
+        """Install a :meth:`diff_since` result through the journaled
+        setters, in a deterministic (sorted) order — so the span rolls
+        back exactly like the execution it stands in for."""
+        for address in sorted(diff):
+            entry = diff[address]
+            self._write_account(address)
+            if "balance" in entry:
+                self.set_balance(address, entry["balance"])
+            if "nonce" in entry:
+                self.set_nonce(address, entry["nonce"])
+            if "contract_name" in entry:
+                self.deploy(address, entry["contract_name"])
+            for key in sorted(entry["storage_set"]):
+                self.storage_set(address, key, entry["storage_set"][key])
+            for key in sorted(entry["storage_del"]):
+                self.storage_delete(address, key)
 
     def _undo(self, record: tuple) -> None:
         kind = record[0]
@@ -397,7 +449,7 @@ class WorldState:
                 storage.pop(record[2], None)
             else:
                 storage[record[2]] = record[3]
-        self._hash_cache.pop(address, None)
+        self._mark_dirty(address)
 
     # ------------------------------------------------------------------
     # Overlays / snapshots / roots
@@ -463,6 +515,7 @@ class WorldState:
         self._journal = []
         self._journal_base = 0
         self._hash_cache = {}
+        self._root_cache = None
 
     def account_hash(self, address: Address) -> str:
         """Cached canonical hash of one account (must exist)."""
@@ -482,12 +535,29 @@ class WorldState:
         """Deterministic hash over the full state (storage included).
 
         Combines cached per-account hashes, so only accounts touched since
-        the last call are re-hashed.
+        the last call are re-hashed; with nothing touched since, a detached
+        state answers from its cached root.
         """
+        if self._root_cache is not None and self._base is None:
+            return self._root_cache
         STATE_STATS.roots_computed += 1
-        return hash_object(
+        root = hash_object(
             {address: self.account_hash(address) for address in self._iter_addresses()}
         )
+        if self._base is None:
+            self._root_cache = root
+        return root
+
+    def adopt_hashes(self, hashes: dict[Address, str], root: str) -> None:
+        """Install account hashes and a root computed on an identical state.
+
+        Nothing is re-hashed: the caller vouches that ``hashes`` and
+        ``root`` were computed from accounts equal to this state's current
+        ones (same starting root, same :meth:`apply_diff` — or the same
+        genesis allocation).
+        """
+        self._hash_cache.update(hashes)
+        self._root_cache = root
 
     def copy(self) -> "WorldState":
         """Independent deep copy of the whole state."""

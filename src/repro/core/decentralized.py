@@ -37,7 +37,7 @@ from repro.chain.gateway import (
     stacked_stats,
     transport_stats,
 )
-from repro.chain import ColdStore, GenesisSpec, Node, NodeConfig
+from repro.chain import BlockExecutionMemo, ColdStore, GenesisSpec, Node, NodeConfig
 from repro.chain.network import LatencyModel, P2PNetwork
 from repro.chain.pow import ProofOfWork, RetargetRule
 from repro.chain.runtime import ContractRuntime
@@ -219,6 +219,10 @@ class DecentralizedFL:
         # receipts, and snapshots are consensus data, so the first node to
         # spill pays the encode and everyone else dedups against it.
         self.cold_store: Optional[ColdStore] = ColdStore() if chain.cold_storage else None
+        # Likewise one record of block executions: the first node to
+        # execute a block pays for it, the rest verify the key and install
+        # the result.  Per run, never shared between drivers.
+        self.block_memo = BlockExecutionMemo()
         node_config = NodeConfig(
             execution=chain.execution,
             execution_workers=chain.execution_workers,
@@ -230,7 +234,13 @@ class DecentralizedFL:
         for pc in peer_configs:
             if pc.peer_id not in self.participation.ever_active:
                 continue  # registered on chain below, but never trains
-            node = Node(keypairs[pc.peer_id], genesis, self.runtime, replace(node_config))
+            node = Node(
+                keypairs[pc.peer_id],
+                genesis,
+                self.runtime,
+                replace(node_config),
+                block_memo=self.block_memo,
+            )
             self.network.add_node(node, hashrate=chain.hashrate)
             gateway: ChainGateway = InProcessGateway(
                 node,

@@ -53,6 +53,42 @@ class TestBlockHeader:
         assert a.sealing_payload() == b.sealing_payload()
         assert a.block_hash != b.block_hash
 
+    def test_assigning_any_field_drops_the_memoized_hash(self):
+        """The hash is computed once per header, so every assignment —
+        sealing a nonce, or tampering after the fact — must forget it."""
+        for field_name, new_value in [
+            ("parent_hash", "0x" + "ee" * 32),
+            ("number", 6),
+            ("timestamp", 101.0),
+            ("miner", "0x" + "ff" * 20),
+            ("difficulty", 11),
+            ("tx_root", "0x" + "ee" * 32),
+            ("state_root", "0x" + "ee" * 32),
+            ("gas_used", 100),
+            ("gas_limit", 7),
+            ("nonce", 9),
+            ("extra", "tag"),
+        ]:
+            header = make_header()
+            before = header.block_hash  # memoized from here on
+            setattr(header, field_name, new_value)
+            assert header.block_hash != before, field_name
+            assert header.block_hash == make_header(**{field_name: new_value}).block_hash
+            setattr(header, field_name, getattr(make_header(), field_name))
+            assert header.block_hash == before, field_name
+
+    def test_memoized_hash_survives_copy_and_round_trip(self):
+        import copy
+
+        header = make_header(nonce=3)
+        expected = header.block_hash
+        assert copy.copy(header).block_hash == expected
+        assert BlockHeader.from_dict(header.to_dict()).block_hash == expected
+        clone = copy.deepcopy(header)
+        clone.nonce = 4
+        assert clone.block_hash != expected and header.block_hash == expected
+        assert header == make_header(nonce=3)  # the memo is not a field
+
 
 class TestBlockBody:
     def test_tx_root_commits_to_body(self):

@@ -253,6 +253,74 @@ class TestReorgs:
             pytest.fail("valid tx rejected after reorg")
 
 
+    @pytest.mark.parametrize("state_history", [128, 0], ids=["journal", "replay"])
+    def test_rolled_back_transaction_has_no_receipt_until_mined_again(
+        self, keypairs, genesis_spec, runtime, state_history
+    ):
+        """A reorg puts the transfer back in the mempool; its receipt —
+        which names a block that is no longer canonical — must go with the
+        block, on the journal rollback and on the replay path alike."""
+        a = Node(keypairs["A"], genesis_spec, runtime, NodeConfig(state_history=state_history))
+        b = Node(keypairs["B"], genesis_spec, runtime, NodeConfig())
+        tx = transfer_tx(a, keypairs["A"], keypairs["B"].address, 777)
+        a.submit_transaction(tx)
+        block_a = mine_one(a)
+        assert a.receipt_of(tx.tx_hash).block_hash == block_a.block_hash
+        for block in (mine_one(b), mine_one(b)):  # two empty blocks outweigh it
+            a.import_block(block)
+        assert a.reorgs_seen == 1 and tx.tx_hash in a.mempool
+        assert a.receipt_of(tx.tx_hash) is None
+        assert block_a.block_hash not in a._receipts_by_block
+        assert a.get_logs() == []
+        remined = mine_one(a)
+        receipt = a.receipt_of(tx.tx_hash)
+        assert receipt.success and receipt.block_hash == remined.block_hash != block_a.block_hash
+        assert receipt.block_number == 3
+
+    def test_failed_reorg_keeps_old_receipts_and_drops_the_aborted_ones(
+        self, three_nodes, alice, bob
+    ):
+        a, b = three_nodes["A"], three_nodes["B"]
+        kept = transfer_tx(a, alice, bob.address, 777)
+        a.submit_transaction(kept)
+        block_a = mine_one(a)
+        aborted = transfer_tx(b, bob, alice.address, 5)
+        b.submit_transaction(aborted)
+        b1, b2 = mine_one(b), mine_one(b)
+        b2.header.state_root = "0x" + "de" * 32
+        a.import_block(b1)  # side chain: not executed yet
+        with pytest.raises(InvalidBlockError):
+            a.import_block(b2)  # applies b1, fails on b2, rolls both out
+        assert a.receipt_of(kept.tx_hash).block_hash == block_a.block_hash
+        assert a.receipt_of(aborted.tx_hash) is None
+
+
+class TestGenesisCommitment:
+    def test_allocation_is_hashed_once_for_any_number_of_nodes(self, keypairs, runtime):
+        from repro.chain.state import STATE_STATS
+
+        spec = GenesisSpec(allocations={kp.address: 10**15 for kp in keypairs.values()})
+        STATE_STATS.reset()
+        nodes = [Node(kp, spec, runtime, NodeConfig()) for kp in keypairs.values()]
+        assert STATE_STATS.accounts_hashed == len(keypairs)
+        roots = {node.state.state_root() for node in nodes}
+        assert roots == {nodes[0].head.header.state_root}
+        assert STATE_STATS.accounts_hashed == len(keypairs)  # seeded, not re-hashed
+        assert nodes[0].state.copy().state_root() in roots
+        assert nodes[0].head is not nodes[1].head  # tampering with one leaves the other
+
+    def test_editing_the_allocations_afterwards_is_seen(self, keypairs, runtime):
+        allocations = {kp.address: 10**15 for kp in keypairs.values()}
+        spec = GenesisSpec(allocations=allocations)
+        first = Node(keypairs["A"], spec, runtime, NodeConfig())
+        allocations[keypairs["A"].address] += 1  # the dict the spec still holds
+        second = Node(keypairs["A"], spec, runtime, NodeConfig())
+        assert second.balance_of(keypairs["A"].address) == 10**15 + 1
+        assert second.head.header.state_root == second.state.copy().state_root()
+        assert second.head.block_hash != first.head.block_hash
+        assert first.head.header.state_root == first.state.copy().state_root()
+
+
 class TestStateHistory:
     def test_reorg_without_journal_marks_replays(self, keypairs, genesis_spec, runtime):
         # keep_state_snapshots=False keeps no marks: reorgs rebuild state

@@ -320,6 +320,76 @@ class TestSpilledReceiptsAndLogs:
         assert revived.body_matches_header()
 
 
+class TestRevivedBlocksAreHeldToTheirAddress:
+    """A spilled block comes back only if its header hashes to the key it
+    was stored under and commits to the transactions that came with it."""
+
+    def spilled_block_with_a_call(self):
+        cold = ColdStore(cache_size=0)  # every read is a segment read
+        node = make_node(KEYPAIRS[0], cold_store=cold, hot_window=2, state_history=2)
+        registry = deploy_registry(node, KEYPAIRS[0])
+        node.submit_transaction(register_tx(node, KEYPAIRS[1], registry, "alice-name"))
+        mine(node)
+        for _ in range(5):
+            mine(node)
+        block_hash = node.store.canonical_hash(2)
+        assert block_hash in node.store._spilled
+        return node, cold, block_hash
+
+    @staticmethod
+    def flip(cold, key, before: bytes, after: bytes):
+        """Overwrite ``before`` with the same-length ``after`` inside the
+        segment record stored under ``key``."""
+        assert len(before) == len(after) and before != after
+        offset, length = cold._index[key]
+        cold._segment.seek(offset)
+        raw = cold._segment.read(length)
+        assert raw.count(before) == 1
+        cold._segment.seek(offset + raw.index(before))
+        cold._segment.write(after)
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (b'"display_name":"alice-name"', b'"display_name":"alice-nbme"'),  # a tx arg
+            (b'"number":2,', b'"number":3,'),  # the header
+            (b'"transactions":[', b'"transbctions":['),  # the record's own shape
+        ],
+        ids=["tx-arg", "header", "shape"],
+    )
+    def test_corrupt_record_is_a_typed_error_on_every_reviving_path(self, before, after):
+        node, cold, block_hash = self.spilled_block_with_a_call()
+        assert node.store.get(block_hash).block_hash == block_hash  # intact: revives
+        self.flip(cold, block_hash, before, after)
+        with pytest.raises(ColdStoreError):
+            node.store.get(block_hash)
+        with pytest.raises(ColdStoreError):
+            node.store.canonical_chain()
+        # Replay past the journal horizon walks through the block ...
+        root_before, head_before = node.state.state_root(), node.head_hash
+        with pytest.raises(ColdStoreError):
+            node._replay_to(node.head_hash)
+        # ... and so does a reorg that rolls it back: a typed error, never
+        # a block executed from bytes nobody committed to.
+        rival = make_node(KEYPAIRS[1])
+        fork = [mine(rival) for _ in range(node.height + 1)]
+        with pytest.raises(ColdStoreError):
+            for block in fork:
+                node.import_block(block)
+        assert node.state.state_root() == root_before
+        assert node.state.copy().state_root() == node.store.get(head_before).header.state_root
+
+    def test_checked_block_is_shared_by_later_cache_hits(self):
+        cold = ColdStore()
+        node = make_node(KEYPAIRS[0], cold_store=cold, hot_window=2)
+        for _ in range(6):
+            mine(node)
+        block_hash = node.store.canonical_hash(1)
+        first = node.store.get(block_hash)
+        assert node.store.get(block_hash) is first  # verified once, at the segment read
+        assert cold.stats.cache_hits >= 1
+
+
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------

@@ -257,3 +257,163 @@ class TestIncrementalRoot:
         before = state.state_root()
         state.account(ALICE).storage["k"] = 2  # bypasses the journal
         assert state.state_root() != before
+
+
+# ---------------------------------------------------------------------------
+# Root cache, forward diffs
+# ---------------------------------------------------------------------------
+
+
+def _apply(state: WorldState, op: tuple, marks: list[int]) -> None:
+    kind = op[0]
+    if kind == "checkpoint":
+        marks.append(state.checkpoint())
+    elif kind == "rollback" and marks:
+        state.rollback(marks.pop())
+    elif kind == "commit" and marks:
+        state.commit(marks.pop())
+    elif kind == "credit":
+        state.credit(op[1], op[2])
+    elif kind == "debit":
+        try:
+            state.debit(op[1], op[2])
+        except InsufficientFundsError:
+            pass
+    elif kind == "bump":
+        state.bump_nonce(op[1])
+    elif kind == "deploy":
+        state.deploy(op[1], op[2], {"seed": 1})
+    elif kind == "sstore":
+        state.storage_set(op[1], op[2], op[3])
+    elif kind == "sdelete":
+        state.storage_delete(op[1], op[2])
+    elif kind == "direct":  # tooling-style edit behind the journal's back
+        state.account(op[1]).balance += op[2]
+    elif kind == "restore":
+        state.restore(state.snapshot())
+        marks.clear()
+
+
+_ROOT_OPS = st.one_of(
+    _OPS,
+    st.tuples(st.just("direct"), st.sampled_from(ADDRESSES), st.integers(1, 5)),
+    st.tuples(st.just("restore")),
+)
+
+
+@given(st.lists(_ROOT_OPS, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_cached_root_is_the_from_scratch_root_after_every_mutation(ops):
+    state = WorldState()
+    marks: list[int] = []
+    for op in ops:
+        _apply(state, op, marks)
+        # copy() starts with no cached hash and no cached root.
+        assert state.state_root() == state.copy().state_root()
+        assert state.state_root() == state.state_root()
+
+
+@given(st.lists(_OPS, max_size=15), st.lists(_OPS, min_size=1, max_size=30))
+@settings(max_examples=80, deadline=None)
+def test_diff_since_applied_to_the_old_state_gives_the_new_state(before, after):
+    state = WorldState()
+    marks: list[int] = []
+    for op in before:
+        _apply(state, op, marks)
+    old = state.copy()
+    old_root = old.state_root()
+    mark = state.checkpoint()
+    inner: list[int] = []
+    for op in after:
+        _apply(state, op, inner)  # nested rollbacks stay above ``mark``
+    diff = state.diff_since(mark)
+    state.commit(mark)
+    installed = old.checkpoint()
+    old.apply_diff(diff)
+    assert old.addresses() == state.addresses()
+    for address in state.addresses():
+        assert old.account(address).to_dict() == state.account(address).to_dict()
+    assert old.state_root() == state.copy().state_root()
+    # ... and it went in through the journal: one rollback takes it out.
+    old.rollback(installed)
+    assert old.state_root() == old_root == old.copy().state_root()
+
+
+class TestRootCache:
+    def test_clean_state_answers_without_hashing(self):
+        state = WorldState()
+        for index in range(20):
+            state.credit("0x" + f"{index:04x}" * 10, 1)
+        root = state.state_root()
+        STATE_STATS.reset()
+        assert state.state_root() == root
+        assert (STATE_STATS.roots_computed, STATE_STATS.accounts_hashed) == (0, 0)
+        state.credit(ALICE, 1)
+        assert state.state_root() != root
+        assert (STATE_STATS.roots_computed, STATE_STATS.accounts_hashed) == (1, 1)
+
+    def test_overlay_never_serves_a_stale_base_root(self):
+        base = WorldState()
+        base.credit(ALICE, 10)
+        overlay = base.overlay()
+        assert overlay.state_root() == base.state_root()
+        overlay.credit(BOB, 1)
+        with_bob = overlay.state_root()
+        assert with_bob != base.state_root()
+        # Against the documented convention the base moves under a live
+        # overlay; the overlay keeps no root of its own to go stale.
+        base.credit(ALICE, 1)
+        assert overlay.state_root() != with_bob
+        assert overlay.state_root() == overlay.copy().state_root()
+
+    def test_adopted_hashes_are_dropped_like_computed_ones(self):
+        donor = WorldState()
+        donor.credit(ALICE, 5)
+        donor.credit(BOB, 6)
+        root = donor.state_root()
+        hashes = {address: donor.account_hash(address) for address in (ALICE, BOB)}
+        state = WorldState()
+        state.credit(ALICE, 5)
+        state.credit(BOB, 6)
+        STATE_STATS.reset()
+        state.adopt_hashes(hashes, root)
+        assert state.state_root() == root and STATE_STATS.accounts_hashed == 0
+        state.credit(BOB, 1)
+        changed = state.state_root()
+        assert STATE_STATS.accounts_hashed == 1  # only the touched account
+        assert changed == state.copy().state_root() != root
+
+
+
+class TestForwardDiff:
+    def test_final_values_deletions_and_rolled_back_spans(self):
+        state = WorldState()
+        state.deploy(ALICE, "m", {"keep": 1, "drop": 2, "rewrite": 3})
+        state.credit(BOB, 50)
+        mark = state.checkpoint()
+        state.storage_set(ALICE, "rewrite", 30)
+        state.storage_set(ALICE, "rewrite", 31)  # collapses to the final value
+        state.storage_delete(ALICE, "drop")
+        state.storage_set(ALICE, "fleeting", 1)
+        state.storage_delete(ALICE, "fleeting")  # never existed before: still a delete
+        inner = state.checkpoint()
+        state.credit(BOB, 999)
+        state.rollback(inner)  # leaves no record
+        state.bump_nonce(BOB)
+        diff = state.diff_since(mark)
+        state.commit(mark)
+        assert diff == {
+            ALICE: {"storage_set": {"rewrite": 31}, "storage_del": {"drop", "fleeting"}},
+            BOB: {"storage_set": {}, "storage_del": set(), "nonce": 1},
+        }
+
+    def test_diff_of_a_created_only_account_creates_it(self):
+        state = WorldState()
+        old = state.copy()
+        mark = state.checkpoint()
+        state.storage_delete(ALICE, "missing")  # creates the account, writes nothing
+        diff = state.diff_since(mark)
+        state.commit(mark)
+        assert diff == {ALICE: {"storage_set": {}, "storage_del": set()}}
+        old.apply_diff(diff)
+        assert old.has_account(ALICE) and old.state_root() == state.state_root()
