@@ -17,9 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import run_once
-from repro.core.config import ExperimentConfig
-from repro.core.decentralized import DecentralizedConfig
-from repro.core.experiment import run_decentralized_experiment
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec, client_class_probs
 from repro.fl.aggregation import ModelUpdate
@@ -27,9 +24,24 @@ from repro.fl.selection import best_combination, greedy_combination
 from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.metrics.tables import render_table
 from repro.nn.models import build_simple_nn
+from repro.scenarios import CohortSpec, ScenarioSpec, run_scenario
 from repro.utils.rng import RngFactory
 
 _CACHE: dict = {}
+
+
+def _three_peer_spec(mode: str = "personalized", label_skew: float = 1.0) -> ScenarioSpec:
+    """The A2/A3 deployment: 3 peers, 3 rounds of 3 epochs, 400-sample splits."""
+    return ScenarioSpec(
+        model_kind="simple_nn",
+        rounds=3,
+        local_epochs=3,
+        learning_rate=0.008,
+        seed=5,
+        mode=mode,
+        cohort=CohortSpec(train_samples=400, test_samples=300, label_skew=label_skew),
+        aggregator_test_samples=300,
+    )
 
 
 def _six_client_updates():
@@ -104,19 +116,7 @@ def test_a1_greedy_vs_exhaustive(benchmark):
 def _mode_run(mode: str):
     key = f"mode-{mode}"
     if key not in _CACHE:
-        config = ExperimentConfig(
-            model_kind="simple_nn",
-            rounds=3,
-            local_epochs=3,
-            train_samples_per_client=400,
-            test_samples_per_client=300,
-            aggregator_test_samples=300,
-            learning_rate=0.008,
-            seed=5,
-        )
-        _CACHE[key] = run_decentralized_experiment(
-            config, chain_config=DecentralizedConfig(mode=mode)
-        )
+        _CACHE[key] = run_scenario(_three_peer_spec(mode=mode))
     return _CACHE[key]
 
 
@@ -165,18 +165,7 @@ def test_a2_global_vote_vs_personalized(benchmark):
 def _skew_run(skew: float):
     key = f"skew-{skew}"
     if key not in _CACHE:
-        config = ExperimentConfig(
-            model_kind="simple_nn",
-            rounds=3,
-            local_epochs=3,
-            train_samples_per_client=400,
-            test_samples_per_client=300,
-            aggregator_test_samples=300,
-            learning_rate=0.008,
-            client_skew=skew,
-            seed=5,
-        )
-        _CACHE[key] = run_decentralized_experiment(config)
+        _CACHE[key] = run_scenario(_three_peer_spec(label_skew=skew))
     return _CACHE[key]
 
 

@@ -2,8 +2,9 @@
 
 The paper's central question — "should we prioritize waiting for all models
 for aggregation, or accept a slight reduction in accuracy to expedite the
-process asynchronously?" — quantified: a wait-for-k sweep (k = 1, 2, 3)
-over the decentralized deployment, reporting mean per-round wait time
+process asynchronously?" — quantified: the registered ``paper/tradeoff``
+scenario (a wait-for-k sweep, k = 1, 2, 3, over the decentralized
+deployment on 20/60/150 s devices), reporting mean per-round wait time
 (simulated seconds between a peer's own submission and policy readiness)
 against final accuracy.
 
@@ -18,40 +19,28 @@ import numpy as np
 import pytest
 
 from conftest import run_once
-from repro.core.config import default_config
-from repro.core.experiment import run_decentralized_experiment
 from repro.core.peer import PeerConfig  # noqa: F401  (documented entry point)
-from repro.fl.async_policy import WaitForAll, WaitForK
 from repro.metrics.tables import render_table
+from repro.scenarios import ScenarioContext, get_scenario, run_scenario
 
 _SWEEP_CACHE: dict = {}
-
-#: Heterogeneous device speeds (simulated seconds of local training): a
-#: fast edge box, a mid-range laptop, a slow embedded device.  This is the
-#: situation the paper's asynchronous aggregation exists for — with equal
-#: devices wait-for-k never fires early.
-TRAINING_TIMES = {"A": 20.0, "B": 60.0, "C": 150.0}
 
 
 def _sweep(model_kind: str) -> list[dict]:
     if model_kind in _SWEEP_CACHE:
         return _SWEEP_CACHE[model_kind]
     rows = []
-    for policy in (WaitForK(1), WaitForK(2), WaitForAll()):
-        config = default_config(model_kind)
-        result = run_decentralized_experiment(
-            config,
-            policy=policy,
-            training_times=TRAINING_TIMES,
-        )
-        mean_wait = float(np.mean(list(result.wait_times.values())))
+    context = ScenarioContext()
+    for spec in get_scenario("paper/tradeoff").build(models=(model_kind,)):
+        result = run_scenario(spec, context=context)
+        mean_wait = result.mean_wait()
         final_acc = float(
             np.mean([result.round_logs[-i].chosen_accuracy for i in range(1, 4)])
         )
         mean_models = float(np.mean([log.updates_visible for log in result.round_logs]))
         rows.append(
             {
-                "policy": policy.describe(),
+                "policy": spec.policy.describe(),
                 "mean_wait_s": mean_wait,
                 "final_accuracy": final_acc,
                 "mean_models_visible": mean_models,

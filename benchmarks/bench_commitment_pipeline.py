@@ -129,40 +129,6 @@ def compare_pipelines(n_models: int = 6, n_fetchers: int = 6, repeats: int = 3) 
     }
 
 
-def codec_comparison(n_models: int = 4, repeats: int = 3) -> dict:
-    """Constant-factor win of the binary v2 codec over JSON/base64 v1.
-
-    Times an encode+decode round trip per model for each format version
-    (best of ``repeats``) and reports the payload-size ratio, which is
-    deterministic: v1 pays ~33% base64 inflation plus JSON framing on
-    every array byte.
-    """
-    weight_sets = make_weight_sets(n_models, seed=1)
-
-    def run(version: int) -> tuple[float, int]:
-        started = time.perf_counter()
-        total_bytes = 0
-        for weights in weight_sets:
-            payload = weights_to_bytes(weights, version=version)
-            total_bytes += len(payload)
-            weights_from_bytes(payload)
-        return time.perf_counter() - started, total_bytes
-
-    v1_runs = [run(1) for _ in range(repeats)]
-    v2_runs = [run(2) for _ in range(repeats)]
-    v1_seconds = min(seconds for seconds, _ in v1_runs)
-    v2_seconds = min(seconds for seconds, _ in v2_runs)
-    v1_bytes, v2_bytes = v1_runs[0][1], v2_runs[0][1]
-    return {
-        "v1_seconds": v1_seconds,
-        "v2_seconds": v2_seconds,
-        "codec_speedup": v1_seconds / v2_seconds,
-        "v1_bytes": v1_bytes,
-        "v2_bytes": v2_bytes,
-        "size_ratio": v2_bytes / v1_bytes,
-    }
-
-
 def round_serialization_profile(rounds: int = 1) -> dict:
     """Serializations per model per round on a real decentralized round."""
     import sys
@@ -204,12 +170,6 @@ def _report(result: dict, profile: dict) -> None:
         f"live round: {profile['encodes']} encodes for {profile['models_committed']} models "
         f"({profile['encodes_per_model']:.2f}/model), store={profile['store']}"
     )
-    codec = codec_comparison()
-    print(
-        f"codec v2 vs v1: {codec['codec_speedup']:.2f}x encode+decode, "
-        f"{codec['v2_bytes']}B vs {codec['v1_bytes']}B "
-        f"({codec['size_ratio']:.2f}x size)"
-    )
 
 
 def test_commit_fetch_speedup(benchmark, smoke):
@@ -227,14 +187,6 @@ def test_live_round_serializes_once_per_model(smoke):
     profile = round_serialization_profile(rounds=1)
     assert profile["encodes_per_model"] == 1.0
     assert profile["store"]["deserializations"] == 0  # all fetches cache-hit
-
-
-def test_codec_v2_beats_v1(smoke):
-    """The raw-buffer codec is strictly smaller (deterministic) and at
-    least as fast as the JSON/base64 encoding on realistic weights."""
-    codec = codec_comparison(n_models=2 if smoke else 4)
-    assert codec["size_ratio"] < 0.8
-    assert codec["codec_speedup"] > 1.0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ def _figure3(experiments, model_kind: str) -> str:
             "consider": consider.client_accuracy[client],
             "not consider": not_consider.client_accuracy[client],
         }
-        for client in consider.config.client_ids
+        for client in consider.spec.client_ids()
     }
     figures = vanilla_figure_series(series)
     blocks = [

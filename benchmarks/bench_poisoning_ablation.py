@@ -12,18 +12,17 @@ one of the three clients and compares aggregators:
 
 from __future__ import annotations
 
-import numpy as np
 
 from conftest import run_once
-from repro.core.config import default_config
-from repro.core.experiment import _build_datasets, _model_builder
 from repro.fl.aggregation import ModelUpdate, coordinate_median, fedavg, trimmed_mean
 from repro.fl.evaluation import evaluate_weights
 from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker
 from repro.fl.selection import best_combination
 from repro.fl.trainer import LocalTrainer
 from repro.metrics.tables import render_table
-from repro.utils.rng import RngFactory
+from repro.scenarios import ScenarioContext, paper_spec
+from repro.scenarios.runner import decentralized_inputs
+from repro.utils.rng import RngFactory, rng_from
 
 _CACHE: dict = {}
 
@@ -32,22 +31,31 @@ def _attack_run(attacker_kind: str = "label_flip") -> dict:
     """Train A, B honestly and C under attack; score each aggregator."""
     if attacker_kind in _CACHE:
         return _CACHE[attacker_kind]
-    config = default_config("simple_nn")
-    rngs = RngFactory(config.seed)
-    factory, train_sets, test_sets, aggregator_test = _build_datasets(config, rngs)
-    builder = _model_builder(config, factory)
-    init_seed = rngs.integers("model-init")
+    spec = paper_spec("simple_nn")
+    rngs = RngFactory(spec.seed)
+    context = ScenarioContext()
+    # The paper cohort's splits, shared initial weights and local-training
+    # hyperparameters; the aggregator's default test set is the vanilla
+    # deployment's ``data/test/aggregator`` stream, read from its start
+    # (``rngs``' own copy of that stream has already been drawn from).
+    inputs = decentralized_inputs(spec, rngs, context)
+    aggregator_test = context.factory(spec.data_spec).sample(
+        spec.aggregator_test_samples,
+        rng_from(spec.seed, "data", "test", "aggregator"),
+        name="test/aggregator",
+    )
 
     attack_rng = rngs.get("attack")
     updates = []
-    for client_id in config.client_ids:
-        dataset = train_sets[client_id]
+    for peer in inputs.peer_configs:
+        client_id = peer.peer_id
+        dataset = inputs.train_sets[client_id]
         if client_id == "C" and attacker_kind == "label_flip":
             dataset = LabelFlipAttacker(flip_fraction=1.0, target_class=0).poison_dataset(
                 dataset, attack_rng
             )
-        model = builder(np.random.default_rng(init_seed))
-        trainer = LocalTrainer(config.train_config(), rng=rngs.get("train", client_id))
+        model = inputs.model_builder(None)
+        trainer = LocalTrainer(peer.train_config, rng=rngs.get("train", client_id))
         for _ in range(3):  # three rounds of solo training pre-aggregation
             trainer.train(model, dataset)
         update = ModelUpdate(
@@ -57,7 +65,7 @@ def _attack_run(attacker_kind: str = "label_flip") -> dict:
             update = NoiseAttacker(noise_std=1.0).poison_update(update, attack_rng)
         updates.append(update)
 
-    scratch = builder(np.random.default_rng(init_seed))
+    scratch = inputs.model_builder(None)
     scores = {
         "fedavg (not consider)": evaluate_weights(scratch, fedavg(updates), aggregator_test),
         "median": evaluate_weights(scratch, coordinate_median(updates), aggregator_test),

@@ -26,7 +26,7 @@ def _table1_block(experiments, model_kind: str) -> str:
             "consider": consider.client_accuracy[client],
             "not_consider": not_consider.client_accuracy[client],
         }
-        for client in consider.config.client_ids
+        for client in consider.spec.client_ids()
     }
     return format_table1(MODEL_LABELS[model_kind], series)
 

@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Each bench regenerates one of the paper's tables or figures.  Experiments
-are deterministic functions of their config, so a session-scoped cache lets
+are deterministic functions of their spec, so a session-scoped cache lets
 the table bench and the figure bench of the same experiment share one run
 (exactly like the paper derives Table I and Figure 3 from the same logs).
 
@@ -16,11 +16,7 @@ from __future__ import annotations
 import pytest
 
 from _bench_util import run_once  # noqa: F401  (re-export for the bench modules)
-from repro.core.config import default_config
-from repro.core.experiment import (
-    run_decentralized_experiment,
-    run_vanilla_experiment,
-)
+from repro.scenarios import paper_spec, run_scenario
 
 
 def pytest_addoption(parser) -> None:
@@ -50,14 +46,14 @@ class ExperimentCache:
     def vanilla(self, model_kind: str, consider: bool):
         key = (model_kind, consider)
         if key not in self._vanilla:
-            config = default_config(model_kind)
-            self._vanilla[key] = run_vanilla_experiment(config, consider=consider)
+            self._vanilla[key] = run_scenario(
+                paper_spec(model_kind, kind="vanilla", consider=consider)
+            )
         return self._vanilla[key]
 
     def decentralized(self, model_kind: str):
         if model_kind not in self._decentralized:
-            config = default_config(model_kind)
-            self._decentralized[model_kind] = run_decentralized_experiment(config)
+            self._decentralized[model_kind] = run_scenario(paper_spec(model_kind))
         return self._decentralized[model_kind]
 
 

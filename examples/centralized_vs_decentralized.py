@@ -12,32 +12,36 @@ Run:  python examples/centralized_vs_decentralized.py
 
 from __future__ import annotations
 
-from repro.core.config import ExperimentConfig
-from repro.core.experiment import run_decentralized_experiment, run_vanilla_experiment
+from dataclasses import replace
+
 from repro.data.synthetic import SyntheticSpec
 from repro.metrics.figures import FigureSeries, render_ascii_chart
 from repro.metrics.tables import render_table
+from repro.scenarios import CohortSpec, ScenarioContext, ScenarioSpec, run_scenario
 
 
 def main() -> None:
-    config = ExperimentConfig(
+    decentralized_spec = ScenarioSpec(
+        kind="decentralized",
         model_kind="simple_nn",
         rounds=4,
         local_epochs=3,
-        train_samples_per_client=400,
-        test_samples_per_client=250,
-        aggregator_test_samples=250,
         learning_rate=0.01,
         seed=31,
+        cohort=CohortSpec(size=3, train_samples=400, test_samples=250),
+        aggregator_test_samples=250,
         data_spec=SyntheticSpec(seed=31),
     )
+    vanilla_spec = replace(decentralized_spec, kind="vanilla")
+    # One context: the three runs share the same sampled splits.
+    context = ScenarioContext()
 
     print("1/3 centralized, not-consider (plain FedAvg) ...")
-    vanilla_plain = run_vanilla_experiment(config, consider=False)
+    vanilla_plain = run_scenario(replace(vanilla_spec, consider=False), context=context)
     print("2/3 centralized, consider (best combination) ...")
-    vanilla_consider = run_vanilla_experiment(config, consider=True)
+    vanilla_consider = run_scenario(replace(vanilla_spec, consider=True), context=context)
     print("3/3 decentralized over the simulated Ethereum network ...")
-    decentralized = run_decentralized_experiment(config)
+    decentralized = run_scenario(decentralized_spec, context=context)
 
     # Per-round series for client A under each setting.
     series = [
@@ -52,7 +56,7 @@ def main() -> None:
     print(render_ascii_chart(series, title="Client A accuracy by setting"))
 
     rows = []
-    for client in config.client_ids:
+    for client in decentralized_spec.client_ids():
         chosen = [
             log.chosen_accuracy
             for log in decentralized.round_logs

@@ -14,31 +14,30 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.core.config import ExperimentConfig
-from repro.core.experiment import run_decentralized_experiment
 from repro.data.synthetic import SyntheticSpec
 from repro.metrics.tables import format_combination_table
+from repro.scenarios import CohortSpec, ScenarioSpec, run_scenario
 
 
 def main() -> None:
-    # A small configuration so the whole script runs in a few seconds.
-    config = ExperimentConfig(
+    # A small scenario so the whole script runs in a few seconds.
+    spec = ScenarioSpec(
+        kind="decentralized",
         model_kind="simple_nn",
         rounds=2,
         local_epochs=2,
-        train_samples_per_client=300,
-        test_samples_per_client=200,
-        aggregator_test_samples=200,
         learning_rate=0.01,
         seed=7,
+        cohort=CohortSpec(size=3, train_samples=300, test_samples=200),
+        aggregator_test_samples=200,
         data_spec=SyntheticSpec(seed=7),
     )
 
     print("Running 2 rounds of blockchain-based federated learning")
-    print(f"  model: {config.model_kind}, clients: {', '.join(config.client_ids)}")
-    result = run_decentralized_experiment(config)
+    print(f"  model: {spec.model_kind}, clients: {', '.join(spec.client_ids())}")
+    result = run_scenario(spec)
 
-    for peer_id in config.client_ids:
+    for peer_id in spec.client_ids():
         print()
         print(
             format_combination_table(

@@ -2,40 +2,53 @@
 
 Sweeps the asynchronous-aggregation policy (wait-for-1, wait-for-2,
 wait-for-all) over the decentralized deployment with peers whose training
-speeds differ, and reports the speed/precision trade-off: how long each
-policy waits versus what accuracy it reaches.
+speeds differ — the 20/60/150 s devices of the registered ``paper/tradeoff``
+scenario — and reports the speed/precision trade-off: how long each policy
+waits versus what accuracy it reaches.
 
 Run:  python examples/wait_or_not.py
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.core.config import ExperimentConfig
-from repro.core.experiment import run_decentralized_experiment
 from repro.data.synthetic import SyntheticSpec
 from repro.fl.async_policy import WaitForAll, WaitForK
 from repro.metrics.tables import render_table
+from repro.scenarios import (
+    CohortSpec,
+    HeterogeneitySpec,
+    ScenarioContext,
+    ScenarioSpec,
+    run_scenario,
+)
+from repro.scenarios.registry import TRADEOFF_DEVICE_TIMES
 
 
 def main() -> None:
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
+        kind="decentralized",
         model_kind="simple_nn",
         rounds=3,
         local_epochs=2,
-        train_samples_per_client=300,
-        test_samples_per_client=200,
-        aggregator_test_samples=200,
         learning_rate=0.01,
         seed=11,
+        cohort=CohortSpec(size=3, train_samples=300, test_samples=200),
+        # A fast edge box, a mid-range laptop, a slow embedded device: on
+        # equal devices wait-for-k never fires early and nothing is traded.
+        heterogeneity=HeterogeneitySpec(kind="custom", times=TRADEOFF_DEVICE_TIMES),
+        aggregator_test_samples=200,
         data_spec=SyntheticSpec(seed=11),
     )
 
     rows = []
+    context = ScenarioContext()
     for policy in (WaitForK(1), WaitForK(2), WaitForAll()):
-        result = run_decentralized_experiment(config, policy=policy)
-        mean_wait = float(np.mean(list(result.wait_times.values())))
+        result = run_scenario(replace(spec, policy=policy), context=context)
+        mean_wait = result.mean_wait()
         final_acc = float(
             np.mean([log.chosen_accuracy for log in result.round_logs[-3:]])
         )

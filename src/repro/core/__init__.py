@@ -7,8 +7,8 @@ simulated Ethereum network, reproducing Tables II-IV and Figure 4, and
 asks a :mod:`repro.core.shard` for every step of a peer's local work; the
 round state machine (:mod:`repro.core.rounds`) tracks wait-for-k progress;
 :mod:`repro.core.nonrepudiation` assembles and verifies the on-chain
-authorship evidence; :mod:`repro.core.config` and
-:mod:`repro.core.experiment` define and run the calibrated experiments.
+authorship evidence.  Experiments are defined and run one layer up:
+:class:`repro.scenarios.ScenarioSpec` and :func:`repro.scenarios.run_scenario`.
 
 Model commitments flow through a content-addressed cached pipeline: each
 local model is serialized exactly once per round into a
@@ -27,13 +27,6 @@ from repro.core.peer import FullPeer, PeerConfig
 from repro.core.shard import PeerRoundLog, PeerShard
 from repro.core.decentralized import DecentralizedFL, DecentralizedConfig
 from repro.core.nonrepudiation import EvidenceBundle, collect_evidence, verify_evidence
-from repro.core.config import ExperimentConfig, default_config, calibrated_spec
-from repro.core.experiment import (
-    run_vanilla_experiment,
-    run_decentralized_experiment,
-    VanillaExperimentResult,
-    DecentralizedExperimentResult,
-)
 
 __all__ = [
     "OffchainStore",
@@ -48,11 +41,4 @@ __all__ = [
     "EvidenceBundle",
     "collect_evidence",
     "verify_evidence",
-    "ExperimentConfig",
-    "default_config",
-    "calibrated_spec",
-    "run_vanilla_experiment",
-    "run_decentralized_experiment",
-    "VanillaExperimentResult",
-    "DecentralizedExperimentResult",
 ]

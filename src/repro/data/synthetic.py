@@ -57,8 +57,8 @@ CIFAR10_LABELS = (
 class SyntheticSpec:
     """Generation parameters for the synthetic dataset.
 
-    Defaults are the calibrated values used by the experiment harness (see
-    ``repro.core.config.calibrated_spec``): they land a 3-client FedAvg of
+    Defaults are the calibrated values the paper scenarios run on (see
+    ``repro.scenarios.registry.paper_spec``): they land a 3-client FedAvg of
     SimpleNN near the paper's 0.28->0.60 trajectory and the transfer-
     learning analog near 0.78->0.85.
     """

@@ -25,8 +25,7 @@ Rule catalog
 ``wall-clock`` (determinism)
     No host-clock reads (``time.time()``, ``time.perf_counter()``,
     ``datetime.now()``, …) outside the sanctioned instrumentation set
-    (``metrics/timing.py``, ``scenarios/sweep.py``, ``chain/gateway.py``,
-    ``runtime/gateway.py``).
+    (``scenarios/sweep.py``, ``chain/gateway.py``, ``runtime/gateway.py``).
     Results are a pure function of the seed; the simulator owns time.
     Scope: ``src/``.
 
@@ -38,8 +37,8 @@ Rule catalog
 
 ``config-mutation`` (immutability)
     No attribute assignment on config-dataclass parameters
-    (``ExperimentConfig``, ``DecentralizedConfig`` and the ``ChainSpec``/
-    ``FaultSpec``/``ParticipationSpec`` it holds, …) —
+    (``ScenarioSpec``, ``DecentralizedConfig`` and the ``ChainSpec``/
+    ``FaultSpec``/``ParticipationSpec`` they hold, …) —
     copy with ``dataclasses.replace`` (the PR-3 ``chain_config`` mutation
     bug).  Scope: ``src/``.
 

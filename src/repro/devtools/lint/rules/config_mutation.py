@@ -3,11 +3,10 @@
 PR 3 fixed a real bug of this class: the ``policy=`` override path wrote
 through to the *caller's* ``chain_config``, so one run's overrides leaked
 into the next run's config object.  Config dataclasses
-(``ExperimentConfig``, ``DecentralizedConfig`` and the ``ChainSpec`` /
-``FaultSpec`` / ``ParticipationSpec`` it holds, ``ScenarioSpec``,
-``TrainConfig``, ``PeerConfig``, …) are inputs: a
-function that wants a variant makes its own copy with
-``dataclasses.replace(config, ...)``.
+(``DecentralizedConfig`` and the ``ChainSpec`` / ``FaultSpec`` /
+``ParticipationSpec`` it holds, ``ScenarioSpec``, ``TrainConfig``,
+``PeerConfig``, …) are inputs: a function that wants a variant makes its
+own copy with ``dataclasses.replace(config, ...)``.
 
 The rule flags attribute assignment (plain, augmented, annotated — and
 ``del``) on any function *parameter* that is recognizably a config: its
@@ -25,7 +24,6 @@ from typing import Iterator
 from repro.devtools.lint.engine import Finding, LintContext, LintRule
 
 CONFIG_TYPES = {
-    "ExperimentConfig",
     "DecentralizedConfig",
     "ScenarioSpec",
     "ChainSpec",

@@ -7,11 +7,10 @@ library code leaks host time into results (timestamps, deadlines, block
 intervals) and breaks bit-identical regeneration.
 
 An explicit allowlist keeps the sanctioned *instrumentation* reads:
-``scenarios/sweep.py`` (sweep wall-time reporting), ``chain/gateway.py``
-and ``runtime/gateway.py`` (GatewayStats latency — including per-RPC wire
-timing — excluded from result payloads), and ``metrics/timing.py``
-(duration summaries).  Benchmarks and tests are out of scope — timing
-things is their job.
+``scenarios/sweep.py`` (sweep wall-time reporting), and
+``chain/gateway.py`` and ``runtime/gateway.py`` (GatewayStats latency —
+including per-RPC wire timing — excluded from result payloads).
+Benchmarks and tests are out of scope — timing things is their job.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.devtools.lint.engine import Finding, LintContext, LintRule
 from repro.devtools.lint.rules.common import ImportMap
 
 ALLOWED_PATHS = {
-    "src/repro/metrics/timing.py",
     "src/repro/scenarios/sweep.py",
     "src/repro/chain/gateway.py",
     "src/repro/runtime/gateway.py",

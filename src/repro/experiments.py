@@ -10,40 +10,25 @@ Usage::
 
 ``run`` executes a named scenario from the registry
 (:mod:`repro.scenarios.registry`) — the paper's artifacts
-(``paper/table1``, ``paper/tables234``, ``paper/tradeoff``), cohort-scaling
-workloads (any ``cohort/<n>``), adversarial and heterogeneous-device
-setups — and prints its rendered report.  ``sweep`` drives grids through
-the shared-dataset sweep driver (:mod:`repro.scenarios.sweep`); the
-``cohort`` axis is the ROADMAP's 10-50-peer speed/precision measurement.
-Results are deterministic per ``--seed``; ``--quick`` shrinks any scenario
-to test scale.
-
-The pre-scenario artifact commands (``table1`` … ``table4``, ``fig3``,
-``fig4``, ``tradeoff``, ``all``) are kept as aliases and print
-byte-identical output.
+(``paper/table1``, ``paper/tables234``, ``paper/fig3``, ``paper/fig4``,
+``paper/tradeoff``), cohort-scaling workloads (any ``cohort/<n>``),
+adversarial and heterogeneous-device setups — and prints its rendered
+report.  ``sweep`` drives grids through the shared-dataset sweep driver
+(:mod:`repro.scenarios.sweep`); the ``cohort`` axis is the ROADMAP's
+10-50-peer speed/precision measurement.  Results are deterministic per
+``--seed``; ``--quick`` shrinks any scenario to test scale.  ``run``,
+``sweep`` and ``list`` are the whole interface.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
 from repro.chain.gateway import GATEWAY_BACKENDS
-from repro.core.config import default_config
-from repro.core.experiment import run_decentralized_experiment, run_vanilla_experiment
 from repro.errors import ConfigError
-from repro.fl.async_policy import WaitForAll, WaitForK
-from repro.metrics.figures import (
-    combination_figure_series,
-    render_ascii_chart,
-    vanilla_figure_series,
-)
-from repro.metrics.tables import (
-    MODEL_LABELS,
-    format_combination_table,
-    format_sweep_table,
-    format_table1,
-    render_table,
-)
+from repro.fl.async_policy import WaitForK
+from repro.metrics.tables import format_sweep_table, render_table
 from repro.scenarios import (
     ScenarioContext,
     cohort_sweep,
@@ -52,105 +37,8 @@ from repro.scenarios import (
     replace_axis,
     run_scenario,
 )
-from repro.scenarios.registry import PAPER_MODELS, TRADEOFF_HEADER, tradeoff_row
+from repro.scenarios.registry import PAPER_MODELS
 from repro.scenarios.spec import RUNTIME_KINDS
-
-_PEER_OF_TABLE = {"table2": "A", "table3": "B", "table4": "C"}
-_LEGACY_ARTIFACTS = ("table1", "table2", "table3", "table4", "fig3", "fig4", "tradeoff")
-
-
-# ---------------------------------------------------------------------------
-# Legacy artifact helpers (alias commands print byte-identical output)
-# ---------------------------------------------------------------------------
-
-
-def _table1(model_kind: str, seed: int) -> str:
-    config = default_config(model_kind, seed=seed)
-    consider = run_vanilla_experiment(config, consider=True)
-    not_consider = run_vanilla_experiment(config, consider=False)
-    series = {
-        client: {
-            "consider": consider.client_accuracy[client],
-            "not_consider": not_consider.client_accuracy[client],
-        }
-        for client in config.client_ids
-    }
-    return format_table1(MODEL_LABELS[model_kind], series)
-
-
-def _combination_table(model_kind: str, peer_id: str, seed: int) -> str:
-    config = default_config(model_kind, seed=seed)
-    result = run_decentralized_experiment(config)
-    return format_combination_table(
-        MODEL_LABELS[model_kind], peer_id, result.combination_accuracy[peer_id]
-    )
-
-
-def _fig3(model_kind: str, seed: int) -> str:
-    config = default_config(model_kind, seed=seed)
-    consider = run_vanilla_experiment(config, consider=True)
-    not_consider = run_vanilla_experiment(config, consider=False)
-    series = {
-        client: {
-            "consider": consider.client_accuracy[client],
-            "not consider": not_consider.client_accuracy[client],
-        }
-        for client in config.client_ids
-    }
-    blocks = [
-        render_ascii_chart(curves, title=f"Fig 3 ({MODEL_LABELS[model_kind]}) {panel}")
-        for panel, curves in vanilla_figure_series(series).items()
-    ]
-    return "\n\n".join(blocks)
-
-
-def _fig4(model_kind: str, seed: int) -> str:
-    config = default_config(model_kind, seed=seed)
-    result = run_decentralized_experiment(config)
-    blocks = [
-        render_ascii_chart(curves, title=f"Fig 4 ({MODEL_LABELS[model_kind]}) {panel}")
-        for panel, curves in combination_figure_series(result.combination_accuracy).items()
-    ]
-    return "\n\n".join(blocks)
-
-
-def _tradeoff(model_kind: str, seed: int) -> str:
-    config = default_config(model_kind, seed=seed)
-    rows = []
-    for policy in (WaitForK(1), WaitForK(2), WaitForAll()):
-        result = run_decentralized_experiment(config, policy=policy)
-        rows.append(tradeoff_row(policy.describe(), result.wait_times, result.round_logs))
-    return render_table(
-        f"Wait-or-not sweep ({MODEL_LABELS[model_kind]})", TRADEOFF_HEADER, rows
-    )
-
-
-COMMANDS = {
-    "table1": _table1,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "tradeoff": _tradeoff,
-}
-
-
-def _run_legacy(artifact: str, model: str, seed: int) -> int:
-    model_kinds = list(PAPER_MODELS) if model == "both" else [model]
-    artifacts = list(_LEGACY_ARTIFACTS) if artifact == "all" else [artifact]
-    for name in artifacts:
-        for model_kind in model_kinds:
-            if name in _PEER_OF_TABLE:
-                text = _combination_table(model_kind, _PEER_OF_TABLE[name], seed)
-            else:
-                text = COMMANDS[name](model_kind, seed)
-            print(text)
-            print()
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Scenario commands
-# ---------------------------------------------------------------------------
-
 
 #: ``run``/``sweep`` override flags, wired once: flag -> (the
 #: :func:`~repro.scenarios.spec.replace_axis` path it sets, its argparse
@@ -285,24 +173,11 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Run declarative scenarios (and regenerate the paper's artifacts).",
     )
-    # The seed CLI accepted flag-first orderings like `--seed 7 table1`;
-    # keep them valid by mirroring --seed/--model at the top level (the
-    # per-subcommand flags, when given, win).
-    parser.add_argument(
-        "--seed", type=int, default=None, dest="global_seed", help=argparse.SUPPRESS
-    )
-    parser.add_argument(
-        "--model",
-        choices=model_choices,
-        default=None,
-        dest="global_model",
-        help=argparse.SUPPRESS,
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="run a named scenario from the registry")
     run_parser.add_argument("scenario", help="scenario name, e.g. paper/table1 or cohort/25")
-    run_parser.add_argument("--seed", type=int, default=None, help="experiment seed (default 42)")
+    run_parser.add_argument("--seed", type=int, default=42, help="experiment seed (default 42)")
     run_parser.add_argument(
         "--quick", action="store_true", help="shrink to test scale (2 rounds, small splits)"
     )
@@ -325,42 +200,25 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.add_argument(
         "--wait-for", type=int, default=None, help="use wait-for-k instead of wait-for-all"
     )
-    sweep_parser.add_argument("--seed", type=int, default=None, help="experiment seed (default 42)")
+    sweep_parser.add_argument("--seed", type=int, default=42, help="experiment seed (default 42)")
     sweep_parser.add_argument("--quick", action="store_true", help="shrink to test scale")
     for flag in SWEEP_FLAGS:
         sweep_parser.add_argument(flag, **AXIS_FLAGS[flag][1])
 
     subparsers.add_parser("list", help="list registered scenarios")
 
-    for artifact in (*_LEGACY_ARTIFACTS, "all"):
-        legacy = subparsers.add_parser(
-            artifact, help=f"(legacy alias) regenerate {artifact}"
-        )
-        legacy.add_argument(
-            "--model",
-            choices=model_choices,
-            default=None,
-            help="model family (default: both, as in the paper's tables)",
-        )
-        legacy.add_argument("--seed", type=int, default=None, help="experiment seed (default 42)")
-
     args = parser.parse_args(argv)
-    seed = next(
-        (value for value in (getattr(args, "seed", None), args.global_seed) if value is not None),
-        42,
-    )
-    model = getattr(args, "model", None) or args.global_model
 
     if args.command == "run":
         return _run_named_scenario(
-            args.scenario, seed, args.quick, model, _axis_overrides(args)
+            args.scenario, args.seed, args.quick, args.model, _axis_overrides(args)
         )
     if args.command == "sweep":
         # Only the "cohort" axis exists today; argparse restricts the choice.
-        return _run_sweep(args.sizes, args.wait_for, seed, args.quick, _axis_overrides(args))
-    if args.command == "list":
-        return _run_list()
-    return _run_legacy(args.command, model or "both", seed)
+        return _run_sweep(
+            args.sizes, args.wait_for, args.seed, args.quick, _axis_overrides(args)
+        )
+    return _run_list()
 
 
 if __name__ == "__main__":

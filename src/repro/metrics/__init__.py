@@ -1,7 +1,5 @@
-"""Reporting: table formatters (Tables I-IV), figure series (Figs 3-4),
-round recorders, and timing summaries."""
+"""Reporting: table formatters (Tables I-IV) and figure series (Figs 3-4)."""
 
-from repro.metrics.recorder import RoundRecorder, RoundRecord
 from repro.metrics.tables import (
     format_table1,
     format_combination_table,
@@ -9,11 +7,8 @@ from repro.metrics.tables import (
     series_row,
 )
 from repro.metrics.figures import FigureSeries, vanilla_figure_series, combination_figure_series, render_ascii_chart
-from repro.metrics.timing import TimingSummary, summarize_durations
 
 __all__ = [
-    "RoundRecorder",
-    "RoundRecord",
     "format_table1",
     "format_combination_table",
     "render_table",
@@ -22,6 +17,4 @@ __all__ = [
     "vanilla_figure_series",
     "combination_figure_series",
     "render_ascii_chart",
-    "TimingSummary",
-    "summarize_durations",
 ]

@@ -3,8 +3,7 @@
 Serialized weights are what peers exchange: the bytes go to the off-chain
 content-addressed store, and their hash goes on chain as the non-repudiable
 commitment (see :class:`repro.contracts.model_store.ModelStore`).  A
-byte-identical round trip is guaranteed for any weight dict in either
-format version (see below).
+byte-identical round trip is guaranteed for any weight dict.
 
 Encoding a full weight dict is the most expensive marshalling step on the
 commitment hot path, so :class:`WeightArchive` memoizes it: ``payload``,
@@ -14,15 +13,13 @@ one-shot use; anything per-round should go through an archive — see
 :meth:`repro.core.offchain.OffchainStore.put_archive` and the peer submit
 path in :meth:`repro.core.peer.FullPeer.train_and_commit`.
 
-Two wire formats coexist behind the same functions.  **v2** (the default)
-is binary: a fixed magic, a compact JSON header describing name/dtype/shape
-per entry, then the raw C-contiguous array buffers concatenated — no
-base64, no JSON number parsing for array data, so encoding is a header
-plus ``len(weights)`` buffer copies.  **v1** is the library's canonical
-JSON-with-tagged-ndarrays encoding; it is still produced on request
-(``weights_to_bytes(..., version=1)``) and always decoded, so archives
-written before the codec change remain readable.  The decoder dispatches
-on the magic prefix, and both formats round-trip byte-identically.
+There is one wire format, binary **v2**: a fixed magic, a compact JSON
+header describing name/dtype/shape per entry, then the raw C-contiguous
+array buffers concatenated — no base64, no JSON number parsing for array
+data, so encoding is a header plus ``len(weights)`` buffer copies.  A
+payload that does not start with the magic — an archive in the retired
+JSON-with-tagged-ndarrays v1 encoding included — is rejected with
+:class:`~repro.errors.SerializationError`.
 
 Module-level :data:`SERIALIZATION_STATS` counts real encode/decode work so
 tests and benchmarks can assert the hot path serializes once per model.
@@ -39,11 +36,15 @@ import numpy as np
 
 from repro.errors import SerializationError
 from repro.utils.hashing import keccak_like
-from repro.utils.serialization import canonical_dumps, canonical_loads
 
-_V1_VERSION = 1
+# Unused since codec v1 went, kept because benchmarks/perf/test_perf_harness.py
+# (frozen by the benchmark contract) reads ``repro.nn.serialize.canonical_dumps``
+# as its example of a by-name import the tracer must rebind; drop it in the
+# next [benchmark] PR.
+from repro.utils.serialization import canonical_dumps  # noqa: F401
+
 _FORMAT_VERSION = 2
-#: v2 payloads start with this magic (never valid JSON, so v1 is unambiguous).
+#: Every payload starts with this magic (never valid JSON).
 _V2_MAGIC = b"WAv2\x00"
 _V2_HEADER_LEN_BYTES = 8
 
@@ -69,21 +70,11 @@ class SerializationStats:
 SERIALIZATION_STATS = SerializationStats()
 
 
-def weights_to_bytes(weights: dict[str, np.ndarray], version: int = _FORMAT_VERSION) -> bytes:
-    """Serialize a named weight dict to canonical bytes.
-
-    ``version=2`` (default) emits the raw-buffer binary format; ``version=1``
-    emits the legacy JSON/base64 encoding (kept for compatibility tests and
-    cross-version measurements).
-    """
+def weights_to_bytes(weights: dict[str, np.ndarray]) -> bytes:
+    """Serialize a named weight dict to canonical bytes (the v2 format)."""
     for key, value in weights.items():
         if not isinstance(value, np.ndarray):
             raise SerializationError(f"weight {key!r} is {type(value).__name__}, not ndarray")
-    if version == _V1_VERSION:
-        SERIALIZATION_STATS.encodes += 1
-        return canonical_dumps({"version": _V1_VERSION, "weights": weights})
-    if version != _FORMAT_VERSION:
-        raise SerializationError(f"unknown weight format version {version!r}")
     entries = []
     buffers = []
     for key in sorted(weights):
@@ -145,23 +136,10 @@ def _weights_from_v2(payload: bytes) -> dict[str, np.ndarray]:
 
 
 def weights_from_bytes(payload: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`weights_to_bytes` (accepts v2 and legacy v1)."""
-    if payload[: len(_V2_MAGIC)] == _V2_MAGIC:
-        weights = _weights_from_v2(bytes(payload))
-        SERIALIZATION_STATS.decodes += 1
-        return weights
-    decoded = canonical_loads(payload)
-    if not isinstance(decoded, dict) or "weights" not in decoded:
-        raise SerializationError("payload is not a weight archive")
-    version = decoded.get("version")
-    if version != _V1_VERSION:
-        raise SerializationError(f"unsupported weight format version {version!r}")
-    weights = decoded.get("weights")
-    if not isinstance(weights, dict):
-        raise SerializationError("weight archive missing 'weights' dict")
-    for key, value in weights.items():
-        if not isinstance(value, np.ndarray):
-            raise SerializationError(f"entry {key!r} did not decode to ndarray")
+    """Inverse of :func:`weights_to_bytes`."""
+    if payload[: len(_V2_MAGIC)] != _V2_MAGIC:
+        raise SerializationError("payload is not a weight archive (no v2 magic)")
+    weights = _weights_from_v2(bytes(payload))
     SERIALIZATION_STATS.decodes += 1
     return weights
 

@@ -2,8 +2,7 @@
 
 ``run_scenario`` is the single entry point behind every workload: the
 paper's tables, large cohorts, adversarial cohorts, heterogeneous-device
-sweeps.  The legacy ``run_vanilla_experiment`` / ``run_decentralized_experiment``
-functions are thin shims over it.
+sweeps.
 
 Determinism contract: for a given spec, results are a pure function of
 ``spec.seed``.  Every random stream is named (see

@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from repro.chain.spec import ChainSpec
-from repro.core.config import MODEL_LEARNING_RATES, ExperimentConfig
 from repro.core.participation import ParticipationSpec
 from repro.data.synthetic import SyntheticSpec
 from repro.errors import ConfigError
@@ -42,6 +41,12 @@ from repro.fl.poisoning import Attacker, LabelFlipAttacker, NoiseAttacker, Scale
 
 #: The paper's three clients; cohorts of three reproduce the tables exactly.
 PAPER_CLIENT_IDS = ("A", "B", "C")
+
+#: Calibrated per-model learning rates (and the set of known model kinds):
+#: the from-scratch MLP needs a small step on noisy 3072-dim inputs; the
+#: linear head on frozen RBF features tolerates (and needs, for the paper's
+#: fast round-1 rise) a large one.
+MODEL_LEARNING_RATES = {"simple_nn": 0.008, "efficientnet_b0_sim": 0.5}
 
 #: Execution runtimes for the decentralized deployment.  ``"inprocess"``
 #: runs the whole cohort in the calling process; ``"multiprocess"`` fans
@@ -401,55 +406,6 @@ class ScenarioSpec:
                 else tuple(min(v, 200) for v in self.cohort.volumes),
             ),
             aggregator_test_samples=min(self.aggregator_test_samples, 150),
-        )
-
-    def to_experiment_config(self) -> ExperimentConfig:
-        """Project onto the legacy :class:`ExperimentConfig` (uniform volumes)."""
-        return ExperimentConfig(
-            model_kind=self.model_kind,
-            rounds=self.rounds,
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.resolved_learning_rate(),
-            client_ids=self.client_ids(),
-            train_samples_per_client=self.cohort.train_samples,
-            test_samples_per_client=self.cohort.test_samples,
-            aggregator_test_samples=self.aggregator_test_samples,
-            client_skew=self.cohort.label_skew,
-            backbone_sigma=self.backbone_sigma,
-            backbone_mismatch=self.backbone_mismatch,
-            seed=self.seed,
-            data_spec=self.data_spec,
-        )
-
-    @classmethod
-    def from_experiment_config(
-        cls,
-        config: ExperimentConfig,
-        kind: str = "decentralized",
-        **overrides: object,
-    ) -> "ScenarioSpec":
-        """Lift a legacy :class:`ExperimentConfig` into a spec."""
-        return cls(
-            kind=kind,
-            model_kind=config.model_kind,
-            rounds=config.rounds,
-            local_epochs=config.local_epochs,
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            seed=config.seed,
-            cohort=CohortSpec(
-                size=len(config.client_ids),
-                client_ids=config.client_ids,
-                label_skew=config.client_skew,
-                train_samples=config.train_samples_per_client,
-                test_samples=config.test_samples_per_client,
-            ),
-            data_spec=config.data_spec,
-            aggregator_test_samples=config.aggregator_test_samples,
-            backbone_sigma=config.backbone_sigma,
-            backbone_mismatch=config.backbone_mismatch,
-            **overrides,
         )
 
 

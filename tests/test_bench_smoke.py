@@ -61,13 +61,6 @@ class TestCommitmentPipelineSmoke:
         assert profile["encodes_per_model"] == 1.0
         assert profile["store"]["deserializations"] == 0
 
-    def test_codec_v2_size_win(self):
-        # The size ratio is deterministic (base64 + JSON framing vs raw
-        # buffers); the wall-clock speedup gets no floor here so a loaded
-        # CI box can't flake tier-1.
-        codec = bench_commitment_pipeline.codec_comparison(n_models=2, repeats=1)
-        assert codec["size_ratio"] < 0.8
-
 
 class TestBlockExecutionSmoke:
     def test_speedup_and_counters(self):

@@ -308,7 +308,6 @@ class TestWallClockRule:
         engine = LintEngine(rules=[WallClockRule()])
         src = "import time\nstart = time.perf_counter()\n"
         for allowed in (
-            "src/repro/metrics/timing.py",
             "src/repro/scenarios/sweep.py",
             "src/repro/chain/gateway.py",
             "benchmarks/bench_x.py",
@@ -521,7 +520,7 @@ class TestConfigMutationRule:
     def test_near_miss_subscript_read_of_config_attr(self):
         findings = self.lint_config(
             """
-            def index(table, config: ExperimentConfig, value):
+            def index(table, config: TrainConfig, value):
                 table[config.rounds] = value
             """
         )

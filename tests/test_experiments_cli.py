@@ -1,9 +1,18 @@
 """Tests for the ``python -m repro.experiments`` CLI (fast paths only)."""
 
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
 import pytest
+from test_core_decentralized import platform_key
 
 from repro import experiments as cli
 from repro.scenarios import get_scenario, replace_axis
+
+DIGEST_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "paper_artifact_digests.json"
 
 
 class TestArgumentParsing:
@@ -14,69 +23,90 @@ class TestArgumentParsing:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_help_lists_scenario_commands(self, capsys):
+        """``run``, ``sweep`` and ``list`` are the whole interface."""
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--help"])
         assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        for command in ("run", "sweep", "list"):
-            assert command in out
+        assert "{run,sweep,list}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1"],
+            ["all"],
+            ["fig3", "--model", "simple_nn"],
+            ["--seed", "1", "run", "paper/table1"],
+            ["--model", "simple_nn", "run", "paper/table1"],
+        ],
+        ids=["table1", "all", "fig3", "top-seed", "top-model"],
+    )
+    def test_pre_scenario_invocations_rejected(self, argv, capsys):
+        """The artifact commands and the top-level ``--seed``/``--model``
+        mirror are gone, not aliased: argparse's usage error, exit 2."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "invalid choice" in err
 
     def test_unknown_model_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            cli.main(["table1", "--model", "resnet"])
+            cli.main(["run", "paper/table1", "--model", "resnet"])
         assert "invalid choice" in capsys.readouterr().err
-
-    def test_help_lists_artifacts(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        for artifact in ("table1", "table4", "fig3", "fig4", "tradeoff", "all"):
-            assert artifact in out
 
 
 class TestHelpers:
-    """Exercise the table-producing helpers on a tiny config by monkeypatching
-    the default config factory (full-size runs live in benchmarks/)."""
+    """The paper's tables and figures through ``run paper/*`` at quick
+    scale (paper-scale runs live in benchmarks/)."""
 
-    @pytest.fixture(autouse=True)
-    def quick_defaults(self, monkeypatch):
-        from repro.core.config import quick_config
+    @pytest.fixture(scope="class")
+    def stdout_of(self):
+        """``run <scenario> --quick --seed 1 --model simple_nn``, run once."""
+        outputs = {}
 
-        monkeypatch.setattr(cli, "default_config", lambda kind, seed=42: quick_config(kind, seed=seed))
+        def run(scenario: str) -> str:
+            if scenario not in outputs:
+                buffer = io.StringIO()
+                argv = ["run", scenario, "--quick", "--seed", "1", "--model", "simple_nn"]
+                with contextlib.redirect_stdout(buffer):
+                    assert cli.main(argv) == 0
+                outputs[scenario] = buffer.getvalue()
+            return outputs[scenario]
 
-    def test_table1_text(self):
-        text = cli._table1("simple_nn", seed=1)
+        return run
+
+    def test_table1_text(self, stdout_of):
+        text = stdout_of("paper/table1")
         assert "Table I" in text
         assert "Consider" in text and "Not consider" in text
 
-    def test_combination_table_text(self):
-        text = cli._combination_table("simple_nn", "A", seed=1)
-        assert "Client A" in text
+    def test_combination_table_text(self, stdout_of):
+        text = stdout_of("paper/tables234")
+        for peer_id in ("A", "B", "C"):
+            assert f"Client {peer_id}" in text
         assert "A,B,C" in text
 
-    def test_fig3_text(self):
-        text = cli._fig3("simple_nn", seed=1)
+    def test_fig3_text(self, stdout_of):
+        text = stdout_of("paper/fig3")
         assert "Fig 3" in text
         assert "Client A" in text
 
-    def test_fig4_text(self):
-        text = cli._fig4("simple_nn", seed=1)
-        assert "Fig 4" in text
+    def test_fig4_text(self, stdout_of):
+        assert "Fig 4" in stdout_of("paper/fig4")
 
-    def test_main_prints_artifact(self, capsys):
-        code = cli.main(["table1", "--model", "simple_nn", "--seed", "1"])
-        assert code == 0
-        assert "Table I" in capsys.readouterr().out
-
-    def test_flag_first_ordering_still_accepted(self, capsys):
-        """The seed CLI allowed `--seed 1 table1`; the subcommand redesign
-        keeps that ordering (and subcommand-local flags win over global)."""
-        code = cli.main(["--seed", "1", "--model", "simple_nn", "table1"])
-        assert code == 0
-        flag_first = capsys.readouterr().out
-        assert cli.main(["table1", "--model", "simple_nn", "--seed", "1"]) == 0
-        assert capsys.readouterr().out == flag_first
+    @pytest.mark.parametrize(
+        "scenario", ["paper/table1", "paper/tables234", "paper/fig3", "paper/fig4"]
+    )
+    def test_stdout_matches_the_pre_port_bytes(self, scenario, stdout_of):
+        """SHA-256 of each artifact's stdout, recorded from the last commit
+        that still had the ``fig3``/``fig4`` commands (platform-keyed: float
+        results are exact only on the numpy build and CPU that recorded
+        them)."""
+        fixture = json.loads(DIGEST_FIXTURE.read_text())
+        if fixture["platform"] != platform_key():
+            pytest.skip(f"artifact digests were recorded on {fixture['platform']!r}")
+        digest = hashlib.sha256(stdout_of(scenario).encode("utf-8")).hexdigest()
+        assert digest == fixture["digests"][scenario]
 
 
 class TestListCommand:
@@ -90,26 +120,10 @@ class TestListCommand:
 class TestRunCommand:
     """Scenario runs at quick scale (paper-scale runs live in benchmarks/)."""
 
-    @pytest.fixture(autouse=True)
-    def quick_defaults(self, monkeypatch):
-        import repro.scenarios.registry as registry
-        from repro.core.config import quick_config
-
-        monkeypatch.setattr(cli, "default_config", lambda kind, seed=42: quick_config(kind, seed=seed))
-        monkeypatch.setattr(registry, "default_config", lambda kind, seed=42: quick_config(kind, seed=seed))
-
     def test_run_unknown_scenario_exits_2(self, capsys):
         assert cli.main(["run", "paper/tabel1"]) == 2
         err = capsys.readouterr().err
         assert "did you mean" in err and "paper/table1" in err
-
-    def test_run_paper_table1_matches_legacy_alias(self, capsys):
-        """`run paper/table1` and the legacy `table1` alias print the same bytes."""
-        assert cli.main(["table1", "--model", "simple_nn", "--seed", "1"]) == 0
-        legacy = capsys.readouterr().out
-        assert cli.main(["run", "paper/table1", "--model", "simple_nn", "--seed", "1"]) == 0
-        assert capsys.readouterr().out == legacy
-        assert "Table I" in legacy
 
     def test_run_adversarial_scenario_quick(self, capsys):
         assert cli.main(["run", "adversarial/label_flip", "--quick", "--seed", "1"]) == 0

@@ -1,4 +1,4 @@
-"""Tests for recorders, table formatters, figure series, timing summaries."""
+"""Tests for table formatters and figure series."""
 
 import numpy as np
 import pytest
@@ -9,49 +9,12 @@ from repro.metrics.figures import (
     render_ascii_chart,
     vanilla_figure_series,
 )
-from repro.metrics.recorder import RoundRecorder
 from repro.metrics.tables import (
     format_combination_table,
     format_table1,
     render_table,
     series_row,
 )
-from repro.metrics.timing import summarize_durations
-
-
-class TestRecorder:
-    def test_series_ordered_by_round(self):
-        recorder = RoundRecorder()
-        recorder.record(2, "A", accuracy=0.5)
-        recorder.record(1, "A", accuracy=0.3)
-        assert recorder.series("A", "accuracy") == [0.3, 0.5]
-
-    def test_entities_and_rounds(self):
-        recorder = RoundRecorder()
-        recorder.record(1, "B", x=1.0)
-        recorder.record(2, "A", x=2.0)
-        assert recorder.entities() == ["A", "B"]
-        assert recorder.rounds() == [1, 2]
-
-    def test_last_and_mean(self):
-        recorder = RoundRecorder()
-        recorder.record(1, "A", acc=0.2)
-        recorder.record(2, "A", acc=0.4)
-        assert recorder.last("A", "acc") == 0.4
-        assert recorder.mean("A", "acc") == pytest.approx(0.3)
-
-    def test_missing_metric_none(self):
-        recorder = RoundRecorder()
-        assert recorder.last("A", "acc") is None
-        assert recorder.mean("A", "acc") is None
-
-    def test_as_rows_sorted(self):
-        recorder = RoundRecorder()
-        recorder.record(2, "B", v=1.0)
-        recorder.record(1, "A", v=2.0)
-        rows = recorder.as_rows()
-        assert rows[0]["round_id"] == 1
-        assert rows[0]["entity"] == "A"
 
 
 class TestTables:
@@ -125,24 +88,3 @@ class TestFigures:
 
     def test_render_empty(self):
         assert "(no data)" in render_ascii_chart([])
-
-
-class TestTiming:
-    def test_summary_statistics(self):
-        summary = summarize_durations([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.median == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-
-    def test_empty_summary_nan(self):
-        summary = summarize_durations([])
-        assert summary.count == 0
-        assert np.isnan(summary.mean)
-
-    def test_as_dict(self):
-        summary = summarize_durations([2.0])
-        payload = summary.as_dict()
-        assert payload["count"] == 1
-        assert payload["mean"] == 2.0

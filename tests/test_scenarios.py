@@ -1,16 +1,14 @@
 """Tests for the declarative scenario API (spec, registry, runner, sweep)."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.core.config import quick_config
-from repro.core.decentralized import DecentralizedConfig
-from repro.core.experiment import run_decentralized_experiment, run_vanilla_experiment
+from repro.data.synthetic import SyntheticSpec
 from repro.errors import ConfigError
 from repro.fl.async_policy import WaitForK
 from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker, ScaleAttacker
-from repro.faults import RetryPolicy
 from repro.scenarios import (
     AdversarySpec,
     ChainSpec,
@@ -26,10 +24,12 @@ from repro.scenarios import (
     get_scenario,
     grid,
     list_scenarios,
+    paper_spec,
     replace_axis,
     run_grid,
     run_scenario,
 )
+from repro.scenarios.runner import decentralized_inputs
 from repro.utils.rng import RngFactory
 
 
@@ -108,15 +108,23 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             tiny_spec(mode="dictatorship")
 
-    def test_experiment_config_validation(self):
+    def test_training_and_cohort_knobs_validated(self):
         with pytest.raises(ConfigError):
-            replace(quick_config("simple_nn"), learning_rate=0.0)
+            tiny_spec(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            replace(quick_config("simple_nn"), local_epochs=0)
+            tiny_spec(local_epochs=0)
         with pytest.raises(ConfigError):
-            replace(quick_config("simple_nn"), client_ids=("A", "A", "B"))
+            CohortSpec(size=3, client_ids=("A", "A", "B"))
         with pytest.raises(ConfigError):
-            replace(quick_config("simple_nn"), client_skew=-1.0)
+            CohortSpec(label_skew=-1.0)
+
+    def test_unknown_model_and_zero_rounds(self):
+        with pytest.raises(ConfigError):
+            tiny_spec(model_kind="gpt4")
+        with pytest.raises(ConfigError):
+            paper_spec("gpt4")
+        with pytest.raises(ConfigError):
+            tiny_spec(rounds=0)
 
 
 class TestSpecAxes:
@@ -181,10 +189,12 @@ class TestSpecAxes:
         with pytest.raises(ConfigError):
             replace_axis(tiny_spec(), "warp_factor", 9)
 
-    def test_experiment_config_round_trip(self):
-        config = quick_config("simple_nn", seed=9)
-        spec = ScenarioSpec.from_experiment_config(config, kind="vanilla")
-        assert spec.to_experiment_config() == config
+    def test_quick_shrinks_to_test_scale(self):
+        spec = paper_spec("simple_nn").quick()
+        assert (spec.rounds, spec.local_epochs) == (2, 1)
+        assert (spec.cohort.train_samples, spec.cohort.test_samples) == (200, 150)
+        assert spec.aggregator_test_samples == 150
+        assert spec.client_ids() == ("A", "B", "C")
 
 
 class TestRegistry:
@@ -322,149 +332,143 @@ class TestRunner:
         assert result.mean_wait() == 0.0
 
 
-class TestLegacyShims:
-    """The legacy runners are shims over run_scenario and must agree with it."""
+class TestPaperSpec:
+    """``paper_spec`` is the literal the paper's numbers hang off: the perf
+    harness calls it, the worker's ``init`` frame encodes it, every golden
+    depends on it.  Written out here so a drifted default shows as a diff."""
 
-    def test_vanilla_shim_equals_scenario(self):
-        config = quick_config("simple_nn", seed=3)
-        shim = run_vanilla_experiment(config, consider=True)
-        direct = run_scenario(
-            ScenarioSpec.from_experiment_config(config, kind="vanilla", consider=True)
-        )
-        assert shim.client_accuracy == direct.client_accuracy
-        assert shim.round_logs == direct.round_logs
-
-    def test_decentralized_shim_equals_scenario(self):
-        config = quick_config("simple_nn", seed=3)
-        shim = run_decentralized_experiment(config)
-        direct = run_scenario(ScenarioSpec.from_experiment_config(config))
-        assert shim.combination_accuracy == direct.combination_accuracy
-        assert shim.wait_times == direct.wait_times
-        assert shim.chain_stats == direct.chain_stats
-
-    def test_policy_override_preserves_chain_config(self):
-        """The seed bug: passing policy= used to silently reset mode and
-        gossip settings back to defaults.  Every field must survive now."""
-        config = quick_config("simple_nn", seed=3)
-        merged = run_decentralized_experiment(
-            config,
-            policy=WaitForK(1),
-            chain_config=DecentralizedConfig(
-                mode="global_vote", chain=ChainSpec(gossip_batch_window=0.02)
+    @pytest.mark.parametrize(
+        "model_kind,learning_rate,seed",
+        [("simple_nn", 0.008, 42), ("efficientnet_b0_sim", 0.5, 7)],
+    )
+    def test_equals_the_literal_spec(self, model_kind, learning_rate, seed):
+        assert paper_spec(model_kind, seed=seed) == ScenarioSpec(
+            kind="decentralized",
+            model_kind=model_kind,
+            rounds=10,
+            local_epochs=5,
+            batch_size=32,
+            learning_rate=learning_rate,
+            seed=seed,
+            cohort=CohortSpec(
+                size=3,
+                client_ids=("A", "B", "C"),
+                label_skew=1.0,
+                train_samples=800,
+                test_samples=500,
             ),
+            data_spec=SyntheticSpec(seed=1234),
+            aggregator_test_samples=500,
+            backbone_sigma=0.55,
+            backbone_mismatch=0.075,
         )
-        baked = run_decentralized_experiment(
-            config,
-            chain_config=DecentralizedConfig(
-                policy=WaitForK(1),
-                mode="global_vote",
-                chain=ChainSpec(gossip_batch_window=0.02),
-            ),
+
+    def test_overrides_land_on_the_spec(self):
+        spec = paper_spec(
+            "simple_nn", seed=3, kind="vanilla", consider=False, policy=WaitForK(2), name="x"
         )
-        assert merged.combination_accuracy == baked.combination_accuracy
-        assert merged.wait_times == baked.wait_times
-        # global_vote really ran: every adopted combination is the full set.
-        for log in merged.round_logs:
-            assert log.chosen_combination == ("A", "B", "C")
-
-    def test_policy_override_does_not_mutate_caller_config(self):
-        config = quick_config("simple_nn", seed=3)
-        chain_config = DecentralizedConfig()
-        run_decentralized_experiment(config, policy=WaitForK(1), chain_config=chain_config)
-        assert chain_config.policy != WaitForK(1)
-        assert chain_config.rounds == 10
-
-    def test_chain_config_forwarded_whole(self, monkeypatch):
-        """Every field of the caller's ``chain_config`` — and of the three
-        sub-specs it holds — reaches the spec handed to ``run_scenario``.
-        Iterating ``dataclasses.fields`` means a field added later cannot
-        be dropped silently."""
-        non_default = {
-            DecentralizedConfig: dict(
-                rounds=4,
-                policy=WaitForK(2),
-                mode="global_vote",
-                enable_reputation=True,
-                reputation_fitness_margin=0.25,
-                selection="greedy",
-                exhaustive_limit=3,
-            ),
-            ChainSpec: dict(
-                target_block_interval=7.0,
-                gossip_batch_window=0.02,
-                hashrate=500.0,
-                max_round_time=9_000.0,
-                latency_base=0.1,
-                latency_jitter=0.03,
-                drop_rate=0.3,
-                gateway="batching",
-                gateway_staleness=2.5,
-                execution="parallel",
-                execution_workers=2,
-                parallel_min_txs=8,
-                cold_storage=True,
-                hot_window=4,
-                snapshot_interval=16,
-            ),
-            FaultSpec: dict(
-                transient_rate=0.2,
-                timeout_rate=0.05,
-                latency_rate=0.1,
-                latency_spike=4.0,
-                duplicate_rate=0.05,
-                stale_read_rate=0.1,
-                stale_window=12.0,
-                max_consecutive=3,
-                crash_fraction=0.3,
-                crash_round=3,
-                crash_rounds=2,
-                resilience=False,
-                retry=RetryPolicy(max_attempts=3),
-            ),
-            ParticipationSpec: dict(sampled_k=2, windows=((1, 2, 1),), churn_rate=0.1),
-        }
-        chain_config = DecentralizedConfig(
-            chain=ChainSpec(**non_default[ChainSpec]),
-            faults=FaultSpec(**non_default[FaultSpec]),
-            participation=ParticipationSpec(**non_default[ParticipationSpec]),
-            **non_default[DecentralizedConfig],
+        assert spec == ScenarioSpec(
+            name="x",
+            kind="vanilla",
+            consider=False,
+            policy=WaitForK(2),
+            learning_rate=0.008,
+            seed=3,
+            cohort=CohortSpec(client_ids=("A", "B", "C")),
         )
-        for value in (
-            chain_config, chain_config.chain, chain_config.faults, chain_config.participation
-        ):
-            for f in fields(value):
-                assert getattr(value, f.name) != getattr(type(value)(), f.name), (
-                    f"{type(value).__name__}.{f.name} needs a non-default value in this test"
-                )
 
-        class Captured(Exception):
-            pass
-
-        def capture(spec, context=None):
-            raise Captured(spec)
-
-        monkeypatch.setattr("repro.scenarios.run_scenario", capture)
-        config = quick_config("simple_nn", seed=3)
-        with pytest.raises(Captured) as excinfo:
-            run_decentralized_experiment(config, chain_config=chain_config)
-        (spec,) = excinfo.value.args
-        for f in fields(DecentralizedConfig):
-            # The experiment config, not the driver config, owns the round
-            # count; the sub-specs compare whole, field by field.
-            expected = config.rounds if f.name == "rounds" else getattr(chain_config, f.name)
-            assert getattr(spec, f.name) == expected, f.name
-
-    def test_training_times_shim(self):
-        config = quick_config("simple_nn", seed=3)
-        result = run_decentralized_experiment(
-            config, training_times={"A": 5.0, "B": 5.0, "C": 200.0}
+    def test_train_config_derived(self):
+        spec = paper_spec("simple_nn")
+        inputs = decentralized_inputs(
+            spec, RngFactory(spec.seed), ScenarioContext(), materialize=False
         )
-        assert result.wait_times["A"] > result.wait_times["C"]
+        for peer in inputs.peer_configs:
+            assert (peer.train_config.epochs, peer.train_config.batch_size) == (5, 32)
+            assert peer.train_config.learning_rate == 0.008
 
-    def test_training_times_missing_entry_rejected(self):
-        config = quick_config("simple_nn", seed=3)
-        with pytest.raises(ConfigError):
-            run_decentralized_experiment(config, training_times={"A": 5.0})
+
+class TestPaperCohortAtQuickScale:
+    """The paper's 3-client deployment through ``run_scenario``, both kinds
+    (calibration at full scale is benched, not unit-tested)."""
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        return ScenarioContext()
+
+    @pytest.fixture(scope="class")
+    def vanilla(self, context):
+        spec = paper_spec("simple_nn", kind="vanilla", consider=False).quick()
+        return run_scenario(spec, context=context)
+
+    @pytest.fixture(scope="class")
+    def decentralized(self, context):
+        return run_scenario(paper_spec("simple_nn").quick(), context=context)
+
+    @pytest.mark.parametrize("consider", [False, True])
+    def test_vanilla_series_for_all_clients(self, consider, context):
+        spec = paper_spec("simple_nn", kind="vanilla", consider=consider).quick()
+        result = run_scenario(spec, context=context)
+        assert set(result.client_accuracy) == {"A", "B", "C"}
+        for client_id, series in result.client_accuracy.items():
+            assert len(series) == spec.rounds
+            assert all(0.0 <= value <= 1.0 for value in series)
+            assert result.final_accuracy(client_id) == series[-1]
+
+    def test_vanilla_same_seed_same_series(self, vanilla):
+        assert run_scenario(vanilla.spec).client_accuracy == vanilla.client_accuracy
+
+    def test_vanilla_seed_changes_series(self, vanilla):
+        other = run_scenario(replace(vanilla.spec, seed=vanilla.spec.seed + 1))
+        assert other.client_accuracy != vanilla.client_accuracy
+
+    def test_efficientnet_variant_runs(self):
+        spec = paper_spec("efficientnet_b0_sim", kind="vanilla", consider=False).quick()
+        assert 0.0 <= run_scenario(spec).final_accuracy("A") <= 1.0
+
+    def test_combination_tables_waits_and_chain_stats(self, decentralized):
+        assert set(decentralized.combination_accuracy) == {"A", "B", "C"}
+        for table in decentralized.combination_accuracy.values():
+            assert len(table["A,B,C"]) == decentralized.spec.rounds
+        assert set(decentralized.wait_times) == {"A", "B", "C"}
+        assert decentralized.chain_stats["blocks_mined"] > 0
+
+    def test_decentralized_same_seed_same_tables(self, decentralized):
+        again = run_scenario(decentralized.spec)
+        assert again.combination_accuracy == decentralized.combination_accuracy
+        assert again.wait_times == decentralized.wait_times
+
+    def test_wait_for_k_policy_accepted(self, decentralized, context):
+        result = run_scenario(replace(decentralized.spec, policy=WaitForK(1)), context=context)
+        assert min(log.models_used for log in result.round_logs) >= 1
+
+    def test_comparable_accuracy(self, vanilla, decentralized):
+        """The paper's headline: both settings reach comparable accuracy."""
+        v_final = np.mean([vanilla.final_accuracy(c) for c in ("A", "B", "C")])
+        d_final = np.mean(
+            [decentralized.combination_accuracy[c]["A,B,C"][-1] for c in ("A", "B", "C")]
+        )
+        # Quick scale is tiny, so allow slack; full shape checked in benches.
+        assert abs(v_final - d_final) < 0.25
+
+
+class TestTradeoffScenario:
+    """``paper/tradeoff`` must show a trade-off: on equal devices wait-for-k
+    never fires early and the three policies are one run printed thrice."""
+
+    @pytest.mark.parametrize("model_kind", ["simple_nn", "efficientnet_b0_sim"])
+    def test_wait_rises_strictly_with_k(self, model_kind):
+        definition = get_scenario("paper/tradeoff")
+        specs = definition.build(seed=42, quick=True, models=(model_kind,))
+        assert [spec.policy.describe() for spec in specs] == [
+            "wait-for-1", "wait-for-2", "wait-for-all",
+        ]
+        context = ScenarioContext()
+        results = [run_scenario(spec, context=context) for spec in specs]
+        waits = [result.mean_wait() for result in results]
+        assert waits[0] < waits[1] < waits[2]
+        (table,) = definition.render(specs, results)
+        visible = [line.split()[-1] for line in table.splitlines()[3:]]
+        assert len(visible) == 3 and set(visible) != {"3.00"}
 
 
 class TestSweepDriver:
