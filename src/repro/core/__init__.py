@@ -4,8 +4,10 @@ Every peer is simultaneously data holder, trainer, miner, and aggregator
 (:mod:`repro.core.peer`); the decentralized orchestrator
 (:mod:`repro.core.decentralized`) runs communication rounds over the
 simulated Ethereum network, reproducing Tables II-IV and Figure 4, and
-asks a :mod:`repro.core.shard` for every step of a peer's local work; the
-round state machine (:mod:`repro.core.rounds`) tracks wait-for-k progress;
+asks a :mod:`repro.core.shard` for every step of a peer's local work; a
+:class:`~repro.core.rounds.Round` is the one record of a round in flight —
+who is live, who was dropped, when each peer submitted and when its
+waiting policy fired — handed from one named phase of the driver to the next;
 :mod:`repro.core.nonrepudiation` assembles and verifies the on-chain
 authorship evidence.  Experiments are defined and run one layer up:
 :class:`repro.scenarios.ScenarioSpec` and :func:`repro.scenarios.run_scenario`.
@@ -22,7 +24,7 @@ re-deserialize.  ``OffchainStore.marshalling_stats()`` and
 """
 
 from repro.core.offchain import OffchainStore
-from repro.core.rounds import RoundState, RoundTracker
+from repro.core.rounds import Round
 from repro.core.peer import FullPeer, PeerConfig
 from repro.core.shard import PeerRoundLog, PeerShard
 from repro.core.decentralized import DecentralizedFL, DecentralizedConfig
@@ -30,8 +32,7 @@ from repro.core.nonrepudiation import EvidenceBundle, collect_evidence, verify_e
 
 __all__ = [
     "OffchainStore",
-    "RoundState",
-    "RoundTracker",
+    "Round",
     "FullPeer",
     "PeerConfig",
     "DecentralizedFL",

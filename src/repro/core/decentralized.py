@@ -5,14 +5,23 @@ Ethereum network and drives communication rounds end to end:
 
 1. a peer deploys the contract suite (registry, model store, coordinator)
    and everyone registers — all mined through PoW like any other tx;
-2. each round, every peer trains locally (simulated duration), uploads its
-   weights off-chain, and broadcasts a ``submit_model`` transaction;
-3. miners include the submissions in blocks; each peer polls its *own*
-   chain view until its waiting policy fires (wait-for-all reproduces the
-   paper's tables; wait-for-k drives the async trade-off benchmark);
-4. the peer then enumerates model combinations against its private test
-   set, logs the full accuracy table, adopts the best combination, and
-   moves on (ties broken uniformly at random, as the paper specifies).
+2. each round is a short sequence of named phases that hand one
+   :class:`~repro.core.rounds.Round` — the round's working set and clock
+   marks — to each other.  *Open*: enact crash windows and absences, pick
+   the live subcohort, broadcast ``open_round``.  *Train + submit*: every
+   live peer trains locally (simulated duration), uploads its weights
+   off-chain, and its ``submit_model`` transaction is scheduled for when
+   training ends;
+3. *quorum*: miners include the submissions in blocks; each peer polls
+   its *own* chain view until its waiting policy fires against the peers
+   still in the round (wait-for-all reproduces the paper's tables;
+   wait-for-k drives the async trade-off benchmark).  *Fetch views*: each
+   surviving peer's visible updates are fetched once;
+4. *aggregate | vote*: the peer enumerates model combinations against its
+   private test set, logs the full accuracy table and adopts the best
+   combination (ties broken uniformly at random, as the paper specifies)
+   — or, in global-vote mode, votes a common aggregate on chain.  *Rate*
+   (reputation extension) and *close* finish the round.
 
 The result object holds, for every (peer, round, combination), the accuracy
 that Tables II-IV report, plus the timing telemetry behind the headline
@@ -21,9 +30,8 @@ speed/precision claim.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,15 +54,10 @@ from repro.contracts import register_all
 from repro.core.offchain import OffchainStore
 from repro.core.participation import ParticipationPlan, ParticipationSpec
 from repro.core.peer import FullPeer, PeerConfig, peer_keypair, registration_transaction
-from repro.core.rounds import RoundTracker
+from repro.core.rounds import Round
 from repro.core.shard import PeerRoundLog, PeerShard
 from repro.data.dataset import Dataset
-from repro.errors import (
-    ConfigError,
-    GatewayError,
-    GatewayUnavailableError,
-    RoundError,
-)
+from repro.errors import ConfigError, GatewayError, RoundError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyGateway, ResilientGateway
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
 from repro.nn.model import Sequential
@@ -263,13 +266,12 @@ class DecentralizedFL:
             self.shard.add_peer(
                 pc, gateway, train_sets.get(pc.peer_id), test_sets.get(pc.peer_id)
             )
-        self.trackers: dict[str, RoundTracker] = {
-            peer_id: RoundTracker(peer_id, config.policy, cohort_size=len(self.peer_ids))
-            for peer_id in self.peer_ids
-        }
         self.round_logs: list[PeerRoundLog] = []
         self.reputation_address: Optional[Address] = None
         self._deployed = False
+        #: Id of the last round the open phase accepted; rounds only move
+        #: forward, so replaying one is refused before any side effect.
+        self._last_opened = 0
         #: Rounds that ran to completion (== config.rounds on a clean run).
         self.completed_rounds = 0
         #: Why ``run()`` stopped early, or "" (faults-active runs only).
@@ -296,38 +298,21 @@ class DecentralizedFL:
         peer derives them locally, like reading a Truffle artifact.
         """
         deployer = self.peers[self.peer_ids[0]]
-        registry_tx = deployer.make_transaction(
-            to=None, args={"contract": "participant_registry", "open_enrollment": True}
-        )
-        registry_address = self.runtime.contract_address(deployer.address, registry_tx.nonce)
-        deployer.gateway.submit(registry_tx)
 
-        store_tx = deployer.make_transaction(
-            to=None, args={"contract": "model_store", "registry_address": registry_address}
-        )
-        store_address = self.runtime.contract_address(deployer.address, store_tx.nonce)
-        deployer.gateway.submit(store_tx)
+        def deploy(contract: str, **args) -> Address:
+            tx = deployer.make_transaction(to=None, args={"contract": contract, **args})
+            deployer.gateway.submit(tx)
+            return self.runtime.contract_address(deployer.address, tx.nonce)
 
-        coord_tx = deployer.make_transaction(
-            to=None,
-            args={
-                "contract": "aggregation_coordinator",
-                "model_store_address": store_address,
-                "quorum": len(self.peer_ids),
-                "vote_threshold": (len(self.peer_ids) // 2) + 1,
-            },
+        registry_address = deploy("participant_registry", open_enrollment=True)
+        store_address = deploy("model_store", registry_address=registry_address)
+        coordinator_address = deploy(
+            "aggregation_coordinator",
+            model_store_address=store_address,
+            quorum=len(self.peer_ids),
+            vote_threshold=(len(self.peer_ids) // 2) + 1,
         )
-        coordinator_address = self.runtime.contract_address(deployer.address, coord_tx.nonce)
-        deployer.gateway.submit(coord_tx)
-
-        reputation_tx = deployer.make_transaction(
-            to=None,
-            args={"contract": "reputation_ledger", "initial_score": REPUTATION_INITIAL_SCORE},
-        )
-        self.reputation_address = self.runtime.contract_address(
-            deployer.address, reputation_tx.nonce
-        )
-        deployer.gateway.submit(reputation_tx)
+        self.reputation_address = deploy("reputation_ledger", initial_score=REPUTATION_INITIAL_SCORE)
 
         # Phase 1: mine the deployments everywhere before anyone registers,
         # otherwise registration transactions execute against an address
@@ -414,45 +399,49 @@ class DecentralizedFL:
         dropped from it, and the waiting policy quorums against the
         survivors — the round completes on whoever is left.
         """
+        rnd = self._open_round(round_id)
+        if rnd is None:
+            return []  # scheduled but skipped
+        self._train_and_submit(rnd)
+        self._await_quorum(rnd)
+        survivors = self._fetch_views(rnd)
+        if self.config.mode == "global_vote":
+            logs = self._vote_global(round_id, survivors)
+        else:
+            logs = self.shard.score(round_id, survivors)
+        self._record(rnd, logs)
+        if self.config.enable_reputation:
+            # One rater at a time, cohort order: rating transactions must
+            # reach the mempool in the same order under every runtime.
+            for rater_id in survivors:
+                self.shard.rate(round_id, rater_id)
+        self.last_finished_round = round_id
+        return logs
+
+    def _open_round(self, round_id: int) -> Optional[Round]:
+        """Open phase: enact absences, pick the working set, broadcast
+        ``open_round``.  Returns ``None`` for a round that is skipped."""
         if not self._deployed:
             raise RoundError("deploy_contracts() must run before rounds")
-        injector = self.fault_injector
-        if injector is not None:
-            injector.begin_round(round_id)
-        fault_down = (
-            self.fault_plan.down(round_id) if self.fault_plan is not None else frozenset()
-        )
-        if injector is not None or self.participation.has_absences:
-            self._apply_absences(round_id, fault_down)
+        if round_id <= self._last_opened:
+            raise RoundError(f"round {round_id} already opened")
+        self._last_opened = round_id
+        fault_down: frozenset = frozenset()
+        if self.fault_injector is not None:
+            self.fault_injector.begin_round(round_id)
+            fault_down = self.fault_plan.down(round_id)
+        self._transition_crashes(fault_down | self.participation.offline(round_id), round_id)
         # The round's working set: the participation plan's selected
         # subcohort (the whole cohort under full participation) minus any
         # fault-plan crash window.
-        live = [
-            peer_id
-            for peer_id in self.participation.active(round_id)
-            if peer_id not in fault_down
-        ]
-        if self.participation.engaged and len(live) < 2:
+        live = [pid for pid in self.participation.active(round_id) if pid not in fault_down]
+        if len(live) < 2:
             # Churn/windows left no workable subcohort: the scheduled round
             # is skipped outright (no open_round, no training) rather than
-            # degenerating to single-peer "federation".
+            # degenerating to single-peer "federation".  (Crash windows
+            # alone always leave ``MIN_LIVE_PEERS`` standing.)
             self.skipped_rounds.append(round_id)
-            return []
-        dropped: set[str] = set()
-
-        @contextmanager
-        def may_drop(peer_id: str) -> Iterator[None]:
-            """The one place a round loses a peer: with the fault harness
-            on, a gateway that gave up (:class:`GatewayUnavailableError`)
-            drops its peer from the round and abandons the guarded step;
-            fault-free runs propagate the error."""
-            try:
-                yield
-            except GatewayUnavailableError:
-                if injector is None:
-                    raise
-                dropped.add(peer_id)
-
+            return None
         # The first peer is never in a crash window (windows take the
         # cohort tail and always leave the head live), so the coordinator
         # and the wait-driving gateway stay the same peer as fault-free.
@@ -466,98 +455,105 @@ class DecentralizedFL:
             open_args["quorum"] = len(live)
             open_args["vote_threshold"] = (len(live) // 2) + 1
         open_tx = coordinator.make_transaction(
-            to=coordinator.coordinator_address,
-            method="open_round",
-            args=open_args,
+            to=coordinator.coordinator_address, method="open_round", args=open_args
         )
         coordinator.gateway.submit(open_tx)
+        return Round(
+            round_id, live, opened_at=self.sim.now, degradable=self.fault_injector is not None
+        )
 
-        round_start = self.sim.now
-        submitted_at: dict[str, float] = {}
+    def _train_and_submit(self, rnd: Round) -> None:
+        """Train locally now; schedule each submission for when the
+        peer's simulated training time has elapsed.
 
-        # Train locally (real computation now, simulated completion later).
-        # The simulated clock is frozen throughout `shard.train`, nonce
-        # reads are per-address, and off-chain puts are content-addressed
-        # — so the per-peer work is order-independent and the multiprocess
-        # coordinator fans it out to workers; submissions stay serialized
-        # on the event engine below either way.
-        for peer_id in live:
-            self.trackers[peer_id].open_round(round_id, round_start)
-        trained = self.shard.train(round_id, live)
-        for peer_id in live:
+        The simulated clock is frozen throughout ``shard.train``, nonce
+        reads are per-address, and off-chain puts are content-addressed —
+        so the per-peer work is order-independent and the multiprocess
+        coordinator fans it out to workers; submissions stay serialized on
+        the event engine either way.
+        """
+        trained = self.shard.train(rnd.round_id, rnd.live)
+        for peer_id in rnd.live:
             tx, duration = trained[peer_id]
 
             def submit(peer_id=peer_id, tx=tx) -> None:
-                self.trackers[peer_id].mark_trained(round_id, self.sim.now)
-                with may_drop(peer_id):
+                with rnd.may_drop(peer_id):
                     self.peers[peer_id].gateway.submit(tx)
-                    self.trackers[peer_id].mark_submitted(round_id, self.sim.now)
-                    submitted_at[peer_id] = self.sim.now
+                    rnd.submitted_at[peer_id] = self.sim.now
 
-            self.sim.schedule_in(duration, submit, label=f"train-{peer_id}-r{round_id}")
+            self.sim.schedule_in(duration, submit, label=f"train-{peer_id}-r{rnd.round_id}")
 
-        # Each peer waits (per policy) on its own chain view, then aggregates.
-        logs: list[PeerRoundLog] = []
-        pending = set(live)
-        ready_at: dict[str, float] = {}
+    def _await_quorum(self, rnd: Round) -> None:
+        """Each submitted peer polls its own chain view until the waiting
+        policy fires; ``ready_at`` is recorded once, because a ready peer
+        leaves ``pending``."""
+        policy = self.config.policy
+        pending = set(rnd.live)
 
         def poll() -> bool:
             for peer_id in sorted(pending):
-                if peer_id in submitted_at:
-                    with may_drop(peer_id):
-                        visible = len(self.peers[peer_id].visible_submissions(round_id))
-                        expected = (
-                            len(live) - len(dropped)
-                            if injector is not None or self.participation.engaged
-                            else None
-                        )
-                        if self.trackers[peer_id].check_ready(
-                            round_id, visible, self.sim.now, expected=expected
-                        ):
-                            ready_at[peer_id] = self.sim.now
+                if peer_id in rnd.submitted_at:
+                    with rnd.may_drop(peer_id):
+                        visible = len(self.peers[peer_id].visible_submissions(rnd.round_id))
+                        if policy.ready(visible, rnd.expected(), self.sim.now - rnd.opened_at):
+                            rnd.ready_at[peer_id] = self.sim.now
                             pending.discard(peer_id)
-                if peer_id in dropped:
+                if peer_id in rnd.dropped:
                     pending.discard(peer_id)
             return not pending
 
-        self._wait_until(poll, f"round {round_id} quorum")
+        self._wait_until(poll, f"round {rnd.round_id} quorum")
 
-        # Each surviving peer's view of the round is fetched (and memoized)
-        # by its shard; the barrier itself only needs to know it is there.
-        viewers: set[str] = set()
-        for peer_id in live:
-            if peer_id in dropped:
+    def _fetch_views(self, rnd: Round) -> list[str]:
+        """Have each remaining peer's shard fetch (and memoize) its view of
+        the round; returns the survivors in cohort order — fault-free this
+        IS ``self.peer_ids``, so every downstream iteration is
+        byte-identical to the seed's."""
+        survivors: list[str] = []
+        for peer_id in rnd.live:
+            if peer_id in rnd.dropped:
                 continue
-            with may_drop(peer_id):
-                if not self.shard.view(round_id, peer_id):
-                    raise RoundError(f"{peer_id}: no updates visible in round {round_id}")
-                viewers.add(peer_id)
-        if not viewers:
-            raise RoundError(f"round {round_id}: every peer crashed or was dropped")
+            with rnd.may_drop(peer_id):
+                if not self.shard.view(rnd.round_id, peer_id):
+                    raise RoundError(f"{peer_id}: no updates visible in round {rnd.round_id}")
+                survivors.append(peer_id)
+        if not survivors:
+            raise RoundError(f"round {rnd.round_id}: every peer crashed or was dropped")
+        return survivors
 
-        # Survivors in cohort order: fault-free this IS self.peer_ids, so
-        # every downstream iteration is byte-identical to the seed's.
-        survivors = [peer_id for peer_id in self.peer_ids if peer_id in viewers]
-        if self.config.mode == "global_vote":
-            logs = self._global_vote_round(round_id, survivors)
-        else:
-            logs = self.shard.score(round_id, survivors)
+    def _vote_global(self, round_id: int, voters: list[str]) -> list[PeerRoundLog]:
+        """Operating mode 2: vote a common global model on chain.
+
+        Every peer aggregates everything it can see, uploads the aggregate
+        off-chain, and votes its hash through the coordinator.  Once a hash
+        reaches the finalization threshold, all peers adopt it — a global
+        model without a fixed single aggregator (the paper's single-point-
+        of-failure fix in its FL-flavoured mode).  Votes go out one voter
+        at a time, in cohort order, so mempool arrival order is the same
+        under every runtime.
+        """
+        for peer_id in voters:
+            self.shard.vote(round_id, peer_id)
+        peers = [self.peers[peer_id] for peer_id in voters]
+        self._wait_until(
+            lambda: all(
+                peer.gateway.call(peer.coordinator_address, "finalized_hash", round_id=round_id)
+                is not None
+                for peer in peers
+            ),
+            f"round {round_id} finalization",
+        )
+        return [self.shard.adopt_final(round_id, peer_id) for peer_id in voters]
+
+    def _record(self, rnd: Round, logs: list[PeerRoundLog]) -> None:
+        """Copy the round's clock marks onto its logs and keep them."""
         for log in logs:
-            log.submitted_at = submitted_at[log.peer_id]
-            log.ready_at = ready_at[log.peer_id]
+            log.submitted_at = rnd.submitted_at[log.peer_id]
+            log.ready_at = rnd.ready_at[log.peer_id]
             log.aggregated_at = self.sim.now
-            self.trackers[log.peer_id].mark_aggregated(round_id, self.sim.now)
             self.round_logs.append(log)
 
-        if self.config.enable_reputation:
-            # One rater at a time, cohort order: rating transactions must
-            # reach the mempool in the same order under every runtime.
-            for rater_id in survivors:
-                self.shard.rate(round_id, rater_id)
-        self.last_finished_round = round_id
-        return logs
-
-    def _apply_absences(self, round_id: int, fault_down: frozenset) -> None:
+    def _transition_crashes(self, now_down: frozenset, round_id: int) -> None:
         """Enact crash windows and participation absences at a round boundary.
 
         A peer *entering* an absence (fault-plan crash window, availability
@@ -570,16 +566,15 @@ class DecentralizedFL:
         the same weights a vanilla client joining late would pull.
 
         Merely *unsampled* peers are not absences: their nodes keep mining
-        and they simply do no FL work this round.
+        and they simply do no FL work this round.  With nobody entering or
+        leaving — every boundary of a run with neither axis on — nothing
+        is drawn and no gateway is called.
         """
-        self._transition_crashes(
-            frozenset(fault_down | self.participation.offline(round_id)), round_id
-        )
-
-    def _transition_crashes(self, now_down: frozenset, round_id: int) -> None:
         # Identities participation never materialized have no node to
         # partition or heal; their planned absences are vacuous.
         now_down = frozenset(pid for pid in now_down if pid in self.peers)
+        if now_down == self._down_prev:
+            return
         entering = now_down - self._down_prev
         leaving = self._down_prev - now_down
         self._down_prev = now_down
@@ -629,34 +624,7 @@ class DecentralizedFL:
             # Leave round context first: the rejoin wait below reads the
             # rejoining peer's own gateway, which must no longer refuse.
             self.fault_injector.end_run()
-        if self.fault_plan is not None or self.participation.has_absences:
-            self._transition_crashes(frozenset(), self.last_finished_round + 1)
-
-    def _global_vote_round(self, round_id: int, voters: list[str]) -> list[PeerRoundLog]:
-        """Operating mode 2: vote a common global model on chain.
-
-        Every peer aggregates everything it can see, uploads the aggregate
-        off-chain, and votes its hash through the coordinator.  Once a hash
-        reaches the finalization threshold, all peers adopt it — a global
-        model without a fixed single aggregator (the paper's single-point-
-        of-failure fix in its FL-flavoured mode).  Votes go out one voter
-        at a time, in cohort order, so mempool arrival order is the same
-        under every runtime.
-        """
-        for peer_id in voters:
-            self.shard.vote(round_id, peer_id)
-
-        def finalized_everywhere() -> bool:
-            return all(
-                peer.gateway.call(
-                    peer.coordinator_address, "finalized_hash", round_id=round_id
-                )
-                is not None
-                for peer in (self.peers[peer_id] for peer_id in voters)
-            )
-
-        self._wait_until(finalized_everywhere, f"round {round_id} finalization")
-        return [self.shard.adopt_final(round_id, peer_id) for peer_id in voters]
+        self._transition_crashes(frozenset(), self.last_finished_round + 1)
 
     def reputation_of(self, peer_id: str, viewer_id: Optional[str] = None) -> int:
         """Current on-chain reputation score of ``peer_id``."""
@@ -688,40 +656,28 @@ class DecentralizedFL:
         finished, and ``abort_reason`` says why.  Fault-free runs keep
         the original raise-on-failure contract.
         """
-        faults_on = self.fault_injector is not None
-        absences_on = self.participation.has_absences
         self.completed_rounds = 0
         self.abort_reason = ""
         self.skipped_rounds = []
         self.last_finished_round = 0
-        if not self._deployed:
-            if faults_on:
-                try:
-                    self.deploy_contracts()
-                except (RoundError, GatewayError) as exc:
-                    self.abort_reason = f"deploy: {exc}"
-                    self._finalize_faults()
-                    self.network.stop_mining()
-                    return self.round_logs
-            else:
+        step = "deploy"
+        try:
+            if not self._deployed:
                 self.deploy_contracts()
-        for round_id in range(1, self.config.rounds + 1):
-            if faults_on:
-                try:
-                    self.run_round(round_id)
-                except (RoundError, GatewayError) as exc:
-                    self.abort_reason = f"round {round_id}: {exc}"
-                    break
-            else:
+            for round_id in range(1, self.config.rounds + 1):
+                step = f"round {round_id}"
                 self.run_round(round_id)
-            if self.skipped_rounds and self.skipped_rounds[-1] == round_id:
-                continue  # scheduled but skipped: not a completed round
-            self.completed_rounds += 1
-        if faults_on or absences_on:
-            self._finalize_faults()
-        if self.config.enable_reputation:
-            # Let the final round's rating transactions get mined before
-            # the chain quiesces.
+                if self.skipped_rounds and self.skipped_rounds[-1] == round_id:
+                    continue  # scheduled but skipped: not a completed round
+                self.completed_rounds += 1
+        except (RoundError, GatewayError) as exc:
+            if self.fault_injector is None:
+                raise
+            self.abort_reason = f"{step}: {exc}"
+        self._finalize_faults()
+        # Let the final round's rating transactions get mined before the
+        # chain quiesces (a run that aborted in deployment has none).
+        if self.config.enable_reputation and self._deployed:
             self.network.run_for(5 * self.config.chain.target_block_interval)
         self.network.stop_mining()
         return self.round_logs

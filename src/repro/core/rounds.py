@@ -1,125 +1,56 @@
-"""Round state machine for the decentralized protocol.
+"""One record of a communication round: the :class:`Round`.
 
-Tracks, per communication round, which peers have visible on-chain
-submissions and when each waiting policy fired — the raw material of the
-speed side of the speed/precision trade-off.
+The paper's speed metric is one subtraction per peer per round — the
+instant the peer's waiting policy fired minus the instant its own
+submission went out.  The driver's phases (:meth:`repro.core.decentralized
+.DecentralizedFL.run_round`) hand one ``Round`` to each other; it holds
+those instants and the round's working set, and nothing else does.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Optional
+from typing import Iterator
 
-from repro.errors import RoundError
-from repro.fl.async_policy import AsyncPolicy
-
-
-class RoundState(Enum):
-    """Lifecycle of one round from a single peer's perspective."""
-
-    IDLE = "idle"
-    TRAINING = "training"
-    SUBMITTED = "submitted"
-    WAITING = "waiting"
-    AGGREGATED = "aggregated"
+from repro.errors import GatewayUnavailableError
 
 
 @dataclass
-class RoundTimeline:
-    """Timestamps (simulated seconds) of one peer's round milestones."""
+class Round:
+    """Working set and clock marks (simulated seconds) of one round.
+
+    Built by the driver's open phase from the participation and fault
+    plans — ``live`` is the selected subcohort minus any crash window, in
+    cohort order, and ``degradable`` says whether the fault harness is on.
+    Fault-free, full-participation runs have ``live`` equal to the whole
+    cohort and can never drop a peer.
+    """
 
     round_id: int
-    opened_at: float = 0.0
-    training_done_at: Optional[float] = None
-    submitted_at: Optional[float] = None
-    quorum_at: Optional[float] = None
-    aggregated_at: Optional[float] = None
+    live: list[str]
+    opened_at: float
+    degradable: bool = False
+    dropped: set[str] = field(default_factory=set)
+    submitted_at: dict[str, float] = field(default_factory=dict)
+    ready_at: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def wait_time(self) -> Optional[float]:
-        """Seconds spent between submitting and reaching quorum."""
-        if self.submitted_at is None or self.quorum_at is None:
-            return None
-        return max(self.quorum_at - self.submitted_at, 0.0)
+    def expected(self) -> int:
+        """How many submissions the waiting policy quorums against: the
+        peers still in the round, so wait-for-all degrades to
+        wait-for-the-survivors instead of waiting forever for a crashed or
+        dropped peer."""
+        return len(self.live) - len(self.dropped)
 
-    @property
-    def total_time(self) -> Optional[float]:
-        """Seconds from round open to aggregation."""
-        if self.aggregated_at is None:
-            return None
-        return self.aggregated_at - self.opened_at
-
-
-@dataclass
-class RoundTracker:
-    """Per-peer state machine with policy-based readiness checks."""
-
-    peer_id: str
-    policy: AsyncPolicy
-    cohort_size: int
-    state: RoundState = RoundState.IDLE
-    current_round: int = -1
-    timelines: dict[int, RoundTimeline] = field(default_factory=dict)
-
-    def open_round(self, round_id: int, now: float) -> RoundTimeline:
-        """Begin a round (moves to TRAINING)."""
-        if round_id in self.timelines:
-            raise RoundError(f"{self.peer_id}: round {round_id} already opened")
-        timeline = RoundTimeline(round_id=round_id, opened_at=now)
-        self.timelines[round_id] = timeline
-        self.current_round = round_id
-        self.state = RoundState.TRAINING
-        return timeline
-
-    def mark_trained(self, round_id: int, now: float) -> None:
-        """Local training finished."""
-        self._timeline(round_id).training_done_at = now
-        self.state = RoundState.SUBMITTED
-
-    def mark_submitted(self, round_id: int, now: float) -> None:
-        """Model commitment broadcast to the chain."""
-        self._timeline(round_id).submitted_at = now
-        self.state = RoundState.WAITING
-
-    def check_ready(
-        self,
-        round_id: int,
-        submissions_visible: int,
-        now: float,
-        expected: Optional[int] = None,
-    ) -> bool:
-        """Evaluate the waiting policy; record the first time it fires.
-
-        ``expected`` overrides the cohort size the policy quorums
-        against — the round driver passes the number of peers actually
-        live this round when fault plans crash or drop peers, so
-        wait-for-all degrades to wait-for-the-survivors instead of
-        waiting forever for a crashed peer.
-        """
-        timeline = self._timeline(round_id)
-        elapsed = now - timeline.opened_at
-        cohort = self.cohort_size if expected is None else expected
-        ready = self.policy.ready(submissions_visible, cohort, elapsed)
-        if ready and timeline.quorum_at is None:
-            timeline.quorum_at = now
-        return ready
-
-    def mark_aggregated(self, round_id: int, now: float) -> None:
-        """Aggregation complete (moves to AGGREGATED)."""
-        self._timeline(round_id).aggregated_at = now
-        self.state = RoundState.AGGREGATED
-
-    def _timeline(self, round_id: int) -> RoundTimeline:
+    @contextmanager
+    def may_drop(self, peer_id: str) -> Iterator[None]:
+        """The one place a round loses a peer: with the fault harness on,
+        a gateway that gave up (:class:`GatewayUnavailableError`) drops its
+        peer from the round and abandons the guarded step; fault-free runs
+        propagate the error."""
         try:
-            return self.timelines[round_id]
-        except KeyError:
-            raise RoundError(f"{self.peer_id}: round {round_id} never opened") from None
-
-    def wait_times(self) -> dict[int, float]:
-        """Completed wait times per round (speed metric)."""
-        return {
-            round_id: timeline.wait_time
-            for round_id, timeline in sorted(self.timelines.items())
-            if timeline.wait_time is not None
-        }
+            yield
+        except GatewayUnavailableError:
+            if not self.degradable:
+                raise
+            self.dropped.add(peer_id)

@@ -55,127 +55,36 @@ class PeerRoundLog:
         """Simulated seconds between own submission and policy readiness."""
         return max(self.ready_at - self.submitted_at, 0.0)
 
+    def to_wire(self) -> dict:
+        """Wire form of the search result (the clock marks are the
+        coordinator's; it stamps them after decoding).
 
-def choose_combination(
-    peer: FullPeer,
-    engine: CombinationEngine,
-    updates: list[ModelUpdate],
-    use_greedy: bool,
-) -> tuple[list, object]:
-    """One peer's combination search; returns ``(scored, chosen)``.
+        The accuracy table ships as an ordered ``[label, accuracy]`` pair
+        list: canonical JSON sorts dict keys, and the table's insertion
+        order (enumeration order of the combination search) must survive
+        the trip for report output to stay byte-identical.
+        """
+        return {
+            "peer": self.peer_id,
+            "table": [[label, acc] for label, acc in self.combination_accuracy.items()],
+            "chosen": list(self.chosen_combination),
+            "accuracy": self.chosen_accuracy,
+            "models_used": self.models_used,
+            "updates_visible": self.updates_visible,
+        }
 
-    Exhaustive enumeration reproduces the paper's tables; forward
-    selection logs only the adopted combination (the full table would
-    have 2^n rows).  Tie-breaking draws from ``peer.rng`` (exhaustive path
-    only), so the caller must hold the peer's canonical named stream.
-    """
-    if use_greedy:
-        chosen = engine.greedy(updates)
-        return [chosen], chosen
-    scored = engine.enumerate(updates)
-    top = pick_best(scored, peer.rng)
-    return scored, engine.materialize(top.members, updates, top.accuracy)
-
-
-def adopt_choice(
-    peer: FullPeer,
-    round_id: int,
-    updates: list[ModelUpdate],
-    scored: list,
-    chosen,
-) -> PeerRoundLog:
-    """Tail of the combination search: log the accuracy table
-    (``scored``: anything with ``label``/``accuracy``), record the
-    adopted combination, and install its weights."""
-    log = PeerRoundLog(peer_id=peer.peer_id, round_id=round_id)
-    for result in scored:
-        log.combination_accuracy[result.label] = result.accuracy
-    log.chosen_combination = chosen.members
-    log.chosen_accuracy = chosen.accuracy
-    log.models_used = len(chosen.members)
-    log.updates_visible = len(updates)
-    peer.adopt(chosen.weights)
-    return log
-
-
-def rate_visible_updates(
-    rater: FullPeer,
-    engine: CombinationEngine,
-    updates: list[ModelUpdate],
-    round_id: int,
-    reputation_address: Address,
-    address_of: Callable[[str], Address],
-    fitness_margin: float,
-) -> None:
-    """One rater's reputation pass over its visible updates.
-
-    A peer whose solo model scores within ``fitness_margin`` of the
-    rater's own solo earns +5; one that falls further behind (an
-    abnormal/noisy model) earns -10, building the on-chain record used to
-    exclude low-credibility peers.  Solo scores were already computed
-    during the aggregation search, so the fitness lookups are pure cache
-    hits — the rating pass adds zero model evaluations.
-    """
-    own = next((u for u in updates if u.client_id == rater.peer_id), None)
-    if own is None:
-        return
-    own_accuracy = engine.solo_accuracy(own)
-    for update in updates:
-        if update.client_id == rater.peer_id:
-            continue
-        fit = engine.solo_accuracy(update)
-        delta = 5 if fit >= own_accuracy - fitness_margin else -10
-        rate_tx = rater.make_transaction(
-            to=reputation_address,
-            method="rate",
-            args={
-                "round_id": round_id,
-                "subject": address_of(update.client_id),
-                "delta": delta,
-                "reason": f"fitness {fit:.3f} vs own {own_accuracy:.3f}",
-            },
+    @classmethod
+    def from_wire(cls, round_id: int, entry: dict) -> "PeerRoundLog":
+        """Decode :meth:`to_wire`'s payload."""
+        return cls(
+            peer_id=entry["peer"],
+            round_id=round_id,
+            combination_accuracy={label: accuracy for label, accuracy in entry["table"]},
+            chosen_combination=tuple(entry["chosen"]),
+            chosen_accuracy=entry["accuracy"],
+            models_used=entry["models_used"],
+            updates_visible=entry["updates_visible"],
         )
-        rater.gateway.submit(rate_tx)
-
-
-def submit_global_vote(
-    peer: FullPeer, updates: list[ModelUpdate], round_id: int, offchain
-) -> None:
-    """Aggregate the peer's visible set and vote its hash on chain.
-
-    Identical visible sets produce byte-identical aggregates, so the
-    content-addressed put stores the blob once; each peer still pays one
-    serialization to discover its aggregate's hash.
-    """
-    aggregate_hash = offchain.put_weights(fedavg(updates))
-    vote_tx = peer.make_transaction(
-        to=peer.coordinator_address,
-        method="vote_global",
-        args={"round_id": round_id, "aggregate_hash": aggregate_hash},
-    )
-    peer.gateway.submit(vote_tx)
-
-
-def adopt_global_model(
-    peer: FullPeer, updates: list[ModelUpdate], round_id: int, offchain
-) -> PeerRoundLog:
-    """Read the finalized aggregate, evaluate it locally, and adopt it."""
-    final_hash = peer.gateway.call(
-        peer.coordinator_address, "finalized_hash", round_id=round_id
-    )
-    weights = offchain.get_weights(final_hash)
-    accuracy = peer.evaluate_weights(weights)
-    peer.adopt(weights)
-    members = tuple(sorted(update.client_id for update in updates))
-    return PeerRoundLog(
-        peer_id=peer.peer_id,
-        round_id=round_id,
-        combination_accuracy={",".join(members): accuracy},
-        chosen_combination=members,
-        chosen_accuracy=accuracy,
-        models_used=len(members),
-        updates_visible=len(updates),
-    )
 
 
 class PeerShard:
@@ -309,38 +218,108 @@ class PeerShard:
         return [self._search(round_id, peer_id) for peer_id in peer_ids]
 
     def _search(self, round_id: int, peer_id: str) -> PeerRoundLog:
-        # One call per peer, so a peer's accuracy table and materialized
-        # aggregate are released before the next peer's search allocates.
+        """One peer's combination search: log the table, adopt the best.
+
+        Exhaustive enumeration reproduces the paper's tables; forward
+        selection logs only the adopted combination (the full table would
+        have 2^n rows).  Tie-breaking draws from ``peer.rng`` (exhaustive
+        path only) — the peer's canonical named stream, whichever shard
+        holds it.  One call per peer, so a peer's accuracy table and
+        materialized aggregate are released before the next peer's search
+        allocates.
+        """
         peer = self.peers[peer_id]
+        engine = self.engines[peer_id]
         updates = self.view(round_id, peer_id)
-        scored, chosen = choose_combination(
-            peer, self.engines[peer_id], updates, self._use_greedy(len(updates))
+        if self._use_greedy(len(updates)):
+            chosen = engine.greedy(updates)
+            scored = [chosen]
+        else:
+            scored = engine.enumerate(updates)
+            top = pick_best(scored, peer.rng)
+            chosen = engine.materialize(top.members, updates, top.accuracy)
+        peer.adopt(chosen.weights)
+        return PeerRoundLog(
+            peer_id=peer_id,
+            round_id=round_id,
+            combination_accuracy={result.label: result.accuracy for result in scored},
+            chosen_combination=chosen.members,
+            chosen_accuracy=chosen.accuracy,
+            models_used=len(chosen.members),
+            updates_visible=len(updates),
         )
-        return adopt_choice(peer, round_id, updates, scored, chosen)
 
     def vote(self, round_id: int, peer_id: str) -> None:
-        """Global-vote mode: aggregate the peer's view and vote its hash."""
-        submit_global_vote(
-            self.peers[peer_id], self.view(round_id, peer_id), round_id, self.offchain
+        """Global-vote mode: aggregate the peer's view and vote its hash.
+
+        Identical visible sets produce byte-identical aggregates, so the
+        content-addressed put stores the blob once; each peer still pays
+        one serialization to discover its aggregate's hash.
+        """
+        peer = self.peers[peer_id]
+        aggregate_hash = self.offchain.put_weights(fedavg(self.view(round_id, peer_id)))
+        vote_tx = peer.make_transaction(
+            to=peer.coordinator_address,
+            method="vote_global",
+            args={"round_id": round_id, "aggregate_hash": aggregate_hash},
         )
+        peer.gateway.submit(vote_tx)
 
     def adopt_final(self, round_id: int, peer_id: str) -> PeerRoundLog:
-        """Global-vote mode: adopt the aggregate the round finalized."""
-        return adopt_global_model(
-            self.peers[peer_id], self.view(round_id, peer_id), round_id, self.offchain
+        """Global-vote mode: read the aggregate the round finalized,
+        evaluate it locally, and adopt it."""
+        peer = self.peers[peer_id]
+        updates = self.view(round_id, peer_id)
+        final_hash = peer.gateway.call(
+            peer.coordinator_address, "finalized_hash", round_id=round_id
+        )
+        weights = self.offchain.get_weights(final_hash)
+        accuracy = peer.evaluate_weights(weights)
+        peer.adopt(weights)
+        members = tuple(sorted(update.client_id for update in updates))
+        return PeerRoundLog(
+            peer_id=peer_id,
+            round_id=round_id,
+            combination_accuracy={",".join(members): accuracy},
+            chosen_combination=members,
+            chosen_accuracy=accuracy,
+            models_used=len(members),
+            updates_visible=len(updates),
         )
 
     def rate(self, round_id: int, peer_id: str) -> None:
-        """Reputation extension: the peer rates the updates it saw."""
-        rate_visible_updates(
-            self.peers[peer_id],
-            self.engines[peer_id],
-            self.view(round_id, peer_id),
-            round_id,
-            self.reputation_address,
-            self.addresses.__getitem__,
-            self.config.reputation_fitness_margin,
-        )
+        """Reputation extension: the peer rates the updates it saw.
+
+        A peer whose solo model scores within ``reputation_fitness_margin``
+        of the rater's own solo earns +5; one that falls further behind (an
+        abnormal/noisy model) earns -10, building the on-chain record used
+        to exclude low-credibility peers.  Solo scores were already computed
+        during the aggregation search, so the fitness lookups are pure cache
+        hits — the rating pass adds zero model evaluations.
+        """
+        rater = self.peers[peer_id]
+        engine = self.engines[peer_id]
+        updates = self.view(round_id, peer_id)
+        own = next((u for u in updates if u.client_id == peer_id), None)
+        if own is None:
+            return
+        own_accuracy = engine.solo_accuracy(own)
+        margin = self.config.reputation_fitness_margin
+        for update in updates:
+            if update.client_id == peer_id:
+                continue
+            fit = engine.solo_accuracy(update)
+            rate_tx = rater.make_transaction(
+                to=self.reputation_address,
+                method="rate",
+                args={
+                    "round_id": round_id,
+                    "subject": self.addresses[update.client_id],
+                    "delta": 5 if fit >= own_accuracy - margin else -10,
+                    "reason": f"fitness {fit:.3f} vs own {own_accuracy:.3f}",
+                },
+            )
+            rater.gateway.submit(rate_tx)
 
     def catch_up(self, fetch_round: int, peer_id: str) -> int:
         """Rejoin catch-up: adopt the FedAvg of ``fetch_round``'s updates.

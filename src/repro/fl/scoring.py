@@ -34,7 +34,7 @@ A single-member subset *is* its member's weights bit-for-bit (FedAvg's
 ``n/n = 1.0`` coefficient is exact), so solo subsets are keyed by the raw
 content hash.  That one identity is what lets
 :func:`CombinationEngine.threshold_filter` and the reputation rating pass
-(:func:`repro.core.shard.rate_visible_updates`) reuse the
+(:meth:`repro.core.shard.PeerShard.rate`) reuse the
 solo scores computed during enumeration instead of re-evaluating them.
 
 Incremental aggregation

@@ -50,18 +50,6 @@ def _merge_numbers(into: dict, extra: dict) -> None:
             into[key] = into.get(key, 0) + value
 
 
-def _log_from_payload(round_id: int, entry: dict) -> PeerRoundLog:
-    """Decode the worker's wire form of a :class:`PeerRoundLog`."""
-    log = PeerRoundLog(peer_id=entry["peer"], round_id=round_id)
-    for label, accuracy in entry["table"]:
-        log.combination_accuracy[label] = accuracy
-    log.chosen_combination = tuple(entry["chosen"])
-    log.chosen_accuracy = entry["accuracy"]
-    log.models_used = entry["models_used"]
-    log.updates_visible = entry["updates_visible"]
-    return log
-
-
 class RemoteShard:
     """:class:`~repro.core.shard.PeerShard`'s methods, served by the workers.
 
@@ -148,13 +136,13 @@ class RemoteShard:
             for value, _blobs in self._grouped("score", peer_ids, round=round_id)
             for entry in value
         }
-        return [_log_from_payload(round_id, payloads[peer_id]) for peer_id in peer_ids]
+        return [PeerRoundLog.from_wire(round_id, payloads[peer_id]) for peer_id in peer_ids]
 
     def vote(self, round_id: int, peer_id: str) -> None:
         self._single("vote", round_id, peer_id)
 
     def adopt_final(self, round_id: int, peer_id: str) -> PeerRoundLog:
-        return _log_from_payload(round_id, self._single("adopt_final", round_id, peer_id))
+        return PeerRoundLog.from_wire(round_id, self._single("adopt_final", round_id, peer_id))
 
     def rate(self, round_id: int, peer_id: str) -> None:
         self._single("rate", round_id, peer_id)

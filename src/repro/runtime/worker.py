@@ -60,24 +60,6 @@ SHARD_OPS = (
 )
 
 
-def _log_payload(log) -> dict:
-    """Wire form of a :class:`~repro.core.decentralized.PeerRoundLog`.
-
-    The accuracy table ships as an ordered ``[label, accuracy]`` pair
-    list: canonical JSON sorts dict keys, and the table's insertion
-    order (enumeration order of the combination search) must survive
-    the trip for report output to stay byte-identical.
-    """
-    return {
-        "peer": log.peer_id,
-        "table": [[label, acc] for label, acc in log.combination_accuracy.items()],
-        "chosen": list(log.chosen_combination),
-        "accuracy": log.chosen_accuracy,
-        "models_used": log.models_used,
-        "updates_visible": log.updates_visible,
-    }
-
-
 class WorkerRuntime:
     """Task loop for one worker process."""
 
@@ -221,7 +203,7 @@ class WorkerRuntime:
 
     def _score(self, params: dict):
         logs = self.shard.score(int(params["round"]), params["peers"])
-        return [_log_payload(log) for log in logs]
+        return [log.to_wire() for log in logs]
 
     def _rate(self, params: dict):
         self.shard.rate(int(params["round"]), params["peer"])
@@ -232,7 +214,7 @@ class WorkerRuntime:
         return "voted"
 
     def _adopt_final(self, params: dict):
-        return _log_payload(self.shard.adopt_final(int(params["round"]), params["peer"]))
+        return self.shard.adopt_final(int(params["round"]), params["peer"]).to_wire()
 
     def _catch_up(self, params: dict):
         return self.shard.catch_up(int(params["round"]), params["peer"])

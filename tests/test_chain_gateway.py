@@ -11,11 +11,15 @@ programs against:
   failed reorgs and snapshot syncs);
 * ``BatchingGateway`` head-keyed caching with the bounded staleness
   window, and that the backend never changes an end-to-end result;
-* full ``chain_stats()`` digests of four small runs, pinned in
-  ``tests/fixtures/chain_stats_digests.json``;
+* full ``chain_stats()`` digests of five small runs, pinned in
+  ``tests/fixtures/chain_stats_digests.json`` beside the flattened
+  counters each was computed from, so a failure names the first key that
+  moved instead of "digest differs";
 * the architectural seam: no FL-layer module reaches into ``.node``.
 
-Re-pin the digests (deliberate counter changes only)::
+Record the counters (refused, naming what moved, if a run no longer
+hashes to its pinned digest; to re-pin on a deliberate counter change,
+delete that entry from the fixture's ``"digests"`` first)::
 
     PYTHONPATH=src python tests/test_chain_gateway.py --regenerate
 """
@@ -23,6 +27,7 @@ Re-pin the digests (deliberate counter changes only)::
 import copy
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -948,8 +953,8 @@ def digest_specs() -> dict:
     }
 
 
-def chain_stats_digest(spec) -> str:
-    """SHA-256 of the whole ``chain_stats()`` minus its wall-clock fields:
+def scrubbed_chain_stats(spec) -> dict:
+    """The run's whole ``chain_stats()`` minus its wall-clock fields:
     in-process it holds none (``GatewayStats.as_dict`` leaves those out);
     the multiprocess runtime's ``wire`` block names each one ``*seconds*``."""
     stats = run_scenario(spec).chain_stats
@@ -958,7 +963,56 @@ def chain_stats_digest(spec) -> str:
         stats["gateway"]["wire"] = {
             key: value for key, value in wire.items() if "seconds" not in key
         }
+    return stats
+
+
+def stats_digest(stats: dict) -> str:
     return hashlib.sha256(canonical_dumps(stats)).hexdigest()
+
+
+def flatten(value, prefix: str = "") -> dict:
+    """``{"gateway.requested.calls": 412, "heights.P00": 9, ...}``: one
+    entry per leaf, dict keys joined with ``.`` and list items as ``[i]``;
+    an empty container is a leaf.  :func:`unflatten` inverts it."""
+    if isinstance(value, dict) and value:
+        assert not any(set(".[]") & set(str(key)) for key in value), sorted(value)
+        children = [(f"{prefix}.{key}" if prefix else str(key), item) for key, item in value.items()]
+    elif isinstance(value, list) and value:
+        children = [(f"{prefix}[{index}]", item) for index, item in enumerate(value)]
+    else:
+        return {prefix: value}
+    flat: dict = {}
+    for key, item in children:
+        flat.update(flatten(item, key))
+    return flat
+
+
+def unflatten(flat: dict):
+    tree: dict = {}
+    for key, leaf in flat.items():
+        path = [name or int(index) for name, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", key)]
+        node = tree
+        for token in path[:-1]:
+            node = node.setdefault(token, {})
+        node[path[-1]] = leaf
+
+    def lists_restored(node):
+        if not isinstance(node, dict) or not node:
+            return node
+        if all(isinstance(key, int) for key in node):
+            return [lists_restored(node[index]) for index in range(len(node))]
+        return {key: lists_restored(item) for key, item in node.items()}
+
+    return lists_restored(tree)
+
+
+def first_difference(pinned: dict, got: dict) -> str:
+    """Name the first (in key order) flattened counter that moved, or ""."""
+    absent = "<absent>"
+    for key in sorted(pinned.keys() | got.keys()):
+        if pinned.get(key, absent) != got.get(key, absent):
+            return f"{key}: pinned {pinned.get(key, absent)!r}, got {got.get(key, absent)!r}"
+    return ""
 
 
 class TestChainStatsDigests:
@@ -968,12 +1022,43 @@ class TestChainStatsDigests:
     read memo; ``multiprocess`` at the commit before the ``PeerShard``
     refactor, then re-recorded once for the 22 bytes per worker the
     ``init`` frame's encoded spec lost with ``selection_workers`` (every
-    other frame and counter stayed equal)."""
+    other frame and counter stayed equal).  Beside each digest the fixture
+    keeps the flattened counters it was computed from (recorded at the
+    commit before the ``Round`` refactor), so a failure names what moved."""
 
     @pytest.mark.parametrize("name", sorted(digest_specs()))
     def test_full_chain_stats_unchanged(self, name):
-        pinned = json.loads(DIGEST_FIXTURE.read_text())["digests"]
-        assert chain_stats_digest(digest_specs()[name]) == pinned[name]
+        fixture = json.loads(DIGEST_FIXTURE.read_text())
+        stats = scrubbed_chain_stats(digest_specs()[name])
+        moved = first_difference(fixture["stats"][name], flatten(stats))
+        if moved:
+            print(f"chain_stats[{name}] first differing key — {moved}")
+        assert stats_digest(stats) == fixture["digests"][name], moved
+
+    def test_pinned_counters_rehash_to_their_digests(self):
+        """The readable half of the fixture is the hashed half: a map
+        edited by hand, or recorded from a different run, fails here."""
+        fixture = json.loads(DIGEST_FIXTURE.read_text())
+        assert sorted(fixture["stats"]) == sorted(fixture["digests"]) == sorted(digest_specs())
+        for name, digest in fixture["digests"].items():
+            assert stats_digest(unflatten(fixture["stats"][name])) == digest, name
+
+    def test_flattening_round_trips_and_names_what_moved(self):
+        stats = {
+            "heights": {"A": 3, "B": 3},
+            "gateway": {"workers": [{"peers": ["A"], "calls": 7}, {"peers": [], "calls": 0}]},
+            "storage": {},
+            "skipped": [2, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20],
+        }
+        flat = flatten(stats)
+        assert flat["gateway.workers[0].peers[0]"] == "A" and flat["storage"] == {}
+        assert unflatten(flat) == stats
+        assert unflatten(dict(sorted(flat.items()))) == stats  # as json.dumps(sort_keys) stores it
+        assert first_difference(flat, flat) == ""
+        moved = {**flat, "gateway.workers[0].calls": 9}
+        del moved["heights.B"]
+        assert first_difference(flat, moved) == "gateway.workers[0].calls: pinned 7, got 9"
+        assert first_difference(flat, {**flat, "new": 1}) == "new: pinned '<absent>', got 1"
 
 
 class TestGatewaySeam:
@@ -1014,15 +1099,21 @@ if __name__ == "__main__":
     import sys
 
     if "--regenerate" in sys.argv:
-        payload = {
-            "_comment": (
-                "SHA-256 of the canonical JSON of chain_stats(), per spec of "
-                "digest_specs(). Regenerate only on a deliberate counter change: "
-                "PYTHONPATH=src python tests/test_chain_gateway.py --regenerate"
-            ),
-            "digests": {name: chain_stats_digest(spec) for name, spec in digest_specs().items()},
-        }
-        DIGEST_FIXTURE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fixture = json.loads(DIGEST_FIXTURE.read_text())
+        fixture.setdefault("stats", {})
+        for name, spec in digest_specs().items():
+            flat = flatten(scrubbed_chain_stats(spec))
+            digest = stats_digest(unflatten(flat))
+            pinned = fixture["digests"].setdefault(name, digest)
+            if digest != pinned:
+                sys.exit(
+                    f"{name}: this run hashes to {digest}, the fixture pins {pinned}; first "
+                    f"differing key — {first_difference(fixture['stats'].get(name, {}), flat)}\n"
+                    f"nothing written (to re-pin deliberately, delete {name!r} from "
+                    f"\"digests\" in {DIGEST_FIXTURE.name} first)"
+                )
+            fixture["stats"][name] = flat
+        DIGEST_FIXTURE.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
         print(f"wrote {DIGEST_FIXTURE}")
     else:
         sys.exit(pytest.main([__file__, "-q"]))

@@ -91,6 +91,23 @@ class TestDeployment:
         with pytest.raises(RoundError):
             driver.run_round(1)
 
+    def test_replayed_round_refused_before_side_effects(self):
+        """A second ``run_round(1)`` used to be refused only after its
+        ``open_round`` transaction had gone out (and reverted on chain)."""
+        driver = make_driver()
+        driver.deploy_contracts()
+        driver.run_round(1)
+        gateway = driver.peers["A"].gateway  # the coordinator's
+        address = driver.addresses["A"]
+        submits, nonce = gateway.stats.submits, gateway.next_nonce(address)
+        logged = len(driver.round_logs)
+        with pytest.raises(RoundError, match="round 1 already opened"):
+            driver.run_round(1)
+        assert gateway.stats.submits == submits
+        assert gateway.next_nonce(address) == nonce
+        assert len(driver.round_logs) == logged
+        assert len(driver.run_round(2)) == 3  # and the run carries on
+
     def test_two_peers_minimum(self):
         with pytest.raises(ConfigError):
             make_driver(peers=("A",))

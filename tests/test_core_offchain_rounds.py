@@ -1,13 +1,22 @@
-"""Tests for the off-chain store and the round state machine."""
+"""Tests for the off-chain store and the round record."""
 
 import numpy as np
 import pytest
 
 from repro.core.offchain import OffchainStore
-from repro.core.rounds import RoundState, RoundTracker
-from repro.errors import RoundError, SerializationError
+from repro.core.rounds import Round
+from repro.errors import (
+    GatewayError,
+    GatewayTimeoutError,
+    GatewayUnavailableError,
+    RoundError,
+    SerializationError,
+    TransientGatewayError,
+)
 from repro.fl.async_policy import WaitForAll, WaitForK
 from repro.nn.serialize import weights_hash
+
+from test_core_decentralized import make_driver
 
 
 class TestOffchainStore:
@@ -54,66 +63,102 @@ class TestOffchainStore:
         assert store.gets == 2
 
 
-class TestRoundTracker:
-    def _tracker(self, policy=None):
-        return RoundTracker("A", policy or WaitForAll(), cohort_size=3)
+class TestRound:
+    """The round record: its quorum size, its one way to lose a peer, and
+    — driven through a real 3-peer deployment — the clock marks the
+    paper's speed metric is computed from."""
 
-    def test_lifecycle(self):
-        tracker = self._tracker()
-        tracker.open_round(1, now=0.0)
-        assert tracker.state is RoundState.TRAINING
-        tracker.mark_trained(1, now=10.0)
-        assert tracker.state is RoundState.SUBMITTED
-        tracker.mark_submitted(1, now=11.0)
-        assert tracker.state is RoundState.WAITING
-        assert tracker.check_ready(1, submissions_visible=3, now=20.0)
-        tracker.mark_aggregated(1, now=21.0)
-        assert tracker.state is RoundState.AGGREGATED
+    def _round(self, degradable=False):
+        return Round(1, ["A", "B", "C"], opened_at=0.0, degradable=degradable)
 
-    def test_wait_time_computed(self):
-        tracker = self._tracker()
-        timeline = tracker.open_round(1, now=0.0)
-        tracker.mark_submitted(1, now=10.0)
-        tracker.check_ready(1, submissions_visible=3, now=25.0)
-        assert timeline.wait_time == 15.0
-        tracker.mark_aggregated(1, now=26.0)
-        assert timeline.total_time == 26.0
+    def test_expected_is_cohort_size_and_shrinks_per_drop(self):
+        rnd = self._round(degradable=True)
+        assert rnd.expected() == 3
+        for left, peer_id in ((2, "C"), (1, "B")):
+            with rnd.may_drop(peer_id):
+                raise GatewayUnavailableError("gave up")
+            assert rnd.expected() == left
+        assert rnd.dropped == {"B", "C"}
+        assert rnd.live == ["A", "B", "C"]  # the working set itself is not edited
 
-    def test_wait_for_k_fires_early(self):
-        tracker = self._tracker(WaitForK(2))
-        tracker.open_round(1, now=0.0)
-        tracker.mark_submitted(1, now=1.0)
-        assert not tracker.check_ready(1, submissions_visible=1, now=2.0)
-        assert tracker.check_ready(1, submissions_visible=2, now=3.0)
+    def test_may_drop_swallows_unavailable_when_degradable(self):
+        rnd = self._round(degradable=True)
+        with rnd.may_drop("B"):
+            raise GatewayUnavailableError("circuit open")
+        assert rnd.dropped == {"B"}
+        with rnd.may_drop("A"):
+            pass
+        assert rnd.dropped == {"B"}  # a step that succeeds drops nobody
 
-    def test_quorum_time_records_first_firing(self):
-        tracker = self._tracker(WaitForK(1))
-        timeline = tracker.open_round(1, now=0.0)
-        tracker.mark_submitted(1, now=1.0)
-        tracker.check_ready(1, submissions_visible=1, now=5.0)
-        tracker.check_ready(1, submissions_visible=3, now=9.0)
-        assert timeline.quorum_at == 5.0  # first time, not overwritten
+    def test_may_drop_reraises_when_not_degradable(self):
+        rnd = self._round(degradable=False)
+        with pytest.raises(GatewayUnavailableError):
+            with rnd.may_drop("B"):
+                raise GatewayUnavailableError("gave up")
+        assert rnd.dropped == set() and rnd.expected() == 3
 
-    def test_double_open_rejected(self):
-        tracker = self._tracker()
-        tracker.open_round(1, now=0.0)
-        with pytest.raises(RoundError):
-            tracker.open_round(1, now=1.0)
+    @pytest.mark.parametrize("degradable", [False, True])
+    @pytest.mark.parametrize(
+        "error", [GatewayError, GatewayTimeoutError, TransientGatewayError, RoundError]
+    )
+    def test_may_drop_never_swallows_other_errors(self, degradable, error):
+        rnd = self._round(degradable=degradable)
+        with pytest.raises(error):
+            with rnd.may_drop("B"):
+                raise error("not a give-up")
+        assert rnd.dropped == set()
 
-    def test_unopened_round_rejected(self):
-        tracker = self._tracker()
-        with pytest.raises(RoundError):
-            tracker.mark_trained(5, now=1.0)
+    def _staggered_run(self, policy):
+        """Three peers finishing training ~10/60/150 s in, two rounds;
+        returns the driver and every ``(peer, round, now, visible)`` its
+        peers' chain views answered."""
+        driver = make_driver(policy=policy, rounds=2, training_times=[10.0, 60.0, 150.0])
+        seen = []
+        for peer_id, peer in driver.peers.items():
+            def watched(round_id, peer_id=peer_id, inner=peer.visible_submissions):
+                records = inner(round_id)
+                seen.append((peer_id, round_id, driver.sim.now, len(records)))
+                return records
+            peer.visible_submissions = watched
+        driver.run()
+        return driver, seen
 
-    def test_wait_times_summary(self):
-        tracker = self._tracker(WaitForK(1))
+    def test_ready_at_is_first_instant_k_are_visible(self):
+        driver, seen = self._staggered_run(WaitForK(2))
+        assert len(driver.round_logs) == 6
+        for log in driver.round_logs:
+            mine = [
+                (now, visible)
+                for peer_id, round_id, now, visible in seen
+                if (peer_id, round_id) == (log.peer_id, log.round_id)
+            ]
+            # The quorum phase only polls a peer that has submitted, so
+            # every observation is a candidate firing instant.
+            assert log.ready_at == min(now for now, visible in mine if visible >= 2)
+        # The fast peer really waited: it saw fewer than two first, and
+        # fired before the slow peer's submission existed.
         for round_id in (1, 2):
-            tracker.open_round(round_id, now=round_id * 100.0)
-            tracker.mark_submitted(round_id, now=round_id * 100.0 + 5.0)
-            tracker.check_ready(round_id, 1, now=round_id * 100.0 + 8.0)
-        assert tracker.wait_times() == {1: 3.0, 2: 3.0}
+            by_peer = {
+                log.peer_id: log for log in driver.round_logs if log.round_id == round_id
+            }
+            fast, slow = by_peer["A"], by_peer["C"]
+            assert any(
+                visible < 2 and now < fast.ready_at
+                for peer_id, rnd_id, now, visible in seen
+                if (peer_id, rnd_id) == ("A", round_id)
+            )
+            assert fast.submitted_at < fast.ready_at < slow.submitted_at
 
-    def test_incomplete_round_excluded_from_wait_times(self):
-        tracker = self._tracker()
-        tracker.open_round(1, now=0.0)
-        assert tracker.wait_times() == {}
+    @pytest.mark.parametrize("policy", [WaitForAll(), WaitForK(2)], ids=["all", "k2"])
+    def test_wait_time_is_ready_minus_submitted(self, policy):
+        driver, _seen = self._staggered_run(policy)
+        assert len(driver.round_logs) == 6
+        for log in driver.round_logs:
+            assert log.submitted_at <= log.ready_at <= log.aggregated_at
+            assert log.wait_time == log.ready_at - log.submitted_at
+        summary = driver.wait_time_summary()
+        for peer_id, mean_wait in summary.items():
+            waits = [log.wait_time for log in driver.round_logs if log.peer_id == peer_id]
+            assert mean_wait == pytest.approx(sum(waits) / len(waits))
+        # Waiting is what the fast device pays for the slow one.
+        assert summary["A"] > summary["C"]
