@@ -90,8 +90,9 @@ class Mempool:
             return
         nonces = self._sender_nonces[tx.sender]
         index = bisect_left(nonces, tx.nonce)
+        tx_hash = tx.tx_hash
         while index < len(queue) and queue[index].nonce == tx.nonce:
-            if queue[index].tx_hash == tx.tx_hash:
+            if queue[index].tx_hash == tx_hash:
                 del queue[index]
                 del nonces[index]
                 break

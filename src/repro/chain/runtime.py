@@ -223,7 +223,15 @@ class ContractRuntime:
         block_number: int,
         timestamp: float,
     ) -> tuple[Any, list[LogEntry]]:
-        """Run a top-level contract call transaction."""
+        """Run a top-level contract call transaction.
+
+        ``tx.args`` is sealed (see :mod:`repro.chain.transaction`).  Every
+        contract parameter today is a scalar; a future one that takes a
+        container receives a tuple / read-only mapping and must copy it
+        (``list(...)`` / ``dict(...)``) before ``sstore``: a mapping proxy
+        can be neither pickled nor deep-copied, and
+        :meth:`WorldState.snapshot` deep-copies accounts.
+        """
         name = state.contract_name_of(tx.to)
         if name is None:
             raise ContractNotFoundError(f"no contract at {tx.to}")

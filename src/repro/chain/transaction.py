@@ -10,22 +10,39 @@ Validation is one-shot: the signing payload, digest, transaction hash, and
 signature-verification verdict are all memoized on the instance, so the
 three verification sites on a transaction's lifetime (mempool admission,
 block validation, execution) pay for one encode and one crypto check total.
-The cache is mutation-safe — assigning any signed field drops it, and
-in-place edits of the mutable containers (``args``, ``public_bundle``) are
-caught by re-probing their (small) canonical encoding on every cached read
-— so tampering after signing is still detected.  :data:`VALIDATION_STATS` counts the real work for the
-benchmarks.
+:data:`VALIDATION_STATS` counts the real work for the benchmarks.
+
+Tamper contract
+---------------
+``args`` and ``public_bundle`` are sealed at assignment: the transaction
+keeps a private, recursively read-only copy
+(:func:`~repro.utils.serialization.freeze` — mappings read through a
+``MappingProxyType``, lists become tuples), and a value ``freeze`` cannot
+seal is a :class:`~repro.errors.SerializationError` at the assignment.
+Every other signed field is an immutable value (``Signature`` is frozen,
+``data`` is bytes), so after signing:
+
+* assigning any signed field drops the memo and ``verify_signature()``
+  turns false;
+* editing ``args`` / ``public_bundle`` or anything nested in them raises
+  ``TypeError`` at the edit (the mutating methods — ``update``,
+  ``append`` — do not exist) and leaves the transaction verifying;
+* editing the dict the transaction was built from (the constructor
+  argument, a decoded ``from_dict`` payload, the signer's bundle) changes
+  nothing — it used to change the transaction, silently when unsigned.
+
+With no reachable mutable alias the memo needs no re-validation on read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from repro.chain.crypto import Address, KeyPair, Signature, recover_check
 from repro.errors import InvalidSignatureError
 from repro.utils.hashing import keccak_like, sha256_bytes
-from repro.utils.serialization import canonical_dumps
+from repro.utils.serialization import canonical_dumps, freeze
 
 
 @dataclass
@@ -72,6 +89,9 @@ _CACHE_FIELDS = frozenset(
     }
 )
 
+#: The two container fields; sealed at assignment (see "Tamper contract").
+_SEALED_FIELDS = frozenset({"args", "public_bundle"})
+
 
 @dataclass
 class Transaction:
@@ -90,7 +110,8 @@ class Transaction:
     gas_limit / gas_price:
         Standard Ethereum fee fields.
     method / args:
-        For contract calls: the method name and canonical-serializable args.
+        For contract calls: the method name and canonical-serializable args
+        (held sealed: see the module docstring's tamper contract).
     data:
         Raw payload bytes (used for intrinsic-gas sizing; carries the model
         weight commitment for FL submissions).
@@ -103,33 +124,26 @@ class Transaction:
     gas_limit: int = 10_000_000
     gas_price: int = 1
     method: str = ""
-    args: dict[str, Any] = field(default_factory=dict)
+    args: Mapping[str, Any] = field(default_factory=dict)
     data: bytes = b""
     signature: Optional[Signature] = None
-    public_bundle: Optional[dict] = None
+    public_bundle: Optional[Mapping[str, Any]] = None
 
     # ------------------------------------------------------------------
     # Identity and signing (memoized)
     # ------------------------------------------------------------------
 
     def __setattr__(self, name: str, value: Any) -> None:
-        if name in _CACHE_FIELDS and "_memo" in self.__dict__:
-            del self.__dict__["_memo"]
+        if name in _CACHE_FIELDS:
+            self.__dict__.pop("_memo", None)
+            if name in _SEALED_FIELDS:
+                value = freeze(value)
         object.__setattr__(self, name, value)
 
     def _cache(self) -> dict:
-        """Memoized payload/digest, re-validated against in-place edits.
-
-        Field assignment drops the cache via ``__setattr__``.  The two
-        mutable containers — the args dict and the public-key bundle —
-        can be edited in place, so their (small) canonical encoding is
-        re-probed on every read and a mismatch rebuilds the cache
-        (``Signature`` is frozen and ``data`` is immutable bytes, so
-        every tamper vector is covered).
-        """
+        """Memoized payload/digest; only field assignment drops it."""
         memo = self.__dict__.get("_memo")
-        probe = canonical_dumps({"args": self.args, "bundle": self.public_bundle})
-        if memo is None or memo["args_probe"] != probe:
+        if memo is None:
             payload = canonical_dumps(
                 {
                     "sender": self.sender,
@@ -144,11 +158,7 @@ class Transaction:
                 }
             )
             VALIDATION_STATS.payload_encodes += 1
-            memo = {
-                "args_probe": probe,
-                "payload": payload,
-                "digest": sha256_bytes(payload),
-            }
+            memo = {"payload": payload, "digest": sha256_bytes(payload)}
             object.__setattr__(self, "_memo", memo)
         return memo
 

@@ -45,6 +45,18 @@ depth-first, extending a running left-to-right sum — each subset costs
 one tensor add and one scale instead of a stack-and-tensordot over all
 members.  The summation order (sorted members, left to right) is fixed.
 
+The pre-scaled rows live in a *row pool*, ``{(update fingerprint,
+num_samples): row}``, which the engine's owner passes in as ``rows=``:
+:class:`repro.core.shard.PeerShard` hands one dict to every engine it
+builds and clears it when a new round begins, so the viewers of a round
+— who all read the same read-only updates — build each row once per
+shard instead of once per search, and never hold two rounds' rows at
+once.  A row is ``np.multiply(w_k, n_k)`` whoever builds it, so sharing
+moves no bit.  Rows are laid out like the engines' workspace, so one
+pool serves engines of one architecture.  An engine given no pool builds
+its rows per search and drops them with it; a search keeps only its
+scratch rows (two for greedy, ``limit + 1`` for the exhaustive walk).
+
 Batched evaluation
 ------------------
 No candidate is ever installed into the scratch model (only its shapes
@@ -101,6 +113,10 @@ from repro.nn.model import Sequential
 from repro.nn.serialize import weights_fingerprint
 
 Aggregator = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
+
+#: ``{(update fingerprint, num_samples): n_k * w_k row}`` — see the module
+#: docstring, "Incremental aggregation".
+RowPool = dict[tuple[str, int], np.ndarray]
 
 #: Candidates evaluated per kernel call.  The workspace holds this many
 #: weight sets: 8 x 62k float64 parameters = 4 MB for ``simple_nn``, 2.3 %
@@ -252,8 +268,9 @@ class _Batch:
 class _PackedSums:
     """FedAvg numerators as flat vectors, laid out like the workspace.
 
-    Row ``k`` of :attr:`scaled` is update ``k``'s ``n_k * w_k`` with every
-    parameter packed end to end; :attr:`scratch` rows hold running sums,
+    ``scaled[k]`` is update ``k``'s ``n_k * w_k`` with every parameter
+    packed end to end — taken from the ``rows`` pool, built into it when
+    missing; :attr:`scratch` rows hold running sums,
     so extending a sum by one member is a single vector add.  Each
     parameter lies in its row in the *memory order of its workspace slot*
     (the first ``Dense`` keeps ``W`` transposed), so :meth:`divide_into` —
@@ -267,18 +284,27 @@ class _PackedSums:
         self,
         stack: dict[str, np.ndarray],
         updates: Sequence[ModelUpdate],
+        fingerprints: Sequence[str],
         keys: list[str],
         scratch_rows: int,
+        rows: Optional[RowPool],
     ) -> None:
+        if rows is None:
+            rows = {}  # no pool: this search's own rows, dropped with it
         template = updates[0].weights
         self._rooms = [stack[key] for key in keys]  # each parameter's workspace entry
         self._ends = np.cumsum([template[key].size for key in keys]).tolist()
         dtype = template[keys[0]].dtype
-        self.scaled = np.empty((len(updates), self._ends[-1]), dtype=dtype)
+        self.scaled = []
+        for update, fingerprint in zip(updates, fingerprints):
+            row_key = (fingerprint, update.num_samples)
+            row = rows.get(row_key)
+            if row is None:
+                row = rows[row_key] = np.empty(self._ends[-1], dtype=dtype)
+                for key, view in zip(keys, self._views(row)):
+                    np.multiply(update.weights[key], update.num_samples, out=view)
+            self.scaled.append(row)
         self.scratch = np.empty((scratch_rows, self._ends[-1]), dtype=dtype)
-        for row, update in zip(self.scaled, updates):
-            for key, view in zip(keys, self._views(row)):
-                np.multiply(update.weights[key], update.num_samples, out=view)
         self._scratch_views = [self._views(row) for row in self.scratch]
 
     def _views(self, row: np.ndarray) -> list[np.ndarray]:
@@ -316,7 +342,9 @@ class CombinationEngine:
 
     ``instrument``, when set, is called with the cache key of every
     *real* model evaluation, in evaluation order (cache hits never fire
-    it).
+    it).  ``rows``, when given, is the owner's row pool (module docstring,
+    "Incremental aggregation"): shared by engines of one architecture and
+    cleared by the owner.
     """
 
     def __init__(
@@ -327,6 +355,7 @@ class CombinationEngine:
         cache: Optional[EvaluationCache] = None,
         batch_size: int = 512,
         instrument: Optional[Callable[[object], None]] = None,
+        rows: Optional[RowPool] = None,
     ) -> None:
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -336,6 +365,7 @@ class CombinationEngine:
         self.cache = cache if cache is not None else EvaluationCache()
         self.batch_size = batch_size
         self.instrument = instrument
+        self.rows = rows
         self.test_set_id = dataset_fingerprint(test_set)
         #: Structural subset keys are only valid for the reference FedAvg.
         self._incremental = aggregator is fedavg
@@ -459,7 +489,7 @@ class CombinationEngine:
         if not _uniform_float(template):
             return self._enumerate_generic(ordered, min_size, limit)
         self._check_against_model(batch.stack, template)  # once: the updates agree
-        packed = _PackedSums(batch.stack, ordered, keys, scratch_rows=limit + 1)
+        packed = _PackedSums(batch.stack, ordered, fingerprints, keys, limit + 1, self.rows)
         scaled, scratch = packed.scaled, packed.scratch
         out_members: list[tuple[str, ...]] = []
         n = len(ordered)
@@ -548,9 +578,10 @@ class CombinationEngine:
             self._check_against_model(stack, first.weights)  # once: the updates agree
             # Scratch row 0 is the chosen members' running sum, row 1 the
             # candidate's: the same adds, in the same order, as enumerate.
-            packed = _PackedSums(stack, updates, keys, scratch_rows=2)
+            hashes = [_fingerprint(update) for update in updates]
+            packed = _PackedSums(stack, updates, hashes, keys, 2, self.rows)
             scaled = {update.client_id: row for update, row in zip(updates, packed.scaled)}
-            fingerprints = {update.client_id: _fingerprint(update) for update in updates}
+            fingerprints = {update.client_id: hashed for update, hashed in zip(updates, hashes)}
             trace = ((fingerprints[first.client_id], first.num_samples),)
             sums = scaled[first.client_id]
             total = first.num_samples

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -55,7 +56,32 @@ def _encode(obj: Any) -> Any:
         return bool(obj)
     if obj is None or isinstance(obj, (str, int, float, bool)):
         return obj
+    if isinstance(obj, MappingProxyType):  # a frozen mapping: see freeze()
+        return {str(key): _encode(value) for key, value in obj.items()}
     raise SerializationError(f"cannot canonically serialize {type(obj).__name__}")
+
+
+#: The leaves ``canonical_dumps`` accepts that nobody can edit in place.
+_IMMUTABLE_LEAVES = (str, int, float, bool, bytes, type(None), np.integer, np.floating, np.bool_)
+
+
+def freeze(obj: Any) -> Any:
+    """A private, recursively read-only copy of a canonical payload.
+
+    Mappings become a ``MappingProxyType`` over a dict nobody else holds,
+    lists and tuples become tuples, immutable leaves pass through; the
+    copy encodes to the same ``canonical_dumps`` bytes as ``obj``.
+    Anything else — including a mutable ``ndarray`` — is a
+    :class:`SerializationError`, so what a signed object holds can neither
+    be edited in place nor through the object it was built from.
+    """
+    if isinstance(obj, _IMMUTABLE_LEAVES):
+        return obj
+    if isinstance(obj, (dict, MappingProxyType)):
+        return MappingProxyType({key: freeze(value) for key, value in obj.items()})
+    if isinstance(obj, (list, tuple)):
+        return tuple(freeze(item) for item in obj)
+    raise SerializationError(f"cannot freeze {type(obj).__name__}")
 
 
 def _decode(obj: Any) -> Any:

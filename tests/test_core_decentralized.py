@@ -23,6 +23,7 @@ import pytest
 from repro.chain.spec import ChainSpec
 from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
 from repro.core.peer import PeerConfig
+from repro.core.shard import PeerShard
 from repro.data.dataset import Dataset
 from repro.errors import ConfigError, RoundError
 from repro.fl.async_policy import WaitForAll, WaitForK
@@ -304,3 +305,62 @@ class TestRateRoundReusesScores:
     def test_reputation_scores_match_serial_reference(self):
         driver = make_driver(**OUTCOME_CASES["reputation"])
         assert outcome_digest(driver) == pinned_outcome("reputation")
+
+
+class TestSharedRowPool:
+    """A round's ``n_k * w_k`` rows are built once per shard, not once per
+    search: every viewer reads the same updates, so the pool ends a round
+    holding one row per update, and a new round starts from an empty one."""
+
+    PEERS = tuple("ABCDEFG")
+
+    def scored_round(self, rounds=1):
+        driver = make_driver(rounds=rounds, peers=self.PEERS, selection="greedy")
+        driver.deploy_contracts()
+        logs = driver.run_round(1)
+        return driver, logs
+
+    def test_seven_viewers_build_seven_rows(self):
+        driver, _logs = self.scored_round(rounds=2)
+        shard = driver.shard
+        assert all(engine.rows is shard.rows for engine in shard.engines.values())
+        first_round = dict(shard.rows)
+        assert len(first_round) == 7
+        assert set(first_round) == {
+            (update.fingerprint, update.num_samples) for update in shard.view(1, "A")
+        }
+        # Another search of the same round finds every row already there.
+        shard.engines["A"].greedy(shard.view(1, "A"))
+        assert all(shard.rows[key] is row for key, row in first_round.items())
+        assert len(shard.rows) == 7
+
+        driver.run_round(2)
+        assert len(shard.rows) == 7
+        assert not set(shard.rows) & set(first_round)  # retrained: all new, none kept
+
+    def test_pool_is_empty_when_a_round_begins(self):
+        driver, _logs = self.scored_round()
+        driver.shard._begin_round(2)
+        assert len(driver.shard.rows) == 0
+
+    def test_a_worker_slice_builds_seven_rows_over_its_views(self):
+        """A wire worker holds a ``PeerShard`` over every ``workers``-th peer
+        (``WorkerRuntime._init``); its 3 or 4 viewers still see 7 updates."""
+        driver, logs = self.scored_round()
+        adopted = {log.peer_id: (log.chosen_combination, log.chosen_accuracy) for log in logs}
+        model_store = driver.peers["A"].model_store_address
+        coordinator = driver.peers["A"].coordinator_address
+        for index in range(2):
+            mine = list(self.PEERS[index::2])
+            worker = PeerShard(driver.config, driver.offchain, RngFactory(7), shared_builder)
+            for peer_id in mine:
+                peer = driver.peers[peer_id]
+                worker.add_peer(
+                    peer.config, peer.gateway, peer.client.train_set, peer.client.test_set
+                )
+            worker.configure(model_store, coordinator, driver.reputation_address, driver.addresses)
+            slice_logs = worker.score(1, mine)
+            assert len(worker.rows) == 7
+            assert {
+                log.peer_id: (log.chosen_combination, log.chosen_accuracy) for log in slice_logs
+            } == {peer_id: adopted[peer_id] for peer_id in mine}
