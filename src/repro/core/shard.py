@@ -28,7 +28,7 @@ from repro.chain.transaction import Transaction
 from repro.core.peer import FullPeer, PeerConfig, peer_keypair
 from repro.data.dataset import Dataset
 from repro.fl.aggregation import ModelUpdate, fedavg
-from repro.fl.scoring import CombinationEngine, RowPool
+from repro.fl.scoring import CombinationEngine
 from repro.fl.selection import pick_best
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_to_bytes
@@ -113,12 +113,10 @@ class PeerShard:
         self.model_builder = model_builder
         self.peers: dict[str, FullPeer] = {}
         #: Per-peer scoring engines.  Tests may attach an ``instrument``
-        #: hook to count evaluations.
+        #: hook to count evaluations.  Between searches an engine holds
+        #: scores only: its rows are per viewer (a peer's own test set is
+        #: in them) and are released when the search returns.
         self.engines: dict[str, CombinationEngine] = {}
-        #: The engines' shared row pool (:mod:`repro.fl.scoring`,
-        #: "Incremental aggregation"): one ``n_k * w_k`` row per distinct
-        #: update of the current round, whichever peer's search built it.
-        self.rows: RowPool = {}
         self.reputation_address: Optional[Address] = None
         self.addresses: dict[str, Address] = {}
         self.id_of_address: dict[Address, str] = {}
@@ -148,9 +146,7 @@ class PeerShard:
         )
         self.peers[pc.peer_id] = peer
         if peer.client is not None:
-            self.engines[pc.peer_id] = CombinationEngine(
-                peer.client.model, peer.client.test_set, rows=self.rows
-            )
+            self.engines[pc.peer_id] = CombinationEngine(peer.client.model, peer.client.test_set)
 
     def configure(
         self,
@@ -173,17 +169,14 @@ class PeerShard:
         """Reset the per-round memos on the first step of a new round.
 
         Scores never carry across rounds (every peer retrains), so the
-        engine caches and the row pool are cleared to bound memory — before
-        the new round's training allocates, so two rounds' rows are never
-        held at once; both are content-addressed, so clearing is never a
-        correctness requirement.  Within a round the solo scores stay live
-        for the rating pass.
+        engine caches are cleared to bound memory; they are
+        content-addressed, so clearing is never a correctness requirement.
+        Within a round the solo scores stay live for the rating pass.
         """
         if round_id == self._round:
             return
         self._round = round_id
         self._views.clear()
-        self.rows.clear()
         for engine in self.engines.values():
             engine.cache.clear()
 

@@ -40,22 +40,35 @@ solo scores computed during enumeration instead of re-evaluating them.
 Incremental aggregation
 -----------------------
 FedAvg over a subset is ``(sum_k n_k * w_k) / (sum_k n_k)``.  The engine
-pre-scales each update once (``n_k * w_k``) and walks subsets
-depth-first, extending a running left-to-right sum — each subset costs
-one tensor add and one scale instead of a stack-and-tensordot over all
-members.  The summation order (sorted members, left to right) is fixed.
+pre-scales each update once into a *row*, walks subsets depth-first
+extending a running left-to-right sum of rows — one vector add per subset
+— and divides a sum by its sample total only when the subset has to be
+evaluated.  The summation order (sorted members, left to right) is fixed.
 
-The pre-scaled rows live in a *row pool*, ``{(update fingerprint,
-num_samples): row}``, which the engine's owner passes in as ``rows=``:
-:class:`repro.core.shard.PeerShard` hands one dict to every engine it
-builds and clears it when a new round begins, so the viewers of a round
-— who all read the same read-only updates — build each row once per
-shard instead of once per search, and never hold two rounds' rows at
-once.  A row is ``np.multiply(w_k, n_k)`` whoever builds it, so sharing
-moves no bit.  Rows are laid out like the engines' workspace, so one
-pool serves engines of one architecture.  An engine given no pool builds
-its rows per search and drops them with it; a search keeps only its
-scratch rows (two for greedy, ``limit + 1`` for the exhaustive walk).
+What a row holds is decided by the architecture, the way
+:meth:`~repro.nn.model.Sequential.candidate_stack` decides which layer is
+fed the input all candidates share.  FedAvg is linear and so is a
+``Dense``: ``X @ ((sum_k n_k W_k) / N) + (sum_k n_k b_k) / N`` equals
+``(sum_k n_k (X @ W_k + b_k)) / N``.  When the first parameterised layer
+is a ``Dense`` — both registered models — the **split** falls after it: a
+search starts with one *activation pass*, each update's ``Z_k = X @ W_k +
+b_k`` on this engine's test set (the exact stacked kernel,
+:data:`BATCH_WIDTH` updates per GEMM, the test set in ``batch_size``
+chunks), and a row is ``n_k * [Z_k ; the parameters after the split]`` —
+3 000 + 754 floats for ``simple_nn`` on 150 samples instead of 62 214,
+and ``Z_k`` alone for ``efficientnet_b0_sim``, whose candidates' logits
+are then the FedAvg of the solo logits.  The 3072-wide product is paid
+once per (viewer, update), never per candidate.  Any other architecture
+(a convolution first) has no split: its rows are the whole ``n_k * w_k``.
+
+Rows are keyed ``(update fingerprint, num_samples)`` on the engine and
+**search-scoped**: they are built when :meth:`CombinationEngine.enumerate`
+or :meth:`~CombinationEngine.greedy` first needs them — greedy's solo pass
+and its steps share one set — and released when the outermost search
+returns.  Between searches an engine holds scores, never rows.  Packing
+needs one float dtype shared by the updates, the model and the test
+inputs; anything else is aggregated per subset by the reference
+aggregator, like a non-FedAvg engine.
 
 Batched evaluation
 ------------------
@@ -64,17 +77,21 @@ are read).  Every search — the exhaustive walk, a greedy step, the solo
 pass, ``threshold_filter``, a single ``solo_accuracy`` — asks a
 :class:`_Batch` for each candidate's accuracy in the order the serial
 reference would evaluate them.  A request answered by the cache costs
-nothing; otherwise the candidate's weights (the running sum, divided) are
-written into the next free slot of a :data:`BATCH_WIDTH`-slot workspace —
-one per process, shared by every engine of the same architecture — and
-when the workspace is full or the step ends, all occupied slots go
-through :meth:`repro.nn.model.Sequential.evaluate_stacked` at once: the
-layers ahead of the first trained one run once, and the first ``Dense``
-multiplies the shared test batch by all candidates in a single GEMM.
-Each candidate's logits are bit-for-bit those of a forward pass with it
-installed, results are stored and ``instrument`` fires in request order,
-and a key requested twice before its batch runs is evaluated once and
-counts one cache hit, exactly as if the first request had finished.
+nothing; otherwise the candidate (a row sum, divided) is written into the
+next free of :data:`BATCH_WIDTH` slots, and when the slots are full or
+the step ends all of them go through
+:meth:`repro.nn.model.Sequential.predict_stacked` at once, *from the
+split on*: the layers after it run on each candidate's own averaged
+pre-activations.  Results are stored and ``instrument`` fires in request
+order, and a key requested twice before its batch runs is evaluated once
+and counts one cache hit, exactly as if the first request had finished.
+
+Raw weight dicts (``threshold_filter``, ``solo_accuracy``,
+``score_weights``, a non-FedAvg aggregator's output) are copied into a
+process-wide workspace of :data:`BATCH_WIDTH` whole weight sets and scored
+from the first layer by :meth:`~repro.nn.model.Sequential.evaluate_stacked`,
+bit for bit a forward pass with the dict installed — the **exact kernel**,
+which is also what re-scores any candidate the guard below does not pass.
 
 Determinism contract
 --------------------
@@ -94,10 +111,34 @@ draws exactly like the serial reference in :mod:`repro.fl.selection`:
 Aggregated accuracies may differ from the reference by the usual
 floating-point reassociation only in the last ulp of the *logits*; the
 reported metric is an argmax count, which both suites pin to be equal.
+Averaging after the first ``Dense`` instead of before it is one more
+reassociation, and the **guard** keeps it out of the count: a candidate's
+activation-space score is accepted only if, for every test sample, the
+winning logit leads the runner-up by more than :data:`GUARD` times the
+candidate's largest ``|logit|`` — a comparison NaN and inf logits (a
+poisoned update) fail.  Every other candidate, exact ties included, is
+rebuilt in weight space — the same left-to-right ``(n_a w_a + n_b w_b +
+...) / n`` the rows add up, a single member being its own weights bit for
+bit — and re-scored by the exact kernel; :attr:`CombinationEngine.rechecked`
+counts them.  Why :data:`GUARD` is enough: a length-``m`` dot product
+summed in any order lies within ``m * 2**-53`` of ``sum_i |x_i| |w_i|``
+(``m = 3072``: 3.4e-13), so the two orders' pre-activations differ by about
+that much of the magnitude they were summed from; ReLU passes a difference
+on at most unchanged, and the parameters after the split are element-wise
+identical on both paths, so each later ``Dense`` scales it by at most its
+operator norm.  The logits therefore agree to ``~1e-12`` of (first-layer
+magnitude x tail norms), and an argmax can differ only where a gap is
+smaller than that.  :data:`GUARD` leaves six orders for the ratio of that
+magnitude to the largest logit — cancellation that deep would leave the
+logits themselves without a correct digit.  Measured on the driver-outcome
+specs the deviation is below ``1e-13`` of the largest logit
+(``tests/test_fl_scoring_activation.py`` holds it a thousand times under
+:data:`GUARD`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations as iter_combinations
@@ -109,23 +150,27 @@ from repro.data.dataset import Dataset
 from repro.errors import ConfigError, SelectionError
 from repro.fl.aggregation import ModelUpdate, _check_compatible, fedavg
 from repro.fl.selection import CombinationResult, pick_best
+from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_fingerprint
 
 Aggregator = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
 
-#: ``{(update fingerprint, num_samples): n_k * w_k row}`` — see the module
-#: docstring, "Incremental aggregation".
-RowPool = dict[tuple[str, int], np.ndarray]
-
-#: Candidates evaluated per kernel call.  The workspace holds this many
-#: weight sets: 8 x 62k float64 parameters = 4 MB for ``simple_nn``, 2.3 %
-#: of ``paper3_tradeoff``'s resident set, whose ``peak_rss_mb`` bound is
-#: 5 %.  Sixteen slots score ~15 % faster per candidate and cost twice that.
+#: Candidates evaluated per kernel call, and updates per GEMM of the
+#: activation pass.  The workspace holds this many weight sets: 8 x 62k
+#: float64 parameters = 4 MB for ``simple_nn``, 2.3 % of
+#: ``paper3_tradeoff``'s resident set, whose ``peak_rss_mb`` bound is 5 %.
+#: Sixteen slots score ~15 % faster per candidate and cost twice that.
 BATCH_WIDTH = 8
 
-#: ``(architecture, stack)``: the process's one candidate workspace, rebuilt
-#: when an engine with another architecture needs it.
+#: A row-space score stands only where every sample's top-two logit gap
+#: exceeds this fraction of the candidate's largest ``|logit|`` (module
+#: docstring, "Determinism contract"); seven orders above the measured
+#: reassociation error.
+GUARD = 1e-6
+
+#: ``(architecture, stack)``: the process's one whole-weights workspace,
+#: rebuilt when an engine with another architecture needs it.
 _WORKSPACE: Optional[tuple[tuple, dict[str, np.ndarray]]] = None
 
 
@@ -138,6 +183,53 @@ def _workspace(model: Sequential) -> dict[str, np.ndarray]:
     if _WORKSPACE is None or _WORKSPACE[0] != architecture:
         _WORKSPACE = (architecture, model.candidate_stack(BATCH_WIDTH))
     return _WORKSPACE[1]
+
+
+def _split(model: Sequential) -> int:
+    """How many leading layers an activation pass stands in for.
+
+    Through the first parameterised layer when that is a plain ``Dense``
+    — its output is linear in ``(W, b)``, so FedAvg commutes with it —
+    else none: rows are then whole weights and candidates run every layer.
+    """
+    for index, layer in enumerate(model.layers):
+        if layer.params:
+            return index + 1 if type(layer) is Dense else 0
+    return 0
+
+
+def _decided(logits: np.ndarray) -> np.ndarray:
+    """Per candidate of ``(count, batch, classes)`` logits: does every
+    sample's winner lead by more than the guard (NaN and inf never do)."""
+    if logits.shape[2] < 2:
+        return np.ones(len(logits), dtype=bool)  # one class: no argmax to move
+    top = np.partition(logits, -2, axis=2)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which compares False
+        gap = top[:, :, -1] - top[:, :, -2]
+        reach = GUARD * np.abs(logits).max(axis=(1, 2))
+        return (gap > reach[:, None]).all(axis=1)
+
+
+def _install_fedavg(
+    stack: dict[str, np.ndarray], members: Sequence[ModelUpdate], slot: int
+) -> None:
+    """Write ``members``' FedAvg, in weight space, into workspace ``slot``.
+
+    Element for element the sum the rows run: ``n_a * w_a`` plus each later
+    ``n_k * w_k`` left to right, over the sample total; a single member is
+    its own weights bit for bit.
+    """
+    first = members[0]
+    if len(members) == 1:
+        for name, room in stack.items():
+            np.copyto(room[slot], first.weights[name])
+        return
+    total = sum(member.num_samples for member in members)
+    for name, room in stack.items():
+        sums = np.multiply(first.weights[name], first.num_samples)
+        for member in members[1:]:
+            sums += np.multiply(member.weights[name], member.num_samples)
+        np.divide(sums, total, out=room[slot])
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
@@ -201,29 +293,149 @@ class ScoredSubset:
         return ",".join(self.members)
 
 
+class _PackedSums:
+    """FedAvg numerators as flat rows, and the slots their quotients fill.
+
+    ``scaled[k]`` is update ``k``'s row — ``n_k`` times its pre-activations
+    on the engine's test set followed by its parameters after the split,
+    or times all its parameters when the architecture has no split (module
+    docstring, "Incremental aggregation") — taken from the engine's
+    search-scoped rows, built into them when missing.  :attr:`scratch`
+    rows hold running sums, so extending a sum by one member is a single
+    vector add.  :attr:`slots` is laid out like a row:
+    :meth:`divide_into`, the one place a sum becomes a candidate, is one
+    vector divide, and :attr:`inputs` / :attr:`stack` are the views of the
+    slots that :meth:`evaluate` hands the layers after the split.
+    Element-wise arithmetic never reassociates: every parameter after the
+    split is bit-identical to ``(n_a * w_a + n_b * w_b + ...) / n``.
+    """
+
+    def __init__(
+        self,
+        engine: "CombinationEngine",
+        updates: Sequence[ModelUpdate],
+        fingerprints: Sequence[str],
+        scratch_rows: int,
+    ) -> None:
+        self.engine = engine
+        model = engine.model
+        params = model.parameters()
+        samples = len(engine.test_set.x)
+        self.start = _split(model)
+        #: The split Dense's parameters: in no row, their product is.
+        self._head: list[str] = []
+        sizes = [0]
+        if self.start:
+            dense = model.layers[self.start - 1]
+            self._head = [f"{dense.name}/{name}" for name in dense.params]
+            sizes[0] = samples * dense.units
+        tail = [key for key in params if key not in self._head]
+        ends = np.cumsum(sizes + [params[key].size for key in tail]).tolist()
+        self._activations = ends[0]  # leading floats of a row that are pre-activations
+        self._tail = list(zip(tail, zip(ends, ends[1:])))
+        dtype = engine.test_set.x.dtype
+        self.slots = np.empty((BATCH_WIDTH, ends[-1]), dtype=dtype)
+        self.inputs: Optional[np.ndarray] = None
+        if self.start:
+            self.inputs = self.slots[:, : ends[0]].reshape(BATCH_WIDTH, samples, dense.units)
+        self.stack = {
+            key: self.slots[:, begin:end].reshape((BATCH_WIDTH,) + params[key].shape)
+            for key, (begin, end) in self._tail
+        }
+        row_keys = [
+            (fingerprint, update.num_samples)
+            for update, fingerprint in zip(updates, fingerprints)
+        ]
+        missing = list(
+            {  # a dict: updates of equal bytes and count share one row
+                key: update for key, update in zip(row_keys, updates) if key not in engine._rows
+            }.items()
+        )
+        for begin in range(0, len(missing), BATCH_WIDTH):
+            self._build(missing[begin : begin + BATCH_WIDTH])
+        self.scaled = [engine._rows[key] for key in row_keys]
+        self.scratch = np.empty((scratch_rows, ends[-1]), dtype=dtype)
+
+    def _build(self, group: list[tuple[tuple[str, int], ModelUpdate]]) -> None:
+        """Rows for up to :data:`BATCH_WIDTH` updates: one activation pass.
+
+        The updates' first-``Dense`` parameters go through the workspace —
+        the exact stacked kernel multiplies the shared test inputs by all
+        of them in one GEMM — and the pre-activations land in the (idle)
+        slots, from where each is scaled into its row.
+        """
+        engine = self.engine
+        workspace = _workspace(engine.model)
+        for slot, (_key, update) in enumerate(group):
+            engine._check_against_model(workspace, update.weights)
+            for name in self._head:
+                np.copyto(workspace[name][slot], update.weights[name])
+        if self.start:
+            x = engine.test_set.x
+            for begin in range(0, len(x), engine.batch_size):
+                chunk = slice(begin, begin + engine.batch_size)
+                self.inputs[: len(group), chunk] = engine.model.predict_stacked(
+                    x[chunk], workspace, len(group), stop=self.start
+                )
+        z = self._activations
+        for slot, (key, update) in enumerate(group):
+            row = engine._rows[key] = np.empty_like(self.slots[slot])
+            np.multiply(self.slots[slot, :z], update.num_samples, out=row[:z])
+            for name, (begin, end) in self._tail:
+                np.multiply(update.weights[name].reshape(-1), update.num_samples, out=row[begin:end])
+
+    def divide_into(self, sums: np.ndarray, total: int, slot: int) -> None:
+        """Write ``sums / total`` — a candidate — into ``slot``."""
+        np.divide(sums, total, out=self.slots[slot])
+
+    def evaluate(self, count: int) -> tuple[list[float], np.ndarray]:
+        """Accuracy of each of the first ``count`` slots, from the split on,
+        and whether the guard lets each stand."""
+        engine = self.engine
+        x, y = engine.test_set.x, engine.test_set.y
+        correct = np.zeros(count, dtype=np.int64)
+        decided = np.ones(count, dtype=bool)
+        for begin in range(0, len(x), engine.batch_size):
+            chunk = slice(begin, begin + engine.batch_size)
+            logits = engine.model.predict_stacked(
+                self.inputs[:count, chunk] if self.start else x[chunk],
+                self.stack,
+                count,
+                start=self.start,
+            )
+            correct += (logits.argmax(axis=2) == y[chunk]).sum(axis=1)
+            decided &= _decided(logits)
+        return [int(hits) / len(x) if len(x) else 0.0 for hits in correct], decided
+
+
 class _Batch:
     """One search step's accuracy requests, answered in request order.
 
     :meth:`claim` either answers a request (cache hit, or a key already
-    waiting in this batch) or hands out a workspace slot for the caller to
-    write the candidate's weights into; :meth:`finish` returns one
-    accuracy per request.  Dropping a batch (a search that raised) leaves
-    nothing behind: slots are scratch and the cache only learns results.
+    waiting in this batch) or hands out a slot for the caller to write the
+    candidate into — a slot of ``packed`` when the batch scores row sums,
+    of the whole-weights workspace (:attr:`stack`) when it scores raw
+    dicts; :meth:`finish` returns one accuracy per request.  Dropping a
+    batch (a search that raised) leaves nothing behind: slots are scratch
+    and the cache only learns results.
     """
 
-    def __init__(self, engine: "CombinationEngine") -> None:
+    def __init__(self, engine: "CombinationEngine", packed: Optional[_PackedSums] = None) -> None:
         self.engine = engine
-        #: ``stack[key][slot]`` is where a claimed slot's ``key`` goes.
+        self.packed = packed
+        #: ``stack[key][slot]`` is where a raw dict's ``key`` goes.
         self.stack = _workspace(engine.model)
         self.accuracies: list[Optional[float]] = []
         self._slots: dict[object, int] = {}  # key -> request position, in slot order
+        self._members: list[Sequence[ModelUpdate]] = []  # per slot, for the exact kernel
         self._repeats: list[tuple[int, object]] = []
 
-    def claim(self, key: object) -> Optional[int]:
+    def claim(self, key: object, members: Sequence[ModelUpdate] = ()) -> Optional[int]:
         """Register a request for ``key``'s accuracy.
 
-        Returns the slot to fill with the candidate's weights, or None
-        when no evaluation is needed.
+        Returns the slot to fill with the candidate, or None when no
+        evaluation is needed.  ``members`` are the updates a row sum
+        averages, in order: what re-scores it if the guard objects.
         """
         engine = self.engine
         position = len(self.accuracies)
@@ -239,22 +451,35 @@ class _Batch:
         if engine.instrument is not None:
             engine.instrument(key)
         self._slots[key] = position
+        self._members.append(members)
         return len(self._slots) - 1
+
+    def _exact(self, count: int) -> list[float]:
+        """The exact kernel over the workspace's first ``count`` slots."""
+        engine = self.engine
+        return engine.model.evaluate_stacked(
+            engine.test_set.x, engine.test_set.y, self.stack, count, batch_size=engine.batch_size
+        )
 
     def _flush(self) -> None:
         engine = self.engine
         if self._slots:
-            evaluated = engine.model.evaluate_stacked(
-                engine.test_set.x,
-                engine.test_set.y,
-                self.stack,
-                len(self._slots),
-                batch_size=engine.batch_size,
-            )
+            if self.packed is None:
+                evaluated = self._exact(len(self._slots))
+            else:
+                evaluated, decided = self.packed.evaluate(len(self._slots))
+                doubted = np.flatnonzero(~decided).tolist()
+                if doubted:
+                    for index, slot in enumerate(doubted):
+                        _install_fedavg(self.stack, self._members[slot], index)
+                    for slot, accuracy in zip(doubted, self._exact(len(doubted))):
+                        evaluated[slot] = accuracy
+                    engine.rechecked += len(doubted)
             for (key, position), accuracy in zip(self._slots.items(), evaluated):
                 engine.cache.store(key, accuracy)
                 self.accuracies[position] = accuracy
             self._slots.clear()
+            self._members.clear()
         for position, key in self._repeats:
             self.accuracies[position] = engine.cache.lookup(key)
         self._repeats.clear()
@@ -265,70 +490,21 @@ class _Batch:
         return self.accuracies
 
 
-class _PackedSums:
-    """FedAvg numerators as flat vectors, laid out like the workspace.
+def _search_scoped(search):
+    """Give ``search`` the engine's row store for as long as the outermost
+    decorated call runs (greedy's solo pass is a nested ``enumerate``)."""
 
-    ``scaled[k]`` is update ``k``'s ``n_k * w_k`` with every parameter
-    packed end to end — taken from the ``rows`` pool, built into it when
-    missing; :attr:`scratch` rows hold running sums,
-    so extending a sum by one member is a single vector add.  Each
-    parameter lies in its row in the *memory order of its workspace slot*
-    (the first ``Dense`` keeps ``W`` transposed), so :meth:`divide_into` —
-    the one place a sum becomes candidate weights — streams over
-    contiguous memory on both sides.  Element-wise arithmetic never
-    reassociates: every value is bit-identical to the per-parameter
-    ``(n_a * w_a + n_b * w_b + ...) / n``, whatever the layout.
-    """
+    @functools.wraps(search)
+    def scoped(self, *args, **kwargs):
+        if self._rows is not None:
+            return search(self, *args, **kwargs)
+        self._rows = {}
+        try:
+            return search(self, *args, **kwargs)
+        finally:
+            self._rows = None
 
-    def __init__(
-        self,
-        stack: dict[str, np.ndarray],
-        updates: Sequence[ModelUpdate],
-        fingerprints: Sequence[str],
-        keys: list[str],
-        scratch_rows: int,
-        rows: Optional[RowPool],
-    ) -> None:
-        if rows is None:
-            rows = {}  # no pool: this search's own rows, dropped with it
-        template = updates[0].weights
-        self._rooms = [stack[key] for key in keys]  # each parameter's workspace entry
-        self._ends = np.cumsum([template[key].size for key in keys]).tolist()
-        dtype = template[keys[0]].dtype
-        self.scaled = []
-        for update, fingerprint in zip(updates, fingerprints):
-            row_key = (fingerprint, update.num_samples)
-            row = rows.get(row_key)
-            if row is None:
-                row = rows[row_key] = np.empty(self._ends[-1], dtype=dtype)
-                for key, view in zip(keys, self._views(row)):
-                    np.multiply(update.weights[key], update.num_samples, out=view)
-            self.scaled.append(row)
-        self.scratch = np.empty((scratch_rows, self._ends[-1]), dtype=dtype)
-        self._scratch_views = [self._views(row) for row in self.scratch]
-
-    def _views(self, row: np.ndarray) -> list[np.ndarray]:
-        """``row``'s parameters, each shaped and strided like its slot."""
-        views = []
-        for room, start, end in zip(self._rooms, [0] + self._ends, self._ends):
-            shape = room.shape[1:]
-            if room[0].flags.c_contiguous:
-                views.append(row[start:end].reshape(shape))
-            else:  # Layer.allocate_stack's transposed layout
-                views.append(row[start:end].reshape(shape[::-1]).T)
-        return views
-
-    def divide_into(self, scratch_row: int, total: int, slot: int) -> None:
-        """Write ``scratch[scratch_row] / total`` into workspace ``slot``."""
-        for room, view in zip(self._rooms, self._scratch_views[scratch_row]):
-            np.divide(view, total, out=room[slot])
-
-
-def _uniform_float(weights: dict[str, np.ndarray]) -> bool:
-    """Whether packing ``weights`` into one vector keeps every parameter's
-    arithmetic precision (mixed or integer dtypes would not)."""
-    dtypes = {value.dtype for value in weights.values()}
-    return len(dtypes) == 1 and np.issubdtype(dtypes.pop(), np.floating)
+    return scoped
 
 
 class CombinationEngine:
@@ -342,9 +518,8 @@ class CombinationEngine:
 
     ``instrument``, when set, is called with the cache key of every
     *real* model evaluation, in evaluation order (cache hits never fire
-    it).  ``rows``, when given, is the owner's row pool (module docstring,
-    "Incremental aggregation"): shared by engines of one architecture and
-    cleared by the owner.
+    it).  :attr:`rechecked` counts the candidates the guard sent to the
+    exact kernel.
     """
 
     def __init__(
@@ -355,7 +530,6 @@ class CombinationEngine:
         cache: Optional[EvaluationCache] = None,
         batch_size: int = 512,
         instrument: Optional[Callable[[object], None]] = None,
-        rows: Optional[RowPool] = None,
     ) -> None:
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -365,10 +539,12 @@ class CombinationEngine:
         self.cache = cache if cache is not None else EvaluationCache()
         self.batch_size = batch_size
         self.instrument = instrument
-        self.rows = rows
+        self.rechecked = 0
         self.test_set_id = dataset_fingerprint(test_set)
         #: Structural subset keys are only valid for the reference FedAvg.
         self._incremental = aggregator is fedavg
+        #: ``{(update fingerprint, num_samples): row}`` while a search runs.
+        self._rows: Optional[dict[tuple[str, int], np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Scoring primitives
@@ -399,6 +575,15 @@ class CombinationEngine:
                     f"{name}: shape {np.shape(value)} != model {stack[name].shape[1:]}"
                 )
 
+    def _packable(self, weights: dict[str, np.ndarray]) -> bool:
+        """Whether rows of one vector keep every parameter's arithmetic:
+        the updates, the model and the test inputs share one float dtype
+        (mixed or integer dtypes would be computed in another precision)."""
+        dtypes = {value.dtype for value in weights.values()}
+        dtypes.add(self.test_set.x.dtype)
+        dtypes.update(value.dtype for value in self.model.parameters().values())
+        return len(dtypes) == 1 and np.issubdtype(dtypes.pop(), np.floating)
+
     def _score(self, key: object, weights: dict[str, np.ndarray]) -> float:
         batch = _Batch(self)
         self._request(batch, key, weights)
@@ -417,13 +602,17 @@ class CombinationEngine:
         return self._score((weights_fingerprint(weights), self.test_set_id), weights)
 
     def _subset_key(self, trace: tuple[tuple[str, int], ...]) -> tuple:
-        """Structural cache key for a FedAvg aggregate (evaluation order)."""
+        """Structural cache key for a FedAvg aggregate (evaluation order);
+        a single member's is its solo key."""
+        if len(trace) == 1:
+            return (trace[0][0], self.test_set_id)
         return ("fedavg", trace, self.test_set_id)
 
     # ------------------------------------------------------------------
     # Searches
     # ------------------------------------------------------------------
 
+    @_search_scoped
     def enumerate(
         self,
         updates: Sequence[ModelUpdate],
@@ -439,11 +628,13 @@ class CombinationEngine:
             raise SelectionError("no updates to combine")
         if min_size < 1:
             raise SelectionError(f"min_size must be >= 1, got {min_size}")
-        keys = _check_compatible(updates)
+        _check_compatible(updates)
         ordered = sorted(updates, key=lambda update: update.client_id)
         limit = min(max_size if max_size is not None else len(ordered), len(ordered))
-        if self._incremental:
-            scored = self._enumerate_fedavg(ordered, keys, min_size, limit)
+        if min_size > limit:
+            scored = []  # the reference's empty size range
+        elif self._incremental and self._packable(ordered[0].weights):
+            scored = self._enumerate_fedavg(ordered, min_size, limit)
         else:
             scored = self._enumerate_generic(ordered, min_size, limit)
         scored.sort(key=lambda result: (-result.accuracy, result.members))
@@ -464,41 +655,28 @@ class CombinationEngine:
         return [ScoredSubset(subset, accuracy) for subset, accuracy in zip(members, batch.finish())]
 
     def _enumerate_fedavg(
-        self, ordered: list[ModelUpdate], keys: list[str], min_size: int, limit: int
+        self, ordered: list[ModelUpdate], min_size: int, limit: int
     ) -> list[ScoredSubset]:
         """Depth-first incremental enumeration (one add + scale per subset).
 
         Depth ``d`` owns one :class:`_PackedSums` scratch row: a node's
         sum stays valid for its whole subtree, siblings overwrite it only
         after the subtree finishes — the hot loop allocates nothing.  A
-        subset's weights exist only as the quotient written into a
-        workspace slot at the moment the subset is requested.
+        candidate exists only as the quotient written into a slot at the
+        moment the subset is requested.
         """
-        if min_size > limit:
-            return []  # the reference's empty size range
         fingerprints = [_fingerprint(update) for update in ordered]
-        batch = _Batch(self)
-        if limit == 1:
-            for update, fingerprint in zip(ordered, fingerprints):
-                self._request(batch, (fingerprint, self.test_set_id), update.weights)
-            return [
-                ScoredSubset((update.client_id,), accuracy)
-                for update, accuracy in zip(ordered, batch.finish())
-            ]
-        template = ordered[0].weights
-        if not _uniform_float(template):
-            return self._enumerate_generic(ordered, min_size, limit)
-        self._check_against_model(batch.stack, template)  # once: the updates agree
-        packed = _PackedSums(batch.stack, ordered, fingerprints, keys, limit + 1, self.rows)
+        packed = _PackedSums(self, ordered, fingerprints, limit + 1)
+        batch = _Batch(self, packed)
         scaled, scratch = packed.scaled, packed.scratch
-        out_members: list[tuple[str, ...]] = []
+        out_subsets: list[tuple[ModelUpdate, ...]] = []
         n = len(ordered)
 
-        def visit(start, members, trace, sums, total) -> None:
-            size = len(members) + 1
+        def visit(start, chosen, trace, sums, total) -> None:
+            size = len(chosen) + 1
             for index in range(start, n):
                 update = ordered[index]
-                new_members = members + (update.client_id,)
+                new_chosen = chosen + (update,)
                 new_trace = trace + ((fingerprints[index], update.num_samples),)
                 new_total = total + update.num_samples
                 if size == 1:
@@ -508,24 +686,19 @@ class CombinationEngine:
                 else:
                     new_sums = None  # leaf: only summed if it must be evaluated
                 if size >= min_size:
-                    out_members.append(new_members)
-                    if size == 1:
-                        self._request(
-                            batch, (fingerprints[index], self.test_set_id), update.weights
-                        )
-                    else:
-                        slot = batch.claim(self._subset_key(new_trace))
-                        if slot is not None:
-                            if new_sums is None:
-                                np.add(sums, scaled[index], out=scratch[size])
-                            packed.divide_into(size, new_total, slot)
+                    out_subsets.append(new_chosen)
+                    slot = batch.claim(self._subset_key(new_trace), new_chosen)
+                    if slot is not None:
+                        if new_sums is None:
+                            new_sums = np.add(sums, scaled[index], out=scratch[size])
+                        packed.divide_into(new_sums, new_total, slot)
                 if size < limit:
-                    visit(index + 1, new_members, new_trace, new_sums, new_total)
+                    visit(index + 1, new_chosen, new_trace, new_sums, new_total)
 
         visit(0, (), (), None, 0)
         return [
-            ScoredSubset(members, accuracy)
-            for members, accuracy in zip(out_members, batch.finish())
+            ScoredSubset(tuple(update.client_id for update in subset), accuracy)
+            for subset, accuracy in zip(out_subsets, batch.finish())
         ]
 
     def materialize(
@@ -548,21 +721,23 @@ class CombinationEngine:
         chosen = pick_best(scored, rng)
         return self.materialize(chosen.members, updates, chosen.accuracy)
 
+    @_search_scoped
     def greedy(
         self, updates: Sequence[ModelUpdate], seed_client: Optional[str] = None
     ) -> CombinationResult:
         """Forward selection replicating the reference step for step.
 
         With the reference FedAvg, candidate sets are scored from a
-        running sum of the chosen members (insertion order) plus the
-        candidate and keyed structurally, so each step costs one add +
+        running sum of the chosen members' rows (insertion order) plus the
+        candidate's and keyed structurally, so each step costs one add +
         scale per candidate and one kernel call per :data:`BATCH_WIDTH`
-        candidates; other aggregators pay one aggregator call per
-        candidate and content-hash keys.
+        candidates — on the rows the solo pass already built; other
+        aggregators pay one aggregator call per candidate and content-hash
+        keys.
         """
         if not updates:
             raise SelectionError("no updates to combine")
-        keys = _check_compatible(updates)
+        _check_compatible(updates)
         pool = {update.client_id: update for update in updates}
         if seed_client is not None:
             if seed_client not in pool:
@@ -572,25 +747,24 @@ class CombinationEngine:
             solos = self.enumerate(list(pool.values()), min_size=1, max_size=1)
             chosen = [pool.pop(solos[0].members[0])]
         first = chosen[0]
-        incremental = self._incremental and _uniform_float(first.weights)
+        incremental = self._incremental and self._packable(first.weights)
         if incremental:
-            stack = _workspace(self.model)
-            self._check_against_model(stack, first.weights)  # once: the updates agree
             # Scratch row 0 is the chosen members' running sum, row 1 the
             # candidate's: the same adds, in the same order, as enumerate.
             hashes = [_fingerprint(update) for update in updates]
-            packed = _PackedSums(stack, updates, hashes, keys, 2, self.rows)
+            packed = _PackedSums(self, updates, hashes, 2)
             scaled = {update.client_id: row for update, row in zip(updates, packed.scaled)}
             fingerprints = {update.client_id: hashed for update, hashed in zip(updates, hashes)}
             trace = ((fingerprints[first.client_id], first.num_samples),)
             sums = scaled[first.client_id]
             total = first.num_samples
-            best_acc = self._score((fingerprints[first.client_id], self.test_set_id), first.weights)
+            best_acc = self._score(self._subset_key(trace), first.weights)
         else:
+            packed = None
             weights = self.aggregator(chosen)
             best_acc = self._score((weights_fingerprint(weights), self.test_set_id), weights)
         while pool:
-            batch = _Batch(self)
+            batch = _Batch(self, packed)
             candidates = sorted(pool)
             for client_id in candidates:
                 candidate = pool[client_id]
@@ -599,11 +773,12 @@ class CombinationEngine:
                     self._request(batch, (weights_fingerprint(weights), self.test_set_id), weights)
                     continue
                 slot = batch.claim(
-                    self._subset_key(trace + ((fingerprints[client_id], candidate.num_samples),))
+                    self._subset_key(trace + ((fingerprints[client_id], candidate.num_samples),)),
+                    chosen + [candidate],
                 )
                 if slot is not None:
                     np.add(sums, scaled[client_id], out=packed.scratch[1])
-                    packed.divide_into(1, total + candidate.num_samples, slot)
+                    packed.divide_into(packed.scratch[1], total + candidate.num_samples, slot)
             best_candidate = None
             for client_id, accuracy in zip(candidates, batch.finish()):
                 if accuracy > best_acc:

@@ -183,7 +183,12 @@ class Sequential:
         return stack
 
     def predict_stacked(
-        self, x: np.ndarray, stack: dict[str, np.ndarray], count: int
+        self,
+        x: np.ndarray,
+        stack: dict[str, np.ndarray],
+        count: int,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> np.ndarray:
         """Inference outputs ``(count, batch, ...)`` of the first ``count``
         candidates in ``stack``; candidate ``c``'s slice equals
@@ -192,10 +197,15 @@ class Sequential:
 
         Layers ahead of the first one with parameters (flatten, a frozen
         parameterless backbone) run once, on the input all candidates share.
+
+        Only ``layers[start:stop]`` run, and ``stack`` needs only their
+        parameters: a pass with ``start > 0`` takes each candidate's own
+        input to layer ``start`` as ``x[c]``, ``(count, batch, ...)`` —
+        what a pass with ``stop=start`` returns.
         """
         self._require_built()
-        shared = True
-        for layer in self.layers:
+        shared = start == 0
+        for layer in self.layers[start:stop]:
             if shared and not layer.params:
                 x = layer.forward(x, training=False)
                 continue

@@ -307,10 +307,12 @@ class TestRateRoundReusesScores:
         assert outcome_digest(driver) == pinned_outcome("reputation")
 
 
-class TestSharedRowPool:
-    """A round's ``n_k * w_k`` rows are built once per shard, not once per
-    search: every viewer reads the same updates, so the pool ends a round
-    holding one row per update, and a new round starts from an empty one."""
+class TestSearchScopedRows:
+    """A search's rows — ``n_k`` times an update's pre-activations on the
+    viewer's own test set, then its parameters after the first ``Dense``
+    (``repro.fl.scoring``, "Incremental aggregation") — belong to that
+    viewer's engine and to that search: built once for the solo pass and
+    every greedy step, gone when the search returns."""
 
     PEERS = tuple("ABCDEFG")
 
@@ -320,32 +322,61 @@ class TestSharedRowPool:
         logs = driver.run_round(1)
         return driver, logs
 
-    def test_seven_viewers_build_seven_rows(self):
-        driver, _logs = self.scored_round(rounds=2)
-        shard = driver.shard
-        assert all(engine.rows is shard.rows for engine in shard.engines.values())
-        first_round = dict(shard.rows)
-        assert len(first_round) == 7
-        assert set(first_round) == {
-            (update.fingerprint, update.num_samples) for update in shard.view(1, "A")
-        }
-        # Another search of the same round finds every row already there.
-        shard.engines["A"].greedy(shard.view(1, "A"))
-        assert all(shard.rows[key] is row for key, row in first_round.items())
-        assert len(shard.rows) == 7
-
-        driver.run_round(2)
-        assert len(shard.rows) == 7
-        assert not set(shard.rows) & set(first_round)  # retrained: all new, none kept
-
-    def test_pool_is_empty_when_a_round_begins(self):
+    def test_rows_hold_pre_activations_not_weights(self):
         driver, _logs = self.scored_round()
-        driver.shard._begin_round(2)
-        assert len(driver.shard.rows) == 0
+        shard = driver.shard
+        engine, updates = shard.engines["A"], shard.view(1, "A")
+        x = engine.test_set.x
+        mid_search = []
+        engine.instrument = lambda _key: mid_search.append(dict(engine._rows))
+        engine.cache.clear()
+        engine.greedy(updates)
+        engine.instrument = None
+        # One set of rows from the first evaluation to the last: seven
+        # viewers' updates, seven rows, the same arrays at every step.
+        assert len(mid_search) > len(updates)
+        assert set(mid_search[0]) == {(u.fingerprint, u.num_samples) for u in updates}
+        assert all(
+            later.keys() == mid_search[0].keys()
+            and all(later[key] is row for key, row in mid_search[0].items())
+            for later in mid_search
+        )
+        tail = sum(u.size for name, u in updates[0].weights.items() if not name.startswith("h/"))
+        for update in updates:
+            row = mid_search[0][(update.fingerprint, update.num_samples)]
+            z = x @ update.weights["h/W"] + update.weights["h/b"]
+            assert row.size == z.size + tail  # no room for h/W: its product is there
+            np.testing.assert_allclose(
+                row[: z.size].reshape(z.shape), update.num_samples * z, rtol=1e-12
+            )
+            assert np.array_equal(row[-2:], update.num_samples * update.weights["out/b"])
+        assert engine.rechecked == 0  # the guard sent nothing to weight space
 
-    def test_a_worker_slice_builds_seven_rows_over_its_views(self):
+    def test_no_engine_holds_a_row_after_score(self):
+        driver, _logs = self.scored_round(rounds=2)
+        engines = driver.shard.engines.values()
+        assert all(engine._rows is None for engine in engines)
+        assert all(len(engine.cache) > 0 for engine in engines)  # scores stay for `rate`
+        driver.run_round(2)
+        assert all(engine._rows is None for engine in engines)
+
+    def test_a_search_that_raises_releases_its_rows(self):
+        driver, _logs = self.scored_round()
+        engine, updates = driver.shard.engines["A"], driver.shard.view(1, "A")
+        engine.cache.clear()
+
+        def explode(_key):
+            raise RuntimeError("mid-search")
+
+        engine.instrument = explode
+        with pytest.raises(RuntimeError):
+            engine.greedy(updates)
+        assert engine._rows is None
+
+    def test_a_worker_slice_scores_like_the_whole_cohort(self):
         """A wire worker holds a ``PeerShard`` over every ``workers``-th peer
-        (``WorkerRuntime._init``); its 3 or 4 viewers still see 7 updates."""
+        (``WorkerRuntime._init``); its 3 or 4 viewers still see 7 updates,
+        build their own rows over them, and keep none."""
         driver, logs = self.scored_round()
         adopted = {log.peer_id: (log.chosen_combination, log.chosen_accuracy) for log in logs}
         model_store = driver.peers["A"].model_store_address
@@ -360,7 +391,7 @@ class TestSharedRowPool:
                 )
             worker.configure(model_store, coordinator, driver.reputation_address, driver.addresses)
             slice_logs = worker.score(1, mine)
-            assert len(worker.rows) == 7
+            assert all(engine._rows is None for engine in worker.engines.values())
             assert {
                 log.peer_id: (log.chosen_combination, log.chosen_accuracy) for log in slice_logs
             } == {peer_id: adopted[peer_id] for peer_id in mine}

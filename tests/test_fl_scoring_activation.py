@@ -1,0 +1,257 @@
+"""Scoring after the split: rows of pre-activations, a guard, an exact kernel.
+
+``repro.fl.scoring`` averages what the first ``Dense`` *produces* instead
+of what it *holds* (module docstring, "Incremental aggregation"), accepts
+an argmax count only where the guard says the reassociation cannot reach
+it, and re-scores everything else in weight space.  These tests hold the
+three searches to the serial reference (:mod:`repro.fl.selection`) on an
+architecture of each kind — tail after the split, nothing after the split,
+no split at all — force the guard on every candidate, walk the test-set
+sizes around ``batch_size``, and measure the deviation the guard is sized
+against on the driver-outcome specs.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from test_core_decentralized import OUTCOME_CASES, make_driver
+from test_fl_scoring import depth_first, key_of
+
+from repro.data.dataset import Dataset
+from repro.fl.aggregation import ModelUpdate
+from repro.fl.evaluation import evaluate_weights
+from repro.fl.scoring import (
+    GUARD,
+    CombinationEngine,
+    _install_fedavg,
+    _PackedSums,
+    _split,
+    _workspace,
+)
+from repro.fl.selection import enumerate_combinations, greedy_combination, threshold_filter
+from repro.nn.models import build_efficientnet_b0_sim, build_simple_cnn, build_simple_nn
+from repro.nn.serialize import weights_fingerprint
+
+INPUT_DIM = 48
+
+
+def simple_nn():
+    return build_simple_nn(np.random.default_rng(1), input_dim=INPUT_DIM)
+
+
+def efficientnet():
+    rng = np.random.default_rng(2)
+    backbone = (rng.normal(size=(INPUT_DIM, 6)) / 7.0, rng.normal(size=(12, 6)))
+    return build_efficientnet_b0_sim(rng, input_dim=INPUT_DIM, backbone=backbone)
+
+
+def simple_cnn():
+    return build_simple_cnn(np.random.default_rng(3))
+
+
+#: builder, layers the activation pass stands in for, test samples
+ARCHITECTURES = {
+    "simple_nn": (simple_nn, 1, 30),
+    "efficientnet_b0_sim": (efficientnet, 2, 30),  # backbone + head: nothing after the split
+    "simple_cnn": (simple_cnn, 0, 6),  # convolution first: whole-weight rows
+}
+
+
+def private_test_set(model, samples, seed=11):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(samples,) + model.input_shape)
+    return Dataset(x, rng.integers(0, 10, size=samples))
+
+
+def perturbed_updates(model, count, seed=5, spread=0.3):
+    """Distinct models around ``model``'s own, distinct sample counts."""
+    rng = np.random.default_rng(seed)
+    base = model.get_weights()
+    return [
+        ModelUpdate(
+            chr(ord("A") + index),
+            {key: value + rng.normal(0.0, spread, value.shape) for key, value in base.items()},
+            num_samples=20 + 7 * index,
+        )
+        for index in range(count)
+    ]
+
+
+def weight_space(subset):
+    """The candidate the exact kernel scores: the rows' own left-to-right
+    sum, in weight space; a single member is its own weights."""
+    if len(subset) == 1:
+        return subset[0].weights
+    total = sum(update.num_samples for update in subset)
+    candidate = {}
+    for name in subset[0].weights:
+        sums = subset[0].weights[name] * subset[0].num_samples
+        for update in subset[1:]:
+            sums += update.weights[name] * update.num_samples
+        candidate[name] = sums / total
+    return candidate
+
+
+def table(scored):
+    return [(result.members, result.accuracy) for result in scored]
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+class TestAgainstSerial:
+    def build(self, name, count=4):
+        builder, split, samples = ARCHITECTURES[name]
+        model = builder()
+        assert _split(model) == split
+        seen = []
+        engine = CombinationEngine(model, private_test_set(model, samples), instrument=seen.append)
+        return model, engine, perturbed_updates(model, count), seen
+
+    def test_enumerate(self, name):
+        model, engine, updates, seen = self.build(name)
+        reference = enumerate_combinations(updates, model, engine.test_set)
+        assert table(engine.enumerate(list(reversed(updates)))) == table(reference)
+        assert seen == [key_of(engine, subset) for subset in depth_first(updates)]
+        assert engine.cache.stats == {"hits": 0, "misses": 15}
+        assert table(engine.enumerate(updates)) == table(reference)
+        assert engine.cache.stats == {"hits": 15, "misses": 15} and len(seen) == 15
+        assert engine._rows is None
+
+    @pytest.mark.parametrize("seed_client", [None, "C"])
+    def test_greedy(self, name, seed_client):
+        model, engine, updates, seen = self.build(name, count=5)
+        reference = greedy_combination(updates, model, engine.test_set, seed_client=seed_client)
+        result = engine.greedy(updates, seed_client=seed_client)
+        assert (result.members, result.accuracy) == (reference.members, reference.accuracy)
+        for key, value in reference.weights.items():
+            assert np.array_equal(result.weights[key], value)
+        by_id = {update.client_id: update for update in updates}
+        chosen = [by_id[member] for member in result.members]
+        # Solos in id order (one, when seeded), then every step's candidates
+        # in id order after the members chosen so far.
+        expected = [engine.solo_key(u) for u in (chosen[:1] if seed_client else updates)]
+        for step in range(1, len(chosen) + 1):
+            rest = [u for u in updates if u.client_id not in result.members[:step]]
+            expected += [key_of(engine, (*chosen[:step], candidate)) for candidate in rest]
+        assert seen == expected
+        assert engine.cache.stats["misses"] == len(expected)
+
+    def test_threshold_filter(self, name):
+        model, engine, updates, seen = self.build(name)
+        solos = [evaluate_weights(model, u.weights, engine.test_set) for u in updates]
+        threshold = sorted(solos)[1]
+        reference = threshold_filter(updates, model, engine.test_set, threshold, always_keep="D")
+        kept = engine.threshold_filter(updates, threshold, always_keep="D")
+        assert [u.client_id for u in kept] == [u.client_id for u in reference]
+        assert seen == [engine.solo_key(u) for u in updates[:3]]
+        engine.enumerate(updates)  # the gate's solo scores serve the search
+        assert engine.cache.stats == {"hits": 3, "misses": 15}
+
+
+class TestGuard:
+    """Candidates the guard cannot vouch for are re-scored in weight space."""
+
+    def exact_table(self, model, test_set, updates):
+        return {
+            tuple(u.client_id for u in subset): evaluate_weights(
+                model, weight_space(subset), test_set
+            )
+            for subset in depth_first(updates)
+        }
+
+    def test_zero_head_rechecks_every_candidate(self):
+        model = simple_nn()
+        updates = perturbed_updates(model, 4)
+        for update in updates:
+            update.weights["head/W"][:] = 0.0
+            update.weights["head/b"][:] = 0.0
+        engine = CombinationEngine(model, private_test_set(model, 30))
+        scored = {result.members: result.accuracy for result in engine.enumerate(updates)}
+        assert engine.rechecked == engine.cache.stats["misses"] == 15
+        assert scored == self.exact_table(model, engine.test_set, updates)
+        assert table(engine.enumerate(updates)) == table(
+            enumerate_combinations(updates, model, engine.test_set)
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_and_inf_fail_the_guard(self):
+        model = simple_nn()
+        updates = perturbed_updates(model, 4)
+        updates[0].weights["head/b"][0] = np.nan
+        updates[0].weights["head/b"][1] = np.inf
+        updates[0].weights["hidden1/W"][3, 2] = -np.inf
+        engine = CombinationEngine(model, private_test_set(model, 30))
+        scored = {result.members: result.accuracy for result in engine.enumerate(updates)}
+        assert engine.rechecked >= 8  # every subset that holds the poisoned update
+        assert scored == self.exact_table(model, engine.test_set, updates)
+        engine = CombinationEngine(model, engine.test_set)
+        engine.greedy(updates, seed_client="A")  # every candidate holds it
+        assert engine.rechecked == engine.cache.stats["misses"] - 1  # the seed is a raw dict
+
+    def test_the_clean_case_rechecks_nothing(self):
+        model = simple_nn()
+        engine = CombinationEngine(model, private_test_set(model, 30))
+        engine.enumerate(perturbed_updates(model, 4))
+        assert engine.rechecked == 0
+
+
+class TestSizes:
+    """The activation pass and the scoring after it walk the test set in
+    ``batch_size`` chunks, like the exact kernel: no third path above it."""
+
+    BATCH = 4
+
+    @pytest.mark.parametrize("samples", [0, 1, BATCH, BATCH + 1])
+    @pytest.mark.parametrize("name", ["simple_nn", "efficientnet_b0_sim"])
+    def test_around_batch_size(self, name, samples):
+        model = ARCHITECTURES[name][0]()
+        test_set = private_test_set(model, samples)
+        updates = perturbed_updates(model, 4)
+        engine = CombinationEngine(model, test_set, batch_size=self.BATCH)
+        reference = enumerate_combinations(updates, model, test_set)
+        assert table(engine.enumerate(updates)) == table(reference)
+        greedy = engine.greedy(updates)
+        serial = greedy_combination(updates, model, test_set)
+        assert (greedy.members, greedy.accuracy) == (serial.members, serial.accuracy)
+        assert engine.rechecked == 0
+
+
+def deviation(engine, updates):
+    """Largest ``|row-space logit - weight-space logit|`` over the largest
+    ``|weight-space logit|``, over every subset of ``updates``."""
+    fingerprints = [weights_fingerprint(update.weights) for update in updates]
+    workspace = _workspace(engine.model)
+    worst = 0.0
+    engine._rows = {}
+    try:
+        packed = _PackedSums(engine, updates, fingerprints, 1)
+        for size in range(1, len(updates) + 1):
+            for subset in combinations(range(len(updates)), size):
+                sums = packed.scaled[subset[0]].copy()
+                for index in subset[1:]:
+                    sums += packed.scaled[index]
+                members = [updates[index] for index in subset]
+                packed.divide_into(sums, sum(u.num_samples for u in members), 0)
+                fast = engine.model.predict_stacked(
+                    packed.inputs[:1], packed.stack, 1, start=packed.start
+                )
+                _install_fedavg(workspace, members, 0)
+                exact = engine.model.predict_stacked(engine.test_set.x, workspace, 1)
+                worst = max(worst, np.abs(fast - exact).max() / np.abs(exact).max())
+    finally:
+        engine._rows = None
+    return worst
+
+
+@pytest.mark.parametrize("case", OUTCOME_CASES)
+def test_deviation_is_a_thousand_times_under_the_guard(case):
+    """What GUARD is sized against, measured where the digests are pinned:
+    every viewer x every subset of a round's updates of each outcome spec."""
+    driver = make_driver(**OUTCOME_CASES[case])
+    driver.run()
+    worst = max(
+        deviation(engine, driver.shard.view(1, peer_id))
+        for peer_id, engine in driver.shard.engines.items()
+    )
+    assert worst * 1e3 < GUARD
