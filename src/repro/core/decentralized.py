@@ -349,8 +349,12 @@ class DecentralizedFL:
                     deployer.gateway.next_nonce(address),
                 )
                 deployer.gateway.submit(register_tx)
+        # Every peer polls the same reads, so they are built once per wait.
+        reads = self._membership_reads(registry_address)
         self._wait_until(
-            lambda: all(self._is_registered(peer, registry_address) for peer in self.peers.values()),
+            lambda: all(
+                self._is_registered(peer, registry_address, reads) for peer in self.peers.values()
+            ),
             "participant registration",
         )
         self.shard.configure(
@@ -358,17 +362,20 @@ class DecentralizedFL:
         )
         self._deployed = True
 
-    def _is_registered(self, peer: FullPeer, registry_address: Address) -> bool:
+    def _membership_reads(self, registry_address: Address) -> list[CallRequest]:
+        """One ``is_member`` read per identity of the cohort."""
+        return [
+            CallRequest(registry_address, "is_member", {"address": self.addresses[peer_id]})
+            for peer_id in self.peer_ids
+        ]
+
+    @staticmethod
+    def _is_registered(peer: FullPeer, registry_address: Address, reads: list[CallRequest]) -> bool:
+        """Does ``peer``'s replica list the whole cohort as members?  One
+        batched round trip answers all of :meth:`_membership_reads`."""
         if not peer.gateway.has_contract(registry_address):
             return False
-        # One batched round trip checks the whole cohort's membership.
-        memberships = peer.gateway.batch_call(
-            [
-                CallRequest(registry_address, "is_member", {"address": self.addresses[other_id]})
-                for other_id in self.peer_ids
-            ]
-        )
-        return all(memberships)
+        return all(peer.gateway.batch_call(reads))
 
     def _registry_address(self) -> Address:
         deployer = self.peers[self.peer_ids[0]]

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import DataError, ShapeError
+
+
+#: Rows per ``extract`` call of :meth:`Dataset.features`: bounds the
+#: extractor's temporaries (the RBF trunk's are rows x anchors x latent).
+FEATURE_CHUNK = 512
 
 
 @dataclass
@@ -17,15 +22,51 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     name: str = "dataset"
+    #: Extractor token -> what that extractor makes of ``x`` (see
+    #: :meth:`features`).  Belongs to this object: ``subset`` / ``take`` /
+    #: ``flattened`` copies start empty.
+    _features: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    feature_hits: int = field(default=0, init=False, repr=False, compare=False)
+    feature_misses: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.x) != len(self.y):
             raise ShapeError(f"{len(self.x)} samples vs {len(self.y)} labels")
         if self.y.ndim != 1:
             raise ShapeError(f"labels must be 1-D, got shape {self.y.shape}")
+        # A label indexes a one-hot row: -1 would silently mean the last class.
+        if self.y.dtype.kind not in "iu":
+            raise DataError(f"labels must be integers, got dtype {self.y.dtype}")
+        if len(self.y) and self.y.min() < 0:
+            raise DataError(f"labels must be non-negative, got {self.y.min()}")
 
     def __len__(self) -> int:
         return len(self.x)
+
+    def features(self, token: str, extract: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``extract`` applied to ``x``, computed once per ``token``.
+
+        ``token`` names everything ``extract``'s output depends on besides
+        its input rows (a frozen trunk's content hash).  The first call
+        runs ``extract`` over ``x`` in :data:`FEATURE_CHUNK`-row slices;
+        the rows come back read-only, like ``x`` is by contract.
+        """
+        rows = self._features.get(token)
+        if rows is None:
+            self.feature_misses += 1
+            rows = np.concatenate(
+                [
+                    extract(self.x[begin : begin + FEATURE_CHUNK])
+                    for begin in range(0, max(len(self), 1), FEATURE_CHUNK)
+                ]
+            )
+            rows.flags.writeable = False
+            self._features[token] = rows
+        else:
+            self.feature_hits += 1
+        return rows
 
     def subset(self, indices: np.ndarray, name: Optional[str] = None) -> "Dataset":
         """Row-select a new dataset (copies, so slices are independent)."""
@@ -46,6 +87,26 @@ class Dataset:
         return Dataset(self.x[:n].copy(), self.y[:n].copy(), self.name)
 
 
+def batch_indices(
+    size: int,
+    batch_size: int,
+    rng: Optional[np.random.Generator] = None,
+    drop_last: bool = False,
+) -> Iterator[np.ndarray]:
+    """Yield the row indices of each minibatch of a ``size``-row epoch,
+    shuffled (one ``rng.shuffle``) when ``rng`` is given."""
+    if batch_size < 1:
+        raise DataError(f"batch_size must be >= 1, got {batch_size}")
+    indices = np.arange(size)
+    if rng is not None:
+        rng.shuffle(indices)
+    for start in range(0, len(indices), batch_size):
+        batch = indices[start : start + batch_size]
+        if drop_last and len(batch) < batch_size:
+            break
+        yield batch
+
+
 def batch_iterator(
     dataset: Dataset,
     batch_size: int,
@@ -53,15 +114,7 @@ def batch_iterator(
     drop_last: bool = False,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(x, y)`` minibatches, shuffled when ``rng`` is given."""
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    indices = np.arange(len(dataset))
-    if rng is not None:
-        rng.shuffle(indices)
-    for start in range(0, len(indices), batch_size):
-        batch = indices[start : start + batch_size]
-        if drop_last and len(batch) < batch_size:
-            break
+    for batch in batch_indices(len(dataset), batch_size, rng, drop_last):
         yield dataset.x[batch], dataset.y[batch]
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.errors import ConfigError
 from repro.fl.aggregation import ModelUpdate
+from repro.fl.evaluation import evaluate_on, evaluate_weights
 from repro.fl.poisoning import Attacker
 from repro.fl.trainer import LocalTrainer, TrainConfig, TrainResult
 from repro.nn.model import Sequential
@@ -90,12 +91,10 @@ class FLClient:
 
     def evaluate(self) -> float:
         """Accuracy of the current local model on the private test set."""
-        return self.model.evaluate_accuracy(self.test_set.x, self.test_set.y)
+        return evaluate_on(self.model, self.test_set)
 
     def evaluate_weights(self, weights: dict[str, np.ndarray]) -> float:
         """Fitness of foreign ``weights`` on this client's test set."""
-        from repro.fl.evaluation import evaluate_weights
-
         return evaluate_weights(self.model, weights, self.test_set)
 
     def apply_global(self, weights: dict[str, np.ndarray]) -> None:

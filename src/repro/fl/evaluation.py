@@ -9,8 +9,10 @@ from repro.nn.model import Sequential
 
 
 def evaluate_on(model: Sequential, dataset: Dataset, batch_size: int = 512) -> float:
-    """Test accuracy of ``model`` on ``dataset``."""
-    return model.evaluate_accuracy(dataset.x, dataset.y, batch_size=batch_size)
+    """Test accuracy of ``model`` on ``dataset`` (through the memoised
+    features of the model's frozen prefix, when it has one)."""
+    x, start = model.inputs(dataset).chunked(batch_size)
+    return model.evaluate_accuracy(x, dataset.y, batch_size=batch_size, start=start)
 
 
 def evaluate_weights(
@@ -28,6 +30,6 @@ def evaluate_weights(
     saved = model.get_weights()
     try:
         model.set_weights(weights)
-        return model.evaluate_accuracy(dataset.x, dataset.y, batch_size=batch_size)
+        return evaluate_on(model, dataset, batch_size=batch_size)
     finally:
         model.set_weights(saved)

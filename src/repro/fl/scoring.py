@@ -371,11 +371,11 @@ class _PackedSums:
             for name in self._head:
                 np.copyto(workspace[name][slot], update.weights[name])
         if self.start:
-            x = engine.test_set.x
+            x, enter = engine.test_inputs()
             for begin in range(0, len(x), engine.batch_size):
                 chunk = slice(begin, begin + engine.batch_size)
                 self.inputs[: len(group), chunk] = engine.model.predict_stacked(
-                    x[chunk], workspace, len(group), stop=self.start
+                    x[chunk], workspace, len(group), start=enter, stop=self.start
                 )
         z = self._activations
         for slot, (key, update) in enumerate(group):
@@ -392,7 +392,8 @@ class _PackedSums:
         """Accuracy of each of the first ``count`` slots, from the split on,
         and whether the guard lets each stand."""
         engine = self.engine
-        x, y = engine.test_set.x, engine.test_set.y
+        x, enter = engine.test_inputs()
+        y = engine.test_set.y
         correct = np.zeros(count, dtype=np.int64)
         decided = np.ones(count, dtype=bool)
         for begin in range(0, len(x), engine.batch_size):
@@ -401,7 +402,7 @@ class _PackedSums:
                 self.inputs[:count, chunk] if self.start else x[chunk],
                 self.stack,
                 count,
-                start=self.start,
+                start=self.start or enter,
             )
             correct += (logits.argmax(axis=2) == y[chunk]).sum(axis=1)
             decided &= _decided(logits)
@@ -457,8 +458,9 @@ class _Batch:
     def _exact(self, count: int) -> list[float]:
         """The exact kernel over the workspace's first ``count`` slots."""
         engine = self.engine
+        x, enter = engine.test_inputs()
         return engine.model.evaluate_stacked(
-            engine.test_set.x, engine.test_set.y, self.stack, count, batch_size=engine.batch_size
+            x, engine.test_set.y, self.stack, count, batch_size=engine.batch_size, start=enter
         )
 
     def _flush(self) -> None:
@@ -549,6 +551,12 @@ class CombinationEngine:
     # ------------------------------------------------------------------
     # Scoring primitives
     # ------------------------------------------------------------------
+
+    def test_inputs(self) -> tuple[np.ndarray, int]:
+        """``(x, start)``: the test samples as the input of layer ``start``
+        — past the model's frozen prefix when ``batch_size``-row chunks of
+        its memoised features are exact, else the samples and 0."""
+        return self.model.inputs(self.test_set).chunked(self.batch_size)
 
     def _request(self, batch: _Batch, key: object, weights: dict[str, np.ndarray]) -> None:
         """Ask ``batch`` for the accuracy of a raw weight dict."""

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.data.dataset import Dataset, batch_iterator
+from repro.data.dataset import Dataset, batch_indices
 from repro.errors import ConfigError
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
@@ -72,15 +72,19 @@ class LocalTrainer:
         loss_history: list[float] = []
         batches = 0
         last_loss = float("nan")
+        # Features of the model's frozen prefix, filled on first use.
+        inputs = model.inputs(dataset)
         for _epoch in range(config.epochs):
             epoch_losses = []
-            iterator = batch_iterator(
-                dataset,
+            for batch in batch_indices(
+                len(dataset),
                 config.batch_size,
                 rng=self.rng if config.shuffle else None,
-            )
-            for x_batch, y_batch in iterator:
-                loss = model.train_step(x_batch, y_batch, self.loss_fn, optimizer)
+            ):
+                x_batch, start = inputs.rows(batch)
+                loss = model.train_step(
+                    x_batch, dataset.y[batch], self.loss_fn, optimizer, start=start
+                )
                 epoch_losses.append(loss)
                 batches += 1
             if epoch_losses:

@@ -2,9 +2,9 @@
 
 Each layer owns named parameters (``params``) and matching gradients
 (``grads``).  ``forward`` caches what ``backward`` needs; ``backward``
-receives dL/d(output) and returns dL/d(input), accumulating parameter
-gradients.  Layers flagged ``trainable = False`` (the frozen backbone)
-skip gradient accumulation, implementing transfer learning.
+receives dL/d(output), writes the parameter gradients of that one pass
+into ``grads`` and returns dL/d(input).  Layers flagged ``trainable =
+False`` (the frozen backbone) write none, implementing transfer learning.
 
 ``forward_stacked`` is the inference pass for several candidate parameter
 sets at once (:meth:`repro.nn.model.Sequential.predict_stacked`): candidate
@@ -15,6 +15,7 @@ candidates; :class:`Dense` and the element-wise layers do better.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional
 
 import numpy as np
@@ -43,13 +44,25 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Propagate gradients; accumulate parameter grads; return input grad."""
+        """Set ``grads`` to this pass's parameter gradients; return input grad.
+
+        A layer with parameters also takes ``input_grad=False`` — nothing
+        below it trains (:meth:`repro.nn.model.Sequential.backward`) — and
+        then returns None once ``grads`` is written.
+        """
         raise NotImplementedError
 
     def zero_grads(self) -> None:
-        """Reset accumulated gradients to zero."""
+        """Reset the gradients to zero."""
         for key, value in self.params.items():
             self.grads[key] = np.zeros_like(value)
+
+    def frozen_token(self) -> Optional[str]:
+        """Content hash of all that a frozen, parameterless layer's output
+        depends on besides its input, or None when the layer vouches for
+        nothing — its outputs are then never cached (see
+        :meth:`repro.nn.model.Sequential.inputs`)."""
+        return None
 
     def parameter_count(self) -> int:
         """Total number of scalar parameters in this layer."""
@@ -185,13 +198,15 @@ class Dense(Layer):
                 _STACKED_GEMM_EXACT[shape] = np.array_equal(wide, out)
         return out + bias[:, None, :]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         self._require_built()
         if self._cache_x is None:
             raise NotBuiltError(f"{self.name}: backward before forward")
         if self.trainable:
-            self.grads["W"] += self._cache_x.T @ grad_out
-            self.grads["b"] += grad_out.sum(axis=0)
+            self.grads["W"] = self._cache_x.T @ grad_out
+            self.grads["b"] = grad_out.sum(axis=0)
+        if not input_grad:
+            return None
         return grad_out @ self.params["W"].T
 
 
@@ -391,7 +406,7 @@ class Conv2D(Layer):
             self._cache = (x.shape, xp.shape, cols)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         self._require_built()
         if self._cache is None:
             raise NotBuiltError(f"{self.name}: backward before forward")
@@ -403,8 +418,10 @@ class Conv2D(Layer):
 
         grad_flat = grad_out.reshape(-1, self.filters)
         if self.trainable:
-            self.grads["W"] += (cols.reshape(-1, cols.shape[-1]).T @ grad_flat).reshape(self.params["W"].shape)
-            self.grads["b"] += grad_flat.sum(axis=0)
+            self.grads["W"] = (cols.reshape(-1, cols.shape[-1]).T @ grad_flat).reshape(self.params["W"].shape)
+            self.grads["b"] = grad_flat.sum(axis=0)
+        if not input_grad:
+            return None  # col2im, the expensive half, scatters only dL/dx
 
         w_mat = self.params["W"].reshape(-1, self.filters)
         dcols = (grad_flat @ w_mat.T).reshape(n, oh, ow, k, k, c)
@@ -496,14 +513,16 @@ class BatchNorm(Layer):
             self._cache = (x_hat, var, axes, x.shape)
         return self.params["gamma"] * x_hat + self.params["beta"]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cache is None:
             raise NotBuiltError(f"{self.name}: backward before forward")
         x_hat, var, axes, x_shape = self._cache
-        m = int(np.prod([x_shape[a] for a in axes]))
         if self.trainable:
-            self.grads["gamma"] += (grad_out * x_hat).sum(axis=axes)
-            self.grads["beta"] += grad_out.sum(axis=axes)
+            self.grads["gamma"] = (grad_out * x_hat).sum(axis=axes)
+            self.grads["beta"] = grad_out.sum(axis=axes)
+        if not input_grad:
+            return None
+        m = int(np.prod([x_shape[a] for a in axes]))
         gamma = self.params["gamma"]
         dx_hat = grad_out * gamma
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
@@ -555,6 +574,7 @@ class PretrainedRBFBackbone(Layer):
         self.projection = projection.astype(np.float64)
         self.anchors = anchors.astype(np.float64)
         self.sigma = float(sigma)
+        self._token: Optional[str] = None
 
     def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 1 or input_shape[0] != self.projection.shape[0]:
@@ -582,6 +602,16 @@ class PretrainedRBFBackbone(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         # Frozen trunk: gradients stop here (nothing upstream trains).
         return np.zeros((grad_out.shape[0], self.projection.shape[0]), dtype=grad_out.dtype)
+
+    def frozen_token(self) -> str:
+        # The trunk is fixed at construction, so one hash serves its life.
+        if self._token is None:
+            digest = hashlib.sha256(f"{type(self).__name__}/{self.sigma!r}".encode("ascii"))
+            for array in (self.projection, self.anchors):
+                digest.update(str(array.shape).encode("ascii"))
+                digest.update(np.ascontiguousarray(array).data)
+            self._token = digest.hexdigest()
+        return self._token
 
     def parameter_count(self) -> int:
         """Report the frozen trunk size (like EfficientNet's 5.3M backbone)."""

@@ -19,37 +19,42 @@ class CrossEntropyLoss:
             raise ValueError("label_smoothing must be in [0, 1)")
         self.label_smoothing = label_smoothing
 
-    def _probs(self, logits: np.ndarray) -> np.ndarray:
+    def _probs_and_targets(
+        self, logits: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Softmax of ``logits`` and the (smoothed) one-hot rows of ``labels``.
+
+        Labels index one-hot rows, so they must be non-negative integers —
+        which :class:`~repro.data.dataset.Dataset` checks once, where it is
+        free; one at or past the class count raises ``IndexError`` here.
+        """
+        if logits.ndim != 2:
+            raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
+        if labels.shape != logits.shape[:1]:
+            raise ShapeError(f"labels of shape {labels.shape} for {logits.shape[0]} logits")
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
-    def _targets(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
-        onehot = np.eye(num_classes)[labels]
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        num_classes = logits.shape[1]
+        targets = np.eye(num_classes)[labels]
         if self.label_smoothing:
             smooth = self.label_smoothing
-            onehot = onehot * (1 - smooth) + smooth / num_classes
-        return onehot
+            targets = targets * (1 - smooth) + smooth / num_classes
+        return probs, targets
 
     def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross entropy over the batch."""
-        if logits.ndim != 2:
-            raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
-        if labels.shape[0] != logits.shape[0]:
-            raise ShapeError(f"{labels.shape[0]} labels for {logits.shape[0]} logits")
-        probs = self._probs(logits)
-        targets = self._targets(labels, logits.shape[1])
-        return float(-(targets * np.log(probs + 1e-12)).sum(axis=1).mean())
+        return self.loss_and_grad(logits, labels)[0]
 
     def gradient(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """dL/dlogits, already averaged over the batch."""
-        probs = self._probs(logits)
-        targets = self._targets(labels, logits.shape[1])
-        return (probs - targets) / logits.shape[0]
+        return self.loss_and_grad(logits, labels)[1]
 
     def loss_and_grad(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """Convenience: both loss and gradient in one call."""
-        return self.loss(logits, labels), self.gradient(logits, labels)
+        """Both loss and gradient from one softmax and one target matrix."""
+        probs, targets = self._probs_and_targets(logits, labels)
+        loss = float(-(targets * np.log(probs + 1e-12)).sum(axis=1).mean())
+        return loss, (probs - targets) / logits.shape[0]
 
 
 class MSELoss:

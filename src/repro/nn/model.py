@@ -12,9 +12,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.data.dataset import Dataset
 from repro.errors import ConfigError, NotBuiltError, ShapeError
 from repro.nn.layers import Layer
 from repro.nn.losses import CrossEntropyLoss
+
+#: (prefix token, dataset shape, dtype, rows) -> did that many gathered
+#: feature rows equal the prefix run on the same rows of samples, bit for
+#: bit (see :meth:`FrozenInputs.rows`).
+_FEATURE_ROWS_EXACT: dict[tuple, bool] = {}
 
 
 class Sequential:
@@ -52,28 +58,60 @@ class Sequential:
     # Forward / backward
     # ------------------------------------------------------------------
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        """Run the full stack."""
+    def forward(self, x: np.ndarray, training: bool = True, start: int = 0) -> np.ndarray:
+        """Run the stack from layer ``start`` on, ``x`` being its input."""
         self._require_built()
-        for layer in self.layers:
+        for layer in self.layers[start:]:
             x = layer.forward(x, training=training)
         return x
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray, start: int = 0) -> np.ndarray:
         """Inference-mode forward pass."""
-        return self.forward(x, training=False)
+        return self.forward(x, training=False, start=start)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backpropagate from the output gradient; returns input gradient."""
+    def backward(self, grad: np.ndarray, lowest: Optional[int] = None) -> Optional[np.ndarray]:
+        """Backpropagate from the output gradient; returns input gradient.
+
+        ``lowest`` — :meth:`lowest_trainable` — stops the pass where
+        training stops: the layers below it are not visited and that layer
+        is not asked for an input gradient, so nothing is returned.
+        """
         self._require_built()
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for index in range(len(self.layers) - 1, (lowest or 0) - 1, -1):
+            layer = self.layers[index]
+            grad = layer.backward(grad) if index != lowest else layer.backward(grad, input_grad=False)
         return grad
 
     def zero_grads(self) -> None:
-        """Reset every layer's accumulated gradients."""
+        """Reset every layer's gradients."""
         for layer in self.layers:
             layer.zero_grads()
+
+    def lowest_trainable(self) -> int:
+        """Index of the first layer whose parameters train (``len(layers)``
+        when none does): nothing below it needs a gradient."""
+        for index, layer in enumerate(self.layers):
+            if layer.trainable and layer.params:
+                return index
+        return len(self.layers)
+
+    def frozen_depth(self) -> int:
+        """How many leading layers form the frozen prefix: not trainable,
+        without parameters (so nothing FedAvg installs can change them) and
+        each vouching for its content with a
+        :meth:`~repro.nn.layers.Layer.frozen_token`.  What they make of a
+        sample never changes, so :meth:`inputs` computes it once."""
+        depth = 0
+        for layer in self.layers:
+            if layer.trainable or layer.params or layer.frozen_token() is None:
+                break
+            depth += 1
+        return depth
+
+    def inputs(self, dataset: Dataset) -> "FrozenInputs":
+        """``dataset`` as the layers past the frozen prefix see it."""
+        self._require_built()
+        return FrozenInputs(self.layers[: self.frozen_depth()], dataset)
 
     # ------------------------------------------------------------------
     # Parameter access (FedAvg currency)
@@ -145,22 +183,32 @@ class Sequential:
         y: np.ndarray,
         loss_fn: CrossEntropyLoss,
         optimizer,
+        start: int = 0,
     ) -> float:
-        """One forward/backward/update step; returns the batch loss."""
-        self.zero_grads()
-        logits = self.forward(x, training=True)
+        """One forward/backward/update step; returns the batch loss.
+
+        ``x`` is the input of layer ``start`` (:meth:`FrozenInputs.rows`).
+        Every trainable layer's ``grads`` are this step's when it returns.
+        """
+        lowest = self.lowest_trainable()
+        if start > lowest:
+            raise ConfigError(f"layer {lowest} trains but the batch enters at layer {start}")
+        logits = self.forward(x, training=True, start=start)
         loss, grad = loss_fn.loss_and_grad(logits, y)
-        self.backward(grad)
+        self.backward(grad, lowest=lowest)
         optimizer.step(self.trainable_parameters(), self.trainable_gradients())
         return loss
 
-    def evaluate_accuracy(self, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
-        """Classification accuracy over a dataset, batched for memory."""
+    def evaluate_accuracy(
+        self, x: np.ndarray, y: np.ndarray, batch_size: int = 512, start: int = 0
+    ) -> float:
+        """Classification accuracy over a dataset, batched for memory;
+        ``x`` holds the inputs of layer ``start`` (:meth:`FrozenInputs.chunked`)."""
         _check_batch_size(batch_size)
         correct = 0
-        for start in range(0, len(x), batch_size):
-            logits = self.predict(x[start : start + batch_size])
-            correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
+        for begin in range(0, len(x), batch_size):
+            logits = self.predict(x[begin : begin + batch_size], start=start)
+            correct += int((logits.argmax(axis=1) == y[begin : begin + batch_size]).sum())
         return correct / len(x) if len(x) else 0.0
 
     # ------------------------------------------------------------------
@@ -199,12 +247,14 @@ class Sequential:
         parameterless backbone) run once, on the input all candidates share.
 
         Only ``layers[start:stop]`` run, and ``stack`` needs only their
-        parameters: a pass with ``start > 0`` takes each candidate's own
-        input to layer ``start`` as ``x[c]``, ``(count, batch, ...)`` —
-        what a pass with ``stop=start`` returns.
+        parameters.  ``x`` is the input of layer ``start``: the one
+        ``(batch, ...)`` all candidates share while no layer below
+        ``start`` has parameters (``start=0``, or the frozen prefix's
+        features), else each candidate's own as ``x[c]``,
+        ``(count, batch, ...)`` — what a pass with ``stop=start`` returns.
         """
         self._require_built()
-        shared = start == 0
+        shared = not any(layer.params for layer in self.layers[:start])
         for layer in self.layers[start:stop]:
             if shared and not layer.params:
                 x = layer.forward(x, training=False)
@@ -221,19 +271,81 @@ class Sequential:
         stack: dict[str, np.ndarray],
         count: int,
         batch_size: int = 512,
+        start: int = 0,
     ) -> list[float]:
         """:meth:`evaluate_accuracy` of each of ``stack``'s first ``count``
         candidates, in order, without installing any of them."""
         _check_batch_size(batch_size)
         correct = np.zeros(count, dtype=np.int64)
-        for start in range(0, len(x), batch_size):
-            logits = self.predict_stacked(x[start : start + batch_size], stack, count)
-            correct += (logits.argmax(axis=2) == y[start : start + batch_size]).sum(axis=1)
+        for begin in range(0, len(x), batch_size):
+            logits = self.predict_stacked(x[begin : begin + batch_size], stack, count, start=start)
+            correct += (logits.argmax(axis=2) == y[begin : begin + batch_size]).sum(axis=1)
         return [int(hits) / len(x) if len(x) else 0.0 for hits in correct]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(layer.name for layer in self.layers)
         return f"Sequential(name={self.name!r}, layers=[{inner}])"
+
+
+class FrozenInputs:
+    """One dataset as the layers past a model's frozen prefix see it.
+
+    The prefix (:meth:`Sequential.frozen_depth`) turns a sample into the
+    same features every step of every round, so they are computed once per
+    dataset and prefix content (:meth:`repro.data.dataset.Dataset.features`)
+    and a consumer gathers feature rows and enters the model at
+    :attr:`depth` instead of pushing samples through the prefix again.
+
+    A BLAS sums a dot product in an order it picks from the operand shapes,
+    so a few samples through the prefix need not reproduce, to the
+    last bit, the same rows of the whole-set pass (OpenBLAS/Haswell: they do
+    from 11 rows up, not below).  The order depends on shapes and thread
+    count, never on values: the first selection of each row count is
+    computed both ways and the verdict kept for the process — like
+    ``Dense.forward_stacked``'s — and a count that fails is served samples.
+    """
+
+    def __init__(self, prefix: Sequence[Layer], dataset: Dataset) -> None:
+        self.samples = dataset.x
+        self.depth = len(prefix)
+        self._prefix = prefix
+        self.features: Optional[np.ndarray] = None
+        if prefix:
+            token = "/".join(layer.frozen_token() for layer in prefix)
+            self.features = dataset.features(token, self._extract)
+            self._shape = (token, dataset.x.shape, dataset.x.dtype.str)
+
+    def _extract(self, x: np.ndarray) -> np.ndarray:
+        for layer in self._prefix:
+            x = layer.forward(x, training=False)
+        return x
+
+    def rows(self, selection) -> tuple[np.ndarray, int]:
+        """``(x, start)``: the selected samples as the input of layer
+        ``start`` — features when they are the prefix's output on those
+        samples bit for bit, else the samples themselves and 0."""
+        if self.features is None:
+            return self.samples[selection], 0
+        rows = self.features[selection]
+        shape = self._shape + (len(rows),)
+        exact = _FEATURE_ROWS_EXACT.get(shape)
+        if exact is None:
+            exact = np.array_equal(self._extract(self.samples[selection]), rows)
+            _FEATURE_ROWS_EXACT[shape] = exact
+        return (rows, self.depth) if exact else (self.samples[selection], 0)
+
+    def chunked(self, batch_size: int) -> tuple[np.ndarray, int]:
+        """``(x, start)`` for a consumer that slices the whole set into
+        consecutive ``batch_size``-row chunks: features when every chunk's
+        row count passes :meth:`rows`."""
+        _check_batch_size(batch_size)
+        if self.features is None:
+            return self.samples, 0
+        begins = range(0, len(self.samples), batch_size)
+        for begin in {begins[0], begins[-1]} if begins else ():
+            if not self.rows(slice(begin, begin + batch_size))[1]:
+                return self.samples, 0
+        return self.features, self.depth
 
 
 def _check_batch_size(batch_size: int) -> None:

@@ -53,7 +53,7 @@ class ScenarioContext:
         self._factories: dict[SyntheticSpec, SyntheticImageDataset] = {}
         self._backbones: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._datasets: dict[tuple, Dataset] = {}
-        self.stats = {"dataset_hits": 0, "dataset_misses": 0}
+        self._dataset_hits = 0
 
     def factory(self, data_spec: SyntheticSpec) -> SyntheticImageDataset:
         """The (cached) dataset factory for one generation spec."""
@@ -71,11 +71,25 @@ class ScenarioContext:
     def dataset(self, key: tuple, sample) -> Dataset:
         """Memoized split: ``sample()`` runs only on a cache miss."""
         if key not in self._datasets:
-            self.stats["dataset_misses"] += 1
             self._datasets[key] = sample()
         else:
-            self.stats["dataset_hits"] += 1
+            self._dataset_hits += 1
         return self._datasets[key]
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Cache counters: ``dataset_*`` for the memoized splits,
+        ``feature_*`` for the frozen-prefix features memoised on them
+        (:meth:`repro.data.dataset.Dataset.features`) — a miss is one pass
+        of a frozen trunk over one split, a hit a training or evaluation
+        call that found it done."""
+        splits = self._datasets.values()
+        return {
+            "dataset_hits": self._dataset_hits,
+            "dataset_misses": len(self._datasets),
+            "feature_hits": sum(split.feature_hits for split in splits),
+            "feature_misses": sum(split.feature_misses for split in splits),
+        }
 
 
 @dataclass

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import Dataset, batch_iterator, train_test_split
+from repro.data.dataset import Dataset, batch_indices, batch_iterator, train_test_split
 from repro.data.partition import partition_dirichlet, partition_iid, partition_shards
 from repro.data.synthetic import (
     CIFAR10_LABELS,
@@ -44,6 +44,14 @@ class TestDataset:
         with pytest.raises(ShapeError):
             Dataset(rng.normal(size=(5, 2)), rng.integers(0, 2, size=(5, 1)))
 
+    @pytest.mark.parametrize(
+        "labels", [np.array([0, 1, -1]), np.array([0.0, 1.0, 2.0]), np.array([True, False, True])]
+    )
+    def test_labels_must_be_non_negative_integers(self, labels):
+        """A label indexes a one-hot row: -1 would train toward the last class."""
+        with pytest.raises(DataError, match="labels must be"):
+            Dataset(np.zeros((3, 2)), labels)
+
     def test_subset_copies(self, dataset):
         sub = dataset.subset(np.array([0, 1, 2]))
         sub.x[...] = 0.0
@@ -78,6 +86,20 @@ class TestBatchIterator:
         plain = next(batch_iterator(dataset, 50))[1]
         shuffled = next(batch_iterator(dataset, 50, rng=rng))[1]
         assert not np.array_equal(plain, shuffled)
+
+    def test_batches_are_the_index_batches_of_one_shuffle(self, dataset):
+        used = np.random.default_rng(4)
+        batches = list(batch_indices(len(dataset), 16, rng=used))
+        expected = np.arange(len(dataset))
+        rng = np.random.default_rng(4)
+        rng.shuffle(expected)
+        np.testing.assert_array_equal(np.concatenate(batches), expected)
+        assert used.bit_generator.state == rng.bit_generator.state  # one draw per epoch
+        assert [len(batch) for batch in batches] == [16, 16, 16, 2]
+        pairs = batch_iterator(dataset, 16, rng=np.random.default_rng(4))
+        for batch, (x, y) in zip(batches, pairs):
+            np.testing.assert_array_equal(x, dataset.x[batch])
+            np.testing.assert_array_equal(y, dataset.y[batch])
 
     def test_invalid_batch_size(self, dataset):
         with pytest.raises(DataError):

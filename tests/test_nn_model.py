@@ -161,10 +161,22 @@ class TestLosses:
         assert CrossEntropyLoss().loss(logits, labels) == pytest.approx(np.log(10))
 
     def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            CrossEntropyLoss().loss(np.zeros((3,)), np.zeros(3, dtype=int))
-        with pytest.raises(ShapeError):
-            CrossEntropyLoss().loss(np.zeros((3, 2)), np.zeros(4, dtype=int))
+        loss_fn = CrossEntropyLoss()
+        for check in (loss_fn.loss, loss_fn.gradient, loss_fn.loss_and_grad):
+            with pytest.raises(ShapeError):
+                check(np.zeros((3,)), np.zeros(3, dtype=int))
+            with pytest.raises(ShapeError):
+                check(np.zeros((3, 2)), np.zeros(4, dtype=int))
+            with pytest.raises(ShapeError):
+                check(np.zeros((3, 2)), np.zeros((3, 1), dtype=int))
+
+    def test_loss_and_grad_are_loss_and_gradient(self):
+        rng = np.random.default_rng(0)
+        logits, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, size=6)
+        for loss_fn in (CrossEntropyLoss(), CrossEntropyLoss(label_smoothing=0.1)):
+            loss, grad = loss_fn.loss_and_grad(logits, labels)
+            assert loss == loss_fn.loss(logits, labels)
+            np.testing.assert_array_equal(grad, loss_fn.gradient(logits, labels))
 
     def test_invalid_smoothing(self):
         with pytest.raises(ValueError):

@@ -255,7 +255,8 @@ class TestSampledDriver:
         driver.run()
         assert len(driver.peers) < len(driver.peer_ids)
         head = driver.peers[driver.peer_ids[0]]
-        assert driver._is_registered(head, driver._registry_address())
+        registry = driver._registry_address()
+        assert driver._is_registered(head, registry, driver._membership_reads(registry))
 
     def test_round_quorum_and_votes_track_subcohort(self):
         """On-chain round records are quorate over the selected subcohort."""

@@ -466,6 +466,11 @@ class TestTradeoffScenario:
         results = [run_scenario(spec, context=context) for spec in specs]
         waits = [result.mean_wait() for result in results]
         assert waits[0] < waits[1] < waits[2]
+        # The frozen trunk passes over each of the 3 + 3 splits once, for
+        # all three policy cells; simple_nn has no frozen prefix to cache.
+        trunk = model_kind == "efficientnet_b0_sim"
+        assert context.stats["feature_misses"] == (6 if trunk else 0)
+        assert (context.stats["feature_hits"] > 6) == trunk
         (table,) = definition.render(specs, results)
         visible = [line.split()[-1] for line in table.splitlines()[3:]]
         assert len(visible) == 3 and set(visible) != {"3.00"}
