@@ -9,9 +9,9 @@ contracts that make them safe to ship:
   block imports through the speculate/merge scheduler and must produce
   the same head hash, state root, and per-transaction receipts as the
   serial import (the import-time state-root check enforces this
-  independently; the bench re-asserts it on the receipts).  Wall-clock
-  speedup is reported at every scale and floored only on hosts with at
-  least four cores — a single-core CI box prices the overhead instead.
+  independently; the bench re-asserts it on the receipts).  Speculation
+  runs in-process, so the wall-clock ratio prices the scheduler's
+  overhead and is reported, never floored.
 * **Memory is bounded by the hot window, not the chain.**  The paper's
   cross-device profile (1000 registered / 25 sampled) runs with cold
   storage on: blocks and receipts beyond the hot window live in the
@@ -28,7 +28,6 @@ wall-clock floors never do.
 
 from __future__ import annotations
 
-import os
 import resource
 import time
 
@@ -43,12 +42,6 @@ from repro.metrics.tables import render_table
 from repro.scenarios import cohort_scenario, run_scenario
 from repro.scenarios.spec import replace_axis
 
-#: Minimum speedup demanded of the parallel import on capable hosts.
-SPEEDUP_FLOOR = 1.05
-
-#: Cores below which the speedup floor is reported but not asserted.
-SPEEDUP_MIN_CORES = 4
-
 _CACHE: dict = {}
 
 
@@ -57,7 +50,6 @@ def scaleout_params(smoke: bool = False) -> dict:
     if smoke:
         return {
             "block_txs": 30,
-            "workers": 2,
             "registered": 30,
             "sampled": 5,
             "rounds": 2,
@@ -67,7 +59,6 @@ def scaleout_params(smoke: bool = False) -> dict:
         }
     return {
         "block_txs": 1000,
-        "workers": min(4, os.cpu_count() or 1),
         "registered": 1000,
         "sampled": 25,
         "rounds": 3,
@@ -123,14 +114,14 @@ def _timed_import(genesis, runtime, deploy_block, big_block, **cfg):
     return time.perf_counter() - start, node
 
 
-def run_parallel_identity(n_txs: int, workers: int, seed: int = 7) -> dict:
+def run_parallel_identity(n_txs: int, seed: int = 7) -> dict:
     """Serial vs parallel import of one ``n_txs``-registration block.
 
     Asserts byte identity (head hash, state root, every receipt) and
     that all registrations merged on the clean fast path — the registry
     keeps no shared counter slot, so distinct senders never conflict.
     """
-    key = ("identity", n_txs, workers, seed)
+    key = ("identity", n_txs, seed)
     if key in _CACHE:
         return _CACHE[key]
     chain = _registration_chain(n_txs, seed=seed)
@@ -138,7 +129,6 @@ def run_parallel_identity(n_txs: int, workers: int, seed: int = 7) -> dict:
     parallel_s, parallel = _timed_import(
         *chain,
         execution="parallel",
-        execution_workers=workers,
         parallel_min_txs=2,
     )
     big_block = chain[3]
@@ -156,13 +146,11 @@ def run_parallel_identity(n_txs: int, workers: int, seed: int = 7) -> dict:
     )
     profile = {
         "n_txs": n_txs,
-        "workers": workers,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "speedup": serial_s / parallel_s,
         "clean_txs": stats.clean_txs,
         "dirty_txs": stats.dirty_txs,
-        "cores": os.cpu_count() or 1,
     }
     _CACHE[key] = profile
     return profile
@@ -299,10 +287,7 @@ def _print_identity(profile: dict) -> None:
     print()
     print(
         render_table(
-            (
-                f"X8: parallel import ({profile['n_txs']} txs, "
-                f"{profile['workers']} workers, {profile['cores']} cores)"
-            ),
+            f"X8: parallel import ({profile['n_txs']} txs)",
             ["metric", "value"],
             [
                 ["serial s", f"{profile['serial_s']:.3f}"],
@@ -319,20 +304,11 @@ def test_parallel_import_byte_identical(benchmark, smoke):
     """Thousand-tx registration block: parallel == serial, priced.
 
     Identity (head hash, state root, receipts) is asserted inside
-    :func:`run_parallel_identity` at every scale; the wall-clock floor
-    applies only at full scale on hosts with enough cores to win.
+    :func:`run_parallel_identity` at every scale.
     """
     params = scaleout_params(smoke)
-    profile = run_once(
-        benchmark,
-        lambda: run_parallel_identity(params["block_txs"], params["workers"]),
-    )
+    profile = run_once(benchmark, lambda: run_parallel_identity(params["block_txs"]))
     _print_identity(profile)
-    if not smoke and profile["cores"] >= SPEEDUP_MIN_CORES:
-        assert profile["speedup"] > SPEEDUP_FLOOR, (
-            f"parallel import {profile['speedup']:.2f}x on "
-            f"{profile['cores']} cores, floor {SPEEDUP_FLOOR}x"
-        )
 
 
 def test_cold_storage_bounds_memory(benchmark, smoke):

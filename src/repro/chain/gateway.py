@@ -32,7 +32,6 @@ callers never catch raw ``KeyError`` or backend internals.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -141,11 +140,10 @@ class GatewayStats:
     cache_hits: int = 0
     request_bytes: int = 0
     response_bytes: int = 0
-    read_seconds: float = 0.0
     # Resilience telemetry (populated by the fault/retry decorators in
     # repro.faults.gateway; zero everywhere else).  ``backoff_seconds``
     # is deterministic simulated budget accounting, not wall clock, so it
-    # stays in ``as_dict`` unlike ``read_seconds``.
+    # stays in ``as_dict`` unlike the wire latencies.
     retries: int = 0
     faults_injected: int = 0
     deadline_misses: int = 0
@@ -155,8 +153,7 @@ class GatewayStats:
     # Wire telemetry (populated by the out-of-process transport in
     # repro.runtime; all zeros for in-process backends).  The byte and
     # round-trip counters are deterministic functions of the run and stay
-    # in ``as_dict``; the latency accumulators are wall clock and are
-    # excluded like ``read_seconds``.
+    # in ``as_dict``; the latency accumulators are wall clock and do not.
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
     rpc_round_trips: int = 0
@@ -165,7 +162,7 @@ class GatewayStats:
 
     #: Wall-clock accumulators excluded from :meth:`as_dict` so result
     #: objects stay deterministic across identical runs.
-    _WALL_CLOCK_FIELDS = ("read_seconds", "wire_seconds", "wire_method_seconds")
+    _WALL_CLOCK_FIELDS = ("wire_seconds", "wire_method_seconds")
 
     @property
     def contract_call_round_trips(self) -> int:
@@ -191,12 +188,11 @@ class GatewayStats:
     def as_dict(self) -> dict:
         """Counters plus the derived round-trip totals.
 
-        The wall-clock latency accumulators (``read_seconds``,
-        ``wire_seconds``, per-method wire latency) are deliberately left
-        out: every other number here is a deterministic function of the
-        run, and result objects compare equal across identical runs.  The
-        latency accumulators stay readable on the object itself (the
-        gateway benchmarks report them).
+        The wall-clock latency accumulators (``wire_seconds``, per-method
+        wire latency) are deliberately left out: every other number here
+        is a deterministic function of the run, and result objects compare
+        equal across identical runs.  The latency accumulators stay
+        readable on the object itself (the gateway benchmarks report them).
         """
         payload = {
             spec.name: getattr(self, spec.name)
@@ -324,7 +320,6 @@ class InProcessGateway:
         key = request.key()
         known = self._memo.get(key)
         if known is None:
-            started = time.perf_counter()
             try:
                 value = self.node.call_contract(request.contract, request.method, **request.args)
             except ContractNotFoundError as exc:
@@ -333,8 +328,6 @@ class InProcessGateway:
                 raise UnknownMethodError(str(exc)) from exc
             except ContractRevertError as exc:
                 raise CallRevertedError(exc.reason or str(exc)) from exc
-            finally:
-                self.stats.read_seconds += time.perf_counter() - started
             known = self._memo[key] = (value, request.wire_bytes(), _payload_bytes(value))
         value, request_bytes, response_bytes = known
         self.stats.request_bytes += request_bytes

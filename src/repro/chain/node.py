@@ -80,8 +80,7 @@ class NodeConfig:
         ``"serial"`` runs block transactions in order; ``"parallel"``
         routes blocks with at least ``parallel_min_txs`` transactions
         through the speculate/merge scheduler
-        (:mod:`repro.chain.scale.executor`) with ``execution_workers``
-        processes (``0`` = speculate inline, same byte path).
+        (:mod:`repro.chain.scale.executor`), same byte path.
     ``cold_store`` / ``hot_window``
         A shared :class:`~repro.chain.scale.ColdStore` plus a bound on
         resident canonical blocks: older blocks and their receipts spill
@@ -102,7 +101,6 @@ class NodeConfig:
     state_history: int = 128
     schedule: GasSchedule = DEFAULT_SCHEDULE
     execution: str = "serial"
-    execution_workers: int = 0
     parallel_min_txs: int = 64
     cold_store: Optional[ColdStore] = None
     hot_window: Optional[int] = None
@@ -175,8 +173,6 @@ class Node:
         self.genesis_spec = genesis_spec
         if self.config.execution not in EXECUTION_MODES:
             raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if self.config.execution_workers < 0:
-            raise ValueError("execution_workers must be >= 0")
         if self.config.parallel_min_txs < 1:
             raise ValueError("parallel_min_txs must be >= 1")
         if self.config.snapshot_interval < 0:
@@ -411,9 +407,9 @@ class Node:
 
         In ``execution="parallel"`` mode, blocks with at least
         ``parallel_min_txs`` transactions run through the speculate/merge
-        scheduler — byte-identical to the serial order at any worker
-        count (the import-time state-root check independently enforces
-        this); smaller blocks stay on the serial path.
+        scheduler — byte-identical to the serial order (the import-time
+        state-root check independently enforces this); smaller blocks
+        stay on the serial path.
         """
         if (
             self.config.execution == "parallel"
@@ -434,7 +430,6 @@ class Node:
                 state,
                 block.transactions,
                 block.header.miner,
-                workers=self.config.execution_workers,
                 stats=self.execution_stats,
             )
             self.execution_stats.parallel_blocks += 1
@@ -481,7 +476,6 @@ class Node:
                 config.block_reward,
                 config.schedule,
                 config.execution,
-                config.execution_workers,
                 config.parallel_min_txs,
             )
             known = memo.get(key)

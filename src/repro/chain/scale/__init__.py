@@ -4,9 +4,9 @@ Four pillars for thousand-peer, long-horizon runs, each independent and
 each byte-neutral with respect to consensus:
 
 * :mod:`repro.chain.scale.executor` — deterministic speculate/merge
-  scheduler that executes a block's conflict-free transactions in
-  parallel while producing block hashes, receipts, and state roots
-  byte-identical to the serial order at any worker count;
+  scheduler that speculates a block's transactions independently and
+  merges the conflict-free ones, producing block hashes, receipts, and
+  state roots byte-identical to the serial order;
 * :mod:`repro.chain.scale.blockmemo` — a cohort-shared, key-verified
   record of block executions, so a block's transactions run and its
   accounts are hashed once per cohort, not once per node;
@@ -30,7 +30,6 @@ from repro.chain.scale.executor import (
     SpeculationResult,
     execute_block_transactions,
     speculate_inline,
-    speculate_parallel,
 )
 from repro.chain.scale.snapshot import (
     SNAPSHOT_VERSION,
@@ -49,7 +48,6 @@ __all__ = [
     "SpeculationResult",
     "execute_block_transactions",
     "speculate_inline",
-    "speculate_parallel",
     "SNAPSHOT_VERSION",
     "SnapshotError",
     "encode_snapshot",

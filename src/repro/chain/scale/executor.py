@@ -8,8 +8,7 @@ Execution proceeds in two phases:
    the pre-block state — a copy-on-write child that records the exact
    key set the transaction read (balances, nonces, code, storage slots)
    while the journal records what it wrote.  Speculations are mutually
-   independent, so they can run inline, or fan out over a fork-based
-   process pool at any worker count.
+   independent: each sees only the pre-block state.
 2. **Merge.**  Transactions are committed in canonical block order.  A
    transaction whose read+write set is disjoint from everything earlier
    transactions wrote is *clean*: its speculated forward diff (final
@@ -25,7 +24,7 @@ transactions wrote, hence its speculated execution — reads, gas, logs,
 writes — is what serial execution would have produced; applying its
 final values yields the serial post-state.  Induction carries this to
 the last transaction, so block hashes, receipts, and state roots are
-identical at any worker count (the node's state-root check on import is
+identical to serial execution (the node's state-root check on import is
 a second, independent enforcement of the same property).
 
 Miner fees do not commute with balance reads, so speculation suppresses
@@ -40,9 +39,6 @@ transaction-execution callable in, keeping the dependency one-way.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, dataclass, field, fields
 from typing import Any, Callable, Optional, Sequence
 
@@ -66,8 +62,6 @@ class ExecutionStats:
     clean_txs: int = 0            # merged from their forward diff
     dirty_txs: int = 0            # re-executed serially (conflict/miner)
     failed_speculations: int = 0  # speculations that raised (forced dirty)
-    pool_rounds: int = 0          # speculation rounds run on a process pool
-    pool_fallbacks: int = 0       # pool unavailable -> inline speculation
 
     def as_dict(self) -> dict:
         return {
@@ -77,8 +71,6 @@ class ExecutionStats:
             "clean_txs": self.clean_txs,
             "dirty_txs": self.dirty_txs,
             "failed_speculations": self.failed_speculations,
-            "pool_rounds": self.pool_rounds,
-            "pool_fallbacks": self.pool_fallbacks,
         }
 
     def since(self, before: "ExecutionStats") -> "ExecutionStats":
@@ -191,59 +183,8 @@ def speculate_inline(
     base: WorldState,
     txs: Sequence[Transaction],
 ) -> list[SpeculationResult]:
-    """Speculate every transaction in-process (worker count 0)."""
+    """Speculate every transaction against ``base``, in block order."""
     return [_speculate_one(execute, base, tx, i) for i, tx in enumerate(txs)]
-
-
-# Fork-pool plumbing: the parent sets the module global, then forks; the
-# children inherit the live objects, so nothing but index chunks crosses
-# the pipe on the way in and picklable SpeculationResults on the way out.
-_FORK_CONTEXT: dict = {}
-
-
-def _speculate_chunk(indices: list[int]) -> list[SpeculationResult]:
-    execute = _FORK_CONTEXT["execute"]
-    base = _FORK_CONTEXT["base"]
-    txs = _FORK_CONTEXT["txs"]
-    return [_speculate_one(execute, base, txs[i], i) for i in indices]
-
-
-def speculate_parallel(
-    execute: ExecuteFn,
-    base: WorldState,
-    txs: Sequence[Transaction],
-    workers: int,
-    stats: Optional[ExecutionStats] = None,
-) -> list[SpeculationResult]:
-    """Speculate over a fork-based process pool; inline on any failure.
-
-    The fallback is byte-safe: inline speculation computes exactly what
-    the pool would have (speculations are independent and deterministic).
-    """
-    if workers <= 0 or len(txs) < 2:
-        return speculate_inline(execute, base, txs)
-    chunk_count = min(workers, len(txs))
-    step = (len(txs) + chunk_count - 1) // chunk_count
-    chunks = [list(range(lo, min(lo + step, len(txs)))) for lo in range(0, len(txs), step)]
-    _FORK_CONTEXT["execute"] = execute
-    _FORK_CONTEXT["base"] = base
-    _FORK_CONTEXT["txs"] = list(txs)
-    try:
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=chunk_count, mp_context=context) as pool:
-                gathered = list(pool.map(_speculate_chunk, chunks))
-        except (OSError, ValueError, BrokenProcessPool):  # pragma: no cover - host-dependent
-            if stats is not None:
-                stats.pool_fallbacks += 1
-            return speculate_inline(execute, base, txs)
-    finally:
-        _FORK_CONTEXT.clear()
-    if stats is not None:
-        stats.pool_rounds += 1
-    results = [result for chunk in gathered for result in chunk]
-    results.sort(key=lambda result: result.index)
-    return results
 
 
 def _touches_miner(result: SpeculationResult, miner: Address) -> bool:
@@ -285,7 +226,6 @@ def execute_block_transactions(
     state: WorldState,
     txs: Sequence[Transaction],
     miner: Address,
-    workers: int = 0,
     stats: Optional[ExecutionStats] = None,
 ) -> list[Receipt]:
     """Execute a block's transactions via speculate/merge.
@@ -295,7 +235,7 @@ def execute_block_transactions(
     it, as in the serial path) and returns the per-transaction receipts
     in block order.
     """
-    specs = speculate_parallel(execute, state, txs, workers, stats=stats)
+    specs = speculate_inline(execute, state, txs)
     if stats is not None:
         stats.speculated_txs += len(specs)
     receipts: list[Receipt] = []

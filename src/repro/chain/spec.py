@@ -42,8 +42,7 @@ class ChainSpec:
     The scale-out axes are byte-neutral — they change resource usage,
     never results: ``execution="parallel"`` routes blocks of at least
     ``parallel_min_txs`` transactions through the speculate/merge
-    scheduler with ``execution_workers`` processes (0 = inline
-    speculation); ``cold_storage`` gives the cohort a shared
+    scheduler; ``cold_storage`` gives the cohort a shared
     content-addressed cold store with ``hot_window`` resident blocks per
     node and a world-state checkpoint every ``snapshot_interval`` blocks
     (0 disables checkpoints).
@@ -59,7 +58,6 @@ class ChainSpec:
     gateway: str = "inprocess"
     gateway_staleness: float = 5.0
     execution: str = "serial"
-    execution_workers: int = 0
     parallel_min_txs: int = 64
     cold_storage: bool = False
     hot_window: int = 16
@@ -89,8 +87,6 @@ class ChainSpec:
             raise ConfigError(
                 f"execution must be 'serial' or 'parallel', got {self.execution!r}"
             )
-        if self.execution_workers < 0:
-            raise ConfigError("execution_workers must be >= 0")
         if self.parallel_min_txs < 1:
             raise ConfigError("parallel_min_txs must be >= 1")
         if self.hot_window < 1:

@@ -228,7 +228,6 @@ class DecentralizedFL:
         self.block_memo = BlockExecutionMemo()
         node_config = NodeConfig(
             execution=chain.execution,
-            execution_workers=chain.execution_workers,
             parallel_min_txs=chain.parallel_min_txs,
             cold_store=self.cold_store,
             hot_window=chain.hot_window if self.cold_store is not None else None,

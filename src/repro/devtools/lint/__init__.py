@@ -25,7 +25,7 @@ Rule catalog
 ``wall-clock`` (determinism)
     No host-clock reads (``time.time()``, ``time.perf_counter()``,
     ``datetime.now()``, …) outside the sanctioned instrumentation set
-    (``scenarios/sweep.py``, ``chain/gateway.py``, ``runtime/gateway.py``).
+    (``scenarios/sweep.py``, ``runtime/gateway.py``).
     Results are a pure function of the seed; the simulator owns time.
     Scope: ``src/``.
 
@@ -57,9 +57,9 @@ Rule catalog
     ``socket``/``selectors``/``struct``/``subprocess`` imports only under
     ``repro/runtime/`` — the out-of-process runtime is the library's one
     OS-transport surface; ``multiprocessing``/``concurrent.futures`` only
-    there and in ``repro/chain/scale/executor.py`` — its workers are the
-    one FL fan-out; and ``pickle`` nowhere in ``src/`` (the wire codec is
-    canonical JSON + raw blobs).  Scope: ``src/``.
+    there too — its workers are the only fan-out; and ``pickle`` nowhere
+    in ``src/`` (the wire codec is canonical JSON + raw blobs).  Scope:
+    ``src/``.
 
 ``io-discipline`` (seam)
     ``tempfile``/``shutil`` imports and builtin ``open()`` calls only

@@ -7,9 +7,9 @@ library code leaks host time into results (timestamps, deadlines, block
 intervals) and breaks bit-identical regeneration.
 
 An explicit allowlist keeps the sanctioned *instrumentation* reads:
-``scenarios/sweep.py`` (sweep wall-time reporting), and
-``chain/gateway.py`` and ``runtime/gateway.py`` (GatewayStats latency —
-including per-RPC wire timing — excluded from result payloads).
+``scenarios/sweep.py`` (sweep wall-time reporting) and
+``runtime/gateway.py`` (per-RPC wire latency in GatewayStats, excluded
+from result payloads).
 Benchmarks and tests are out of scope — timing things is their job.
 """
 
@@ -23,7 +23,6 @@ from repro.devtools.lint.rules.common import ImportMap
 
 ALLOWED_PATHS = {
     "src/repro/scenarios/sweep.py",
-    "src/repro/chain/gateway.py",
     "src/repro/runtime/gateway.py",
 }
 

@@ -8,11 +8,11 @@ simulation, reachable from any process via the wire, never reaching for
 the OS themselves.
 
 Process pools follow the same line: the runtime's long-lived wire workers
-are the one way to put FL work on more cores, so a ``multiprocessing`` or
-``concurrent.futures`` import anywhere else is a second fan-out growing
-back (the fork-per-round ``ProcessPoolExecutor`` that used to score
-combinations was one).  The block executor's speculation pool is the one
-allowlisted exception.
+are the only way this code uses more than one core, so a
+``multiprocessing`` or ``concurrent.futures`` import anywhere else is a
+second fan-out growing back (the fork-per-round ``ProcessPoolExecutor``
+that used to score combinations was one, the block executor's
+speculation pool another).  There is no exception.
 
 ``pickle`` is banned across ``src/`` outright, runtime included: the wire
 codec is canonical JSON + raw blobs precisely so frames are
@@ -24,7 +24,7 @@ arbitrary-code-execution wire format.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.devtools.lint.engine import Finding, LintContext, LintRule
 
@@ -33,10 +33,6 @@ TRANSPORT_MODULES = {"socket", "selectors", "struct", "subprocess"}
 
 #: Process-pool modules (``concurrent`` is ``concurrent.futures``' root).
 POOL_MODULES = {"multiprocessing", "concurrent"}
-
-#: The one pool outside the runtime: block speculation is chain work, its
-#: specs and results are plain tuples, and it never touches a peer's model.
-POOL_ALLOWLIST = {"src/repro/chain/scale/executor.py"}
 
 #: Serialization modules banned everywhere in ``src/``.
 PICKLE_MODULES = {"pickle", "_pickle", "cPickle"}
@@ -57,13 +53,13 @@ class WireDisciplineRule(LintRule):
     rule_id = "wire-discipline"
     category = "seam"
     description = (
-        "`socket`/`selectors`/`struct`/`subprocess` only under "
-        "`repro/runtime/`; `multiprocessing`/`concurrent.futures` only "
-        "there and in the block executor; `pickle` nowhere in `src/`"
+        "`socket`/`selectors`/`struct`/`subprocess` and "
+        "`multiprocessing`/`concurrent.futures` only under "
+        "`repro/runtime/`; `pickle` nowhere in `src/`"
     )
     rationale = (
         "the runtime package is the library's only OS-transport surface and "
-        "its workers the only FL fan-out; the wire format is canonical JSON "
+        "its workers the only fan-out; the wire format is canonical JSON "
         "+ blobs, never pickle"
     )
 
@@ -91,16 +87,11 @@ class WireDisciplineRule(LintRule):
                         "package; other layers reach the ledger through a "
                         "ChainGateway",
                     )
-                elif (
-                    root in POOL_MODULES
-                    and not in_runtime
-                    and ctx.path not in POOL_ALLOWLIST
-                ):
+                elif root in POOL_MODULES and not in_runtime:
                     yield self.finding(
                         ctx,
                         stmt,
                         f"`{root}` import outside repro/runtime/ — the wire "
-                        "workers (`runtime=\"multiprocess\"`) are the one way "
-                        "to spread FL work over cores; do not add a second "
-                        "process pool",
+                        "workers (`runtime=\"multiprocess\"`) are the only "
+                        "fan-out; do not add a second process pool",
                     )

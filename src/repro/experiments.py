@@ -79,13 +79,6 @@ AXIS_FLAGS: dict[str, tuple[str, dict]] = {
             help="block transaction execution mode (parallel is byte-identical to serial)",
         ),
     ),
-    "--execution-workers": (
-        "chain.execution_workers",
-        dict(
-            type=int,
-            help="speculation worker processes for --execution parallel (0 = inline)",
-        ),
-    ),
     "--cold-storage": (
         "chain.cold_storage",
         dict(

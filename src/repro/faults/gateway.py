@@ -363,43 +363,23 @@ class ResilientGateway:
         if tx_hash in self._acked:
             self.stats.deduped_submits += 1
             return tx_hash
-        self._check_breaker("submit")
-        budget = self.policy.submit_budget
-        attempts = 0
-        waited = 0.0
-        ambiguous = False
-        while True:
-            attempts += 1
+        attempted = False
+
+        def attempt() -> None:
+            # Only a retryable fault earns a retry, and it may have struck
+            # before OR after the ledger saw the transaction.  So a
+            # rejection of any attempt but the first means an earlier one
+            # landed (nonce consumed): already applied — success, not error.
+            nonlocal attempted
+            first, attempted = not attempted, True
             try:
                 self.inner.submit(tx)
-            except RETRYABLE_ERRORS as exc:
-                # The fault may have struck before OR after the ledger
-                # saw the transaction — ambiguous from out here.
-                ambiguous = True
-                if isinstance(exc, GatewayTimeoutError):
-                    self.stats.deadline_misses += 1
-                delay = self.policy.backoff(attempts)
-                if attempts >= self.policy.max_attempts or waited + delay > budget:
-                    self.stats.gave_up += 1
-                    self._note_give_up()
-                    raise GatewayUnavailableError(
-                        f"submit gave up after {attempts} attempts "
-                        f"({waited:.1f}s of backoff)"
-                    ) from exc
-                waited += delay
-                self.stats.retries += 1
-                self.stats.backoff_seconds += delay
-                continue
             except TransactionRejectedError:
-                if ambiguous:
-                    # A retry after an ambiguous failure got rejected:
-                    # the earlier attempt landed (nonce consumed), so the
-                    # transaction is already applied — success, not error.
-                    self.stats.deduped_submits += 1
-                    break
-                raise
-            break
-        self._note_success()
+                if first:
+                    raise
+                self.stats.deduped_submits += 1
+
+        self._run("submit", attempt)
         self._acked.add(tx_hash)
         return tx_hash
 

@@ -67,8 +67,8 @@ or :meth:`~CombinationEngine.greedy` first needs them — greedy's solo pass
 and its steps share one set — and released when the outermost search
 returns.  Between searches an engine holds scores, never rows.  Packing
 needs one float dtype shared by the updates, the model and the test
-inputs; anything else is aggregated per subset by the reference
-aggregator, like a non-FedAvg engine.
+inputs; anything else is aggregated per subset by
+:func:`~repro.fl.aggregation.fedavg` itself and keyed by content hash.
 
 Batched evaluation
 ------------------
@@ -87,7 +87,7 @@ order, and a key requested twice before its batch runs is evaluated once
 and counts one cache hit, exactly as if the first request had finished.
 
 Raw weight dicts (``threshold_filter``, ``solo_accuracy``,
-``score_weights``, a non-FedAvg aggregator's output) are copied into a
+``score_weights``, a non-packable subset's aggregate) are copied into a
 process-wide workspace of :data:`BATCH_WIDTH` whole weight sets and scored
 from the first layer by :meth:`~repro.nn.model.Sequential.evaluate_stacked`,
 bit for bit a forward pass with the dict installed — the **exact kernel**,
@@ -104,9 +104,9 @@ draws exactly like the serial reference in :mod:`repro.fl.selection`:
 * tie-breaking happens in the caller via
   :func:`repro.fl.selection.pick_best` with the caller's RNG, so the
   stream sees one draw per multi-way tie, same as the reference;
-* the *adopted* combination's weights are materialized with the
-  reference aggregator itself (one call per search), so downstream state
-  is byte-identical to the serial path.
+* the *adopted* combination's weights are materialized with
+  :func:`~repro.fl.aggregation.fedavg` itself (one call per search), so
+  downstream state is byte-identical to the serial path.
 
 Aggregated accuracies may differ from the reference by the usual
 floating-point reassociation only in the last ulp of the *logits*; the
@@ -153,8 +153,6 @@ from repro.fl.selection import CombinationResult, pick_best
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_fingerprint
-
-Aggregator = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
 
 #: Candidates evaluated per kernel call, and updates per GEMM of the
 #: activation pass.  The workspace holds this many weight sets: 8 x 62k
@@ -524,11 +522,16 @@ class CombinationEngine:
     exact kernel.
     """
 
+    #: Every engine aggregates with ``fedavg``, so subsets are summed from
+    #: rows and keyed structurally whenever the updates pack
+    #: (:meth:`_packable`).  Constant; kept only because the perf harness's
+    #: tracer test reads it.
+    _incremental = True
+
     def __init__(
         self,
         model: Sequential,
         test_set: Dataset,
-        aggregator: Aggregator = fedavg,
         cache: Optional[EvaluationCache] = None,
         batch_size: int = 512,
         instrument: Optional[Callable[[object], None]] = None,
@@ -537,14 +540,11 @@ class CombinationEngine:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self.model = model
         self.test_set = test_set
-        self.aggregator = aggregator
         self.cache = cache if cache is not None else EvaluationCache()
         self.batch_size = batch_size
         self.instrument = instrument
         self.rechecked = 0
         self.test_set_id = dataset_fingerprint(test_set)
-        #: Structural subset keys are only valid for the reference FedAvg.
-        self._incremental = aggregator is fedavg
         #: ``{(update fingerprint, num_samples): row}`` while a search runs.
         self._rows: Optional[dict[tuple[str, int], np.ndarray]] = None
 
@@ -641,7 +641,7 @@ class CombinationEngine:
         limit = min(max_size if max_size is not None else len(ordered), len(ordered))
         if min_size > limit:
             scored = []  # the reference's empty size range
-        elif self._incremental and self._packable(ordered[0].weights):
+        elif self._packable(ordered[0].weights):
             scored = self._enumerate_fedavg(ordered, min_size, limit)
         else:
             scored = self._enumerate_generic(ordered, min_size, limit)
@@ -651,13 +651,13 @@ class CombinationEngine:
     def _enumerate_generic(
         self, ordered: list[ModelUpdate], min_size: int, limit: int
     ) -> list[ScoredSubset]:
-        """Per-subset aggregator calls for non-FedAvg aggregators (keys
-        fall back to content hashes of the aggregated weights)."""
+        """Per-subset ``fedavg`` calls for updates that do not pack into
+        rows (keys fall back to content hashes of the aggregated weights)."""
         batch = _Batch(self)
         members = []
         for size in range(min_size, limit + 1):
             for subset in iter_combinations(ordered, size):
-                weights = self.aggregator(subset)
+                weights = fedavg(subset)
                 self._request(batch, (weights_fingerprint(weights), self.test_set_id), weights)
                 members.append(tuple(update.client_id for update in subset))
         return [ScoredSubset(subset, accuracy) for subset, accuracy in zip(members, batch.finish())]
@@ -714,11 +714,11 @@ class CombinationEngine:
     ) -> CombinationResult:
         """Exact-reference weights for an adopted combination.
 
-        One aggregator call over the members *in the given order* — the
+        One ``fedavg`` call over the members *in the given order* — the
         adopted weights are byte-identical to the serial reference's.
         """
         by_id = {update.client_id: update for update in updates}
-        weights = self.aggregator([by_id[member] for member in members])
+        weights = fedavg([by_id[member] for member in members])
         return CombinationResult(members=tuple(members), accuracy=accuracy, weights=weights)
 
     def best(
@@ -735,13 +735,12 @@ class CombinationEngine:
     ) -> CombinationResult:
         """Forward selection replicating the reference step for step.
 
-        With the reference FedAvg, candidate sets are scored from a
-        running sum of the chosen members' rows (insertion order) plus the
-        candidate's and keyed structurally, so each step costs one add +
-        scale per candidate and one kernel call per :data:`BATCH_WIDTH`
-        candidates — on the rows the solo pass already built; other
-        aggregators pay one aggregator call per candidate and content-hash
-        keys.
+        Candidate sets are scored from a running sum of the chosen
+        members' rows (insertion order) plus the candidate's and keyed
+        structurally, so each step costs one add + scale per candidate and
+        one kernel call per :data:`BATCH_WIDTH` candidates — on the rows
+        the solo pass already built; updates that do not pack into rows
+        pay one ``fedavg`` call per candidate and content-hash keys.
         """
         if not updates:
             raise SelectionError("no updates to combine")
@@ -755,7 +754,7 @@ class CombinationEngine:
             solos = self.enumerate(list(pool.values()), min_size=1, max_size=1)
             chosen = [pool.pop(solos[0].members[0])]
         first = chosen[0]
-        incremental = self._incremental and self._packable(first.weights)
+        incremental = self._packable(first.weights)
         if incremental:
             # Scratch row 0 is the chosen members' running sum, row 1 the
             # candidate's: the same adds, in the same order, as enumerate.
@@ -769,7 +768,7 @@ class CombinationEngine:
             best_acc = self._score(self._subset_key(trace), first.weights)
         else:
             packed = None
-            weights = self.aggregator(chosen)
+            weights = fedavg(chosen)
             best_acc = self._score((weights_fingerprint(weights), self.test_set_id), weights)
         while pool:
             batch = _Batch(self, packed)
@@ -777,7 +776,7 @@ class CombinationEngine:
             for client_id in candidates:
                 candidate = pool[client_id]
                 if not incremental:
-                    weights = self.aggregator(chosen + [candidate])
+                    weights = fedavg(chosen + [candidate])
                     self._request(batch, (weights_fingerprint(weights), self.test_set_id), weights)
                     continue
                 slot = batch.claim(

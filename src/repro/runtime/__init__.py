@@ -3,9 +3,8 @@
 The package splits the decentralized deployment across OS processes
 without changing a single result byte:
 
-* :mod:`~repro.runtime.wire` — length-prefixed JSON+blob frames, the
-  typed-error codec, and :class:`WireCondition` (declarative ``wait_for``
-  predicates that rebuild server-side);
+* :mod:`~repro.runtime.wire` — length-prefixed JSON+blob frames and the
+  typed-error codec;
 * :mod:`~repro.runtime.gateway` — :class:`RemoteGateway` /
   :class:`RemoteOffchain`, the worker-side
   :class:`~repro.chain.gateway.ChainGateway` implementation (stackable
@@ -30,7 +29,6 @@ from repro.runtime.wire import (
     WIRE_ERROR_TYPES,
     WireChannel,
     WireClosedError,
-    WireCondition,
     connect,
     decode_error,
     decode_frame,
@@ -45,7 +43,6 @@ __all__ = [
     "RemoteOffchain",
     "WireChannel",
     "WireClosedError",
-    "WireCondition",
     "connect",
     "decode_error",
     "decode_frame",

@@ -298,8 +298,8 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
     def _head_stamp(self) -> dict:
         """Freshness token pushed with every task frame.
 
-        The event engine only pumps in ``_wait_until``/``wait_for`` —
-        never while workers hold parallel tasks — so a stamp taken at
+        The event engine only pumps in the coordinator's ``_wait_until``
+        — never while workers hold tasks — so a stamp taken at
         dispatch stays valid for the batch's whole lifetime.  It is the
         "pushed new-heads subscription" the batching gateway's contract
         expects of a remote transport: worker-side cache lookups

@@ -14,9 +14,9 @@ in each direction as codec-v2 blobs and are decoded/cached in a local
 store, so repeated reads of the same commitment never re-transfer bytes.
 
 Wire telemetry (bytes, round trips, per-method latency) lands in the
-standard :class:`~repro.chain.gateway.GatewayStats` fields this PR added;
-the latency reads use ``time.perf_counter`` and are allowlisted by the
-wall-clock lint alongside the in-process gateway's ``read_seconds``.
+standard :class:`~repro.chain.gateway.GatewayStats` wire fields; the
+latency reads use ``time.perf_counter`` and are allowlisted by the
+wall-clock lint.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from repro.chain.crypto import Address
-from repro.chain.gateway import DEFAULT_WAIT_DEADLINE, CallRequest, GatewayStats
+from repro.chain.gateway import CallRequest, GatewayStats
 from repro.chain.transaction import LogEntry, Transaction
 from repro.core.offchain import OffchainStore
 from repro.errors import WireProtocolError
-from repro.runtime.wire import WireChannel, WireCondition, decode_error
+from repro.runtime.wire import WireChannel, decode_error
 
 
 def rpc(
@@ -74,19 +74,18 @@ class HeadSignal:
     """Latest freshness token the coordinator pushed, shared worker-wide.
 
     The coordinator stamps every task frame with ``(token, clock)``; the
-    chain can only advance while the event engine pumps — i.e. inside a
-    ``wait_for`` — so between the stamp and the next wait the token
-    identifies one frozen-chain window exactly.  This is the "pushed
-    new-heads subscription" the batching gateway's contract expects of a
-    remote transport: serving ``observe_head`` from it makes a cache
-    validation cost zero round trips instead of one.
+    chain can only advance while the coordinator's event engine pumps,
+    and it never pumps while a worker holds a task (workers cannot wait:
+    :meth:`RemoteGateway.wait_for` refuses), so the token identifies the
+    task's frozen-chain window exactly, for the whole task.  This is the
+    "pushed new-heads subscription" the batching gateway's contract
+    expects of a remote transport: serving ``observe_head`` from it makes
+    a cache validation cost zero round trips instead of one.
 
     The token is an *opaque window id* (epoch-prefixed head hash), not a
     verbatim head hash: peers hold per-node chain views, so no single
     node's hash could stand in for all of them across windows.  One
-    instance per worker, shared by every peer's transport: any peer's
-    wait invalidates the signal for all of them (the pump moved the
-    whole chain, not one peer's view of it).
+    instance per worker, shared by every peer's transport.
     """
 
     __slots__ = ("value",)
@@ -99,22 +98,20 @@ class RemoteGateway:
     """:class:`ChainGateway` backend that reaches the ledger over the wire.
 
     One instance per peer per worker; all instances in a worker share the
-    worker's single coordinator connection.  Reads, submits, and waits
-    mirror the in-process gateway's semantics exactly — the server routes
-    each RPC into the same gateway object an in-process run would call —
-    so results are byte-identical and only the transport cost differs.
+    worker's single coordinator connection.  Reads and submits mirror
+    the in-process gateway's semantics exactly — the server routes each
+    RPC into the same gateway object an in-process run would call — so
+    results are byte-identical and only the transport cost differs.
     """
 
     def __init__(
         self,
         channel: WireChannel,
         peer_id: str,
-        default_deadline: float = DEFAULT_WAIT_DEADLINE,
         head_signal: Optional[HeadSignal] = None,
     ) -> None:
         self.channel = channel
         self.peer_id = peer_id
-        self.default_deadline = default_deadline
         self.head_signal = head_signal
         self.stats = GatewayStats()
 
@@ -160,7 +157,7 @@ class RemoteGateway:
         """Freshness token and clock — pushed signal first, RPC else.
 
         The pushed :class:`HeadSignal` is exact whenever set (the chain
-        is frozen between the coordinator's stamp and the next wait), so
+        is frozen for the whole task the coordinator stamped), so
         batching lookups normally pay no wire cost here; the RPC is the
         cold-start fallback and its result (this peer's real head hash,
         an equally valid window id) re-primes the signal.
@@ -221,39 +218,17 @@ class RemoteGateway:
 
     def wait_for(
         self,
-        predicate: Callable[[], bool] | WireCondition,
+        predicate: Callable[[], bool],
         what: str,
         deadline: Optional[float] = None,
     ) -> float:
-        """Wait on a declarative condition evaluated coordinator-side.
+        """Always raises :class:`~repro.errors.WireProtocolError`.
 
-        Only :class:`~repro.runtime.wire.WireCondition` can cross the
-        boundary — a plain callable would require pickling, which the
-        wire discipline forbids.
+        Waits run on the coordinator's event engine, between tasks; a
+        worker pumping it mid-task would move the chain under the head
+        stamp its siblings still hold.  Nothing is sent.
         """
-        if not isinstance(predicate, WireCondition):
-            raise WireProtocolError(
-                "remote wait_for needs a WireCondition; a callable predicate "
-                "cannot cross the process boundary"
-            )
-        self.stats.waits += 1
-        try:
-            value, _ = self._rpc(
-                "wait_for",
-                {
-                    "condition": predicate.to_dict(),
-                    "what": what,
-                    "deadline": deadline if deadline is not None else self.default_deadline,
-                },
-            )
-        finally:
-            # The wait pumped the coordinator's event engine — the only
-            # way the chain advances mid-task — so the pushed head
-            # observation (every transport's, not just this peer's) is
-            # stale until the next task stamp or cold observe.
-            if self.head_signal is not None:
-                self.head_signal.value = None
-        return float(value)
+        raise WireProtocolError("waits run on the coordinator's event engine")
 
 
 class RemoteOffchain:
@@ -305,16 +280,30 @@ class RemoteOffchain:
 
         return self.put_archive(as_archive(weights))
 
+    def _pull(self, key: str) -> None:
+        """Mirror ``key``'s blob from the coordinator unless already held.
+
+        The reply comes from another process, so it is checked like
+        :meth:`put_archive` checks the key the server returns: exactly
+        one blob, whose content address is ``key``.
+        """
+        if key in self._mirror:
+            return
+        _, blobs = self._rpc("offchain_get", {"key": key})
+        if len(blobs) != 1:
+            raise WireProtocolError(f"offchain_get returned {len(blobs)} blobs, expected 1")
+        got = self._mirror.put(blobs[0])
+        if got != key:
+            raise WireProtocolError(
+                f"offchain blob mismatch: asked {key[:16]}… got {got[:16]}…"
+            )
+
     def get(self, key: str) -> bytes:
-        if key not in self._mirror:
-            _, blobs = self._rpc("offchain_get", {"key": key})
-            self._mirror.put(blobs[0])
+        self._pull(key)
         return self._mirror.get(key)
 
     def get_weights(self, key: str) -> dict:
-        if key not in self._mirror:
-            _, blobs = self._rpc("offchain_get", {"key": key})
-            self._mirror.put(blobs[0])
+        self._pull(key)
         return self._mirror.get_weights(key)
 
     def fetch_available(self, keys: Sequence[str]) -> dict[str, dict]:

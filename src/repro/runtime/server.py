@@ -11,9 +11,12 @@ Every RPC names the peer it acts as; the server routes it to that peer's
 *innermost* gateway layer, the same object the coordinator's own round
 driver reads through.  Errors cross the boundary typed: any
 :class:`~repro.errors.GatewayError` (or off-chain
-:class:`~repro.errors.SerializationError` / wait-drain
+:class:`~repro.errors.SerializationError` / p2p
 :class:`~repro.errors.NetworkError`) is encoded with class name and
 message and re-raised identically worker-side.
+
+There is no ``wait_for`` RPC: waits run on the coordinator's event engine
+(see :meth:`repro.runtime.gateway.RemoteGateway.wait_for`).
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from repro.errors import (
     SerializationError,
     WireProtocolError,
 )
-from repro.runtime.wire import WireChannel, WireCondition, encode_error
+from repro.runtime.wire import WireChannel, encode_error
 
 #: Exception types that cross the wire typed instead of crashing the
 #: coordinator: the gateway hierarchy plus the off-chain store's missing-
-#: blob error and the simulator-drained wait error.
+#: blob error and the p2p network's error.
 _WIRE_SAFE_ERRORS = (GatewayError, SerializationError, NetworkError)
 
 
@@ -136,14 +139,6 @@ class GatewayServer:
             return gateway.next_nonce(params["address"]), ()
         if method == "now":
             return gateway.now(), ()
-        if method == "wait_for":
-            condition = WireCondition.from_dict(params["condition"])
-            return (
-                gateway.wait_for(
-                    condition.build(gateway), params["what"], deadline=params.get("deadline")
-                ),
-                (),
-            )
         raise WireProtocolError(f"unknown rpc method {method!r}")
 
     def _dispatch_offchain(

@@ -8,15 +8,11 @@ zero or more raw binary blobs whose lengths the header declares under
 as tagged base64; *weight payloads* always travel as codec-v2 blobs so a
 50-peer round never base64-inflates megabytes of float32.
 
-The module also owns the two cross-process vocabularies the golden-file
-tests pin:
-
-* the **typed-error registry** — every :class:`~repro.errors.GatewayError`
-  subtype crosses the boundary as ``{"type": <class name>, "message"}``
-  and is re-raised client-side as the same class with the same message;
-* :class:`WireCondition` — the declarative ``wait_for`` predicates
-  (arbitrary callables cannot cross a process boundary without pickling,
-  which the wire-discipline lint forbids).
+The module also owns the cross-process vocabulary the golden-file tests
+pin: the **typed-error registry** — every
+:class:`~repro.errors.GatewayError` subtype crosses the boundary as
+``{"type": <class name>, "message"}`` and is re-raised client-side as the
+same class with the same message.
 
 Framing violations raise :class:`~repro.errors.WireProtocolError`; a peer
 hanging up mid-frame raises :class:`WireClosedError` so the coordinator
@@ -27,8 +23,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.errors import (
     CallRevertedError,
@@ -227,44 +222,6 @@ def decode_error(payload: dict) -> Exception:
     if cls is None:
         return GatewayError(f"{name or 'unknown remote error'}: {message}")
     return cls(message)
-
-
-# ---------------------------------------------------------------------------
-# Declarative wait_for conditions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WireCondition:
-    """A ``wait_for`` predicate that can cross the process boundary.
-
-    The in-process gateway accepts arbitrary callables; a callable cannot
-    travel the wire without pickling, so remote waits are restricted to
-    this declarative vocabulary and rebuilt into a predicate server-side
-    against the routed gateway.
-    """
-
-    kind: str  # "height_at_least" | "contract_deployed" | "never"
-    value: Any = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WireCondition":
-        return cls(kind=payload["kind"], value=payload.get("value"))
-
-    def build(self, gateway: Any) -> Callable[[], bool]:
-        """Compile into a zero-argument predicate over ``gateway``."""
-        if self.kind == "height_at_least":
-            target = int(self.value)
-            return lambda: gateway.height() >= target
-        if self.kind == "contract_deployed":
-            address = str(self.value)
-            return lambda: gateway.has_contract(address)
-        if self.kind == "never":
-            return lambda: False
-        raise WireProtocolError(f"unknown wait condition kind {self.kind!r}")
 
 
 def connect(host: str, port: int, timeout: Optional[float] = None) -> WireChannel:

@@ -25,7 +25,10 @@ Determinism contract (why sharding cannot change results):
   worker-side at the same point of the same stream recipe;
 * submissions never happen here — train tasks *return* signed
   transactions and the coordinator broadcasts them on the event engine,
-  so mempool order is scheduler-controlled, not process-race-controlled.
+  so mempool order is scheduler-controlled, not process-race-controlled;
+* waits never happen here either — only the coordinator's ``_wait_until``
+  moves simulated time, between tasks, so the head stamp a task carries
+  is exact for the whole task.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ class WorkerRuntime:
                 continue
             stamp = header.get("head")
             if stamp is not None:
-                # The coordinator's per-task head push; exact until the
-                # next wait_for pumps the chain (see HeadSignal).
+                # The coordinator's per-task head push; exact for the
+                # whole task, since workers never wait (see HeadSignal).
                 self.head_signal.value = (str(stamp["hash"]), float(stamp["now"]))
             op = header.get("op", "")
             if op == "shutdown":
@@ -166,12 +169,7 @@ class WorkerRuntime:
                 continue
             if pc.peer_id not in plan.ever_active:
                 continue  # registered on chain, never trains: no peer here
-            transport = RemoteGateway(
-                self.channel,
-                pc.peer_id,
-                default_deadline=chain_spec.max_round_time,
-                head_signal=self.head_signal,
-            )
+            transport = RemoteGateway(self.channel, pc.peer_id, head_signal=self.head_signal)
             self.transports[pc.peer_id] = transport
             self.shard.add_peer(
                 pc,

@@ -280,9 +280,8 @@ class ScenarioSpec:
     Results are byte-identical across runtimes and worker counts.  The
     ``"vanilla"`` kind has no chain and ignores the knob.  Fault
     injection is an in-process feature and is rejected in combination
-    with the multiprocess runtime.  The runtime's workers are the one way
-    to put FL work on more cores (``chain.execution_workers`` does the
-    same for block speculation).
+    with the multiprocess runtime.  The runtime's workers are the only
+    way this code uses more than one core.
     """
 
     name: str = ""

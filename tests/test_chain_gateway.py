@@ -848,7 +848,7 @@ class TestBatchingGateway:
         assert payload["calls"] == 3
         assert payload["contract_call_round_trips"] == 4
         assert payload["requested_reads"] == 6
-        assert "read_seconds" not in payload  # wall-clock stays off results
+        assert "wire_seconds" not in payload  # wall-clock stays off results
 
 
 def easy_dataset(rng, n=60):
@@ -1022,7 +1022,11 @@ class TestChainStatsDigests:
     read memo; ``multiprocess`` at the commit before the ``PeerShard``
     refactor, then re-recorded once for the 22 bytes per worker the
     ``init`` frame's encoded spec lost with ``selection_workers`` (every
-    other frame and counter stayed equal).  Beside each digest the fixture
+    other frame and counter stayed equal).  All five were re-recorded
+    when the block executor's process pool went: its two always-zero
+    ``execution.pool_*`` counters left every run, and ``multiprocess``
+    also lost the 22 bytes per worker the pool's worker-count field took
+    in that same ``init`` frame.  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

@@ -3,9 +3,9 @@
 Covers the three pillars of ``repro.chain.scale`` plus the node plumbing
 that threads them together:
 
-* deterministic parallel transaction execution — byte-identical to
-  serial at any worker count (deterministic fixtures plus a hypothesis
-  property over random transfer blocks and workers in {0, 2, 4});
+* deterministic speculate/merge transaction execution — byte-identical
+  to serial (deterministic fixtures plus a hypothesis property over
+  random transfer blocks);
 * the spillable cold store — round-trip, dedup, LRU, and the node-level
   guarantee that receipts and ``get_logs`` survive a spill/reload cycle;
 * root-verified snapshots — encode/install round-trip, tamper
@@ -17,6 +17,8 @@ that threads them together:
 from __future__ import annotations
 
 import copy
+import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from repro.chain.scale import (
     install_snapshot,
     snapshot_key,
     SnapshotError,
+    execute_block_transactions,
 )
 from repro.chain.scale.coldstore import ColdStoreError
 from repro.chain.state import WorldState
@@ -181,21 +184,20 @@ class TestParallelExecution:
     def test_parallel_import_is_byte_identical(self):
         serial = make_node(KEYPAIRS[0])
         _registry, txs = self.build_workload(serial)
-        for workers in (0, 2):
-            par = make_node(
-                KEYPAIRS[0],
-                execution="parallel",
-                execution_workers=workers,
-                parallel_min_txs=1,
-            )
-            for block in canonical_blocks(serial):
-                par.import_block(block)  # raises on any state-root drift
-            assert_same_outcome(serial, par, txs)
-            stats = par.execution_stats
-            assert stats.parallel_blocks >= 1
-            assert stats.clean_txs >= 1  # disjoint registrations merged fast
-            assert stats.dirty_txs >= 2  # miner spend + same-sender follow-up
-            assert stats.failed_speculations >= 1
+        par = make_node(KEYPAIRS[0], execution="parallel", parallel_min_txs=1)
+        for block in canonical_blocks(serial):
+            par.import_block(block)  # raises on any state-root drift
+        assert_same_outcome(serial, par, txs)
+        stats = par.execution_stats
+        assert stats.parallel_blocks >= 1
+        assert stats.clean_txs >= 1  # disjoint registrations merged fast
+        assert stats.dirty_txs >= 2  # miner spend + same-sender follow-up
+        assert stats.failed_speculations >= 1
+
+    def test_speculation_has_no_worker_count(self):
+        # Speculation runs in the calling process; the wire workers are
+        # the only way this code uses more than one core.
+        assert "workers" not in inspect.signature(execute_block_transactions).parameters
 
     def test_small_blocks_stay_serial(self):
         par = make_node(
@@ -242,9 +244,8 @@ class TestParallelSerialProperty:
             min_size=2,
             max_size=10,
         ),
-        workers=st.sampled_from([0, 2, 4]),
     )
-    def test_random_transfer_blocks_match(self, moves, workers):
+    def test_random_transfer_blocks_match(self, moves):
         serial = make_node(KEYPAIRS[0])
         txs = []
         for sender_i, to_i, value in moves:
@@ -254,12 +255,7 @@ class TestParallelSerialProperty:
             serial.submit_transaction(tx)
             txs.append(tx)
         mine(serial)
-        par = make_node(
-            KEYPAIRS[0],
-            execution="parallel",
-            execution_workers=workers,
-            parallel_min_txs=1,
-        )
+        par = make_node(KEYPAIRS[0], execution="parallel", parallel_min_txs=1)
         for block in canonical_blocks(serial):
             par.import_block(block)
         assert_same_outcome(serial, par, txs)
@@ -567,6 +563,15 @@ class TestScaleConfigValidation:
     def test_parallel_min_txs_floor(self):
         with pytest.raises(ValueError):
             make_node(KEYPAIRS[0], parallel_min_txs=0)
+
+    @pytest.mark.parametrize("config", [NodeConfig, ChainSpec])
+    def test_executor_has_two_settings(self, config):
+        # Speculation always runs inline: the mode and the block-size
+        # threshold are all there is to set, with no process count.
+        settings = [
+            f.name for f in dataclasses.fields(config) if f.name.startswith(("execution", "parallel"))
+        ]
+        assert settings == ["execution", "parallel_min_txs"]
 
     def test_chainspec_mirrors_the_same_rules(self):
         with pytest.raises(ConfigError):

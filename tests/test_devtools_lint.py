@@ -309,11 +309,12 @@ class TestWallClockRule:
         src = "import time\nstart = time.perf_counter()\n"
         for allowed in (
             "src/repro/scenarios/sweep.py",
-            "src/repro/chain/gateway.py",
+            "src/repro/runtime/gateway.py",
             "benchmarks/bench_x.py",
         ):
             assert engine.lint_source(src, allowed) == []
         assert rule_ids(engine.lint_source(src, LIB_PATH)) == ["wall-clock"]
+        assert rule_ids(engine.lint_source(src, "src/repro/chain/gateway.py")) == ["wall-clock"]
 
 
 # ---------------------------------------------------------------------------
@@ -709,13 +710,20 @@ class TestWireDisciplineRule:
         )
         assert rule_ids(findings) == ["wire-discipline", "wire-discipline"]
 
-    def test_process_pool_allowed_in_runtime_and_block_executor(self):
+    def test_process_pool_allowed_only_in_runtime(self):
+        # The wire workers are the only fan-out: the block executor's old
+        # speculation pool is a finding like any other.
         source = """
             import multiprocessing
             from concurrent.futures.process import BrokenProcessPool
             """
-        for path in ("src/repro/runtime/broker.py", "src/repro/chain/scale/executor.py"):
-            assert lint(source, path=path) == []
+        assert lint(source, path="src/repro/runtime/broker.py") == []
+        findings = lint(source, path="src/repro/chain/scale/executor.py")
+        assert rule_ids(findings) == ["wire-discipline", "wire-discipline"]
+
+    def test_pool_finding_points_at_the_wire_workers(self):
+        (finding,) = lint("import multiprocessing\n", path=CHAIN_PATH)
+        assert "wire workers" in finding.message and "only fan-out" in finding.message
 
     def test_pickle_flagged_even_in_runtime(self):
         findings = lint(

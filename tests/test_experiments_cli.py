@@ -155,7 +155,6 @@ FLAG_VALUES = {
     "--runtime-workers": ("3", "-1"),
     "--sampled-k": ("2", "1"),
     "--execution": ("parallel", None),
-    "--execution-workers": ("2", "-1"),
     "--cold-storage": (None, None),             # store_true: no value
 }
 

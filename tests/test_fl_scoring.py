@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.errors import ConfigError, SelectionError
-from repro.fl.aggregation import ModelUpdate, uniform_average
+from repro.fl.aggregation import ModelUpdate
 from repro.fl.evaluation import evaluate_weights
 from repro.fl.scoring import (
     BATCH_WIDTH,
@@ -330,34 +330,44 @@ class TestEngineSearches:
         with pytest.raises(SelectionError):
             engine.greedy([upd("A", good_weights())], seed_client="Z")
 
-    def test_non_fedavg_aggregator_supported(self, scratch_model, test_set):
-        """Non-reference aggregators fall back to per-subset aggregation
-        with content-hash keys (no structural shortcut)."""
-        updates = [upd("A", good_weights(), n=10), upd("B", bad_weights(), n=1000)]
-        reference = enumerate_combinations(
-            updates, scratch_model, test_set, aggregator=uniform_average
-        )
-        engine = CombinationEngine(scratch_model, test_set, aggregator=uniform_average)
-        scored = engine.enumerate(updates)
+    @staticmethod
+    def unpackable(weights):
+        """float32 updates on a float64 model do not pack into rows."""
+        return {name: value.astype(np.float32) for name, value in weights.items()}
+
+    def test_unpackable_updates_enumerate_like_the_reference(self, scratch_model, test_set):
+        """Updates whose dtype is not the model's fall back to per-subset
+        ``fedavg`` with content-hash keys (no structural shortcut)."""
+        updates = [
+            upd("A", self.unpackable(good_weights()), n=10),
+            upd("B", self.unpackable(bad_weights()), n=1000),
+        ]
+        reference = enumerate_combinations(updates, scratch_model, test_set)
+        keys = []
+        scored = CombinationEngine(scratch_model, test_set, instrument=keys.append).enumerate(updates)
         assert [(r.members, r.accuracy) for r in reference] == [
             (s.members, s.accuracy) for s in scored
         ]
+        assert len(keys) == 3 and not any(key[0] == "fedavg" for key in keys)
 
-    def test_non_fedavg_greedy_supported(self, scratch_model, test_set):
+    def test_unpackable_updates_greedy_like_the_reference(self, scratch_model, test_set):
         updates = [
-            upd("A", good_weights(), n=10),
-            upd("B", bad_weights(), n=1000),
-            upd("C", good_weights(), n=5),
+            upd("A", self.unpackable(good_weights()), n=10),
+            upd("B", self.unpackable(bad_weights()), n=1000),
+            upd("C", self.unpackable(good_weights()), n=5),
         ]
-        reference = greedy_combination(
-            updates, scratch_model, test_set, aggregator=uniform_average
-        )
-        engine = CombinationEngine(scratch_model, test_set, aggregator=uniform_average)
-        candidate = engine.greedy(updates)
+        reference = greedy_combination(updates, scratch_model, test_set)
+        candidate = CombinationEngine(scratch_model, test_set).greedy(updates)
         assert reference.members == candidate.members
         assert reference.accuracy == candidate.accuracy
         for key in reference.weights:
             np.testing.assert_array_equal(reference.weights[key], candidate.weights[key])
+
+    def test_engine_aggregates_only_by_fedavg(self, scratch_model, test_set):
+        """Other aggregators are the serial reference's business; the engine
+        takes no ``aggregator`` and has nothing to fall back from."""
+        with pytest.raises(TypeError):
+            CombinationEngine(scratch_model, test_set, aggregator=None)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_validation(self, scratch_model, test_set, batch_size):

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.participation import ParticipationSpec
 from repro.errors import ConfigError, GatewayUnavailableError, WorkerCrashedError
+from repro.scenarios import cohort_scenario
 from repro.scenarios.runner import ScenarioContext, decentralized_inputs, run_scenario
 from repro.scenarios.spec import RUNTIME_KINDS, FaultSpec, ScenarioSpec, replace_axis
 from repro.utils.rng import RngFactory
@@ -181,6 +182,49 @@ class TestParticipationEquivalence:
         inproc, multi = pair(spec, workers=3)
         assert comparable(inproc) == comparable(multi)
         assert inproc.reputation
+
+
+class TestChainScaleComposition:
+    """Sampling x cold storage x speculate/merge execution x runtime: the
+    chain's work is the coordinator's, so no worker count can move it.
+    ``gateway`` and ``offchain_marshalling`` count transport, which is the
+    one thing a runtime is allowed to change."""
+
+    def spec(self) -> ScenarioSpec:
+        spec = cohort_scenario(8, sampled_k=3).quick()
+        chain = dataclasses.replace(
+            spec.chain, cold_storage=True, execution="parallel", parallel_min_txs=2
+        )
+        return dataclasses.replace(spec, chain=chain)
+
+    @staticmethod
+    def chain_side(result) -> dict:
+        return {
+            key: value
+            for key, value in result.chain_stats.items()
+            if key not in ("gateway", "offchain_marshalling")
+        }
+
+    def multiprocess(self, workers: int):
+        return run_cached(
+            dataclasses.replace(self.spec(), runtime="multiprocess", runtime_workers=workers)
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_inprocess(self, workers):
+        inproc, multi = run_cached(self.spec()), self.multiprocess(workers)
+        assert comparable(inproc) == comparable(multi)
+        assert self.chain_side(inproc) == self.chain_side(multi)
+
+    def test_one_and_two_workers_request_the_same_reads(self):
+        one, two = self.multiprocess(1), self.multiprocess(2)
+        assert one.chain_stats["gateway"]["requested"] == two.chain_stats["gateway"]["requested"]
+
+    def test_every_axis_of_the_cell_did_work(self):
+        stats = run_cached(self.spec()).chain_stats
+        assert stats["execution"]["parallel_blocks"] > 0 and stats["execution"]["clean_txs"] > 0
+        assert stats["storage"]["spilled_blocks"] > 0
+        assert stats["participation"]["instantiated"] < 8
 
 
 class TestRuntimeStatsSurface:

@@ -4,19 +4,18 @@ Structure:
 
 * frame codec round trips + every truncation/corruption path;
 * golden-file fixtures (``tests/fixtures/wire_frames.json``) pinning the
-  byte-exact wire format of a ``CallRequest`` rpc, a ``wait_for`` rpc,
-  off-chain blob frames, and **every** registered error subtype — adding
+  byte-exact wire format of a ``CallRequest`` rpc, off-chain blob frames,
+  and **every** registered error subtype — adding
   a :class:`~repro.errors.GatewayError` subclass to the registry without
   regenerating the fixtures fails loudly;
 * the typed-error registry: type and message preserved across
   encode/decode for all 14 classes, graceful degradation for unknowns;
-* :class:`~repro.runtime.wire.WireCondition` semantics;
 * :mod:`repro.runtime.speccodec` round trips on real scenario specs;
 * :class:`~repro.runtime.server.GatewayServer` +
   :class:`~repro.runtime.gateway.RemoteGateway` over a real socketpair —
-  reads, submits, typed error parity, ``wait_for`` timeout crossing the
-  boundary as the same class with the same message, and the
-  :class:`~repro.runtime.gateway.RemoteOffchain` mirror.
+  reads, submits, typed error parity, waits refused on both ends, and the
+  :class:`~repro.runtime.gateway.RemoteOffchain` mirror, including a
+  hand-driven peer whose replies carry the wrong blobs.
 
 Regenerate fixtures (deliberate format changes only)::
 
@@ -42,28 +41,24 @@ from repro.contracts import register_all
 from repro.core.offchain import OffchainStore
 from repro.errors import (
     GatewayError,
-    GatewayTimeoutError,
-    RoundError,
     SerializationError,
     UnknownContractError,
     WireProtocolError,
 )
 from repro.nn.serialize import weights_to_bytes
-from repro.runtime.gateway import RemoteGateway, RemoteOffchain
+from repro.runtime.gateway import HeadSignal, RemoteGateway, RemoteOffchain
 from repro.runtime.server import GatewayServer
 from repro.runtime.speccodec import decode_spec, encode_spec
 from repro.runtime.wire import (
     WIRE_ERROR_TYPES,
     WireChannel,
     WireClosedError,
-    WireCondition,
     decode_error,
     decode_frame,
     encode_error,
     encode_frame,
 )
 from repro.scenarios.spec import ScenarioSpec
-from repro.utils.events import Simulator
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "wire_frames.json"
 
@@ -107,19 +102,6 @@ def build_golden_frames() -> dict:
                     {"contract": "0xreputation", "method": "score_of", "args": {"address": "0xaa"}},
                     {"contract": "0xreputation", "method": "score_of", "args": {"address": "0xbb"}},
                 ]
-            },
-        },
-    )
-    add(
-        "rpc_wait_for",
-        {
-            "kind": "rpc",
-            "method": "wait_for",
-            "peer": "A",
-            "params": {
-                "condition": {"kind": "height_at_least", "value": 7},
-                "what": "registration",
-                "deadline": 50.0,
             },
         },
     )
@@ -279,35 +261,6 @@ class TestErrorCodec:
         assert "FutureError" in str(exc) and "from v99" in str(exc)
 
 
-class TestWireCondition:
-    def test_round_trip(self):
-        cond = WireCondition("height_at_least", 12)
-        assert WireCondition.from_dict(cond.to_dict()) == cond
-
-    def test_height_at_least_predicate(self):
-        class FakeGateway:
-            def height(self):
-                return 5
-
-        assert WireCondition("height_at_least", 5).build(FakeGateway())()
-        assert not WireCondition("height_at_least", 6).build(FakeGateway())()
-
-    def test_contract_deployed_predicate(self):
-        class FakeGateway:
-            def has_contract(self, address):
-                return address == "0xdeployed"
-
-        assert WireCondition("contract_deployed", "0xdeployed").build(FakeGateway())()
-        assert not WireCondition("contract_deployed", "0xother").build(FakeGateway())()
-
-    def test_never_predicate(self):
-        assert not WireCondition("never").build(object())()
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(WireProtocolError):
-            WireCondition("until_tuesday").build(object())
-
-
 # ---------------------------------------------------------------------------
 # Spec codec
 # ---------------------------------------------------------------------------
@@ -453,58 +406,50 @@ class TestServedGateway:
                 remote.height()
 
     def test_wait_for_requires_wire_condition(self):
+        # Waits run on the coordinator's event engine: a worker-side wait
+        # is refused whatever it is handed, before a byte is written.
         node, _ = make_node()
         with ServedGateway(InProcessGateway(node)) as served:
             remote = RemoteGateway(served.client_channel, "A")
+            for predicate in (lambda: True, lambda: False, None, "height_at_least"):
+                with pytest.raises(WireProtocolError, match="coordinator's event engine"):
+                    remote.wait_for(predicate, "anything", deadline=5.0)
+            assert served.client_channel.bytes_sent == 0
+            assert remote.stats.waits == 0 and remote.stats.rpc_round_trips == 0
+
+    def test_refused_wait_keeps_the_head_stamp(self):
+        # Nothing moved the chain, so the pushed stamp stays exact and
+        # observe_head keeps costing zero round trips.
+        node, _ = make_node()
+        signal = HeadSignal()
+        signal.value = ("window-1", 13.0)
+        with ServedGateway(InProcessGateway(node)) as served:
+            remote = RemoteGateway(served.client_channel, "A", head_signal=signal)
             with pytest.raises(WireProtocolError):
-                remote.wait_for(lambda: True, "callable")
+                remote.wait_for(lambda: True, "anything")
+            assert signal.value == ("window-1", 13.0)
+            assert remote.observe_head() == ("window-1", 13.0)
+            assert served.client_channel.bytes_sent == 0
 
-    @staticmethod
-    def _timed_out_wait(remote: bool) -> GatewayTimeoutError:
-        """One fresh deployment whose 5s wait times out, locally or served."""
+    def test_server_has_no_wait_rpc(self):
         node, _ = make_node()
-        sim = Simulator()
-        gateway = InProcessGateway(node, simulator=sim)
+        server = GatewayServer({"A": InProcessGateway(node)}, OffchainStore())
+        params = {"condition": {"kind": "never"}, "what": "x", "deadline": 5.0}
+        with pytest.raises(WireProtocolError, match="unknown rpc method 'wait_for'"):
+            server.dispatch("wait_for", "A", params, ())
 
-        def tick():
-            sim.schedule_in(1.0, tick)
 
-        tick()
-        with pytest.raises(GatewayTimeoutError) as excinfo:
-            if remote:
-                with ServedGateway(gateway) as served:
-                    RemoteGateway(served.client_channel, "A").wait_for(
-                        WireCondition("never"), "nothing", deadline=5.0
-                    )
-            else:
-                gateway.wait_for(lambda: False, "nothing", deadline=5.0)
-        return excinfo.value
+def answer_once(channel: WireChannel, blobs: tuple[bytes, ...]) -> threading.Thread:
+    """A hand-driven peer: read one rpc frame, reply ``rpc-result`` with
+    exactly ``blobs`` (right or wrong), then stop."""
 
-    def test_wait_for_timeout_type_and_message_preserved(self):
-        # Two identical deployments: one waits through the wire, one
-        # directly — the remote timeout must be the same class carrying
-        # the same message.
-        remote_exc = self._timed_out_wait(remote=True)
-        local_exc = self._timed_out_wait(remote=False)
-        assert type(remote_exc) is type(local_exc) is GatewayTimeoutError
-        assert str(remote_exc) == str(local_exc)
-        assert isinstance(remote_exc, RoundError)
+    def serve():
+        channel.recv()
+        channel.send({"kind": "rpc-result", "value": None}, blobs)
 
-    def test_wait_for_returns_elapsed(self):
-        node, _ = make_node()
-        sim = Simulator()
-        gateway = InProcessGateway(node, simulator=sim)
-        # The genesis block is already on chain, so the condition holds
-        # on the first check and zero simulated time elapses.
-        with ServedGateway(gateway) as served:
-            remote = RemoteGateway(served.client_channel, "A")
-            elapsed = remote.wait_for(
-                WireCondition("height_at_least", gateway.height()),
-                "already true",
-                deadline=10.0,
-            )
-        assert elapsed == 0.0
-        assert remote.stats.waits == 1
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
 
 
 class TestRemoteOffchain:
@@ -524,6 +469,58 @@ class TestRemoteOffchain:
             remote = RemoteOffchain(served.client_channel)
             with pytest.raises(SerializationError):
                 remote.get("0" * 64)
+
+    @pytest.fixture
+    def hand_driven(self):
+        """``(peer, remote)``: a RemoteOffchain whose coordinator end is
+        driven by the test through :func:`answer_once`."""
+        peer_sock, client_sock = socket.socketpair()
+        peer, client = WireChannel(peer_sock), WireChannel(client_sock)
+        yield peer, RemoteOffchain(client)
+        peer.close()
+        client.close()
+
+    @staticmethod
+    def wanted_and_other() -> tuple[bytes, bytes]:
+        import numpy as np
+
+        return (
+            weights_to_bytes({"w": np.arange(4, dtype=np.float32)}),
+            weights_to_bytes({"w": np.ones(4, dtype=np.float32)}),
+        )
+
+    @pytest.mark.parametrize("read", ["get", "get_weights"])
+    @pytest.mark.parametrize(
+        "reply,error",
+        [("none", "returned 0 blobs"), ("two", "returned 2 blobs"), ("wrong", "blob mismatch")],
+    )
+    def test_bad_reply_blobs_are_a_protocol_error(self, hand_driven, read, reply, error):
+        peer, remote = hand_driven
+        wanted, other = self.wanted_and_other()
+        key = OffchainStore().put(wanted)
+        blobs = {"none": (), "two": (wanted, wanted), "wrong": (other,)}[reply]
+        thread = answer_once(peer, blobs)
+        with pytest.raises(WireProtocolError, match=error):
+            getattr(remote, read)(key)
+        thread.join(timeout=10)
+        assert key not in remote._mirror  # nothing asked for was kept
+
+    @pytest.mark.parametrize("read", ["get", "get_weights"])
+    def test_one_matching_blob_is_mirrored(self, hand_driven, read):
+        peer, remote = hand_driven
+        wanted, _ = self.wanted_and_other()
+        key = OffchainStore().put(wanted)
+        thread = answer_once(peer, (wanted,))
+        got = getattr(remote, read)(key)
+        thread.join(timeout=10)
+        if read == "get":
+            assert got == wanted
+        else:
+            assert list(got["w"]) == [0.0, 1.0, 2.0, 3.0]
+        # Mirrored: served locally from now on, nothing more is sent.
+        sent = remote.channel.bytes_sent
+        assert key in remote and getattr(remote, read)(key) is not None
+        assert remote.channel.bytes_sent == sent
 
     def test_fetch_available_matches_local_store_semantics(self):
         import numpy as np
