@@ -18,19 +18,6 @@ combinations, wait times, and the full round-trip request profile.  The
 acceptance floor is a >= 3x reduction in contract-call round trips per
 round at the 25-peer profile (measured ~30x).
 
-With the out-of-process runtime (:mod:`repro.runtime`) the same seam
-also prices the *wire*: ``compare_transports`` reruns the profile with
-peers in worker OS processes talking to the ledger over framed sockets,
-raw and with worker-side batching.  The measured finding: the runtime's
-task protocol already coalesces at the protocol level (views are
-memoized per task, weight blobs mirrored content-addressed, training
-transactions returned in task results instead of submitted), so the
-worker-side reads that remain are essentially all distinct — batching
-is *trip-neutral* over the wire, and the coordinator's pushed head
-signal is what keeps it neutral instead of negative (without it every
-cache validation would cost its own round trip).  All arms are
-byte-identical — asserted in-bench.
-
 ``--smoke`` keeps the 25-peer cohort (the profile is the point) but
 shrinks data and rounds so the comparison runs in seconds for tier-1.
 """
@@ -141,87 +128,11 @@ def _print_comparison(result: dict) -> None:
                 [
                     "batching",
                     f"{result['batched_trips_per_round']:.0f}",
-                    # Served locally in-process; from a pushed new-heads
-                    # subscription (not a request) on a remote transport.
+                    # Cache validations, answered by the in-process node.
                     f"{result['head_checks']}",
                     f"{result['batched_response_bytes'] / 1e6:.2f}",
                     f"{result['trip_reduction']:.1f}x",
                 ],
-            ],
-        )
-    )
-
-
-def compare_transports(
-    size: int, rounds: int, train: int, test: int, seed: int = 42
-) -> dict:
-    """Price the profile across process topologies and backends.
-
-    Three arms: in-process (zero wire), remote (peers in 2 worker
-    processes, raw reads over the socket), and remote+batching (the
-    worker-side head-keyed cache on top).  Asserts all arms' results
-    identical and that batching never *adds* wire round trips — the
-    pushed head signal keeps cache validation off the wire.
-    """
-    key = ("transports", size, rounds, train, test, seed)
-    if key in _CACHE:
-        return _CACHE[key]
-    spec = _profile_spec(size, rounds, train, test, seed)
-    context = ScenarioContext()
-    local = run_scenario(spec, context=context)
-    remote_spec = replace(spec, runtime="multiprocess", runtime_workers=2)
-    remote = run_scenario(remote_spec, context=context)
-    batched = run_scenario(
-        replace_axis(remote_spec, "chain.gateway", "batching"), context=context
-    )
-
-    def identity(result):
-        return (
-            result.model_digests,
-            result.client_accuracy,
-            result.wait_times,
-            result.chain_stats["heights"],
-        )
-
-    assert identity(remote) == identity(local)
-    assert identity(batched) == identity(local)
-
-    def wire_row(arm, result):
-        wire = result.chain_stats["gateway"].get("wire", {})
-        return {
-            "arm": arm,
-            "rpc_trips": wire.get("rpc_round_trips", 0),
-            "trips_per_round": wire.get("rpc_round_trips", 0) / rounds,
-            "wire_mb": (wire.get("bytes_sent", 0) + wire.get("bytes_received", 0))
-            / 1e6,
-        }
-
-    rows = [
-        wire_row("inprocess", local),
-        wire_row("remote", remote),
-        wire_row("remote+batching", batched),
-    ]
-    result = {
-        "size": size,
-        "rounds": rounds,
-        "rows": rows,
-        "remote_trips": rows[1]["rpc_trips"],
-        "batched_trips": rows[2]["rpc_trips"],
-        "trip_reduction": rows[1]["rpc_trips"] / max(rows[2]["rpc_trips"], 1),
-    }
-    _CACHE[key] = result
-    return result
-
-
-def _print_transports(result: dict) -> None:
-    print()
-    print(
-        render_table(
-            f"X5b: transport pricing ({result['size']} peers, {result['rounds']} rounds)",
-            ["arm", "rpc trips/round", "wire MB"],
-            [
-                [row["arm"], f"{row['trips_per_round']:.0f}", f"{row['wire_mb']:.1f}"]
-                for row in result["rows"]
             ],
         )
     )
@@ -254,21 +165,3 @@ def test_batching_serves_identical_bytes(benchmark, smoke):
         == result["batched"]["requested"]["requested_reads"]
     )
     assert result["raw"]["requested"]["submits"] == result["batched"]["requested"]["submits"]
-
-
-def test_remote_transport_priced_and_batched(benchmark, smoke):
-    """Remote arms pay real wire; batching never adds trips on top.
-
-    Byte-identity across all three arms is asserted inside
-    :func:`compare_transports`; the trip counts are deterministic
-    functions of the read pattern, so the bounds need no slack.  The
-    protocol-level coalescing (see module docstring) means batching is
-    trip-neutral over the wire — the hard contract is that the pushed
-    head signal keeps it from costing a validation round trip per read.
-    """
-    result = run_once(benchmark, lambda: compare_transports(**gateway_params(smoke)))
-    _print_transports(result)
-    assert result["rows"][0]["rpc_trips"] == 0  # in-process: no wire
-    assert result["remote_trips"] > 0
-    assert result["rows"][1]["wire_mb"] > 0
-    assert result["batched_trips"] <= result["remote_trips"]

@@ -2,8 +2,8 @@
 
 PR 4 parallelized the combination search and PR 5 cut the transport-
 agnostic :class:`ChainGateway` seam; this bench prices the final step —
-running the peers themselves as separate OS processes behind a
-wire-served gateway (:mod:`repro.runtime`).  The same cohort scenario
+running the peers' compute as separate OS processes while the
+coordinator keeps the ledger (:mod:`repro.runtime`).  The same cohort scenario
 runs in-process and multiprocess at several worker counts, reporting
 wall-clock, rounds/sec, speedup, and the wire traffic the topology
 costs.

@@ -150,8 +150,8 @@ class GatewayStats:
     gave_up: int = 0
     deduped_submits: int = 0
     backoff_seconds: float = 0.0
-    # Wire telemetry (populated by the out-of-process transport in
-    # repro.runtime; all zeros for in-process backends).  The byte and
+    # Wire telemetry (populated by the multiprocess workers' blob mirror
+    # in repro.runtime; all zeros on every ledger gateway).  The byte and
     # round-trip counters are deterministic functions of the run and stay
     # in ``as_dict``; the latency accumulators are wall clock and do not.
     wire_bytes_sent: int = 0

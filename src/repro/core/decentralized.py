@@ -57,7 +57,13 @@ from repro.core.peer import FullPeer, PeerConfig, peer_keypair, registration_tra
 from repro.core.rounds import Round
 from repro.core.shard import PeerRoundLog, PeerShard
 from repro.data.dataset import Dataset
-from repro.errors import ConfigError, GatewayError, RoundError
+from repro.errors import (
+    ConfigError,
+    GatewayError,
+    RoundError,
+    WireProtocolError,
+    WorkerCrashedError,
+)
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyGateway, ResilientGateway
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
 from repro.nn.model import Sequential
@@ -356,9 +362,7 @@ class DecentralizedFL:
             ),
             "participant registration",
         )
-        self.shard.configure(
-            store_address, coordinator_address, self.reputation_address, self.addresses
-        )
+        self.shard.configure(store_address, coordinator_address, self.addresses)
         self._deployed = True
 
     def _membership_reads(self, registry_address: Address) -> list[CallRequest]:
@@ -398,6 +402,11 @@ class DecentralizedFL:
     def run_round(self, round_id: int) -> list[PeerRoundLog]:
         """Execute one communication round for every live peer.
 
+        Every phase splits the same way: the driver does the ledger half —
+        nonce and view reads, off-chain puts, signed submits, through each
+        peer's own gateway stack, in the same per-peer order under every
+        runtime — and hands what it read to the shard's compute half.
+
         Fault-free runs execute exactly the pre-fault logic (``live`` is
         the whole cohort and nothing can be dropped).  With the fault
         harness active, crashed peers sit the round out, a peer whose
@@ -410,17 +419,14 @@ class DecentralizedFL:
             return []  # scheduled but skipped
         self._train_and_submit(rnd)
         self._await_quorum(rnd)
-        survivors = self._fetch_views(rnd)
+        self._fetch_views(rnd)
         if self.config.mode == "global_vote":
-            logs = self._vote_global(round_id, survivors)
+            logs = self._vote_global(rnd)
         else:
-            logs = self.shard.score(round_id, survivors)
+            logs = self.shard.score(round_id, rnd.view_records)
         self._record(rnd, logs)
         if self.config.enable_reputation:
-            # One rater at a time, cohort order: rating transactions must
-            # reach the mempool in the same order under every runtime.
-            for rater_id in survivors:
-                self.shard.rate(round_id, rater_id)
+            self._rate(rnd)
         self.last_finished_round = round_id
         return logs
 
@@ -469,16 +475,20 @@ class DecentralizedFL:
         )
 
     def _train_and_submit(self, rnd: Round) -> None:
-        """Train locally now; schedule each submission for when the
-        peer's simulated training time has elapsed.
+        """Read each live peer's nonce, train them all now, and schedule
+        each submission for when the peer's simulated training time has
+        elapsed.
 
-        The simulated clock is frozen throughout ``shard.train``, nonce
-        reads are per-address, and off-chain puts are content-addressed —
-        so the per-peer work is order-independent and the multiprocess
-        coordinator fans it out to workers; submissions stay serialized on
-        the event engine either way.
+        The simulated clock is frozen throughout ``shard.train`` and
+        off-chain puts are content-addressed — so the per-peer work is
+        order-independent and the multiprocess coordinator fans it out to
+        workers; submissions stay serialized on the event engine either way.
         """
-        trained = self.shard.train(rnd.round_id, rnd.live)
+        nonces = {
+            peer_id: self.peers[peer_id].gateway.next_nonce(self.addresses[peer_id])
+            for peer_id in rnd.live
+        }
+        trained = self.shard.train(rnd.round_id, nonces)
         for peer_id in rnd.live:
             tx, duration = trained[peer_id]
 
@@ -510,24 +520,31 @@ class DecentralizedFL:
 
         self._wait_until(poll, f"round {rnd.round_id} quorum")
 
-    def _fetch_views(self, rnd: Round) -> list[str]:
-        """Have each remaining peer's shard fetch (and memoize) its view of
-        the round; returns the survivors in cohort order — fault-free this
-        IS ``self.peer_ids``, so every downstream iteration is
-        byte-identical to the seed's."""
-        survivors: list[str] = []
+    def _fetch_views(self, rnd: Round) -> None:
+        """Read each remaining peer's view of the round into
+        ``rnd.view_records``, in cohort order — fault-free its keys ARE
+        ``self.peer_ids``, so every downstream iteration is byte-identical
+        to the seed's.  A view holds the submissions whose weights the
+        off-chain store has, so every blob a compute step fetches exists."""
         for peer_id in rnd.live:
             if peer_id in rnd.dropped:
                 continue
             with rnd.may_drop(peer_id):
-                if not self.shard.view(rnd.round_id, peer_id):
+                records = self._available(self.peers[peer_id].visible_submissions(rnd.round_id))
+                if not records:
                     raise RoundError(f"{peer_id}: no updates visible in round {rnd.round_id}")
-                survivors.append(peer_id)
-        if not survivors:
+                rnd.view_records[peer_id] = records
+        if not rnd.view_records:
             raise RoundError(f"round {rnd.round_id}: every peer crashed or was dropped")
-        return survivors
 
-    def _vote_global(self, round_id: int, voters: list[str]) -> list[PeerRoundLog]:
+    def _available(self, records: list[dict]) -> list[dict]:
+        """The submission records whose weights are in the off-chain store."""
+        return [record for record in records if record["weights_hash"] in self.offchain]
+
+    def _finalized_hash(self, peer: FullPeer, round_id: int) -> Optional[str]:
+        return peer.gateway.call(peer.coordinator_address, "finalized_hash", round_id=round_id)
+
+    def _vote_global(self, rnd: Round) -> list[PeerRoundLog]:
         """Operating mode 2: vote a common global model on chain.
 
         Every peer aggregates everything it can see, uploads the aggregate
@@ -538,18 +555,47 @@ class DecentralizedFL:
         at a time, in cohort order, so mempool arrival order is the same
         under every runtime.
         """
-        for peer_id in voters:
-            self.shard.vote(round_id, peer_id)
-        peers = [self.peers[peer_id] for peer_id in voters]
+        round_id = rnd.round_id
+        aggregates = self.shard.vote(round_id, rnd.view_records)
+        for peer_id in rnd.view_records:
+            peer = self.peers[peer_id]
+            aggregate_hash = self.offchain.put_archive(aggregates[peer_id])
+            vote_tx = peer.make_transaction(
+                to=peer.coordinator_address,
+                method="vote_global",
+                args={"round_id": round_id, "aggregate_hash": aggregate_hash},
+            )
+            peer.gateway.submit(vote_tx)
+        peers = [self.peers[peer_id] for peer_id in rnd.view_records]
         self._wait_until(
-            lambda: all(
-                peer.gateway.call(peer.coordinator_address, "finalized_hash", round_id=round_id)
-                is not None
-                for peer in peers
-            ),
+            lambda: all(self._finalized_hash(peer, round_id) is not None for peer in peers),
             f"round {round_id} finalization",
         )
-        return [self.shard.adopt_final(round_id, peer_id) for peer_id in voters]
+        finals = {peer.peer_id: self._finalized_hash(peer, round_id) for peer in peers}
+        return self.shard.adopt_final(round_id, rnd.view_records, finals)
+
+    def _rate(self, rnd: Round) -> None:
+        """Reputation extension: every survivor rates the updates it saw.
+
+        The shard scores; the ratings go out one rater at a time, cohort
+        order, so rating transactions reach the mempool in the same order
+        under every runtime.
+        """
+        ratings = self.shard.rate(rnd.round_id, rnd.view_records)
+        for rater_id in rnd.view_records:
+            rater = self.peers[rater_id]
+            for subject, delta, reason in ratings[rater_id]:
+                rate_tx = rater.make_transaction(
+                    to=self.reputation_address,
+                    method="rate",
+                    args={
+                        "round_id": rnd.round_id,
+                        "subject": subject,
+                        "delta": delta,
+                        "reason": reason,
+                    },
+                )
+                rater.gateway.submit(rate_tx)
 
     def _record(self, rnd: Round, logs: list[PeerRoundLog]) -> None:
         """Copy the round's clock marks onto its logs and keep them."""
@@ -610,7 +656,8 @@ class DecentralizedFL:
             # Fetch the last round that actually *finished* — under
             # participation skips that can be further back than round_id-1,
             # and for fault-only runs it is exactly round_id-1 as before.
-            models = self.shard.catch_up(self.last_finished_round, peer_id)
+            records = self._available(rejoined.visible_submissions(self.last_finished_round))
+            models = self.shard.catch_up(self.last_finished_round, peer_id, records)
             self.catch_ups.append(
                 {"peer": peer_id, "round": round_id, "models": models}
             )
@@ -660,7 +707,9 @@ class DecentralizedFL:
         circuit-broken) *aborts the run* instead of raising: the logs so
         far are returned, ``completed_rounds`` counts the rounds that
         finished, and ``abort_reason`` says why.  Fault-free runs keep
-        the original raise-on-failure contract.
+        the original raise-on-failure contract.  A failure of the runtime
+        itself — a dead worker, a malformed wire frame — is not a round
+        failure and always raises.
         """
         self.completed_rounds = 0
         self.abort_reason = ""
@@ -676,6 +725,8 @@ class DecentralizedFL:
                 if self.skipped_rounds and self.skipped_rounds[-1] == round_id:
                     continue  # scheduled but skipped: not a completed round
                 self.completed_rounds += 1
+        except (WorkerCrashedError, WireProtocolError):
+            raise
         except (RoundError, GatewayError) as exc:
             if self.fault_injector is None:
                 raise

@@ -1,13 +1,15 @@
 """The fully coupled peer: data holder + trainer + ledger client + aggregator.
 
 One :class:`FullPeer` owns a :class:`~repro.chain.gateway.ChainGateway`
-(its only window onto the ledger — in-process today, remotable tomorrow),
-an :class:`~repro.fl.client.FLClient` (so it trains), and the wiring
-between them: committing local models on chain, reading other peers'
-commitments back, fetching weights off-chain, and running the
-personalized combination aggregation of Section III.  The peer never
-touches a raw :class:`~repro.chain.node.Node`; a seam test enforces that
-for the whole FL layer.
+(its only window onto the ledger), an :class:`~repro.fl.client.FLClient`
+(so it trains), and the wiring between them: signing commitments of local
+models, reading other peers' commitments back, fetching weights
+off-chain, and adopting the aggregate Section III's combination search
+picks.  Either half may be absent: the multiprocess coordinator holds
+chain-only peers (no client), and a worker holds compute-only peers (no
+gateway — the driver reads nonces and views and hands them in).  The
+peer never touches a raw :class:`~repro.chain.node.Node`; a seam test
+enforces that for the whole FL layer.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class FullPeer:
         self,
         config: PeerConfig,
         keypair: KeyPair,
-        gateway: ChainGateway,
+        gateway: Optional[ChainGateway],
         offchain: OffchainStore,
         train_set: Optional[Dataset],
         test_set: Optional[Dataset],
@@ -142,12 +144,20 @@ class FullPeer:
     # Transactions
     # ------------------------------------------------------------------
 
-    def make_transaction(self, to: Optional[Address], method: str = "", args: Optional[dict] = None, data: bytes = b"") -> Transaction:
-        """Build and sign a transaction from this peer's account."""
+    def make_transaction(
+        self,
+        to: Optional[Address],
+        method: str = "",
+        args: Optional[dict] = None,
+        data: bytes = b"",
+        nonce: Optional[int] = None,
+    ) -> Transaction:
+        """Build and sign a transaction from this peer's account; the nonce
+        is read through the gateway unless the caller already read it."""
         tx = Transaction(
             sender=self.address,
             to=to,
-            nonce=self.gateway.next_nonce(self.address),
+            nonce=self.gateway.next_nonce(self.address) if nonce is None else nonce,
             method=method,
             args=args or {},
             data=data,
@@ -164,11 +174,12 @@ class FullPeer:
     # FL protocol steps
     # ------------------------------------------------------------------
 
-    def train_and_commit(self, round_id: int) -> tuple[ModelUpdate, Transaction]:
+    def train_and_commit(self, round_id: int, nonce: int) -> tuple[ModelUpdate, Transaction]:
         """Local training, off-chain upload, and on-chain commitment tx.
 
-        Returns the update (for local bookkeeping) and the signed
-        ``submit_model`` transaction ready for broadcast.
+        Returns the update (for local bookkeeping) and the ``submit_model``
+        transaction, signed with the ``nonce`` the driver read and ready
+        for broadcast.
 
         The update's :class:`~repro.nn.serialize.WeightArchive` is the
         single encoding behind everything committed here: the off-chain
@@ -192,6 +203,7 @@ class FullPeer:
                 "size_bytes": archive.size,
             },
             data=commitment.encode("ascii"),
+            nonce=nonce,
         )
         return update, tx
 
@@ -203,15 +215,17 @@ class FullPeer:
             self.model_store_address, "round_submissions", round_id=round_id
         )
 
-    def fetch_updates(self, round_id: int, id_of: dict[Address, str]) -> list[ModelUpdate]:
+    def fetch_updates(
+        self, round_id: int, records: list[dict], id_of: dict[Address, str]
+    ) -> list[ModelUpdate]:
         """Materialize :class:`ModelUpdate` objects from on-chain commitments.
 
-        ``id_of`` maps chain addresses to display peer ids.  The round's
+        ``records`` are :meth:`visible_submissions` entries (read by the
+        driver); ``id_of`` maps chain addresses to display peer ids.  The
         committed hashes are fetched from the off-chain store in one
         batched lookup; submissions whose weights have not propagated yet
-        are skipped (they will be visible next check).
+        are skipped.
         """
-        records = self.visible_submissions(round_id)
         available = self.offchain.fetch_available(
             [record["weights_hash"] for record in records]
         )

@@ -24,7 +24,10 @@ class Round:
     plans — ``live`` is the selected subcohort minus any crash window, in
     cohort order, and ``degradable`` says whether the fault harness is on.
     Fault-free, full-participation runs have ``live`` equal to the whole
-    cohort and can never drop a peer.
+    cohort and can never drop a peer.  ``view_records`` holds, for each
+    peer that reached aggregation and in cohort order, the on-chain
+    submission records its view is built from — read once, by the driver,
+    and handed to every compute step of the round.
     """
 
     round_id: int
@@ -34,6 +37,7 @@ class Round:
     dropped: set[str] = field(default_factory=set)
     submitted_at: dict[str, float] = field(default_factory=dict)
     ready_at: dict[str, float] = field(default_factory=dict)
+    view_records: dict[str, list[dict]] = field(default_factory=dict)
 
     def expected(self) -> int:
         """How many submissions the waiting policy quorums against: the

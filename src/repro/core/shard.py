@@ -1,18 +1,25 @@
-"""One home for a peer's local round work: the :class:`PeerShard`.
+"""The compute half of a round: the :class:`PeerShard`.
 
 A shard builds and owns the :class:`~repro.core.peer.FullPeer`\\ s and
 :class:`~repro.fl.scoring.CombinationEngine`\\ s of a set of peer ids and
-offers everything a round needs from their *local* side — datasets,
-models, rng streams — as one method per step: ``train``, ``view``,
-``score``, ``vote``, ``adopt_final``, ``rate``, ``catch_up``, ``export``.
-The in-process driver (:mod:`repro.core.decentralized`) holds one shard
-over the whole cohort; each worker process of the multiprocess runtime
-(:mod:`repro.runtime.worker`) holds one over its slice and serves these
-methods as wire ops; the coordinator swaps in a proxy with the same
-methods (:class:`repro.runtime.coordinator.RemoteShard`) that dispatches
-by owner.  The round barrier, the event engine and the ledger never live
-here, and the byte-sensitive per-peer work below exists exactly once — so
-the two runtimes cannot drift apart.
+does the part of every round step that needs their datasets, models and
+rng streams — and nothing that reads or writes the ledger.  Each step is
+a function of what the driver hands it: ``train`` signs commitments with
+the nonces the driver read; ``score``, ``vote``, ``adopt_final``,
+``rate`` and ``catch_up`` work from the on-chain submission records the
+driver read (and, for ``adopt_final``, the finalized hash); ``vote`` and
+``rate`` return the aggregate archives and rating triples the driver
+signs and submits.  The one store a step writes is the shard's own
+content-addressed off-chain store (a commitment's weights).
+
+The driver (:mod:`repro.core.decentralized`) owns the ledger half — every
+gateway call, through each peer's full stack, under both runtimes.
+In-process it holds one shard over the whole cohort; each worker process
+of the multiprocess runtime (:mod:`repro.runtime.worker`) holds one over
+its slice, and the coordinator swaps in a proxy with the same methods
+(:class:`repro.runtime.coordinator.RemoteShard`) that batches each step
+per owning worker.  The byte-sensitive per-peer work exists exactly once,
+so the two runtimes cannot drift apart.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from repro.fl.aggregation import ModelUpdate, fedavg
 from repro.fl.scoring import CombinationEngine
 from repro.fl.selection import pick_best
 from repro.nn.model import Sequential
-from repro.nn.serialize import weights_to_bytes
+from repro.nn.serialize import WeightArchive, as_archive, weights_to_bytes
 from repro.utils.rng import RngFactory
 
 
@@ -97,7 +104,12 @@ class PeerShard:
     are derived from (seed, label), so a peer draws the same numbers
     whichever shard holds it.  A peer added without datasets is chain-only
     — it signs and reads the ledger and has no engine; the multiprocess
-    coordinator holds the whole cohort that way.
+    coordinator holds the whole cohort that way.  A peer added without a
+    gateway is compute-only; a worker holds its slice that way.
+
+    The batched steps take one ``{peer_id: input}`` map and work through
+    it in its order; ``views`` maps each peer to the submission records
+    its view of the round is built from (``Round.view_records``).
     """
 
     def __init__(
@@ -117,7 +129,6 @@ class PeerShard:
         #: scores only: its rows are per viewer (a peer's own test set is
         #: in them) and are released when the search returns.
         self.engines: dict[str, CombinationEngine] = {}
-        self.reputation_address: Optional[Address] = None
         self.addresses: dict[str, Address] = {}
         self.id_of_address: dict[Address, str] = {}
         self._round: Optional[int] = None
@@ -126,7 +137,7 @@ class PeerShard:
     def add_peer(
         self,
         pc: PeerConfig,
-        gateway: ChainGateway,
+        gateway: Optional[ChainGateway],
         train_set: Optional[Dataset],
         test_set: Optional[Dataset],
     ) -> None:
@@ -149,17 +160,12 @@ class PeerShard:
             self.engines[pc.peer_id] = CombinationEngine(peer.client.model, peer.client.test_set)
 
     def configure(
-        self,
-        model_store: Address,
-        coordinator: Address,
-        reputation: Address,
-        addresses: dict[str, Address],
+        self, model_store: Address, coordinator: Address, addresses: dict[str, Address]
     ) -> None:
         """Install the deployed contract addresses and the cohort's address book."""
         for peer in self.peers.values():
             peer.model_store_address = model_store
             peer.coordinator_address = coordinator
-        self.reputation_address = reputation
         self.addresses = dict(addresses)
         self.id_of_address = {address: peer_id for peer_id, address in addresses.items()}
 
@@ -188,8 +194,8 @@ class PeerShard:
 
     # -- round steps -------------------------------------------------------
 
-    def train(self, round_id: int, peer_ids: list[str]) -> dict[str, tuple[Transaction, float]]:
-        """Train each peer; returns ``{peer_id: (commit_tx, duration)}``.
+    def train(self, round_id: int, nonces: dict[str, int]) -> dict[str, tuple[Transaction, float]]:
+        """Train each peer of ``nonces``; returns ``{peer_id: (commit_tx, duration)}``.
 
         Nothing is submitted here: the driver broadcasts the signed
         transactions on the event engine, so mempool order is
@@ -197,27 +203,27 @@ class PeerShard:
         """
         self._begin_round(round_id)
         trained = {}
-        for peer_id in peer_ids:
+        for peer_id, nonce in nonces.items():
             peer = self.peers[peer_id]
-            _update, tx = peer.train_and_commit(round_id)
+            _update, tx = peer.train_and_commit(round_id, nonce)
             trained[peer_id] = (tx, peer.sample_training_time())
         return trained
 
-    def view(self, round_id: int, peer_id: str) -> list[ModelUpdate]:
-        """One peer's decoded view of the round's on-chain submissions,
-        fetched once per round and shared by the steps below."""
+    def view(self, round_id: int, peer_id: str, records: list[dict]) -> list[ModelUpdate]:
+        """One peer's decoded view of the round — the updates ``records``
+        commit to — fetched once per round and shared by the steps below."""
         self._begin_round(round_id)
         if peer_id not in self._views:
             self._views[peer_id] = self.peers[peer_id].fetch_updates(
-                round_id, self.id_of_address
+                round_id, records, self.id_of_address
             )
         return self._views[peer_id]
 
-    def score(self, round_id: int, peer_ids: list[str]) -> list[PeerRoundLog]:
+    def score(self, round_id: int, views: dict[str, list[dict]]) -> list[PeerRoundLog]:
         """Search combinations on each peer's test set; adopt the best."""
-        return [self._search(round_id, peer_id) for peer_id in peer_ids]
+        return [self._search(round_id, peer_id, records) for peer_id, records in views.items()]
 
-    def _search(self, round_id: int, peer_id: str) -> PeerRoundLog:
+    def _search(self, round_id: int, peer_id: str, records: list[dict]) -> PeerRoundLog:
         """One peer's combination search: log the table, adopt the best.
 
         Exhaustive enumeration reproduces the paper's tables; forward
@@ -230,7 +236,7 @@ class PeerShard:
         """
         peer = self.peers[peer_id]
         engine = self.engines[peer_id]
-        updates = self.view(round_id, peer_id)
+        updates = self.view(round_id, peer_id, records)
         if self._use_greedy(len(updates)):
             chosen = engine.greedy(updates)
             scored = [chosen]
@@ -249,88 +255,92 @@ class PeerShard:
             updates_visible=len(updates),
         )
 
-    def vote(self, round_id: int, peer_id: str) -> None:
-        """Global-vote mode: aggregate the peer's view and vote its hash.
+    def vote(self, round_id: int, views: dict[str, list[dict]]) -> dict[str, WeightArchive]:
+        """Global-vote mode: each peer's FedAvg of its view, as the archive
+        whose hash the driver stores off-chain and votes on chain.
 
         Identical visible sets produce byte-identical aggregates, so the
         content-addressed put stores the blob once; each peer still pays
         one serialization to discover its aggregate's hash.
         """
-        peer = self.peers[peer_id]
-        aggregate_hash = self.offchain.put_weights(fedavg(self.view(round_id, peer_id)))
-        vote_tx = peer.make_transaction(
-            to=peer.coordinator_address,
-            method="vote_global",
-            args={"round_id": round_id, "aggregate_hash": aggregate_hash},
-        )
-        peer.gateway.submit(vote_tx)
+        return {
+            peer_id: as_archive(fedavg(self.view(round_id, peer_id, records)))
+            for peer_id, records in views.items()
+        }
 
-    def adopt_final(self, round_id: int, peer_id: str) -> PeerRoundLog:
-        """Global-vote mode: read the aggregate the round finalized,
-        evaluate it locally, and adopt it."""
-        peer = self.peers[peer_id]
-        updates = self.view(round_id, peer_id)
-        final_hash = peer.gateway.call(
-            peer.coordinator_address, "finalized_hash", round_id=round_id
-        )
-        weights = self.offchain.get_weights(final_hash)
-        accuracy = peer.evaluate_weights(weights)
-        peer.adopt(weights)
-        members = tuple(sorted(update.client_id for update in updates))
-        return PeerRoundLog(
-            peer_id=peer_id,
-            round_id=round_id,
-            combination_accuracy={",".join(members): accuracy},
-            chosen_combination=members,
-            chosen_accuracy=accuracy,
-            models_used=len(members),
-            updates_visible=len(updates),
-        )
+    def adopt_final(
+        self, round_id: int, views: dict[str, list[dict]], finals: dict[str, str]
+    ) -> list[PeerRoundLog]:
+        """Global-vote mode: each peer evaluates the aggregate its chain view
+        finalized (``finals``, read by the driver) locally and adopts it."""
+        logs = []
+        for peer_id, records in views.items():
+            peer = self.peers[peer_id]
+            updates = self.view(round_id, peer_id, records)
+            weights = self.offchain.get_weights(finals[peer_id])
+            accuracy = peer.evaluate_weights(weights)
+            peer.adopt(weights)
+            members = tuple(sorted(update.client_id for update in updates))
+            logs.append(
+                PeerRoundLog(
+                    peer_id=peer_id,
+                    round_id=round_id,
+                    combination_accuracy={",".join(members): accuracy},
+                    chosen_combination=members,
+                    chosen_accuracy=accuracy,
+                    models_used=len(members),
+                    updates_visible=len(updates),
+                )
+            )
+        return logs
 
-    def rate(self, round_id: int, peer_id: str) -> None:
-        """Reputation extension: the peer rates the updates it saw.
+    def rate(
+        self, round_id: int, views: dict[str, list[dict]]
+    ) -> dict[str, list[tuple[Address, int, str]]]:
+        """Reputation extension: each rater's ``(subject, delta, reason)``
+        ratings of the updates it saw, for the driver to sign and submit.
 
         A peer whose solo model scores within ``reputation_fitness_margin``
         of the rater's own solo earns +5; one that falls further behind (an
         abnormal/noisy model) earns -10, building the on-chain record used
         to exclude low-credibility peers.  Solo scores were already computed
         during the aggregation search, so the fitness lookups are pure cache
-        hits — the rating pass adds zero model evaluations.
+        hits — the rating pass adds zero model evaluations.  A rater whose
+        own update is not in its view rates nobody.
         """
-        rater = self.peers[peer_id]
-        engine = self.engines[peer_id]
-        updates = self.view(round_id, peer_id)
-        own = next((u for u in updates if u.client_id == peer_id), None)
-        if own is None:
-            return
-        own_accuracy = engine.solo_accuracy(own)
+        ratings: dict[str, list[tuple[Address, int, str]]] = {}
         margin = self.config.reputation_fitness_margin
-        for update in updates:
-            if update.client_id == peer_id:
+        for peer_id, records in views.items():
+            engine = self.engines[peer_id]
+            updates = self.view(round_id, peer_id, records)
+            own = next((u for u in updates if u.client_id == peer_id), None)
+            ratings[peer_id] = []
+            if own is None:
                 continue
-            fit = engine.solo_accuracy(update)
-            rate_tx = rater.make_transaction(
-                to=self.reputation_address,
-                method="rate",
-                args={
-                    "round_id": round_id,
-                    "subject": self.addresses[update.client_id],
-                    "delta": 5 if fit >= own_accuracy - margin else -10,
-                    "reason": f"fitness {fit:.3f} vs own {own_accuracy:.3f}",
-                },
-            )
-            rater.gateway.submit(rate_tx)
+            own_accuracy = engine.solo_accuracy(own)
+            for update in updates:
+                if update.client_id == peer_id:
+                    continue
+                fit = engine.solo_accuracy(update)
+                ratings[peer_id].append(
+                    (
+                        self.addresses[update.client_id],
+                        5 if fit >= own_accuracy - margin else -10,
+                        f"fitness {fit:.3f} vs own {own_accuracy:.3f}",
+                    )
+                )
+        return ratings
 
-    def catch_up(self, fetch_round: int, peer_id: str) -> int:
+    def catch_up(self, fetch_round: int, peer_id: str, records: list[dict]) -> int:
         """Rejoin catch-up: adopt the FedAvg of ``fetch_round``'s updates.
 
         Returns how many on-chain updates fed the aggregate.  Deliberately
         not the per-round view memo: the rejoining peer may have fetched
         (an empty view of) that round while partitioned, and catch-up must
-        see the healed chain.
+        see the healed chain's ``records``.
         """
         peer = self.peers[peer_id]
-        updates = peer.fetch_updates(fetch_round, self.id_of_address)
+        updates = peer.fetch_updates(fetch_round, records, self.id_of_address)
         if updates:
             peer.adopt(fedavg(updates))
         return len(updates)

@@ -220,7 +220,10 @@ class WireProtocolError(GatewayError):
 class WorkerCrashedError(GatewayUnavailableError):
     """A worker OS process died or its wire channel closed unexpectedly.
 
-    Subclass of :class:`GatewayUnavailableError` so the PR-7 resilience
-    path (drop the peer from the round, keep the quorum going) absorbs a
-    crashed worker exactly like a circuit-broken gateway.
+    A failure of the multiprocess runtime, not of a round: the driver
+    never drops a peer or records an abort reason for it, with or without
+    fault injection — it propagates, and the coordinator terminates the
+    rest of the fleet on the way out.  (Recovering a crashed worker is not
+    implemented; its subclassing of :class:`GatewayUnavailableError` only
+    keeps the wire-error vocabulary stable.)
     """

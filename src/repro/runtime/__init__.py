@@ -1,16 +1,14 @@
-"""Out-of-process cohort runtime: the ledger served over a local wire.
+"""Out-of-process cohort runtime: workers compute, the coordinator keeps the ledger.
 
 The package splits the decentralized deployment across OS processes
 without changing a single result byte:
 
 * :mod:`~repro.runtime.wire` — length-prefixed JSON+blob frames and the
   typed-error codec;
-* :mod:`~repro.runtime.gateway` — :class:`RemoteGateway` /
-  :class:`RemoteOffchain`, the worker-side
-  :class:`~repro.chain.gateway.ChainGateway` implementation (stackable
-  under the batching/resilience decorators like any other backend);
+* :mod:`~repro.runtime.gateway` — :class:`RemoteOffchain`, the worker's
+  content-addressed mirror of the coordinator's off-chain store;
 * :mod:`~repro.runtime.server` — :class:`GatewayServer`, the
-  coordinator-side dispatcher answering one RPC frame at a time;
+  coordinator-side dispatcher answering one blob request at a time;
 * :mod:`~repro.runtime.broker` / :mod:`~repro.runtime.worker` /
   :mod:`~repro.runtime.coordinator` — the process trio.  These are
   imported by dotted path (``repro.runtime.coordinator``), not re-
@@ -22,7 +20,7 @@ Select the runtime per scenario via ``ScenarioSpec.runtime``
 (``"inprocess"`` | ``"multiprocess"``) and ``runtime_workers``.
 """
 
-from repro.runtime.gateway import RemoteGateway, RemoteOffchain
+from repro.runtime.gateway import RemoteOffchain
 from repro.runtime.server import GatewayServer
 from repro.runtime.speccodec import decode_spec, encode_spec
 from repro.runtime.wire import (
@@ -39,7 +37,6 @@ from repro.runtime.wire import (
 __all__ = [
     "WIRE_ERROR_TYPES",
     "GatewayServer",
-    "RemoteGateway",
     "RemoteOffchain",
     "WireChannel",
     "WireClosedError",

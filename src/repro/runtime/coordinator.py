@@ -2,25 +2,26 @@
 
 :class:`MultiprocessDecentralizedFL` runs the in-process driver's round
 loop unchanged and swaps its :class:`~repro.core.shard.PeerShard` for a
-:class:`RemoteShard` — the same methods, dispatched as tasks to the worker
-processes that own the peers.  The subclass itself adds only the worker
-fleet's lifecycle (launch, task dispatch, teardown) and its reporting.
-Everything that makes the simulation a simulation stays here, untouched:
-the event engine and its clock, the PoW chain fabric, block propagation,
-the round barrier, and the waiting policies.  Workers hold the datasets
-and models; their only ledger access is RPC frames this coordinator
-serves inline — so every submission still lands on the mempool in
-scheduler order, which is what keeps a multiprocess run byte-identical to
-the in-process one at the same seed.
+:class:`RemoteShard` — the same compute methods, dispatched as tasks to
+the worker processes that own the peers.  The subclass itself adds only
+the worker fleet's lifecycle (launch, task dispatch, teardown) and its
+reporting.  Everything that makes the simulation a simulation stays here,
+untouched: the event engine and its clock, the PoW chain fabric, block
+propagation, the round barrier, the waiting policies — and every ledger
+operation.  The driver reads nonces and views, puts blobs off-chain and
+submits transactions through each peer's own gateway stack (fault layers
+included) exactly as in-process; a task carries in what it read and a
+result carries out what it will write.  That is what keeps a multiprocess
+run byte-identical to the in-process one at the same seed, faults and
+all.
 
 Wire discipline of the select loop: each worker has at most one
-outstanding task, and a worker mid-task blocks on at most one RPC at a
-time — so the coordinator can always serve every readable channel
-without buffering, and a ``result`` frame retires the worker's slot.
-Worker death (channel EOF, process exit) surfaces as
-:class:`~repro.errors.WorkerCrashedError`, a
-:class:`~repro.errors.GatewayUnavailableError` subclass, so it enters
-the same typed-error path the resilience layer already speaks.
+outstanding task, and a worker mid-task blocks on at most one blob
+request at a time — so the coordinator can always serve every readable
+channel without buffering, and a ``result`` frame retires the worker's
+slot.  Worker death (channel EOF, process exit) surfaces as
+:class:`~repro.errors.WorkerCrashedError`, which ends the run: it is a
+failure of the runtime, never of a round.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
 from repro.core.peer import PeerConfig
 from repro.core.shard import PeerRoundLog, PeerShard
 from repro.errors import ConfigError, WireProtocolError, WorkerCrashedError
+from repro.nn.serialize import WeightArchive
 from repro.runtime.broker import Broker, WorkerHandle
 from repro.runtime.server import GatewayServer
 from repro.runtime.speccodec import encode_spec
@@ -55,12 +57,10 @@ class RemoteShard:
 
     Worker ``i`` owns the peers at cohort positions ``i, i+W, i+2W, ...``
     — the rule the workers apply independently in ``init``, taken over
-    the *full* roster so it is stable under sampling.  Order-independent
-    steps (``train``, ``score``, ``export``) go out as one task per owning
-    worker; steps that submit a transaction (``vote``, ``rate``) go out one
-    peer at a time, because the driver calls them so.  ``local`` is the
-    coordinator's own shard of chain-only peers: it answers what the
-    ledger alone can (``view``) and holds the deployed addresses.
+    the *full* roster so it is stable under sampling.  Every batched step
+    goes out as one task per owning worker, carrying that worker's slice
+    of each ``{peer_id: input}`` map.  ``local`` is the coordinator's own
+    shard of chain-only peers: it holds the deployed addresses.
     """
 
     def __init__(self, driver: "MultiprocessDecentralizedFL", local: PeerShard) -> None:
@@ -72,27 +72,28 @@ class RemoteShard:
         }
         self._exports: dict[str, bytes] = {}
 
-    def _grouped(self, op: str, peer_ids: list[str], **params) -> list[tuple]:
-        """One ``op`` task per owning worker; the ``(value, blobs)`` replies."""
+    def _grouped(
+        self, op: str, peer_ids, round_id: Optional[int] = None, **by_peer: dict
+    ) -> list[tuple]:
+        """One ``op`` task per owning worker of ``peer_ids``, each carrying
+        its peers and, per ``by_peer`` map, their entries as an aligned
+        list; returns ``(peers, value, blobs)`` per task."""
         groups: dict[int, list[str]] = {}
         for peer_id in peer_ids:
             groups.setdefault(self.owner[peer_id], []).append(peer_id)
-        results = self.driver._run_tasks(
-            {
-                index: {"op": op, "params": {**params, "peers": owned}}
-                for index, owned in groups.items()
+        tasks = {}
+        for index, owned in groups.items():
+            params = {
+                name: [values[peer_id] for peer_id in owned] for name, values in by_peer.items()
             }
-        )
-        return list(results.values())
+            if round_id is not None:
+                params["round"] = round_id
+            tasks[index] = {"op": op, "params": {**params, "peers": owned}}
+        results = self.driver._run_tasks(tasks)
+        return [(groups[index], *results[index]) for index in groups]
 
-    def _single(self, op: str, round_id: int, peer_id: str):
-        """One ``op`` task to the peer's owner; the reply's value."""
-        task = {"op": op, "params": {"round": round_id, "peer": peer_id}}
-        index = self.owner[peer_id]
-        return self.driver._run_tasks({index: task})[index][0]
-
-    def configure(self, model_store, coordinator, reputation, addresses) -> None:
-        self.local.configure(model_store, coordinator, reputation, addresses)
+    def configure(self, model_store, coordinator, addresses) -> None:
+        self.local.configure(model_store, coordinator, addresses)
         self.driver._run_tasks(
             {
                 handle.index: {
@@ -100,7 +101,6 @@ class RemoteShard:
                     "params": {
                         "model_store": model_store,
                         "coordinator": coordinator,
-                        "reputation": reputation,
                         "addresses": addresses,
                     },
                 }
@@ -108,56 +108,65 @@ class RemoteShard:
             }
         )
 
-    def train(self, round_id: int, peer_ids: list[str]) -> dict[str, tuple]:
-        return {
-            entry["peer"]: (Transaction.from_dict(entry["tx"]), float(entry["duration"]))
-            for value, _blobs in self._grouped("train", peer_ids, round=round_id)
-            for entry in value
-        }
+    def train(self, round_id: int, nonces: dict[str, int]) -> dict[str, tuple]:
+        """Each commitment's weight blob rides back with it and goes into
+        the coordinator's store before the driver schedules the submit."""
+        trained = {}
+        for _peers, value, blobs in self._grouped("train", nonces, round_id, nonces=nonces):
+            for entry, blob in zip(value, blobs, strict=True):
+                tx = Transaction.from_dict(entry["tx"])
+                if self.driver.offchain.put(blob) != tx.args["weights_hash"]:
+                    raise WireProtocolError(f"{entry['peer']}: blob does not match its commitment")
+                trained[entry["peer"]] = (tx, float(entry["duration"]))
+        return {peer_id: trained[peer_id] for peer_id in nonces}
 
-    def view(self, round_id: int, peer_id: str) -> list[str]:
-        """Who contributed to the view the worker is about to fetch.
+    def score(self, round_id: int, views: dict) -> list[PeerRoundLog]:
+        return self._logs("score", round_id, views)
 
-        The coordinator-side read mirrors that fetch — same visible
-        submissions, filtered to blobs already off-chain — and the round
-        barrier only asks a view whether it is empty, so the decoded
-        weights never leave the workers.
-        """
-        id_of = self.local.id_of_address
-        return [
-            id_of.get(record["author"], record["author"])
-            for record in self.local.peers[peer_id].visible_submissions(round_id)
-            if record["weights_hash"] in self.local.offchain
-        ]
-
-    def score(self, round_id: int, peer_ids: list[str]) -> list[PeerRoundLog]:
+    def _logs(self, op: str, round_id: int, views: dict, **by_peer: dict) -> list[PeerRoundLog]:
+        """Round logs of a view-driven ``op``, in ``views`` order."""
         payloads = {
             entry["peer"]: entry
-            for value, _blobs in self._grouped("score", peer_ids, round=round_id)
+            for _peers, value, _blobs in self._grouped(op, views, round_id, views=views, **by_peer)
             for entry in value
         }
-        return [PeerRoundLog.from_wire(round_id, payloads[peer_id]) for peer_id in peer_ids]
+        return [PeerRoundLog.from_wire(round_id, payloads[peer_id]) for peer_id in views]
 
-    def vote(self, round_id: int, peer_id: str) -> None:
-        self._single("vote", round_id, peer_id)
+    def vote(self, round_id: int, views: dict) -> dict[str, WeightArchive]:
+        archives = {
+            peer_id: WeightArchive.from_bytes(blob)
+            for peers, _value, blobs in self._grouped("vote", views, round_id, views=views)
+            for peer_id, blob in zip(peers, blobs, strict=True)
+        }
+        return {peer_id: archives[peer_id] for peer_id in views}
 
-    def adopt_final(self, round_id: int, peer_id: str) -> PeerRoundLog:
-        return PeerRoundLog.from_wire(round_id, self._single("adopt_final", round_id, peer_id))
+    def adopt_final(self, round_id: int, views: dict, finals: dict) -> list[PeerRoundLog]:
+        return self._logs("adopt_final", round_id, views, finals=finals)
 
-    def rate(self, round_id: int, peer_id: str) -> None:
-        self._single("rate", round_id, peer_id)
+    def rate(self, round_id: int, views: dict) -> dict[str, list]:
+        ratings = {
+            peer_id: peer_ratings
+            for peers, value, _blobs in self._grouped("rate", views, round_id, views=views)
+            for peer_id, peer_ratings in zip(peers, value, strict=True)
+        }
+        return {peer_id: ratings[peer_id] for peer_id in views}
 
-    def catch_up(self, fetch_round: int, peer_id: str) -> int:
-        # The chain-side heal and head-hash wait already happened
+    def catch_up(self, fetch_round: int, peer_id: str, records: list[dict]) -> int:
+        # The chain-side heal, head-hash wait and view read already happened
         # coordinator-side; the FedAvg adoption runs where the model lives.
-        return int(self._single("catch_up", fetch_round, peer_id))
+        index = self.owner[peer_id]
+        task = {
+            "op": "catch_up",
+            "params": {"round": fetch_round, "peer": peer_id, "records": records},
+        }
+        return int(self.driver._run_tasks({index: task})[index][0])
 
     def export(self, peer_ids: list[str]) -> list[bytes]:
         """Model bytes from the owning workers while they run; afterwards,
         the ones ``run()`` collected before it shut them down."""
         if self.driver.handles:
-            for value, blobs in self._grouped("export", peer_ids):
-                self._exports.update(zip(value, blobs))
+            for peers, _value, blobs in self._grouped("export", peer_ids):
+                self._exports.update(zip(peers, blobs, strict=True))
         missing = [peer_id for peer_id in peer_ids if peer_id not in self._exports]
         if missing:
             raise ConfigError(
@@ -184,7 +193,6 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         self.server: Optional[GatewayServer] = None
         self._worker_stats: list[dict] = []
         self._channel_totals = {"bytes_sent": 0, "bytes_received": 0}
-        self._stamp_epoch = 0
         # No datasets, no model builder: the base class builds chain-only
         # peers that sign and read the ledger for the round barrier, and
         # creates (same recipe, never draws from) the rng streams the
@@ -217,10 +225,7 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         """Launch workers and have them rebuild their peer shards."""
         if self.handles:
             return
-        self.server = GatewayServer(
-            {peer_id: peer.gateway for peer_id, peer in self.peers.items()},
-            self.offchain,
-        )
+        self.server = GatewayServer(self.offchain)
         self.handles = self.broker.launch()
         spec_payload = encode_spec(self.spec)
         owned = self._run_tasks(
@@ -244,7 +249,8 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
                 )
 
     def _run_tasks(self, tasks: dict[int, dict]) -> dict[int, tuple]:
-        """Dispatch one task per listed worker; serve RPCs until all reply.
+        """Dispatch one task per listed worker; serve blob requests until
+        all reply.
 
         Returns ``{worker_index: (value, blobs)}``.  A typed error result
         re-raises here; a closed channel or dead process raises
@@ -252,12 +258,14 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         """
         results: dict[int, tuple] = {}
         pending = set(tasks)
-        stamp = self._head_stamp()
         selector = selectors.DefaultSelector()
         try:
             for index in sorted(tasks):
                 handle = self.handles[index]
-                handle.channel.send({"kind": "task", "head": stamp, **tasks[index]})
+                try:
+                    handle.channel.send({"kind": "task", **tasks[index]})
+                except OSError as exc:
+                    raise self._crashed(handle, "refused a task") from exc
                 selector.register(handle.channel.sock, selectors.EVENT_READ, handle)
             while pending:
                 events = selector.select(timeout=1.0)
@@ -271,15 +279,11 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
                     try:
                         header, blobs, _size = handle.channel.recv()
                     except (WireClosedError, OSError) as exc:
-                        raise WorkerCrashedError(
-                            f"worker {handle.index} channel closed mid-task "
-                            f"(exit code {handle.process.poll()})"
-                        ) from exc
+                        raise self._crashed(handle, "channel closed mid-task") from exc
                     kind = header.get("kind")
                     if kind == "rpc":
                         assert self.server is not None
-                        response, out_blobs = self.server.handle(header, blobs)
-                        handle.channel.send(response, out_blobs)
+                        handle.channel.send(*self.server.handle(header))
                     elif kind == "result":
                         pending.discard(handle.index)
                         selector.unregister(handle.channel.sock)
@@ -295,30 +299,11 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             selector.close()
         return results
 
-    def _head_stamp(self) -> dict:
-        """Freshness token pushed with every task frame.
-
-        The event engine only pumps in the coordinator's ``_wait_until``
-        — never while workers hold tasks — so a stamp taken at
-        dispatch stays valid for the batch's whole lifetime.  It is the
-        "pushed new-heads subscription" the batching gateway's contract
-        expects of a remote transport: worker-side cache lookups
-        validate against it for zero round trips.
-
-        The token is epoch-prefixed so it can never repeat across
-        dispatch batches: peers hold *per-node* chain views (gossip
-        lag), and a bare head hash from one node could coincide across
-        a pump that changed another node's view.  Epoch uniqueness
-        bounds cache reuse to one frozen-chain window, which keeps the
-        shared signal provably exact for every peer.
-        """
-        assert self.server is not None
-        self._stamp_epoch += 1
-        gateway = next(iter(self.server.gateways.values()))
-        return {
-            "hash": f"{self._stamp_epoch}:{gateway.head_hash()}",
-            "now": gateway.now(),
-        }
+    @staticmethod
+    def _crashed(handle: WorkerHandle, what: str) -> WorkerCrashedError:
+        return WorkerCrashedError(
+            f"worker {handle.index} {what} (exit code {handle.process.poll()})"
+        )
 
     def _check_workers_alive(self, pending: set) -> None:
         for index in sorted(pending):
@@ -369,49 +354,31 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
     def crash_worker(self, index: int) -> None:
         """Test hook: make worker ``index`` die mid-protocol.
 
-        The worker ``os._exit``\\ s without a goodbye; the next recv on
-        its channel raises, which this method surfaces as the
-        :class:`WorkerCrashedError` the resilience path expects.
+        The worker ``os._exit``\\ s without a goodbye; the next task sent
+        to it raises :class:`WorkerCrashedError`, which ends the run and
+        terminates the rest of the fleet.
         """
         with self._fleet_guard():
             handle = self.handles[index]
             handle.channel.send({"kind": "task", "op": "crash", "params": {}})
-            try:
-                handle.channel.recv()
-            except (WireClosedError, OSError) as exc:
-                raise WorkerCrashedError(
-                    f"worker {index} crashed (exit code {handle.process.wait(timeout=30)})"
-                ) from exc
-            raise WireProtocolError(f"worker {index} survived a crash task")
+            handle.process.wait(timeout=30)
 
     # -- reporting ---------------------------------------------------------
 
     def gateway_stats(self) -> dict:
+        """The driver's ledger-gateway counters — every ledger operation ran
+        coordinator-side, so they equal the in-process run's — plus the
+        workers' blob pulls, which are wire traffic, not ledger transport."""
         payload = super().gateway_stats()
         if not self._worker_stats:
             return payload
         wire_trips = 0
         wire_seconds = 0.0
         method_seconds: dict = {}
-        workers = []
         for stats in self._worker_stats:
-            wire = stats["wire"]
-            wire_trips += wire["rpc_round_trips"]
+            wire_trips += stats["wire"]["rpc_round_trips"]
             wire_seconds += stats["wire_seconds"]
             _merge_numbers(method_seconds, stats["wire_method_seconds"])
-            # The ledger-side transport aggregate gains the wire counters
-            # its in-process layers cannot see (theirs are all zero).
-            for field in ("wire_bytes_sent", "wire_bytes_received", "rpc_round_trips"):
-                payload["transport"][field] += wire[field]
-            workers.append(
-                {
-                    "worker": stats["worker"],
-                    "peers": stats["peers"],
-                    "requested": stats["requested"],
-                    "wire": wire,
-                    "channel": stats["channel"],
-                }
-            )
         payload["wire"] = {
             "workers": self.num_workers,
             **self._channel_totals,
@@ -419,6 +386,9 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             "seconds": wire_seconds,
             "method_seconds": method_seconds,
         }
-        payload["worker_stats"] = workers
+        payload["worker_stats"] = [
+            {key: stats[key] for key in ("worker", "peers", "wire", "channel")}
+            for stats in self._worker_stats
+        ]
         payload["runtime"] = "multiprocess"
         return payload

@@ -7,14 +7,18 @@ Launched as ``python -m repro.runtime.worker --connect HOST:PORT
 :class:`~repro.scenarios.spec.ScenarioSpec` (datasets, models, rng streams
 all re-derived locally — nothing heavyweight crosses the wire), and each
 round op (:data:`SHARD_OPS`) decodes its parameters, calls the shard
-method of the same name — the very code the in-process driver runs,
+method of the same name — the very compute the in-process driver runs,
 against the same named rng streams — and encodes the result.
 
-Every ledger touch goes through :class:`~repro.runtime.gateway
-.RemoteGateway` / :class:`~repro.runtime.gateway.RemoteOffchain` on the
-task channel — the worker holds no :class:`~repro.chain.node.Node`, no
-simulator, and never re-seeds from pid or wall clock, which is what
-makes a multiprocess run byte-identical to the in-process one.
+A task carries in what the driver read from the chain for it — nonces,
+each peer's view records, finalized hashes — and a result carries out
+what the driver writes: signed commitments with their weight blobs,
+aggregate archives, rating triples, round logs.  The worker's peers hold
+no gateway, and it holds no node and no simulator: the only thing it asks
+the coordinator for mid-task is a weight blob, by content address
+(:class:`~repro.runtime.gateway.RemoteOffchain`).  It never re-seeds from
+pid or wall clock, which is what makes a multiprocess run byte-identical
+to the in-process one.
 
 Determinism contract (why sharding cannot change results):
 
@@ -23,12 +27,10 @@ Determinism contract (why sharding cannot change results):
   same no matter which worker owns it or what its siblings do;
 * model init uses one shared ``model-init`` seed drawn coordinator- and
   worker-side at the same point of the same stream recipe;
-* submissions never happen here — train tasks *return* signed
-  transactions and the coordinator broadcasts them on the event engine,
-  so mempool order is scheduler-controlled, not process-race-controlled;
-* waits never happen here either — only the coordinator's ``_wait_until``
-  moves simulated time, between tasks, so the head stamp a task carries
-  is exact for the whole task.
+* every ledger operation — nonce and view reads, off-chain puts, submits,
+  waits — happens in the coordinator's driver, in the same per-peer order
+  as in-process, so mempool order and injected-fault draws are
+  scheduler-controlled, not process-race-controlled.
 """
 
 from __future__ import annotations
@@ -39,14 +41,8 @@ import sys
 import traceback
 from typing import Optional
 
-from repro.chain.gateway import BatchingGateway, GatewayStats
-from repro.errors import (
-    GatewayError,
-    NetworkError,
-    SerializationError,
-    WireProtocolError,
-)
-from repro.runtime.gateway import HeadSignal, RemoteGateway, RemoteOffchain
+from repro.errors import GatewayError, NetworkError, SerializationError, WireProtocolError
+from repro.runtime.gateway import RemoteOffchain
 from repro.runtime.wire import WireChannel, WireClosedError, connect, encode_error
 from repro.utils.rng import RngFactory
 
@@ -56,11 +52,18 @@ from repro.utils.rng import RngFactory
 _TASK_SAFE_ERRORS = (GatewayError, SerializationError, NetworkError)
 
 #: The round ops: each is served by the :class:`~repro.core.shard.PeerShard`
-#: method of the same name (``view`` has no op — the coordinator answers it
-#: from the ledger it already holds).
+#: method of the same name (``view`` has no op — it is the decode step the
+#: other ops share).
 SHARD_OPS = (
     "configure", "train", "score", "rate", "vote", "adopt_final", "catch_up", "export",
 )
+
+
+def by_peer(params: dict, name: str) -> dict:
+    """Rebuild a ``{peer_id: input}`` map, in the driver's order, from a
+    task's ``peers`` list and its aligned ``name`` list (canonical JSON
+    sorts object keys, so maps travel as two lists)."""
+    return dict(zip(params["peers"], params[name], strict=True))
 
 
 class WorkerRuntime:
@@ -70,17 +73,14 @@ class WorkerRuntime:
         self.channel = channel
         self.index = index
         self.shard = None  # built by ``init``
-        self.transports: dict[str, RemoteGateway] = {}
-        self._offchain_stats = GatewayStats()
-        self.offchain = RemoteOffchain(channel, stats=self._offchain_stats)
-        self.head_signal = HeadSignal()
+        self.offchain = RemoteOffchain(channel)
 
     # -- serve loop --------------------------------------------------------
 
     def serve(self) -> None:
         """Receive tasks until ``shutdown`` (or the channel closes)."""
         while True:
-            header, blobs, _size = self.channel.recv()
+            header, _blobs, _size = self.channel.recv()
             if header.get("kind") != "task":
                 self.channel.send(
                     {
@@ -93,11 +93,6 @@ class WorkerRuntime:
                     }
                 )
                 continue
-            stamp = header.get("head")
-            if stamp is not None:
-                # The coordinator's per-task head push; exact for the
-                # whole task, since workers never wait (see HeadSignal).
-                self.head_signal.value = (str(stamp["hash"]), float(stamp["now"]))
             op = header.get("op", "")
             if op == "shutdown":
                 self.channel.send({"kind": "result", "value": "bye"})
@@ -106,7 +101,7 @@ class WorkerRuntime:
                 # Test hook: die without a goodbye, as a real fault would.
                 os._exit(13)
             try:
-                value, out_blobs = self.dispatch(op, header.get("params", {}), blobs)
+                value, out_blobs = self.dispatch(op, header.get("params", {}))
             except _TASK_SAFE_ERRORS as exc:
                 self.channel.send({"kind": "result", "error": encode_error(exc)})
             except Exception as exc:
@@ -122,7 +117,7 @@ class WorkerRuntime:
             else:
                 self.channel.send({"kind": "result", "value": value}, out_blobs)
 
-    def dispatch(self, op: str, params: dict, blobs: tuple) -> tuple:
+    def dispatch(self, op: str, params: dict) -> tuple:
         """Route one task; returns ``(value, blobs)`` for the result frame."""
         handlers = {
             "init": self._init,
@@ -152,7 +147,6 @@ class WorkerRuntime:
         workers = int(params["workers"])
         rngs = RngFactory(spec.seed)
         inputs = decentralized_inputs(spec, rngs, ScenarioContext())
-        chain_spec = inputs.config.chain
         chain = rngs.spawn("chain")
         # Same plan the coordinator resolved: both sides derive it from the
         # chain-spawned participation/* streams, so they agree on exactly
@@ -169,53 +163,47 @@ class WorkerRuntime:
                 continue
             if pc.peer_id not in plan.ever_active:
                 continue  # registered on chain, never trains: no peer here
-            transport = RemoteGateway(self.channel, pc.peer_id, head_signal=self.head_signal)
-            self.transports[pc.peer_id] = transport
             self.shard.add_peer(
-                pc,
-                BatchingGateway(transport, staleness=chain_spec.gateway_staleness)
-                if chain_spec.gateway == "batching"
-                else transport,
-                inputs.train_sets[pc.peer_id],
-                inputs.test_sets[pc.peer_id],
+                pc, None, inputs.train_sets[pc.peer_id], inputs.test_sets[pc.peer_id]
             )
         return sorted(self.shard.peers)
 
     # -- round ops: decode -> shard method -> encode -------------------------
 
     def _configure(self, params: dict):
-        self.shard.configure(
-            params["model_store"],
-            params["coordinator"],
-            params["reputation"],
-            params["addresses"],
-        )
+        self.shard.configure(params["model_store"], params["coordinator"], params["addresses"])
         return "configured"
 
     def _train(self, params: dict):
-        trained = self.shard.train(int(params["round"]), params["peers"])
-        return [
+        """Signed commitments out, each with its weight blob (same order)."""
+        trained = self.shard.train(int(params["round"]), by_peer(params, "nonces"))
+        value = [
             {"peer": peer_id, "tx": tx.to_dict(), "duration": duration}
             for peer_id, (tx, duration) in trained.items()
         ]
+        blobs = tuple(self.offchain.get(tx.args["weights_hash"]) for tx, _ in trained.values())
+        return value, blobs
 
     def _score(self, params: dict):
-        logs = self.shard.score(int(params["round"]), params["peers"])
+        logs = self.shard.score(int(params["round"]), by_peer(params, "views"))
         return [log.to_wire() for log in logs]
 
     def _rate(self, params: dict):
-        self.shard.rate(int(params["round"]), params["peer"])
-        return "rated"
+        return list(self.shard.rate(int(params["round"]), by_peer(params, "views")).values())
 
     def _vote(self, params: dict):
-        self.shard.vote(int(params["round"]), params["peer"])
-        return "voted"
+        """One aggregate blob per voter, in the task's peer order."""
+        archives = self.shard.vote(int(params["round"]), by_peer(params, "views"))
+        return list(archives), tuple(archive.payload for archive in archives.values())
 
     def _adopt_final(self, params: dict):
-        return self.shard.adopt_final(int(params["round"]), params["peer"]).to_wire()
+        logs = self.shard.adopt_final(
+            int(params["round"]), by_peer(params, "views"), by_peer(params, "finals")
+        )
+        return [log.to_wire() for log in logs]
 
     def _catch_up(self, params: dict):
-        return self.shard.catch_up(int(params["round"]), params["peer"])
+        return self.shard.catch_up(int(params["round"]), params["peer"], params["records"])
 
     def _export(self, params: dict):
         peer_ids = list(params["peers"])
@@ -224,18 +212,15 @@ class WorkerRuntime:
     # -- collection tasks --------------------------------------------------
 
     def _stats(self, params: dict):
-        requested = GatewayStats()
-        for peer in self.shard.peers.values():
-            requested.add(peer.gateway.stats)
-        wire = GatewayStats()
-        for transport in self.transports.values():
-            wire.add(transport.stats)
-        wire.add(self._offchain_stats)
+        wire = self.offchain.stats
         return {
             "worker": self.index,
             "peers": sorted(self.shard.peers),
-            "requested": requested.as_dict(),
-            "wire": wire.as_dict(),
+            "wire": {
+                "rpc_round_trips": wire.rpc_round_trips,
+                "bytes_sent": wire.wire_bytes_sent,
+                "bytes_received": wire.wire_bytes_received,
+            },
             "wire_seconds": wire.wire_seconds,
             "wire_method_seconds": dict(wire.wire_method_seconds),
             "channel": {

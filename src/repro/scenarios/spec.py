@@ -50,9 +50,9 @@ MODEL_LEARNING_RATES = {"simple_nn": 0.008, "efficientnet_b0_sim": 0.5}
 
 #: Execution runtimes for the decentralized deployment.  ``"inprocess"``
 #: runs the whole cohort in the calling process; ``"multiprocess"`` fans
-#: the peers out to worker OS processes that reach the ledger only over a
-#: wire-served gateway (:mod:`repro.runtime`).  The runtime never changes
-#: a result — equivalence tests pin the two byte-identical at every seed.
+#: the peers' compute out to worker OS processes while the calling process
+#: keeps the ledger (:mod:`repro.runtime`).  The runtime never changes a
+#: result — equivalence tests pin the two byte-identical at every seed.
 RUNTIME_KINDS = ("inprocess", "multiprocess")
 
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -275,13 +275,14 @@ class ScenarioSpec:
     ``runtime`` selects how a decentralized cohort executes:
     ``"inprocess"`` (default) runs everything in the calling process;
     ``"multiprocess"`` spawns ``runtime_workers`` worker processes that
-    hold the peers' datasets, models, and rng streams and reach the
-    ledger only through the wire-served gateway (:mod:`repro.runtime`).
-    Results are byte-identical across runtimes and worker counts.  The
-    ``"vanilla"`` kind has no chain and ignores the knob.  Fault
-    injection is an in-process feature and is rejected in combination
-    with the multiprocess runtime.  The runtime's workers are the only
-    way this code uses more than one core.
+    hold the peers' datasets, models, and rng streams and compute their
+    round work, while every ledger operation stays in the coordinator
+    (:mod:`repro.runtime`).  Results are byte-identical across runtimes
+    and worker counts, with or without fault injection: injected faults
+    fire in the coordinator, on the same gateway stacks under both
+    runtimes.  The ``"vanilla"`` kind has no chain and ignores the knob.
+    The runtime's workers are the only way this code uses more than one
+    core.
     """
 
     name: str = ""
@@ -340,11 +341,6 @@ class ScenarioSpec:
         if self.runtime_workers < 1:
             raise ConfigError(
                 f"runtime_workers must be >= 1, got {self.runtime_workers}"
-            )
-        if self.runtime == "multiprocess" and self.faults.active:
-            raise ConfigError(
-                "fault injection is an in-process feature; "
-                "the multiprocess runtime does not support it"
             )
         if self.kind == "vanilla" and self.faults.active:
             raise ConfigError(

@@ -199,15 +199,6 @@ class TestMultiprocessRuntimeSmoke:
             else:
                 assert row["rpc_trips"] == 0
 
-    def test_remote_transport_arms_stay_neutral(self):
-        # The gateway bench's wire arms: byte-identity is asserted
-        # inside compare_transports; batching must never add trips.
-        result = bench_chain_gateway.compare_transports(
-            **bench_chain_gateway.gateway_params(smoke=True)
-        )
-        assert result["remote_trips"] > 0
-        assert result["batched_trips"] <= result["remote_trips"]
-
 
 class TestClientSamplingSmoke:
     """Smoke-tier participation bench: work bounds and full-participation

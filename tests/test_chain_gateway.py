@@ -987,6 +987,17 @@ def flatten(value, prefix: str = "") -> dict:
     return flat
 
 
+def runtime_only(key: str) -> bool:
+    """The flattened ``chain_stats`` keys a runtime may change: the
+    workers' wire traffic and the coordinator store's marshalling
+    counters.  Every ledger operation runs in the driver under both
+    runtimes, so every other counter — ``gateway.requested`` and
+    ``gateway.transport`` included — is the in-process run's."""
+    return key == "gateway.runtime" or key.startswith(
+        ("gateway.wire.", "gateway.worker_stats", "offchain_marshalling.")
+    )
+
+
 def unflatten(flat: dict):
     tree: dict = {}
     for key, leaf in flat.items():
@@ -1026,7 +1037,11 @@ class TestChainStatsDigests:
     when the block executor's process pool went: its two always-zero
     ``execution.pool_*`` counters left every run, and ``multiprocess``
     also lost the 22 bytes per worker the pool's worker-count field took
-    in that same ``init`` frame.  Beside each digest the fixture
+    in that same ``init`` frame.  ``multiprocess`` was re-recorded once
+    more when every ledger operation moved into the driver: its
+    ``gateway.requested`` / ``gateway.transport`` counters became the
+    in-process run's, and its ``wire`` / ``worker_stats`` blocks shrank to
+    the workers' blob pulls.  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 
@@ -1046,6 +1061,19 @@ class TestChainStatsDigests:
         assert sorted(fixture["stats"]) == sorted(fixture["digests"]) == sorted(digest_specs())
         for name, digest in fixture["digests"].items():
             assert stats_digest(unflatten(fixture["stats"][name])) == digest, name
+
+    def test_multiprocess_counters_are_the_inprocess_ones(self):
+        """The same spec, two runtimes: every pinned counter but the
+        runtime's own wire and marshalling traffic is equal."""
+        pinned = json.loads(DIGEST_FIXTURE.read_text())["stats"]
+        inprocess, multiprocess = pinned["inprocess"], pinned["multiprocess"]
+        assert any(runtime_only(key) for key in multiprocess)  # non-vacuous
+
+        def ledger(stats: dict) -> dict:
+            return {key: value for key, value in stats.items() if not runtime_only(key)}
+
+        moved = first_difference(ledger(inprocess), ledger(multiprocess))
+        assert moved == "", moved
 
     def test_flattening_round_trips_and_names_what_moved(self):
         stats = {

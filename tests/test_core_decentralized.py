@@ -307,6 +307,12 @@ class TestRateRoundReusesScores:
         assert outcome_digest(driver) == pinned_outcome("reputation")
 
 
+def visible_updates(driver, peer_id: str, round_id: int = 1):
+    """The peer's decoded view of a finished round (the shard's memo)."""
+    records = driver.peers[peer_id].visible_submissions(round_id)
+    return driver.shard.view(round_id, peer_id, records)
+
+
 class TestSearchScopedRows:
     """A search's rows — ``n_k`` times an update's pre-activations on the
     viewer's own test set, then its parameters after the first ``Dense``
@@ -325,7 +331,7 @@ class TestSearchScopedRows:
     def test_rows_hold_pre_activations_not_weights(self):
         driver, _logs = self.scored_round()
         shard = driver.shard
-        engine, updates = shard.engines["A"], shard.view(1, "A")
+        engine, updates = shard.engines["A"], visible_updates(driver, "A")
         x = engine.test_set.x
         mid_search = []
         engine.instrument = lambda _key: mid_search.append(dict(engine._rows))
@@ -362,7 +368,7 @@ class TestSearchScopedRows:
 
     def test_a_search_that_raises_releases_its_rows(self):
         driver, _logs = self.scored_round()
-        engine, updates = driver.shard.engines["A"], driver.shard.view(1, "A")
+        engine, updates = driver.shard.engines["A"], visible_updates(driver, "A")
         engine.cache.clear()
 
         def explode(_key):
@@ -389,8 +395,9 @@ class TestSearchScopedRows:
                 worker.add_peer(
                     peer.config, peer.gateway, peer.client.train_set, peer.client.test_set
                 )
-            worker.configure(model_store, coordinator, driver.reputation_address, driver.addresses)
-            slice_logs = worker.score(1, mine)
+            worker.configure(model_store, coordinator, driver.addresses)
+            views = {peer_id: driver.peers[peer_id].visible_submissions(1) for peer_id in mine}
+            slice_logs = worker.score(1, views)
             assert all(engine._rows is None for engine in worker.engines.values())
             assert {
                 log.peer_id: (log.chosen_combination, log.chosen_accuracy) for log in slice_logs

@@ -120,8 +120,8 @@ class TestReputationExtension:
         peer_c = driver.peers["C"]
         original = peer_c.train_and_commit
 
-        def corrupted(round_id):
-            update, tx = original(round_id)
+        def corrupted(round_id, nonce):
+            update, tx = original(round_id, nonce)
             bad = {key: value.copy() for key, value in update.weights.items()}
             bad["out/W"] = -bad["out/W"]
             bad["out/b"] = -bad["out/b"]
@@ -138,6 +138,7 @@ class TestReputationExtension:
                     "reported_accuracy": update.reported_accuracy,
                 },
                 data=commitment.encode("ascii"),
+                nonce=nonce,
             )
             del tx  # the honest commitment is never broadcast
             return update, new_tx

@@ -89,13 +89,13 @@ class TestCommitFlow:
 
     def test_requires_store_address(self, peer):
         with pytest.raises(ConfigError):
-            peer.train_and_commit(1)
+            peer.train_and_commit(1, nonce=0)
         with pytest.raises(ConfigError):
             peer.visible_submissions(1)
 
     def test_train_and_commit_binds_hash(self, peer):
         self._deploy_store(peer)
-        update, tx = peer.train_and_commit(1)
+        update, tx = peer.train_and_commit(1, nonce=1)
         assert tx.args["weights_hash"] == weights_hash(update.weights)
         assert tx.args["weights_hash"] in peer.offchain
         assert tx.method == "submit_model"
@@ -103,12 +103,12 @@ class TestCommitFlow:
 
     def test_fetch_updates_round_trip(self, peer):
         self._deploy_store(peer)
-        update, tx = peer.train_and_commit(1)
+        update, tx = peer.train_and_commit(1, nonce=1)
         peer.gateway.node.submit_transaction(tx)
         block = peer.gateway.node.build_block_candidate(26.0, difficulty=1)
         peer.gateway.node.seal_and_import(block, nonce=0)
 
-        fetched = peer.fetch_updates(1, {peer.address: "A"})
+        fetched = peer.fetch_updates(1, peer.visible_submissions(1), {peer.address: "A"})
         assert len(fetched) == 1
         assert fetched[0].client_id == "A"
         for key, value in fetched[0].weights.items():
@@ -119,30 +119,30 @@ class TestCommitFlow:
         raise instead of corrupting the other peers' view, and the content
         hash arrives with the update instead of being recomputed per peer."""
         self._deploy_store(peer)
-        update, tx = peer.train_and_commit(1)
+        update, tx = peer.train_and_commit(1, nonce=1)
         peer.gateway.node.submit_transaction(tx)
         block = peer.gateway.node.build_block_candidate(26.0, difficulty=1)
         peer.gateway.node.seal_and_import(block, nonce=0)
 
-        (fetched,) = peer.fetch_updates(1, {peer.address: "A"})
+        (fetched,) = peer.fetch_updates(1, peer.visible_submissions(1), {peer.address: "A"})
         assert fetched.fingerprint == weights_fingerprint(update.weights)
         for value in fetched.weights.values():
             with pytest.raises(ValueError):
                 value[...] = 0.0
-        (again,) = peer.fetch_updates(1, {peer.address: "A"})
+        (again,) = peer.fetch_updates(1, peer.visible_submissions(1), {peer.address: "A"})
         for key, value in again.weights.items():
             assert np.shares_memory(value, fetched.weights[key])  # no copy per reader
             np.testing.assert_array_equal(value, update.weights[key])
 
     def test_fetch_skips_unpropagated_blobs(self, peer):
         self._deploy_store(peer)
-        _update, tx = peer.train_and_commit(1)
+        _update, tx = peer.train_and_commit(1, nonce=1)
         peer.gateway.node.submit_transaction(tx)
         block = peer.gateway.node.build_block_candidate(26.0, difficulty=1)
         peer.gateway.node.seal_and_import(block, nonce=0)
         # Simulate the off-chain blob not having arrived yet.
         peer.offchain._blobs.clear()
-        assert peer.fetch_updates(1, {peer.address: "A"}) == []
+        assert peer.fetch_updates(1, peer.visible_submissions(1), {peer.address: "A"}) == []
 
     def test_adopt_and_evaluate(self, peer):
         foreign = Sequential([Dense(2, name="out")]).build(np.random.default_rng(7), (4,))

@@ -147,6 +147,16 @@ class TestRunCommand:
         assert cli.main(["run", "cohort/3", "--quick", "--seed", "1", *multiprocess]) == 0
         assert capsys.readouterr().out == serial
 
+    def test_run_faults_under_workers_changes_nothing(self, capsys):
+        """Injected faults fire in the driver under both runtimes, so the
+        fault report — injected, retries, completion — is byte-identical."""
+        assert cli.main(["run", "faults/transient", "--quick"]) == 0
+        inprocess = capsys.readouterr().out
+        multiprocess = ["--runtime", "multiprocess", "--runtime-workers", "2"]
+        assert cli.main(["run", "faults/transient", "--quick", *multiprocess]) == 0
+        assert capsys.readouterr().out == inprocess
+        assert "Fault resilience" in inprocess
+
 
 #: One valid and one invalid command-line value per override flag.
 FLAG_VALUES = {

@@ -4,12 +4,13 @@ The acceptance surface of the out-of-process runtime: at the same seed, a
 run with ``runtime="multiprocess"`` must reproduce the in-process run's
 final model weights (SHA-256 of the canonical codec-v2 export), per-round
 accuracy tables and chosen combinations, reputation scores, and chain
-shape (heights, off-chain blob counts/bytes) — for every operating mode.
-Worker count must be invisible (workers=1 vs workers=3 identical), worker
-crashes must surface as typed :class:`~repro.errors.WorkerCrashedError`
-(a :class:`~repro.errors.GatewayUnavailableError`, so the resilience
-layer's vocabulary covers it), and the spec gates must reject the
-configurations the runtime does not support.
+shape (heights, off-chain blob counts/bytes) — for every operating mode,
+and with injected faults, which fire in the coordinator's driver on the
+same gateway stacks under both runtimes.  Worker count must be invisible
+(workers=1 vs workers=3 identical), no worker-side object may hold a
+ledger gateway, a worker crash must end the run as a typed
+:class:`~repro.errors.WorkerCrashedError` (faults on or off), and the
+spec gates must reject the configurations the runtime does not support.
 
 Each scenario runs once per (spec, runtime, workers) triple and is
 memoized module-wide — the suite spawns real worker OS processes, so
@@ -21,12 +22,15 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from test_chain_gateway import flatten, runtime_only
 
+from repro.chain.gateway import ChainGateway
 from repro.core.participation import ParticipationSpec
 from repro.errors import ConfigError, GatewayUnavailableError, WorkerCrashedError
 from repro.scenarios import cohort_scenario
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioContext, decentralized_inputs, run_scenario
-from repro.scenarios.spec import RUNTIME_KINDS, FaultSpec, ScenarioSpec, replace_axis
+from repro.scenarios.spec import RUNTIME_KINDS, ScenarioSpec, replace_axis
 from repro.utils.rng import RngFactory
 
 _CACHE: dict = {}
@@ -184,11 +188,47 @@ class TestParticipationEquivalence:
         assert inproc.reputation
 
 
+def ledger_side(stats: dict) -> dict:
+    return {key: value for key, value in flatten(stats).items() if not runtime_only(key)}
+
+
+def faults_spec(name: str) -> ScenarioSpec:
+    (spec,) = get_scenario(name).build(seed=42, quick=True)
+    return spec
+
+
+class TestFaultsEquivalence:
+    """Faults x multiprocess: the faults fire in the driver, so the fault
+    draws, retries, drops and catch-ups — and everything they decide —
+    are the in-process run's."""
+
+    @staticmethod
+    def faulted(result) -> dict:
+        return {
+            **comparable(result),
+            "completed_rounds": result.completed_rounds,
+            "abort_reason": result.abort_reason,
+            "catch_ups": result.chain_stats["faults"]["catch_ups"],
+            "faults": result.chain_stats["faults"],
+            "resilience": result.chain_stats["gateway"]["resilience"],
+        }
+
+    @pytest.mark.parametrize(
+        "name,workers",
+        [("faults/transient", 2), ("faults/crash", 2), ("faults/lossy", 2), ("faults/lossy", 1)],
+    )
+    def test_matches_inprocess(self, name, workers):
+        inproc, multi = pair(faults_spec(name), workers=workers)
+        assert self.faulted(inproc) == self.faulted(multi)
+        assert ledger_side(inproc.chain_stats) == ledger_side(multi.chain_stats)
+        faults = inproc.chain_stats["faults"]
+        assert faults["injected"] or faults["catch_ups"]  # non-vacuous
+
+
 class TestChainScaleComposition:
     """Sampling x cold storage x speculate/merge execution x runtime: the
-    chain's work is the coordinator's, so no worker count can move it.
-    ``gateway`` and ``offchain_marshalling`` count transport, which is the
-    one thing a runtime is allowed to change."""
+    chain's work is the coordinator's, so no worker count can move it —
+    nor any ledger counter (see ``runtime_only``)."""
 
     def spec(self) -> ScenarioSpec:
         spec = cohort_scenario(8, sampled_k=3).quick()
@@ -199,11 +239,7 @@ class TestChainScaleComposition:
 
     @staticmethod
     def chain_side(result) -> dict:
-        return {
-            key: value
-            for key, value in result.chain_stats.items()
-            if key not in ("gateway", "offchain_marshalling")
-        }
+        return ledger_side(result.chain_stats)
 
     def multiprocess(self, workers: int):
         return run_cached(
@@ -229,16 +265,19 @@ class TestChainScaleComposition:
 
 class TestRuntimeStatsSurface:
     def test_multiprocess_surfaces_wire_telemetry(self):
-        _, multi = pair(base_spec())
+        inproc, multi = pair(base_spec())
         gateway = multi.chain_stats["gateway"]
         assert gateway["runtime"] == "multiprocess"
         wire = gateway["wire"]
         assert wire["workers"] == 2
         assert wire["bytes_sent"] > 0 and wire["bytes_received"] > 0
-        assert wire["rpc_round_trips"] > 0
-        assert gateway["transport"]["rpc_round_trips"] == wire["rpc_round_trips"]
-        assert gateway["transport"]["wire_bytes_sent"] > 0
+        assert wire["rpc_round_trips"] > 0  # blob pulls
+        assert wire["rpc_round_trips"] == sum(
+            worker["wire"]["rpc_round_trips"] for worker in gateway["worker_stats"]
+        )
         assert len(gateway["worker_stats"]) == 2
+        # Blob pulls are wire traffic, not ledger transport.
+        assert gateway["transport"] == inproc.chain_stats["gateway"]["transport"]
 
     def test_inprocess_wire_counters_stay_zero(self):
         inproc, _ = pair(base_spec())
@@ -250,11 +289,13 @@ class TestRuntimeStatsSurface:
             assert gateway[side]["rpc_round_trips"] == 0
 
 
-def two_worker_driver():
-    """A hand-built coordinator over ``base_spec()``, workers not yet launched."""
+def two_worker_driver(spec=None):
+    """A hand-built coordinator over ``spec`` (default ``base_spec()``),
+    workers not yet launched."""
     from repro.runtime.coordinator import MultiprocessDecentralizedFL
 
-    spec = dataclasses.replace(base_spec(), runtime="multiprocess", runtime_workers=2)
+    spec = spec if spec is not None else base_spec()
+    spec = dataclasses.replace(spec, runtime="multiprocess", runtime_workers=2)
     rngs = RngFactory(spec.seed)
     inputs = decentralized_inputs(spec, rngs, ScenarioContext(), materialize=False)
     return MultiprocessDecentralizedFL(
@@ -264,12 +305,16 @@ def two_worker_driver():
 
 class TestWorkerCrash:
     def test_crash_surfaces_typed_error_and_cleans_up(self):
-        driver = two_worker_driver()
+        # Faults on: a dead worker is a runtime failure, not a round
+        # failure, so it is never turned into an abort reason.
+        driver = two_worker_driver(faults_spec("faults/transient"))
+        assert driver.fault_injector is not None
+        driver.crash_worker(0)
         with pytest.raises(WorkerCrashedError) as excinfo:
-            driver.crash_worker(0)
-        # The typed error enters the PR-7 resilience vocabulary.
+            driver.run()
         assert isinstance(excinfo.value, GatewayUnavailableError)
         assert "worker 0" in str(excinfo.value)
+        assert driver.abort_reason == ""
         assert driver.broker.handles
         for handle in driver.broker.handles:
             assert handle.process.poll() is not None  # no zombies
@@ -326,11 +371,27 @@ class TestShardSurface:
             }
 
         # `add_peer` builds the shard (the worker's `init` op calls it);
-        # `view` has no op: the coordinator answers it from the ledger.
+        # `view` has no op: it is the decode step the other ops share.
         assert public(PeerShard) - {"add_peer", "view"} == set(SHARD_OPS)
-        assert public(RemoteShard) == public(PeerShard) - {"add_peer"}
+        assert public(RemoteShard) == set(SHARD_OPS)
         # Every round op has a handler: dispatch builds the whole table.
-        assert WorkerRuntime(channel=None, index=0).dispatch("ping", {}, ()) == ("pong", ())
+        assert WorkerRuntime(channel=None, index=0).dispatch("ping", {}) == ("pong", ())
+
+    def test_no_worker_side_object_holds_a_gateway(self):
+        """Workers compute; the coordinator owns the ledger.  A worker's
+        runtime, store, shard and peers neither are nor hold a gateway."""
+        from repro.runtime.speccodec import encode_spec
+        from repro.runtime.worker import WorkerRuntime
+
+        runtime = WorkerRuntime(channel=None, index=0)
+        owned, _blobs = runtime.dispatch(
+            "init", {"spec": encode_spec(base_spec()), "workers": 2}
+        )
+        peers = [runtime.shard.peers[peer_id] for peer_id in owned]
+        assert peers and all(peer.gateway is None for peer in peers)
+        for held in (runtime, runtime.offchain, runtime.shard, *peers):
+            assert not isinstance(held, ChainGateway)
+            assert not any(isinstance(value, ChainGateway) for value in vars(held).values())
 
 
 class TestSpecGates:
@@ -344,10 +405,6 @@ class TestSpecGates:
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigError):
             base_spec(runtime="multiprocess", runtime_workers=0)
-
-    def test_faults_incompatible_with_multiprocess(self):
-        with pytest.raises(ConfigError):
-            base_spec(runtime="multiprocess", faults=FaultSpec(transient_rate=0.1))
 
     def test_vanilla_ignores_runtime_knob(self):
         spec = ScenarioSpec(name="v", kind="vanilla", seed=1, runtime="multiprocess")

@@ -1,4 +1,4 @@
-"""Wire codec, typed errors, spec codec, and the served gateway.
+"""Wire codec, typed errors, spec codec, and the served blob store.
 
 Structure:
 
@@ -11,11 +11,10 @@ Structure:
 * the typed-error registry: type and message preserved across
   encode/decode for all 14 classes, graceful degradation for unknowns;
 * :mod:`repro.runtime.speccodec` round trips on real scenario specs;
-* :class:`~repro.runtime.server.GatewayServer` +
-  :class:`~repro.runtime.gateway.RemoteGateway` over a real socketpair —
-  reads, submits, typed error parity, waits refused on both ends, and the
-  :class:`~repro.runtime.gateway.RemoteOffchain` mirror, including a
-  hand-driven peer whose replies carry the wrong blobs.
+* :class:`~repro.runtime.server.GatewayServer` serving blobs over a real
+  socketpair to the :class:`~repro.runtime.gateway.RemoteOffchain`
+  mirror — and nothing else — plus a hand-driven peer whose replies
+  carry the wrong blobs.
 
 Regenerate fixtures (deliberate format changes only)::
 
@@ -30,23 +29,13 @@ import socket
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.chain import GenesisSpec, Node, NodeConfig
-from repro.chain.crypto import KeyPair
-from repro.chain.gateway import CallRequest, InProcessGateway
-from repro.chain.runtime import ContractRuntime
-from repro.chain.transaction import Transaction
-from repro.contracts import register_all
 from repro.core.offchain import OffchainStore
-from repro.errors import (
-    GatewayError,
-    SerializationError,
-    UnknownContractError,
-    WireProtocolError,
-)
-from repro.nn.serialize import weights_to_bytes
-from repro.runtime.gateway import HeadSignal, RemoteGateway, RemoteOffchain
+from repro.errors import GatewayError, SerializationError, WireProtocolError
+from repro.nn.serialize import as_archive, weights_to_bytes
+from repro.runtime.gateway import RemoteOffchain
 from repro.runtime.server import GatewayServer
 from repro.runtime.speccodec import decode_spec, encode_spec
 from repro.runtime.wire import (
@@ -306,37 +295,16 @@ class TestSpecCodec:
 
 
 # ---------------------------------------------------------------------------
-# Served gateway over a real socketpair
+# Served blob store over a real socketpair
 # ---------------------------------------------------------------------------
 
 
-def make_node(seed: str = "wire-node"):
-    runtime = ContractRuntime()
-    register_all(runtime)
-    kp = KeyPair.from_seed(seed)
-    genesis = GenesisSpec(allocations={kp.address: 10**15})
-    return Node(kp, genesis, runtime, NodeConfig()), kp
-
-
-def deploy_registry(node, kp, timestamp: float = 13.0) -> str:
-    tx = Transaction(
-        sender=kp.address,
-        to=None,
-        nonce=node.next_nonce_for(kp.address),
-        args={"contract": "participant_registry", "open_enrollment": True},
-    ).sign_with(kp)
-    node.submit_transaction(tx)
-    block = node.build_block_candidate(timestamp, difficulty=1)
-    node.seal_and_import(block, nonce=0)
-    return node.receipt_of(tx.tx_hash).contract_address
-
-
-class ServedGateway:
+class ServedStore:
     """A GatewayServer pumping one socketpair end on a daemon thread."""
 
-    def __init__(self, gateway, offchain=None):
+    def __init__(self, offchain=None):
         self.offchain = offchain if offchain is not None else OffchainStore()
-        self.server = GatewayServer({"A": gateway}, self.offchain)
+        self.server = GatewayServer(self.offchain)
         server_sock, client_sock = socket.socketpair()
         self.server_channel = WireChannel(server_sock)
         self.client_channel = WireChannel(client_sock)
@@ -354,89 +322,13 @@ class ServedGateway:
         self.thread.join(timeout=10)
 
 
-class TestServedGateway:
-    def test_reads_match_direct_gateway(self):
-        node, kp = make_node()
-        registry = deploy_registry(node, kp)
-        gateway = InProcessGateway(node)
-        with ServedGateway(gateway) as served:
-            remote = RemoteGateway(served.client_channel, "A")
-            assert remote.height() == gateway.height()
-            assert remote.head_hash() == gateway.head_hash()
-            assert remote.has_contract(registry)
-            assert remote.next_nonce(kp.address) == gateway.next_nonce(kp.address)
-            assert remote.call(registry, "member_count") == gateway.call(
-                registry, "member_count"
-            )
-            assert remote.batch_call(
-                [CallRequest(registry, "member_count", {})] * 2
-            ) == [0, 0]
-            head, now = remote.observe_head()
-            assert head == gateway.head_hash()
-            assert remote.stats.rpc_round_trips >= 7
-            assert remote.stats.wire_bytes_sent > 0
-            assert remote.stats.wire_bytes_received > 0
-
-    def test_submit_reaches_mempool(self):
-        node, kp = make_node()
-        registry = deploy_registry(node, kp)
-        with ServedGateway(InProcessGateway(node)) as served:
-            remote = RemoteGateway(served.client_channel, "A")
-            tx = Transaction(
-                sender=kp.address,
-                to=registry,
-                nonce=remote.next_nonce(kp.address),
-                method="register",
-                args={"display_name": "A"},
-            ).sign_with(kp)
-            assert remote.submit(tx) == tx.tx_hash
-
-    def test_typed_errors_cross_the_wire(self):
-        node, _ = make_node()
-        with ServedGateway(InProcessGateway(node)) as served:
-            remote = RemoteGateway(served.client_channel, "A")
-            with pytest.raises(UnknownContractError):
-                remote.call("0xnope", "anything")
-
-    def test_unknown_peer_is_a_protocol_error(self):
-        node, _ = make_node()
-        with ServedGateway(InProcessGateway(node)) as served:
-            remote = RemoteGateway(served.client_channel, "Z")
-            with pytest.raises(WireProtocolError):
-                remote.height()
-
-    def test_wait_for_requires_wire_condition(self):
-        # Waits run on the coordinator's event engine: a worker-side wait
-        # is refused whatever it is handed, before a byte is written.
-        node, _ = make_node()
-        with ServedGateway(InProcessGateway(node)) as served:
-            remote = RemoteGateway(served.client_channel, "A")
-            for predicate in (lambda: True, lambda: False, None, "height_at_least"):
-                with pytest.raises(WireProtocolError, match="coordinator's event engine"):
-                    remote.wait_for(predicate, "anything", deadline=5.0)
-            assert served.client_channel.bytes_sent == 0
-            assert remote.stats.waits == 0 and remote.stats.rpc_round_trips == 0
-
-    def test_refused_wait_keeps_the_head_stamp(self):
-        # Nothing moved the chain, so the pushed stamp stays exact and
-        # observe_head keeps costing zero round trips.
-        node, _ = make_node()
-        signal = HeadSignal()
-        signal.value = ("window-1", 13.0)
-        with ServedGateway(InProcessGateway(node)) as served:
-            remote = RemoteGateway(served.client_channel, "A", head_signal=signal)
-            with pytest.raises(WireProtocolError):
-                remote.wait_for(lambda: True, "anything")
-            assert signal.value == ("window-1", 13.0)
-            assert remote.observe_head() == ("window-1", 13.0)
-            assert served.client_channel.bytes_sent == 0
-
-    def test_server_has_no_wait_rpc(self):
-        node, _ = make_node()
-        server = GatewayServer({"A": InProcessGateway(node)}, OffchainStore())
-        params = {"condition": {"kind": "never"}, "what": "x", "deadline": 5.0}
-        with pytest.raises(WireProtocolError, match="unknown rpc method 'wait_for'"):
-            server.dispatch("wait_for", "A", params, ())
+class TestServedStore:
+    def test_server_serves_blobs_only(self):
+        # Workers hold no ledger access: a ledger or write RPC is unknown.
+        server = GatewayServer(OffchainStore())
+        for method in ("call", "submit", "next_nonce", "wait_for", "offchain_put"):
+            with pytest.raises(WireProtocolError, match=f"unknown rpc method '{method}'"):
+                server.dispatch(method, {})
 
 
 def answer_once(channel: WireChannel, blobs: tuple[bytes, ...]) -> threading.Thread:
@@ -453,19 +345,19 @@ def answer_once(channel: WireChannel, blobs: tuple[bytes, ...]) -> threading.Thr
 
 
 class TestRemoteOffchain:
-    def test_put_get_contains_round_trip(self):
-        node, _ = make_node()
+    def test_put_archive_stays_in_the_mirror(self):
+        # A worker's writes travel in its task result, never as an RPC.
         store = OffchainStore()
-        with ServedGateway(InProcessGateway(node), offchain=store) as served:
+        with ServedStore(offchain=store) as served:
             remote = RemoteOffchain(served.client_channel)
-            key = remote.put(b"payload bytes")
-            assert key in store  # pushed upstream
-            assert key in remote  # mirrored locally
-            assert remote.get(key) == b"payload bytes"
+            archive = as_archive({"w": np.arange(4, dtype=np.float32)})
+            key = remote.put_archive(archive)
+            assert key not in store
+            assert remote.get(key) == archive.payload
+            assert served.client_channel.bytes_sent == 0
 
     def test_missing_blob_is_serialization_error(self):
-        node, _ = make_node()
-        with ServedGateway(InProcessGateway(node)) as served:
+        with ServedStore() as served:
             remote = RemoteOffchain(served.client_channel)
             with pytest.raises(SerializationError):
                 remote.get("0" * 64)
@@ -482,8 +374,6 @@ class TestRemoteOffchain:
 
     @staticmethod
     def wanted_and_other() -> tuple[bytes, bytes]:
-        import numpy as np
-
         return (
             weights_to_bytes({"w": np.arange(4, dtype=np.float32)}),
             weights_to_bytes({"w": np.ones(4, dtype=np.float32)}),
@@ -519,31 +409,53 @@ class TestRemoteOffchain:
             assert list(got["w"]) == [0.0, 1.0, 2.0, 3.0]
         # Mirrored: served locally from now on, nothing more is sent.
         sent = remote.channel.bytes_sent
-        assert key in remote and getattr(remote, read)(key) is not None
+        assert key in remote._mirror and getattr(remote, read)(key) is not None
         assert remote.channel.bytes_sent == sent
 
-    def test_fetch_available_matches_local_store_semantics(self):
-        import numpy as np
+    @pytest.mark.parametrize(
+        "reply,error",
+        [("short", "returned 1 blobs, expected 2"), ("unasked", "blob mismatch")],
+        ids=["short", "unasked"],
+    )
+    def test_fetch_reply_must_carry_every_requested_blob(self, hand_driven, reply, error):
+        # The coordinator only hands a worker keys its store holds, so a
+        # reply that drops one (or swaps in another) is a protocol error.
+        peer, remote = hand_driven
+        wanted, other = self.wanted_and_other()
+        third = weights_to_bytes({"w": np.full(4, 2.0, dtype=np.float32)})
+        keys = [OffchainStore().put(wanted), OffchainStore().put(third)]
+        blobs = {"short": (wanted,), "unasked": (wanted, other)}[reply]
+        thread = answer_once(peer, blobs)
+        with pytest.raises(WireProtocolError, match=error):
+            remote.fetch_available(keys)
+        thread.join(timeout=10)
+        assert not any(key in remote._mirror for key in keys)
 
-        node, _ = make_node()
+    def test_fetch_available_matches_local_store_semantics(self):
         store = OffchainStore()
         weights_a = {"w": np.arange(4, dtype=np.float32)}
         weights_b = {"w": np.ones(4, dtype=np.float32)}
         key_a = store.put(weights_to_bytes(weights_a))
         key_b = store.put(weights_to_bytes(weights_b))
-        with ServedGateway(InProcessGateway(node), offchain=store) as served:
+        with ServedStore(offchain=store) as served:
             remote = RemoteOffchain(served.client_channel)
-            trips_before = remote.stats.rpc_round_trips
-            got = remote.fetch_available([key_a, "f" * 64, key_b, key_a])
-            assert list(got) == [key_a, key_b]  # present-only, first-seen order
+            got = remote.fetch_available([key_a, key_b, key_a])
+            assert list(got) == [key_a, key_b]  # deduplicated, first-seen order
             np.testing.assert_array_equal(got[key_a]["w"], weights_a["w"])
             np.testing.assert_array_equal(got[key_b]["w"], weights_b["w"])
-            assert remote.stats.rpc_round_trips == trips_before + 1  # one batch RPC
+            assert remote.stats.rpc_round_trips == 1  # one batch RPC
             # Mirrored: a re-fetch costs zero additional round trips.
-            trips = remote.stats.rpc_round_trips
-            again = remote.fetch_available([key_a, key_b])
-            assert list(again) == [key_a, key_b]
-            assert remote.stats.rpc_round_trips == trips
+            again = remote.fetch_available([key_b, key_a])
+            assert list(again) == [key_b, key_a]
+            assert remote.stats.rpc_round_trips == 1
+
+    def test_fetching_a_key_the_coordinator_lacks_is_a_protocol_error(self):
+        store = OffchainStore()
+        key = store.put(weights_to_bytes({"w": np.arange(4, dtype=np.float32)}))
+        with ServedStore(offchain=store) as served:
+            remote = RemoteOffchain(served.client_channel)
+            with pytest.raises(WireProtocolError, match="returned 1 blobs, expected 2"):
+                remote.fetch_available([key, "0x" + "f" * 64])
 
 
 if __name__ == "__main__":
