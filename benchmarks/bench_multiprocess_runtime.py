@@ -109,45 +109,46 @@ def compare_runtimes(
     if key in _CACHE:
         return _CACHE[key]
     spec = _profile_spec(size, rounds, train, test, seed)
-    context = ScenarioContext()  # all arms share datasets/backbones
-
-    start = time.perf_counter()
-    baseline = run_scenario(spec, context=context)
-    base_wall = time.perf_counter() - start
-    expected = _identity_payload(baseline)
-
-    rows = [
-        {
-            "arm": "inprocess",
-            "workers": 0,
-            "wall_s": base_wall,
-            "rounds_per_s": rounds / base_wall,
-            "speedup": 1.0,
-            "wire_mb": 0.0,
-            "rpc_trips": 0,
-        }
-    ]
-    for count in workers:
-        mp_spec = replace(spec, runtime="multiprocess", runtime_workers=count)
+    # All arms share datasets and backbones; each worker count gets its
+    # own fleet, launched by its run and shut down with the context.
+    with ScenarioContext() as context:
         start = time.perf_counter()
-        result = run_scenario(mp_spec, context=context)
-        wall = time.perf_counter() - start
-        assert _identity_payload(result) == expected, (
-            f"multiprocess({count} workers) diverged from in-process "
-            f"at the {size}-peer profile"
-        )
-        wire = result.chain_stats["gateway"]["wire"]
-        rows.append(
+        baseline = run_scenario(spec, context=context)
+        base_wall = time.perf_counter() - start
+        expected = _identity_payload(baseline)
+
+        rows = [
             {
-                "arm": f"multiprocess/{count}",
-                "workers": count,
-                "wall_s": wall,
-                "rounds_per_s": rounds / wall,
-                "speedup": base_wall / wall,
-                "wire_mb": (wire["bytes_sent"] + wire["bytes_received"]) / 1e6,
-                "rpc_trips": wire["rpc_round_trips"],
+                "arm": "inprocess",
+                "workers": 0,
+                "wall_s": base_wall,
+                "rounds_per_s": rounds / base_wall,
+                "speedup": 1.0,
+                "wire_mb": 0.0,
+                "rpc_trips": 0,
             }
-        )
+        ]
+        for count in workers:
+            mp_spec = replace(spec, runtime="multiprocess", runtime_workers=count)
+            start = time.perf_counter()
+            result = run_scenario(mp_spec, context=context)
+            wall = time.perf_counter() - start
+            assert _identity_payload(result) == expected, (
+                f"multiprocess({count} workers) diverged from in-process "
+                f"at the {size}-peer profile"
+            )
+            wire = result.chain_stats["gateway"]["wire"]
+            rows.append(
+                {
+                    "arm": f"multiprocess/{count}",
+                    "workers": count,
+                    "wall_s": wall,
+                    "rounds_per_s": rounds / wall,
+                    "speedup": base_wall / wall,
+                    "wire_mb": (wire["bytes_sent"] + wire["bytes_received"]) / 1e6,
+                    "rpc_trips": wire["rpc_round_trips"],
+                }
+            )
     result = {"size": size, "rounds": rounds, "rows": rows}
     _CACHE[key] = result
     return result

@@ -29,21 +29,23 @@ def run_both(spec, context):
 
 
 spec = cohort_scenario(4, seed=7).quick()
-context = ScenarioContext()  # the runs share datasets and backbones
-inproc, multi = run_both(spec, context)
+# The runs share datasets and backbones, and both multiprocess runs one
+# fleet of two workers; leaving the block shuts the fleet down.
+with ScenarioContext() as context:
+    inproc, multi = run_both(spec, context)
 
-wire = multi.chain_stats["gateway"]["wire"]
-print(f"cohort of {spec.cohort.size}, {spec.rounds} rounds, seed {spec.seed}")
-print(f"in-process   final acc: {inproc.mean_final_accuracy():.4f}")
-print(f"multiprocess final acc: {multi.mean_final_accuracy():.4f}  "
-      f"({wire['workers']} workers)")
-print(f"model digests identical for all {len(multi.model_digests)} peers")
-print(f"wire: {wire['rpc_round_trips']} blob pulls, "
-      f"{(wire['bytes_sent'] + wire['bytes_received']) / 1e6:.1f} MB")
+    wire = multi.chain_stats["gateway"]["wire"]
+    print(f"cohort of {spec.cohort.size}, {spec.rounds} rounds, seed {spec.seed}")
+    print(f"in-process   final acc: {inproc.mean_final_accuracy():.4f}")
+    print(f"multiprocess final acc: {multi.mean_final_accuracy():.4f}  "
+          f"({wire['workers']} workers)")
+    print(f"model digests identical for all {len(multi.model_digests)} peers")
+    print(f"wire: {wire['rpc_round_trips']} blob pulls, "
+          f"{(wire['bytes_sent'] + wire['bytes_received']) / 1e6:.1f} MB")
 
-(lossy,) = get_scenario("faults/lossy").build(quick=True)
-inproc, multi = run_both(lossy, context)
-faults = multi.chain_stats["faults"]
-assert faults == inproc.chain_stats["faults"]
-print(f"{lossy.name}: {faults['injected']} injected faults, "
-      f"{faults['completed_rounds']}/{lossy.rounds} rounds — identical under 2 workers")
+    (lossy,) = get_scenario("faults/lossy").build(quick=True)
+    inproc, multi = run_both(lossy, context)
+    faults = multi.chain_stats["faults"]
+    assert faults == inproc.chain_stats["faults"]
+    print(f"{lossy.name}: {faults['injected']} injected faults, "
+          f"{faults['completed_rounds']}/{lossy.rounds} rounds — identical under 2 workers")

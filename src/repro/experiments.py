@@ -128,8 +128,8 @@ def _run_named_scenario(
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    context = ScenarioContext()
-    results = [run_scenario(spec, context=context) for spec in specs]
+    with ScenarioContext() as context:
+        results = [run_scenario(spec, context=context) for spec in specs]
     for block in definition.render(specs, results):
         print(block)
         print()

@@ -7,13 +7,16 @@ are pinned to cores best-effort (``os.sched_setaffinity`` where the
 platform has it, worker ``i`` to core ``i % cores``) so a 4-worker cohort
 on a 4-core box actually trains on four cores instead of thrashing one.
 
-The broker owns *processes only*.  Task dispatch, RPC serving, and the
-shutdown handshake live with the coordinator
-(:class:`~repro.runtime.coordinator.MultiprocessDecentralizedFL`); the
-broker's job ends at handing back connected
-:class:`WorkerHandle` triples and, later, making the processes go away —
-gracefully after a goodbye (:meth:`Broker.reap`) or forcibly on the error
-path (:meth:`Broker.terminate`).
+The broker owns *processes only* — one broker is one worker fleet.  Task
+dispatch and RPC serving live with the coordinator
+(:class:`~repro.runtime.coordinator.MultiprocessDecentralizedFL`), which
+sends the fleet an ``init`` at the start of every run; the broker's job ends
+at handing back connected :class:`WorkerHandle` triples and, later, making
+the processes go away — gracefully after the goodbye handshake
+(:meth:`Broker.shutdown`) or forcibly on the error path
+(:meth:`Broker.terminate`).  A fleet may serve many runs in between: the
+:class:`~repro.scenarios.runner.ScenarioContext` of a sweep keeps one per
+worker count and shuts it down when the context closes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.errors import WireProtocolError, WorkerCrashedError
-from repro.runtime.wire import WireChannel
+from repro.runtime.wire import WireChannel, WireClosedError
 
 #: Seconds a freshly spawned worker gets to dial back before the launch
 #: is declared failed (the first import pays for numpy and the library).
@@ -76,6 +79,9 @@ class Broker:
         self.workers = workers
         self.connect_timeout = connect_timeout
         self.handles: list[WorkerHandle] = []
+        #: True from a successful launch until the workers are reaped or
+        #: terminated; a stopped fleet is launched anew before its next use.
+        self.running = False
 
     def launch(self) -> list[WorkerHandle]:
         """Spawn every worker and wait for all of them to dial back."""
@@ -108,6 +114,7 @@ class Broker:
         finally:
             listener.close()
         self.handles = handles
+        self.running = True
         return self.handles
 
     def _accept_all(
@@ -146,8 +153,25 @@ class Broker:
 
     # -- teardown ----------------------------------------------------------
 
+    def shutdown(self) -> None:
+        """Say goodbye to every (idle) worker, then reap them all.
+
+        A worker that cannot take part in the handshake makes it a
+        :class:`WorkerCrashedError`, after the whole fleet is terminated.
+        """
+        try:
+            for handle in self.handles:
+                handle.channel.send({"kind": "task", "op": "shutdown", "params": {}})
+            for handle in self.handles:
+                handle.channel.recv()
+        except (WireClosedError, OSError) as exc:
+            self.terminate()
+            raise WorkerCrashedError(f"a worker died during shutdown: {exc}") from exc
+        self.reap()
+
     def reap(self) -> None:
         """Join workers after a clean shutdown handshake."""
+        self.running = False
         for handle in self.handles:
             handle.channel.close()
         for handle in self.handles:
@@ -159,6 +183,7 @@ class Broker:
 
     def terminate(self) -> None:
         """Force-stop every worker (error path; no goodbye frames)."""
+        self.running = False
         for handle in self.handles:
             handle.channel.close()
         self._terminate_processes([handle.process for handle in self.handles])

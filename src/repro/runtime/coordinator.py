@@ -4,11 +4,19 @@
 loop unchanged and swaps its :class:`~repro.core.shard.PeerShard` for a
 :class:`RemoteShard` — the same compute methods, dispatched as tasks to
 the worker processes that own the peers.  The subclass itself adds only
-the worker fleet's lifecycle (launch, task dispatch, teardown) and its
-reporting.  Everything that makes the simulation a simulation stays here,
-untouched: the event engine and its clock, the PoW chain fabric, block
-propagation, the round barrier, the waiting policies — and every ledger
-operation.  The driver reads nonces and views, puts blobs off-chain and
+the worker fleet's lifecycle (launch or borrow, ``init``, task dispatch,
+teardown) and its reporting.  A driver built without a fleet launches its
+own and shuts it down at the end of ``run()``; one handed a shared fleet
+(:meth:`~repro.scenarios.runner.ScenarioContext.fleet`, which is how
+``run_scenario`` builds it) sends the already-running workers an ``init``
+and leaves them running for the context's next run.  Every per-run
+counter — channel bytes, blob pulls — starts at ``init``, so a run on a
+reused fleet reports what the same run on a fresh one does.
+
+Everything that makes the simulation a simulation stays here, untouched:
+the event engine and its clock, the PoW chain fabric, block propagation,
+the round barrier, the waiting policies — and every ledger operation.
+The driver reads nonces and views, puts blobs off-chain and
 submits transactions through each peer's own gateway stack (fault layers
 included) exactly as in-process; a task carries in what it read and a
 result carries out what it will write.  That is what keeps a multiprocess
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import selectors
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.chain.transaction import Transaction
 from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
@@ -162,8 +170,8 @@ class RemoteShard:
         return int(self.driver._run_tasks({index: task})[index][0])
 
     def export(self, peer_ids: list[str]) -> list[bytes]:
-        """Model bytes from the owning workers while they run; afterwards,
-        the ones ``run()`` collected before it shut them down."""
+        """Model bytes from the owning workers while they serve this run;
+        afterwards, the ones ``run()`` collected before it let them go."""
         if self.driver.handles:
             for peers, _value, blobs in self._grouped("export", peer_ids):
                 self._exports.update(zip(peers, blobs, strict=True))
@@ -185,13 +193,22 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         peer_configs: list[PeerConfig],
         config: DecentralizedConfig,
         rng_factory: Optional[RngFactory] = None,
+        fleets: Optional[Callable[[int], Broker]] = None,
     ) -> None:
+        """``fleets`` maps a worker count to a shared fleet
+        (:meth:`~repro.scenarios.runner.ScenarioContext.fleet`); without
+        it the driver launches a fleet of its own and reaps it after
+        ``run()``."""
         self.spec = spec
         self.num_workers = min(spec.runtime_workers, len(peer_configs))
-        self.broker = Broker(self.num_workers)
+        self._owns_fleet = fleets is None
+        self.broker = Broker(self.num_workers) if fleets is None else fleets(self.num_workers)
+        #: The fleet's handles while it serves this run, between ``init``
+        #: and the end of ``run()``.
         self.handles: list[WorkerHandle] = []
         self.server: Optional[GatewayServer] = None
         self._worker_stats: list[dict] = []
+        self._channel_base = {"bytes_sent": 0, "bytes_received": 0}
         self._channel_totals = {"bytes_sent": 0, "bytes_received": 0}
         # No datasets, no model builder: the base class builds chain-only
         # peers that sign and read the ledger for the round barrier, and
@@ -211,8 +228,10 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
 
     @contextmanager
     def _fleet_guard(self) -> Iterator[None]:
-        """Launch the workers if needed; terminate every one of them if the
-        guarded block fails — a failure never leaves a worker running."""
+        """Launch and ``init`` the workers if needed; terminate every one of
+        them if the guarded block fails — a failure never leaves a worker
+        running, and a shared fleet that failed is launched anew by the
+        context's next run."""
         try:
             self._ensure_runtime()
             yield
@@ -222,11 +241,15 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             raise
 
     def _ensure_runtime(self) -> None:
-        """Launch workers and have them rebuild their peer shards."""
+        """Launch the fleet unless it is running; have every worker rebuild
+        its peer shard for this run."""
         if self.handles:
             return
         self.server = GatewayServer(self.offchain)
-        self.handles = self.broker.launch()
+        if not self.broker.running:
+            self.broker.launch()
+        self.handles = self.broker.handles
+        self._channel_base = self._channel_bytes()
         spec_payload = encode_spec(self.spec)
         owned = self._run_tasks(
             {
@@ -323,20 +346,27 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
     def run(self) -> list[PeerRoundLog]:
         with self._fleet_guard():
             logs = super().run()
-            # Collected now, served by the shard after the workers are gone.
+            # Collected now, served by the shard after the workers move on.
             self.shard.export([peer_id for peer_id in self.peer_ids if peer_id in self.peers])
             self._collect_stats()
-            self._shutdown()
+            if self._owns_fleet:
+                self.broker.shutdown()
+            self.handles = []
         return logs
+
+    def _channel_bytes(self) -> dict[str, int]:
+        return {
+            key: sum(getattr(handle.channel, key) for handle in self.handles)
+            for key in ("bytes_sent", "bytes_received")
+        }
 
     def _collect_stats(self) -> None:
         # Channel totals are taken before the `stats` task goes out: its
         # reply carries wall-clock floats whose printed length varies from
-        # run to run, and every byte counted up to here is deterministic.
-        self._channel_totals = {
-            "bytes_sent": sum(h.channel.bytes_sent for h in self.handles),
-            "bytes_received": sum(h.channel.bytes_received for h in self.handles),
-        }
+        # run to run, and every byte counted from `init` to here is
+        # deterministic.
+        now = self._channel_bytes()
+        self._channel_totals = {key: now[key] - self._channel_base[key] for key in now}
         results = self._run_tasks(
             {handle.index: {"op": "stats", "params": {}} for handle in self.handles}
         )
@@ -344,19 +374,12 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             results[handle.index][0] for handle in self.handles
         ]
 
-    def _shutdown(self) -> None:
-        self._run_tasks(
-            {handle.index: {"op": "shutdown", "params": {}} for handle in self.handles}
-        )
-        self.broker.reap()
-        self.handles = []
-
     def crash_worker(self, index: int) -> None:
         """Test hook: make worker ``index`` die mid-protocol.
 
         The worker ``os._exit``\\ s without a goodbye; the next task sent
         to it raises :class:`WorkerCrashedError`, which ends the run and
-        terminates the rest of the fleet.
+        terminates the rest of the fleet (a shared one included).
         """
         with self._fleet_guard():
             handle = self.handles[index]

@@ -2,13 +2,18 @@
 
 Launched as ``python -m repro.runtime.worker --connect HOST:PORT
 --worker INDEX`` by the broker.  The worker dials the coordinator, says
-``hello``, then serves tasks one at a time: ``init`` rebuilds its
-:class:`~repro.core.shard.PeerShard` from the
-:class:`~repro.scenarios.spec.ScenarioSpec` (datasets, models, rng streams
-all re-derived locally — nothing heavyweight crosses the wire), and each
-round op (:data:`SHARD_OPS`) decodes its parameters, calls the shard
-method of the same name — the very compute the in-process driver runs,
-against the same named rng streams — and encodes the result.
+``hello``, then serves tasks one at a time until ``shutdown``.  A worker
+may serve many runs: ``init`` starts each one and re-derives everything
+from the :class:`~repro.scenarios.spec.ScenarioSpec` — the
+:class:`~repro.core.shard.PeerShard`, its models and rng streams, the blob
+mirror and the wire counters — so nothing heavyweight crosses the wire and
+nothing of one run leaks into the next.  Only the datasets, pretrained
+backbones and frozen-trunk features persist, in the process's one
+:class:`~repro.scenarios.runner.ScenarioContext`, under the same memo keys
+the in-process runner uses: a hit returns the bytes a fresh worker would
+sample.  Each round op (:data:`SHARD_OPS`) decodes its parameters, calls
+the shard method of the same name — the very compute the in-process
+driver runs, against the same named rng streams — and encodes the result.
 
 A task carries in what the driver read from the chain for it — nonces,
 each peer's view records, finalized hashes — and a result carries out
@@ -70,10 +75,18 @@ class WorkerRuntime:
     """Task loop for one worker process."""
 
     def __init__(self, channel: WireChannel, index: int) -> None:
+        # Imported lazily: the scenario runner imports this package back
+        # (repro.runtime.coordinator) for the multiprocess dispatch.
+        from repro.scenarios.runner import ScenarioContext
+
         self.channel = channel
         self.index = index
-        self.shard = None  # built by ``init``
-        self.offchain = RemoteOffchain(channel)
+        #: Datasets, backbones and frozen features, shared by every run.
+        self.context = ScenarioContext()
+        # Per-run state, rebuilt by every ``init``.
+        self.shard = None
+        self.offchain: Optional[RemoteOffchain] = None
+        self._channel_base = (0, 0)
 
     # -- serve loop --------------------------------------------------------
 
@@ -135,18 +148,23 @@ class WorkerRuntime:
 
     # -- lifecycle tasks ---------------------------------------------------
 
+    def _channel_bytes(self) -> tuple[int, int]:
+        if self.channel is None:  # a runtime built without a connection
+            return 0, 0
+        return self.channel.bytes_sent, self.channel.bytes_received
+
     def _init(self, params: dict):
-        # Imported lazily: the scenario runner imports this package back
-        # (repro.runtime.coordinator) for the multiprocess dispatch.
         from repro.core.participation import ParticipationPlan
         from repro.core.shard import PeerShard
         from repro.runtime.speccodec import decode_spec
-        from repro.scenarios.runner import ScenarioContext, decentralized_inputs
+        from repro.scenarios.runner import decentralized_inputs
 
         spec = decode_spec(params["spec"])
         workers = int(params["workers"])
         rngs = RngFactory(spec.seed)
-        inputs = decentralized_inputs(spec, rngs, ScenarioContext())
+        inputs = decentralized_inputs(spec, rngs, self.context)
+        self.offchain = RemoteOffchain(self.channel)
+        self._channel_base = self._channel_bytes()
         chain = rngs.spawn("chain")
         # Same plan the coordinator resolved: both sides derive it from the
         # chain-spawned participation/* streams, so they agree on exactly
@@ -213,6 +231,7 @@ class WorkerRuntime:
 
     def _stats(self, params: dict):
         wire = self.offchain.stats
+        sent, received = self._channel_bytes()
         return {
             "worker": self.index,
             "peers": sorted(self.shard.peers),
@@ -224,8 +243,8 @@ class WorkerRuntime:
             "wire_seconds": wire.wire_seconds,
             "wire_method_seconds": dict(wire.wire_method_seconds),
             "channel": {
-                "bytes_sent": self.channel.bytes_sent,
-                "bytes_received": self.channel.bytes_received,
+                "bytes_sent": sent - self._channel_base[0],
+                "bytes_received": received - self._channel_base[1],
             },
         }
 

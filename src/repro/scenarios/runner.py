@@ -14,12 +14,15 @@ heterogeneity) draw from their own streams (``attack/...``, ``hetero``),
 which by construction never perturb the honest streams.
 
 A :class:`ScenarioContext` memoizes the dataset factory, sampled splits,
-and pretrained backbones across runs; the sweep driver passes one context
-to every point of a grid so a 10-50-peer sweep pays for each dataset once.
+and pretrained backbones across runs, and keeps the multiprocess runtime's
+worker fleets running between them; the sweep driver passes one context
+to every point of a grid so a 10-50-peer sweep pays for each dataset — and
+each fleet launch — once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
@@ -39,14 +42,28 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import RngFactory
 
 
+def _close_fleets(fleets: dict) -> None:
+    """Shut down every running fleet in ``fleets``, forgetting each one."""
+    while fleets:
+        _workers, broker = fleets.popitem()
+        if broker.running:
+            broker.shutdown()
+
+
 class ScenarioContext:
-    """Caches shared across the runs of a sweep.
+    """Caches and worker fleets shared across the runs of a sweep.
 
     Dataset splits are deterministic functions of (data spec, experiment
     seed, split name, size, class skew), so memoizing them is
     behaviour-preserving: a cache hit returns byte-identical arrays to what
     a fresh run would sample.  Consumers treat datasets as read-only
     (adversarial corruption copies before mutating).
+
+    Multiprocess runs borrow their worker fleet from :meth:`fleet`, one per
+    worker count, launched by the first run that needs it.  Close the
+    context (or use it as a context manager) to shut the fleets down; one
+    never closed shuts them down when it is collected or the process
+    exits, so no worker outlives its coordinator.
     """
 
     def __init__(self) -> None:
@@ -54,6 +71,32 @@ class ScenarioContext:
         self._backbones: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._datasets: dict[tuple, Dataset] = {}
         self._dataset_hits = 0
+        self._fleets: dict = {}
+        weakref.finalize(self, _close_fleets, self._fleets)
+
+    def __enter__(self) -> "ScenarioContext":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut down every worker fleet; the caches stay usable, and a later
+        multiprocess run launches a new fleet."""
+        _close_fleets(self._fleets)
+
+    def fleet(self, workers: int):
+        """The :class:`~repro.runtime.broker.Broker` of ``workers`` workers
+        this context's runs share; the first run that uses it launches it.
+        A fleet that stopped (a failed run terminates it) is replaced by a
+        new, unlaunched one."""
+        # Imported lazily: repro.runtime's worker side imports this module.
+        from repro.runtime.broker import Broker
+
+        broker = self._fleets.get(workers)
+        if broker is None or (broker.handles and not broker.running):
+            broker = self._fleets[workers] = Broker(workers)
+        return broker
 
     def factory(self, data_spec: SyntheticSpec) -> SyntheticImageDataset:
         """The (cached) dataset factory for one generation spec."""
@@ -431,6 +474,7 @@ def _run_decentralized(
             inputs.peer_configs,
             config=inputs.config,
             rng_factory=rngs.spawn("chain"),
+            fleets=ctx.fleet,
         )
     else:
         inputs = decentralized_inputs(spec, rngs, ctx)
@@ -482,11 +526,14 @@ def run_scenario(
     """Execute one scenario; deterministic in ``spec`` (including its seed).
 
     Pass a shared :class:`ScenarioContext` when running several related
-    scenarios (the sweep driver does) to reuse dataset splits and
-    pretrained backbones across runs.
+    scenarios (the sweep driver does) to reuse dataset splits, pretrained
+    backbones and worker fleets across runs.  Without one, the run gets a
+    context of its own, closed before this returns.
     """
+    if context is None:
+        with ScenarioContext() as ctx:
+            return run_scenario(spec, ctx)
     rngs = RngFactory(spec.seed)
-    ctx = context if context is not None else ScenarioContext()
     if spec.kind == "vanilla":
-        return _run_vanilla(spec, rngs, ctx)
-    return _run_decentralized(spec, rngs, ctx)
+        return _run_vanilla(spec, rngs, context)
+    return _run_decentralized(spec, rngs, context)

@@ -3,8 +3,9 @@
 ``grid`` derives spec variants along any dotted axis
 (:func:`~repro.scenarios.spec.replace_axis`), ``run_grid`` executes them
 through one shared :class:`~repro.scenarios.runner.ScenarioContext` (the
-dataset factory, sampled splits, and pretrained backbones are paid for
-once per distinct configuration, not once per grid point), and
+dataset factory, sampled splits, pretrained backbones and multiprocess
+worker fleets are paid for once per distinct configuration, not once per
+grid point), and
 ``cohort_sweep`` is the packaged 10-50-peer speed/precision measurement
 the ROADMAP asks for.
 """
@@ -68,12 +69,15 @@ def run_grid(
     points: Sequence[tuple[str, ScenarioSpec]],
     context: Optional[ScenarioContext] = None,
 ) -> list[SweepPoint]:
-    """Execute labelled specs sequentially through one shared context."""
-    ctx = context if context is not None else ScenarioContext()
+    """Execute labelled specs sequentially through one shared context
+    (one of its own, closed before this returns, if none is given)."""
+    if context is None:
+        with ScenarioContext() as ctx:
+            return run_grid(points, ctx)
     executed = []
     for label, spec in points:
         start = time.perf_counter()
-        result = run_scenario(spec, context=ctx)
+        result = run_scenario(spec, context=context)
         executed.append(
             SweepPoint(
                 label=label,

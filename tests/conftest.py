@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,36 @@ from repro.chain.runtime import ContractRuntime
 from repro.contracts import register_all
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
+
+
+def live_runtime_workers(parent: int) -> list[int]:
+    """Pids of ``parent``'s children running ``repro.runtime.worker``,
+    read from ``/proc`` (a zombie has an empty command line: not live)."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue  # exited while we looked
+        ppid = int(stat.rpartition(")")[2].split()[1])
+        if ppid == parent and b"repro.runtime.worker" in cmdline:
+            found.append(int(entry.name))
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_runtime_worker_outlives_the_session():
+    """A worker fleet lives as long as its ``ScenarioContext``; one still
+    running when the session ends is a context somebody forgot to close."""
+    yield
+    if not Path("/proc/self").exists():
+        return
+    leaked = live_runtime_workers(os.getpid())
+    if leaked:
+        pytest.fail(f"runtime workers still alive at session end: pids {leaked}")
 
 
 @pytest.fixture

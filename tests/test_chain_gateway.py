@@ -1041,7 +1041,11 @@ class TestChainStatsDigests:
     more when every ledger operation moved into the driver: its
     ``gateway.requested`` / ``gateway.transport`` counters became the
     in-process run's, and its ``wire`` / ``worker_stats`` blocks shrank to
-    the workers' blob pulls.  Beside each digest the fixture
+    the workers' blob pulls.  It was re-recorded once more when worker
+    fleets began to outlive a run: a run's channel counters now start at
+    its ``init`` task, so the launch's ``hello`` frames (42 bytes per
+    worker) and, worker-side, the ``init`` frame itself are no longer in
+    them.  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

@@ -20,6 +20,10 @@ repeated runs would dominate tier-1 wall clock.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_chain_gateway import flatten, runtime_only
@@ -352,6 +356,140 @@ class TestWorkerCrash:
             assert handle.process.poll() == 0  # exited cleanly, reaped
         # Exports were collected before shutdown.
         assert sorted(driver.model_digests()) == sorted(driver.spec.client_ids())
+
+
+def shared_driver(context: ScenarioContext, spec=None):
+    """:func:`two_worker_driver`, borrowing its fleet from ``context``."""
+    from repro.runtime.coordinator import MultiprocessDecentralizedFL
+
+    spec = spec if spec is not None else base_spec()
+    spec = dataclasses.replace(spec, runtime="multiprocess", runtime_workers=2)
+    rngs = RngFactory(spec.seed)
+    inputs = decentralized_inputs(spec, rngs, context, materialize=False)
+    return MultiprocessDecentralizedFL(
+        spec,
+        inputs.peer_configs,
+        config=inputs.config,
+        rng_factory=rngs.spawn("chain"),
+        fleets=context.fleet,
+    )
+
+
+def wall_clock_free(stats: dict) -> dict:
+    """``chain_stats`` minus the fields named ``*seconds*`` (wall clock)."""
+    return {key: value for key, value in flatten(stats).items() if "seconds" not in key}
+
+
+def equivalence(result) -> list:
+    """What ``benchmarks/perf`` compares across runtimes."""
+    return [result.model_digests, result.client_accuracy, result.wait_times]
+
+
+class TestSharedFleet:
+    """A :class:`ScenarioContext` launches one fleet per worker count and
+    keeps it between runs; each run sends it an ``init`` and reports what
+    the same run on a fresh fleet does."""
+
+    def test_runs_on_one_context_share_the_fleet_and_count_per_run(self):
+        spec = dataclasses.replace(base_spec(), runtime="multiprocess", runtime_workers=2)
+        with ScenarioContext() as context:
+            first = run_scenario(spec, context)
+            pids = [handle.process.pid for handle in context.fleet(2).handles]
+            second = run_scenario(spec, context)
+            assert [handle.process.pid for handle in context.fleet(2).handles] == pids
+        fresh = run_cached(spec)
+        assert wall_clock_free(first.chain_stats) == wall_clock_free(second.chain_stats)
+        assert wall_clock_free(second.chain_stats) == wall_clock_free(fresh.chain_stats)
+        assert second.chain_stats["gateway"]["wire"]["rpc_round_trips"] > 0  # mirror reset
+        assert comparable(second) == comparable(fresh)
+
+    def test_close_reaps_every_worker(self):
+        spec = dataclasses.replace(base_spec(), runtime="multiprocess", runtime_workers=2)
+        context = ScenarioContext()
+        run_scenario(spec, context)
+        fleet = context.fleet(2)
+        assert fleet.running and all(h.process.poll() is None for h in fleet.handles)
+        context.close()
+        assert not fleet.running
+        assert [handle.process.poll() for handle in fleet.handles] == [0, 0]
+        assert context.fleet(2) is not fleet  # the next run launches anew
+
+    def test_leaving_the_with_block_reaps_every_worker(self):
+        spec = dataclasses.replace(base_spec(), runtime="multiprocess", runtime_workers=1)
+        with ScenarioContext() as context:
+            run_scenario(spec, context)
+            fleet = context.fleet(1)
+        assert [handle.process.poll() for handle in fleet.handles] == [0]
+
+    def test_crash_removes_the_fleet_and_the_next_run_relaunches(self):
+        with ScenarioContext() as context:
+            driver = shared_driver(context)
+            fleet = driver.broker
+            assert fleet is context.fleet(2)
+            driver.crash_worker(0)
+            with pytest.raises(WorkerCrashedError):
+                driver.run()
+            assert all(handle.process.poll() is not None for handle in fleet.handles)
+            assert context.fleet(2) is not fleet
+            spec = dataclasses.replace(base_spec(), runtime="multiprocess", runtime_workers=2)
+            again = run_scenario(spec, context)
+            assert context.fleet(2).running
+        inproc, _ = pair(base_spec())
+        assert comparable(again) == comparable(inproc)
+
+    def test_unclosed_context_reaps_its_workers_at_exit(self, tmp_path):
+        """The context's finalizer joins the fleet when the interpreter
+        exits: the script's own exit hook, registered before any finalizer
+        and so run after them, finds every worker reaped."""
+        script = tmp_path / "unclosed.py"
+        script.write_text(
+            "import atexit, dataclasses\n"
+            "from repro.scenarios.runner import ScenarioContext, run_scenario\n"
+            "from repro.scenarios.spec import ScenarioSpec\n"
+            "handles = []\n"
+            "atexit.register(lambda: print('exit', [h.process.poll() for h in handles]))\n"
+            "spec = ScenarioSpec(name='mp-equiv', kind='decentralized', seed=23).quick()\n"
+            "spec = dataclasses.replace(spec, runtime='multiprocess', runtime_workers=2)\n"
+            "context = ScenarioContext()\n"
+            "run_scenario(spec, context)\n"
+            "handles.extend(context.fleet(2).handles)\n"
+            "print('pids', *[h.process.pid for h in handles])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        lines = dict(line.split(" ", 1) for line in done.stdout.splitlines())
+        assert lines["exit"] == "[0, 0]"
+        if Path("/proc/self").exists():
+            for pid in lines["pids"].split():
+                assert not Path(f"/proc/{pid}").exists()  # reaped, not a zombie
+
+    def test_worker_memo_never_serves_a_stale_split(self):
+        """One context and one 2-worker fleet through cells whose datasets
+        differ, then back: every cell is the in-process run's."""
+        tradeoff = list(get_scenario("paper/tradeoff").build(seed=42, quick=True))
+        reseeded = dataclasses.replace(
+            tradeoff[0],
+            data_spec=dataclasses.replace(
+                tradeoff[0].data_spec, seed=tradeoff[0].data_spec.seed + 1
+            ),
+        )
+        sampled = TestParticipationEquivalence().sampled_spec()
+        cells = [*tradeoff, reseeded, sampled, tradeoff[0]]
+        with ScenarioContext() as context:
+            multi = [
+                run_scenario(
+                    dataclasses.replace(spec, runtime="multiprocess", runtime_workers=2),
+                    context,
+                )
+                for spec in cells
+            ]
+        for spec, result in zip(cells, multi):
+            assert equivalence(result) == equivalence(run_cached(spec)), spec.name
+        assert equivalence(multi[0]) != equivalence(multi[len(tradeoff)])  # reseeding bites
 
 
 class TestShardSurface:
