@@ -14,7 +14,8 @@ Two backends ship today:
   p2p network for submissions and the event engine for waits).  Results
   and counters are bit-identical to the pre-gateway direct calls (the
   equivalence tests pin that); each distinct read is executed and sized
-  once per canonical head and replayed from a head-keyed memo after.
+  once per canonical state for the cohort and replayed after from a
+  :class:`ReadMemo` every peer's transport shares.
 * :class:`BatchingGateway` — wraps any other gateway and coalesces the
   per-round fan-out of contract reads (registration checks, visible-
   submission polls, reputation reads, finalization polls) behind a
@@ -32,6 +33,7 @@ callers never catch raw ``KeyError`` or backend internals.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -81,13 +83,42 @@ def _payload_bytes(value: Any) -> int:
         return len(repr(value).encode("utf-8", errors="replace"))
 
 
+def _request_key(contract: Address, method: str, args: dict) -> tuple:
+    """See :meth:`CallRequest.key`."""
+    parts = []
+    for name in sorted(args):
+        value = args[name]
+        if isinstance(value, np.generic):
+            value = value.item()  # what canonical JSON reduces it to
+        kind = type(value)
+        if kind is float:
+            value = repr(value)  # -0.0 and nan, as JSON spells them
+        elif kind not in _KEYED_BY_VALUE:
+            return (contract, method, canonical_dumps(args))
+        parts.append((name, kind, value))
+    return (contract, method, tuple(parts))
+
+
 @dataclass(frozen=True)
 class CallRequest:
-    """One read-only contract call (the unit ``batch_call`` coalesces)."""
+    """One read-only contract call (the unit ``batch_call`` coalesces).
+
+    The request owns its ``args``: it keeps a copy of the dict it was
+    built from (a deep copy once an argument is a container, bytes or an
+    array) and computes its key once, at construction, so a caller editing
+    that dict afterwards changes neither the arguments nor the key.
+    """
 
     contract: Address
     method: str
     args: dict = field(default_factory=dict)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = _request_key(self.contract, self.method, self.args)
+        by_value = isinstance(key[2], tuple)
+        object.__setattr__(self, "args", dict(self.args) if by_value else copy.deepcopy(self.args))
+        object.__setattr__(self, "_key", key)
 
     def key(self) -> tuple:
         """Canonical identity of this read (cache / dedup key).
@@ -98,18 +129,7 @@ class CallRequest:
         anything; containers, bytes and arrays fall back to the canonical
         encoding of the whole argument dict.
         """
-        parts = []
-        for name in sorted(self.args):
-            value = self.args[name]
-            if isinstance(value, np.generic):
-                value = value.item()  # what canonical JSON reduces it to
-            kind = type(value)
-            if kind is float:
-                value = repr(value)  # -0.0 and nan, as JSON spells them
-            elif kind not in _KEYED_BY_VALUE:
-                return (self.contract, self.method, canonical_dumps(self.args))
-            parts.append((name, kind, value))
-        return (self.contract, self.method, tuple(parts))
+        return self._key
 
     def wire_bytes(self) -> int:
         """Wire-size estimate of the encoded request."""
@@ -123,8 +143,12 @@ class GatewayStats:
     ``calls`` counts single-read round trips and ``batch_calls`` counts
     batched round trips (each batch is one trip carrying ``batched_reads``
     reads) — ``contract_call_round_trips`` is the number the batching
-    benchmark compares across backends.  ``cache_hits`` / ``head_checks``
-    are populated by the batching backend only.
+    benchmark compares across backends.  ``head_checks`` counts head-hash
+    observations on any layer; ``cache_hits`` counts reads a decorator
+    answered from its own memory — the batching backend's cache, or a stale
+    read the fault layer served.  The transport's :class:`ReadMemo` is
+    invisible here: a replayed read moves exactly the counters an executed
+    one would.
     """
 
     calls: int = 0
@@ -267,6 +291,67 @@ class ChainGateway(Protocol):
         ...
 
 
+#: Stands in a :class:`ReadMemo` for a read whose value depends on the
+#: caller; the values themselves are kept under ``(request key, caller)``.
+_BY_CALLER = object()
+
+
+class ReadMemo:
+    """Contract-read results of one cohort, keyed by canonical state.
+
+    A read-only contract call is a pure function of the head state and the
+    request — plus the reading node's address for a method whose own frame
+    reads ``ctx.sender`` (today ``register`` and ``rate``, simulated;
+    :attr:`~repro.chain.runtime.ContractRuntime.read_used_caller` says
+    which).  Every node standing on one head hash holds the same
+    root-verified state, block number and timestamp, so one execution per
+    (head, request) serves the whole cohort, and one per (head, request,
+    caller) where the caller mattered.  Reads that raise are never kept.
+
+    Each :class:`InProcessGateway` stands on the head its latest read was
+    served at, and a head's entries are dropped when the last gateway
+    standing on it moves on: the memo holds at most one head per gateway.
+    Request wire sizes are kept per request for the whole run, since they
+    do not depend on the head.
+
+    One memo per run (``DecentralizedFL`` makes it beside the
+    :class:`~repro.chain.scale.BlockExecutionMemo`), shared by gateways
+    whose nodes run one contract runtime from one genesis.
+    """
+
+    def __init__(self) -> None:
+        # head -> {request key: (value, request bytes, response bytes)
+        #          | _BY_CALLER, (request key, caller): (value, ...)}
+        self._reads: dict[str, dict] = {}
+        self._standing: dict[str, int] = {}
+        self._request_bytes: dict[tuple, int] = {}
+
+    def stand(self, left: Optional[str], head: str) -> dict:
+        """Move one gateway from ``left`` (None before its first read) to
+        ``head``; returns the reads kept at ``head``."""
+        if left is not None:
+            remaining = self._standing.pop(left) - 1
+            if remaining:
+                self._standing[left] = remaining
+            else:
+                del self._reads[left]
+        self._standing[head] = self._standing.get(head, 0) + 1
+        return self._reads.setdefault(head, {})
+
+    def heads(self) -> set[str]:
+        """The heads some gateway stands on — the only ones that can hold
+        entries."""
+        return set(self._reads)
+
+    def request_bytes(self, request: CallRequest) -> int:
+        """Wire size of ``request``, encoded once per distinct request."""
+        key = request.key()
+        size = self._request_bytes.get(key)
+        if size is None:
+            size = self._request_bytes[key] = request.wire_bytes()
+        return size
+
+
 class InProcessGateway:
     """Gateway backend wrapping a local :class:`~repro.chain.node.Node`.
 
@@ -275,17 +360,18 @@ class InProcessGateway:
     Results are bit-identical to calling the node directly — the contract
     the equivalence suite pins.
 
-    A contract read is a pure function of (node, canonical head, request),
-    and a waiting peer polls the same few reads after every simulator
-    event, so each distinct read is executed and its request/response
-    wire sizes are measured once per head: the value and both sizes are
-    kept until the head hash moves (a new block, a reorg, a ``sync_from``
-    fast-forward) and a repeat adds the stored sizes to ``stats`` as if
-    it had run.  Every counter is therefore the function of the run it
-    would be without the memo; encoding each polled payload again just to
-    take its length measured 41 % of a 25-peer round.  Reads that raise
-    are never kept.  Values are shared between repeats: callers treat
-    them as read-only, the rule :class:`BatchingGateway` documents.
+    A waiting peer polls the same few reads after every simulator event,
+    and every peer on one head polls the same ones, so each distinct read
+    is executed and its request/response wire sizes are measured once per
+    canonical state for the cohort: ``memo`` (the run's shared
+    :class:`ReadMemo`; a private one when not given) keeps the value and
+    the sizes until no gateway stands on that head, and a repeat adds the
+    stored sizes to ``stats`` as if it had run.  Every counter is
+    therefore the function of the run it would be without the memo;
+    encoding each polled payload again just to take its length measured
+    41 % of a 25-peer round.  Values are shared between repeats and between
+    peers: callers treat them as read-only, the rule
+    :class:`BatchingGateway` documents.
 
     The wrapped ``node`` stays reachable as ``.node`` for chain forensics
     (merkle evidence, receipts) and tests; FL-layer *code* must not use it
@@ -298,41 +384,54 @@ class InProcessGateway:
         network: Optional[P2PNetwork] = None,
         simulator: Optional[Simulator] = None,
         default_deadline: float = DEFAULT_WAIT_DEADLINE,
+        memo: Optional[ReadMemo] = None,
     ) -> None:
         self.node = node
         self.network = network
         self.simulator = simulator
         self.default_deadline = default_deadline
         self.stats = GatewayStats()
-        # request key -> (value, request bytes, response bytes), valid for
-        # the head it was filled under and dropped when the head moves.
-        self._memo_head: Optional[str] = None
-        self._memo: dict[tuple, tuple[Any, int, int]] = {}
+        self.memo = memo if memo is not None else ReadMemo()
+        # The head this gateway stands on in ``memo`` and the reads kept there.
+        self._head: Optional[str] = None
+        self._reads: dict = {}
 
     # -- reads -------------------------------------------------------------
 
     def _execute_read(self, request: CallRequest) -> Any:
-        """One contract read with transport errors mapped to gateway types."""
+        """One contract read, from the memo when this state has served it."""
         head = self.node.head_hash
-        if head != self._memo_head:
-            self._memo_head = head
-            self._memo = {}
+        if head != self._head:
+            self._reads = self.memo.stand(self._head, head)
+            self._head = head
         key = request.key()
-        known = self._memo.get(key)
+        known = self._reads.get(key)
+        if known is _BY_CALLER:
+            known = self._reads.get((key, self.node.address))
         if known is None:
-            try:
-                value = self.node.call_contract(request.contract, request.method, **request.args)
-            except ContractNotFoundError as exc:
-                raise UnknownContractError(str(exc)) from exc
-            except MethodNotFoundError as exc:
-                raise UnknownMethodError(str(exc)) from exc
-            except ContractRevertError as exc:
-                raise CallRevertedError(exc.reason or str(exc)) from exc
-            known = self._memo[key] = (value, request.wire_bytes(), _payload_bytes(value))
+            known = self._read_node(request, key)
         value, request_bytes, response_bytes = known
         self.stats.request_bytes += request_bytes
         self.stats.response_bytes += response_bytes
         return value
+
+    def _read_node(self, request: CallRequest, key: tuple) -> tuple[Any, int, int]:
+        """Execute a read on the node, with transport errors mapped to
+        gateway types, and keep what it returned."""
+        try:
+            value = self.node.call_contract(request.contract, request.method, **request.args)
+        except ContractNotFoundError as exc:
+            raise UnknownContractError(str(exc)) from exc
+        except MethodNotFoundError as exc:
+            raise UnknownMethodError(str(exc)) from exc
+        except ContractRevertError as exc:
+            raise CallRevertedError(exc.reason or str(exc)) from exc
+        known = (value, self.memo.request_bytes(request), _payload_bytes(value))
+        if self.node.runtime.read_used_caller:
+            self._reads[key] = _BY_CALLER
+            key = (key, self.node.address)
+        self._reads[key] = known
+        return known
 
     def call(self, contract: Address, method: str, **args: Any) -> Any:
         """Read-only contract call against the node's head state."""
@@ -486,17 +585,9 @@ class BatchingGateway:
         self._cache[key] = _CacheEntry(head=head, at=now, value=value)
 
     def _observe(self) -> tuple[str, float]:
-        """One head observation shared by every read of a lookup.
-
-        A transport exposing ``observe_head()`` (the out-of-process
-        gateway does) serves head hash and clock in a single round trip;
-        otherwise two inner reads — free in-process, where both are
-        local field reads.
-        """
+        """One head observation (head hash and transport clock) shared by
+        every read of a lookup."""
         self.stats.head_checks += 1
-        observe = getattr(self.inner, "observe_head", None)
-        if observe is not None:
-            return observe()
         return self.inner.head_hash(), self.inner.now()
 
     # -- reads -------------------------------------------------------------

@@ -108,6 +108,23 @@ class CallContext:
         return self.runtime.internal_call(self, target, method, args)
 
 
+class _ReadContext(CallContext):
+    """The top-level frame of a read-only call; notes whether it read
+    ``sender``, the one input of a read that is not a function of the
+    head state and the arguments."""
+
+    sender_read = False
+
+    @property
+    def sender(self) -> Address:
+        self.sender_read = True
+        return self._sender
+
+    @sender.setter
+    def sender(self, value: Address) -> None:
+        self._sender = value
+
+
 class Contract:
     """Base class for contracts.
 
@@ -139,6 +156,9 @@ class ContractRuntime:
     def __init__(self, schedule: GasSchedule = DEFAULT_SCHEDULE) -> None:
         self.schedule = schedule
         self._registry: dict[str, Type[Contract]] = {}
+        #: Whether the last :meth:`read_only_call` that returned read its
+        #: ``caller``; False while one runs and after one raises.
+        self.read_used_caller = False
 
     # -- registry ---------------------------------------------------------
 
@@ -284,14 +304,22 @@ class ContractRuntime:
         **args: Any,
     ) -> Any:
         """web3-style ``eth_call``: execute on a discarded copy-on-write
-        overlay, so reads touch nothing and writes never reach ``state``."""
+        overlay, so reads touch nothing and writes never reach ``state``.
+
+        Records in :attr:`read_used_caller` whether the method's own frame
+        read ``ctx.sender`` (nested frames see the calling contract as
+        their sender, never ``caller``).  Whether a frame reads its sender
+        cannot depend on who the sender is, so a read that did not is the
+        same value for every caller at the same state.
+        """
+        self.read_used_caller = False
         scratch = state.overlay()
         meter = GasMeter(gas_limit, self.schedule)
         name = scratch.contract_name_of(contract_address)
         if name is None:
             raise ContractNotFoundError(f"no contract at {contract_address}")
         instance = self._instantiate(name)
-        ctx = CallContext(
+        ctx = _ReadContext(
             state=scratch,
             meter=meter,
             contract_address=contract_address,
@@ -301,4 +329,6 @@ class ContractRuntime:
             runtime=self,
         )
         fn = self._resolve_method(instance, method)
-        return fn(ctx, **args)
+        result = fn(ctx, **args)
+        self.read_used_caller = ctx.sender_read
+        return result

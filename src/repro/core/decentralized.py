@@ -42,6 +42,7 @@ from repro.chain.gateway import (
     ChainGateway,
     GatewayStats,
     InProcessGateway,
+    ReadMemo,
     stacked_stats,
     transport_stats,
 )
@@ -232,6 +233,9 @@ class DecentralizedFL:
         # execute a block pays for it, the rest verify the key and install
         # the result.  Per run, never shared between drivers.
         self.block_memo = BlockExecutionMemo()
+        # And one record of contract reads: every peer standing on a head
+        # is answered from the first one's execution of each read.
+        self.read_memo = ReadMemo()
         node_config = NodeConfig(
             execution=chain.execution,
             parallel_min_txs=chain.parallel_min_txs,
@@ -255,6 +259,7 @@ class DecentralizedFL:
                 network=self.network,
                 simulator=self.sim,
                 default_deadline=chain.max_round_time,
+                memo=self.read_memo,
             )
             if self.fault_injector is not None:
                 gateway = FaultyGateway(

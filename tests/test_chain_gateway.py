@@ -43,6 +43,8 @@ from repro.chain.gateway import (
     ChainGateway,
     GatewayStats,
     InProcessGateway,
+    ReadMemo,
+    gateway_layers,
     transport_stats,
 )
 from repro.chain.node import GenesisSpec, Node, NodeConfig
@@ -150,6 +152,18 @@ class TestCallRequest:
                 same_json = canonical_dumps(a.args) == canonical_dumps(b.args)
                 assert (a.key() == b.key()) == same_json, (a.args, b.args)
             assert hash(a.key()) == hash(CallRequest(a.contract, a.method, dict(a.args)).key())
+
+    def test_request_owns_its_args(self):
+        """Editing the dict a request was built from, nested values
+        included, changes neither its arguments nor its key."""
+        for args, edit in (
+            ({"address": "0x1"}, lambda args: args.update(address="0x2")),
+            ({"display_name": ["probe", 1]}, lambda args: args["display_name"].append(2)),
+        ):
+            request = CallRequest("0xabc", "m", args)
+            before = (copy.deepcopy(request.args), request.key())
+            edit(args)
+            assert (request.args, request.key()) == before
 
     def test_scalar_key_encodes_nothing(self, monkeypatch):
         import repro.chain.gateway as gateway_module
@@ -311,6 +325,7 @@ class UnmemoisedGateway:
 def memo_reads(registry: str, ledger: str, own: str, other: str) -> dict[str, CallRequest]:
     """The reads the memo tests poll, by name; ``own`` is the reading
     node's address (the ``caller`` of its simulated calls)."""
+    first = MEMO_KEYPAIRS[0].address
     return {
         "member_count": CallRequest(registry, "member_count"),
         "members": CallRequest(registry, "members"),
@@ -327,6 +342,9 @@ def memo_reads(registry: str, ledger: str, own: str, other: str) -> dict[str, Ca
             ledger, "is_credible", {"address": other, "threshold": 50.0}
         ),
         "reverts": CallRequest(ledger, "rate", {"round_id": 1, "subject": own, "delta": 5}),
+        # The same request from every node: it reverts for the first node
+        # (a self-rating) and returns a score for any other.
+        "rate_first": CallRequest(ledger, "rate", {"round_id": 1, "subject": first, "delta": 5}),
         "unknown_method": CallRequest(registry, "no_such_method"),
         "unknown_contract": CallRequest("0x" + "ee" * 20, "member_count"),
     }
@@ -334,12 +352,17 @@ def memo_reads(registry: str, ledger: str, own: str, other: str) -> dict[str, Ca
 
 READ_NAMES = tuple(memo_reads("", "", "", ""))
 
+#: The reads whose methods read ``ctx.sender`` on every path that returns.
+CALLER_READS = frozenset({"register", "register_list_arg", "reverts", "rate_first"})
+
 
 class SteeredChain:
     """A node behind an ``InProcessGateway`` plus a rival miner that moves
     the node's canonical head every way it can move: extension, side
     chain, reorg, a reorg that fails its state-root check and is rolled
-    back, and a snapshot ``sync_from`` fast-forward.
+    back, and a snapshot ``sync_from`` fast-forward.  The rival reads
+    through a gateway of its own on the node's ``ReadMemo``, as two peers
+    of one run do; each gateway has its un-memoised oracle.
     """
 
     def __init__(self) -> None:
@@ -355,14 +378,26 @@ class SteeredChain:
         )
         self.clock = 0.0
         self.unregistered = list(MEMO_KEYPAIRS)
-        self.gateway = InProcessGateway(self.node)
+        self.memo = ReadMemo()
+        self.gateway = InProcessGateway(self.node, memo=self.memo)
         self.oracle = UnmemoisedGateway(self.node)
+        self.rival_gateway = InProcessGateway(self.rival, memo=self.memo)
+        self.rival_oracle = UnmemoisedGateway(self.rival)
         self.registry = self._deploy(contract="participant_registry", open_enrollment=True)
         self.ledger = self._deploy(contract="reputation_ledger")
         self.rival_follows_node()
         self.reads = memo_reads(
             self.registry, self.ledger, self.node.address, MEMO_KEYPAIRS[2].address
         )
+        self.rival_reads = memo_reads(
+            self.registry, self.ledger, self.rival.address, MEMO_KEYPAIRS[2].address
+        )
+
+    def side(self, who: str) -> tuple[Node, InProcessGateway, UnmemoisedGateway, dict]:
+        """(node, gateway, oracle, reads) of ``"node"`` or ``"rival"``."""
+        if who == "node":
+            return self.node, self.gateway, self.oracle, self.reads
+        return self.rival, self.rival_gateway, self.rival_oracle, self.rival_reads
 
     # -- chain steering ----------------------------------------------------
 
@@ -443,11 +478,12 @@ class SteeredChain:
 
     # -- reads -------------------------------------------------------------
 
-    def read_both(self, how: str, names: list[str]):
-        """One ``call`` / ``batch_call`` on the gateway and on the oracle;
-        returns (gateway outcome, oracle outcome, reads the gateway had
-        the node execute)."""
-        requests = [self.reads[name] for name in names]
+    def read_both(self, how: str, names: list[str], who: str = "node"):
+        """One ``call`` / ``batch_call`` on ``who``'s gateway and on its
+        oracle; returns (gateway outcome, oracle outcome, reads the gateway
+        had either node execute)."""
+        _, gateway, oracle, reads = self.side(who)
+        requests = [reads[name] for name in names]
 
         def ask(gateway):
             if how == "call":
@@ -457,81 +493,100 @@ class SteeredChain:
                 )
             return outcome(lambda: gateway.batch_call(requests))
 
-        original = self.node.call_contract
         executed = 0
 
-        def counting(contract, method, **args):
-            nonlocal executed
-            executed += 1
-            return original(contract, method, **args)
+        def counting(original):
+            def call_contract(contract, method, **args):
+                nonlocal executed
+                executed += 1
+                return original(contract, method, **args)
 
-        self.node.call_contract = counting
+            return call_contract
+
+        nodes = (self.node, self.rival)
+        for node in nodes:
+            node.call_contract = counting(node.call_contract)
         try:
-            got = ask(self.gateway)
+            got = ask(gateway)
         finally:
-            del self.node.call_contract
-        return got, ask(self.oracle), executed
+            for node in nodes:
+                del node.call_contract
+        return got, ask(oracle), executed
 
     def close(self) -> None:
         self.cold.close()
 
 
 class ReadMemoMachine(RuleBasedStateMachine):
-    """Random reads interleaved with every way the head can move.
+    """Random reads from two nodes sharing one ``ReadMemo``, interleaved
+    with every way the head can move.
 
-    After every step: each read equals a fresh ``node.call_contract``,
-    every ``GatewayStats`` counter equals the un-memoised oracle's, the
-    node executed exactly the reads not yet answered at this head, and
-    ``Node.head_hash`` is the hash of the head block.
+    After every step: each read equals that node's un-memoised oracle,
+    both gateways' ``GatewayStats`` equal their oracles', the two nodes
+    together executed exactly the reads the memo cannot answer — once per
+    (head, request) across both, once per caller for a read of
+    ``ctx.sender``, again after the last gateway standing on a head left
+    it — and ``Node.head_hash`` is the hash of the head block.
     """
 
     read_names = st.sampled_from(READ_NAMES)
+    sides = st.sampled_from(["node", "rival"])
 
     @initialize(poll_everything=st.booleans())
     def build(self, poll_everything):
         self.chain = SteeredChain()
-        self.answered_head = None
-        self.answered: set[str] = set()
+        # The model of the memo: the head each side's gateway stands on,
+        # and what has been answered at each head someone stands on.
+        self.standing: dict[str, str] = {}
+        self.answered: dict[str, set] = {}
         # Half the runs re-read everything after every step (any stale
         # answer shows at once); the other half leave the memo as sparse
         # as the drawn reads make it.
         self.poll_everything = poll_everything
 
-    def _expect_executions(self, names: list[str]) -> int:
-        """Reads the memo cannot answer: first at this head, or raising.
-        A batch stops at its first raising read."""
-        head = self.chain.node.head_hash
-        if head != self.answered_head:
-            self.answered_head, self.answered = head, set()
+    def _stand(self, who: str, head: str) -> set:
+        left = self.standing.get(who)
+        self.standing[who] = head
+        if left is not None and left not in self.standing.values():
+            del self.answered[left]
+        return self.answered.setdefault(head, set())
+
+    def _expect_executions(self, who: str, names: list[str]) -> int:
+        """Reads the memo cannot answer: first at this head (for this
+        caller, where it matters), or raising.  A batch stops at its first
+        raising read."""
+        node, _, _, reads = self.chain.side(who)
+        if not names:
+            return 0
+        answered = self._stand(who, node.head_hash)
         expected = 0
         for name in names:
-            if name in self.answered:
+            request = reads[name]
+            key = (request.key(), node.address if name in CALLER_READS else None)
+            if key in answered:
                 continue
             expected += 1
-            request = self.chain.reads[name]
             result = outcome(
-                lambda: self.chain.node.call_contract(
-                    request.contract, request.method, **request.args
-                )
+                lambda: node.call_contract(request.contract, request.method, **request.args)
             )
             if result[0] == "raised":
                 break
-            self.answered.add(name)
+            answered.add(key)
         return expected
 
-    def _read(self, how: str, names: list[str]) -> None:
-        expected = self._expect_executions(names)
-        got, want, executed = self.chain.read_both(how, names)
+    def _read(self, who: str, how: str, names: list[str]) -> None:
+        expected = self._expect_executions(who, names)
+        got, want, executed = self.chain.read_both(how, names, who)
         assert got == want
         assert executed == expected
 
-    @rule(name=read_names)
-    def call(self, name):
-        self._read("call", [name])
+    @rule(who=sides, name=read_names)
+    def call(self, who, name):
+        self._read(who, "call", [name])
 
-    @rule(names=st.lists(read_names, max_size=6))
-    def batch_call(self, names):
-        self._read("batch_call", names)
+    @rule(who=sides, names=st.lists(read_names, max_size=6))
+    def batch_call(self, who, names):
+        self._read(who, "batch_call", names)
 
     @rule(register=st.booleans())
     def submit_mine_import(self, register):
@@ -541,12 +596,13 @@ class ReadMemoMachine(RuleBasedStateMachine):
 
     @rule(difficulty=st.integers(min_value=1, max_value=3))
     def rival_block(self, difficulty):
-        head, answered = self.chain.node.head_hash, dict(self.chain.gateway._memo)
+        head = self.chain.node.head_hash
+        answered = dict(self.chain.memo._reads.get(head, {}))
         self.chain.rival_mines(difficulty)
-        if self.chain.node.head_hash == head and self.chain.gateway._memo_head == head:
+        if self.chain.node.head_hash == head and self.standing.get("node") == head:
             # A side-chain import leaves the head where it was: nothing
-            # the gateway has answered at this head is forgotten.
-            assert self.chain.gateway._memo == answered
+            # answered at this head is forgotten.
+            assert self.chain.memo._reads[head] == answered
 
     @rule()
     def rival_follows_node(self):
@@ -563,12 +619,19 @@ class ReadMemoMachine(RuleBasedStateMachine):
     @invariant()
     def every_read_matches(self):
         if self.poll_everything:
-            for name in READ_NAMES:
-                self._read("call", [name])
+            for who in ("node", "rival"):
+                for name in READ_NAMES:
+                    self._read(who, "call", [name])
 
     @invariant()
     def counters_match_the_oracle(self):
-        assert self.chain.gateway.stats.as_dict() == self.chain.oracle.stats.as_dict()
+        for who in ("node", "rival"):
+            _, gateway, oracle, _ = self.chain.side(who)
+            assert gateway.stats.as_dict() == oracle.stats.as_dict()
+
+    @invariant()
+    def memo_holds_only_heads_a_gateway_stands_on(self):
+        assert self.chain.memo.heads() == set(self.standing.values())
 
     @invariant()
     def stored_head_hash_is_the_head_blocks_hash(self):
@@ -583,6 +646,14 @@ TestReadMemoMachine = ReadMemoMachine.TestCase
 TestReadMemoMachine.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+
+
+#: ``run_tiny_driver`` configurations whose FL layers consume reads differently.
+TINY_DRIVER_VARIANTS = {
+    "reputation": {},
+    "global_vote": {"mode": "global_vote"},
+    "transient_faults": {"faults": FaultSpec(transient_rate=0.15, timeout_rate=0.05)},
+}
 
 
 class TestReadMemo:
@@ -646,27 +717,77 @@ class TestReadMemo:
         assert got[1]["address"] == chain.node.address
         chain.close()
 
-    def test_fl_layer_leaves_shared_read_results_untouched(self, monkeypatch):
-        """Repeats of a read share one value, so its consumers —
+    def test_caller_dependent_reads_are_kept_per_caller(self):
+        """At one head ``register`` hands each reading node its own
+        record, and ``rate`` of the first node reverts for that node only;
+        a raised read is never kept, and a read of no caller runs once for
+        both nodes."""
+        chain = SteeredChain()
+        assert chain.node.head_hash == chain.rival.head_hash
+        for who, node in (("node", chain.node), ("rival", chain.rival)):
+            got, want, executed = chain.read_both("call", ["register"], who)
+            assert got == want and got[1]["address"] == node.address and executed == 1
+        for who in ("node", "rival"):
+            assert chain.read_both("call", ["register"], who)[2] == 0
+        for _ in range(2):
+            got, want, executed = chain.read_both("call", ["rate_first"])
+            assert got == want == ("raised", "CallRevertedError") and executed == 1
+        for expected in (1, 0):
+            got, want, executed = chain.read_both("call", ["rate_first"], "rival")
+            assert got == want and got[0] == "ok" and executed == expected
+        assert chain.read_both("call", ["rate_first"])[2] == 1
+        assert [chain.read_both("call", ["members"], who)[2] for who in ("node", "rival")] == [1, 0]
+        chain.close()
+
+    def test_a_head_is_dropped_when_its_last_gateway_leaves(self):
+        chain = SteeredChain()
+        head = chain.node.head_hash
+        assert [chain.read_both("call", ["members"], who)[2] for who in ("node", "rival")] == [1, 0]
+        chain.node_mines()
+        assert chain.read_both("call", ["members"])[2] == 1  # the node's gateway left
+        assert chain.memo.heads() == {head, chain.node.head_hash}
+        assert chain.read_both("call", ["members"], "rival")[2] == 0  # the rival's did not
+        chain.rival_follows_node()
+        assert chain.read_both("call", ["members"], "rival")[2] == 0  # answered for the node
+        assert chain.memo.heads() == {chain.node.head_hash}
+        chain.close()
+
+    @pytest.mark.parametrize("variant", sorted(TINY_DRIVER_VARIANTS))
+    def test_fl_layer_leaves_shared_read_results_untouched(self, monkeypatch, variant):
+        """A read's value is shared between its repeats and between every
+        peer standing on the same head, so its consumers —
         ``fetch_updates``, the registration check, the reputation reads,
-        the finalization polls — must treat it as read-only: after a whole
-        run every value the transport handed out still equals the deep
-        copy taken when it was first returned."""
+        the finalization polls and votes, a retried read — must treat it
+        as read-only: after a whole run some value has reached more than
+        one peer's gateway, and every value the transport handed out still
+        equals the deep copy taken when it was first returned."""
         handed_out: dict[int, tuple] = {}
         execute_read = InProcessGateway._execute_read
 
         def recording(self, request):
             value = execute_read(self, request)
             if id(value) not in handed_out:
-                handed_out[id(value)] = (value, copy.deepcopy(value))
+                handed_out[id(value)] = (value, copy.deepcopy(value), set())
+            handed_out[id(value)][2].add(id(self))
             return value
 
         monkeypatch.setattr(InProcessGateway, "_execute_read", recording)
-        run_tiny_driver("inprocess")
-        shared = [value for value, _ in handed_out.values() if isinstance(value, (list, dict))]
-        assert len(shared) > 10  # submissions lists, round records
-        for value, first_seen in handed_out.values():
+        run_tiny_driver("inprocess", **TINY_DRIVER_VARIANTS[variant])
+        assert any(
+            len(readers) > 1
+            for value, _, readers in handed_out.values()
+            if isinstance(value, (list, dict))
+        )
+        for value, first_seen, _ in handed_out.values():
             assert value == first_seen
+
+    def test_driver_memo_keeps_only_heads_a_gateway_stands_on(self):
+        driver, _ = run_tiny_driver("inprocess")
+        transports = [gateway_layers(peer.gateway)[-1] for peer in driver.peers.values()]
+        assert all(transport.memo is driver.read_memo for transport in transports)
+        standing = {transport._head for transport in transports}
+        assert None not in standing
+        assert driver.read_memo.heads() == standing
 
 
 class TestErrorMappingParity:
@@ -857,7 +978,9 @@ def easy_dataset(rng, n=60):
     return Dataset(x, y)
 
 
-def run_tiny_driver(gateway_backend: str):
+def run_tiny_driver(gateway_backend: str, **config):
+    """Three peers, two rounds, reputation on; ``config`` overrides any
+    other ``DecentralizedConfig`` field."""
     peers = ("A", "B", "C")
     data_rng = np.random.default_rng(0)
     driver = DecentralizedFL(
@@ -869,7 +992,12 @@ def run_tiny_driver(gateway_backend: str):
         {p: easy_dataset(data_rng, n=40) for p in peers},
         lambda rng: Sequential([Dense(2, name="out")]).build(np.random.default_rng(42), (4,)),
         DecentralizedConfig(
-            rounds=2, enable_reputation=True, chain=ChainSpec(gateway=gateway_backend)
+            **{
+                "rounds": 2,
+                "enable_reputation": True,
+                "chain": ChainSpec(gateway=gateway_backend),
+                **config,
+            }
         ),
         rng_factory=RngFactory(5),
     )
