@@ -68,9 +68,9 @@ class NodeConfig:
     (tests, small difficulty) versus statistically simulated sealing driven
     by the network simulator (``verify_pow=False``).
 
-    ``keep_state_snapshots`` keeps per-block journal marks so reorgs roll
-    back cheaply; ``state_history`` bounds how many blocks of undo history
-    the journal retains (deeper reorgs fall back to replay — from the
+    Per-block journal marks let reorgs roll back cheaply;
+    ``state_history`` bounds how many blocks of undo history the journal
+    retains (deeper reorgs fall back to replay — from the
     nearest cold snapshot when one exists, else from genesis, like a Geth
     node asked to reorg past its snapshot window).
 
@@ -97,7 +97,6 @@ class NodeConfig:
     block_reward: int = 2_000_000_000
     max_txs_per_block: Optional[int] = None
     retarget: RetargetRule = field(default_factory=RetargetRule)
-    keep_state_snapshots: bool = True
     state_history: int = 128
     schedule: GasSchedule = DEFAULT_SCHEDULE
     execution: str = "serial"
@@ -196,8 +195,7 @@ class Node:
         # executed; reorgs roll the journal back to the common ancestor's
         # mark instead of restoring a deep snapshot.
         self._state_marks: dict[str, int] = {}
-        if self.config.keep_state_snapshots:
-            self._state_marks[genesis.block_hash] = self.state.checkpoint()
+        self._state_marks[genesis.block_hash] = self.state.checkpoint()
         # block hash -> receipts in transaction order, for executed
         # canonical blocks (the eth_getLogs range index).
         self._receipts_by_block: dict[str, Sequence[Receipt]] = {}
@@ -653,10 +651,7 @@ class Node:
         for receipt in receipts:
             self.receipts[receipt.tx_hash] = receipt
         self._receipts_by_block[block.block_hash] = receipts
-        if self.config.keep_state_snapshots:
-            self._state_marks[block.block_hash] = state.checkpoint()
-        else:
-            state.flatten_journal()
+        self._state_marks[block.block_hash] = state.checkpoint()
 
     def _forget_execution(self, block_hash: str, txs: Sequence[Transaction]) -> None:
         """Drop what :meth:`_record_execution` (and a later spill) indexed
@@ -697,7 +692,7 @@ class Node:
         """Bound journal memory: drop marks (and their undo records) for
         blocks more than ``state_history`` below the head."""
         history = self.config.state_history
-        if not self.config.keep_state_snapshots or history is None:
+        if history is None:
             return
         cutoff = self.height - history
         if cutoff <= 0:
@@ -746,17 +741,12 @@ class Node:
         if state is None:
             state = self.genesis_spec.build_state()
         state.flatten_journal()
-        self._state_marks = {}
-        if self.config.keep_state_snapshots:
-            self._state_marks[base_hash] = state.checkpoint()
+        self._state_marks = {base_hash: state.checkpoint()}
         self.last_replay_blocks = len(path)
         for block in reversed(path):
             receipts = self._advance(state, block)
             self._receipts_by_block[block.block_hash] = receipts
-            if self.config.keep_state_snapshots:
-                self._state_marks[block.block_hash] = state.checkpoint()
-            else:
-                state.flatten_journal()
+            self._state_marks[block.block_hash] = state.checkpoint()
             self._maybe_snapshot(block, state)
         return state
 
@@ -870,9 +860,7 @@ class Node:
             self.store.add(block)
         state.flatten_journal()
         self.state = state
-        self._state_marks = {}
-        if self.config.keep_state_snapshots:
-            self._state_marks[pivot.block_hash] = state.checkpoint()
+        self._state_marks = {pivot.block_hash: state.checkpoint()}
         self.snap_syncs += 1
         self.snap_skipped_blocks += len(pre_blocks)
         executed = 0

@@ -428,12 +428,12 @@ class DecentralizedFL:
         if self.config.mode == "global_vote":
             logs = self._vote_global(rnd)
         else:
-            logs = self.shard.score(round_id, rnd.view_records)
+            logs = self.shard.score(round_id, views=rnd.view_records)
         self._record(rnd, logs)
         if self.config.enable_reputation:
             self._rate(rnd)
         self.last_finished_round = round_id
-        return logs
+        return list(logs.values())
 
     def _open_round(self, round_id: int) -> Optional[Round]:
         """Open phase: enact absences, pick the working set, broadcast
@@ -493,7 +493,7 @@ class DecentralizedFL:
             peer_id: self.peers[peer_id].gateway.next_nonce(self.addresses[peer_id])
             for peer_id in rnd.live
         }
-        trained = self.shard.train(rnd.round_id, nonces)
+        trained = self.shard.train(rnd.round_id, nonces=nonces)
         for peer_id in rnd.live:
             tx, duration = trained[peer_id]
 
@@ -549,7 +549,7 @@ class DecentralizedFL:
     def _finalized_hash(self, peer: FullPeer, round_id: int) -> Optional[str]:
         return peer.gateway.call(peer.coordinator_address, "finalized_hash", round_id=round_id)
 
-    def _vote_global(self, rnd: Round) -> list[PeerRoundLog]:
+    def _vote_global(self, rnd: Round) -> dict[str, PeerRoundLog]:
         """Operating mode 2: vote a common global model on chain.
 
         Every peer aggregates everything it can see, uploads the aggregate
@@ -561,7 +561,7 @@ class DecentralizedFL:
         under every runtime.
         """
         round_id = rnd.round_id
-        aggregates = self.shard.vote(round_id, rnd.view_records)
+        aggregates = self.shard.vote(round_id, views=rnd.view_records)
         for peer_id in rnd.view_records:
             peer = self.peers[peer_id]
             aggregate_hash = self.offchain.put_archive(aggregates[peer_id])
@@ -577,7 +577,7 @@ class DecentralizedFL:
             f"round {round_id} finalization",
         )
         finals = {peer.peer_id: self._finalized_hash(peer, round_id) for peer in peers}
-        return self.shard.adopt_final(round_id, rnd.view_records, finals)
+        return self.shard.adopt_final(round_id, views=rnd.view_records, finals=finals)
 
     def _rate(self, rnd: Round) -> None:
         """Reputation extension: every survivor rates the updates it saw.
@@ -586,7 +586,7 @@ class DecentralizedFL:
         order, so rating transactions reach the mempool in the same order
         under every runtime.
         """
-        ratings = self.shard.rate(rnd.round_id, rnd.view_records)
+        ratings = self.shard.rate(rnd.round_id, views=rnd.view_records)
         for rater_id in rnd.view_records:
             rater = self.peers[rater_id]
             for subject, delta, reason in ratings[rater_id]:
@@ -602,9 +602,9 @@ class DecentralizedFL:
                 )
                 rater.gateway.submit(rate_tx)
 
-    def _record(self, rnd: Round, logs: list[PeerRoundLog]) -> None:
+    def _record(self, rnd: Round, logs: dict[str, PeerRoundLog]) -> None:
         """Copy the round's clock marks onto its logs and keep them."""
-        for log in logs:
+        for log in logs.values():
             log.submitted_at = rnd.submitted_at[log.peer_id]
             log.ready_at = rnd.ready_at[log.peer_id]
             log.aggregated_at = self.sim.now
@@ -662,9 +662,9 @@ class DecentralizedFL:
             # participation skips that can be further back than round_id-1,
             # and for fault-only runs it is exactly round_id-1 as before.
             records = self._available(rejoined.visible_submissions(self.last_finished_round))
-            models = self.shard.catch_up(self.last_finished_round, peer_id, records)
+            models = self.shard.catch_up(self.last_finished_round, records={peer_id: records})
             self.catch_ups.append(
-                {"peer": peer_id, "round": round_id, "models": models}
+                {"peer": peer_id, "round": round_id, "models": models[peer_id]}
             )
 
     def _finalize_faults(self) -> None:
@@ -762,7 +762,7 @@ class DecentralizedFL:
         This is the byte surface the runtime-equivalence tests compare: a
         multiprocess run must produce exactly these bytes for every peer.
         """
-        return self.shard.export([peer_id])[0]
+        return self.shard.export(self.last_finished_round, peers={peer_id: None})[peer_id]
 
     def model_digests(self) -> dict[str, str]:
         """SHA-256 of every materialized peer's model bytes, in cohort order.

@@ -12,14 +12,19 @@ driver read (and, for ``adopt_final``, the finalized hash); ``vote`` and
 signs and submits.  The one store a step writes is the shard's own
 content-addressed off-chain store (a commitment's weights).
 
+Every round step has one calling convention: ``step(round_id,
+**{input: {peer_id: value}})`` returns ``{peer_id: output}``, in the
+driver's order.  That makes a step a task — ``(op, round, per-peer
+inputs)`` — whose wire form :data:`repro.runtime.steps.STEPS` states once.
+
 The driver (:mod:`repro.core.decentralized`) owns the ledger half — every
 gateway call, through each peer's full stack, under both runtimes.
 In-process it holds one shard over the whole cohort; each worker process
 of the multiprocess runtime (:mod:`repro.runtime.worker`) holds one over
-its slice, and the coordinator swaps in a proxy with the same methods
-(:class:`repro.runtime.coordinator.RemoteShard`) that batches each step
-per owning worker.  The byte-sensitive per-peer work exists exactly once,
-so the two runtimes cannot drift apart.
+the peers the coordinator dealt it, and the coordinator swaps in
+:class:`repro.runtime.coordinator.RemoteShard`, which sends each step to
+the owning workers as tasks.  The byte-sensitive per-peer work exists
+exactly once, so the two runtimes cannot drift apart.
 """
 
 from __future__ import annotations
@@ -62,37 +67,6 @@ class PeerRoundLog:
         """Simulated seconds between own submission and policy readiness."""
         return max(self.ready_at - self.submitted_at, 0.0)
 
-    def to_wire(self) -> dict:
-        """Wire form of the search result (the clock marks are the
-        coordinator's; it stamps them after decoding).
-
-        The accuracy table ships as an ordered ``[label, accuracy]`` pair
-        list: canonical JSON sorts dict keys, and the table's insertion
-        order (enumeration order of the combination search) must survive
-        the trip for report output to stay byte-identical.
-        """
-        return {
-            "peer": self.peer_id,
-            "table": [[label, acc] for label, acc in self.combination_accuracy.items()],
-            "chosen": list(self.chosen_combination),
-            "accuracy": self.chosen_accuracy,
-            "models_used": self.models_used,
-            "updates_visible": self.updates_visible,
-        }
-
-    @classmethod
-    def from_wire(cls, round_id: int, entry: dict) -> "PeerRoundLog":
-        """Decode :meth:`to_wire`'s payload."""
-        return cls(
-            peer_id=entry["peer"],
-            round_id=round_id,
-            combination_accuracy={label: accuracy for label, accuracy in entry["table"]},
-            chosen_combination=tuple(entry["chosen"]),
-            chosen_accuracy=entry["accuracy"],
-            models_used=entry["models_used"],
-            updates_visible=entry["updates_visible"],
-        )
-
 
 class PeerShard:
     """The local side of a set of peers: their models, data and rng streams.
@@ -107,9 +81,10 @@ class PeerShard:
     coordinator holds the whole cohort that way.  A peer added without a
     gateway is compute-only; a worker holds its slice that way.
 
-    The batched steps take one ``{peer_id: input}`` map and work through
-    it in its order; ``views`` maps each peer to the submission records
-    its view of the round is built from (``Round.view_records``).
+    The round steps take ``{peer_id: input}`` maps by keyword and work
+    through them in their order; ``views`` maps each peer to the
+    submission records its view of the round is built from
+    (``Round.view_records``).
     """
 
     def __init__(
@@ -219,9 +194,11 @@ class PeerShard:
             )
         return self._views[peer_id]
 
-    def score(self, round_id: int, views: dict[str, list[dict]]) -> list[PeerRoundLog]:
+    def score(self, round_id: int, views: dict[str, list[dict]]) -> dict[str, PeerRoundLog]:
         """Search combinations on each peer's test set; adopt the best."""
-        return [self._search(round_id, peer_id, records) for peer_id, records in views.items()]
+        return {
+            peer_id: self._search(round_id, peer_id, records) for peer_id, records in views.items()
+        }
 
     def _search(self, round_id: int, peer_id: str, records: list[dict]) -> PeerRoundLog:
         """One peer's combination search: log the table, adopt the best.
@@ -270,10 +247,10 @@ class PeerShard:
 
     def adopt_final(
         self, round_id: int, views: dict[str, list[dict]], finals: dict[str, str]
-    ) -> list[PeerRoundLog]:
+    ) -> dict[str, PeerRoundLog]:
         """Global-vote mode: each peer evaluates the aggregate its chain view
         finalized (``finals``, read by the driver) locally and adopts it."""
-        logs = []
+        logs = {}
         for peer_id, records in views.items():
             peer = self.peers[peer_id]
             updates = self.view(round_id, peer_id, records)
@@ -281,16 +258,14 @@ class PeerShard:
             accuracy = peer.evaluate_weights(weights)
             peer.adopt(weights)
             members = tuple(sorted(update.client_id for update in updates))
-            logs.append(
-                PeerRoundLog(
-                    peer_id=peer_id,
-                    round_id=round_id,
-                    combination_accuracy={",".join(members): accuracy},
-                    chosen_combination=members,
-                    chosen_accuracy=accuracy,
-                    models_used=len(members),
-                    updates_visible=len(updates),
-                )
+            logs[peer_id] = PeerRoundLog(
+                peer_id=peer_id,
+                round_id=round_id,
+                combination_accuracy={",".join(members): accuracy},
+                chosen_combination=members,
+                chosen_accuracy=accuracy,
+                models_used=len(members),
+                updates_visible=len(updates),
             )
         return logs
 
@@ -331,24 +306,30 @@ class PeerShard:
                 )
         return ratings
 
-    def catch_up(self, fetch_round: int, peer_id: str, records: list[dict]) -> int:
-        """Rejoin catch-up: adopt the FedAvg of ``fetch_round``'s updates.
+    def catch_up(self, fetch_round: int, records: dict[str, list[dict]]) -> dict[str, int]:
+        """Rejoin catch-up: each peer adopts the FedAvg of ``fetch_round``'s
+        updates its ``records`` commit to.
 
-        Returns how many on-chain updates fed the aggregate.  Deliberately
-        not the per-round view memo: the rejoining peer may have fetched
-        (an empty view of) that round while partitioned, and catch-up must
-        see the healed chain's ``records``.
+        Returns how many on-chain updates fed each aggregate.  Deliberately
+        not the per-round view memo: a rejoining peer may have fetched (an
+        empty view of) that round while partitioned, and catch-up must see
+        the healed chain's records.
         """
-        peer = self.peers[peer_id]
-        updates = peer.fetch_updates(fetch_round, records, self.id_of_address)
-        if updates:
-            peer.adopt(fedavg(updates))
-        return len(updates)
+        counts = {}
+        for peer_id, peer_records in records.items():
+            peer = self.peers[peer_id]
+            updates = peer.fetch_updates(fetch_round, peer_records, self.id_of_address)
+            if updates:
+                peer.adopt(fedavg(updates))
+            counts[peer_id] = len(updates)
+        return counts
 
-    def export(self, peer_ids: list[str]) -> list[bytes]:
+    def export(self, round_id: int, peers: dict[str, object]) -> dict[str, bytes]:
         """Each peer's current model weights as canonical codec-v2 bytes —
-        the byte surface the runtime-equivalence tests compare."""
-        return [
-            weights_to_bytes(self.peers[peer_id].client.model.get_weights())
-            for peer_id in peer_ids
-        ]
+        the byte surface the runtime-equivalence tests compare.  Only the
+        keys of ``peers`` are read, and ``round_id`` not at all: the step
+        keeps the one calling convention."""
+        return {
+            peer_id: weights_to_bytes(self.peers[peer_id].client.model.get_weights())
+            for peer_id in peers
+        }

@@ -199,10 +199,6 @@ class FaultPlan:
         # adversary axis ("last k clients attack").
         self.crashed_peers: tuple[str, ...] = self.peer_ids[n - count :] if count else ()
 
-    @classmethod
-    def from_spec(cls, spec: FaultSpec, peer_ids: Sequence[str]) -> "FaultPlan":
-        return cls(spec, peer_ids)
-
     def crash_window(self) -> range:
         """Round ids during which the crashed peers are down."""
         return range(

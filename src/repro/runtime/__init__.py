@@ -9,6 +9,8 @@ without changing a single result byte:
   content-addressed mirror of the coordinator's off-chain store;
 * :mod:`~repro.runtime.server` — :class:`GatewayServer`, the
   coordinator-side dispatcher answering one blob request at a time;
+* :mod:`~repro.runtime.steps` — ``STEPS``, the one table of how each
+  round step crosses the wire as a task ``(op, round, per-peer inputs)``;
 * :mod:`~repro.runtime.broker` / :mod:`~repro.runtime.worker` /
   :mod:`~repro.runtime.coordinator` — the process trio.  These are
   imported by dotted path (``repro.runtime.coordinator``), not re-

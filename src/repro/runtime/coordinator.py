@@ -2,10 +2,13 @@
 
 :class:`MultiprocessDecentralizedFL` runs the in-process driver's round
 loop unchanged and swaps its :class:`~repro.core.shard.PeerShard` for a
-:class:`RemoteShard` — the same compute methods, dispatched as tasks to
-the worker processes that own the peers.  The subclass itself adds only
-the worker fleet's lifecycle (launch or borrow, ``init``, task dispatch,
-teardown) and its reporting.  A driver built without a fleet launches its
+:class:`RemoteShard`, which sends every round step to the worker
+processes that own the peers as a task — ``(op, round, per-peer
+inputs)``, in the wire form :data:`~repro.runtime.steps.STEPS` states
+once.  The coordinator deals the peers to the workers, and each worker's
+``init`` names its hand.  The subclass itself adds only the worker
+fleet's lifecycle (launch or borrow, ``init``, task dispatch, teardown)
+and its reporting.  A driver built without a fleet launches its
 own and shuts it down at the end of ``run()``; one handed a shared fleet
 (:meth:`~repro.scenarios.runner.ScenarioContext.fleet`, which is how
 ``run_scenario`` builds it) sends the already-running workers an ``init``
@@ -36,17 +39,17 @@ from __future__ import annotations
 
 import selectors
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator, Optional
 
-from repro.chain.transaction import Transaction
 from repro.core.decentralized import DecentralizedConfig, DecentralizedFL
 from repro.core.peer import PeerConfig
 from repro.core.shard import PeerRoundLog, PeerShard
 from repro.errors import ConfigError, WireProtocolError, WorkerCrashedError
-from repro.nn.serialize import WeightArchive
 from repro.runtime.broker import Broker, WorkerHandle
 from repro.runtime.server import GatewayServer
 from repro.runtime.speccodec import encode_spec
+from repro.runtime.steps import STEPS
 from repro.runtime.wire import WireClosedError, decode_error
 from repro.utils.rng import RngFactory
 
@@ -61,127 +64,58 @@ def _merge_numbers(into: dict, extra: dict) -> None:
 
 
 class RemoteShard:
-    """:class:`~repro.core.shard.PeerShard`'s methods, served by the workers.
+    """:class:`~repro.core.shard.PeerShard`'s round steps, served by the workers.
 
-    Worker ``i`` owns the peers at cohort positions ``i, i+W, i+2W, ...``
-    — the rule the workers apply independently in ``init``, taken over
-    the *full* roster so it is stable under sampling.  Every batched step
-    goes out as one task per owning worker, carrying that worker's slice
-    of each ``{peer_id: input}`` map.  ``local`` is the coordinator's own
-    shard of chain-only peers: it holds the deployed addresses.
+    The coordinator decides ownership once: the peers the participation
+    plan ever selects are dealt round-robin, in cohort order, over the
+    workers (``owned[i]`` is worker ``i``'s hand) — balanced to one peer
+    under sampling, and under full participation worker ``i`` holds cohort
+    positions ``i, i+W, i+2W, ...``.  ``init`` hands each worker its hand.
+
+    Every round step in :data:`~repro.runtime.steps.STEPS` is one generic
+    dispatch: the ``{peer_id: input}`` maps are split by owning worker,
+    each owner gets one task, and the results are decoded and returned in
+    the driver's order.  ``configure`` is the one lifecycle broadcast.
+    ``local`` is the coordinator's own shard of chain-only peers: it holds
+    the deployed addresses.
     """
 
     def __init__(self, driver: "MultiprocessDecentralizedFL", local: PeerShard) -> None:
         self.driver = driver
         self.local = local
-        self.owner = {
-            peer_id: position % driver.num_workers
-            for position, peer_id in enumerate(driver.peer_ids)
-        }
-        self._exports: dict[str, bytes] = {}
-
-    def _grouped(
-        self, op: str, peer_ids, round_id: Optional[int] = None, **by_peer: dict
-    ) -> list[tuple]:
-        """One ``op`` task per owning worker of ``peer_ids``, each carrying
-        its peers and, per ``by_peer`` map, their entries as an aligned
-        list; returns ``(peers, value, blobs)`` per task."""
-        groups: dict[int, list[str]] = {}
-        for peer_id in peer_ids:
-            groups.setdefault(self.owner[peer_id], []).append(peer_id)
-        tasks = {}
-        for index, owned in groups.items():
-            params = {
-                name: [values[peer_id] for peer_id in owned] for name, values in by_peer.items()
-            }
-            if round_id is not None:
-                params["round"] = round_id
-            tasks[index] = {"op": op, "params": {**params, "peers": owned}}
-        results = self.driver._run_tasks(tasks)
-        return [(groups[index], *results[index]) for index in groups]
+        dealt = list(local.peers)  # the ever-selected peers, in cohort order
+        workers = driver.num_workers
+        self.owned = [dealt[index::workers] for index in range(workers)]
+        self.owner = {peer_id: index for index, hand in enumerate(self.owned) for peer_id in hand}
 
     def configure(self, model_store, coordinator, addresses) -> None:
         self.local.configure(model_store, coordinator, addresses)
+        params = {"model_store": model_store, "coordinator": coordinator, "addresses": addresses}
         self.driver._run_tasks(
-            {
-                handle.index: {
-                    "op": "configure",
-                    "params": {
-                        "model_store": model_store,
-                        "coordinator": coordinator,
-                        "addresses": addresses,
-                    },
-                }
-                for handle in self.driver.handles
-            }
+            {handle.index: {"op": "configure", "params": params} for handle in self.driver.handles}
         )
 
-    def train(self, round_id: int, nonces: dict[str, int]) -> dict[str, tuple]:
-        """Each commitment's weight blob rides back with it and goes into
-        the coordinator's store before the driver schedules the submit."""
-        trained = {}
-        for _peers, value, blobs in self._grouped("train", nonces, round_id, nonces=nonces):
-            for entry, blob in zip(value, blobs, strict=True):
-                tx = Transaction.from_dict(entry["tx"])
-                if self.driver.offchain.put(blob) != tx.args["weights_hash"]:
-                    raise WireProtocolError(f"{entry['peer']}: blob does not match its commitment")
-                trained[entry["peer"]] = (tx, float(entry["duration"]))
-        return {peer_id: trained[peer_id] for peer_id in nonces}
+    def __getattr__(self, op: str):
+        if op not in STEPS:
+            raise AttributeError(op)
+        return partial(self._dispatch, op)
 
-    def score(self, round_id: int, views: dict) -> list[PeerRoundLog]:
-        return self._logs("score", round_id, views)
-
-    def _logs(self, op: str, round_id: int, views: dict, **by_peer: dict) -> list[PeerRoundLog]:
-        """Round logs of a view-driven ``op``, in ``views`` order."""
-        payloads = {
-            entry["peer"]: entry
-            for _peers, value, _blobs in self._grouped(op, views, round_id, views=views, **by_peer)
-            for entry in value
+    def _dispatch(self, op: str, round_id: int, **inputs: dict) -> dict:
+        """Run round step ``op`` on the workers owning the inputs' peers."""
+        step = STEPS[op]
+        order = list(next(iter(inputs.values())))
+        hands: dict[int, list[str]] = {}
+        for peer_id in order:
+            hands.setdefault(self.owner[peer_id], []).append(peer_id)
+        tasks = {
+            index: {"op": op, "params": step.task(round_id, hand, inputs)}
+            for index, hand in hands.items()
         }
-        return [PeerRoundLog.from_wire(round_id, payloads[peer_id]) for peer_id in views]
-
-    def vote(self, round_id: int, views: dict) -> dict[str, WeightArchive]:
-        archives = {
-            peer_id: WeightArchive.from_bytes(blob)
-            for peers, _value, blobs in self._grouped("vote", views, round_id, views=views)
-            for peer_id, blob in zip(peers, blobs, strict=True)
-        }
-        return {peer_id: archives[peer_id] for peer_id in views}
-
-    def adopt_final(self, round_id: int, views: dict, finals: dict) -> list[PeerRoundLog]:
-        return self._logs("adopt_final", round_id, views, finals=finals)
-
-    def rate(self, round_id: int, views: dict) -> dict[str, list]:
-        ratings = {
-            peer_id: peer_ratings
-            for peers, value, _blobs in self._grouped("rate", views, round_id, views=views)
-            for peer_id, peer_ratings in zip(peers, value, strict=True)
-        }
-        return {peer_id: ratings[peer_id] for peer_id in views}
-
-    def catch_up(self, fetch_round: int, peer_id: str, records: list[dict]) -> int:
-        # The chain-side heal, head-hash wait and view read already happened
-        # coordinator-side; the FedAvg adoption runs where the model lives.
-        index = self.owner[peer_id]
-        task = {
-            "op": "catch_up",
-            "params": {"round": fetch_round, "peer": peer_id, "records": records},
-        }
-        return int(self.driver._run_tasks({index: task})[index][0])
-
-    def export(self, peer_ids: list[str]) -> list[bytes]:
-        """Model bytes from the owning workers while they serve this run;
-        afterwards, the ones ``run()`` collected before it let them go."""
-        if self.driver.handles:
-            for peers, _value, blobs in self._grouped("export", peer_ids):
-                self._exports.update(zip(peers, blobs, strict=True))
-        missing = [peer_id for peer_id in peer_ids if peer_id not in self._exports]
-        if missing:
-            raise ConfigError(
-                f"{missing[0]}: no exported model (multiprocess exports are "
-                "collected when run() completes)"
-            )
-        return [self._exports[peer_id] for peer_id in peer_ids]
+        results = self.driver._run_tasks(tasks)
+        outputs: dict = {}
+        for index, task in tasks.items():
+            outputs.update(step.outputs(self.driver.offchain, task["params"], *results[index]))
+        return {peer_id: outputs[peer_id] for peer_id in order}
 
 
 class MultiprocessDecentralizedFL(DecentralizedFL):
@@ -223,6 +157,7 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             rng_factory=rng_factory,
         )
         self.shard = RemoteShard(self, self.shard)
+        self._exports: dict[str, bytes] = {}
 
     # -- worker fleet ------------------------------------------------------
 
@@ -242,7 +177,7 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
 
     def _ensure_runtime(self) -> None:
         """Launch the fleet unless it is running; have every worker rebuild
-        its peer shard for this run."""
+        its peer shard — the peers it was dealt — for this run."""
         if self.handles:
             return
         self.server = GatewayServer(self.offchain)
@@ -251,25 +186,15 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         self.handles = self.broker.handles
         self._channel_base = self._channel_bytes()
         spec_payload = encode_spec(self.spec)
-        owned = self._run_tasks(
+        self._run_tasks(
             {
                 handle.index: {
                     "op": "init",
-                    "params": {"spec": spec_payload, "workers": self.num_workers},
+                    "params": {"spec": spec_payload, "peers": self.shard.owned[handle.index]},
                 }
                 for handle in self.handles
             }
         )
-        for index, (peer_ids, _blobs) in owned.items():
-            expected = sorted(
-                peer_id
-                for peer_id, owner in self.shard.owner.items()
-                if owner == index and peer_id in self.peers
-            )
-            if list(peer_ids) != expected:
-                raise WireProtocolError(
-                    f"worker {index} owns {peer_ids}, coordinator expected {expected}"
-                )
 
     def _run_tasks(self, tasks: dict[int, dict]) -> dict[int, tuple]:
         """Dispatch one task per listed worker; serve blob requests until
@@ -346,8 +271,10 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
     def run(self) -> list[PeerRoundLog]:
         with self._fleet_guard():
             logs = super().run()
-            # Collected now, served by the shard after the workers move on.
-            self.shard.export([peer_id for peer_id in self.peer_ids if peer_id in self.peers])
+            # Collected now, served after the workers move on.
+            self._exports = self.shard.export(
+                self.last_finished_round, peers=dict.fromkeys(self.peers)
+            )
             self._collect_stats()
             if self._owns_fleet:
                 self.broker.shutdown()
@@ -387,6 +314,15 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
             handle.process.wait(timeout=30)
 
     # -- reporting ---------------------------------------------------------
+
+    def export_model_bytes(self, peer_id: str) -> bytes:
+        """From the owning worker while the fleet serves this run;
+        afterwards, the bytes ``run()`` collected before it let them go."""
+        if self.handles:
+            return super().export_model_bytes(peer_id)
+        if peer_id not in self._exports:
+            raise ConfigError(f"{peer_id}: multiprocess exports are collected when run() completes")
+        return self._exports[peer_id]
 
     def gateway_stats(self) -> dict:
         """The driver's ledger-gateway counters — every ledger operation ran

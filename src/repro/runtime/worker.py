@@ -3,17 +3,22 @@
 Launched as ``python -m repro.runtime.worker --connect HOST:PORT
 --worker INDEX`` by the broker.  The worker dials the coordinator, says
 ``hello``, then serves tasks one at a time until ``shutdown``.  A worker
-may serve many runs: ``init`` starts each one and re-derives everything
-from the :class:`~repro.scenarios.spec.ScenarioSpec` — the
-:class:`~repro.core.shard.PeerShard`, its models and rng streams, the blob
-mirror and the wire counters — so nothing heavyweight crosses the wire and
-nothing of one run leaks into the next.  Only the datasets, pretrained
-backbones and frozen-trunk features persist, in the process's one
-:class:`~repro.scenarios.runner.ScenarioContext`, under the same memo keys
-the in-process runner uses: a hit returns the bytes a fresh worker would
-sample.  Each round op (:data:`SHARD_OPS`) decodes its parameters, calls
-the shard method of the same name — the very compute the in-process
-driver runs, against the same named rng streams — and encodes the result.
+may serve many runs: ``init`` starts each one with the
+:class:`~repro.scenarios.spec.ScenarioSpec` and the peers the coordinator
+dealt this worker, and re-derives everything from them — a
+:class:`~repro.core.shard.PeerShard` over exactly those peers, their
+datasets, models and rng streams, the blob mirror and the wire counters —
+so nothing heavyweight crosses the wire and nothing of one run leaks into
+the next.  The worker samples only its own peers' data; it resolves no
+participation plan and never learns the worker count.  Only the
+datasets, pretrained backbones and frozen-trunk features persist, in the
+process's one :class:`~repro.scenarios.runner.ScenarioContext`, under the
+same memo keys the in-process runner uses: a hit returns the bytes a
+fresh worker would sample.  A round-step task ``(op, round, per-peer
+inputs)`` is solved by the table entry of its op
+(:data:`repro.runtime.steps.STEPS`): the shard method of the same name —
+the very compute the in-process driver runs, against the same named rng
+streams — with the outputs encoded as the table says.
 
 A task carries in what the driver read from the chain for it — nonces,
 each peer's view records, finalized hashes — and a result carries out
@@ -46,8 +51,10 @@ import sys
 import traceback
 from typing import Optional
 
+from repro.core.shard import PeerShard
 from repro.errors import GatewayError, NetworkError, SerializationError, WireProtocolError
 from repro.runtime.gateway import RemoteOffchain
+from repro.runtime.steps import STEPS
 from repro.runtime.wire import WireChannel, WireClosedError, connect, encode_error
 from repro.utils.rng import RngFactory
 
@@ -55,20 +62,6 @@ from repro.utils.rng import RngFactory
 #: they cross the wire typed.  Anything else is a worker bug and crosses
 #: as a generic :class:`GatewayError` (with the traceback on stderr).
 _TASK_SAFE_ERRORS = (GatewayError, SerializationError, NetworkError)
-
-#: The round ops: each is served by the :class:`~repro.core.shard.PeerShard`
-#: method of the same name (``view`` has no op — it is the decode step the
-#: other ops share).
-SHARD_OPS = (
-    "configure", "train", "score", "rate", "vote", "adopt_final", "catch_up", "export",
-)
-
-
-def by_peer(params: dict, name: str) -> dict:
-    """Rebuild a ``{peer_id: input}`` map, in the driver's order, from a
-    task's ``peers`` list and its aligned ``name`` list (canonical JSON
-    sorts object keys, so maps travel as two lists)."""
-    return dict(zip(params["peers"], params[name], strict=True))
 
 
 class WorkerRuntime:
@@ -131,20 +124,15 @@ class WorkerRuntime:
                 self.channel.send({"kind": "result", "value": value}, out_blobs)
 
     def dispatch(self, op: str, params: dict) -> tuple:
-        """Route one task; returns ``(value, blobs)`` for the result frame."""
-        handlers = {
-            "init": self._init,
-            "stats": self._stats,
-            "ping": lambda params: "pong",
-            **{name: getattr(self, f"_{name}") for name in SHARD_OPS},
-        }
-        handler = handlers.get(op)
+        """Route one task; returns ``(value, blobs)`` for the result frame.
+        A round step (:data:`~repro.runtime.steps.STEPS`) runs the shard
+        method of its name; the rest are lifecycle ops."""
+        if op in STEPS:
+            return STEPS[op].solve(self.shard, op, params)
+        handler = {"init": self._init, "configure": self._configure, "stats": self._stats}.get(op)
         if handler is None:
             raise WireProtocolError(f"unknown worker task op {op!r}")
-        value = handler(params)
-        if isinstance(value, tuple):
-            return value
-        return value, ()
+        return handler(params), ()
 
     # -- lifecycle tasks ---------------------------------------------------
 
@@ -154,78 +142,30 @@ class WorkerRuntime:
         return self.channel.bytes_sent, self.channel.bytes_received
 
     def _init(self, params: dict):
-        from repro.core.participation import ParticipationPlan
-        from repro.core.shard import PeerShard
+        """Rebuild the shard over the peers the coordinator dealt this
+        worker, sampling only their datasets."""
         from repro.runtime.speccodec import decode_spec
         from repro.scenarios.runner import decentralized_inputs
 
         spec = decode_spec(params["spec"])
-        workers = int(params["workers"])
+        hand = frozenset(params["peers"])
         rngs = RngFactory(spec.seed)
-        inputs = decentralized_inputs(spec, rngs, self.context)
+        inputs = decentralized_inputs(spec, rngs, self.context, materialize=hand)
         self.offchain = RemoteOffchain(self.channel)
         self._channel_base = self._channel_bytes()
-        chain = rngs.spawn("chain")
-        # Same plan the coordinator resolved: both sides derive it from the
-        # chain-spawned participation/* streams, so they agree on exactly
-        # which identities are ever materialized.
-        plan = ParticipationPlan(
-            inputs.config.participation,
-            [pc.peer_id for pc in inputs.peer_configs],
-            inputs.config.rounds,
-            chain,
+        self.shard = PeerShard(
+            inputs.config, self.offchain, rngs.spawn("chain"), inputs.model_builder
         )
-        self.shard = PeerShard(inputs.config, self.offchain, chain, inputs.model_builder)
-        for position, pc in enumerate(inputs.peer_configs):
-            if position % workers != self.index:
-                continue
-            if pc.peer_id not in plan.ever_active:
-                continue  # registered on chain, never trains: no peer here
-            self.shard.add_peer(
-                pc, None, inputs.train_sets[pc.peer_id], inputs.test_sets[pc.peer_id]
-            )
+        for pc in inputs.peer_configs:
+            if pc.peer_id in hand:
+                self.shard.add_peer(
+                    pc, None, inputs.train_sets[pc.peer_id], inputs.test_sets[pc.peer_id]
+                )
         return sorted(self.shard.peers)
-
-    # -- round ops: decode -> shard method -> encode -------------------------
 
     def _configure(self, params: dict):
         self.shard.configure(params["model_store"], params["coordinator"], params["addresses"])
         return "configured"
-
-    def _train(self, params: dict):
-        """Signed commitments out, each with its weight blob (same order)."""
-        trained = self.shard.train(int(params["round"]), by_peer(params, "nonces"))
-        value = [
-            {"peer": peer_id, "tx": tx.to_dict(), "duration": duration}
-            for peer_id, (tx, duration) in trained.items()
-        ]
-        blobs = tuple(self.offchain.get(tx.args["weights_hash"]) for tx, _ in trained.values())
-        return value, blobs
-
-    def _score(self, params: dict):
-        logs = self.shard.score(int(params["round"]), by_peer(params, "views"))
-        return [log.to_wire() for log in logs]
-
-    def _rate(self, params: dict):
-        return list(self.shard.rate(int(params["round"]), by_peer(params, "views")).values())
-
-    def _vote(self, params: dict):
-        """One aggregate blob per voter, in the task's peer order."""
-        archives = self.shard.vote(int(params["round"]), by_peer(params, "views"))
-        return list(archives), tuple(archive.payload for archive in archives.values())
-
-    def _adopt_final(self, params: dict):
-        logs = self.shard.adopt_final(
-            int(params["round"]), by_peer(params, "views"), by_peer(params, "finals")
-        )
-        return [log.to_wire() for log in logs]
-
-    def _catch_up(self, params: dict):
-        return self.shard.catch_up(int(params["round"]), params["peer"], params["records"])
-
-    def _export(self, params: dict):
-        peer_ids = list(params["peers"])
-        return peer_ids, tuple(self.shard.export(peer_ids))
 
     # -- collection tasks --------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Optional
+from typing import AbstractSet, Optional
 
 import numpy as np
 
@@ -233,7 +233,7 @@ def _cohort_datasets(
     spec: ScenarioSpec,
     rngs: RngFactory,
     ctx: ScenarioContext,
-    only: Optional[frozenset] = None,
+    only: Optional[AbstractSet[str]] = None,
 ) -> tuple[dict[str, Dataset], dict[str, Dataset], Dataset]:
     """Per-client train/test splits plus the aggregator's default test set.
 
@@ -380,10 +380,11 @@ class DecentralizedInputs:
     """Everything a decentralized driver needs, derived from one spec.
 
     The in-process runner materializes all of it; the multiprocess
-    coordinator asks for ``materialize=False`` (no datasets, no model
+    coordinator asks for ``materialize=frozenset()`` (no datasets, no model
     builder — those live in the worker processes), and each worker calls
-    :func:`decentralized_inputs` again with the same spec to rebuild the
-    identical datasets, initial weights, and rng draws on its side.
+    :func:`decentralized_inputs` again with the same spec and the peers it
+    was dealt, to rebuild their identical datasets, initial weights, and
+    rng draws on its side.
     """
 
     config: DecentralizedConfig
@@ -399,14 +400,18 @@ def decentralized_inputs(
     spec: ScenarioSpec,
     rngs: RngFactory,
     ctx: ScenarioContext,
-    materialize: bool = True,
+    materialize: Optional[AbstractSet[str]] = None,
 ) -> DecentralizedInputs:
     """Derive the decentralized driver's construction inputs from ``spec``.
+
+    ``materialize`` names the peers whose datasets are sampled; ``None``
+    means every peer the participation plan ever selects.  An empty set
+    samples nothing and builds no model builder.
 
     Every random stream here is named — derived from ``(seed, label
     path)``, never from draw order — so skipping materialization cannot
     perturb any other stream: two processes deriving from the same spec
-    agree on every value whether or not they built the datasets.
+    agree on every value whichever datasets they built.
     """
     client_ids = spec.client_ids()
     attacker = spec.adversary.build_attacker()
@@ -414,20 +419,20 @@ def decentralized_inputs(
     train_sets: dict[str, Dataset] = {}
     test_sets: dict[str, Dataset] = {}
     model_builder = None
-    needed = None
-    if materialize and spec.participation.engaged:
+    if materialize is None and spec.participation.engaged:
         # Only the peers the participation plan ever selects need data.
         # The plan is rebuilt from the same chain-spawned streams the
         # driver uses, so both sides agree on the set; skipping the rest
         # is what makes a 1000-registered / 25-sampled cohort affordable.
-        needed = ParticipationPlan(
+        materialize = ParticipationPlan(
             spec.participation, list(client_ids), spec.rounds, rngs.spawn("chain")
         ).ever_active
-    if materialize:
-        train_sets, test_sets, _ = _cohort_datasets(spec, rngs, ctx, only=needed)
+    builds = materialize is None or bool(materialize)
+    if builds:
+        train_sets, test_sets, _ = _cohort_datasets(spec, rngs, ctx, only=materialize)
         builder = _builder(spec, ctx)
     init_rng_seed = rngs.integers("model-init")
-    if materialize:
+    if builds:
         model_builder = lambda rng: builder(np.random.default_rng(init_rng_seed))
     training_times = spec.heterogeneity.training_times(client_ids, rngs.get("hetero"))
 
@@ -468,7 +473,7 @@ def _run_decentralized(
         # import time.
         from repro.runtime.coordinator import MultiprocessDecentralizedFL
 
-        inputs = decentralized_inputs(spec, rngs, ctx, materialize=False)
+        inputs = decentralized_inputs(spec, rngs, ctx, materialize=frozenset())
         driver: DecentralizedFL = MultiprocessDecentralizedFL(
             spec,
             inputs.peer_configs,

@@ -1173,7 +1173,13 @@ class TestChainStatsDigests:
     fleets began to outlive a run: a run's channel counters now start at
     its ``init`` task, so the launch's ``hello`` frames (42 bytes per
     worker) and, worker-side, the ``init`` frame itself are no longer in
-    them.  Beside each digest the fixture
+    them.  It was re-recorded once more when every round step began to
+    cross the wire in the one task format of ``repro.runtime.steps``: a
+    task's per-peer inputs travel under ``inputs``, ``init`` names the
+    worker's peers instead of the worker count, and results drop the
+    per-entry peer ids and the round logs' field names — so only the
+    channel byte counters (``gateway.wire.bytes_*``,
+    ``worker_stats[*].channel.*``) moved.  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

@@ -323,9 +323,9 @@ class TestGenesisCommitment:
 
 class TestStateHistory:
     def test_reorg_without_journal_marks_replays(self, keypairs, genesis_spec, runtime):
-        # keep_state_snapshots=False keeps no marks: reorgs rebuild state
+        # state_history=0 keeps only the head's mark: reorgs rebuild state
         # by replaying from genesis and must reach the same balances.
-        a = Node(keypairs["A"], genesis_spec, runtime, NodeConfig(keep_state_snapshots=False))
+        a = Node(keypairs["A"], genesis_spec, runtime, NodeConfig(state_history=0))
         b = Node(keypairs["B"], genesis_spec, runtime, NodeConfig())
         a.submit_transaction(transfer_tx(a, keypairs["A"], keypairs["B"].address, 777))
         mine_one(a)

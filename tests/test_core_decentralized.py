@@ -381,8 +381,8 @@ class TestSearchScopedRows:
 
     def test_a_worker_slice_scores_like_the_whole_cohort(self):
         """A wire worker holds a ``PeerShard`` over every ``workers``-th peer
-        (``WorkerRuntime._init``); its 3 or 4 viewers still see 7 updates,
-        build their own rows over them, and keep none."""
+        (the coordinator deals them); its 3 or 4 viewers still see 7
+        updates, build their own rows over them, and keep none."""
         driver, logs = self.scored_round()
         adopted = {log.peer_id: (log.chosen_combination, log.chosen_accuracy) for log in logs}
         model_store = driver.peers["A"].model_store_address
@@ -397,8 +397,9 @@ class TestSearchScopedRows:
                 )
             worker.configure(model_store, coordinator, driver.addresses)
             views = {peer_id: driver.peers[peer_id].visible_submissions(1) for peer_id in mine}
-            slice_logs = worker.score(1, views)
+            slice_logs = worker.score(1, views=views)
             assert all(engine._rows is None for engine in worker.engines.values())
             assert {
-                log.peer_id: (log.chosen_combination, log.chosen_accuracy) for log in slice_logs
+                peer_id: (log.chosen_combination, log.chosen_accuracy)
+                for peer_id, log in slice_logs.items()
             } == {peer_id: adopted[peer_id] for peer_id in mine}

@@ -20,6 +20,7 @@ repeated runs would dominate tier-1 wall clock.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -301,7 +302,7 @@ def two_worker_driver(spec=None):
     spec = spec if spec is not None else base_spec()
     spec = dataclasses.replace(spec, runtime="multiprocess", runtime_workers=2)
     rngs = RngFactory(spec.seed)
-    inputs = decentralized_inputs(spec, rngs, ScenarioContext(), materialize=False)
+    inputs = decentralized_inputs(spec, rngs, ScenarioContext(), materialize=frozenset())
     return MultiprocessDecentralizedFL(
         spec, inputs.peer_configs, config=inputs.config, rng_factory=rngs.spawn("chain")
     )
@@ -365,7 +366,7 @@ def shared_driver(context: ScenarioContext, spec=None):
     spec = spec if spec is not None else base_spec()
     spec = dataclasses.replace(spec, runtime="multiprocess", runtime_workers=2)
     rngs = RngFactory(spec.seed)
-    inputs = decentralized_inputs(spec, rngs, context, materialize=False)
+    inputs = decentralized_inputs(spec, rngs, context, materialize=frozenset())
     return MultiprocessDecentralizedFL(
         spec,
         inputs.peer_configs,
@@ -493,13 +494,14 @@ class TestSharedFleet:
 
 
 class TestShardSurface:
-    """A peer's local round work has one home and two callers: a step
-    added to one side only would fail here, not at the first wire run."""
+    """A peer's local round work has one home, ``PeerShard``, and one wire
+    form, the ``STEPS`` table: a step added to one and not the other fails
+    here, not at the first wire run."""
 
     def test_worker_ops_and_proxy_are_the_shard_methods(self):
         from repro.core.shard import PeerShard
         from repro.runtime.coordinator import RemoteShard
-        from repro.runtime.worker import SHARD_OPS, WorkerRuntime
+        from repro.runtime.steps import STEPS
 
         def public(cls) -> set:
             return {
@@ -508,12 +510,15 @@ class TestShardSurface:
                 if callable(member) and not name.startswith("_")
             }
 
-        # `add_peer` builds the shard (the worker's `init` op calls it);
-        # `view` has no op: it is the decode step the other ops share.
-        assert public(PeerShard) - {"add_peer", "view"} == set(SHARD_OPS)
-        assert public(RemoteShard) == set(SHARD_OPS)
-        # Every round op has a handler: dispatch builds the whole table.
-        assert WorkerRuntime(channel=None, index=0).dispatch("ping", {}) == ("pong", ())
+        # `add_peer` builds the shard (the worker's `init` calls it),
+        # `configure` is the lifecycle broadcast, and `view` has no op: it
+        # is the decode step the round steps share.
+        assert public(PeerShard) - {"add_peer", "configure", "view"} == set(STEPS)
+        # The proxy spells out no step: each is the one generic dispatch.
+        assert public(RemoteShard) == {"configure"}
+        for op, step in STEPS.items():
+            parameters = list(inspect.signature(getattr(PeerShard, op)).parameters)
+            assert parameters[2:] == list(step.inputs), op  # after self, round_id
 
     def test_no_worker_side_object_holds_a_gateway(self):
         """Workers compute; the coordinator owns the ledger.  A worker's
@@ -523,13 +528,51 @@ class TestShardSurface:
 
         runtime = WorkerRuntime(channel=None, index=0)
         owned, _blobs = runtime.dispatch(
-            "init", {"spec": encode_spec(base_spec()), "workers": 2}
+            "init", {"spec": encode_spec(base_spec()), "peers": two_worker_driver().shard.owned[0]}
         )
         peers = [runtime.shard.peers[peer_id] for peer_id in owned]
         assert peers and all(peer.gateway is None for peer in peers)
         for held in (runtime, runtime.offchain, runtime.shard, *peers):
             assert not isinstance(held, ChainGateway)
             assert not any(isinstance(value, ChainGateway) for value in vars(held).values())
+
+
+class TestOwnership:
+    """The coordinator deals the ever-selected peers round-robin in cohort
+    order, and ``init`` hands each worker its hand: a worker builds those
+    peers and samples nothing else."""
+
+    def unbalanced_spec(self) -> ScenarioSpec:
+        """Ever-selected: A, C, D, E of six — cohort positions 0, 2, 3, 4."""
+        return cohort_scenario(6, sampled_k=3).quick()
+
+    def test_a_worker_materialises_only_its_peers(self):
+        from repro.runtime.speccodec import encode_spec
+        from repro.runtime.worker import WorkerRuntime
+
+        spec = base_spec()
+        hand = two_worker_driver(spec).shard.owned[0]
+        assert 0 < len(hand) < len(spec.client_ids())
+        runtime = WorkerRuntime(channel=None, index=0)
+        runtime.dispatch("init", {"spec": encode_spec(spec), "peers": hand})
+        assert sorted(runtime.shard.peers) == sorted(hand)
+        # A train and a test split per owned peer, plus the aggregator's.
+        assert runtime.context.stats["dataset_misses"] == 2 * len(hand) + 1
+
+    def test_sampled_hands_are_balanced(self):
+        driver = two_worker_driver(self.unbalanced_spec())
+        dealt = list(driver.peers)
+        by_position = [driver.peer_ids.index(peer_id) % 2 for peer_id in dealt]
+        assert abs(by_position.count(0) - by_position.count(1)) > 1  # the full-roster rule
+        sizes = [len(hand) for hand in driver.shard.owned]
+        assert max(sizes) - min(sizes) <= 1
+        assert sorted(peer_id for hand in driver.shard.owned for peer_id in hand) == sorted(dealt)
+
+    def test_sampled_hands_run_like_inprocess(self):
+        inproc, multi = pair(self.unbalanced_spec())
+        assert comparable(inproc) == comparable(multi)
+        hands = [stats["peers"] for stats in multi.chain_stats["gateway"]["worker_stats"]]
+        assert [len(hand) for hand in hands] == [2, 2]
 
 
 class TestSpecGates:

@@ -380,7 +380,7 @@ class TestPaperSpec:
     def test_train_config_derived(self):
         spec = paper_spec("simple_nn")
         inputs = decentralized_inputs(
-            spec, RngFactory(spec.seed), ScenarioContext(), materialize=False
+            spec, RngFactory(spec.seed), ScenarioContext(), materialize=frozenset()
         )
         for peer in inputs.peer_configs:
             assert (peer.train_config.epochs, peer.train_config.batch_size) == (5, 32)
