@@ -11,7 +11,7 @@ Subpackages
     The FL contract suite: participant registry, model commitment store,
     aggregation coordinator, reputation ledger.
 ``repro.nn``
-    From-scratch numpy deep learning: layers, losses, optimizers, the two
+    From-scratch numpy deep learning: layers, losses, SGD, the two
     evaluation models (SimpleNN and the EfficientNet-B0 transfer-learning
     analog), weight serialization for on-chain commitment.
 ``repro.data``

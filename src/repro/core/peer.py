@@ -115,7 +115,6 @@ class FullPeer:
                 ClientConfig(
                     client_id=config.peer_id,
                     train_config=config.train_config,
-                    model_kind=config.model_kind,
                     attacker=config.attacker,
                 ),
                 train_set,

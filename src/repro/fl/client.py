@@ -29,7 +29,6 @@ class ClientConfig:
 
     client_id: str
     train_config: TrainConfig
-    model_kind: str = "simple_nn"
     attacker: Optional[Attacker] = None
 
     def __post_init__(self) -> None:

@@ -1,4 +1,4 @@
-"""Local training loop: the five epochs each client runs per round."""
+"""Local training loop: the five epochs of shuffled minibatch SGD each client runs per round."""
 
 from __future__ import annotations
 
@@ -11,16 +11,7 @@ from repro.data.dataset import Dataset, batch_indices
 from repro.errors import ConfigError
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer
-
-
-def make_optimizer(kind: str, learning_rate: float, **kwargs) -> Optimizer:
-    """Build an optimizer by name (``sgd`` / ``momentum`` / ``adam``)."""
-    builders = {"sgd": SGD, "momentum": Momentum, "adam": Adam}
-    try:
-        return builders[kind](learning_rate, **kwargs)
-    except KeyError:
-        raise ConfigError(f"unknown optimizer {kind!r}; choose from {sorted(builders)}") from None
+from repro.nn.optimizers import SGD
 
 
 @dataclass
@@ -30,8 +21,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 32
     learning_rate: float = 0.05
-    optimizer: str = "sgd"
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -53,11 +42,11 @@ class TrainResult:
 
 
 class LocalTrainer:
-    """Runs epochs of minibatch SGD on a client's local dataset.
+    """Runs epochs of shuffled minibatch SGD on a client's local dataset.
 
-    A fresh optimizer is created per :meth:`train` call: federated rounds
-    restart optimizer state after each global update, matching standard
-    FedAvg practice (and the paper's per-round PyTorch training).
+    Every epoch draws one permutation from ``rng``. A fresh :class:`SGD` is
+    created per :meth:`train` call, so its step counter restarts after each
+    global update, matching the paper's per-round PyTorch training.
     """
 
     def __init__(self, config: TrainConfig, rng: Optional[np.random.Generator] = None) -> None:
@@ -68,7 +57,7 @@ class LocalTrainer:
     def train(self, model: Sequential, dataset: Dataset) -> TrainResult:
         """Train ``model`` in place; returns loss telemetry."""
         config = self.config
-        optimizer = make_optimizer(config.optimizer, config.learning_rate)
+        optimizer = SGD(config.learning_rate)
         loss_history: list[float] = []
         batches = 0
         last_loss = float("nan")
@@ -76,11 +65,7 @@ class LocalTrainer:
         inputs = model.inputs(dataset)
         for _epoch in range(config.epochs):
             epoch_losses = []
-            for batch in batch_indices(
-                len(dataset),
-                config.batch_size,
-                rng=self.rng if config.shuffle else None,
-            ):
+            for batch in batch_indices(len(dataset), config.batch_size, rng=self.rng):
                 x_batch, start = inputs.rows(batch)
                 loss = model.train_step(
                     x_batch, dataset.y[batch], self.loss_fn, optimizer, start=start

@@ -6,7 +6,8 @@ Provides the pieces FedAvg-style federated learning needs:
   conv/pooling hot paths are vectorized (stride-tricks im2col, a col2im
   scatter whose formulation was chosen by measurement, tie-normalized
   pooling backward),
-* losses (:mod:`repro.nn.losses`) and optimizers (:mod:`repro.nn.optimizers`),
+* losses (:mod:`repro.nn.losses`) and the one optimizer, plain
+  :class:`~repro.nn.optimizers.SGD`,
 * a :class:`~repro.nn.model.Sequential` container with named parameters,
 * weight (de)serialization for on-chain commitment
   (:mod:`repro.nn.serialize`), centred on the cached
@@ -32,7 +33,7 @@ from repro.nn.layers import (
     PretrainedRBFBackbone,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.optimizers import SGD, Momentum, Adam
+from repro.nn.optimizers import SGD
 from repro.nn.model import Sequential
 from repro.nn.serialize import (
     SERIALIZATION_STATS,
@@ -64,8 +65,6 @@ __all__ = [
     "CrossEntropyLoss",
     "MSELoss",
     "SGD",
-    "Momentum",
-    "Adam",
     "Sequential",
     "SERIALIZATION_STATS",
     "WeightArchive",

@@ -1,94 +1,25 @@
-"""Optimizers operating on a model's named parameter/gradient dicts."""
+"""The one optimizer of local training: SGD on a model's named parameter/gradient dicts."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-class Optimizer:
-    """Base optimizer: subclasses implement :meth:`update_param`."""
+class SGD:
+    """Plain stochastic gradient descent with optional weight decay."""
 
-    def __init__(self, learning_rate: float) -> None:
+    def __init__(self, learning_rate: float = 0.01, weight_decay: float = 0.0) -> None:
         if learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
         self.steps = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Apply one update to every parameter in place."""
         self.steps += 1
         for key in params:
-            self.update_param(key, params[key], grads[key])
-
-    def update_param(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        """Update one named parameter in place."""
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional weight decay."""
-
-    def __init__(self, learning_rate: float = 0.01, weight_decay: float = 0.0) -> None:
-        super().__init__(learning_rate)
-        self.weight_decay = weight_decay
-
-    def update_param(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param
-        param -= self.learning_rate * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9, weight_decay: float = 0.0) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def update_param(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param
-        velocity = self._velocity.get(key)
-        if velocity is None:
-            velocity = np.zeros_like(param)
-        velocity = self.momentum * velocity - self.learning_rate * grad
-        self._velocity[key] = velocity
-        param += velocity
-
-
-class Adam(Optimizer):
-    """Adam with bias correction."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
-
-    def update_param(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param
-        m = self._m.get(key, np.zeros_like(param))
-        v = self._v.get(key, np.zeros_like(param))
-        t = self._t.get(key, 0) + 1
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad**2
-        self._m[key], self._v[key], self._t[key] = m, v, t
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            param, grad = params[key], grads[key]
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param
+            param -= self.learning_rate * grad

@@ -345,7 +345,6 @@ def _run_vanilla(
             ClientConfig(
                 client_id=client_id,
                 train_config=train_config,
-                model_kind=spec.model_kind,
                 attacker=attacker if client_id in adversary_ids else None,
             ),
             train_sets[client_id],

@@ -38,6 +38,7 @@ from repro.errors import ConfigError
 from repro.faults import FaultSpec
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
 from repro.fl.poisoning import Attacker, LabelFlipAttacker, NoiseAttacker, ScaleAttacker
+from repro.nn.models import NUM_CLASSES
 
 #: The paper's three clients; cohorts of three reproduce the tables exactly.
 PAPER_CLIENT_IDS = ("A", "B", "C")
@@ -161,6 +162,8 @@ class AdversarySpec:
         # instantiates the attacker mid-grid.
         if self.kind == "label_flip" and not 0.0 < self.flip_fraction <= 1.0:
             raise ConfigError(f"flip_fraction must be in (0, 1], got {self.flip_fraction}")
+        if self.kind == "label_flip" and self.target_class < 0:
+            raise ConfigError(f"target_class must be >= 0, got {self.target_class}")
         if self.kind == "noise" and self.noise_std <= 0:
             raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
         if self.kind == "scale" and self.scale == 1.0:
@@ -367,6 +370,19 @@ class ScenarioSpec:
                     f"availability window peer index {window[0]} is out of "
                     f"range for cohort size {self.cohort.size}"
                 )
+        if self.data_spec.num_classes > NUM_CLASSES:
+            raise ConfigError(
+                f"data_spec has {self.data_spec.num_classes} classes but the "
+                f"models output {NUM_CLASSES}"
+            )
+        if (
+            self.adversary.kind == "label_flip"
+            and self.adversary.target_class >= self.data_spec.num_classes
+        ):
+            raise ConfigError(
+                f"label-flip target_class {self.adversary.target_class} is out "
+                f"of range for {self.data_spec.num_classes} classes"
+            )
         if self.heterogeneity.times is not None and len(self.heterogeneity.times) != self.cohort.size:
             raise ConfigError(
                 f"heterogeneity times has {len(self.heterogeneity.times)} entries "

@@ -1,5 +1,7 @@
 """Tests for local training, clients, async policies, and poisoning."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from repro.fl.async_policy import Deadline, WaitForAll, WaitForK
 from repro.fl.client import ClientConfig, FLClient
 from repro.fl.evaluation import evaluate_on, evaluate_weights
 from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker, ScaleAttacker
-from repro.fl.trainer import LocalTrainer, TrainConfig, make_optimizer
+from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.fl.aggregation import ModelUpdate
 from repro.nn.layers import Dense, ReLU
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
+from repro.nn.optimizers import SGD
 
 
 def easy_dataset(rng, n=200):
@@ -37,16 +41,6 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
-
-
-class TestMakeOptimizer:
-    def test_known_kinds(self):
-        for kind in ("sgd", "momentum", "adam"):
-            assert make_optimizer(kind, 0.1).learning_rate == 0.1
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            make_optimizer("lbfgs", 0.1)
 
 
 class TestLocalTrainer:
@@ -82,6 +76,40 @@ class TestLocalTrainer:
         a, b = run(), run()
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
+
+    def test_every_epoch_shuffles_from_the_rng(self):
+        dataset = easy_dataset(np.random.default_rng(0), n=50)
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        LocalTrainer(TrainConfig(epochs=3, batch_size=16), rng=rng).train(
+            builder(np.random.default_rng(1)), dataset
+        )
+        for _ in range(3):
+            reference.shuffle(np.arange(50))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_one_full_batch_epoch_is_one_sgd_step(self):
+        dataset = easy_dataset(np.random.default_rng(0), n=40)
+        model = builder(np.random.default_rng(1))
+        trainer = LocalTrainer(
+            TrainConfig(epochs=1, batch_size=40, learning_rate=0.07), rng=np.random.default_rng(5)
+        )
+        result = trainer.train(model, dataset)
+
+        reference = builder(np.random.default_rng(1))
+        order = np.arange(40)
+        np.random.default_rng(5).shuffle(order)
+        loss = reference.train_step(
+            dataset.x[order], dataset.y[order], CrossEntropyLoss(), SGD(0.07)
+        )
+        assert result.final_loss == loss
+        expected = reference.get_weights()
+        for key, value in model.get_weights().items():
+            np.testing.assert_array_equal(value, expected[key])
+
+
+class TestClientConfig:
+    def test_fields_are_identity_recipe_and_attacker(self):
+        assert [f.name for f in fields(ClientConfig)] == ["client_id", "train_config", "attacker"]
 
 
 class TestFLClient:

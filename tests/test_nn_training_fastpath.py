@@ -23,12 +23,13 @@ from repro.data.dataset import FEATURE_CHUNK, Dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
 from repro.errors import ConfigError
 from repro.fl.evaluation import evaluate_on, evaluate_weights
-from repro.fl.trainer import LocalTrainer, TrainConfig, make_optimizer
+from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.nn import model as model_module
 from repro.nn.layers import Dense, Dropout, ReLU
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
 from repro.nn.models import build_efficientnet_b0_sim, build_simple_cnn, build_simple_nn
+from repro.nn.optimizers import SGD
 
 BATCH = 16
 FACTORY = SyntheticImageDataset(SyntheticSpec(seed=5))
@@ -56,7 +57,7 @@ def _dataset(kind: str, size: int) -> Dataset:
 def _reference_train(model, dataset, config, rng):
     """The training loop before any work was skipped."""
     loss_fn = CrossEntropyLoss()
-    optimizer = make_optimizer(config.optimizer, config.learning_rate)
+    optimizer = SGD(config.learning_rate)
     history = []
     for _epoch in range(config.epochs):
         indices = np.arange(len(dataset))
@@ -75,8 +76,8 @@ def _reference_train(model, dataset, config, rng):
     return history
 
 
-def _assert_same_training(kind, dataset, optimizer="sgd", epochs=2):
-    config = TrainConfig(epochs=epochs, batch_size=BATCH, learning_rate=0.05, optimizer=optimizer)
+def _assert_same_training(kind, dataset, epochs=2):
+    config = TrainConfig(epochs=epochs, batch_size=BATCH, learning_rate=0.05)
     reference = BUILDERS[kind](np.random.default_rng(3))
     reference_rng = np.random.default_rng(9)
     expected = _reference_train(reference, dataset, config, reference_rng)
@@ -96,10 +97,11 @@ def _assert_same_training(kind, dataset, optimizer="sgd", epochs=2):
 
 
 class TestBitIdenticalToReferenceLoop:
-    @pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
+    # SGD is the only optimizer; the parameter names it in each case's id.
+    @pytest.mark.parametrize("optimizer", ["sgd"])
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_every_model_and_optimizer(self, kind, optimizer):
-        _assert_same_training(kind, _dataset(kind, 27 if kind == "simple_cnn" else 43), optimizer)
+        _assert_same_training(kind, _dataset(kind, 27 if kind == "simple_cnn" else 43))
 
     @pytest.mark.parametrize("size", [2 * BATCH + 1, 2 * BATCH + 10, 2 * BATCH + 11, 3 * BATCH])
     @pytest.mark.parametrize("kind", ["simple_nn", "efficientnet_pretrained"])
@@ -177,7 +179,7 @@ class TestOnlyWhatTrainsRuns:
         if start == 0:
             pytest.skip("this BLAS does not reproduce 16-row features; nothing to skip")
         trunk, head = _Spy(model.layers[0]), _Spy(model.layers[1])
-        optimizer = make_optimizer("sgd", 0.05)
+        optimizer = SGD(0.05)
         for begin in range(0, len(dataset), BATCH):
             batch = np.arange(begin, begin + BATCH)
             x, start = inputs.rows(batch)
@@ -195,7 +197,7 @@ class TestOnlyWhatTrainsRuns:
         assert lowest == {"dropout_first": 1, "efficientnet_generic": 1}.get(kind, 0)
         assert model.frozen_depth() == 0  # FrozenFeatureMap has weights FedAvg re-rounds
         spies = [_Spy(layer) for layer in model.layers]
-        model.train_step(dataset.x, dataset.y, CrossEntropyLoss(), make_optimizer("sgd", 0.05))
+        model.train_step(dataset.x, dataset.y, CrossEntropyLoss(), SGD(0.05))
         assert all(spy.forwards == 1 for spy in spies)
         assert all(spy.backwards == [] for spy in spies[:lowest])
         assert [(kwargs, grad) for kwargs, grad in spies[lowest].backwards] == [({"input_grad": False}, None)]
@@ -229,7 +231,7 @@ class TestOnlyWhatTrainsRuns:
         with pytest.raises(ConfigError, match="enters at layer 2"):
             model.train_step(
                 np.zeros((4, 20)), np.zeros(4, dtype=int), CrossEntropyLoss(),
-                make_optimizer("sgd", 0.05), start=2,
+                SGD(0.05), start=2,
             )
 
 

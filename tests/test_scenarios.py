@@ -1,6 +1,6 @@
 """Tests for the declarative scenario API (spec, registry, runner, sweep)."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.data.synthetic import SyntheticSpec
 from repro.errors import ConfigError
 from repro.fl.async_policy import WaitForK
 from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker, ScaleAttacker
+from repro.fl.trainer import TrainConfig
 from repro.scenarios import (
     AdversarySpec,
     ChainSpec,
@@ -29,7 +30,7 @@ from repro.scenarios import (
     run_grid,
     run_scenario,
 )
-from repro.scenarios.runner import decentralized_inputs
+from repro.scenarios.runner import _train_config, decentralized_inputs
 from repro.utils.rng import RngFactory
 
 
@@ -85,6 +86,36 @@ class TestSpecValidation:
             AdversarySpec(kind="scale", fraction=0.5, scale=1.0)
         with pytest.raises(ConfigError):
             AdversarySpec(kind="label_flip", fraction=0.5, flip_fraction=0.0)
+        with pytest.raises(ConfigError, match="target_class"):
+            AdversarySpec(kind="label_flip", fraction=0.34, target_class=-1)
+
+    @pytest.mark.parametrize("kind", ["decentralized", "vanilla"])
+    def test_label_flip_target_must_be_a_dataset_class(self, kind):
+        def flip_to(target_class, **overrides):
+            adversary = AdversarySpec(kind="label_flip", fraction=0.34, target_class=target_class)
+            return tiny_spec(kind=kind, adversary=adversary, **overrides)
+
+        with pytest.raises(ConfigError, match="target_class 12 .* 10 classes"):
+            flip_to(12)
+        with pytest.raises(ConfigError, match="target_class 5 .* 5 classes"):
+            flip_to(5, data_spec=SyntheticSpec(num_classes=5))
+        assert flip_to(9).adversary.target_class == 9
+
+    @pytest.mark.parametrize("kind", ["decentralized", "vanilla"])
+    def test_dataset_classes_must_fit_the_model_outputs(self, kind):
+        with pytest.raises(ConfigError, match="12 classes .* output 10"):
+            tiny_spec(kind=kind, data_spec=SyntheticSpec(num_classes=12))
+        assert tiny_spec(kind=kind, data_spec=SyntheticSpec(num_classes=10)).data_spec.num_classes == 10
+
+    def test_sweep_axes_revalidate_classes(self):
+        """A grid that sweeps the dataset or the flip target fails before any run."""
+        with pytest.raises(ConfigError, match="11 classes"):
+            replace_axis(tiny_spec(), "data_spec.num_classes", 11)
+        flipped = tiny_spec(adversary=AdversarySpec(kind="label_flip", fraction=0.34, target_class=3))
+        with pytest.raises(ConfigError, match="target_class 3 .* 3 classes"):
+            replace_axis(flipped, "data_spec.num_classes", 3)
+        with pytest.raises(ConfigError, match="target_class"):
+            replace_axis(flipped, "adversary.target_class", 10)
 
     def test_unknown_heterogeneity_kind(self):
         with pytest.raises(ConfigError):
@@ -301,6 +332,21 @@ class TestRunner:
         assert (train_sets["C"].y == 0).all()
         assert not (train_sets["A"].y == 0).all()
 
+    @pytest.mark.parametrize("kind", ["decentralized", "vanilla"])
+    def test_label_flip_to_the_last_class_runs(self, kind):
+        spec = tiny_spec(
+            kind=kind,
+            data_spec=SyntheticSpec(num_classes=5),
+            adversary=AdversarySpec(kind="label_flip", fraction=0.34, target_class=4),
+        )
+        from repro.scenarios.runner import _cohort_datasets
+
+        train_sets, _, _ = _cohort_datasets(spec, RngFactory(spec.seed), ScenarioContext())
+        assert (train_sets["C"].y == 4).all()
+        result = run_scenario(spec)
+        assert result.adversaries == ("C",)
+        assert all(len(series) == 1 for series in result.client_accuracy.values())
+
     def test_custom_heterogeneity_reaches_wait_times(self):
         spec = tiny_spec(
             heterogeneity=HeterogeneitySpec(kind="custom", times=(5.0, 5.0, 500.0)),
@@ -385,6 +431,15 @@ class TestPaperSpec:
         for peer in inputs.peer_configs:
             assert (peer.train_config.epochs, peer.train_config.batch_size) == (5, 32)
             assert peer.train_config.learning_rate == 0.008
+
+    def test_every_train_config_field_comes_from_the_spec(self):
+        """Local training has no knob a scenario cannot set."""
+        config = _train_config(tiny_spec(local_epochs=3, batch_size=7, learning_rate=0.02))
+        assert {f.name: getattr(config, f.name) for f in fields(TrainConfig)} == {
+            "epochs": 3,
+            "batch_size": 7,
+            "learning_rate": 0.02,
+        }
 
 
 class TestPaperCohortAtQuickScale:
