@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.gateway import GATEWAY_BACKENDS
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ class ChainSpec:
     snapshot_interval: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.target_block_interval <= 0:
             raise ConfigError("target_block_interval must be positive")
         if self.hashrate <= 0:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite
 from repro.utils.rng import RngFactory
 
 #: A sampled round still needs two participants: the FL passes compare and
@@ -69,6 +69,7 @@ class ParticipationSpec:
     churn_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.sampled_k is not None:
             if int(self.sampled_k) != self.sampled_k or self.sampled_k < MIN_SAMPLED_K:
                 raise ConfigError(

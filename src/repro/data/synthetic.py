@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.errors import DataError
+from repro.errors import DataError, require_finite
 
 IMAGE_SHAPE = (32, 32, 3)
 NUM_CLASSES = 10
@@ -75,6 +75,7 @@ class SyntheticSpec:
     seed: int = 1234
 
     def __post_init__(self) -> None:
+        require_finite(self, DataError)
         if not 0 <= self.hard_classes <= self.num_classes:
             raise DataError(
                 f"hard_classes {self.hard_classes} out of range for {self.num_classes} classes"

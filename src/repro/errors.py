@@ -8,6 +8,9 @@ contract errors, neural-network errors, federated-learning errors.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 
 class ReproError(Exception):
     """Base class for every error raised by the ``repro`` library."""
@@ -141,6 +144,16 @@ class RoundError(FLError):
 
 class ConfigError(ReproError):
     """An experiment configuration is inconsistent."""
+
+
+def require_finite(spec: object, error: type[ReproError] = ConfigError) -> None:
+    """Raise ``error`` if a float field of dataclass ``spec`` (or a float in
+    a tuple field) is NaN or infinite: range checks like ``x <= 0`` pass NaN."""
+    for spec_field in dataclasses.fields(spec):
+        value = getattr(spec, spec_field.name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(entry, float) and not math.isfinite(entry) for entry in entries):
+            raise error(f"{type(spec).__name__}.{spec_field.name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite
 from repro.utils.rng import RngFactory
 
 #: Fault kinds in threshold order — the fixed bands one uniform draw is
@@ -59,6 +59,7 @@ class RetryPolicy:
     breaker_cooldown: float = 120.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
@@ -115,6 +116,7 @@ class FaultSpec:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in (
             "transient_rate",
             "timeout_rate",

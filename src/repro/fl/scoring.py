@@ -86,6 +86,13 @@ pre-activations.  Results are stored and ``instrument`` fires in request
 order, and a key requested twice before its batch runs is evaluated once
 and counts one cache hit, exactly as if the first request had finished.
 
+Past the activation pass the per-candidate cost is element-wise-bound,
+not FLOP-bound: a row-sum add and divide, two skinny per-candidate GEMMs
+(``simple_nn``: 20 -> 24 -> 10), two ReLUs, an argmax and the guard, each
+over a few hundred KB.  Memory traffic, temporaries and numpy call
+overhead set its pace, so that tail allocates one array per step where it
+can and reduces over contiguous rows (``ReLU.forward``, :func:`_decided`).
+
 Raw weight dicts (``threshold_filter``, ``solo_accuracy``,
 ``score_weights``, a non-packable subset's aggregate) are copied into a
 process-wide workspace of :data:`BATCH_WIDTH` whole weight sets and scored
@@ -198,14 +205,26 @@ def _split(model: Sequential) -> int:
 
 def _decided(logits: np.ndarray) -> np.ndarray:
     """Per candidate of ``(count, batch, classes)`` logits: does every
-    sample's winner lead by more than the guard (NaN and inf never do)."""
-    if logits.shape[2] < 2:
-        return np.ones(len(logits), dtype=bool)  # one class: no argmax to move
-    top = np.partition(logits, -2, axis=2)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which compares False
-        gap = top[:, :, -1] - top[:, :, -2]
+    sample's winner lead by more than the guard (NaN and inf never do).
+
+    ``top - logit`` falls as ``logit`` rises, rounding included, so "every
+    other class trails the top by more than ``reach``" is exactly "the
+    runner-up does".  The top itself (and a tie for it) leads by 0, never
+    more than ``reach >= 0``; so a candidate passes when all but one class
+    per sample clear.  Class-major, every reduction runs over contiguous
+    rows instead of ten-element ones.
+    """
+    count, batch, classes = logits.shape
+    if classes < 2:
+        return np.ones(count, dtype=bool)  # one class: no argmax to move
+    by_class = logits.transpose(2, 0, 1).copy()  # a copy: lead is written into it
+    # inf - inf is NaN, which compares False; an overflowed lead is inf,
+    # which clears any finite reach, as it should.
+    with np.errstate(invalid="ignore", over="ignore"):
         reach = GUARD * np.abs(logits).max(axis=(1, 2))
-        return (gap > reach[:, None]).all(axis=1)
+        lead = np.subtract(by_class.max(axis=0), by_class, out=by_class)
+        clear = lead > reach[:, None]
+    return clear.sum(axis=(0, 2)) == (classes - 1) * batch
 
 
 def _install_fedavg(

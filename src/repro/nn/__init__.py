@@ -44,7 +44,6 @@ from repro.nn.serialize import (
     weights_hash,
     weights_size_bytes,
 )
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
 from repro.nn.models import build_simple_nn, build_efficientnet_b0_sim, build_model, count_parameters
 
 __all__ = [
@@ -73,9 +72,6 @@ __all__ = [
     "weights_from_bytes",
     "weights_hash",
     "weights_size_bytes",
-    "accuracy",
-    "confusion_matrix",
-    "top_k_accuracy",
     "build_simple_nn",
     "build_efficientnet_b0_sim",
     "build_model",

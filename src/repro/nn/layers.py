@@ -165,8 +165,10 @@ class Dense(Layer):
         if x.ndim != (2 if shared else 3) or x.shape[-1] != fan_in:
             raise ShapeError(f"{self.name}: expected (batch, {fan_in}), got {x.shape}")
         if not shared:
-            # One GEMM per candidate, as in forward().
-            return np.matmul(x, weights) + bias[:, None, :]
+            # One GEMM per candidate, as in forward(), and one array.
+            out = np.matmul(x, weights)
+            out += bias[:, None, :]
+            return out
         # All candidates in one GEMM: the shared input is read once and the
         # product is count * units columns wide instead of a skinny `units`
         # (about twice the rate at 150 x 3072 x 20).  A BLAS picks its
@@ -219,10 +221,13 @@ class ReLU(Layer):
         self.built = True
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mask = x > 0
         if training:
-            self._mask = mask
-        return np.where(mask, x, 0.0)
+            self._mask = x > 0
+        # Byte for byte ``np.where(x > 0, x, 0.0)`` at a fraction of its
+        # cost: fmax sends NaN to 0.0, and adding +0.0 turns -0.0 into +0.0.
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def forward_stacked(self, x, params, count, shared):
         return self.forward(x, training=False)  # element-wise

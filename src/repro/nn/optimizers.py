@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -9,8 +11,8 @@ class SGD:
     """Plain stochastic gradient descent with optional weight decay."""
 
     def __init__(self, learning_rate: float = 0.01, weight_decay: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {learning_rate}")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.steps = 0

@@ -34,7 +34,7 @@ import numpy as np
 from repro.chain.spec import ChainSpec
 from repro.core.participation import ParticipationSpec
 from repro.data.synthetic import SyntheticSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite
 from repro.faults import FaultSpec
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
 from repro.fl.poisoning import Attacker, LabelFlipAttacker, NoiseAttacker, ScaleAttacker
@@ -90,6 +90,7 @@ class CohortSpec:
     volumes: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.size < 2:
             raise ConfigError(f"cohort size must be >= 2, got {self.size}")
         if self.client_ids is not None:
@@ -145,6 +146,7 @@ class AdversarySpec:
     scale: float = 10.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in ("none", "label_flip", "noise", "scale"):
             raise ConfigError(f"unknown attacker kind {self.kind!r}")
         if not 0.0 <= self.fraction <= 1.0:
@@ -217,6 +219,7 @@ class HeterogeneitySpec:
     times: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in ("homogeneous", "uniform", "lognormal", "stragglers", "custom"):
             raise ConfigError(f"unknown heterogeneity kind {self.kind!r}")
         if self.base_time <= 0:
@@ -317,6 +320,7 @@ class ScenarioSpec:
     runtime_workers: int = 2               # worker processes (multiprocess)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in ("vanilla", "decentralized"):
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.model_kind not in MODEL_LEARNING_RATES:

@@ -218,12 +218,16 @@ OUTCOME_CASES = {
 
 
 def platform_key() -> str:
-    """What bit-exact float results depend on (numpy build + CPU model)."""
+    """What bit-exact float results depend on (numpy build + CPU model).
+
+    A trailing `` @ 2.10GHz`` is dropped from the model name: the clock
+    speed does not choose a BLAS kernel, and some hosts omit it.
+    """
     model = "unknown cpu"
     try:
         for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
             if line.startswith("model name"):
-                model = line.partition(":")[2].strip()
+                model = line.partition(":")[2].strip().rsplit(" @ ", 1)[0]
                 break
     except OSError:
         pass

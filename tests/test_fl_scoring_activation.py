@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_core_decentralized import OUTCOME_CASES, make_driver
 from test_fl_scoring import depth_first, key_of
@@ -26,6 +27,7 @@ from repro.fl.scoring import (
     GUARD,
     CombinationEngine,
     _install_fedavg,
+    _decided,
     _PackedSums,
     _split,
     _workspace,
@@ -188,6 +190,56 @@ class TestGuard:
         engine = CombinationEngine(model, engine.test_set)
         engine.greedy(updates, seed_client="A")  # every candidate holds it
         assert engine.rechecked == engine.cache.stats["misses"] - 1  # the seed is a raw dict
+
+    @staticmethod
+    def partition_oracle(logits):
+        """The guard as first written: top two by ``np.partition``."""
+        if logits.shape[2] < 2:
+            return np.ones(len(logits), dtype=bool)
+        top = np.partition(logits, -2, axis=2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = top[:, :, -1] - top[:, :, -2]
+            reach = GUARD * np.abs(logits).max(axis=(1, 2))
+            return (gap > reach[:, None]).all(axis=1)
+
+    #: Values that make ties, near-guard gaps, signed zeros and non-finite
+    #: logits likely, beside arbitrary floats.
+    EDGES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1.0 + 1e-6,
+             1.0 + 2e-6, 1.0 - 1e-6, 5e-324, 1e308, -1e308]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float64, np.float32]),
+        shape=st.tuples(*[st.integers(1, 6)] * 3),
+        data=st.data(),
+    )
+    def test_decided_matches_the_partition_oracle(self, dtype, shape, data):
+        elements = st.one_of(st.sampled_from(self.EDGES), st.floats())
+        size = int(np.prod(shape))
+        values = data.draw(st.lists(elements, min_size=size, max_size=size))
+        with np.errstate(over="ignore"):  # 1e308 is inf in float32
+            logits = np.array(values).astype(dtype).reshape(shape)
+        before = logits.tobytes()
+        expected = self.partition_oracle(logits)
+        np.testing.assert_array_equal(_decided(logits), expected)
+        assert logits.tobytes() == before
+
+    def test_decided_on_the_named_edges(self):
+        cases = {
+            "clear winner": ([[3.0, 1.0, 0.0]], True),
+            "exact tie for the top": ([[3.0, 3.0, 0.0]], False),
+            "all zeros": ([[0.0, -0.0, 0.0]], False),
+            "inside the guard": ([[1.0 + 1e-7, 1.0, 0.0]], False),
+            "outside the guard": ([[1.0 + 1e-5, 1.0, 0.0]], True),
+            "nan elsewhere": ([[3.0, 1.0, 0.0], [np.nan, 1.0, 0.0]], False),
+            "inf top": ([[np.inf, 1.0, 0.0]], False),
+            "-inf runner-up": ([[3.0, -np.inf, 0.0]], False),
+            "two inf and a finite": ([[np.inf, np.inf, 5.0]], False),
+        }
+        for name, (rows, verdict) in cases.items():
+            logits = np.array([rows])
+            assert self.partition_oracle(logits)[0] == verdict, name
+            assert _decided(logits)[0] == verdict, name
 
     def test_the_clean_case_rechecks_nothing(self):
         model = simple_nn()

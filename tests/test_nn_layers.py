@@ -54,6 +54,24 @@ class TestDense:
         with pytest.raises(NotBuiltError):
             layer.backward(rng.normal(size=(2, 4)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_per_candidate_stacked_forward_is_matmul_plus_bias(self, rng, dtype):
+        """Each candidate's own input (``shared=False``): byte-equal to
+        ``np.matmul(x, W) + b`` and a fresh array."""
+        layer = Dense(6)
+        layer.build(rng, (5,))
+        x = rng.normal(size=(3, 7, 5)).astype(dtype)
+        params = {
+            "W": rng.normal(size=(3, 5, 6)).astype(dtype),
+            "b": rng.normal(size=(3, 6)).astype(dtype),
+        }
+        params["b"][0, 0] = -0.0
+        out = layer.forward_stacked(x, params, 3, shared=False)
+        expected = np.matmul(x, params["W"]) + params["b"][:, None, :]
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert not any(np.shares_memory(out, array) for array in (x, *params.values()))
+
     def test_parameter_count(self, rng):
         layer = Dense(8)
         layer.build(rng, (5,))
@@ -84,6 +102,49 @@ class TestReLU:
         layer.forward(np.array([[-1.0, 2.0]]))
         grad = layer.backward(np.array([[5.0, 5.0]]))
         np.testing.assert_array_equal(grad, [[0.0, 5.0]])
+
+    SPECIAL = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_is_byte_equal_to_the_masked_select(self, dtype):
+        """NaN and -0.0 both come out as +0.0, subnormals pass or clip like
+        any other value, and the dtype is kept.  Each special value also goes
+        alone (a SIMD kernel's scalar tail may order ``fmax``'s zeros
+        differently from its vector body)."""
+        info = np.finfo(dtype)
+        special = self.SPECIAL + [
+            info.smallest_subnormal, -info.smallest_subnormal, info.tiny, -info.tiny
+        ]
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal((3, 50, 20)).astype(dtype)
+        noise[:, ::7, ::3] = -0.0
+        for x in [np.array(special, dtype=dtype), noise] + [
+            np.array([value], dtype=dtype) for value in special
+        ]:
+            out = ReLU().forward(x, training=False)
+            expected = np.where(x > 0, x, 0.0)
+            assert out.dtype == expected.dtype == x.dtype
+            assert out.tobytes() == expected.tobytes()
+
+    def test_forward_leaves_its_input_alone(self):
+        x = np.array(self.SPECIAL)
+        before = x.tobytes()
+        out = ReLU().forward(x)
+        assert not np.shares_memory(out, x)
+        assert x.tobytes() == before
+
+    def test_training_mask_is_the_positive_entries(self):
+        layer = ReLU()
+        x = np.array([self.SPECIAL])
+        layer.forward(x, training=True)
+        grad = layer.backward(np.full_like(x, 3.0))
+        np.testing.assert_array_equal(grad, np.where(x > 0, 3.0, 0.0))
+
+    def test_inference_keeps_the_last_training_mask(self):
+        layer = ReLU()
+        layer.forward(np.array([[-1.0, 2.0]]))
+        layer.forward(np.array([[2.0, -1.0]]), training=False)
+        np.testing.assert_array_equal(layer.backward(np.ones((1, 2))), [[0.0, 1.0]])
 
 
 class TestSoftmax:

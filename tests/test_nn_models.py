@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
-from repro.errors import ConfigError, ShapeError
-from repro.nn.metrics import accuracy, confusion_matrix, per_class_accuracy, top_k_accuracy
+from repro.errors import ConfigError
 from repro.nn.models import (
     build_efficientnet_b0_sim,
     build_model,
@@ -108,58 +107,3 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             build_model("resnet152", rng)
 
-
-class TestMetrics:
-    def test_accuracy_from_logits(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        labels = np.array([0, 1, 1])
-        assert accuracy(logits, labels) == pytest.approx(2 / 3)
-
-    def test_accuracy_from_class_ids(self):
-        assert accuracy(np.array([0, 1, 1]), np.array([0, 1, 0])) == pytest.approx(2 / 3)
-
-    def test_accuracy_empty(self):
-        assert accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int)) == 0.0
-
-    def test_accuracy_shape_errors(self):
-        with pytest.raises(ShapeError):
-            accuracy(np.zeros((2, 2, 2)), np.zeros(2, dtype=int))
-        with pytest.raises(ShapeError):
-            accuracy(np.zeros((3, 2)), np.zeros(2, dtype=int))
-
-    def test_top_k(self):
-        logits = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
-        labels = np.array([1, 0])
-        assert top_k_accuracy(logits, labels, k=1) == 0.0
-        assert top_k_accuracy(logits, labels, k=2) == pytest.approx(0.5)
-        assert top_k_accuracy(logits, labels, k=3) == 1.0
-
-    def test_top_k_validation(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=4)
-        with pytest.raises(ShapeError):
-            top_k_accuracy(np.zeros(3), np.zeros(3, dtype=int))
-
-    def test_confusion_matrix(self):
-        predictions = np.array([0, 1, 1, 2])
-        labels = np.array([0, 1, 2, 2])
-        matrix = confusion_matrix(predictions, labels, num_classes=3)
-        assert matrix[0, 0] == 1
-        assert matrix[1, 1] == 1
-        assert matrix[2, 1] == 1
-        assert matrix[2, 2] == 1
-        assert matrix.sum() == 4
-
-    def test_confusion_matrix_from_logits(self):
-        logits = np.array([[0.9, 0.1], [0.1, 0.9]])
-        labels = np.array([0, 1])
-        matrix = confusion_matrix(logits, labels, num_classes=2)
-        assert np.trace(matrix) == 2
-
-    def test_per_class_accuracy(self):
-        predictions = np.array([0, 0, 1, 1])
-        labels = np.array([0, 0, 0, 1])
-        per_class = per_class_accuracy(predictions, labels, num_classes=3)
-        assert per_class[0] == pytest.approx(2 / 3)
-        assert per_class[1] == 1.0
-        assert per_class[2] == 0.0  # no samples: reported as 0, not NaN

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DataError
+from repro.faults import RetryPolicy
 from repro.fl.async_policy import WaitForK
 from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker, ScaleAttacker
 from repro.fl.trainer import TrainConfig
+from repro.nn.optimizers import SGD
 from repro.scenarios import (
     AdversarySpec,
     ChainSpec,
@@ -148,6 +150,47 @@ class TestSpecValidation:
             CohortSpec(size=3, client_ids=("A", "A", "B"))
         with pytest.raises(ConfigError):
             CohortSpec(label_skew=-1.0)
+
+    @pytest.mark.parametrize(
+        "spec_type",
+        [
+            CohortSpec,
+            AdversarySpec,
+            HeterogeneitySpec,
+            ScenarioSpec,
+            FaultSpec,
+            RetryPolicy,
+            ChainSpec,
+            ParticipationSpec,
+            SyntheticSpec,
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_every_float_field_rejects_non_finite_values(self, spec_type, bad):
+        """Range checks like ``x <= 0`` are false for NaN: every float field
+        of every sub-spec must still refuse NaN and +-inf at construction."""
+        error = DataError if spec_type is SyntheticSpec else ConfigError
+        valid = spec_type()
+        floats = [f for f in fields(valid) if "float" in str(f.type)]
+        assert floats, spec_type
+        for spec_field in floats:
+            value = (20.0, bad) if "tuple" in str(spec_field.type) else bad
+            with pytest.raises(error, match=spec_field.name):
+                replace(valid, **{spec_field.name: value})
+
+    def test_nan_training_time_fails_at_construction_not_mid_run(self):
+        with pytest.raises(ConfigError, match="times"):
+            paper_spec(
+                "simple_nn",
+                heterogeneity=HeterogeneitySpec(kind="custom", times=(20.0, float("nan"), 150.0)),
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_training_rates_reject_non_finite_values(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=bad)
+        with pytest.raises(ValueError):
+            SGD(bad)
 
     def test_unknown_model_and_zero_rounds(self):
         with pytest.raises(ConfigError):
