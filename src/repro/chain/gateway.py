@@ -23,7 +23,7 @@ Two backends ship today:
   state is a pure function of the canonical head, so serving repeated
   polls of an unchanged head from cache is *exactly* result-preserving —
   only the number of transport round trips changes (the property
-  ``bench_chain_gateway.py`` measures).
+  ``tests/test_chain_gateway.py`` pins).
 
 Transport failures surface as typed :class:`~repro.errors.GatewayError`
 subclasses — unknown contract, unknown method, reverted call, rejected

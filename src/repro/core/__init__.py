@@ -19,8 +19,9 @@ the off-chain payload (:mod:`repro.core.offchain`), the on-chain
 commitment hash, and the model-size telemetry carried by ``submit_model``;
 the off-chain store memoizes decoded archives so cross-peer fetches never
 re-deserialize.  ``OffchainStore.marshalling_stats()`` and
-``DecentralizedFL.chain_stats()`` expose the counters, and
-``benchmarks/bench_commitment_pipeline.py`` tracks the speedup.
+``DecentralizedFL.chain_stats()`` expose the counters,
+``tests/test_core_commitment_pipeline.py`` pins one encode per model, and
+``benchmarks/perf`` records the ``nn.serialize.encode.*`` cost.
 """
 
 from repro.core.offchain import OffchainStore

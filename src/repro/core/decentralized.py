@@ -789,9 +789,8 @@ class DecentralizedFL:
 
         ``requested`` sums what the FL layer asked of the peers' gateways;
         ``transport`` sums what actually reached the ledger transport —
-        identical for the in-process backend, and the round-trip reduction
-        the batching backend is measured by
-        (``benchmarks/bench_chain_gateway.py``).
+        identical for the in-process backend, and fewer round trips for
+        the batching backend (``tests/test_chain_gateway.py`` pins both).
         """
         requested = GatewayStats()
         transport = GatewayStats()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite
 
 
 class AsyncPolicy:
@@ -77,6 +77,7 @@ class Deadline(AsyncPolicy):
     min_models: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.seconds <= 0:
             raise ConfigError(f"deadline must be positive, got {self.seconds}")
         if self.min_models < 1:

@@ -51,6 +51,7 @@ SPEC_TYPES: dict[str, type] = {
         Deadline,
     )
 }
+_SPEC_CLASSES = tuple(SPEC_TYPES.values())
 
 
 def encode_spec(obj: Any) -> Any:
@@ -73,7 +74,12 @@ def encode_spec(obj: Any) -> Any:
 
 
 def decode_spec(payload: Any) -> Any:
-    """Inverse of :func:`encode_spec`; sequences come back as tuples."""
+    """Inverse of :func:`encode_spec`; sequences come back as tuples.
+
+    A spec payload must name exactly its class's fields (the encoder
+    writes every one), and a sub-spec slot must hold a registered spec:
+    nothing is filled in from a default.
+    """
     if isinstance(payload, dict):
         if _TAG in payload:
             cls = SPEC_TYPES.get(payload[_TAG])
@@ -82,10 +88,21 @@ def decode_spec(payload: Any) -> Any:
             raw = payload.get("fields", {})
             if not isinstance(raw, dict):
                 raise WireProtocolError(f"malformed fields payload for {payload[_TAG]}")
-            unknown = sorted(set(raw) - {spec.name for spec in fields(cls)})
-            if unknown:
-                raise WireProtocolError(f"{payload[_TAG]} has no field {unknown}")
-            return cls(**{key: decode_spec(value) for key, value in raw.items()})
+            declared = {spec.name for spec in fields(cls)}
+            missing, unknown = sorted(declared - set(raw)), sorted(set(raw) - declared)
+            if missing or unknown:
+                raise WireProtocolError(
+                    f"{payload[_TAG]} lacks fields {missing} and has no field {unknown}"
+                )
+            values = {key: decode_spec(value) for key, value in raw.items()}
+            for spec in fields(cls):
+                if spec.default_factory in _SPEC_CLASSES and not isinstance(
+                    values[spec.name], _SPEC_CLASSES
+                ):
+                    raise WireProtocolError(
+                        f"{payload[_TAG]}.{spec.name} must be a wire spec, got {raw[spec.name]!r}"
+                    )
+            return cls(**values)
         return {key: decode_spec(value) for key, value in payload.items()}
     if isinstance(payload, list):
         return tuple(decode_spec(item) for item in payload)

@@ -106,7 +106,7 @@ def _decode_header(raw: bytes) -> dict:
         raise WireProtocolError("frame header must be an object with a 'kind'")
     lengths = header.get("blobs")
     if not isinstance(lengths, list) or not all(
-        isinstance(n, int) and 0 <= n <= MAX_BLOB_BYTES for n in lengths
+        type(n) is int and 0 <= n <= MAX_BLOB_BYTES for n in lengths
     ):
         raise WireProtocolError("frame header declares invalid blob lengths")
     return header

@@ -1040,6 +1040,10 @@ class TestBackendEquivalence:
             bat["transport"]["contract_call_round_trips"]
             < raw["transport"]["contract_call_round_trips"]
         )
+        # Cache hits shrink the response traffic, never the submits.
+        assert bat["requested"]["cache_hits"] > 0
+        assert bat["transport"]["response_bytes"] < raw["transport"]["response_bytes"]
+        assert bat["requested"]["submits"] == raw["requested"]["submits"]
 
     def test_chain_stats_carries_gateway_instrumentation(self):
         driver, _ = run_tiny_driver("inprocess")

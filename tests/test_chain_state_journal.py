@@ -12,7 +12,11 @@ the per-account hash cache invalidates correctly across rollbacks).
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chain.crypto import KeyPair
+from repro.chain.node import GenesisSpec, Node
+from repro.chain.runtime import ContractRuntime
 from repro.chain.state import STATE_STATS, StateError, WorldState
+from repro.chain.transaction import Transaction, VALIDATION_STATS
 from repro.errors import InsufficientFundsError
 
 ADDRESSES = ["0x" + f"{i:02x}" * 20 for i in range(4)]
@@ -257,6 +261,45 @@ class TestIncrementalRoot:
         before = state.state_root()
         state.account(ALICE).storage["k"] = 2  # bypasses the journal
         assert state.state_root() != before
+
+
+def _block_execution_cost(padding: int) -> tuple[dict, dict]:
+    """Journal, root and signature counters for building and importing
+    three blocks of transfers among four senders, on a genesis padded
+    with ``padding`` accounts the blocks never touch."""
+    senders = [KeyPair.from_seed(f"journal-cost-{index}") for index in range(4)]
+    allocations = {kp.address: 10**15 for kp in senders}
+    allocations.update({"0x" + f"{index:040x}": 1 for index in range(padding)})
+    node = Node(senders[0], GenesisSpec(allocations=allocations), ContractRuntime())
+    STATE_STATS.reset()
+    VALIDATION_STATS.reset()
+    for _ in range(3):
+        for index, kp in enumerate(senders):
+            tx = Transaction(
+                sender=kp.address,
+                to=senders[(index + 1) % len(senders)].address,
+                nonce=node.next_nonce_for(kp.address),
+                value=1,
+            ).sign_with(kp)
+            node.submit_transaction(tx)
+        node.seal_and_import(
+            node.build_block_candidate(node.head.header.timestamp + 13.0, difficulty=1), nonce=0
+        )
+    return STATE_STATS.as_dict(), VALIDATION_STATS.as_dict()
+
+
+class TestBlockExecutionCost:
+    def test_block_build_and_import_cost_is_flat_in_state_size(self):
+        # Undo records follow touched entries and re-hashes follow dirty
+        # accounts: neither grows with the accounts a block leaves alone.
+        small, small_checks = _block_execution_cost(8)
+        large, large_checks = _block_execution_cost(512)
+        assert large == small and small["journal_entries"] > 0
+        assert large_checks == small_checks
+        # One signature verification per transaction; candidate execution,
+        # block validation and import execution hit the memo.
+        assert small_checks["signatures_verified"] == 12
+        assert small_checks["signature_cache_hits"] >= 2 * 12
 
 
 # ---------------------------------------------------------------------------

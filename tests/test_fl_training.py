@@ -17,6 +17,7 @@ from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
+from repro.scenarios.spec import ScenarioSpec
 
 
 def easy_dataset(rng, n=200):
@@ -215,6 +216,15 @@ class TestAsyncPolicies:
             Deadline(seconds=0.0)
         with pytest.raises(ConfigError):
             Deadline(seconds=1.0, min_models=0)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_deadline_must_be_finite(self, seconds):
+        # NaN passes ``seconds <= 0`` and ``elapsed >= nan`` is never true:
+        # such a deadline would silently mean wait-for-all.
+        with pytest.raises(ConfigError, match="finite"):
+            Deadline(seconds)
+        with pytest.raises(ConfigError, match="finite"):
+            ScenarioSpec(policy=Deadline(seconds))
 
 
 class TestPoisoning:

@@ -37,7 +37,7 @@ from repro.errors import GatewayError, SerializationError, WireProtocolError
 from repro.nn.serialize import as_archive, weights_to_bytes
 from repro.runtime.gateway import RemoteOffchain
 from repro.runtime.server import GatewayServer
-from repro.runtime.speccodec import decode_spec, encode_spec
+from repro.runtime.speccodec import SPEC_TYPES, decode_spec, encode_spec
 from repro.runtime.wire import (
     WIRE_ERROR_TYPES,
     WireChannel,
@@ -152,6 +152,13 @@ class TestFrameCodec:
     def test_header_must_carry_kind(self):
         with pytest.raises(WireProtocolError):
             decode_frame(encode_frame({"kind": "x"}).replace(b'"kind":"x"', b'"king":"x"'))
+
+    def test_boolean_blob_length_rejected(self):
+        # JSON ``true`` is a Python bool, and bool is an int subclass.
+        head = b'{"blobs":[true],"kind":"x"}'
+        data = len(head).to_bytes(4, "big") + head + b"\x01"
+        with pytest.raises(WireProtocolError, match="blob lengths"):
+            decode_frame(data)
 
     def test_unparseable_header(self):
         bad = b"\x00\x00\x00\x04}}}}"
@@ -275,6 +282,26 @@ class TestSpecCodec:
             fields[name] = 1
             with pytest.raises(WireProtocolError, match=name):
                 decode_spec(payload)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, cls in SPEC_TYPES.items() if dataclasses.fields(cls)]
+    )
+    def test_missing_field_rejected_typed(self, name):
+        """A payload short of any field is a protocol error, never a spec
+        quietly rebuilt from that field's default."""
+        required = {"WaitForK": (2,), "Deadline": (30.0,)}.get(name, ())
+        payload = encode_spec(SPEC_TYPES[name](*required))
+        for field_name in list(payload["fields"]):
+            short = json.loads(json.dumps(payload))
+            del short["fields"][field_name]
+            with pytest.raises(WireProtocolError, match=field_name):
+                decode_spec(short)
+
+    def test_scalar_in_a_sub_spec_slot_rejected_typed(self):
+        payload = encode_spec(ScenarioSpec(name="wire", kind="decentralized", seed=3))
+        payload["fields"]["cohort"] = 5
+        with pytest.raises(WireProtocolError, match="cohort"):
+            decode_spec(payload)
 
     def test_multiprocess_fields_survive(self):
         spec = dataclasses.replace(
