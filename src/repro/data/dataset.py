@@ -28,6 +28,9 @@ class Dataset:
     _features: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: :func:`repro.fl.scoring.dataset_fingerprint` of this object, once
+    #: computed; copies start without one.
+    fingerprint: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     feature_hits: int = field(default=0, init=False, repr=False, compare=False)
     feature_misses: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -82,7 +85,7 @@ class Dataset:
 
     def take(self, n: int) -> "Dataset":
         """First ``n`` samples."""
-        if n > len(self):
+        if not 0 <= n <= len(self):
             raise DataError(f"cannot take {n} from {len(self)} samples")
         return Dataset(self.x[:n].copy(), self.y[:n].copy(), self.name)
 

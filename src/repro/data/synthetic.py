@@ -28,6 +28,7 @@ the honest analog of downloading an EfficientNet-B0 checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,7 +221,7 @@ class SyntheticImageDataset:
         if spec.label_noise > 0:
             flip = rng.random(n) < spec.label_noise
             observed[flip] = rng.integers(0, spec.num_classes, size=int(flip.sum()))
-        x = pixels.astype(np.float64)
+        x = pixels  # float64 by construction
         if not flat:
             x = x.reshape((n, *spec.image_shape))
         return Dataset(x, observed.astype(np.int64), name)
@@ -235,8 +236,8 @@ def client_class_probs(client_index: int, num_clients: int, num_classes: int = N
     likely), enough that a solo-trained model measurably tilts toward its
     local prior while combinations rebalance.
     """
-    if skew < 0:
-        raise DataError(f"skew must be non-negative, got {skew}")
+    if not 0 <= skew < math.inf:  # NaN fails too
+        raise DataError(f"skew must be non-negative and finite, got {skew}")
     if not 0 <= client_index < num_clients:
         raise DataError(f"client_index {client_index} out of range for {num_clients} clients")
     weights = np.ones(num_classes, dtype=np.float64)

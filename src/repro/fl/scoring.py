@@ -14,8 +14,8 @@ Every accuracy ever computed is cached in an :class:`EvaluationCache`
 under a **content-addressed** key ``(weights_id, test_set_id)``:
 
 * ``test_set_id`` is a SHA-256 over the test set's ``x``/``y`` buffers,
-  computed once per engine — distinct test sets can share one cache
-  without ever sharing entries.
+  computed once per :class:`~repro.data.dataset.Dataset` object — distinct
+  test sets can share one cache without ever sharing entries.
 * For raw weight dicts (solo models, external callers) ``weights_id`` is
   :func:`~repro.nn.serialize.weights_fingerprint`, a SHA-256 over the
   sorted ``(key, dtype, shape, buffer)`` stream, so a *mutated* weight
@@ -52,12 +52,13 @@ fed the input all candidates share.  FedAvg is linear and so is a
 ``(sum_k n_k (X @ W_k + b_k)) / N``.  When the first parameterised layer
 is a ``Dense`` — both registered models — the **split** falls after it: a
 search starts with one *activation pass*, each update's ``Z_k = X @ W_k +
-b_k`` on this engine's test set (the exact stacked kernel,
-:data:`BATCH_WIDTH` updates per GEMM, the test set in ``batch_size``
-chunks), and a row is ``n_k * [Z_k ; the parameters after the split]`` —
-3 000 + 754 floats for ``simple_nn`` on 150 samples instead of 62 214,
-and ``Z_k`` alone for ``efficientnet_b0_sim``, whose candidates' logits
-are then the FedAvg of the solo logits.  The 3072-wide product is paid
+b_k`` on this engine's test set, and a row is ``n_k * [Z_k ; the
+parameters after the split]`` — 3 000 + 754 floats for ``simple_nn`` on
+150 samples instead of 62 214, and ``Z_k`` alone for
+``efficientnet_b0_sim``, whose candidates' logits are then the FedAvg of
+the solo logits.  The pass is one GEMM per ``batch_size`` chunk of the
+test set by the *first-layer stack*, all ``K`` updates' ``W_k`` side by
+side, which the viewers of a round share.  The 3072-wide product is paid
 once per (viewer, update), never per candidate.  Any other architecture
 (a convolution first) has no split: its rows are the whole ``n_k * w_k``.
 
@@ -119,7 +120,8 @@ Aggregated accuracies may differ from the reference by the usual
 floating-point reassociation only in the last ulp of the *logits*; the
 reported metric is an argmax count, which both suites pin to be equal.
 Averaging after the first ``Dense`` instead of before it is one more
-reassociation, and the **guard** keeps it out of the count: a candidate's
+reassociation, summing ``Z_k`` in one wide GEMM instead of ``X @ W_k``
+alone another, and the **guard** keeps both out of the count: a candidate's
 activation-space score is accepted only if, for every test sample, the
 winning logit leads the runner-up by more than :data:`GUARD` times the
 candidate's largest ``|logit|`` — a comparison NaN and inf logits (a
@@ -161,10 +163,9 @@ from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_fingerprint
 
-#: Candidates evaluated per kernel call, and updates per GEMM of the
-#: activation pass.  The workspace holds this many weight sets: 8 x 62k
-#: float64 parameters = 4 MB for ``simple_nn``, 2.3 % of
-#: ``paper3_tradeoff``'s resident set, whose ``peak_rss_mb`` bound is 5 %.
+#: Candidates evaluated per kernel call.  The workspace holds this many
+#: weight sets: 8 x 62k float64 parameters = 4 MB for ``simple_nn``, 2.3 %
+#: of ``paper3_tradeoff``'s resident set, whose ``peak_rss_mb`` bound is 5 %.
 #: Sixteen slots score ~15 % faster per candidate and cost twice that.
 BATCH_WIDTH = 8
 
@@ -177,6 +178,10 @@ GUARD = 1e-6
 #: ``(architecture, stack)``: the process's one whole-weights workspace,
 #: rebuilt when an engine with another architecture needs it.
 _WORKSPACE: Optional[tuple[tuple, dict[str, np.ndarray]]] = None
+
+#: ``(row keys, (W, b))``: the process's one first-layer stack, rebuilt
+#: when an activation pass covers other updates (:func:`_first_layer`).
+_FIRST_LAYER: Optional[tuple[tuple, tuple[np.ndarray, ...]]] = None
 
 
 def _workspace(model: Sequential) -> dict[str, np.ndarray]:
@@ -201,6 +206,22 @@ def _split(model: Sequential) -> int:
         if layer.params:
             return index + 1 if type(layer) is Dense else 0
     return 0
+
+
+def _first_layer(
+    missing: list[tuple[tuple[str, int], ModelUpdate]], head: list[str], dtype: np.dtype
+) -> tuple[np.ndarray, ...]:
+    """``(W, b)``: ``missing``'s split-``Dense`` parameters side by side, ``W``
+    one C-contiguous ``(fan_in, K * units)`` matrix.  Every viewer whose pass
+    covers the same updates in the same order shares it; the key is their
+    row keys, content hashes, so a hit is never stale."""
+    global _FIRST_LAYER
+    keys = tuple(key for key, _update in missing)
+    if _FIRST_LAYER is None or _FIRST_LAYER[0] != keys:
+        _FIRST_LAYER = None  # the old stack goes before the new one is built
+        stack = [[update.weights[name] for _key, update in missing] for name in head]
+        _FIRST_LAYER = (keys, tuple(np.concatenate(part, -1, dtype=dtype) for part in stack))
+    return _FIRST_LAYER[1]
 
 
 def _decided(logits: np.ndarray) -> np.ndarray:
@@ -250,14 +271,17 @@ def _install_fedavg(
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
-    """Content hash of a test set's sample and label buffers."""
-    digest = hashlib.sha256()
-    for array in (dataset.x, dataset.y):
-        array = np.ascontiguousarray(array)
-        digest.update(str(array.dtype).encode("ascii"))
-        digest.update(str(array.shape).encode("ascii"))
-        digest.update(array.data)
-    return digest.hexdigest()
+    """Content hash of a test set's sample and label buffers, once per
+    ``Dataset`` object (whose arrays are immutable by contract)."""
+    if dataset.fingerprint is None:
+        digest = hashlib.sha256()
+        for array in (dataset.x, dataset.y):
+            array = np.ascontiguousarray(array)
+            digest.update(str(array.dtype).encode("ascii"))
+            digest.update(str(array.shape).encode("ascii"))
+            digest.update(array.data)
+        dataset.fingerprint = digest.hexdigest()
+    return dataset.fingerprint
 
 
 def _fingerprint(update: ModelUpdate) -> str:
@@ -348,7 +372,6 @@ class _PackedSums:
             sizes[0] = samples * dense.units
         tail = [key for key in params if key not in self._head]
         ends = np.cumsum(sizes + [params[key].size for key in tail]).tolist()
-        self._activations = ends[0]  # leading floats of a row that are pre-activations
         self._tail = list(zip(tail, zip(ends, ends[1:])))
         dtype = engine.test_set.x.dtype
         self.slots = np.empty((BATCH_WIDTH, ends[-1]), dtype=dtype)
@@ -368,38 +391,41 @@ class _PackedSums:
                 key: update for key, update in zip(row_keys, updates) if key not in engine._rows
             }.items()
         )
-        for begin in range(0, len(missing), BATCH_WIDTH):
-            self._build(missing[begin : begin + BATCH_WIDTH])
+        if missing:
+            self._build(missing)
         self.scaled = [engine._rows[key] for key in row_keys]
         self.scratch = np.empty((scratch_rows, ends[-1]), dtype=dtype)
 
-    def _build(self, group: list[tuple[tuple[str, int], ModelUpdate]]) -> None:
-        """Rows for up to :data:`BATCH_WIDTH` updates: one activation pass.
+    def _build(self, missing: list[tuple[tuple[str, int], ModelUpdate]]) -> None:
+        """Rows for ``missing``'s updates: one activation pass.
 
-        The updates' first-``Dense`` parameters go through the workspace —
-        the exact stacked kernel multiplies the shared test inputs by all
-        of them in one GEMM — and the pre-activations land in the (idle)
-        slots, from where each is scaled into its row.
+        Each ``batch_size`` chunk of the test inputs is multiplied by the
+        round's first-layer stack (:func:`_first_layer`) in one GEMM,
+        ``K * units`` columns wide, and each update's column block, times
+        its sample count, lands in its row.
         """
         engine = self.engine
-        workspace = _workspace(engine.model)
-        for slot, (_key, update) in enumerate(group):
-            engine._check_against_model(workspace, update.weights)
-            for name in self._head:
-                np.copyto(workspace[name][slot], update.weights[name])
-        if self.start:
-            x, enter = engine.test_inputs()
-            for begin in range(0, len(x), engine.batch_size):
-                chunk = slice(begin, begin + engine.batch_size)
-                self.inputs[: len(group), chunk] = engine.model.predict_stacked(
-                    x[chunk], workspace, len(group), start=enter, stop=self.start
-                )
-        z = self._activations
-        for slot, (key, update) in enumerate(group):
-            row = engine._rows[key] = np.empty_like(self.slots[slot])
-            np.multiply(self.slots[slot, :z], update.num_samples, out=row[:z])
+        for key, update in missing:
+            engine._check_against_model(update.weights)
+            row = engine._rows[key] = np.empty_like(self.slots[0])
             for name, (begin, end) in self._tail:
                 np.multiply(update.weights[name].reshape(-1), update.num_samples, out=row[begin:end])
+        if not self.start:
+            return
+        weights, bias = _first_layer(missing, self._head, self.slots.dtype)
+        activations = [  # each row's leading (samples, units) block
+            engine._rows[key][: self.inputs[0].size].reshape(self.inputs.shape[1:])
+            for key, _update in missing
+        ]
+        x, enter = engine.test_inputs()
+        for begin in range(0, len(x), engine.batch_size):
+            chunk = slice(begin, begin + engine.batch_size)
+            inputs = x[chunk]
+            for layer in engine.model.layers[enter : self.start - 1]:
+                inputs = layer.forward(inputs, training=False)  # parameterless
+            product = (inputs @ weights + bias).reshape(len(inputs), len(missing), -1)
+            for index, (_key, update) in enumerate(missing):
+                np.multiply(product[:, index], update.num_samples, out=activations[index][chunk])
 
     def divide_into(self, sums: np.ndarray, total: int, slot: int) -> None:
         """Write ``sums / total`` — a candidate — into ``slot``."""
@@ -584,22 +610,22 @@ class CombinationEngine:
             # Raw dicts arrive from arbitrary callers (threshold_filter,
             # score_weights), so every one is re-validated: a partial dict
             # must never be scored with a previous candidate's leftovers.
-            self._check_against_model(batch.stack, weights)
+            self._check_against_model(weights)
             for name, value in weights.items():
                 np.copyto(batch.stack[name][slot], value)
 
-    @staticmethod
-    def _check_against_model(stack: dict[str, np.ndarray], weights: dict[str, np.ndarray]) -> None:
+    def _check_against_model(self, weights: dict[str, np.ndarray]) -> None:
         """Keys and shapes must be the model's: np.copyto / ``out=`` would
         otherwise broadcast a mismatch silently."""
-        if set(weights) != set(stack):
+        params = self.model.parameters()
+        if set(weights) != set(params):
             raise SelectionError(
-                f"weight keys {sorted(weights)} do not match model {sorted(stack)}"
+                f"weight keys {sorted(weights)} do not match model {sorted(params)}"
             )
         for name, value in weights.items():
-            if stack[name].shape[1:] != np.shape(value):
+            if params[name].shape != np.shape(value):
                 raise SelectionError(
-                    f"{name}: shape {np.shape(value)} != model {stack[name].shape[1:]}"
+                    f"{name}: shape {np.shape(value)} != model {params[name].shape}"
                 )
 
     def _packable(self, weights: dict[str, np.ndarray]) -> bool:

@@ -6,7 +6,7 @@ Provides the pieces FedAvg-style federated learning needs:
   conv/pooling hot paths are vectorized (stride-tricks im2col, a col2im
   scatter whose formulation was chosen by measurement, tie-normalized
   pooling backward),
-* losses (:mod:`repro.nn.losses`) and the one optimizer, plain
+* the one loss (:mod:`repro.nn.losses`) and the one optimizer, plain
   :class:`~repro.nn.optimizers.SGD`,
 * a :class:`~repro.nn.model.Sequential` container with named parameters,
 * weight (de)serialization for on-chain commitment
@@ -32,7 +32,7 @@ from repro.nn.layers import (
     FrozenFeatureMap,
     PretrainedRBFBackbone,
 )
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optimizers import SGD
 from repro.nn.model import Sequential
 from repro.nn.serialize import (
@@ -62,7 +62,6 @@ __all__ = [
     "FrozenFeatureMap",
     "PretrainedRBFBackbone",
     "CrossEntropyLoss",
-    "MSELoss",
     "SGD",
     "Sequential",
     "SERIALIZATION_STATS",

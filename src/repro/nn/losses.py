@@ -1,4 +1,4 @@
-"""Loss functions pairing a scalar loss with its input gradient."""
+"""The loss of local training: softmax cross entropy, with its input gradient."""
 
 from __future__ import annotations
 
@@ -14,15 +14,10 @@ class CrossEntropyLoss:
     backward pass numerically stable (``softmax - onehot``).
     """
 
-    def __init__(self, label_smoothing: float = 0.0) -> None:
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
-        self.label_smoothing = label_smoothing
-
     def _probs_and_targets(
         self, logits: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Softmax of ``logits`` and the (smoothed) one-hot rows of ``labels``.
+        """Softmax of ``logits`` and the one-hot rows of ``labels``.
 
         Labels index one-hot rows, so they must be non-negative integers —
         which :class:`~repro.data.dataset.Dataset` checks once, where it is
@@ -35,11 +30,7 @@ class CrossEntropyLoss:
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         probs = exp / exp.sum(axis=1, keepdims=True)
-        num_classes = logits.shape[1]
-        targets = np.eye(num_classes)[labels]
-        if self.label_smoothing:
-            smooth = self.label_smoothing
-            targets = targets * (1 - smooth) + smooth / num_classes
+        targets = np.eye(logits.shape[1])[labels]
         return probs, targets
 
     def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
@@ -56,20 +47,3 @@ class CrossEntropyLoss:
         loss = float(-(targets * np.log(probs + 1e-12)).sum(axis=1).mean())
         return loss, (probs - targets) / logits.shape[0]
 
-
-class MSELoss:
-    """Mean squared error for regression-style targets."""
-
-    def loss(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        """Mean of squared residuals."""
-        if predictions.shape != targets.shape:
-            raise ShapeError(f"shape mismatch {predictions.shape} vs {targets.shape}")
-        return float(((predictions - targets) ** 2).mean())
-
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """dL/dpredictions."""
-        return 2.0 * (predictions - targets) / predictions.size
-
-    def loss_and_grad(self, predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        """Convenience: both loss and gradient in one call."""
-        return self.loss(predictions, targets), self.gradient(predictions, targets)

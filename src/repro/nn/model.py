@@ -236,7 +236,6 @@ class Sequential:
         stack: dict[str, np.ndarray],
         count: int,
         start: int = 0,
-        stop: Optional[int] = None,
     ) -> np.ndarray:
         """Inference outputs ``(count, batch, ...)`` of the first ``count``
         candidates in ``stack``; candidate ``c``'s slice equals
@@ -246,16 +245,16 @@ class Sequential:
         Layers ahead of the first one with parameters (flatten, a frozen
         parameterless backbone) run once, on the input all candidates share.
 
-        Only ``layers[start:stop]`` run, and ``stack`` needs only their
+        Only ``layers[start:]`` run, and ``stack`` needs only their
         parameters.  ``x`` is the input of layer ``start``: the one
         ``(batch, ...)`` all candidates share while no layer below
         ``start`` has parameters (``start=0``, or the frozen prefix's
         features), else each candidate's own as ``x[c]``,
-        ``(count, batch, ...)`` — what a pass with ``stop=start`` returns.
+        ``(count, batch, ...)``.
         """
         self._require_built()
         shared = not any(layer.params for layer in self.layers[:start])
-        for layer in self.layers[start:stop]:
+        for layer in self.layers[start:]:
             if shared and not layer.params:
                 x = layer.forward(x, training=False)
                 continue

@@ -71,6 +71,14 @@ class TestDataset:
         with pytest.raises(DataError):
             dataset.take(1000)
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_take_negative_rejected(self, n):
+        """``x[:-2]`` is every row but two: a negative count is no count."""
+        ds = Dataset(np.zeros((5, 1)), np.zeros(5, dtype=int))
+        with pytest.raises(DataError, match=str(n)):
+            ds.take(n)
+        assert len(ds.take(0)) == 0
+
 
 class TestBatchIterator:
     def test_covers_everything(self, dataset):
@@ -151,6 +159,11 @@ class TestSyntheticGeneration:
         ds = factory.sample(20, rng)
         assert ds.x.shape == (20, 3072)
         assert ds.y.shape == (20,)
+
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_samples_are_float64(self, rng, flat):
+        ds = SyntheticImageDataset(SyntheticSpec()).sample(4, rng, flat=flat)
+        assert ds.x.dtype == np.float64
 
     def test_shapes_image(self, rng):
         factory = SyntheticImageDataset(SyntheticSpec())
@@ -254,6 +267,12 @@ class TestClientClassProbs:
             client_class_probs(3, 3)
         with pytest.raises(DataError):
             client_class_probs(0, 3, skew=-1.0)
+
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
+    def test_non_finite_skew_rejected(self, skew):
+        """``skew < 0`` lets NaN and +inf through to a NaN probability vector."""
+        with pytest.raises(DataError, match="finite"):
+            client_class_probs(0, 3, skew=skew)
 
 
 class TestPartitioners:

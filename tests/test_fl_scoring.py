@@ -1,5 +1,7 @@
 """Unit tests for the combination-scoring engine and its cache."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,32 @@ class TestFingerprints:
         base = dataset_fingerprint(Dataset(x, y))
         assert base == dataset_fingerprint(Dataset(x.copy(), y.copy()))
         assert base != dataset_fingerprint(Dataset(x + 1.0, y))
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        """One entry per SHA-256 started."""
+        started = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda: started.append(1) or sha256())
+        return started
+
+    def test_dataset_fingerprint_hashes_each_object_once(self, hashes, scratch_model):
+        dataset = Dataset(np.arange(8.0).reshape(4, 2), np.zeros(4, dtype=np.int64))
+        first = dataset_fingerprint(dataset)
+        assert dataset_fingerprint(dataset) == first
+        for _ in range(3):
+            assert CombinationEngine(scratch_model, dataset).test_set_id == first
+        assert len(hashes) == 1
+        twin = Dataset(dataset.x.copy(), dataset.y.copy())
+        assert dataset_fingerprint(twin) == first and len(hashes) == 2
+
+    def test_dataset_copies_hash_afresh(self, hashes):
+        dataset = Dataset(np.arange(12.0).reshape(3, 2, 2), np.zeros(3, dtype=np.int64))
+        first = dataset_fingerprint(dataset)
+        copies = [dataset.take(3), dataset.subset(np.arange(3)), dataset.flattened()]
+        assert [copy.fingerprint for copy in copies] == [None] * 3
+        assert [dataset_fingerprint(copy) == first for copy in copies] == [True, True, False]
+        assert len(hashes) == 4
 
 
 class TestCacheCorrectness:

@@ -21,6 +21,7 @@ from test_core_decentralized import OUTCOME_CASES, make_driver
 from test_fl_scoring import depth_first, key_of
 
 from repro.data.dataset import Dataset
+from repro.fl import scoring
 from repro.fl.aggregation import ModelUpdate
 from repro.fl.evaluation import evaluate_weights
 from repro.fl.scoring import (
@@ -267,6 +268,46 @@ class TestSizes:
         serial = greedy_combination(updates, model, test_set)
         assert (greedy.members, greedy.accuracy) == (serial.members, serial.accuracy)
         assert engine.rechecked == 0
+
+
+class TestFirstLayerStack:
+    """The round's viewers share one first-layer stack (``_first_layer``):
+    built once when their views agree, rebuilt when they do not."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The updates of each stack built, not served from the entry."""
+        built = []
+        first_layer = scoring._first_layer
+
+        def counting(missing, *rest):
+            entry = scoring._FIRST_LAYER
+            stack = first_layer(missing, *rest)
+            if scoring._FIRST_LAYER is not entry:
+                built.append([update for _key, update in missing])
+            return stack
+
+        monkeypatch.setattr(scoring, "_FIRST_LAYER", None)
+        monkeypatch.setattr(scoring, "_first_layer", counting)
+        return built
+
+    def test_a_wait_for_all_round_builds_it_once(self, builds):
+        driver = make_driver(rounds=1, peers=("A", "B", "C", "D"))
+        driver.run()
+        views = {peer_id: driver.peers[peer_id].visible_submissions(1) for peer_id in driver.peers}
+        assert all(len(view) == 4 for view in views.values())
+        assert [len(updates) for updates in builds] == [4]
+
+    def test_views_that_differ_by_one_update_rebuild_it(self, builds):
+        model = simple_nn()
+        updates = perturbed_updates(model, 5)
+        for view in (updates[:4], updates[:3] + updates[4:]):
+            test_set = private_test_set(model, 30, seed=len(builds))
+            engine = CombinationEngine(model, test_set)
+            reference = enumerate_combinations(view, model, test_set)
+            assert table(engine.enumerate(view)) == table(reference)
+            assert engine.rechecked == 0
+        assert [[u.client_id for u in built] for built in builds] == [list("ABCD"), list("ABCE")]
 
 
 def deviation(engine, updates):

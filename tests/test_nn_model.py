@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import NotBuiltError, SerializationError, ShapeError
 from repro.nn.layers import Dense, ReLU
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
 from repro.nn.serialize import (
@@ -117,12 +117,6 @@ class TestOptimizers:
         w = self._quadratic_steps(SGD(0.1))
         np.testing.assert_allclose(w, 0.0, atol=1e-4)
 
-    def test_weight_decay_shrinks(self):
-        optimizer = SGD(0.1, weight_decay=0.5)
-        params = {"w": np.array([1.0])}
-        optimizer.step(params, {"w": np.array([0.0])})
-        assert params["w"][0] < 1.0
-
     def test_step_is_exact_gradient_descent(self):
         params = {"a": np.array([1.0, -2.0]), "b": np.array([[0.5]])}
         grads = {"a": np.array([0.3, 0.7]), "b": np.array([[-1.25]])}
@@ -131,18 +125,11 @@ class TestOptimizers:
         for key in params:
             np.testing.assert_array_equal(params[key], expected[key])
 
-    def test_weight_decay_arithmetic(self):
-        params = {"w": np.array([1.0, -3.0])}
-        grad = np.array([0.2, 0.4])
-        expected = params["w"] - 0.1 * (grad + 0.5 * params["w"])
-        SGD(0.1, weight_decay=0.5).step(params, {"w": grad})
-        np.testing.assert_array_equal(params["w"], expected)
-
     def test_updates_parameters_in_place_and_leaves_grads(self):
         # Models hand out live parameter references; the step must write into them.
         param, grad = np.array([1.0, 2.0]), np.array([1.0, 1.0])
         params, grads = {"w": param}, {"w": grad}
-        SGD(0.5, weight_decay=0.1).step(params, grads)
+        SGD(0.5).step(params, grads)
         assert params["w"] is param
         np.testing.assert_array_equal(grad, [1.0, 1.0])
 
@@ -186,22 +173,10 @@ class TestLosses:
     def test_loss_and_grad_are_loss_and_gradient(self):
         rng = np.random.default_rng(0)
         logits, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, size=6)
-        for loss_fn in (CrossEntropyLoss(), CrossEntropyLoss(label_smoothing=0.1)):
-            loss, grad = loss_fn.loss_and_grad(logits, labels)
-            assert loss == loss_fn.loss(logits, labels)
-            np.testing.assert_array_equal(grad, loss_fn.gradient(logits, labels))
-
-    def test_invalid_smoothing(self):
-        with pytest.raises(ValueError):
-            CrossEntropyLoss(label_smoothing=1.0)
-
-    def test_mse_zero_for_equal(self):
-        x = np.ones((3, 2))
-        assert MSELoss().loss(x, x) == 0.0
-
-    def test_mse_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            MSELoss().loss(np.zeros((2, 2)), np.zeros((3, 2)))
+        loss_fn = CrossEntropyLoss()
+        loss, grad = loss_fn.loss_and_grad(logits, labels)
+        assert loss == loss_fn.loss(logits, labels)
+        np.testing.assert_array_equal(grad, loss_fn.gradient(logits, labels))
 
 
 class TestSerialization:
