@@ -30,7 +30,7 @@ from repro.chain.gas import GasSchedule, intrinsic_gas
 from repro.chain.pow import ProofOfWork, mine_header, pow_target, check_pow
 from repro.chain.state import WorldState, AccountState, StateError, STATE_STATS
 from repro.chain.mempool import Mempool
-from repro.chain.chainstore import ChainStore
+from repro.chain.chainstore import ChainStore, HeadMoves
 from repro.chain.runtime import ContractRuntime, Contract, CallContext
 from repro.chain.scale import BlockExecutionMemo, ColdStore, ColdStoreStats, ExecutionStats
 from repro.chain.node import GenesisSpec, Node, NodeConfig
@@ -72,6 +72,7 @@ __all__ = [
     "VALIDATION_STATS",
     "Mempool",
     "ChainStore",
+    "HeadMoves",
     "ContractRuntime",
     "Contract",
     "CallContext",

@@ -26,6 +26,24 @@ from repro.chain.scale.coldstore import ColdStore, ColdStoreError
 from repro.errors import InvalidBlockError, UnknownBlockError
 
 
+class HeadMoves:
+    """How many times the nodes sharing it have moved a canonical head.
+
+    One counter per run (``DecentralizedFL`` makes it beside the
+    :class:`~repro.chain.gateway.ReadMemo` and the
+    :class:`~repro.chain.scale.BlockExecutionMemo`), handed to every node's
+    :class:`ChainStore`, which bumps it wherever its head changes: a block
+    import that extends the chain or reorgs it, a fork-choice switch
+    undone after a failed execution, and each block a snapshot sync
+    fast-forwards through.  Head state is a function of the head, so a
+    reader that sees the same ``count`` twice knows that no node's
+    read-only contract state changed in between.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
 @dataclass
 class ReorgInfo:
     """Result of a head switch."""
@@ -50,6 +68,7 @@ class ChainStore:
         genesis: Block,
         cold: Optional[ColdStore] = None,
         hot_window: Optional[int] = None,
+        head_moves: Optional[HeadMoves] = None,
     ) -> None:
         if genesis.header.parent_hash != GENESIS_PARENT or genesis.number != 0:
             raise InvalidBlockError("genesis must have number 0 and null parent")
@@ -72,6 +91,7 @@ class ChainStore:
         self.hot_window = hot_window
         self.genesis_hash = genesis_hash
         self.head_hash = genesis_hash
+        self.head_moves = head_moves
 
     # ------------------------------------------------------------------
     # Lookup
@@ -250,7 +270,7 @@ class ChainStore:
             self._canonical_by_number.pop(self._numbers[block_hash], None)
         for block_hash in applied:
             self._canonical_by_number[self._numbers[block_hash]] = block_hash
-        self.head_hash = new_head
+        self._move_head(new_head)
         return ReorgInfo(
             old_head=old_head,
             new_head=new_head,
@@ -272,7 +292,13 @@ class ChainStore:
             self._canonical_by_number.pop(self._numbers[block_hash], None)
         for block_hash in reorg.rolled_back:
             self._canonical_by_number[self._numbers[block_hash]] = block_hash
-        self.head_hash = reorg.old_head
+        self._move_head(reorg.old_head)
+
+    def _move_head(self, head: str) -> None:
+        """The one place the canonical head changes."""
+        self.head_hash = head
+        if self.head_moves is not None:
+            self.head_moves.count += 1
 
     def _path_down(self, tip: str, ancestor: str) -> list[str]:
         """Hashes from ``tip`` down to (excluding) ``ancestor``."""

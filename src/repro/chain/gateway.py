@@ -4,9 +4,9 @@ The FL layer never touches a :class:`~repro.chain.node.Node` directly —
 every read, submission, and wait goes through a :class:`ChainGateway`, a
 narrow JSON-RPC-flavored service protocol (``call`` / ``batch_call`` /
 ``submit`` / ``height`` / ``head_hash`` / ``has_contract`` / ``get_logs``
-/ ``next_nonce`` / ``wait_for``).  That seam is what lets peers later run
-out-of-process or against a remote chain without touching the FL code,
-and it is where read batching/caching lives.
+/ ``next_nonce`` / ``view_token`` / ``wait_for``).  That seam is what
+lets peers later run out-of-process or against a remote chain without
+touching the FL code, and it is where read batching/caching lives.
 
 Two backends ship today:
 
@@ -281,6 +281,17 @@ class ChainGateway(Protocol):
         """Transport clock (simulated seconds in-process)."""
         ...
 
+    def view_token(self) -> Optional[str]:
+        """What this stack's reads are a function of, or ``None``.
+
+        Two equal tokens promise that every read-only answer (``call``,
+        ``batch_call``, ``has_contract``) is the same at both, so a waiting
+        caller need not ask again until the token moves.  ``None`` means
+        no such promise: re-read every time.  Costs no counter and no
+        fault draw.
+        """
+        ...
+
     def wait_for(
         self,
         predicate: Callable[[], bool],
@@ -360,16 +371,18 @@ class InProcessGateway:
     Results are bit-identical to calling the node directly — the contract
     the equivalence suite pins.
 
-    A waiting peer polls the same few reads after every simulator event,
-    and every peer on one head polls the same ones, so each distinct read
-    is executed and its request/response wire sizes are measured once per
-    canonical state for the cohort: ``memo`` (the run's shared
+    Its :meth:`view_token` is the node's head hash, so a waiting driver
+    re-reads a peer only after that peer's head moved.  Every peer on one
+    head still asks the same few reads, so each distinct read is executed
+    and its request/response wire sizes are measured once per canonical
+    state for the cohort: ``memo`` (the run's shared
     :class:`ReadMemo`; a private one when not given) keeps the value and
     the sizes until no gateway stands on that head, and a repeat adds the
     stored sizes to ``stats`` as if it had run.  Every counter is
     therefore the function of the run it would be without the memo;
-    encoding each polled payload again just to take its length measured
-    41 % of a 25-peer round.  Values are shared between repeats and between
+    encoding each read's payload again just to take its length measured
+    41 % of a 25-peer round when every waiting peer was polled after every
+    simulator event.  Values are shared between repeats and between
     peers: callers treat them as read-only, the rule
     :class:`BatchingGateway` documents.
 
@@ -508,6 +521,10 @@ class InProcessGateway:
     def now(self) -> float:
         """Simulated transport time (0.0 without a simulator)."""
         return self.simulator.now if self.simulator is not None else 0.0
+
+    def view_token(self) -> str:
+        """The node's head hash: reads answer from head state alone."""
+        return self.node.head_hash
 
     def wait_for(
         self,
@@ -679,6 +696,11 @@ class BatchingGateway:
     def now(self) -> float:
         """Inner transport clock."""
         return self.inner.now()
+
+    def view_token(self) -> None:
+        """No promise: an entry past its staleness window goes back to the
+        transport, so when a read happens changes the round-trip counts."""
+        return None
 
     def wait_for(
         self,

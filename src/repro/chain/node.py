@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from repro.chain.block import Block, BlockHeader, make_genesis
-from repro.chain.chainstore import ChainStore, ReorgInfo
+from repro.chain.chainstore import ChainStore, HeadMoves, ReorgInfo
 from repro.chain.crypto import Address, KeyPair
 from repro.chain.gas import GasMeter, GasSchedule, DEFAULT_SCHEDULE, UNBOUNDED_BLOCK_GAS, intrinsic_gas
 from repro.chain.mempool import Mempool
@@ -161,6 +161,7 @@ class Node:
         runtime: ContractRuntime,
         config: Optional[NodeConfig] = None,
         block_memo: Optional[BlockExecutionMemo] = None,
+        head_moves: Optional[HeadMoves] = None,
     ) -> None:
         self.keypair = keypair
         self.address: Address = keypair.address
@@ -186,6 +187,7 @@ class Node:
             genesis,
             cold=self.config.cold_store,
             hot_window=self.config.hot_window,
+            head_moves=head_moves,  # cohort-shared; None counts nothing
         )
         self.state = genesis_spec.build_state()
         self.state.flatten_journal()  # allocation credits never roll back

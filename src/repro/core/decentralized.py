@@ -12,11 +12,12 @@ Ethereum network and drives communication rounds end to end:
    live peer trains locally (simulated duration), uploads its weights
    off-chain, and its ``submit_model`` transaction is scheduled for when
    training ends;
-3. *quorum*: miners include the submissions in blocks; each peer polls
+3. *quorum*: miners include the submissions in blocks; each peer reads
    its *own* chain view until its waiting policy fires against the peers
    still in the round (wait-for-all reproduces the paper's tables;
-   wait-for-k drives the async trade-off benchmark).  *Fetch views*: each
-   surviving peer's visible updates are fetched once;
+   wait-for-k drives the async trade-off benchmark).  A peer's view is
+   re-read only when its head moved (:meth:`DecentralizedFL._wait_views`).
+   *Fetch views*: each surviving peer's visible updates are fetched once;
 4. *aggregate | vote*: the peer enumerates model combinations against its
    private test set, logs the full accuracy table and adopts the best
    combination (ties broken uniformly at random, as the paper specifies)
@@ -31,7 +32,7 @@ speed/precision claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from repro.chain.gateway import (
     stacked_stats,
     transport_stats,
 )
-from repro.chain import BlockExecutionMemo, ColdStore, GenesisSpec, Node, NodeConfig
+from repro.chain import BlockExecutionMemo, ColdStore, GenesisSpec, HeadMoves, Node, NodeConfig
 from repro.chain.network import LatencyModel, P2PNetwork
 from repro.chain.pow import ProofOfWork, RetargetRule
 from repro.chain.runtime import ContractRuntime
@@ -236,6 +237,9 @@ class DecentralizedFL:
         # And one record of contract reads: every peer standing on a head
         # is answered from the first one's execution of each read.
         self.read_memo = ReadMemo()
+        # And one count of head moves across the cohort's nodes: a wait
+        # whose inputs are chain views has nothing new to see until it moves.
+        self.head_moves = HeadMoves()
         node_config = NodeConfig(
             execution=chain.execution,
             parallel_min_txs=chain.parallel_min_txs,
@@ -252,6 +256,7 @@ class DecentralizedFL:
                 self.runtime,
                 replace(node_config),
                 block_memo=self.block_memo,
+                head_moves=self.head_moves,
             )
             self.network.add_node(node, hashrate=chain.hashrate)
             gateway: ChainGateway = InProcessGateway(
@@ -328,13 +333,12 @@ class DecentralizedFL:
         # otherwise registration transactions execute against an address
         # with no code yet and revert.
         self.network.start_mining()
-        self._wait_until(
-            lambda: all(
-                peer.gateway.has_contract(coordinator_address)
-                and peer.gateway.has_contract(self.reputation_address)
-                for peer in self.peers.values()
-            ),
-            "contract deployment",
+        deployed = self._views(
+            lambda peer: peer.gateway.has_contract(coordinator_address)
+            and peer.gateway.has_contract(self.reputation_address)
+        )
+        self._wait_views(
+            lambda: all(deployed(peer) for peer in self.peers.values()), "contract deployment"
         )
 
         # Phase 2: every peer self-registers (open enrollment).  Identities
@@ -359,12 +363,11 @@ class DecentralizedFL:
                     deployer.gateway.next_nonce(address),
                 )
                 deployer.gateway.submit(register_tx)
-        # Every peer polls the same reads, so they are built once per wait.
+        # Every peer asks the same reads, so they are built once per wait.
         reads = self._membership_reads(registry_address)
-        self._wait_until(
-            lambda: all(
-                self._is_registered(peer, registry_address, reads) for peer in self.peers.values()
-            ),
+        registered = self._views(lambda peer: self._is_registered(peer, registry_address, reads))
+        self._wait_views(
+            lambda: all(registered(peer) for peer in self.peers.values()),
             "participant registration",
         )
         self.shard.configure(store_address, coordinator_address, self.addresses)
@@ -399,6 +402,59 @@ class DecentralizedFL:
         """
         gateway = self.peers[self.peer_ids[0]].gateway
         return gateway.wait_for(predicate, what, deadline=deadline)
+
+    def _views(self, read: Callable[[FullPeer], Any]) -> Callable[[FullPeer], Any]:
+        """``read`` of one peer's chain view, asked again only once the
+        peer's :meth:`~repro.chain.gateway.ChainGateway.view_token` moved
+        (every time, for a stack whose token is ``None``).  ``read`` must
+        be a function of the peer's chain view alone."""
+        seen: dict[str, tuple[str, Any]] = {}
+
+        def view(peer: FullPeer) -> Any:
+            token = peer.gateway.view_token()
+            if token is not None:
+                known = seen.get(peer.peer_id)
+                if known is not None and known[0] == token:
+                    return known[1]
+            value = read(peer)
+            if token is not None:
+                seen[peer.peer_id] = (token, value)
+            return value
+
+        return view
+
+    def _wait_views(
+        self,
+        predicate: Callable[[], bool],
+        what: str,
+        reads_clock: bool = False,
+        marks: Callable[[], Any] = lambda: None,
+    ) -> float:
+        """:meth:`_wait_until` for a ``predicate`` over peers' chain views.
+
+        The predicate reads views through :meth:`_views`; besides them it
+        may depend on ``marks()`` (the driver's own state, such as the
+        round's submissions) and, when ``reads_clock``, on the clock.  When
+        it depends on neither the clock nor a stack without view tokens, an
+        event that moved no head (:class:`~repro.chain.HeadMoves`) and no
+        mark cannot turn it true, and it is skipped in O(1).  Otherwise it
+        runs after every event, as in :meth:`_wait_until`.
+        """
+        gated = not reads_clock and all(
+            peer.gateway.view_token() is not None for peer in self.peers.values()
+        )
+        last: Optional[tuple] = None
+
+        def changed() -> bool:
+            nonlocal last
+            if gated:
+                now = (self.head_moves.count, marks())
+                if now == last:
+                    return False
+                last = now
+            return predicate()
+
+        return self._wait_until(changed, what)
 
     # ------------------------------------------------------------------
     # Round execution
@@ -505,25 +561,31 @@ class DecentralizedFL:
             self.sim.schedule_in(duration, submit, label=f"train-{peer_id}-r{rnd.round_id}")
 
     def _await_quorum(self, rnd: Round) -> None:
-        """Each submitted peer polls its own chain view until the waiting
+        """Each submitted peer reads its own chain view until the waiting
         policy fires; ``ready_at`` is recorded once, because a ready peer
         leaves ``pending``."""
         policy = self.config.policy
         pending = set(rnd.live)
+        visible = self._views(lambda peer: len(peer.visible_submissions(rnd.round_id)))
 
         def poll() -> bool:
             for peer_id in sorted(pending):
                 if peer_id in rnd.submitted_at:
                     with rnd.may_drop(peer_id):
-                        visible = len(self.peers[peer_id].visible_submissions(rnd.round_id))
-                        if policy.ready(visible, rnd.expected(), self.sim.now - rnd.opened_at):
+                        seen = visible(self.peers[peer_id])
+                        if policy.ready(seen, rnd.expected(), self.sim.now - rnd.opened_at):
                             rnd.ready_at[peer_id] = self.sim.now
                             pending.discard(peer_id)
                 if peer_id in rnd.dropped:
                     pending.discard(peer_id)
             return not pending
 
-        self._wait_until(poll, f"round {rnd.round_id} quorum")
+        self._wait_views(
+            poll,
+            f"round {rnd.round_id} quorum",
+            reads_clock=policy.reads_clock,
+            marks=lambda: (len(rnd.submitted_at), len(rnd.dropped)),
+        )
 
     def _fetch_views(self, rnd: Round) -> None:
         """Read each remaining peer's view of the round into
@@ -572,8 +634,9 @@ class DecentralizedFL:
             )
             peer.gateway.submit(vote_tx)
         peers = [self.peers[peer_id] for peer_id in rnd.view_records]
-        self._wait_until(
-            lambda: all(self._finalized_hash(peer, round_id) is not None for peer in peers),
+        finalized = self._views(lambda peer: self._finalized_hash(peer, round_id))
+        self._wait_views(
+            lambda: all(finalized(peer) is not None for peer in peers),
             f"round {round_id} finalization",
         )
         finals = {peer.peer_id: self._finalized_hash(peer, round_id) for peer in peers}

@@ -77,6 +77,17 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         require_finite(self, DataError)
+        if self.num_classes < 1:
+            raise DataError(f"num_classes must be >= 1, got {self.num_classes}")
+        if self.latent_dim < 1:
+            raise DataError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
+            raise DataError(
+                f"image_shape must be three sizes >= 1, got {self.image_shape}"
+            )
+        for name in ("noise_std", "latent_jitter", "brightness_std"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 <= self.hard_classes <= self.num_classes:
             raise DataError(
                 f"hard_classes {self.hard_classes} out of range for {self.num_classes} classes"

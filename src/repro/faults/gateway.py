@@ -226,6 +226,11 @@ class FaultyGateway:
     def now(self) -> float:
         return self.inner.now()
 
+    def view_token(self) -> None:
+        """No promise: every read draws from the injector, so which faults
+        fire depends on how many reads are made."""
+        return None
+
     def wait_for(
         self,
         predicate: Callable[[], bool],
@@ -233,7 +238,11 @@ class FaultyGateway:
         deadline: Optional[float] = None,
     ) -> float:
         """Waits pass through uninjected — the polled reads inside the
-        predicate go through the full stack and get faulted there."""
+        predicate go through the full stack and get faulted there.  This
+        layer's :meth:`view_token` is ``None``, so a driver waiting on a
+        peer behind it re-reads that peer after every simulator event, and
+        the injector makes the same draws at the same instants as a driver
+        that polls every event."""
         self.stats.waits += 1
         return self.inner.wait_for(predicate, what, deadline=deadline)
 
@@ -387,6 +396,11 @@ class ResilientGateway:
 
     def now(self) -> float:
         return self.inner.now()
+
+    def view_token(self) -> None:
+        """No promise: the breaker's state moves with the clock and with
+        every retried read."""
+        return None
 
     def wait_for(
         self,

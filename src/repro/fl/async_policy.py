@@ -24,6 +24,12 @@ from repro.errors import ConfigError, require_finite
 class AsyncPolicy:
     """Interface: decide whether aggregation may proceed."""
 
+    #: Whether :meth:`ready` can change with ``elapsed`` alone.  A waiting
+    #: driver re-asks a policy that says so after every simulator event,
+    #: and one that does not only when a submission or a chain view moved;
+    #: ``True`` is the safe answer for a policy that does not say.
+    reads_clock = True
+
     def ready(self, submitted: int, expected: int, elapsed: float) -> bool:
         """True when the aggregator should stop waiting.
 
@@ -41,6 +47,8 @@ class AsyncPolicy:
 class WaitForAll(AsyncPolicy):
     """Synchronous baseline: wait for the full cohort."""
 
+    reads_clock = False
+
     def ready(self, submitted: int, expected: int, elapsed: float) -> bool:
         return submitted >= expected
 
@@ -51,6 +59,8 @@ class WaitForAll(AsyncPolicy):
 @dataclass(frozen=True)
 class WaitForK(AsyncPolicy):
     """Asynchronous: proceed at ``k`` submissions (capped by cohort size)."""
+
+    reads_clock = False
 
     k: int
 
@@ -72,6 +82,8 @@ class Deadline(AsyncPolicy):
     Requires at least ``min_models`` submissions (default 1) so an empty
     aggregation can never fire.
     """
+
+    reads_clock = True
 
     seconds: float
     min_models: int = 1

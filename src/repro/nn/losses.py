@@ -14,24 +14,15 @@ class CrossEntropyLoss:
     backward pass numerically stable (``softmax - onehot``).
     """
 
-    def _probs_and_targets(
-        self, logits: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Softmax of ``logits`` and the one-hot rows of ``labels``.
-
-        Labels index one-hot rows, so they must be non-negative integers —
-        which :class:`~repro.data.dataset.Dataset` checks once, where it is
-        free; one at or past the class count raises ``IndexError`` here.
-        """
+    def _probs(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Softmax of ``logits``, after checking both shapes."""
         if logits.ndim != 2:
             raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
         if labels.shape != logits.shape[:1]:
             raise ShapeError(f"labels of shape {labels.shape} for {logits.shape[0]} logits")
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        targets = np.eye(logits.shape[1])[labels]
-        return probs, targets
+        return exp / exp.sum(axis=1, keepdims=True)
 
     def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross entropy over the batch."""
@@ -42,8 +33,19 @@ class CrossEntropyLoss:
         return self.loss_and_grad(logits, labels)[1]
 
     def loss_and_grad(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """Both loss and gradient from one softmax and one target matrix."""
-        probs, targets = self._probs_and_targets(logits, labels)
-        loss = float(-(targets * np.log(probs + 1e-12)).sum(axis=1).mean())
-        return loss, (probs - targets) / logits.shape[0]
+        """Both loss and gradient from one softmax.
 
+        Each row's label column is indexed instead of multiplying by a
+        one-hot matrix: every other term of the one-hot product is a
+        signed zero, so the loss and ``softmax - onehot`` come out bit for
+        bit the same.  Labels index columns, so they must be non-negative
+        integers — which :class:`~repro.data.dataset.Dataset` checks once,
+        where it is free; one at or past the class count raises
+        ``IndexError`` here.
+        """
+        probs = self._probs(logits, labels)
+        rows = np.arange(labels.shape[0])
+        loss = float(-np.log(probs[rows, labels] + 1e-12).mean())
+        probs[rows, labels] -= 1.0
+        probs /= logits.shape[0]
+        return loss, probs

@@ -149,6 +149,28 @@ class TestSyntheticSpec:
         with pytest.raises(DataError):
             SyntheticSpec(modes_per_class=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"noise_std": -0.1},
+            {"latent_jitter": -1e-3},
+            {"brightness_std": -0.05},
+            {"latent_dim": 0},
+            {"num_classes": 0},
+            {"image_shape": (0, 32, 3)},
+            {"image_shape": (32, 32, 0)},
+        ],
+        ids=lambda field: ",".join(f"{k}={v}" for k, v in field.items()),
+    )
+    def test_values_sample_cannot_honour_are_rejected_at_construction(self, field):
+        with pytest.raises(DataError):
+            SyntheticSpec(**field)
+
+    def test_zero_noise_is_allowed(self):
+        spec = SyntheticSpec(noise_std=0.0, latent_jitter=0.0, brightness_std=0.0)
+        ds = SyntheticImageDataset(spec).sample(3, np.random.default_rng(0))
+        assert ds.x.shape == (3, spec.flat_dim)
+
     def test_labels_available(self):
         assert len(CIFAR10_LABELS) == 10
 

@@ -178,6 +178,37 @@ class TestLosses:
         assert loss == loss_fn.loss(logits, labels)
         np.testing.assert_array_equal(grad, loss_fn.gradient(logits, labels))
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_loss_and_grad_are_bit_identical_to_the_one_hot_formula(self, scale):
+        """Indexing the label column gives the bytes of the one-hot
+        product, including tied logits (rounded rows) and rows whose
+        softmax saturates to 0 and 1."""
+
+        def one_hot(logits, labels):
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            exp = np.exp(shifted)
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            targets = np.eye(logits.shape[1])[labels]
+            loss = float(-(targets * np.log(probs + 1e-12)).sum(axis=1).mean())
+            return loss, (probs - targets) / logits.shape[0]
+
+        rng = np.random.default_rng(7)
+        loss_fn = CrossEntropyLoss()
+        for case in range(200):
+            rows, classes = int(rng.integers(1, 33)), int(rng.integers(2, 11))
+            logits = rng.normal(size=(rows, classes)) * scale
+            if case % 4 == 0:
+                logits = np.round(logits)
+            labels = rng.integers(0, classes, size=rows)
+            want_loss, want_grad = one_hot(logits, labels)
+            loss, grad = loss_fn.loss_and_grad(logits, labels)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    def test_a_label_past_the_class_count_raises(self):
+        with pytest.raises(IndexError):
+            CrossEntropyLoss().loss_and_grad(np.zeros((2, 3)), np.array([0, 3]))
+
 
 class TestSerialization:
     def test_round_trip(self, rng):

@@ -633,14 +633,17 @@ class TestGatewayAxis:
         batched_gw = batched.chain_stats["gateway"]
         assert raw_gw["backend"] == "inprocess"
         assert batched_gw["backend"] == "batching"
-        # Same reads requested; strictly fewer reach the transport.
-        assert (
-            batched_gw["requested"]["requested_reads"]
-            == raw_gw["requested"]["requested_reads"]
-        )
+        # Batching has no view token, so its peers are polled after every
+        # event and strictly fewer of those reads reach the transport; the
+        # in-process peers are re-read only after a head moved, so they ask
+        # for no more reads than that.
         assert (
             batched_gw["transport"]["contract_call_round_trips"]
-            < raw_gw["transport"]["contract_call_round_trips"]
+            < batched_gw["requested"]["requested_reads"]
+        )
+        assert (
+            raw_gw["requested"]["requested_reads"]
+            <= batched_gw["requested"]["requested_reads"]
         )
 
     def test_cohort_sweep_gateway_override(self):
