@@ -15,21 +15,19 @@ Provides the pieces FedAvg-style federated learning needs:
   payload, commitment hash, and size on the commitment pipeline,
 * the two evaluation models of the paper (:mod:`repro.nn.models`):
   ``SimpleNN`` (~62k params, trained from scratch) and
-  ``EfficientNetB0Sim`` (frozen pretrained-style backbone + trainable head).
+  ``EfficientNetB0Sim`` (a frozen domain-pretrained trunk + a trainable
+  head); a layer trains exactly when it has parameters.
 """
 
-from repro.nn.initializers import he_init, xavier_init, zeros_init
+from repro.nn.initializers import he_init, zeros_init
 from repro.nn.layers import (
     Layer,
     Dense,
     ReLU,
-    Softmax,
     Dropout,
     Flatten,
     Conv2D,
     MaxPool2D,
-    BatchNorm,
-    FrozenFeatureMap,
     PretrainedRBFBackbone,
 )
 from repro.nn.losses import CrossEntropyLoss
@@ -44,22 +42,18 @@ from repro.nn.serialize import (
     weights_hash,
     weights_size_bytes,
 )
-from repro.nn.models import build_simple_nn, build_efficientnet_b0_sim, build_model, count_parameters
+from repro.nn.models import build_simple_nn, build_efficientnet_b0_sim, build_model
 
 __all__ = [
     "he_init",
-    "xavier_init",
     "zeros_init",
     "Layer",
     "Dense",
     "ReLU",
-    "Softmax",
     "Dropout",
     "Flatten",
     "Conv2D",
     "MaxPool2D",
-    "BatchNorm",
-    "FrozenFeatureMap",
     "PretrainedRBFBackbone",
     "CrossEntropyLoss",
     "SGD",
@@ -74,5 +68,4 @@ __all__ = [
     "build_simple_nn",
     "build_efficientnet_b0_sim",
     "build_model",
-    "count_parameters",
 ]

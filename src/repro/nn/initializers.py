@@ -18,16 +18,6 @@ def he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int | None
     return rng.normal(0.0, std, size=shape).astype(np.float64)
 
 
-def xavier_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
-    """Xavier (Glorot) uniform initialization, suited to linear/tanh layers."""
-    if fan_in is None:
-        fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
-    if fan_out is None:
-        fan_out = shape[-1]
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float64)
-
-
 def zeros_init(shape: tuple[int, ...]) -> np.ndarray:
     """All-zeros (biases)."""
     return np.zeros(shape, dtype=np.float64)

@@ -3,8 +3,9 @@
 Each layer owns named parameters (``params``) and matching gradients
 (``grads``).  ``forward`` caches what ``backward`` needs; ``backward``
 receives dL/d(output), writes the parameter gradients of that one pass
-into ``grads`` and returns dL/d(input).  Layers flagged ``trainable =
-False`` (the frozen backbone) write none, implementing transfer learning.
+into ``grads`` and returns dL/d(input).  A layer trains exactly when it
+has parameters: the frozen backbone holds its weights outside ``params``,
+so FedAvg never ships them and the optimizer never steps them.
 
 ``forward_stacked`` is the inference pass for several candidate parameter
 sets at once (:meth:`repro.nn.model.Sequential.predict_stacked`): candidate
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import NotBuiltError, ShapeError
-from repro.nn.initializers import he_init, xavier_init, zeros_init
+from repro.nn.initializers import he_init, zeros_init
 
 
 class Layer:
@@ -31,7 +32,6 @@ class Layer:
         self.name = name or type(self).__name__.lower()
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.trainable = True
         self.built = False
 
     def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -204,9 +204,8 @@ class Dense(Layer):
         self._require_built()
         if self._cache_x is None:
             raise NotBuiltError(f"{self.name}: backward before forward")
-        if self.trainable:
-            self.grads["W"] = self._cache_x.T @ grad_out
-            self.grads["b"] = grad_out.sum(axis=0)
+        self.grads["W"] = self._cache_x.T @ grad_out
+        self.grads["b"] = grad_out.sum(axis=0)
         if not input_grad:
             return None
         return grad_out @ self.params["W"].T
@@ -236,31 +235,6 @@ class ReLU(Layer):
         if self._mask is None:
             raise NotBuiltError(f"{self.name}: backward before forward")
         return grad_out * self._mask
-
-
-class Softmax(Layer):
-    """Softmax over the last axis (inference-only head; training pairs
-    logits with :class:`~repro.nn.losses.CrossEntropyLoss` instead)."""
-
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name)
-        self.built = True
-        self._cache_y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        y = exp / exp.sum(axis=-1, keepdims=True)
-        if training:
-            self._cache_y = y
-        return y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache_y is None:
-            raise NotBuiltError(f"{self.name}: backward before forward")
-        y = self._cache_y
-        dot = (grad_out * y).sum(axis=-1, keepdims=True)
-        return y * (grad_out - dot)
 
 
 class Dropout(Layer):
@@ -422,9 +396,8 @@ class Conv2D(Layer):
         c = xp_shape[3]
 
         grad_flat = grad_out.reshape(-1, self.filters)
-        if self.trainable:
-            self.grads["W"] = (cols.reshape(-1, cols.shape[-1]).T @ grad_flat).reshape(self.params["W"].shape)
-            self.grads["b"] = grad_flat.sum(axis=0)
+        self.grads["W"] = (cols.reshape(-1, cols.shape[-1]).T @ grad_flat).reshape(self.params["W"].shape)
+        self.grads["b"] = grad_flat.sum(axis=0)
         if not input_grad:
             return None  # col2im, the expensive half, scatters only dL/dx
 
@@ -483,61 +456,6 @@ class MaxPool2D(Layer):
         return (scaled * mask).reshape(x_shape)
 
 
-class BatchNorm(Layer):
-    """Batch normalization over the feature axis with running statistics."""
-
-    def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5, name: str = "") -> None:
-        super().__init__(name)
-        self.momentum = momentum
-        self.epsilon = epsilon
-        self.running_mean: Optional[np.ndarray] = None
-        self.running_var: Optional[np.ndarray] = None
-        self._cache: Optional[tuple] = None
-
-    def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        features = input_shape[-1]
-        self.params = {"gamma": np.ones(features), "beta": np.zeros(features)}
-        self.zero_grads()
-        self.running_mean = np.zeros(features)
-        self.running_var = np.ones(features)
-        self.built = True
-        return input_shape
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._require_built()
-        axes = tuple(range(x.ndim - 1))
-        if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        x_hat = (x - mean) / np.sqrt(var + self.epsilon)
-        if training:
-            self._cache = (x_hat, var, axes, x.shape)
-        return self.params["gamma"] * x_hat + self.params["beta"]
-
-    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
-        if self._cache is None:
-            raise NotBuiltError(f"{self.name}: backward before forward")
-        x_hat, var, axes, x_shape = self._cache
-        if self.trainable:
-            self.grads["gamma"] = (grad_out * x_hat).sum(axis=axes)
-            self.grads["beta"] = grad_out.sum(axis=axes)
-        if not input_grad:
-            return None
-        m = int(np.prod([x_shape[a] for a in axes]))
-        gamma = self.params["gamma"]
-        dx_hat = grad_out * gamma
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        return (
-            inv_std
-            / m
-            * (m * dx_hat - dx_hat.sum(axis=axes) - x_hat * (dx_hat * x_hat).sum(axis=axes))
-        )
-
-
 class PretrainedRBFBackbone(Layer):
     """Frozen domain-pretrained trunk: project to latent space, then RBF units.
 
@@ -586,10 +504,7 @@ class PretrainedRBFBackbone(Layer):
             raise ShapeError(
                 f"backbone expects flat input of dim {self.projection.shape[0]}, got {input_shape}"
             )
-        # Frozen weights are fixed at construction; nothing to initialize.
-        self.params = {}
-        self.zero_grads()
-        self.trainable = False
+        # Frozen weights are fixed at construction and are not ``params``.
         self.built = True
         return (self.anchors.shape[0],)
 
@@ -621,51 +536,3 @@ class PretrainedRBFBackbone(Layer):
     def parameter_count(self) -> int:
         """Report the frozen trunk size (like EfficientNet's 5.3M backbone)."""
         return int(self.projection.size + self.anchors.size)
-
-
-class FrozenFeatureMap(Layer):
-    """Fixed random-projection feature extractor (the transfer-learning backbone).
-
-    Stands in for EfficientNet-B0's pretrained convolutional trunk: a
-    deterministic, *shared-across-peers* nonlinear projection whose weights
-    never train.  Two projection stages with ReLU give features rich enough
-    that a trainable head reaches high accuracy immediately — reproducing
-    the paper's "starts at ~0.78 in round 1" transfer-learning dynamic.
-
-    The weights derive from ``backbone_seed`` only, so every peer holds the
-    *same* backbone, exactly like every peer downloading the same pretrained
-    EfficientNet checkpoint.
-    """
-
-    def __init__(self, output_dim: int, backbone_seed: int = 2024, hidden_dim: Optional[int] = None, name: str = "") -> None:
-        super().__init__(name or "frozen_backbone")
-        self.output_dim = output_dim
-        self.hidden_dim = hidden_dim if hidden_dim is not None else output_dim * 2
-        self.backbone_seed = backbone_seed
-
-    def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(input_shape) != 1:
-            raise ShapeError(f"FrozenFeatureMap expects flat input, got {input_shape}")
-        # Deliberately ignores the model's rng: backbone is global/pretrained.
-        backbone_rng = np.random.default_rng(self.backbone_seed)
-        fan_in = input_shape[0]
-        self.params = {
-            "W1": xavier_init(backbone_rng, (fan_in, self.hidden_dim)),
-            "b1": zeros_init((self.hidden_dim,)),
-            "W2": xavier_init(backbone_rng, (self.hidden_dim, self.output_dim)),
-            "b2": zeros_init((self.output_dim,)),
-        }
-        self.zero_grads()
-        self.trainable = False
-        self.built = True
-        return (self.output_dim,)
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._require_built()
-        h = np.maximum(x @ self.params["W1"] + self.params["b1"], 0.0)
-        return np.maximum(h @ self.params["W2"] + self.params["b2"], 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        # Frozen trunk: gradients stop here (nothing upstream trains).
-        fan_in = self.params["W1"].shape[0]
-        return np.zeros((grad_out.shape[0], fan_in), dtype=grad_out.dtype)

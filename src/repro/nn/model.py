@@ -32,13 +32,16 @@ class Sequential:
         self.built = False
         self.input_shape: Optional[tuple[int, ...]] = None
         self.output_shape: Optional[tuple[int, ...]] = None
-        # Guarantee unique layer names so parameter keys never collide.
-        seen: dict[str, int] = {}
+        # Guarantee unique layer names so parameter keys never collide: each
+        # layer takes the first of name, name_2, name_3, ... not yet taken.
+        taken: set[str] = set()
         for layer in self.layers:
-            count = seen.get(layer.name, 0)
-            seen[layer.name] = count + 1
-            if count:
-                layer.name = f"{layer.name}_{count + 1}"
+            name, count = layer.name, 1
+            while name in taken:
+                count += 1
+                name = f"{layer.name}_{count}"
+            layer.name = name
+            taken.add(name)
 
     def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> "Sequential":
         """Initialize every layer for ``input_shape`` (sans batch)."""
@@ -88,22 +91,23 @@ class Sequential:
             layer.zero_grads()
 
     def lowest_trainable(self) -> int:
-        """Index of the first layer whose parameters train (``len(layers)``
-        when none does): nothing below it needs a gradient."""
+        """Index of the first layer with parameters — a layer trains exactly
+        when it has some — or ``len(layers)`` when none does: nothing below
+        it needs a gradient."""
         for index, layer in enumerate(self.layers):
-            if layer.trainable and layer.params:
+            if layer.params:
                 return index
         return len(self.layers)
 
     def frozen_depth(self) -> int:
-        """How many leading layers form the frozen prefix: not trainable,
-        without parameters (so nothing FedAvg installs can change them) and
-        each vouching for its content with a
+        """How many leading layers form the frozen prefix: without
+        parameters (so nothing trains or FedAvg installs there) and each
+        vouching for its content with a
         :meth:`~repro.nn.layers.Layer.frozen_token`.  What they make of a
         sample never changes, so :meth:`inputs` computes it once."""
         depth = 0
         for layer in self.layers:
-            if layer.trainable or layer.params or layer.frozen_token() is None:
+            if layer.params or layer.frozen_token() is None:
                 break
             depth += 1
         return depth
@@ -133,24 +137,6 @@ class Sequential:
                 grads[f"{layer.name}/{key}"] = value
         return grads
 
-    def trainable_parameters(self) -> dict[str, np.ndarray]:
-        """Parameters of trainable layers only (excludes frozen backbone)."""
-        params: dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            if layer.trainable:
-                for key, value in layer.params.items():
-                    params[f"{layer.name}/{key}"] = value
-        return params
-
-    def trainable_gradients(self) -> dict[str, np.ndarray]:
-        """Gradients matching :meth:`trainable_parameters`."""
-        grads: dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            if layer.trainable:
-                for key, value in layer.grads.items():
-                    grads[f"{layer.name}/{key}"] = value
-        return grads
-
     def get_weights(self) -> dict[str, np.ndarray]:
         """Deep copy of all parameters (safe to ship to other peers)."""
         return {key: value.copy() for key, value in self.parameters().items()}
@@ -169,9 +155,11 @@ class Sequential:
             params[key][...] = value
 
     def parameter_count(self, trainable_only: bool = False) -> int:
-        """Total scalar parameters (optionally trainable only)."""
-        layers = [l for l in self.layers if l.trainable] if trainable_only else self.layers
-        return sum(layer.parameter_count() for layer in layers)
+        """Total scalar parameters, a frozen trunk's included; with
+        ``trainable_only`` just those in :meth:`parameters`."""
+        if trainable_only:
+            return sum(int(value.size) for value in self.parameters().values())
+        return sum(layer.parameter_count() for layer in self.layers)
 
     # ------------------------------------------------------------------
     # Training convenience
@@ -188,7 +176,7 @@ class Sequential:
         """One forward/backward/update step; returns the batch loss.
 
         ``x`` is the input of layer ``start`` (:meth:`FrozenInputs.rows`).
-        Every trainable layer's ``grads`` are this step's when it returns.
+        Every layer's ``grads`` are this step's when it returns.
         """
         lowest = self.lowest_trainable()
         if start > lowest:
@@ -196,7 +184,7 @@ class Sequential:
         logits = self.forward(x, training=True, start=start)
         loss, grad = loss_fn.loss_and_grad(logits, y)
         self.backward(grad, lowest=lowest)
-        optimizer.step(self.trainable_parameters(), self.trainable_gradients())
+        optimizer.step(self.parameters(), self.gradients())
         return loss
 
     def evaluate_accuracy(

@@ -8,11 +8,12 @@
 
 * **EfficientNetB0Sim** — the paper fine-tunes EfficientNet-B0 (5.3M
   params) by "modifying its final layer" (transfer learning).  Our analog
-  keeps the same *structure*: a frozen feature backbone shared by every
-  peer (:class:`~repro.nn.layers.FrozenFeatureMap`, standing in for the
-  pretrained trunk) and a trainable linear head.  Signature dynamic: starts
-  high (paper: ~0.78 round 1) and plateaus (~0.85), and aggregation
-  combinations matter more than for SimpleNN.
+  keeps the same *structure*: a frozen domain-pretrained trunk shared by
+  every peer (:class:`~repro.nn.layers.PretrainedRBFBackbone`, which holds
+  no parameters) and a trainable linear head, the only layer with
+  parameters.  Signature dynamic: starts high (paper: ~0.78 round 1) and
+  plateaus (~0.85), and aggregation combinations matter more than for
+  SimpleNN.
 
 A CNN variant (``build_simple_cnn``) is provided for completeness and used
 by unit tests; the experiment harness defaults to the MLP models for CPU
@@ -29,7 +30,6 @@ from repro.nn.layers import (
     Dense,
     Dropout,
     Flatten,
-    FrozenFeatureMap,
     MaxPool2D,
     PretrainedRBFBackbone,
     ReLU,
@@ -66,12 +66,10 @@ def build_simple_nn(rng: np.random.Generator, input_dim: int = FLAT_DIM, num_cla
 
 def build_efficientnet_b0_sim(
     rng: np.random.Generator,
+    backbone: tuple[np.ndarray, np.ndarray],
     input_dim: int = FLAT_DIM,
     num_classes: int = NUM_CLASSES,
-    backbone: tuple[np.ndarray, np.ndarray] | None = None,
     sigma: float = 0.6,
-    feature_dim: int = 256,
-    backbone_seed: int = 2024,
 ) -> Sequential:
     """Transfer-learning analog of EfficientNet-B0.
 
@@ -82,18 +80,16 @@ def build_efficientnet_b0_sim(
     ``backbone`` is the (projection, anchors) pair from
     :meth:`repro.data.synthetic.SyntheticImageDataset.pretrained_backbone`
     — a trunk pretrained on the experiment's visual domain, which is what
-    gives the paper's round-1 ~0.78 accuracy.  Without it, a generic frozen
-    random-feature trunk (:class:`~repro.nn.layers.FrozenFeatureMap`) is
-    used — structurally identical but domain-agnostic, like transferring a
-    checkpoint from an unrelated dataset.
+    gives the paper's round-1 ~0.78 accuracy.  The trunk holds no
+    parameters, so the head's ``W`` and ``b`` are all that trains and all
+    that FedAvg ships.
     """
-    if backbone is not None:
-        projection, anchors = backbone
-        trunk = PretrainedRBFBackbone(projection, anchors, sigma=sigma, name="backbone")
-    else:
-        trunk = FrozenFeatureMap(feature_dim, backbone_seed=backbone_seed, name="backbone")
+    projection, anchors = backbone
     model = Sequential(
-        [trunk, Dense(num_classes, name="head")],
+        [
+            PretrainedRBFBackbone(projection, anchors, sigma=sigma, name="backbone"),
+            Dense(num_classes, name="head"),
+        ],
         name="efficientnet_b0_sim",
     )
     return model.build(rng, (input_dim,))
@@ -141,7 +137,3 @@ def build_model(kind: str, rng: np.random.Generator, **kwargs) -> Sequential:
         ) from None
     return builder(rng, **kwargs)
 
-
-def count_parameters(model: Sequential, trainable_only: bool = False) -> int:
-    """Parameter count helper mirroring the paper's reporting."""
-    return model.parameter_count(trainable_only=trainable_only)

@@ -341,6 +341,12 @@ class ScenarioSpec:
             raise ConfigError("exhaustive_limit must be >= 1")
         if self.aggregator_test_samples < 1:
             raise ConfigError("aggregator_test_samples must be >= 1")
+        if self.backbone_sigma <= 0:
+            raise ConfigError(f"backbone_sigma must be positive, got {self.backbone_sigma}")
+        if self.backbone_mismatch < 0:
+            raise ConfigError(
+                f"backbone_mismatch must be non-negative, got {self.backbone_mismatch}"
+            )
         if self.runtime not in RUNTIME_KINDS:
             raise ConfigError(
                 f"unknown runtime {self.runtime!r}; choose from {RUNTIME_KINDS}"

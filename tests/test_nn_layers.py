@@ -5,16 +5,13 @@ import pytest
 
 from repro.errors import NotBuiltError, ShapeError
 from repro.nn.layers import (
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    FrozenFeatureMap,
     MaxPool2D,
     PretrainedRBFBackbone,
     ReLU,
-    Softmax,
 )
 
 
@@ -81,15 +78,6 @@ class TestDense:
         with pytest.raises(ValueError):
             Dense(0)
 
-    def test_frozen_dense_accumulates_no_grads(self, rng):
-        layer = Dense(4)
-        layer.build(rng, (5,))
-        layer.trainable = False
-        x = rng.normal(size=(2, 5))
-        layer.forward(x)
-        layer.backward(np.ones((2, 4)))
-        assert np.allclose(layer.grads["W"], 0.0)
-
 
 class TestReLU:
     def test_clips_negatives(self):
@@ -145,23 +133,6 @@ class TestReLU:
         layer.forward(np.array([[-1.0, 2.0]]))
         layer.forward(np.array([[2.0, -1.0]]), training=False)
         np.testing.assert_array_equal(layer.backward(np.ones((1, 2))), [[0.0, 1.0]])
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        layer = Softmax()
-        out = layer.forward(rng.normal(size=(4, 10)))
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(4))
-
-    def test_stable_for_large_logits(self):
-        layer = Softmax()
-        out = layer.forward(np.array([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out, [[0.5, 0.5]])
-
-    def test_monotone(self):
-        layer = Softmax()
-        out = layer.forward(np.array([[1.0, 2.0, 3.0]]))
-        assert out[0, 0] < out[0, 1] < out[0, 2]
 
 
 class TestDropout:
@@ -270,55 +241,6 @@ class TestMaxPool2D:
         np.testing.assert_allclose(grad[0, :, :, 0], [[0.0, 0.0], [0.0, 10.0]])
 
 
-class TestBatchNorm:
-    def test_normalizes_batch(self, rng):
-        layer = BatchNorm()
-        layer.build(rng, (6,))
-        x = rng.normal(5.0, 3.0, size=(256, 6))
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_running_stats_used_at_inference(self, rng):
-        layer = BatchNorm(momentum=0.0)  # running stats = last batch
-        layer.build(rng, (4,))
-        x = rng.normal(2.0, 1.0, size=(128, 4))
-        layer.forward(x, training=True)
-        out = layer.forward(x, training=False)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=0.1)
-
-    def test_gamma_beta_applied(self, rng):
-        layer = BatchNorm()
-        layer.build(rng, (2,))
-        layer.params["gamma"][...] = 2.0
-        layer.params["beta"][...] = 1.0
-        x = rng.normal(size=(64, 2))
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), 1.0, atol=1e-6)
-
-
-class TestFrozenFeatureMap:
-    def test_shared_across_instances(self, rng):
-        a = FrozenFeatureMap(16, backbone_seed=7)
-        b = FrozenFeatureMap(16, backbone_seed=7)
-        a.build(np.random.default_rng(1), (10,))
-        b.build(np.random.default_rng(999), (10,))  # different model rng
-        np.testing.assert_array_equal(a.params["W1"], b.params["W1"])
-
-    def test_not_trainable(self, rng):
-        layer = FrozenFeatureMap(16)
-        layer.build(rng, (10,))
-        assert not layer.trainable
-
-    def test_backward_blocks_gradient(self, rng):
-        layer = FrozenFeatureMap(16)
-        layer.build(rng, (10,))
-        layer.forward(rng.normal(size=(3, 10)))
-        grad = layer.backward(np.ones((3, 16)))
-        assert grad.shape == (3, 10)
-        assert np.allclose(grad, 0.0)
-
-
 class TestPretrainedRBFBackbone:
     def _backbone(self, rng, latent=4, anchors_n=6, flat=20, sigma=0.6):
         projection = rng.normal(size=(flat, latent))
@@ -344,7 +266,7 @@ class TestPretrainedRBFBackbone:
 
     def test_frozen(self, rng):
         layer = self._backbone(rng)
-        assert not layer.trainable
+        assert layer.params == {}
         grad = layer.backward(np.ones((2, 6)))
         assert np.allclose(grad, 0.0)
 

@@ -41,6 +41,21 @@ class TestSequential:
         keys = model.parameters().keys()
         assert "d/W" in keys and "d_2/W" in keys
 
+    def test_deduplicated_names_skip_names_already_taken(self, rng):
+        """A renamed layer must not land on a later layer's own name: every
+        layer's parameters are shipped and installed."""
+        model = Sequential(
+            [Dense(4, name="d"), Dense(4, name="d"), Dense(3, name="d_2")]
+        ).build(rng, (5,))
+        names = [layer.name for layer in model.layers]
+        assert len(set(names)) == len(names) == 3
+        weights = model.get_weights()
+        assert len(weights) == 6
+        assert model.parameter_count() == sum(value.size for value in weights.values()) == 59
+        zeros = {key: np.zeros_like(value) for key, value in weights.items()}
+        model.set_weights(zeros)
+        assert all(not layer.params["W"].any() for layer in model.layers)
+
     def test_parameter_count(self, rng):
         model = small_model(rng)
         assert model.parameter_count() == (4 * 6 + 6) + (6 * 3 + 3)

@@ -5,13 +5,15 @@ import pytest
 
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
 from repro.errors import ConfigError
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import (
+    MODEL_BUILDERS,
     build_efficientnet_b0_sim,
     build_model,
     build_simple_cnn,
     build_simple_nn,
-    count_parameters,
 )
+from repro.nn.optimizers import SGD
 
 
 @pytest.fixture
@@ -23,7 +25,7 @@ class TestSimpleNN:
     def test_parameter_count_matches_paper(self, rng):
         """The paper reports 'only 62K parameters'; ours is 62,214."""
         model = build_simple_nn(rng)
-        assert count_parameters(model) == 62_214
+        assert model.parameter_count() == 62_214
 
     def test_output_shape(self, rng):
         model = build_simple_nn(rng)
@@ -42,11 +44,6 @@ class TestSimpleNN:
 
 
 class TestEfficientNetB0Sim:
-    def test_generic_backbone_fallback(self, rng):
-        model = build_efficientnet_b0_sim(rng)
-        out = model.predict(rng.normal(size=(2, 3072)))
-        assert out.shape == (2, 10)
-
     def test_domain_backbone(self, rng):
         factory = SyntheticImageDataset(SyntheticSpec())
         backbone = factory.pretrained_backbone()
@@ -57,8 +54,7 @@ class TestEfficientNetB0Sim:
     def test_only_head_trains(self, rng):
         factory = SyntheticImageDataset(SyntheticSpec())
         model = build_efficientnet_b0_sim(rng, backbone=factory.pretrained_backbone())
-        trainable = model.trainable_parameters()
-        assert set(trainable) == {"head/W", "head/b"}
+        assert set(model.parameters()) == {"head/W", "head/b"}
 
     def test_backbone_shared_across_peers(self):
         factory = SyntheticImageDataset(SyntheticSpec())
@@ -87,6 +83,32 @@ class TestEfficientNetB0Sim:
         trainer = LocalTrainer(TrainConfig(epochs=5, batch_size=32, learning_rate=0.5), rng=np.random.default_rng(3))
         trainer.train(domain, train)
         assert domain.evaluate_accuracy(test.x, test.y) > 0.6
+
+
+class TestTrainsExactlyWhatHasParameters:
+    """A layer trains if and only if it holds parameters."""
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_BUILDERS))
+    def test_one_step_moves_every_parameter_and_nothing_else(self, kind, rng):
+        factory = SyntheticImageDataset(SyntheticSpec())
+        batch = factory.sample(16, np.random.default_rng(1))
+        kwargs = {"backbone": factory.pretrained_backbone()} if kind == "efficientnet_b0_sim" else {}
+        model = build_model(kind, rng, **kwargs)
+        trunk = model.layers[0]
+        frozen = (trunk.projection.tobytes(), trunk.anchors.tobytes()) if kwargs else None
+        before = model.get_weights()
+
+        model.train_step(batch.x, batch.y, CrossEntropyLoss(), SGD(0.1))
+
+        after = model.parameters()
+        assert after.keys() == before.keys()
+        for key, value in after.items():
+            assert not np.array_equal(value, before[key]), key
+        if kwargs:
+            assert set(model.get_weights()) == {"head/W", "head/b"}
+            assert (trunk.projection.tobytes(), trunk.anchors.tobytes()) == frozen
+            untrained = build_model(kind, np.random.default_rng(2), **kwargs).layers[0]
+            assert trunk.frozen_token() == untrained.frozen_token()
 
 
 class TestSimpleCNN:

@@ -112,15 +112,13 @@ class TestStackedEqualsInstalled:
         rows=st.sampled_from([1, 5, 40, 150]),
         count=counts,
         batch_size=st.sampled_from([32, 512]),
-        pretrained=st.booleans(),
     )
-    def test_efficientnet_b0_sim_shape(self, rows, count, batch_size, pretrained):
-        """The trunk runs once when it has no parameters (the pretrained
-        backbone) and per candidate when it has (the frozen feature map:
-        its arrays are part of every weight dict, FedAvg rounds them)."""
+    def test_efficientnet_b0_sim_shape(self, rows, count, batch_size):
+        """The trunk has no parameters, so it runs once on the input all
+        candidates share and only the head runs per candidate."""
         rng = np.random.default_rng(rows)
-        backbone = (rng.normal(size=(96, 8)), rng.normal(size=(24, 8))) if pretrained else None
-        model = build_efficientnet_b0_sim(rng, input_dim=96, backbone=backbone, feature_dim=16)
+        backbone = (rng.normal(size=(96, 8)), rng.normal(size=(24, 8)))
+        model = build_efficientnet_b0_sim(rng, input_dim=96, backbone=backbone)
         x = rng.normal(size=(rows, 96))
         y = rng.integers(0, 10, size=rows)
         assert_stacked_equals_installed(model, x, y, count, batch_size)

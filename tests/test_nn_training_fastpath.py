@@ -44,7 +44,6 @@ def _dropout_first(rng):
 BUILDERS = {
     "simple_nn": build_simple_nn,
     "efficientnet_pretrained": lambda rng: build_efficientnet_b0_sim(rng, backbone=BACKBONE),
-    "efficientnet_generic": lambda rng: build_efficientnet_b0_sim(rng, feature_dim=16),
     "simple_cnn": build_simple_cnn,
     "dropout_first": _dropout_first,
 }
@@ -66,12 +65,12 @@ def _reference_train(model, dataset, config, rng):
         for begin in range(0, len(indices), config.batch_size):
             batch = indices[begin : begin + config.batch_size]
             model.zero_grads()
-            zeros = model.trainable_gradients()
+            zeros = model.gradients()
             logits = model.forward(dataset.x[batch], training=True)
             losses.append(loss_fn.loss(logits, dataset.y[batch]))
             model.backward(loss_fn.gradient(logits, dataset.y[batch]))
-            grads = {key: zeros[key] + grad for key, grad in model.trainable_gradients().items()}
-            optimizer.step(model.trainable_parameters(), grads)
+            grads = {key: zeros[key] + grad for key, grad in model.gradients().items()}
+            optimizer.step(model.parameters(), grads)
         history.append(float(np.mean(losses)))
     return history
 
@@ -189,13 +188,13 @@ class TestOnlyWhatTrainsRuns:
         assert head.forwards == 3
         assert [(kwargs, grad) for kwargs, grad in head.backwards] == [({"input_grad": False}, None)] * 3
 
-    @pytest.mark.parametrize("kind", ["simple_nn", "simple_cnn", "dropout_first", "efficientnet_generic"])
+    @pytest.mark.parametrize("kind", ["simple_nn", "simple_cnn", "dropout_first"])
     def test_backprop_stops_at_the_lowest_trainable_layer(self, kind):
         dataset = _dataset(kind, BATCH)
         model = BUILDERS[kind](np.random.default_rng(3))
         lowest = model.lowest_trainable()
-        assert lowest == {"dropout_first": 1, "efficientnet_generic": 1}.get(kind, 0)
-        assert model.frozen_depth() == 0  # FrozenFeatureMap has weights FedAvg re-rounds
+        assert lowest == {"dropout_first": 1}.get(kind, 0)
+        assert model.frozen_depth() == 0  # nothing below `lowest` vouches for its content
         spies = [_Spy(layer) for layer in model.layers]
         model.train_step(dataset.x, dataset.y, CrossEntropyLoss(), SGD(0.05))
         assert all(spy.forwards == 1 for spy in spies)
@@ -278,7 +277,7 @@ class TestFeatureCacheContract:
 
     def test_models_without_a_frozen_prefix_never_touch_the_cache(self):
         dataset = _dataset("simple_nn", 40)
-        for kind in ("simple_nn", "efficientnet_generic", "dropout_first"):
+        for kind in ("simple_nn", "dropout_first"):
             model = BUILDERS[kind](np.random.default_rng(3))
             inputs = model.inputs(dataset)
             assert inputs.features is None and inputs.chunked(512) == (dataset.x, 0)

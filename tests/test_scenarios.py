@@ -151,6 +151,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             CohortSpec(label_skew=-1.0)
 
+    @pytest.mark.parametrize("model_kind", ["simple_nn", "efficientnet_b0_sim"])
+    @pytest.mark.parametrize(
+        "field_name, bad",
+        [
+            ("backbone_sigma", 0.0),
+            ("backbone_sigma", -0.55),
+            ("backbone_mismatch", -0.075),
+            ("backbone_mismatch", -1e-9),
+        ],
+    )
+    def test_backbone_knobs_validated_at_construction(self, model_kind, field_name, bad):
+        """A bad trunk fails as a ConfigError when the spec is built, for
+        either model, not mid-run (sigma) or never (a negative mismatch)."""
+        with pytest.raises(ConfigError, match=field_name):
+            tiny_spec(model_kind=model_kind, **{field_name: bad})
+
+    def test_a_zero_backbone_mismatch_is_allowed(self):
+        spec = tiny_spec(model_kind="efficientnet_b0_sim", backbone_mismatch=0.0)
+        assert spec.backbone_mismatch == 0.0
+
     @pytest.mark.parametrize(
         "spec_type",
         [
