@@ -19,7 +19,7 @@ pruning never decode a cold block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Optional
 
 from repro.chain.block import Block, GENESIS_PARENT
 from repro.chain.scale.coldstore import ColdStore, ColdStoreError
@@ -27,21 +27,37 @@ from repro.errors import InvalidBlockError, UnknownBlockError
 
 
 class HeadMoves:
-    """How many times the nodes sharing it have moved a canonical head.
+    """Which of the nodes sharing it have moved a canonical head.
 
-    One counter per run (``DecentralizedFL`` makes it beside the
+    One record per run (``DecentralizedFL`` makes it beside the
     :class:`~repro.chain.gateway.ReadMemo` and the
     :class:`~repro.chain.scale.BlockExecutionMemo`), handed to every node's
-    :class:`ChainStore`, which bumps it wherever its head changes: a block
-    import that extends the chain or reorgs it, a fork-choice switch
-    undone after a failed execution, and each block a snapshot sync
+    :class:`ChainStore`, which reports its owner wherever its head changes:
+    a block import that extends the chain or reorgs it, a fork-choice
+    switch undone after a failed execution, and each block a snapshot sync
     fast-forwards through.  Head state is a function of the head, so a
     reader that sees the same ``count`` twice knows that no node's
-    read-only contract state changed in between.
+    read-only contract state changed in between, and one that drains it
+    (:meth:`drain`) learns *which* nodes' state can have changed since its
+    last drain: the per-peer wake set of a waiting driver.  The set is
+    unordered; a reader walks it in an order of its own (the driver's is
+    the order its wait already reads peers in), never in hash order.
     """
 
     def __init__(self) -> None:
         self.count = 0
+        self._moved: set = set()
+
+    def moved(self, node: Hashable) -> None:
+        """Record that ``node``'s canonical head changed."""
+        self.count += 1
+        self._moved.add(node)
+
+    def drain(self) -> set:
+        """The nodes whose head moved since the last drain; forgets them.
+        One reader drains at a time (the driver's current wait)."""
+        moved, self._moved = self._moved, set()
+        return moved
 
 
 @dataclass
@@ -69,6 +85,7 @@ class ChainStore:
         cold: Optional[ColdStore] = None,
         hot_window: Optional[int] = None,
         head_moves: Optional[HeadMoves] = None,
+        owner: Hashable = None,
     ) -> None:
         if genesis.header.parent_hash != GENESIS_PARENT or genesis.number != 0:
             raise InvalidBlockError("genesis must have number 0 and null parent")
@@ -92,6 +109,7 @@ class ChainStore:
         self.genesis_hash = genesis_hash
         self.head_hash = genesis_hash
         self.head_moves = head_moves
+        self.owner = owner  # what head_moves records this store's moves as
 
     # ------------------------------------------------------------------
     # Lookup
@@ -256,7 +274,7 @@ class ChainStore:
         block = self._blocks.get(block_hash)
         if block is None:
             return False
-        self.cold.put(block_hash, block.to_dict())
+        self.cold.put(block_hash, block.to_dict)  # encoded only if no node spilled it yet
         del self._blocks[block_hash]
         self._spilled.add(block_hash)
         return True
@@ -298,7 +316,7 @@ class ChainStore:
         """The one place the canonical head changes."""
         self.head_hash = head
         if self.head_moves is not None:
-            self.head_moves.count += 1
+            self.head_moves.moved(self.owner)
 
     def _path_down(self, tip: str, ancestor: str) -> list[str]:
         """Hashes from ``tip`` down to (excluding) ``ancestor``."""

@@ -151,6 +151,16 @@ class GenesisSpec:
         )
 
 
+@dataclass(frozen=True)
+class _BuiltCandidate:
+    """A block candidate as built, and what building it executed."""
+
+    block: Block
+    payload: bytes          # the header's sealing payload at build time
+    parent_root: str        # root of the state the build executed on
+    execution: BlockExecution
+
+
 class Node:
     """One blockchain participant (validator + miner + RPC surface)."""
 
@@ -188,6 +198,7 @@ class Node:
             cold=self.config.cold_store,
             hot_window=self.config.hot_window,
             head_moves=head_moves,  # cohort-shared; None counts nothing
+            owner=self.address,
         )
         self.state = genesis_spec.build_state()
         self.state.flatten_journal()  # allocation credits never roll back
@@ -215,6 +226,9 @@ class Node:
         self.snap_skipped_blocks = 0
         self.blocks_mined = 0
         self.reorgs_seen = 0
+        # The last candidate built with a shared memo, and what building it
+        # executed, until seal_and_import records it (or a newer build).
+        self._built: Optional[_BuiltCandidate] = None
 
     # ------------------------------------------------------------------
     # RPC-style reads
@@ -452,58 +466,73 @@ class Node:
         state.credit(block.header.miner, self.config.block_reward)
         return receipts
 
+    def _memo_key(self, parent_root: str, block: Block) -> tuple:
+        """``block``'s :class:`BlockExecutionMemo` key on a parent state
+        with root ``parent_root``: everything its execution reads."""
+        config = self.config
+        return (
+            parent_root,
+            block.block_hash,
+            self.runtime,
+            config.block_reward,
+            config.schedule,
+            config.execution,
+            config.parallel_min_txs,
+        )
+
     def _advance(self, state: WorldState, block: Block) -> tuple[Receipt, ...]:
         """Take ``state`` from ``block``'s parent state to its post-state
         and check the root the header commits to.
 
-        With a shared :class:`BlockExecutionMemo`, a block some node of
-        the cohort already executed *on a state with this state's root* is
-        installed from the recorded diff (through the journaled setters,
-        with the recorded account hashes, root and scheduler counts);
-        otherwise the block executes here and, if its root checks out, is
-        recorded for the others.  Raises :class:`InvalidBlockError` on a
-        root mismatch, leaving ``state`` as executed — the caller rolls
-        back.
+        With a shared :class:`BlockExecutionMemo`, a block the cohort
+        already executed *on a state with this state's root* — built by
+        its miner, or imported by another node — is installed from the
+        recorded diff (through the journaled setters, with the recorded
+        account hashes, root and scheduler counts); an entry is recorded
+        only when its root is the header's, so a hit needs no second
+        check.  Otherwise the block executes here and, if its root checks
+        out, is recorded for the others.  Raises :class:`InvalidBlockError`
+        on a root mismatch, leaving ``state`` as executed — the caller
+        rolls back.
         """
         memo = self.block_memo
-        known = None
         if memo is not None:
-            config = self.config
-            key = (
-                state.state_root(),
-                block.block_hash,
-                self.runtime,
-                config.block_reward,
-                config.schedule,
-                config.execution,
-                config.parallel_min_txs,
-            )
+            key = self._memo_key(state.state_root(), block)
             known = memo.get(key)
-        if known is not None:
-            state.apply_diff(known.diff)
-            state.adopt_hashes(known.account_hashes, known.state_root)
-            self.execution_stats.add(known.stats)
-            receipts = known.receipts
-        else:
-            mark = state.checkpoint()
-            counted = replace(self.execution_stats)
-            receipts = tuple(self._execute_block(state, block))
-            if memo is not None and state.state_root() == block.header.state_root:
-                diff = state.diff_since(mark)
-                memo.put(
-                    key,
-                    BlockExecution(
-                        diff=diff,
-                        account_hashes={address: state.account_hash(address) for address in diff},
-                        state_root=block.header.state_root,
-                        receipts=receipts,
-                        stats=self.execution_stats.since(counted),
-                    ),
-                )
-            state.commit(mark)
+            if known is not None:
+                state.apply_diff(known.diff)
+                state.adopt_hashes(known.account_hashes, known.state_root)
+                self.execution_stats.add(known.stats)
+                return known.receipts
+        mark = state.checkpoint()
+        counted = replace(self.execution_stats)
+        receipts = tuple(self._execute_block(state, block))
+        state.commit(mark)
         if block.header.state_root != state.state_root():
             raise InvalidBlockError(f"state root mismatch executing {block.block_hash[:10]}")
+        if memo is not None:
+            memo.put(key, self._execution(state, mark, block, receipts, counted))
         return receipts
+
+    def _execution(
+        self,
+        state: WorldState,
+        mark: int,
+        block: Block,
+        receipts: tuple[Receipt, ...],
+        counted: ExecutionStats,
+    ) -> BlockExecution:
+        """What executing ``block`` on ``state`` since ``mark`` did, as a
+        memo entry.  ``state``'s root is the header's and already hashed,
+        so every account hash read here is cached."""
+        diff = state.diff_since(mark)
+        return BlockExecution(
+            diff=diff,
+            account_hashes={address: state.account_hash(address) for address in diff},
+            state_root=block.header.state_root,
+            receipts=receipts,
+            stats=self.execution_stats.since(counted),
+        )
 
     # ------------------------------------------------------------------
     # Block building (mining)
@@ -517,6 +546,10 @@ class Node:
         runs on a copy-on-write overlay of the head state — only accounts
         the candidate touches are cloned, and its state root re-hashes only
         those accounts (untouched ones reuse the head's cached hashes).
+
+        With a shared :class:`BlockExecutionMemo`, what the build executed
+        is kept for :meth:`seal_and_import`, so the build is the block's
+        one execution in the cohort.
         """
         parent = self.head
         if difficulty is None:
@@ -541,10 +574,20 @@ class Node:
             gas_limit=self.config.block_gas_limit,
         )
         block = Block(header=header, transactions=txs)
-        receipts = self._execute_block(scratch, block)
+        mark = scratch.checkpoint()
+        counted = replace(self.execution_stats)
+        receipts = tuple(self._execute_block(scratch, block))
+        scratch.commit(mark)
         header.gas_used = sum(receipt.gas_used for receipt in receipts)
         header.tx_root = block.compute_tx_root()
         header.state_root = scratch.state_root()
+        if self.block_memo is not None:
+            self._built = _BuiltCandidate(
+                block=block,
+                payload=header.sealing_payload(),
+                parent_root=self.state.state_root(),
+                execution=self._execution(scratch, mark, block, receipts, counted),
+            )
         return block
 
     # ------------------------------------------------------------------
@@ -802,7 +845,7 @@ class Node:
         if receipts is None:
             return
         self.config.cold_store.put(
-            f"receipts:{block_hash}", [receipt.to_dict() for receipt in receipts]
+            f"receipts:{block_hash}", lambda: [receipt.to_dict() for receipt in receipts]
         )
         del self._receipts_by_block[block_hash]
         for receipt in receipts:
@@ -894,7 +937,25 @@ class Node:
         }
 
     def seal_and_import(self, block: Block, nonce: int) -> Optional[ReorgInfo]:
-        """Attach a nonce to a locally built candidate and import it."""
+        """Attach a nonce to a locally built candidate and import it.
+
+        If ``block`` is the last candidate built here and its sealed header
+        differs from the built one in the nonce alone, the build's
+        execution goes into the shared memo under the sealed block's key
+        (receipts re-pointed at the sealed hash), and the import below
+        installs it as every other node's will.  A header changed in any
+        other field between build and seal commits to something the build
+        did not execute, so that block executes on import like any other.
+        """
         block.header.nonce = nonce
         self.blocks_mined += 1
+        built, self._built = self._built, None
+        if (
+            built is not None
+            and built.block is block
+            and block.header.sealing_payload() == built.payload
+        ):
+            for receipt in built.execution.receipts:
+                receipt.block_hash = block.block_hash
+            self.block_memo.put(self._memo_key(built.parent_root, block), built.execution)
         return self.import_block(block)

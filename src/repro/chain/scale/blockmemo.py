@@ -6,19 +6,26 @@ a cohort imports every block, so without sharing each block's
 transactions run, its dirty accounts are re-encoded and the full
 ``{address: hash}`` map is re-hashed once per node.  A
 :class:`BlockExecutionMemo` is the cohort's shared record of that
-function: the first node to execute a block on a given parent state
-stores the outcome, and every later node *whose own state root equals
-the recorded parent root* installs it instead of recomputing it.
+function.  A block's first execution is its miner's candidate build:
+sealing records what the build executed under the sealed block's key
+(only if the seal changed the header's nonce and nothing else), so the
+miner's own import installs it like everyone else's.  A block no one
+recorded that way is stored by the first node to execute it on a given
+parent state.  Every later node *whose own state root equals the
+recorded parent root* installs the outcome instead of recomputing it.
 
 What is shared is execution and hashing only.  Every node still
 validates the block itself (tx-root commitment, signatures, PoW,
-linkage) and still compares the header's ``state_root`` with its own
-state's root on import; the outcome goes in through the journaled
+linkage).  The root a node ends on is the header's ``state_root``:
+checked against the execution that recorded the outcome (the key
+commits to the header, so it is the same check), or against its own
+execution when it misses.  The outcome goes in through the journaled
 setters, so rollback, reorg and history pruning see an ordinary
 executed block.  A node whose state differs from the recorded parent —
 divergent, tampered with, or simply elsewhere in the tree — has a
 different key, misses, and executes for real; an execution whose root
-does not match the block header is never recorded.
+does not match the block header is never recorded, and neither is a build
+whose header was edited before sealing.
 
 Entries share storage values and receipts with the nodes that use them
 (immutable by the convention ``WorldState.overlay`` and ``ColdStore.get``

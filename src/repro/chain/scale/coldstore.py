@@ -79,11 +79,16 @@ class ColdStore:
         """Store ``payload`` under ``key``; content-addressed, so a
         repeated key is a dedup hit and the payload is not re-encoded.
 
-        Returns ``True`` when the payload was actually written.
+        ``payload`` may also be a zero-argument callable that builds it:
+        it is called only for a new key, so every node but the first to
+        spill a block pays for no payload at all.  Returns ``True`` when
+        the payload was actually written.
         """
         if key in self._index:
             self.stats.dedup_hits += 1
             return False
+        if callable(payload):
+            payload = payload()
         encoded = canonical_dumps(payload)
         self._segment.seek(self._write_offset)
         self._segment.write(encoded)

@@ -32,6 +32,7 @@ speed/precision claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -240,6 +241,8 @@ class DecentralizedFL:
         # And one count of head moves across the cohort's nodes: a wait
         # whose inputs are chain views has nothing new to see until it moves.
         self.head_moves = HeadMoves()
+        #: Node address -> peer id, to read a drained wake set as peers.
+        self._peer_of: dict[Address, str] = {}
         node_config = NodeConfig(
             execution=chain.execution,
             parallel_min_txs=chain.parallel_min_txs,
@@ -259,6 +262,7 @@ class DecentralizedFL:
                 head_moves=self.head_moves,
             )
             self.network.add_node(node, hashrate=chain.hashrate)
+            self._peer_of[node.address] = pc.peer_id
             gateway: ChainGateway = InProcessGateway(
                 node,
                 network=self.network,
@@ -338,7 +342,7 @@ class DecentralizedFL:
             and peer.gateway.has_contract(self.reputation_address)
         )
         self._wait_views(
-            lambda: all(deployed(peer) for peer in self.peers.values()), "contract deployment"
+            self._all_views(list(self.peers.values()), deployed), "contract deployment"
         )
 
         # Phase 2: every peer self-registers (open enrollment).  Identities
@@ -367,8 +371,7 @@ class DecentralizedFL:
         reads = self._membership_reads(registry_address)
         registered = self._views(lambda peer: self._is_registered(peer, registry_address, reads))
         self._wait_views(
-            lambda: all(registered(peer) for peer in self.peers.values()),
-            "participant registration",
+            self._all_views(list(self.peers.values()), registered), "participant registration"
         )
         self.shard.configure(store_address, coordinator_address, self.addresses)
         self._deployed = True
@@ -425,7 +428,7 @@ class DecentralizedFL:
 
     def _wait_views(
         self,
-        predicate: Callable[[], bool],
+        predicate: Callable[[Optional[set[str]]], bool],
         what: str,
         reads_clock: bool = False,
         marks: Callable[[], Any] = lambda: None,
@@ -434,27 +437,77 @@ class DecentralizedFL:
 
         The predicate reads views through :meth:`_views`; besides them it
         may depend on ``marks()`` (the driver's own state, such as the
-        round's submissions) and, when ``reads_clock``, on the clock.  When
-        it depends on neither the clock nor a stack without view tokens, an
-        event that moved no head (:class:`~repro.chain.HeadMoves`) and no
-        mark cannot turn it true, and it is skipped in O(1).  Otherwise it
-        runs after every event, as in :meth:`_wait_until`.
+        round's submissions) and, when ``reads_clock``, on the clock.  It is
+        called with its *wake set*: the ids of the peers whose node moved
+        its head (:class:`~repro.chain.HeadMoves`) since its last call, or
+        ``None`` for "assume every view moved" — its first call, and every
+        call of an ungated wait.  It re-reads the woken peers and may leave
+        the others standing: their views, and so its answer for them, are
+        what they were.
+
+        When it depends on neither the clock nor a stack without view
+        tokens, an event that moved no head and no mark cannot turn it
+        true, and it is skipped in O(1).  Otherwise it runs after every
+        event with ``None``, as in :meth:`_wait_until`.
         """
         gated = not reads_clock and all(
             peer.gateway.view_token() is not None for peer in self.peers.values()
         )
         last: Optional[tuple] = None
+        peer_of = self._peer_of
 
         def changed() -> bool:
             nonlocal last
-            if gated:
-                now = (self.head_moves.count, marks())
-                if now == last:
-                    return False
-                last = now
-            return predicate()
+            if not gated:
+                return predicate(None)
+            now = (self.head_moves.count, marks())
+            if now == last:
+                return False
+            first, last = last is None, now
+            moved = self.head_moves.drain()
+            return predicate(None if first else {peer_of[node] for node in moved})
 
         return self._wait_until(changed, what)
+
+    @staticmethod
+    def _all_views(
+        peers: list[FullPeer], view: Callable[[FullPeer], bool]
+    ) -> Callable[[Optional[set[str]]], bool]:
+        """``all(view(peer) for peer in peers)`` as a :meth:`_wait_views`
+        predicate, asking the same views in the same order.
+
+        A cursor sits on the first peer not yet found true.  The peers
+        before it were true when last asked, so of those only woken ones
+        are asked again, in list order (a view can turn false again, say
+        on a reorg, and the cursor goes back to it); then the walk goes on
+        from the cursor, exactly where the short-circuiting ``all()`` would
+        be.  An unwoken peer before the cursor would answer from its
+        unmoved view, which is why it need not be asked.
+        """
+        position = {peer.peer_id: index for index, peer in enumerate(peers)}
+        cursor = 0
+
+        def holds(woken: Optional[set[str]]) -> bool:
+            nonlocal cursor
+            if woken is None:
+                cursor = 0
+            else:
+                behind = sorted(
+                    position[peer_id]
+                    for peer_id in woken
+                    if position.get(peer_id, cursor) < cursor
+                )
+                for index in behind:
+                    if not view(peers[index]):
+                        cursor = index
+                        return False
+            while cursor < len(peers):
+                if not view(peers[cursor]):
+                    return False
+                cursor += 1
+            return True
+
+        return holds
 
     # ------------------------------------------------------------------
     # Round execution
@@ -563,21 +616,40 @@ class DecentralizedFL:
     def _await_quorum(self, rnd: Round) -> None:
         """Each submitted peer reads its own chain view until the waiting
         policy fires; ``ready_at`` is recorded once, because a ready peer
-        leaves ``pending``."""
+        leaves ``pending``.
+
+        A non-clock policy's answer for a peer moves only with the peer's
+        view, its own submission, and ``rnd.expected()``, so a gated wait
+        asks it only for the peers its wake set names and the peers that
+        submitted since the last call — and everyone pending once a drop
+        moved ``expected()``.  Peers are asked in sorted order, as the walk
+        over all of them always has been.  (No peer drops in the middle of
+        a gated walk: the in-process gateway, the only stack with a view
+        token, never gives up on a peer.)
+        """
         policy = self.config.policy
         pending = set(rnd.live)
         visible = self._views(lambda peer: len(peer.visible_submissions(rnd.round_id)))
+        submitted = dropped = 0  # submissions and drops seen by the last call
 
-        def poll() -> bool:
-            for peer_id in sorted(pending):
-                if peer_id in rnd.submitted_at:
-                    with rnd.may_drop(peer_id):
-                        seen = visible(self.peers[peer_id])
-                        if policy.ready(seen, rnd.expected(), self.sim.now - rnd.opened_at):
-                            rnd.ready_at[peer_id] = self.sim.now
-                            pending.discard(peer_id)
-                if peer_id in rnd.dropped:
-                    pending.discard(peer_id)
+        def ask(peer_id: str) -> None:
+            if peer_id in rnd.submitted_at:
+                with rnd.may_drop(peer_id):
+                    seen = visible(self.peers[peer_id])
+                    if policy.ready(seen, rnd.expected(), self.sim.now - rnd.opened_at):
+                        rnd.ready_at[peer_id] = self.sim.now
+                        pending.discard(peer_id)
+            if peer_id in rnd.dropped:
+                pending.discard(peer_id)
+
+        def poll(woken: Optional[set[str]]) -> bool:
+            nonlocal submitted, dropped
+            everyone = woken is None or len(rnd.dropped) != dropped
+            if not everyone and len(rnd.submitted_at) != submitted:
+                woken = woken.union(islice(rnd.submitted_at, submitted, None))
+            submitted, dropped = len(rnd.submitted_at), len(rnd.dropped)
+            for peer_id in sorted(pending if everyone else pending.intersection(woken)):
+                ask(peer_id)
             return not pending
 
         self._wait_views(
@@ -634,11 +706,8 @@ class DecentralizedFL:
             )
             peer.gateway.submit(vote_tx)
         peers = [self.peers[peer_id] for peer_id in rnd.view_records]
-        finalized = self._views(lambda peer: self._finalized_hash(peer, round_id))
-        self._wait_views(
-            lambda: all(finalized(peer) is not None for peer in peers),
-            f"round {round_id} finalization",
-        )
+        finalized = self._views(lambda peer: self._finalized_hash(peer, round_id) is not None)
+        self._wait_views(self._all_views(peers, finalized), f"round {round_id} finalization")
         finals = {peer.peer_id: self._finalized_hash(peer, round_id) for peer in peers}
         return self.shard.adopt_final(round_id, views=rnd.view_records, finals=finals)
 

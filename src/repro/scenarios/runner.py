@@ -22,10 +22,11 @@ each fleet launch — once.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Callable, Optional
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec, client_cl
 from repro.fl.client import ClientConfig, FLClient
 from repro.fl.trainer import TrainConfig
 from repro.fl.vanilla import VanillaConfig, VanillaFL
+from repro.nn.model import Sequential
 from repro.nn.models import build_model
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import RngFactory
@@ -314,6 +316,39 @@ def _builder(spec: ScenarioSpec, ctx: ScenarioContext):
     return partial(build_model, spec.model_kind)
 
 
+def _initial_model(
+    builder, seed: int, uses: int
+) -> Callable[[np.random.Generator], Sequential]:
+    """A model builder for ``uses`` callers that builds from ``seed`` once.
+
+    Every peer starts from the same initial weights, so one build serves
+    them all: each caller but the last gets its own copy, the last gets
+    the build itself (so no spare copy outlives the cohort's models), and
+    a caller beyond ``uses`` gets a fresh build.  Each gets the bytes its
+    own build from ``seed`` would give, and the weight draws are paid once
+    per run rather than once per peer.  A copy's parameters and gradients
+    are its own; its frozen prefix (:meth:`Sequential.frozen_depth`: no
+    parameters, fixed content) is the build's, as every peer shares one
+    pretrained trunk.  Like the per-caller builds this replaces, it
+    ignores its rng.
+    """
+    template: Optional[Sequential] = None
+    handed = 0
+
+    def build(rng: np.random.Generator) -> Sequential:
+        nonlocal template, handed
+        handed += 1
+        if template is None:
+            template = builder(np.random.default_rng(seed))
+        if handed < uses:
+            frozen = template.layers[: template.frozen_depth()]
+            return copy.deepcopy(template, {id(layer): layer for layer in frozen})
+        model, template = template, None
+        return model
+
+    return build
+
+
 def _train_config(spec: ScenarioSpec) -> TrainConfig:
     """Local-training hyperparameters of the scenario."""
     return TrainConfig(
@@ -338,7 +373,8 @@ def _run_vanilla(
     adversary_ids = spec.adversary.adversary_ids(client_ids)
     # All clients start from identical initial weights (the shared model),
     # matching both the paper's deployment and standard FedAvg.
-    init_rng_seed = rngs.integers("model-init")
+    # One model per client, plus the driver's scratch model.
+    model_builder = _initial_model(builder, rngs.integers("model-init"), len(client_ids) + 1)
     train_config = _train_config(spec)
     clients = [
         FLClient(
@@ -349,7 +385,7 @@ def _run_vanilla(
             ),
             train_sets[client_id],
             test_sets[client_id],
-            lambda rng, _seed=init_rng_seed: builder(np.random.default_rng(_seed)),
+            model_builder,
             rngs.get("client", client_id),
             attack_rng=(
                 rngs.get("attack", client_id) if client_id in adversary_ids else None
@@ -361,7 +397,7 @@ def _run_vanilla(
         clients,
         aggregator_test,
         VanillaConfig(rounds=spec.rounds, consider=spec.consider),
-        model_builder=lambda rng: builder(np.random.default_rng(init_rng_seed)),
+        model_builder=model_builder,
         rng=rngs.get("tie-break"),
     )
     logs = driver.run()
@@ -432,7 +468,7 @@ def decentralized_inputs(
         builder = _builder(spec, ctx)
     init_rng_seed = rngs.integers("model-init")
     if builds:
-        model_builder = lambda rng: builder(np.random.default_rng(init_rng_seed))
+        model_builder = _initial_model(builder, init_rng_seed, len(train_sets))
     training_times = spec.heterogeneity.training_times(client_ids, rngs.get("hetero"))
 
     # Every DecentralizedConfig field is a ScenarioSpec field of the same

@@ -9,10 +9,11 @@ byte:
   same-height rivals, heavier-branch reorgs, a reorg that fails its
   state-root check, a reorg deeper than ``state_history``, a snapshot
   ``sync_from``, direct state tampering, eviction at capacity — and after
-  every step compares the fleets node by node;
+  every step compares the fleets node by node (a candidate whose header
+  is edited between build and seal included);
 * a deterministic work count on a driver-built cohort: transactions are
-  executed once per mined block plus once per candidate build, not once
-  per node;
+  executed once per mined block — by the miner's candidate build, which
+  its own import installs like everyone else's — not once per node;
 * the full ``chain_stats()`` of a parallel-execution, cold-storage,
   snapshot-syncing run with the memo equals the same run without it.
 """
@@ -42,6 +43,15 @@ FLEET_SIZE = 4
 STATE_HISTORY = 2
 SNAPSHOT_INTERVAL = 2
 TX_KINDS = ("transfer", "register", "ban", "not_admin", "out_of_gas")
+
+#: Edits of a built candidate's header other than its nonce.  Every one
+#: changes what the sealed block commits to, so its miner must execute it
+#: on import rather than install what the build executed.
+HEADER_EDITS = {
+    "state_root": lambda header: setattr(header, "state_root", "0x" + "de" * 32),
+    "timestamp": lambda header: setattr(header, "timestamp", header.timestamp + 1.0),
+    "gas_used": lambda header: setattr(header, "gas_used", header.gas_used + 1),
+}
 
 
 def fresh_runtime() -> ContractRuntime:
@@ -98,6 +108,17 @@ class Fleet:
         node = self.nodes[miner]
         block = node.build_block_candidate(clock, difficulty=difficulty)
         node.seal_and_import(block, nonce=0)
+        return block.block_hash
+
+    def edited_build(self, miner: int, edit: str, clock: float) -> object:
+        """A candidate whose header is edited between build and seal."""
+        node = self.nodes[miner]
+        block = node.build_block_candidate(clock, difficulty=1)
+        HEADER_EDITS[edit](block.header)
+        try:
+            node.seal_and_import(block, nonce=0)
+        except InvalidBlockError:
+            return "invalid"
         return block.block_hash
 
     def deliver(self, to: int, block) -> object:
@@ -284,6 +305,10 @@ class MemoVsOracleMachine(RuleBasedStateMachine):
         mine before they hear of it."""
         self.both("mine", miner, self.tick(), difficulty)
 
+    @rule(miner=nodes, edit=st.sampled_from(sorted(HEADER_EDITS)))
+    def edited_build(self, miner, edit):
+        self.both("edited_build", miner, edit, self.tick())
+
     @rule(follower=nodes, leader=nodes)
     def follow(self, follower, leader):
         self.both("follow", follower, leader)
@@ -375,19 +400,71 @@ class TestSharedExecution:
         node.seal_and_import(block, nonce=0)
         return block
 
-    def test_first_importer_executes_later_importers_install(self):
+    def test_the_build_executes_and_every_import_installs(self):
         memo, (miner, second, third) = self.make_fleet()
         block = self.mine_transfers(miner, 1.0)
-        assert (memo.hits, memo.misses, len(memo)) == (0, 1, 1)
+        # The build recorded its execution; the miner's import installed it.
+        assert (memo.hits, memo.misses, len(memo)) == (1, 0, 1)
         second.import_block(block)
         third.import_block(block)
-        assert (memo.hits, memo.misses) == (2, 1)
-        for node in (second, third):
-            assert node.head_hash == miner.head_hash
-            assert node.state.state_root() == miner.state.state_root()
+        assert (memo.hits, memo.misses) == (3, 0)
+        oracle = Node(KEYPAIRS[3], GENESIS, miner.runtime, NodeConfig())
+        oracle.import_block(block)
+        for node in (miner, second, third):
+            assert node.head_hash == oracle.head_hash
+            assert node.state.state_root() == oracle.state.state_root()
             assert node.state.copy().state_root() == block.header.state_root
             for tx in block.transactions:
-                assert node.receipt_of(tx.tx_hash).to_dict() == miner.receipt_of(tx.tx_hash).to_dict()
+                receipt = node.receipt_of(tx.tx_hash)
+                assert receipt.block_hash == block.block_hash  # the sealed hash
+                assert receipt.to_dict() == oracle.receipt_of(tx.tx_hash).to_dict()
+
+    @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+    def test_a_header_edited_between_build_and_seal_executes_on_import(self, edit):
+        """Only the nonce may change between build and seal; any other
+        edit means the sealed block is not what the build executed, so
+        the miner executes it on import and reaches the verdict a node
+        without the memo reaches."""
+        memo = BlockExecutionMemo()
+        runtime = fresh_runtime()
+        miner = Node(KEYPAIRS[0], GENESIS, runtime, NodeConfig(), block_memo=memo)
+        plain = Node(KEYPAIRS[0], GENESIS, runtime, NodeConfig())  # no memo: one more miner
+        verdicts = []
+        for node in (miner, plain):
+            deploy = Transaction(
+                sender=ADDRESSES[1],
+                to=None,
+                nonce=0,
+                args={"contract": "aggregation_coordinator", "model_store_address": ADDRESSES[5]},
+            ).sign_with(KEYPAIRS[1])
+            node.submit_transaction(deploy)
+            node.seal_and_import(node.build_block_candidate(1.0, difficulty=1), nonce=0)
+            coordinator = node.receipt_of(deploy.tx_hash).contract_address
+            # Opening a round stores the block timestamp in contract state.
+            node.submit_transaction(
+                Transaction(
+                    sender=ADDRESSES[1],
+                    to=coordinator,
+                    nonce=1,
+                    method="open_round",
+                    args={"round_id": 1},
+                ).sign_with(KEYPAIRS[1])
+            )
+            block = node.build_block_candidate(2.0, difficulty=1)
+            HEADER_EDITS[edit](block.header)
+            misses = memo.misses
+            try:
+                node.seal_and_import(block, nonce=7)
+            except InvalidBlockError:
+                verdicts.append(("invalid", node.height, node.state.state_root()))
+            else:
+                verdicts.append(("imported", node.height, node.state.state_root()))
+            if node is miner:
+                assert memo.misses == misses + 1  # executed, not installed
+        assert verdicts[0] == verdicts[1]
+        # A node checks the root it executes to, not the gas the header
+        # claims, so only that edit imports.
+        assert verdicts[0][0] == ("imported" if edit == "gas_used" else "invalid")
 
     def test_a_hit_installs_deployments_and_deleted_slots(self):
         memo, (miner, second, _) = self.make_fleet()
@@ -412,7 +489,7 @@ class TestSharedExecution:
         for block in (deployed, joined, banned):
             second.import_block(block)
             assert second.state.copy().state_root() == block.header.state_root
-        assert memo.hits == 3
+        assert (memo.hits, memo.misses) == (6, 0)  # the miner's imports and the second node's
         assert second.has_contract(registry)
         assert second.call_contract(registry, "members") == []
         assert second.call_contract(registry, "is_banned", address=ADDRESSES[1])
@@ -437,7 +514,7 @@ class TestSharedExecution:
         block = self.mine_transfers(miner, 1.0)
         with pytest.raises(InvalidBlockError):
             richer.import_block(block)  # its own reward gives another root
-        assert memo.hits == 0
+        assert (memo.hits, memo.misses) == (1, 1)  # only the miner's own import hit
 
     def test_scheduler_counts_are_replayed_on_a_hit(self):
         memo, (miner, second, _) = self.make_fleet(execution="parallel", parallel_min_txs=1)
@@ -447,7 +524,8 @@ class TestSharedExecution:
         )
         second.import_block(block)
         oracle.import_block(block)
-        assert memo.hits == 1
+        assert (memo.hits, memo.misses) == (2, 0)  # the miner's import and the second node's
+        assert miner.execution_stats.parallel_blocks == 2  # built, then installed
         assert second.execution_stats.speculated_txs == len(block.transactions)
         assert second.scale_stats() == oracle.scale_stats()
 
@@ -458,9 +536,10 @@ class TestSharedExecution:
         assert (len(memo), memo.evictions) == (2, 2)
         for block in blocks:
             second.import_block(block)
-        # The two evicted blocks ran again on the second node (and were
-        # recorded again, evicting the two that were still there).
-        assert memo.misses == 4 + 2 + 2
+        # The miner's builds were its executions.  The two evicted blocks
+        # ran again on the second node, and recording them again evicted
+        # the two that were still there, which then ran again too.
+        assert memo.misses == 2 + 2
         assert second.state.state_root() == miner.state.state_root()
         assert second.state.copy().state_root() == miner.head.header.state_root
 
@@ -492,12 +571,17 @@ def driver_memos(monkeypatch):
 class TestDriverCohort:
     def test_transactions_execute_once_per_block_not_once_per_node(self, monkeypatch, driver_memos):
         """The CI proxy for the benchmark gain: work counts, not seconds."""
-        executed, mined, imports = [], [], []
+        executed, blocks, mined, imports = [], [], [], []
         execute, seal, advance = Node._execute_transaction, Node.seal_and_import, Node._advance
+        execute_block = Node._execute_block
 
         def counting_execute(self, state, tx, *args, **kwargs):
             executed.append(tx.tx_hash)
             return execute(self, state, tx, *args, **kwargs)
+
+        def counting_execute_block(self, state, block):
+            blocks.append(block.number)
+            return execute_block(self, state, block)
 
         def counting_seal(self, block, nonce):
             mined.append(len(block.transactions))
@@ -508,16 +592,17 @@ class TestDriverCohort:
             return advance(self, state, block)
 
         monkeypatch.setattr(Node, "_execute_transaction", counting_execute)
+        monkeypatch.setattr(Node, "_execute_block", counting_execute_block)
         monkeypatch.setattr(Node, "seal_and_import", counting_seal)
         monkeypatch.setattr(Node, "_advance", counting_advance)
         run_scenario(quick_cohort(6))
         (memo,) = driver_memos
         assert sum(mined) > 6 and len(imports) > 3 * len(mined)
-        # One candidate build plus one import per mined block; every other
-        # node's import of that block installs the recorded result.
-        assert len(executed) == 2 * sum(mined)
-        assert memo.misses == len(mined) and memo.evictions == 0
-        assert memo.hits == len(imports) - len(mined)
+        # One execution per mined block, its candidate build; every import
+        # of it, the miner's own included, installs the recorded result.
+        assert len(executed) == sum(mined) and len(blocks) == len(mined)
+        assert memo.misses == 0 and memo.evictions == 0
+        assert memo.hits == len(imports)
 
     def test_every_run_gets_its_own_memo(self, driver_memos):
         """A process-wide memo would make a second identical run all hits
@@ -527,8 +612,8 @@ class TestDriverCohort:
         run_scenario(spec)
         first, second = driver_memos
         assert first is not second
-        assert (first.hits, first.misses) == (second.hits, second.misses)
-        assert second.misses > 0
+        assert (first.hits, first.misses, len(first)) == (second.hits, second.misses, len(second))
+        assert len(second) > 0 and second.hits > 0
 
     def test_parallel_cold_snapshot_run_is_the_same_with_and_without_the_memo(self, monkeypatch):
         sampled = replace(cohort_scenario(8, sampled_k=3).quick(), rounds=3)

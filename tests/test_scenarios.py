@@ -433,6 +433,42 @@ class TestRunner:
         for log in result.round_logs:
             assert log.chosen_combination == ("A", "B", "C")
 
+    @pytest.mark.parametrize("model_kind", ["simple_nn", "efficientnet_b0_sim"])
+    def test_the_initial_model_is_built_once_and_copied(self, monkeypatch, model_kind):
+        """Every peer starts from the ``model-init`` weights: one build per
+        run for its peers, each of which gets its own model with the bytes
+        of a build (a frozen trunk shared); a caller past the peers gets a
+        build of its own."""
+        import repro.scenarios.runner as runner
+        from repro.nn.serialize import weights_to_bytes
+
+        spec = tiny_spec(model_kind=model_kind)
+        builds = []
+        build_model = runner.build_model
+
+        def counting(kind, rng, **kwargs):
+            builds.append(kind)
+            return build_model(kind, rng, **kwargs)
+
+        monkeypatch.setattr(runner, "build_model", counting)
+        with ScenarioContext() as ctx:
+            inputs = decentralized_inputs(spec, RngFactory(spec.seed), ctx)
+            models = [inputs.model_builder(np.random.default_rng(index)) for index in range(3)]
+            assert builds == [model_kind]
+            models.append(inputs.model_builder(np.random.default_rng(3)))
+            assert builds == [model_kind] * 2
+            seed = RngFactory(spec.seed).integers("model-init")
+            fresh = runner._builder(spec, ctx)(np.random.default_rng(seed))
+        assert len({id(model) for model in models}) == 4
+        # The frozen trunk (efficientnet's) is one object for the cohort.
+        depth = models[0].frozen_depth()
+        assert depth == (1 if model_kind == "efficientnet_b0_sim" else 0)
+        assert all(model.layers[:depth] == models[0].layers[:depth] for model in models[:3])
+        for model in models:
+            assert weights_to_bytes(model.get_weights()) == weights_to_bytes(fresh.get_weights())
+        models[0].parameters()["head/b"][...] = 1.0  # independent copies
+        assert weights_to_bytes(models[1].get_weights()) == weights_to_bytes(fresh.get_weights())
+
     def test_vanilla_kind(self):
         spec = tiny_spec(kind="vanilla", consider=False)
         result = run_scenario(spec)
