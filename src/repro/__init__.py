@@ -15,7 +15,7 @@ Subpackages
     evaluation models (SimpleNN and the EfficientNet-B0 transfer-learning
     analog), weight serialization for on-chain commitment.
 ``repro.data``
-    Synthetic CIFAR-10-like dataset and federated partitioning.
+    Synthetic CIFAR-10-like dataset with per-client label skew.
 ``repro.fl``
     Chain-agnostic FL: local training, FedAvg (+ robust baselines), the
     "consider" combination selection, async waiting policies, poisoning.

@@ -3,7 +3,7 @@
 Each training round, every peer submits the hash of its serialized local
 model weights (plus metadata: round, sample count, self-reported accuracy).
 Full weights travel off-chain through a content-addressed store (as IPFS
-does in related work, see DESIGN.md §5.3); the on-chain hash makes the
+does in related work); the on-chain hash makes the
 submission non-repudiable — the signed transaction binds author, round, and
 exact weights.
 

@@ -94,7 +94,6 @@ def batch_indices(
     size: int,
     batch_size: int,
     rng: Optional[np.random.Generator] = None,
-    drop_last: bool = False,
 ) -> Iterator[np.ndarray]:
     """Yield the row indices of each minibatch of a ``size``-row epoch,
     shuffled (one ``rng.shuffle``) when ``rng`` is given."""
@@ -104,38 +103,5 @@ def batch_indices(
     if rng is not None:
         rng.shuffle(indices)
     for start in range(0, len(indices), batch_size):
-        batch = indices[start : start + batch_size]
-        if drop_last and len(batch) < batch_size:
-            break
-        yield batch
+        yield indices[start : start + batch_size]
 
-
-def batch_iterator(
-    dataset: Dataset,
-    batch_size: int,
-    rng: Optional[np.random.Generator] = None,
-    drop_last: bool = False,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(x, y)`` minibatches, shuffled when ``rng`` is given."""
-    for batch in batch_indices(len(dataset), batch_size, rng, drop_last):
-        yield dataset.x[batch], dataset.y[batch]
-
-
-def train_test_split(
-    dataset: Dataset,
-    test_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[Dataset, Dataset]:
-    """Shuffle-split into train/test datasets."""
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    indices = np.arange(len(dataset))
-    rng.shuffle(indices)
-    n_test = max(int(round(len(dataset) * test_fraction)), 1)
-    test_idx, train_idx = indices[:n_test], indices[n_test:]
-    if len(train_idx) == 0:
-        raise DataError("split left no training samples")
-    return (
-        dataset.subset(train_idx, f"{dataset.name}/train"),
-        dataset.subset(test_idx, f"{dataset.name}/test"),
-    )

@@ -256,16 +256,3 @@ def client_class_probs(client_index: int, num_clients: int, num_classes: int = N
     weights[favoured] += skew
     return weights / weights.sum()
 
-
-def make_cifar10_like(
-    spec: SyntheticSpec,
-    train_size: int,
-    test_size: int,
-    rng: np.random.Generator,
-    flat: bool = True,
-) -> tuple[Dataset, Dataset]:
-    """Convenience constructor for one train/test pair."""
-    factory = SyntheticImageDataset(spec)
-    train = factory.sample(train_size, rng, flat=flat, name="cifar10like/train")
-    test = factory.sample(test_size, rng, flat=flat, name="cifar10like/test")
-    return train, test

@@ -114,11 +114,7 @@ class NotBuiltError(NNError):
 
 
 class DataError(ReproError):
-    """Base class for dataset and partitioning failures."""
-
-
-class PartitionError(DataError):
-    """A requested partition is infeasible (too many clients, empty shard)."""
+    """Base class for dataset failures."""
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from repro.scenarios.registry import (
     paper_spec,
     register_scenario,
 )
-from repro.scenarios.sweep import SweepPoint, cohort_sweep, grid, run_grid, sweep_axis
+from repro.scenarios.sweep import SweepPoint, cohort_sweep, grid, run_grid
 
 __all__ = [
     "AdversarySpec",
@@ -69,5 +69,4 @@ __all__ = [
     "replace_axis",
     "run_grid",
     "run_scenario",
-    "sweep_axis",
 ]

@@ -236,9 +236,9 @@ class HeterogeneitySpec:
             raise ConfigError(
                 f"straggler_factor must be >= 1, got {self.straggler_factor}"
             )
-        if self.kind == "custom" and self.times is None:
-            raise ConfigError("custom heterogeneity needs explicit times")
-        if self.times is not None and min(self.times) <= 0:
+        if self.kind == "custom" and not self.times:
+            raise ConfigError(f"custom heterogeneity needs explicit times, got {self.times!r}")
+        if self.times and min(self.times) <= 0:
             raise ConfigError("every training time must be positive")
 
     def training_times(

@@ -89,16 +89,6 @@ def run_grid(
     return executed
 
 
-def sweep_axis(
-    base: ScenarioSpec,
-    axis: str,
-    values: Sequence[object],
-    context: Optional[ScenarioContext] = None,
-) -> list[SweepPoint]:
-    """One-axis convenience wrapper over :func:`grid` + :func:`run_grid`."""
-    return run_grid(grid(base, {axis: list(values)}), context=context)
-
-
 def cohort_sweep(
     sizes: Sequence[int],
     base: Optional[ScenarioSpec] = None,

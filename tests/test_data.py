@@ -1,16 +1,14 @@
-"""Tests for the dataset container, synthetic generator, partitioners, transforms."""
+"""Tests for the dataset container, batching, synthetic generator, transforms."""
 
 import numpy as np
 import pytest
 
-from repro.data.dataset import Dataset, batch_indices, batch_iterator, train_test_split
-from repro.data.partition import partition_dirichlet, partition_iid, partition_shards
+from repro.data.dataset import Dataset, batch_indices
 from repro.data.synthetic import (
     CIFAR10_LABELS,
     SyntheticImageDataset,
     SyntheticSpec,
     client_class_probs,
-    make_cifar10_like,
 )
 from repro.data.transforms import (
     augment_batch,
@@ -19,7 +17,7 @@ from repro.data.transforms import (
     random_crop_shift,
     random_flip,
 )
-from repro.errors import DataError, PartitionError, ShapeError
+from repro.errors import DataError, ShapeError
 
 
 @pytest.fixture
@@ -82,17 +80,12 @@ class TestDataset:
 
 class TestBatchIterator:
     def test_covers_everything(self, dataset):
-        seen = sum(len(x) for x, _y in batch_iterator(dataset, 16))
-        assert seen == 50
-
-    def test_drop_last(self, dataset):
-        batches = list(batch_iterator(dataset, 16, drop_last=True))
-        assert all(len(x) == 16 for x, _y in batches)
-        assert len(batches) == 3
+        batches = list(batch_indices(len(dataset), 16))
+        np.testing.assert_array_equal(np.concatenate(batches), np.arange(len(dataset)))
 
     def test_shuffle_changes_order(self, dataset, rng):
-        plain = next(batch_iterator(dataset, 50))[1]
-        shuffled = next(batch_iterator(dataset, 50, rng=rng))[1]
+        plain = next(batch_indices(len(dataset), 50))
+        shuffled = next(batch_indices(len(dataset), 50, rng=rng))
         assert not np.array_equal(plain, shuffled)
 
     def test_batches_are_the_index_batches_of_one_shuffle(self, dataset):
@@ -104,33 +97,10 @@ class TestBatchIterator:
         np.testing.assert_array_equal(np.concatenate(batches), expected)
         assert used.bit_generator.state == rng.bit_generator.state  # one draw per epoch
         assert [len(batch) for batch in batches] == [16, 16, 16, 2]
-        pairs = batch_iterator(dataset, 16, rng=np.random.default_rng(4))
-        for batch, (x, y) in zip(batches, pairs):
-            np.testing.assert_array_equal(x, dataset.x[batch])
-            np.testing.assert_array_equal(y, dataset.y[batch])
 
     def test_invalid_batch_size(self, dataset):
         with pytest.raises(DataError):
-            list(batch_iterator(dataset, 0))
-
-
-class TestTrainTestSplit:
-    def test_sizes(self, dataset, rng):
-        train, test = train_test_split(dataset, 0.2, rng)
-        assert len(train) == 40 and len(test) == 10
-
-    def test_disjoint(self, rng):
-        ds = Dataset(np.arange(20).reshape(20, 1).astype(float), np.zeros(20, dtype=int))
-        train, test = train_test_split(ds, 0.25, rng)
-        train_vals = set(train.x.ravel())
-        test_vals = set(test.x.ravel())
-        assert not train_vals & test_vals
-
-    def test_invalid_fraction(self, dataset, rng):
-        with pytest.raises(DataError):
-            train_test_split(dataset, 0.0, rng)
-        with pytest.raises(DataError):
-            train_test_split(dataset, 1.0, rng)
+            list(batch_indices(len(dataset), 0))
 
 
 class TestSyntheticSpec:
@@ -264,10 +234,6 @@ class TestSyntheticGeneration:
         noisy, _ = factory.pretrained_backbone(mismatch=0.1)
         assert not np.allclose(clean, noisy)
 
-    def test_make_cifar10_like(self, rng):
-        train, test = make_cifar10_like(SyntheticSpec(), 30, 10, rng)
-        assert len(train) == 30 and len(test) == 10
-
 
 class TestClientClassProbs:
     def test_uniform_when_zero_skew(self):
@@ -295,66 +261,6 @@ class TestClientClassProbs:
         """``skew < 0`` lets NaN and +inf through to a NaN probability vector."""
         with pytest.raises(DataError, match="finite"):
             client_class_probs(0, 3, skew=skew)
-
-
-class TestPartitioners:
-    @pytest.fixture
-    def labelled(self, rng):
-        return Dataset(rng.normal(size=(120, 4)), np.repeat(np.arange(10), 12))
-
-    def test_iid_sizes(self, labelled, rng):
-        plan = partition_iid(labelled, ["A", "B", "C"], rng)
-        assert sum(plan.sizes().values()) == 120
-        assert all(size == 40 for size in plan.sizes().values())
-
-    def test_iid_disjoint(self, rng):
-        ds = Dataset(np.arange(30).reshape(30, 1).astype(float), np.zeros(30, dtype=int))
-        plan = partition_iid(ds, ["A", "B"], rng)
-        a = set(plan.client_datasets["A"].x.ravel())
-        b = set(plan.client_datasets["B"].x.ravel())
-        assert not a & b
-
-    def test_duplicate_ids_rejected(self, labelled, rng):
-        with pytest.raises(PartitionError):
-            partition_iid(labelled, ["A", "A"], rng)
-
-    def test_empty_clients_rejected(self, labelled, rng):
-        with pytest.raises(PartitionError):
-            partition_iid(labelled, [], rng)
-
-    def test_dirichlet_covers_everything(self, labelled, rng):
-        plan = partition_dirichlet(labelled, ["A", "B", "C"], rng, alpha=0.5)
-        assert sum(plan.sizes().values()) == 120
-
-    def test_dirichlet_skews_more_at_low_alpha(self, labelled):
-        def imbalance(alpha, seed):
-            plan = partition_dirichlet(labelled, ["A", "B", "C"], np.random.default_rng(seed), alpha=alpha)
-            dist = plan.label_distribution(10)
-            stds = [np.std([dist[c][k] for c in dist]) for k in range(10)]
-            return np.mean(stds)
-
-        assert imbalance(0.1, 3) > imbalance(100.0, 3)
-
-    def test_dirichlet_invalid_alpha(self, labelled, rng):
-        with pytest.raises(PartitionError):
-            partition_dirichlet(labelled, ["A"], rng, alpha=0.0)
-
-    def test_shards_pathological_noniid(self, labelled, rng):
-        plan = partition_shards(labelled, ["A", "B", "C"], rng, shards_per_client=2)
-        # Each client sees few distinct labels (2 shards x <=3 labels each).
-        for ds in plan.client_datasets.values():
-            assert len(np.unique(ds.y)) <= 6
-
-    def test_shards_too_many_rejected(self, rng):
-        tiny = Dataset(np.zeros((4, 1)), np.zeros(4, dtype=int))
-        with pytest.raises(PartitionError):
-            partition_shards(tiny, ["A", "B", "C"], rng, shards_per_client=2)
-
-    def test_label_distribution_reporting(self, labelled, rng):
-        plan = partition_iid(labelled, ["A", "B"], rng)
-        dist = plan.label_distribution(10)
-        assert set(dist) == {"A", "B"}
-        assert dist["A"].sum() + dist["B"].sum() == 120
 
 
 class TestTransforms:

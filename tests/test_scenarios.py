@@ -127,6 +127,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             HeterogeneitySpec(kind="custom")
 
+    def test_custom_heterogeneity_rejects_empty_times(self):
+        """``min(())`` used to escape as a bare ``ValueError``."""
+        with pytest.raises(ConfigError, match="times"):
+            HeterogeneitySpec(kind="custom", times=())
+
     def test_hetero_times_must_match_cohort(self):
         with pytest.raises(ConfigError):
             tiny_spec(heterogeneity=HeterogeneitySpec(kind="custom", times=(10.0, 20.0)))
