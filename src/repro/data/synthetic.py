@@ -202,8 +202,9 @@ class SyntheticImageDataset:
     ) -> Dataset:
         """Draw ``n`` labelled samples.
 
-        ``flat=True`` returns (n, 3072) vectors for the MLP models;
-        ``flat=False`` returns (n, 32, 32, 3) images for the CNN.
+        ``flat=True`` returns the (n, 3072) vectors both registered models
+        take; ``flat=False`` returns (n, 32, 32, 3) images, which no
+        registered model takes.
         ``class_probs`` optionally skews the label distribution — the
         per-client heterogeneity knob (see :func:`client_class_probs`).
         """

@@ -16,6 +16,7 @@ on-chain coordinator.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ConfigError, require_finite
@@ -43,6 +44,14 @@ class AsyncPolicy:
         raise NotImplementedError
 
 
+def _require_count(policy: AsyncPolicy, name: str) -> None:
+    """``policy.<name>`` counts models: an integer >= 1, never a bool or a
+    float (``submitted >= nan`` never holds)."""
+    value = getattr(policy, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WaitForAll(AsyncPolicy):
     """Synchronous baseline: wait for the full cohort."""
@@ -65,8 +74,8 @@ class WaitForK(AsyncPolicy):
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        require_finite(self)
+        _require_count(self, "k")
 
     def ready(self, submitted: int, expected: int, elapsed: float) -> bool:
         return submitted >= min(self.k, expected)
@@ -92,8 +101,7 @@ class Deadline(AsyncPolicy):
         require_finite(self)
         if self.seconds <= 0:
             raise ConfigError(f"deadline must be positive, got {self.seconds}")
-        if self.min_models < 1:
-            raise ConfigError(f"min_models must be >= 1, got {self.min_models}")
+        _require_count(self, "min_models")
 
     def ready(self, submitted: int, expected: int, elapsed: float) -> bool:
         if submitted >= expected:

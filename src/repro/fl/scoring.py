@@ -45,12 +45,11 @@ extending a running left-to-right sum of rows — one vector add per subset
 — and divides a sum by its sample total only when the subset has to be
 evaluated.  The summation order (sorted members, left to right) is fixed.
 
-What a row holds is decided by the architecture, the way
-:meth:`~repro.nn.model.Sequential.candidate_stack` decides which layer is
-fed the input all candidates share.  FedAvg is linear and so is a
-``Dense``: ``X @ ((sum_k n_k W_k) / N) + (sum_k n_k b_k) / N`` equals
-``(sum_k n_k (X @ W_k + b_k)) / N``.  When the first parameterised layer
-is a ``Dense`` — both registered models — the **split** falls after it: a
+FedAvg is linear and so is a ``Dense``: ``X @ ((sum_k n_k W_k) / N) +
+(sum_k n_k b_k) / N`` equals ``(sum_k n_k (X @ W_k + b_k)) / N``.  An
+engine requires the first parameterised layer to be a ``Dense`` — both
+registered models' is — and raises :class:`~repro.errors.ConfigError` on
+any other architecture.  The **split** falls after that ``Dense``: a
 search starts with one *activation pass*, each update's ``Z_k = X @ W_k +
 b_k`` on this engine's test set, and a row is ``n_k * [Z_k ; the
 parameters after the split]`` — 3 000 + 754 floats for ``simple_nn`` on
@@ -59,8 +58,7 @@ parameters after the split]`` — 3 000 + 754 floats for ``simple_nn`` on
 the solo logits.  The pass is one GEMM per ``batch_size`` chunk of the
 test set by the *first-layer stack*, all ``K`` updates' ``W_k`` side by
 side, which the viewers of a round share.  The 3072-wide product is paid
-once per (viewer, update), never per candidate.  Any other architecture
-(a convolution first) has no split: its rows are the whole ``n_k * w_k``.
+once per (viewer, update), never per candidate.
 
 Rows are keyed ``(update fingerprint, num_samples)`` on the engine and
 **search-scoped**: they are built when :meth:`CombinationEngine.enumerate`
@@ -196,16 +194,15 @@ def _workspace(model: Sequential) -> dict[str, np.ndarray]:
 
 
 def _split(model: Sequential) -> int:
-    """How many leading layers an activation pass stands in for.
-
-    Through the first parameterised layer when that is a plain ``Dense``
-    — its output is linear in ``(W, b)``, so FedAvg commutes with it —
-    else none: rows are then whole weights and candidates run every layer.
-    """
+    """How many leading layers an activation pass stands in for: through
+    the first parameterised layer, which must be a plain ``Dense`` — its
+    output is linear in ``(W, b)``, so FedAvg commutes with it."""
     for index, layer in enumerate(model.layers):
         if layer.params:
-            return index + 1 if type(layer) is Dense else 0
-    return 0
+            if type(layer) is Dense:
+                return index + 1
+            break
+    raise ConfigError(f"{model.name!r}: the first layer with parameters must be a Dense")
 
 
 def _first_layer(
@@ -337,13 +334,12 @@ class ScoredSubset:
 class _PackedSums:
     """FedAvg numerators as flat rows, and the slots their quotients fill.
 
-    ``scaled[k]`` is update ``k``'s row — ``n_k`` times its pre-activations
-    on the engine's test set followed by its parameters after the split,
-    or times all its parameters when the architecture has no split (module
-    docstring, "Incremental aggregation") — taken from the engine's
-    search-scoped rows, built into them when missing.  :attr:`scratch`
-    rows hold running sums, so extending a sum by one member is a single
-    vector add.  :attr:`slots` is laid out like a row:
+    ``scaled[k]`` is update ``k``'s row — ``n_k`` times the leading
+    ``Dense``'s outputs on the engine's test set followed by its parameters
+    after the split (module docstring, "Incremental aggregation") — taken
+    from the engine's search-scoped rows, built into them when missing.
+    :attr:`scratch` rows hold running sums, so extending a sum by one
+    member is a single vector add.  :attr:`slots` is laid out like a row:
     :meth:`divide_into`, the one place a sum becomes a candidate, is one
     vector divide, and :attr:`inputs` / :attr:`stack` are the views of the
     slots that :meth:`evaluate` hands the layers after the split.
@@ -359,25 +355,17 @@ class _PackedSums:
         scratch_rows: int,
     ) -> None:
         self.engine = engine
-        model = engine.model
-        params = model.parameters()
+        params = engine.model.parameters()
         samples = len(engine.test_set.x)
-        self.start = _split(model)
+        dense = engine.model.layers[engine.split - 1]
         #: The split Dense's parameters: in no row, their product is.
-        self._head: list[str] = []
-        sizes = [0]
-        if self.start:
-            dense = model.layers[self.start - 1]
-            self._head = [f"{dense.name}/{name}" for name in dense.params]
-            sizes[0] = samples * dense.units
+        self._head = [f"{dense.name}/{name}" for name in dense.params]
         tail = [key for key in params if key not in self._head]
-        ends = np.cumsum(sizes + [params[key].size for key in tail]).tolist()
+        ends = np.cumsum([samples * dense.units] + [params[key].size for key in tail]).tolist()
         self._tail = list(zip(tail, zip(ends, ends[1:])))
         dtype = engine.test_set.x.dtype
         self.slots = np.empty((BATCH_WIDTH, ends[-1]), dtype=dtype)
-        self.inputs: Optional[np.ndarray] = None
-        if self.start:
-            self.inputs = self.slots[:, : ends[0]].reshape(BATCH_WIDTH, samples, dense.units)
+        self.inputs = self.slots[:, : ends[0]].reshape(BATCH_WIDTH, samples, dense.units)
         self.stack = {
             key: self.slots[:, begin:end].reshape((BATCH_WIDTH,) + params[key].shape)
             for key, (begin, end) in self._tail
@@ -410,8 +398,6 @@ class _PackedSums:
             row = engine._rows[key] = np.empty_like(self.slots[0])
             for name, (begin, end) in self._tail:
                 np.multiply(update.weights[name].reshape(-1), update.num_samples, out=row[begin:end])
-        if not self.start:
-            return
         weights, bias = _first_layer(missing, self._head, self.slots.dtype)
         activations = [  # each row's leading (samples, units) block
             engine._rows[key][: self.inputs[0].size].reshape(self.inputs.shape[1:])
@@ -421,7 +407,7 @@ class _PackedSums:
         for begin in range(0, len(x), engine.batch_size):
             chunk = slice(begin, begin + engine.batch_size)
             inputs = x[chunk]
-            for layer in engine.model.layers[enter : self.start - 1]:
+            for layer in engine.model.layers[enter : engine.split - 1]:
                 inputs = layer.forward(inputs, training=False)  # parameterless
             product = (inputs @ weights + bias).reshape(len(inputs), len(missing), -1)
             for index, (_key, update) in enumerate(missing):
@@ -435,21 +421,17 @@ class _PackedSums:
         """Accuracy of each of the first ``count`` slots, from the split on,
         and whether the guard lets each stand."""
         engine = self.engine
-        x, enter = engine.test_inputs()
         y = engine.test_set.y
         correct = np.zeros(count, dtype=np.int64)
         decided = np.ones(count, dtype=bool)
-        for begin in range(0, len(x), engine.batch_size):
+        for begin in range(0, len(y), engine.batch_size):
             chunk = slice(begin, begin + engine.batch_size)
             logits = engine.model.predict_stacked(
-                self.inputs[:count, chunk] if self.start else x[chunk],
-                self.stack,
-                count,
-                start=self.start or enter,
+                self.inputs[:count, chunk], self.stack, count, start=engine.split
             )
             correct += (logits.argmax(axis=2) == y[chunk]).sum(axis=1)
             decided &= _decided(logits)
-        return [int(hits) / len(x) if len(x) else 0.0 for hits in correct], decided
+        return [int(hits) / len(y) if len(y) else 0.0 for hits in correct], decided
 
 
 class _Batch:
@@ -560,6 +542,8 @@ class CombinationEngine:
     searches as :mod:`repro.fl.selection` — :meth:`enumerate`,
     :meth:`best`, :meth:`greedy`, :meth:`threshold_filter` — with
     identical results (see the module docstring's determinism contract).
+    The model's first layer with parameters must be a ``Dense``; any other
+    architecture raises :class:`~repro.errors.ConfigError` here.
 
     ``instrument``, when set, is called with the cache key of every
     *real* model evaluation, in evaluation order (cache hits never fire
@@ -583,6 +567,8 @@ class CombinationEngine:
     ) -> None:
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+        #: Leading layers an activation pass stands in for (:func:`_split`).
+        self.split = _split(model)
         self.model = model
         self.test_set = test_set
         self.cache = cache if cache is not None else EvaluationCache()

@@ -24,7 +24,6 @@ from repro.nn.layers import (
     Layer,
     Dense,
     ReLU,
-    Dropout,
     Flatten,
     Conv2D,
     MaxPool2D,
@@ -50,7 +49,6 @@ __all__ = [
     "Layer",
     "Dense",
     "ReLU",
-    "Dropout",
     "Flatten",
     "Conv2D",
     "MaxPool2D",

@@ -10,8 +10,9 @@ so FedAvg never ships them and the optimizer never steps them.
 ``forward_stacked`` is the inference pass for several candidate parameter
 sets at once (:meth:`repro.nn.model.Sequential.predict_stacked`): candidate
 ``c``'s output is bit-for-bit what ``forward(..., training=False)`` returns
-with candidate ``c``'s parameters installed.  The base class loops over the
-candidates; :class:`Dense` and the element-wise layers do better.
+with candidate ``c``'s parameters installed.  Only :class:`Dense` and
+:class:`ReLU` implement it — the layers a scored model runs per candidate;
+the convolution, pooling and flatten layers only train.
 """
 
 from __future__ import annotations
@@ -93,19 +94,9 @@ class Layer:
         ``params[name][c]`` is candidate ``c``'s value of
         ``self.params[name]``.  ``x`` is one ``(batch, ...)`` input common
         to all candidates when ``shared``, per-candidate
-        ``(count, batch, ...)`` inputs otherwise.  This fallback runs
-        ``forward`` once per candidate with the candidate's arrays bound
-        in place of the layer's own, which are never written.
+        ``(count, batch, ...)`` inputs otherwise.
         """
-        own = self.params
-        try:
-            outputs = []
-            for index in range(count):
-                self.params = {name: stack[index] for name, stack in params.items()}
-                outputs.append(self.forward(x if shared else x[index], training=False))
-        finally:
-            self.params = own
-        return np.stack(outputs)
+        raise NotImplementedError
 
 
 #: (rows, fan_in, units, count, dtype) -> did one stacked GEMM reproduce the
@@ -237,35 +228,6 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class Dropout(Layer):
-    """Inverted dropout; identity at inference."""
-
-    def __init__(self, rate: float, rng: Optional[np.random.Generator] = None, name: str = "") -> None:
-        super().__init__(name)
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask: Optional[np.ndarray] = None
-        self.built = True
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def forward_stacked(self, x, params, count, shared):
-        return x  # identity at inference
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
 class Flatten(Layer):
     """Collapse all non-batch dimensions."""
 
@@ -281,9 +243,6 @@ class Flatten(Layer):
         if training:
             self._input_shape = x.shape
         return x.reshape(x.shape[0], -1)
-
-    def forward_stacked(self, x, params, count, shared):
-        return x.reshape(count, x.shape[1], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

@@ -230,8 +230,10 @@ class Sequential:
         :meth:`predict` with ``{key: stack[key][c]}`` installed, bit for
         bit.  The model's own parameters are neither read nor written.
 
-        Layers ahead of the first one with parameters (flatten, a frozen
-        parameterless backbone) run once, on the input all candidates share.
+        Layers ahead of the first one with parameters (the frozen backbone)
+        run once, on the input all candidates share; that layer and every
+        one after it run :meth:`~repro.nn.layers.Layer.forward_stacked`,
+        which only ``Dense`` and ``ReLU`` implement.
 
         Only ``layers[start:]`` run, and ``stack`` needs only their
         parameters.  ``x`` is the input of layer ``start``: the one

@@ -14,10 +14,6 @@
   parameters.  Signature dynamic: starts high (paper: ~0.78 round 1) and
   plateaus (~0.85), and aggregation combinations matter more than for
   SimpleNN.
-
-A CNN variant (``build_simple_cnn``) is provided for completeness and used
-by unit tests; the experiment harness defaults to the MLP models for CPU
-speed.
 """
 
 from __future__ import annotations
@@ -25,15 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2D,
-    PretrainedRBFBackbone,
-    ReLU,
-)
+from repro.nn.layers import Dense, PretrainedRBFBackbone, ReLU
 from repro.nn.model import Sequential
 
 #: Input shape of the (synthetic) CIFAR-10-like images.
@@ -93,31 +81,6 @@ def build_efficientnet_b0_sim(
         name="efficientnet_b0_sim",
     )
     return model.build(rng, (input_dim,))
-
-
-def build_simple_cnn(rng: np.random.Generator, num_classes: int = NUM_CLASSES) -> Sequential:
-    """A small convolutional classifier over (32, 32, 3) images.
-
-    Not used in the headline tables (too slow for the full sweep on CPU)
-    but exercises Conv2D/MaxPool2D end to end in tests and examples.
-    """
-    model = Sequential(
-        [
-            Conv2D(8, kernel_size=3, padding="same", name="conv1"),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(16, kernel_size=3, padding="same", name="conv2"),
-            ReLU(),
-            MaxPool2D(2),
-            Flatten(),
-            Dense(32, name="fc"),
-            ReLU(),
-            Dropout(0.25, rng=rng),
-            Dense(num_classes, name="head"),
-        ],
-        name="simple_cnn",
-    )
-    return model.build(rng, IMAGE_SHAPE)
 
 
 #: Registry used by experiment configs.

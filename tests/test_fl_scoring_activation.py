@@ -4,11 +4,11 @@
 of what it *holds* (module docstring, "Incremental aggregation"), accepts
 an argmax count only where the guard says the reassociation cannot reach
 it, and re-scores everything else in weight space.  These tests hold the
-three searches to the serial reference (:mod:`repro.fl.selection`) on an
-architecture of each kind — tail after the split, nothing after the split,
-no split at all — force the guard on every candidate, walk the test-set
-sizes around ``batch_size``, and measure the deviation the guard is sized
-against on the driver-outcome specs.
+three searches to the serial reference (:mod:`repro.fl.selection`) on
+both registered architectures — a tail after the split, nothing after it —
+check that an engine refuses a model it cannot split, force the guard on
+every candidate, walk the test-set sizes around ``batch_size``, and measure
+the deviation the guard is sized against on the driver-outcome specs.
 """
 
 from itertools import combinations
@@ -21,6 +21,7 @@ from test_core_decentralized import OUTCOME_CASES, make_driver
 from test_fl_scoring import depth_first, key_of
 
 from repro.data.dataset import Dataset
+from repro.errors import ConfigError
 from repro.fl import scoring
 from repro.fl.aggregation import ModelUpdate
 from repro.fl.evaluation import evaluate_weights
@@ -34,7 +35,9 @@ from repro.fl.scoring import (
     _workspace,
 )
 from repro.fl.selection import enumerate_combinations, greedy_combination, threshold_filter
-from repro.nn.models import build_efficientnet_b0_sim, build_simple_cnn, build_simple_nn
+from repro.nn.layers import Dense, Layer, ReLU
+from repro.nn.model import Sequential
+from repro.nn.models import build_efficientnet_b0_sim, build_simple_nn
 from repro.nn.serialize import weights_fingerprint
 
 INPUT_DIM = 48
@@ -50,15 +53,10 @@ def efficientnet():
     return build_efficientnet_b0_sim(rng, input_dim=INPUT_DIM, backbone=backbone)
 
 
-def simple_cnn():
-    return build_simple_cnn(np.random.default_rng(3))
-
-
 #: builder, layers the activation pass stands in for, test samples
 ARCHITECTURES = {
     "simple_nn": (simple_nn, 1, 30),
     "efficientnet_b0_sim": (efficientnet, 2, 30),  # backbone + head: nothing after the split
-    "simple_cnn": (simple_cnn, 0, 6),  # convolution first: whole-weight rows
 }
 
 
@@ -150,6 +148,29 @@ class TestAgainstSerial:
         assert seen == [engine.solo_key(u) for u in updates[:3]]
         engine.enumerate(updates)  # the gate's solo scores serve the search
         assert engine.cache.stats == {"hits": 3, "misses": 15}
+
+
+class Scale(Layer):
+    """A one-parameter layer that is not a ``Dense``: ``y = x * s``."""
+
+    def build(self, rng, input_shape):
+        self.params = {"s": np.ones(input_shape)}
+        self.zero_grads()
+        self.built = True
+        return input_shape
+
+    def forward(self, x, training=True):
+        return x * self.params["s"]
+
+
+class TestSplit:
+    def test_an_engine_refuses_a_model_it_cannot_split(self):
+        """FedAvg commutes with a leading ``Dense`` only; any other first
+        layer with parameters has no split to score from."""
+        model = Sequential([ReLU(), Scale(), Dense(10, name="head")])
+        model.build(np.random.default_rng(0), (INPUT_DIM,))
+        with pytest.raises(ConfigError, match="Dense"):
+            CombinationEngine(model, private_test_set(model, 6))
 
 
 class TestGuard:
@@ -327,7 +348,7 @@ def deviation(engine, updates):
                 members = [updates[index] for index in subset]
                 packed.divide_into(sums, sum(u.num_samples for u in members), 0)
                 fast = engine.model.predict_stacked(
-                    packed.inputs[:1], packed.stack, 1, start=packed.start
+                    packed.inputs[:1], packed.stack, 1, start=engine.split
                 )
                 _install_fedavg(workspace, members, 0)
                 exact = engine.model.predict_stacked(engine.test_set.x, workspace, 1)

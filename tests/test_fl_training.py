@@ -226,6 +226,25 @@ class TestAsyncPolicies:
         with pytest.raises(ConfigError, match="finite"):
             ScenarioSpec(policy=Deadline(seconds))
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_wait_for_k_must_be_finite(self, k):
+        # ``submitted >= min(nan, expected)`` never holds: a NaN k used to
+        # validate and then time out waiting for the round's quorum, and an
+        # infinite one ran wait-for-all labelled ``wait-for-inf``.
+        with pytest.raises(ConfigError, match="finite"):
+            WaitForK(k)
+
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5])
+    def test_wait_for_k_is_a_whole_number_of_models(self, k):
+        with pytest.raises(ConfigError, match="integer"):
+            WaitForK(k)
+        assert WaitForK(np.int64(2)).describe() == "wait-for-2"
+
+    @pytest.mark.parametrize("min_models", [True, 1.0, 1.5])
+    def test_deadline_min_models_is_a_whole_number_of_models(self, min_models):
+        with pytest.raises(ConfigError, match="integer"):
+            Deadline(seconds=1.0, min_models=min_models)
+
 
 class TestPoisoning:
     def test_label_flip_flips(self):

@@ -7,7 +7,6 @@ from repro.errors import NotBuiltError, ShapeError
 from repro.nn.layers import (
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     MaxPool2D,
     PretrainedRBFBackbone,
@@ -133,32 +132,6 @@ class TestReLU:
         layer.forward(np.array([[-1.0, 2.0]]))
         layer.forward(np.array([[2.0, -1.0]]), training=False)
         np.testing.assert_array_equal(layer.backward(np.ones((1, 2))), [[0.0, 1.0]])
-
-
-class TestDropout:
-    def test_identity_at_inference(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_scales_kept_units(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((1000, 1))
-        out = layer.forward(x, training=True)
-        kept = out[out > 0]
-        np.testing.assert_allclose(kept, 2.0)  # inverted dropout scaling
-        assert 400 < len(kept) < 600
-
-    def test_zero_rate_identity(self, rng):
-        layer = Dropout(0.0, rng=rng)
-        x = rng.normal(size=(3, 3))
-        np.testing.assert_array_equal(layer.forward(x, training=True), x)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
 
 
 class TestFlatten:

@@ -10,7 +10,6 @@ from repro.nn.models import (
     MODEL_BUILDERS,
     build_efficientnet_b0_sim,
     build_model,
-    build_simple_cnn,
     build_simple_nn,
 )
 from repro.nn.optimizers import SGD
@@ -109,16 +108,6 @@ class TestTrainsExactlyWhatHasParameters:
             assert (trunk.projection.tobytes(), trunk.anchors.tobytes()) == frozen
             untrained = build_model(kind, np.random.default_rng(2), **kwargs).layers[0]
             assert trunk.frozen_token() == untrained.frozen_token()
-
-
-class TestSimpleCNN:
-    def test_forward_backward(self, rng):
-        model = build_simple_cnn(rng)
-        x = rng.normal(size=(2, 32, 32, 3))
-        out = model.forward(x, training=True)
-        assert out.shape == (2, 10)
-        grad = model.backward(np.ones_like(out) / out.size)
-        assert grad.shape == x.shape
 
 
 class TestRegistry:

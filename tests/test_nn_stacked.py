@@ -4,10 +4,9 @@
 candidate weight sets against one input in a single sweep.  The contract
 pinned here is *bitwise*: candidate ``c``'s logits are ``np.array_equal``
 to ``Sequential.predict`` with candidate ``c`` installed, and its accuracy
-equals ``evaluate_accuracy`` — for random ``Dense`` stacks, the paper's two
-model shapes, and the convolutional model that takes the per-candidate
-fallback inside its layers; for every candidate count up to the engine's
-batch width; for test sets shorter and longer than ``batch_size``.
+equals ``evaluate_accuracy`` — for random ``Dense`` stacks and the paper's
+two model shapes; for every candidate count up to the engine's batch
+width; for test sets shorter and longer than ``batch_size``.
 
 Whether one wide GEMM reproduces the per-candidate products depends on
 the BLAS, the operand shapes and the thread count, which is why CI runs
@@ -22,7 +21,7 @@ from repro.errors import ConfigError, ShapeError
 from repro.fl.scoring import BATCH_WIDTH
 from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.model import Sequential
-from repro.nn.models import build_efficientnet_b0_sim, build_simple_cnn, build_simple_nn
+from repro.nn.models import build_efficientnet_b0_sim, build_simple_nn
 
 
 def random_candidates(model, count, rng):
@@ -122,14 +121,6 @@ class TestStackedEqualsInstalled:
         x = rng.normal(size=(rows, 96))
         y = rng.integers(0, 10, size=rows)
         assert_stacked_equals_installed(model, x, y, count, batch_size)
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_simple_cnn_falls_back_per_candidate(self, count):
-        rng = np.random.default_rng(4)
-        model = build_simple_cnn(rng)
-        x = rng.normal(size=(5, 32, 32, 3))
-        y = rng.integers(0, 10, size=5)
-        assert_stacked_equals_installed(model, x, y, count, batch_size=4)
 
     def test_parameterless_model_broadcasts(self):
         model = Sequential([Flatten(), ReLU()]).build(np.random.default_rng(0), (2, 2))

@@ -25,10 +25,10 @@ from repro.errors import ConfigError
 from repro.fl.evaluation import evaluate_on, evaluate_weights
 from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.nn import model as model_module
-from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
-from repro.nn.models import build_efficientnet_b0_sim, build_simple_cnn, build_simple_nn
+from repro.nn.models import build_efficientnet_b0_sim, build_simple_nn
 from repro.nn.optimizers import SGD
 
 BATCH = 16
@@ -36,21 +36,22 @@ FACTORY = SyntheticImageDataset(SyntheticSpec(seed=5))
 BACKBONE = FACTORY.pretrained_backbone()
 
 
-def _dropout_first(rng):
-    layers = [Dropout(0.2, rng=rng), Dense(12, name="hidden"), ReLU(), Dense(10, name="head")]
-    return Sequential(layers, name="dropout_first").build(rng, (3072,))
+def _relu_first(rng):
+    """A parameterless layer below the lowest trainable one that vouches for
+    nothing: neither frozen (its outputs are never cached) nor trained."""
+    layers = [ReLU(), Dense(12, name="hidden"), ReLU(), Dense(10, name="head")]
+    return Sequential(layers, name="relu_first").build(rng, (3072,))
 
 
 BUILDERS = {
     "simple_nn": build_simple_nn,
     "efficientnet_pretrained": lambda rng: build_efficientnet_b0_sim(rng, backbone=BACKBONE),
-    "simple_cnn": build_simple_cnn,
-    "dropout_first": _dropout_first,
+    "relu_first": _relu_first,
 }
 
 
-def _dataset(kind: str, size: int) -> Dataset:
-    return FACTORY.sample(size, np.random.default_rng(size), flat=kind != "simple_cnn")
+def _dataset(size: int) -> Dataset:
+    return FACTORY.sample(size, np.random.default_rng(size))
 
 
 def _reference_train(model, dataset, config, rng):
@@ -100,19 +101,19 @@ class TestBitIdenticalToReferenceLoop:
     @pytest.mark.parametrize("optimizer", ["sgd"])
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_every_model_and_optimizer(self, kind, optimizer):
-        _assert_same_training(kind, _dataset(kind, 27 if kind == "simple_cnn" else 43))
+        _assert_same_training(kind, _dataset(43))
 
     @pytest.mark.parametrize("size", [2 * BATCH + 1, 2 * BATCH + 10, 2 * BATCH + 11, 3 * BATCH])
     @pytest.mark.parametrize("kind", ["simple_nn", "efficientnet_pretrained"])
     def test_remainder_batches(self, kind, size):
         """Last batches of 1, 10, 11 and ``batch_size`` rows: the small ones
         are where a BLAS leaves its usual summation order."""
-        _assert_same_training(kind, _dataset(kind, size))
+        _assert_same_training(kind, _dataset(size))
 
     def test_features_spanning_chunks(self):
         """A set larger than one feature chunk: batches gather rows from
         several chunks of the whole-set pass."""
-        dataset = _dataset("efficientnet_pretrained", FEATURE_CHUNK + 40)
+        dataset = _dataset(FEATURE_CHUNK + 40)
         config = TrainConfig(epochs=1, batch_size=64, learning_rate=0.05)
         model = BUILDERS["efficientnet_pretrained"](np.random.default_rng(3))
         reference = BUILDERS["efficientnet_pretrained"](np.random.default_rng(3))
@@ -134,7 +135,7 @@ class TestBitIdenticalToReferenceLoop:
                 return False
 
         monkeypatch.setattr(model_module, "_FEATURE_ROWS_EXACT", NeverExact())
-        dataset = _dataset("efficientnet_pretrained", 43)
+        dataset = _dataset(43)
         calls = []
         real = model_module.FrozenInputs._extract
         monkeypatch.setattr(
@@ -170,7 +171,7 @@ class _Spy:
 
 class TestOnlyWhatTrainsRuns:
     def test_frozen_trunk_is_never_visited_once_features_exist(self):
-        dataset = _dataset("efficientnet_pretrained", 3 * BATCH)
+        dataset = _dataset(3 * BATCH)
         model = BUILDERS["efficientnet_pretrained"](np.random.default_rng(3))
         assert (model.frozen_depth(), model.lowest_trainable()) == (1, 1)
         inputs = model.inputs(dataset)
@@ -188,12 +189,12 @@ class TestOnlyWhatTrainsRuns:
         assert head.forwards == 3
         assert [(kwargs, grad) for kwargs, grad in head.backwards] == [({"input_grad": False}, None)] * 3
 
-    @pytest.mark.parametrize("kind", ["simple_nn", "simple_cnn", "dropout_first"])
+    @pytest.mark.parametrize("kind", ["simple_nn", "relu_first"])
     def test_backprop_stops_at_the_lowest_trainable_layer(self, kind):
-        dataset = _dataset(kind, BATCH)
+        dataset = _dataset(BATCH)
         model = BUILDERS[kind](np.random.default_rng(3))
         lowest = model.lowest_trainable()
-        assert lowest == {"dropout_first": 1}.get(kind, 0)
+        assert lowest == {"relu_first": 1}.get(kind, 0)
         assert model.frozen_depth() == 0  # nothing below `lowest` vouches for its content
         spies = [_Spy(layer) for layer in model.layers]
         model.train_step(dataset.x, dataset.y, CrossEntropyLoss(), SGD(0.05))
@@ -240,7 +241,7 @@ def _pretrained(backbone=BACKBONE, seed=3):
 
 class TestFeatureCacheContract:
     def test_keyed_by_the_trunks_content_not_its_identity(self):
-        dataset = _dataset("efficientnet_pretrained", 40)
+        dataset = _dataset(40)
         first, twin = _pretrained(), _pretrained(seed=4)
         assert first.layers[0] is not twin.layers[0]
         assert first.layers[0].frozen_token() == twin.layers[0].frozen_token()
@@ -251,7 +252,7 @@ class TestFeatureCacheContract:
         np.testing.assert_array_equal(features, first.layers[0].forward(dataset.x, training=False))
 
     def test_different_trunks_never_share_rows(self):
-        dataset = _dataset("efficientnet_pretrained", 40)
+        dataset = _dataset(40)
         projection, anchors = BACKBONE
         others = [
             _pretrained((projection, anchors + 0.01)),
@@ -266,7 +267,7 @@ class TestFeatureCacheContract:
         assert (dataset.feature_misses, dataset.feature_hits) == (4, 0)
 
     def test_copies_recompute(self):
-        dataset = _dataset("efficientnet_pretrained", 40)
+        dataset = _dataset(40)
         model = _pretrained()
         features = model.inputs(dataset).features
         for copy in (dataset.subset(np.arange(5, 25)), dataset.take(20), dataset.flattened()):
@@ -276,8 +277,8 @@ class TestFeatureCacheContract:
         assert dataset.feature_misses == 1
 
     def test_models_without_a_frozen_prefix_never_touch_the_cache(self):
-        dataset = _dataset("simple_nn", 40)
-        for kind in ("simple_nn", "dropout_first"):
+        dataset = _dataset(40)
+        for kind in ("simple_nn", "relu_first"):
             model = BUILDERS[kind](np.random.default_rng(3))
             inputs = model.inputs(dataset)
             assert inputs.features is None and inputs.chunked(512) == (dataset.x, 0)
@@ -287,7 +288,7 @@ class TestFeatureCacheContract:
 
     @pytest.mark.parametrize("batch_size", [512, 40, 16, 7, 1])
     def test_evaluation_through_features_equals_evaluation_on_pixels(self, batch_size):
-        dataset = _dataset("efficientnet_pretrained", 40)
+        dataset = _dataset(40)
         model = _pretrained()
         LocalTrainer(TrainConfig(epochs=1, batch_size=BATCH)).train(model, dataset)
         logits = model.predict(dataset.x)
