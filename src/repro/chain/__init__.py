@@ -6,7 +6,7 @@ package provides the equivalent substrate in-process:
 * :mod:`repro.chain.crypto` — deterministic keypairs, signing, addresses.
 * :mod:`repro.chain.transaction` — signed transactions with gas accounting.
 * :mod:`repro.chain.block` / :mod:`repro.chain.merkle` — blocks and roots.
-* :mod:`repro.chain.pow` — hash-puzzle proof of work with retargeting.
+* :mod:`repro.chain.pow` — statistical proof of work with retargeting.
 * :mod:`repro.chain.state` — world state (balances, nonces, storage).
 * :mod:`repro.chain.mempool` — pending transaction pool.
 * :mod:`repro.chain.chainstore` — block tree with total-difficulty fork choice.
@@ -27,7 +27,7 @@ from repro.chain.transaction import Transaction, Receipt, VALIDATION_STATS
 from repro.chain.block import Block, BlockHeader, GENESIS_PARENT
 from repro.chain.merkle import merkle_root, merkle_proof, verify_proof
 from repro.chain.gas import GasSchedule, intrinsic_gas
-from repro.chain.pow import ProofOfWork, mine_header, pow_target, check_pow
+from repro.chain.pow import ProofOfWork
 from repro.chain.state import WorldState, AccountState, StateError, STATE_STATS
 from repro.chain.mempool import Mempool
 from repro.chain.chainstore import ChainStore, HeadMoves
@@ -62,9 +62,6 @@ __all__ = [
     "GasSchedule",
     "intrinsic_gas",
     "ProofOfWork",
-    "mine_header",
-    "pow_target",
-    "check_pow",
     "WorldState",
     "AccountState",
     "StateError",

@@ -49,7 +49,7 @@ class BlockHeader:
         object.__setattr__(self, name, value)
 
     def sealing_payload(self) -> bytes:
-        """Canonical bytes hashed by the PoW puzzle (everything but nonce)."""
+        """Canonical bytes of everything but the nonce (what a seal covers)."""
         return canonical_dumps(
             {
                 "parent_hash": self.parent_hash,

@@ -10,10 +10,10 @@ The store can optionally *spill*: given a :class:`~repro.chain.scale.ColdStore`
 and a hot window, the node demotes old canonical blocks out of the hot map
 into the cold store, keeping the resident set O(hot window) instead of
 O(chain length).  Spilling is transparent to readers — ``get``,
-``block_at_height``, ``canonical_chain``, and ``__contains__`` read through
-to cold storage — while fork choice and height bookkeeping run entirely on
-two per-hash scalar indices (``number`` and ``parent hash``), so reorgs and
-pruning never decode a cold block.
+``canonical_chain``, and ``__contains__`` read through to cold storage —
+while fork choice and height bookkeeping run entirely on two per-hash
+scalar indices (``number`` and ``parent hash``), so reorgs and pruning
+never decode a cold block.
 """
 
 from __future__ import annotations
@@ -204,19 +204,6 @@ class ChainStore:
             cursor = None if block.number == 0 else block.header.parent_hash
         chain.reverse()
         return chain
-
-    def block_at_height(self, number: int) -> Optional[Block]:
-        """Canonical block at ``number`` (None if above the head); O(1)."""
-        if number < 0 or number > self.height:
-            return None
-        block_hash = self._canonical_by_number.get(number)
-        if block_hash is not None:
-            return self.get(block_hash)
-        # Defensive fallback: walk down from the head on the scalar index.
-        cursor = self.head_hash
-        while self._numbers[cursor] > number:
-            cursor = self._parents[cursor]
-        return self.get(cursor)
 
     def is_canonical(self, block_hash: str) -> bool:
         """True iff the block lies on the canonical chain."""

@@ -5,7 +5,7 @@ Equivalent of one Geth process in the paper's deployment.  Each node keeps:
 * a :class:`ChainStore` of all known blocks,
 * the executed :class:`WorldState` at the canonical head (plus per-block
   journal marks so reorgs roll back in O(touched entries), Geth-journal
-  style, instead of restoring deep snapshots),
+  style, instead of copying the whole state),
 * a :class:`Mempool`, and
 * the shared :class:`ContractRuntime` class registry.
 
@@ -29,7 +29,6 @@ from repro.chain.chainstore import ChainStore, HeadMoves, ReorgInfo
 from repro.chain.crypto import Address, KeyPair
 from repro.chain.gas import GasMeter, GasSchedule, DEFAULT_SCHEDULE, UNBOUNDED_BLOCK_GAS, intrinsic_gas
 from repro.chain.mempool import Mempool
-from repro.chain.pow import RetargetRule, check_pow
 from repro.chain.runtime import ContractRuntime
 from repro.chain.scale import (
     BlockExecution,
@@ -64,10 +63,6 @@ EXECUTION_MODES = ("serial", "parallel")
 class NodeConfig:
     """Node parameters.
 
-    ``verify_pow`` distinguishes the two sealing modes: real nonce search
-    (tests, small difficulty) versus statistically simulated sealing driven
-    by the network simulator (``verify_pow=False``).
-
     Per-block journal marks let reorgs roll back cheaply;
     ``state_history`` bounds how many blocks of undo history the journal
     retains (deeper reorgs fall back to replay — from the
@@ -92,11 +87,8 @@ class NodeConfig:
         genesis.
     """
 
-    block_gas_limit: int = UNBOUNDED_BLOCK_GAS
-    verify_pow: bool = False
     block_reward: int = 2_000_000_000
     max_txs_per_block: Optional[int] = None
-    retarget: RetargetRule = field(default_factory=RetargetRule)
     state_history: int = 128
     schedule: GasSchedule = DEFAULT_SCHEDULE
     execution: str = "serial"
@@ -206,7 +198,7 @@ class Node:
         self.receipts: dict[str, Receipt] = {}
         # block hash -> journal mark of self.state right after that block
         # executed; reorgs roll the journal back to the common ancestor's
-        # mark instead of restoring a deep snapshot.
+        # mark instead of rebuilding the state.
         self._state_marks: dict[str, int] = {}
         self._state_marks[genesis.block_hash] = self.state.checkpoint()
         # block hash -> receipts in transaction order, for executed
@@ -538,29 +530,25 @@ class Node:
     # Block building (mining)
     # ------------------------------------------------------------------
 
-    def build_block_candidate(self, timestamp: float, difficulty: Optional[int] = None) -> Block:
+    def build_block_candidate(self, timestamp: float, difficulty: int) -> Block:
         """Assemble and execute a block candidate on top of the head.
 
-        The candidate's header commits to the post-execution state root; the
-        caller (test or network simulator) seals it with a nonce.  Execution
-        runs on a copy-on-write overlay of the head state — only accounts
-        the candidate touches are cloned, and its state root re-hashes only
-        those accounts (untouched ones reuse the head's cached hashes).
+        The caller (network simulator or test) supplies the difficulty and
+        seals the header, which commits to the post-execution state root,
+        with a nonce.  Execution runs on a copy-on-write overlay of the head
+        state — only accounts the candidate touches are cloned, and its
+        state root re-hashes only those accounts (untouched ones reuse the
+        head's cached hashes).
 
         With a shared :class:`BlockExecutionMemo`, what the build executed
         is kept for :meth:`seal_and_import`, so the build is the block's
         one execution in the cohort.
         """
         parent = self.head
-        if difficulty is None:
-            parent_interval = max(timestamp - parent.header.timestamp, 0.0)
-            difficulty = self.config.retarget.next_difficulty(
-                parent.header.difficulty, parent_interval
-            )
         txs = self.mempool.select(
             self.state,
             max_count=self.config.max_txs_per_block,
-            max_gas=self.config.block_gas_limit,
+            max_gas=UNBOUNDED_BLOCK_GAS,
         )
         scratch = self.state.overlay()
         header = BlockHeader(
@@ -571,7 +559,7 @@ class Node:
             difficulty=difficulty,
             tx_root="",
             state_root="",
-            gas_limit=self.config.block_gas_limit,
+            gas_limit=UNBOUNDED_BLOCK_GAS,
         )
         block = Block(header=header, transactions=txs)
         mark = scratch.checkpoint()
@@ -595,7 +583,9 @@ class Node:
     # ------------------------------------------------------------------
 
     def validate_block(self, block: Block) -> None:
-        """Stateless checks + PoW check (if enabled); raises on failure."""
+        """Stateless checks; raises on failure.  The difficulty its producer
+        supplied is taken as declared and the nonce is not checked: sealing
+        is statistical (:mod:`repro.chain.pow`)."""
         if not block.body_matches_header():
             raise InvalidBlockError("tx root mismatch")
         if block.header.parent_hash not in self.store:
@@ -603,8 +593,6 @@ class Node:
         parent = self.store.get(block.header.parent_hash)
         if block.header.timestamp <= parent.header.timestamp:
             raise InvalidBlockError("timestamp not after parent")
-        if self.config.verify_pow and not check_pow(block.header):
-            raise InvalidBlockError("PoW seal invalid")
         for tx in block.transactions:
             if not tx.verify_signature():
                 raise InvalidBlockError(f"block contains forged tx {tx.tx_hash[:10]}")
@@ -863,8 +851,8 @@ class Node:
         ``pre_blocks`` is the ancestor-first lineage from just above this
         node's head through the snapshot's block; ``tail_blocks`` continue
         from there to the provider's head.  The pre blocks are validated
-        structurally (header/body commitment, linkage, PoW when enabled)
-        and stored *without execution* — the snapshot replaces their
+        structurally (header/body commitment, linkage, timestamps) and
+        stored *without execution* — the snapshot replaces their
         effects, and it is trusted only after the rebuilt state hashes to
         the ``state_root`` the last pre block's header commits to.  The
         tail imports through the normal execution path.  Receipts for the
@@ -893,8 +881,6 @@ class Node:
                 raise InvalidBlockError("pre block timestamp not after parent")
             if not block.body_matches_header():
                 raise InvalidBlockError("pre block tx root mismatch")
-            if self.config.verify_pow and not check_pow(block.header):
-                raise InvalidBlockError("pre block PoW seal invalid")
             parent = block
         pivot = pre_blocks[-1]
         state = install_snapshot(

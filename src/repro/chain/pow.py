@@ -1,15 +1,11 @@
-"""Proof-of-work consensus: hash puzzle, mining, difficulty retargeting.
+"""Proof-of-work consensus: statistical sealing and difficulty retargeting.
 
 The paper's private Ethereum runs PoW ("the computation cost from PoW
-consensus cannot be avoided; however, Ethereum enables openness").  We model
-the standard hash puzzle: a header is sealed when
-``H(header_payload || nonce) < 2**256 / difficulty``.
-
-Mining in the simulator is *instantaneous in wall-clock* but consumes
-*simulated time* drawn from the exponential distribution that real PoW
-follows (memoryless trials), so block intervals and leader election are
-statistically faithful without burning CPU.  ``mine_header`` also supports a
-bounded real nonce search for tests that validate the puzzle end-to-end.
+consensus cannot be avoided; however, Ethereum enables openness").  Sealing
+here is statistical, not a nonce search: it consumes *simulated time* drawn
+from the exponential distribution real PoW follows (memoryless trials), so
+block intervals and leader election are faithful without burning CPU.  A
+sealed header's nonce is a sampled pseudo-nonce that nothing verifies.
 """
 
 from __future__ import annotations
@@ -17,42 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.chain.block import BlockHeader
-from repro.utils.hashing import sha256_bytes
-
-_MAX_TARGET = 2**256
-
-
-def pow_target(difficulty: int) -> int:
-    """Numeric target: a sealed hash must be strictly below this."""
-    if difficulty < 1:
-        raise ValueError(f"difficulty must be >= 1, got {difficulty}")
-    return _MAX_TARGET // difficulty
-
-
-def _seal_value(header: BlockHeader, nonce: int) -> int:
-    digest = sha256_bytes(header.sealing_payload() + int(nonce).to_bytes(8, "big"))
-    return int.from_bytes(digest, "big")
-
-
-def check_pow(header: BlockHeader) -> bool:
-    """Verify the header's nonce satisfies its declared difficulty."""
-    return _seal_value(header, header.nonce) < pow_target(header.difficulty)
-
-
-def mine_header(header: BlockHeader, max_attempts: int = 1_000_000, start_nonce: int = 0) -> bool:
-    """Search for a sealing nonce by brute force; mutates ``header.nonce``.
-
-    Returns ``True`` on success.  Intended for low difficulties in tests and
-    benchmarks; the network simulation uses :class:`ProofOfWork` instead.
-    """
-    target = pow_target(header.difficulty)
-    for nonce in range(start_nonce, start_nonce + max_attempts):
-        if _seal_value(header, nonce) < target:
-            header.nonce = nonce
-            return True
-    return False
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """World state: account balances, nonces, and contract storage.
 
-The state is a mapping from address to :class:`AccountState` with three
+The state is a mapping from address to :class:`AccountState` with two
 rollback mechanisms, cheapest first:
 
 * **Journal checkpoints** — every mutation made through the ``WorldState``
@@ -14,9 +14,9 @@ rollback mechanisms, cheapest first:
   reads through to its (frozen) base and copies an account locally only
   on first write.  Block-candidate execution and read-only ``eth_call``
   run on overlays, so speculative work never clones untouched accounts.
-* **Deep snapshots** — ``snapshot()``/``restore()``/``copy()`` keep the
-  original O(state) semantics for callers that need a fully detached
-  replica (tests, tooling, replay bootstrap).
+
+A detached replica is ``from_account_dicts(state.export_account_dicts())``,
+the path snapshot sync installs a checkpoint through.
 
 State roots are incremental: each account's canonical hash is cached and
 invalidated when the account is touched, so ``state_root()`` after a block
@@ -42,7 +42,6 @@ accounts.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -452,7 +451,7 @@ class WorldState:
         self._mark_dirty(address)
 
     # ------------------------------------------------------------------
-    # Overlays / snapshots / roots
+    # Overlays / detached replicas / roots
     # ------------------------------------------------------------------
 
     def overlay(self) -> "WorldState":
@@ -462,14 +461,6 @@ class WorldState:
         overlay to discard its writes.
         """
         return WorldState(base=self)
-
-    def snapshot(self) -> dict:
-        """Deep-copy snapshot for rollback (overlays are materialized)."""
-        snap = self._base.snapshot() if self._base is not None else {}
-        snap.update(
-            {address: copy.deepcopy(account) for address, account in self._accounts.items()}
-        )
-        return snap
 
     def export_account_dicts(self) -> dict[Address, dict]:
         """Canonical-serializable form of every account (overlays flattened).
@@ -503,19 +494,6 @@ class WorldState:
                 storage=dict(payload.get("storage", {})),
             )
         return state
-
-    def restore(self, snap: dict) -> None:
-        """Restore a snapshot taken by :meth:`snapshot`.
-
-        The state becomes a detached full replica: any overlay base is
-        dropped and the journal (with every open mark) is reset.
-        """
-        self._accounts = {address: copy.deepcopy(account) for address, account in snap.items()}
-        self._base = None
-        self._journal = []
-        self._journal_base = 0
-        self._hash_cache = {}
-        self._root_cache = None
 
     def account_hash(self, address: Address) -> str:
         """Cached canonical hash of one account (must exist)."""
@@ -558,12 +536,6 @@ class WorldState:
         """
         self._hash_cache.update(hashes)
         self._root_cache = root
-
-    def copy(self) -> "WorldState":
-        """Independent deep copy of the whole state."""
-        clone = WorldState()
-        clone.restore(self.snapshot())
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "overlay" if self._base is not None else "state"

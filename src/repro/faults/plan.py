@@ -96,7 +96,8 @@ class FaultSpec:
     cumulative bands (:data:`FAULT_KINDS` order).  ``crash_fraction``
     crashes the *last* ``ceil(fraction * n)`` peers (the same tail-of-
     cohort convention the adversary and straggler axes use) for rounds
-    ``[crash_round, crash_round + crash_rounds)``, capped so at least
+    ``[crash_round, crash_round + crash_rounds)`` (rounds are 1-based;
+    a window may run past the last round), capped so at least
     :data:`MIN_LIVE_PEERS` stay live.  ``resilience`` toggles the
     retry/backoff layer; with it off, injected faults surface raw.
     """
@@ -144,10 +145,10 @@ class FaultSpec:
             raise ConfigError(
                 f"crash_fraction must be in [0, 1], got {self.crash_fraction}"
             )
-        if self.crash_round < 0 or self.crash_rounds < 1:
+        if self.crash_round < 1 or self.crash_rounds < 1:
             raise ConfigError(
-                f"need crash_round >= 0 and crash_rounds >= 1, got "
-                f"{self.crash_round}/{self.crash_rounds}"
+                f"need crash_round >= 1 (rounds are 1-based) and "
+                f"crash_rounds >= 1, got {self.crash_round}/{self.crash_rounds}"
             )
         if self.resilience and self.max_consecutive >= self.retry.max_attempts:
             raise ConfigError(

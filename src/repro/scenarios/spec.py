@@ -238,6 +238,11 @@ class HeterogeneitySpec:
             )
         if self.kind == "custom" and not self.times:
             raise ConfigError(f"custom heterogeneity needs explicit times, got {self.times!r}")
+        if self.kind != "custom" and self.times is not None:
+            raise ConfigError(
+                f"explicit times are read only by custom heterogeneity, "
+                f"not {self.kind!r}"
+            )
         if self.times and min(self.times) <= 0:
             raise ConfigError("every training time must be positive")
 
@@ -359,6 +364,11 @@ class ScenarioSpec:
             raise ConfigError(
                 "fault injection targets the FL <-> chain seam; "
                 'the "vanilla" centralized deployment has none'
+            )
+        if self.faults.crash_fraction > 0 and self.faults.crash_round > self.rounds:
+            raise ConfigError(
+                f"crash_round {self.faults.crash_round} is after the last "
+                f"round {self.rounds} (rounds are 1-based): no peer would crash"
             )
         if self.kind == "vanilla" and self.participation.engaged:
             raise ConfigError(

@@ -2,8 +2,8 @@
 
 Real Ethereum uses Keccak-256; we use SHA-256 (available in the standard
 library) behind the same helper API.  The choice does not affect any result
-in the reproduced evaluation: hashes are only used for identification,
-commitment, and the PoW puzzle target comparison.
+in the reproduced evaluation: hashes are only used for identification and
+commitment.
 """
 
 from __future__ import annotations

@@ -120,13 +120,27 @@ class TestQueries:
         assert [blk.number for blk in chain] == [0, 1, 2]
         assert chain[-1].block_hash == store.head_hash
 
-    def test_block_at_height(self, store, genesis):
+    def test_canonical_hash_by_height(self, store, genesis):
         a = child_of(genesis)
         store.add(a)
-        assert store.block_at_height(0).block_hash == genesis.block_hash
-        assert store.block_at_height(1).block_hash == a.block_hash
-        assert store.block_at_height(2) is None
-        assert store.block_at_height(-1) is None
+        assert store.canonical_hash(0) == genesis.block_hash
+        assert store.canonical_hash(1) == a.block_hash
+        assert store.canonical_hash(2) is None  # above the head
+        assert store.canonical_hash(-1) is None
+
+    def test_canonical_hash_forgets_heights_a_reorg_abandons(self, store, genesis):
+        light = [child_of(genesis, tag="l1")]
+        for index in (2, 3):
+            light.append(child_of(light[-1], tag=f"l{index}"))
+        for block in light:
+            store.add(block)
+        assert store.canonical_hash(3) == light[-1].block_hash
+        heavy = child_of(genesis, difficulty=10, tag="h1")  # shorter, heavier
+        reorg = store.add(heavy)
+        assert reorg.rolled_back == [block.block_hash for block in reversed(light)]
+        assert store.canonical_hash(1) == heavy.block_hash
+        assert store.canonical_hash(2) is None
+        assert store.canonical_hash(3) is None
 
     def test_is_canonical(self, store, genesis):
         winner = child_of(genesis, difficulty=5, tag="w")

@@ -1,61 +1,9 @@
-"""Tests for proof of work: puzzle, mining, retargeting, statistics."""
+"""Tests for proof of work: retargeting and mining-time statistics."""
 
 import numpy as np
 import pytest
 
-from repro.chain.block import BlockHeader
-from repro.chain.pow import (
-    ProofOfWork,
-    RetargetRule,
-    check_pow,
-    mine_header,
-    pow_target,
-)
-
-
-def make_header(difficulty: int = 1) -> BlockHeader:
-    return BlockHeader(
-        parent_hash="0x" + "00" * 32,
-        number=1,
-        timestamp=1.0,
-        miner="0x" + "aa" * 20,
-        difficulty=difficulty,
-        tx_root="0x" + "bb" * 32,
-        state_root="0x" + "cc" * 32,
-    )
-
-
-class TestPuzzle:
-    def test_target_decreases_with_difficulty(self):
-        assert pow_target(2) < pow_target(1)
-        assert pow_target(1000) == pow_target(1) // 1000
-
-    def test_invalid_difficulty_rejected(self):
-        with pytest.raises(ValueError):
-            pow_target(0)
-
-    def test_difficulty_one_always_seals(self):
-        header = make_header(difficulty=1)
-        assert check_pow(header)  # target is 2^256, every hash passes
-
-    def test_mine_header_finds_nonce(self):
-        header = make_header(difficulty=16)
-        assert mine_header(header, max_attempts=100_000)
-        assert check_pow(header)
-
-    def test_mined_nonce_specific_to_header(self):
-        header = make_header(difficulty=4096)
-        assert mine_header(header, max_attempts=1_000_000)
-        sealed_nonce = header.nonce
-        other = make_header(difficulty=4096)
-        other.timestamp = 2.0
-        other.nonce = sealed_nonce
-        # With difficulty 4096 a transplanted nonce almost surely fails.
-        assert not check_pow(other)
-
-    def test_mine_header_gives_up(self):
-        header = make_header(difficulty=2**200)
-        assert not mine_header(header, max_attempts=10)
+from repro.chain.pow import ProofOfWork, RetargetRule
 
 
 class TestRetarget:

@@ -373,7 +373,8 @@ class TestRevivedBlocksAreHeldToTheirAddress:
             for block in fork:
                 node.import_block(block)
         assert node.state.state_root() == root_before
-        assert node.state.copy().state_root() == node.store.get(head_before).header.state_root
+        rebuilt = WorldState.from_account_dicts(node.state.export_account_dicts())
+        assert rebuilt.state_root() == node.store.get(head_before).header.state_root
 
     def test_checked_block_is_shared_by_later_cache_hits(self):
         cold = ColdStore()

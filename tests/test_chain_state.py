@@ -74,34 +74,6 @@ class TestContracts:
         assert not state.account(ALICE).is_contract
 
 
-class TestSnapshots:
-    def test_restore_reverts_changes(self):
-        state = WorldState()
-        state.credit(ALICE, 100)
-        snap = state.snapshot()
-        state.credit(ALICE, 900)
-        state.deploy(BOB, "model_store")
-        state.restore(snap)
-        assert state.balance_of(ALICE) == 100
-        assert not state.account(BOB).is_contract
-
-    def test_snapshot_is_deep(self):
-        state = WorldState()
-        state.deploy(ALICE, "model_store", {"list": [1]})
-        snap = state.snapshot()
-        state.account(ALICE).storage["list"].append(2)
-        state.restore(snap)
-        assert state.account(ALICE).storage["list"] == [1]
-
-    def test_copy_independent(self):
-        state = WorldState()
-        state.credit(ALICE, 10)
-        clone = state.copy()
-        clone.credit(ALICE, 5)
-        assert state.balance_of(ALICE) == 10
-        assert clone.balance_of(ALICE) == 15
-
-
 class TestStateRoot:
     def test_equal_states_equal_roots(self):
         a, b = WorldState(), WorldState()

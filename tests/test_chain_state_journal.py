@@ -1,13 +1,20 @@
 """Journaled WorldState: checkpoint/rollback semantics, overlays, pruning.
 
-The hypothesis property drives a journaled state and a deep-snapshot mirror
-(the seed's semantics: push ``snapshot()`` at checkpoint, ``restore()`` at
-rollback) through identical random op sequences — credits, debits,
-deployments, storage writes/deletes, nonce bumps, and nested
-checkpoint/commit/rollback — asserting the two remain observably identical
-after every step, including ``state_root()`` equality (which also proves
-the per-account hash cache invalidates correctly across rollbacks).
+The hypothesis property drives a journaled state and a mirror that never
+uses the journal (at checkpoint it pushes a deep copy of its exported
+accounts, at rollback it is rebuilt from them with ``from_account_dicts``)
+through identical random op sequences — credits, debits, deployments,
+storage writes/deletes, nonce bumps, and nested checkpoint/commit/rollback
+— asserting the two remain observably identical after every step,
+including ``state_root()`` equality (which also proves the per-account
+hash cache invalidates correctly across rollbacks).
+
+The from-scratch root oracle used throughout is :func:`rebuilt_root`: the
+root of a detached replica rebuilt from the exported accounts, which holds
+no cached hash and no cached root.
 """
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +28,10 @@ from repro.errors import InsufficientFundsError
 
 ADDRESSES = ["0x" + f"{i:02x}" * 20 for i in range(4)]
 KEYS = ["k0", "k1", "slot:a"]
+
+
+def rebuilt_root(state: WorldState) -> str:
+    return WorldState.from_account_dicts(state.export_account_dicts()).state_root()
 
 
 def _assert_same(journaled: WorldState, mirror: WorldState) -> None:
@@ -59,10 +70,10 @@ def test_journal_matches_deep_snapshot_semantics(ops):
         kind = op[0]
         if kind == "checkpoint":
             marks.append(journaled.checkpoint())
-            snaps.append(mirror.snapshot())
+            snaps.append(copy.deepcopy(mirror.export_account_dicts()))
         elif kind == "rollback" and marks:
             journaled.rollback(marks.pop())
-            mirror.restore(snaps.pop())
+            mirror = WorldState.from_account_dicts(snaps.pop())
         elif kind == "commit" and marks:
             journaled.commit(marks.pop())
             snaps.pop()
@@ -210,12 +221,12 @@ class TestOverlay:
         overlay = base.overlay()
         overlay.transfer(ALICE, BOB, 4)
         overlay.storage_set(BOB, "k", 7)
-        materialized = base.copy()
+        materialized = WorldState.from_account_dicts(base.export_account_dicts())
         materialized.transfer(ALICE, BOB, 4)
         materialized.storage_set(BOB, "k", 7)
         assert overlay.state_root() == materialized.state_root()
         # Discarding the overlay leaves the base root unchanged.
-        assert base.state_root() == base.copy().state_root()
+        assert base.state_root() == rebuilt_root(base)
 
     def test_overlay_rollback_falls_back_to_base(self):
         base = WorldState()
@@ -332,15 +343,11 @@ def _apply(state: WorldState, op: tuple, marks: list[int]) -> None:
         state.storage_delete(op[1], op[2])
     elif kind == "direct":  # tooling-style edit behind the journal's back
         state.account(op[1]).balance += op[2]
-    elif kind == "restore":
-        state.restore(state.snapshot())
-        marks.clear()
 
 
 _ROOT_OPS = st.one_of(
     _OPS,
     st.tuples(st.just("direct"), st.sampled_from(ADDRESSES), st.integers(1, 5)),
-    st.tuples(st.just("restore")),
 )
 
 
@@ -351,8 +358,7 @@ def test_cached_root_is_the_from_scratch_root_after_every_mutation(ops):
     marks: list[int] = []
     for op in ops:
         _apply(state, op, marks)
-        # copy() starts with no cached hash and no cached root.
-        assert state.state_root() == state.copy().state_root()
+        assert state.state_root() == rebuilt_root(state)
         assert state.state_root() == state.state_root()
 
 
@@ -363,7 +369,7 @@ def test_diff_since_applied_to_the_old_state_gives_the_new_state(before, after):
     marks: list[int] = []
     for op in before:
         _apply(state, op, marks)
-    old = state.copy()
+    old = WorldState.from_account_dicts(state.export_account_dicts())
     old_root = old.state_root()
     mark = state.checkpoint()
     inner: list[int] = []
@@ -376,10 +382,10 @@ def test_diff_since_applied_to_the_old_state_gives_the_new_state(before, after):
     assert old.addresses() == state.addresses()
     for address in state.addresses():
         assert old.account(address).to_dict() == state.account(address).to_dict()
-    assert old.state_root() == state.copy().state_root()
+    assert old.state_root() == rebuilt_root(state)
     # ... and it went in through the journal: one rollback takes it out.
     old.rollback(installed)
-    assert old.state_root() == old_root == old.copy().state_root()
+    assert old.state_root() == old_root == rebuilt_root(old)
 
 
 class TestRootCache:
@@ -407,7 +413,7 @@ class TestRootCache:
         # overlay; the overlay keeps no root of its own to go stale.
         base.credit(ALICE, 1)
         assert overlay.state_root() != with_bob
-        assert overlay.state_root() == overlay.copy().state_root()
+        assert overlay.state_root() == rebuilt_root(overlay)
 
     def test_adopted_hashes_are_dropped_like_computed_ones(self):
         donor = WorldState()
@@ -424,7 +430,7 @@ class TestRootCache:
         state.credit(BOB, 1)
         changed = state.state_root()
         assert STATE_STATS.accounts_hashed == 1  # only the touched account
-        assert changed == state.copy().state_root() != root
+        assert changed == rebuilt_root(state) != root
 
 
 
@@ -452,7 +458,7 @@ class TestForwardDiff:
 
     def test_diff_of_a_created_only_account_creates_it(self):
         state = WorldState()
-        old = state.copy()
+        old = WorldState.from_account_dicts(state.export_account_dicts())
         mark = state.checkpoint()
         state.storage_delete(ALICE, "missing")  # creates the account, writes nothing
         diff = state.diff_since(mark)

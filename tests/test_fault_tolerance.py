@@ -89,8 +89,8 @@ class TestPartitionRecovery:
         # Identical canonical prefix => identical executed state root.
         h = min(nodes[0].height, nodes[1].height)
         assert h >= 4
-        block_a = nodes[0].store.block_at_height(h)
-        block_b = nodes[1].store.block_at_height(h)
+        block_a = nodes[0].store.get(nodes[0].store.canonical_hash(h))
+        block_b = nodes[1].store.get(nodes[1].store.canonical_hash(h))
         assert block_a.block_hash == block_b.block_hash
 
 

@@ -78,6 +78,13 @@ class TestFaultSpec:
             FaultSpec(crash_fraction=1.5)
         assert FaultSpec(crash_fraction=1.0).active
 
+    def test_crash_round_is_one_based(self):
+        # Round 0 never runs, so a crash configured there never fires.
+        with pytest.raises(ConfigError, match="1-based"):
+            FaultSpec(crash_fraction=0.4, crash_round=0)
+        plan = FaultPlan(FaultSpec(crash_fraction=0.4, crash_round=1), list("ABCDE"))
+        assert plan.down(1) == {"D", "E"}
+
     def test_resilient_retries_must_outnumber_consecutive_faults(self):
         with pytest.raises(ConfigError):
             FaultSpec(
@@ -691,6 +698,16 @@ class TestSpecThreading:
         )
         assert spec.faults.transient_rate == 0.1
         assert spec.chain.drop_rate == 0.2
+
+    def test_a_crash_after_the_last_round_is_rejected(self):
+        with pytest.raises(ConfigError, match="crash_round 5"):
+            ScenarioSpec(rounds=2, faults=FaultSpec(crash_fraction=0.4, crash_round=5))
+        # The last round may crash, and the window may run past it.
+        ScenarioSpec(
+            rounds=2, faults=FaultSpec(crash_fraction=0.4, crash_round=2, crash_rounds=3)
+        )
+        # With nothing to crash the window is never read.
+        ScenarioSpec(rounds=1, faults=FaultSpec(crash_round=5))
 
     def test_vanilla_scenarios_reject_faults(self):
         with pytest.raises(ConfigError):

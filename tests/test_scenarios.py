@@ -132,6 +132,10 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="times"):
             HeterogeneitySpec(kind="custom", times=())
 
+    def test_times_are_read_only_by_custom_heterogeneity(self):
+        with pytest.raises(ConfigError, match="custom"):
+            HeterogeneitySpec(kind="stragglers", times=(1.0, 2.0, 3.0))
+
     def test_hetero_times_must_match_cohort(self):
         with pytest.raises(ConfigError):
             tiny_spec(heterogeneity=HeterogeneitySpec(kind="custom", times=(10.0, 20.0)))
