@@ -3,7 +3,9 @@
 :class:`ChainSpec` lives in the chain layer so that everything above it —
 the decentralized driver, the worker processes, the scenario spec tree,
 the wire codec, the CLI — holds the *same object* instead of re-declaring
-its fields.  Adding a knob means adding a field (and its check) here and
+its fields.  A knob earns a field here only when two callers need
+different values; a value every caller leaves alone is a named constant
+at its reader.  Adding one means adding a field (and its check) here and
 reading it where it takes effect; nothing in between copies it.
 """
 
@@ -17,13 +19,11 @@ from repro.errors import ConfigError, require_finite
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Blockchain/network parameters of the simulated deployment.
+    """The chain parameters a scenario varies.
 
-    ``target_block_interval`` and ``hashrate`` set the PoW pace (genesis
-    difficulty starts at their product, the retarget equilibrium);
-    ``latency_base``/``latency_jitter`` the per-link gossip delay;
-    ``gossip_batch_window`` how long a link coalesces messages;
-    ``max_round_time`` the simulated-seconds deadline of every ledger wait.
+    The block pace, link latency, gossip batching and ledger-wait deadline
+    are the paper's one private-chain deployment, not fields: see the
+    constants beside :data:`~repro.core.decentralized.PEER_ALLOCATION`.
 
     ``gateway`` selects the ledger backend every peer talks through
     (:mod:`repro.chain.gateway`): ``"inprocess"`` delegates straight to
@@ -48,12 +48,6 @@ class ChainSpec:
     (0 disables checkpoints).
     """
 
-    target_block_interval: float = 13.0
-    gossip_batch_window: float = 0.01
-    hashrate: float = 1000.0
-    max_round_time: float = 100_000.0
-    latency_base: float = 0.05
-    latency_jitter: float = 0.02
     drop_rate: float = 0.0
     gateway: str = "inprocess"
     gateway_staleness: float = 5.0
@@ -65,16 +59,8 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.target_block_interval <= 0:
-            raise ConfigError("target_block_interval must be positive")
-        if self.hashrate <= 0:
-            raise ConfigError("hashrate must be positive")
-        if self.gossip_batch_window < 0 or self.latency_base < 0 or self.latency_jitter < 0:
-            raise ConfigError("gossip_batch_window and latencies must be non-negative")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if self.max_round_time <= 0:
-            raise ConfigError("max_round_time must be positive")
         if self.gateway not in GATEWAY_BACKENDS:
             raise ConfigError(
                 f"unknown gateway backend {self.gateway!r}; "

@@ -31,7 +31,7 @@ speed/precision claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from typing import Any, Callable, Optional
 
@@ -77,6 +77,17 @@ from repro.utils.rng import RngFactory
 #: Initial balance funding each peer's gas spend.
 PEER_ALLOCATION = 10**15
 
+#: The paper's one private chain, in simulated seconds: the PoW target
+#: block interval and every node's hashrate (genesis difficulty starts at
+#: their product, the retarget equilibrium), the per-link gossip delay,
+#: how long a link coalesces messages, and every ledger wait's deadline.
+TARGET_BLOCK_INTERVAL = 13.0
+HASHRATE = 1000.0
+LATENCY_BASE = 0.05
+LATENCY_JITTER = 0.02
+GOSSIP_BATCH_WINDOW = 0.01
+MAX_ROUND_TIME = 100_000.0
+
 #: Score every participant starts with on the reputation ledger; scores
 #: below it mark peers the cohort has rated down (the exclusion signal).
 REPUTATION_INITIAL_SCORE = 100
@@ -87,11 +98,13 @@ class DecentralizedConfig:
     """The decentralized driver's parameters: FL knobs plus three sub-specs.
 
     The chain, fault and participation axes are held whole — declared,
-    documented and validated once, on :class:`~repro.chain.spec.ChainSpec`,
+    documented and validated on :class:`~repro.chain.spec.ChainSpec`,
     :class:`~repro.faults.FaultSpec` and
     :class:`~repro.core.participation.ParticipationSpec` — so every field
     name here is also a :class:`~repro.scenarios.spec.ScenarioSpec` field
-    and the scenario runner projects one onto the other by name.
+    with the same default, and :meth:`project` reads one off the other.
+    The checks that tie the axes to ``rounds`` live here, so a scenario
+    spec and a hand-built driver pass the same ones.
 
     ``mode`` selects between the paper's two operating modes (§III-B):
 
@@ -105,19 +118,19 @@ class DecentralizedConfig:
 
     ``enable_reputation`` adds the incentive extension: after aggregating,
     each peer rates the others on the reputation ledger according to
-    whether their solo models scored within ``reputation_fitness_margin``
-    of its own.
+    whether their solo models scored within
+    :data:`~repro.core.shard.REPUTATION_FITNESS_MARGIN` of its own.
 
     ``selection`` picks the combination-search strategy in personalized
     mode: ``"exhaustive"`` enumerates every subset (the paper's Tables
     II-IV), ``"greedy"`` runs forward selection (O(n^2) instead of
     O(2^n)), and ``"auto"`` — the default — stays exhaustive up to
-    ``exhaustive_limit`` visible updates and switches to greedy beyond it,
-    so the paper's 3-peer tables are bit-identical while 10-50-peer
-    cohorts stay tractable.  Searches run through the memoized
-    :class:`~repro.fl.scoring.CombinationEngine`; the seed per-subset
-    loops in :mod:`repro.fl.selection` are the oracle its tests compare
-    against.
+    :data:`~repro.core.shard.EXHAUSTIVE_LIMIT` visible updates and
+    switches to greedy beyond it, so the paper's 3-peer tables are
+    bit-identical while 10-50-peer cohorts stay tractable.  Searches run
+    through the memoized :class:`~repro.fl.scoring.CombinationEngine`; the
+    seed per-subset loops in :mod:`repro.fl.selection` are the oracle its
+    tests compare against.
 
     An active ``faults`` spec puts a :class:`~repro.faults.FaultyGateway`
     (and, with ``faults.resilience``, a
@@ -135,9 +148,7 @@ class DecentralizedConfig:
     policy: AsyncPolicy = field(default_factory=WaitForAll)
     mode: str = "personalized"
     enable_reputation: bool = False
-    reputation_fitness_margin: float = 0.10
     selection: str = "auto"
-    exhaustive_limit: int = 6
     chain: ChainSpec = field(default_factory=ChainSpec)
     faults: FaultSpec = field(default_factory=FaultSpec)
     participation: ParticipationSpec = field(default_factory=ParticipationSpec)
@@ -149,10 +160,24 @@ class DecentralizedConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.selection not in ("exhaustive", "greedy", "auto"):
             raise ConfigError(f"unknown selection strategy {self.selection!r}")
-        if self.exhaustive_limit < 1:
+        if self.faults.crash_fraction > 0 and self.faults.crash_round > self.rounds:
             raise ConfigError(
-                f"exhaustive_limit must be >= 1, got {self.exhaustive_limit}"
+                f"crash_round {self.faults.crash_round} is after the last "
+                f"round {self.rounds} (rounds are 1-based): no peer would crash"
             )
+        for peer_index, first_round, _length in self.participation.windows:
+            if first_round > self.rounds:
+                raise ConfigError(
+                    f"availability window of peer index {peer_index} opens at "
+                    f"round {first_round}, after the last round {self.rounds} "
+                    f"(rounds are 1-based): the peer would never go offline"
+                )
+
+    @classmethod
+    def project(cls, spec: Any) -> "DecentralizedConfig":
+        """The config read off ``spec`` (a ScenarioSpec) by field name: the
+        one a scenario validates itself with and the runner drives."""
+        return cls(**{f.name: getattr(spec, f.name) for f in fields(cls)})
 
 
 class DecentralizedFL:
@@ -177,7 +202,7 @@ class DecentralizedFL:
         self.sim = Simulator()
         self.pow = ProofOfWork(
             self.rngs.get("pow"),
-            retarget=RetargetRule(target_interval=chain.target_block_interval),
+            retarget=RetargetRule(target_interval=TARGET_BLOCK_INTERVAL),
         )
         self.runtime = ContractRuntime()
         register_all(self.runtime)
@@ -187,7 +212,7 @@ class DecentralizedFL:
         # Start at the retarget equilibrium so the very first blocks already
         # arrive near the target interval (a real private net warms up the
         # same way via its genesis difficulty).
-        equilibrium_difficulty = max(int(chain.hashrate * chain.target_block_interval), 1)
+        equilibrium_difficulty = max(int(HASHRATE * TARGET_BLOCK_INTERVAL), 1)
         genesis = GenesisSpec(
             allocations={kp.address: PEER_ALLOCATION for kp in keypairs.values()},
             difficulty=equilibrium_difficulty,
@@ -195,10 +220,10 @@ class DecentralizedFL:
         self.network = P2PNetwork(
             self.sim,
             self.pow,
-            latency=LatencyModel(base=chain.latency_base, jitter=chain.latency_jitter),
+            latency=LatencyModel(base=LATENCY_BASE, jitter=LATENCY_JITTER),
             rng=self.rngs.get("network"),
             drop_rate=chain.drop_rate,
-            batch_window=chain.gossip_batch_window,
+            batch_window=GOSSIP_BATCH_WINDOW,
             drop_rng=self.rngs.get("network", "drop"),
         )
         self.peer_ids = [pc.peer_id for pc in peer_configs]
@@ -261,13 +286,13 @@ class DecentralizedFL:
                 block_memo=self.block_memo,
                 head_moves=self.head_moves,
             )
-            self.network.add_node(node, hashrate=chain.hashrate)
+            self.network.add_node(node, hashrate=HASHRATE)
             self._peer_of[node.address] = pc.peer_id
             gateway: ChainGateway = InProcessGateway(
                 node,
                 network=self.network,
                 simulator=self.sim,
-                default_deadline=chain.max_round_time,
+                default_deadline=MAX_ROUND_TIME,
                 memo=self.read_memo,
             )
             if self.fault_injector is not None:
@@ -281,7 +306,7 @@ class DecentralizedFL:
             if chain.gateway == "batching":
                 gateway = BatchingGateway(gateway, staleness=chain.gateway_staleness)
             if self.fault_injector is not None and config.faults.resilience:
-                gateway = ResilientGateway(gateway, policy=config.faults.retry)
+                gateway = ResilientGateway(gateway)
             self.shard.add_peer(
                 pc, gateway, train_sets.get(pc.peer_id), test_sets.get(pc.peer_id)
             )
@@ -400,7 +425,7 @@ class DecentralizedFL:
 
         Delegates to the gateway's ``wait_for`` (all in-process gateways
         share one event engine, so any peer's gateway can drive it); the
-        deadline defaults to ``max_round_time``, and timeout/drain raise
+        deadline defaults to :data:`MAX_ROUND_TIME`, and timeout/drain raise
         the same error types the pre-gateway driver did.
         """
         gateway = self.peers[self.peer_ids[0]].gateway
@@ -872,7 +897,7 @@ class DecentralizedFL:
         # Let the final round's rating transactions get mined before the
         # chain quiesces (a run that aborted in deployment has none).
         if self.config.enable_reputation and self._deployed:
-            self.network.run_for(5 * self.config.chain.target_block_interval)
+            self.network.run_for(5 * TARGET_BLOCK_INTERVAL)
         self.network.stop_mining()
         return self.round_logs
 

@@ -104,6 +104,20 @@ class ParticipationSpec:
                 f"churn_rate must be in [0, 1), got {self.churn_rate!r}"
             )
 
+    def check_cohort(self, size: int) -> None:
+        """Raise unless the spec fits a cohort of ``size`` peers: at most
+        ``size`` sampled, and every window's peer index in range."""
+        if self.sampled_k is not None and self.sampled_k > size:
+            raise ConfigError(
+                f"sampled_k {self.sampled_k} exceeds the cohort size {size}"
+            )
+        for peer_index, _first, _length in self.windows:
+            if peer_index >= size:
+                raise ConfigError(
+                    f"availability window peer index {peer_index} is out of "
+                    f"range for cohort size {size}"
+                )
+
     @property
     def engaged(self) -> bool:
         """Whether any participation knob departs from full participation."""
@@ -139,17 +153,7 @@ class ParticipationPlan:
     ) -> None:
         self.spec = spec
         self.peer_ids: Tuple[str, ...] = tuple(peer_ids)
-        cohort = len(self.peer_ids)
-        if spec.sampled_k is not None and spec.sampled_k > cohort:
-            raise ConfigError(
-                f"sampled_k {spec.sampled_k} exceeds the cohort size {cohort}"
-            )
-        for peer_index, _first, _length in spec.windows:
-            if peer_index >= cohort:
-                raise ConfigError(
-                    f"availability window peer index {peer_index} is out of "
-                    f"range for cohort size {cohort}"
-                )
+        spec.check_cohort(len(self.peer_ids))
         head = self.peer_ids[0]
         churn_pool = self.peer_ids[1:]
         self._offline: Dict[int, FrozenSet[str]] = {}

@@ -46,6 +46,16 @@ from repro.nn.model import Sequential
 from repro.nn.serialize import WeightArchive, as_archive, weights_to_bytes
 from repro.utils.rng import RngFactory
 
+#: Largest visible-update count ``selection="auto"`` still searches
+#: exhaustively (2^6 - 1 subsets); beyond it the search turns greedy, so
+#: the paper's 3-peer tables stay exhaustive while large cohorts stay
+#: tractable.
+EXHAUSTIVE_LIMIT = 6
+
+#: Reputation extension: a rated peer whose solo model scores within this
+#: accuracy margin of the rater's own solo model earns a positive rating.
+REPUTATION_FITNESS_MARGIN = 0.10
+
 
 @dataclass
 class PeerRoundLog:
@@ -72,8 +82,7 @@ class PeerShard:
     """The local side of a set of peers: their models, data and rng streams.
 
     ``config`` is the driver's :class:`~repro.core.decentralized
-    .DecentralizedConfig` (its ``selection``, ``exhaustive_limit`` and
-    ``reputation_fitness_margin`` are read here); ``rngs`` is the
+    .DecentralizedConfig` (its ``selection`` is read here); ``rngs`` is the
     chain-spawned factory whose ``peer/<id>`` and ``attack/<id>`` streams
     are derived from (seed, label), so a peer draws the same numbers
     whichever shard holds it.  A peer added without datasets is chain-only
@@ -165,7 +174,7 @@ class PeerShard:
         """Whether this round's combination search should be greedy."""
         if self.config.selection == "greedy":
             return True
-        return self.config.selection == "auto" and n_updates > self.config.exhaustive_limit
+        return self.config.selection == "auto" and n_updates > EXHAUSTIVE_LIMIT
 
     # -- round steps -------------------------------------------------------
 
@@ -275,7 +284,7 @@ class PeerShard:
         """Reputation extension: each rater's ``(subject, delta, reason)``
         ratings of the updates it saw, for the driver to sign and submit.
 
-        A peer whose solo model scores within ``reputation_fitness_margin``
+        A peer whose solo model scores within :data:`REPUTATION_FITNESS_MARGIN`
         of the rater's own solo earns +5; one that falls further behind (an
         abnormal/noisy model) earns -10, building the on-chain record used
         to exclude low-credibility peers.  Solo scores were already computed
@@ -284,7 +293,6 @@ class PeerShard:
         own update is not in its view rates nobody.
         """
         ratings: dict[str, list[tuple[Address, int, str]]] = {}
-        margin = self.config.reputation_fitness_margin
         for peer_id, records in views.items():
             engine = self.engines[peer_id]
             updates = self.view(round_id, peer_id, records)
@@ -300,7 +308,7 @@ class PeerShard:
                 ratings[peer_id].append(
                     (
                         self.addresses[update.client_id],
-                        5 if fit >= own_accuracy - margin else -10,
+                        5 if fit >= own_accuracy - REPUTATION_FITNESS_MARGIN else -10,
                         f"fitness {fit:.3f} vs own {own_accuracy:.3f}",
                     )
                 )

@@ -5,16 +5,15 @@ dataset preserving what the paper's experiments actually measure — the
 *relative* behaviour of aggregation policies across two model complexities.
 The construction:
 
-* Each class owns ``modes_per_class`` latent prototypes.  A configurable
-  fraction of classes are **hard**: their prototypes come in antipodal
-  pairs (``+v``, ``-v``), so no linear function of the pixels separates the
-  class — a from-scratch network must *learn* sign-invariant features,
-  which is what makes the SimpleNN climb slowly across rounds (CIFAR-10's
-  pose/colour variation plays the same role for the paper's SimpleNN).
+* Each of the :data:`NUM_CLASSES` classes owns ``modes_per_class``
+  latent prototypes, independent random unit directions — a class is a
+  small mixture of "poses", not one template.
 * A sample is its latent prototype (plus latent jitter) pushed through a
   fixed random "renderer" into 32x32x3 pixel space, plus heavy Gaussian
-  pixel noise — the reason a 62k-parameter pixel-space model saturates near
-  0.6 while a denoising pretrained backbone does not.
+  pixel noise — the reason a 62k-parameter pixel-space model climbs slowly
+  across rounds and saturates near 0.6 (CIFAR-10's pose/colour variation
+  plays that role for the paper's SimpleNN) while a denoising pretrained
+  backbone does not.
 * ``label_noise`` flips a fraction of labels uniformly, bounding reachable
   test accuracy the way CIFAR-10's irreducible error bounds the paper's
   ~86% EfficientNet plateau.
@@ -61,12 +60,11 @@ class SyntheticSpec:
     Defaults are the calibrated values the paper scenarios run on (see
     ``repro.scenarios.registry.paper_spec``): they land a 3-client FedAvg of
     SimpleNN near the paper's 0.28->0.60 trajectory and the transfer-
-    learning analog near 0.78->0.85.
+    learning analog near 0.78->0.85.  The class count is
+    :data:`NUM_CLASSES`, what both registered models output.
     """
 
-    num_classes: int = NUM_CLASSES
     modes_per_class: int = 2
-    hard_classes: int = 0            # classes with antipodal (non-linear) modes
     latent_dim: int = 32
     noise_std: float = 2.5           # per-pixel Gaussian noise
     latent_jitter: float = 0.12      # within-mode latent variation
@@ -77,8 +75,6 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         require_finite(self, DataError)
-        if self.num_classes < 1:
-            raise DataError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.latent_dim < 1:
             raise DataError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if len(self.image_shape) != 3 or min(self.image_shape) < 1:
@@ -88,10 +84,6 @@ class SyntheticSpec:
         for name in ("noise_std", "latent_jitter", "brightness_std"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0 <= self.hard_classes <= self.num_classes:
-            raise DataError(
-                f"hard_classes {self.hard_classes} out of range for {self.num_classes} classes"
-            )
         if self.modes_per_class < 1:
             raise DataError("modes_per_class must be >= 1")
         if not 0.0 <= self.label_noise < 1.0:
@@ -121,28 +113,14 @@ class SyntheticImageDataset:
         self._prototypes = self._build_prototypes(rng)
 
     def _build_prototypes(self, rng: np.random.Generator) -> np.ndarray:
-        """(num_classes, modes_per_class, latent_dim) unit prototypes.
-
-        Hard classes alternate ``+v, -v, +v2, -v2, ...`` so the class mean
-        is (near) zero in pixel space; easy classes use independent random
-        directions.
-        """
+        """(NUM_CLASSES, modes_per_class, latent_dim) independent random
+        unit prototypes."""
         spec = self.spec
-        prototypes = np.zeros((spec.num_classes, spec.modes_per_class, spec.latent_dim))
-        for class_id in range(spec.num_classes):
-            if class_id < spec.hard_classes:
-                base = None
-                for mode_id in range(spec.modes_per_class):
-                    if mode_id % 2 == 0:
-                        base = rng.normal(size=spec.latent_dim)
-                        base /= np.linalg.norm(base)
-                        prototypes[class_id, mode_id] = base
-                    else:
-                        prototypes[class_id, mode_id] = -base
-            else:
-                for mode_id in range(spec.modes_per_class):
-                    vec = rng.normal(size=spec.latent_dim)
-                    prototypes[class_id, mode_id] = vec / np.linalg.norm(vec)
+        prototypes = np.zeros((NUM_CLASSES, spec.modes_per_class, spec.latent_dim))
+        for class_id in range(NUM_CLASSES):
+            for mode_id in range(spec.modes_per_class):
+                vec = rng.normal(size=spec.latent_dim)
+                prototypes[class_id, mode_id] = vec / np.linalg.norm(vec)
         return prototypes
 
     # ------------------------------------------------------------------
@@ -157,7 +135,7 @@ class SyntheticImageDataset:
     def mode_of(self, class_id: int, mode_id: int) -> np.ndarray:
         """Latent prototype of one (class, mode) pair."""
         spec = self.spec
-        if not 0 <= class_id < spec.num_classes:
+        if not 0 <= class_id < NUM_CLASSES:
             raise DataError(f"class_id {class_id} out of range")
         if not 0 <= mode_id < spec.modes_per_class:
             raise DataError(f"mode_id {mode_id} out of range")
@@ -213,15 +191,15 @@ class SyntheticImageDataset:
         spec = self.spec
         if class_probs is not None:
             probs = np.asarray(class_probs, dtype=np.float64)
-            if probs.shape != (spec.num_classes,):
+            if probs.shape != (NUM_CLASSES,):
                 raise DataError(
-                    f"class_probs must have shape ({spec.num_classes},), got {probs.shape}"
+                    f"class_probs must have shape ({NUM_CLASSES},), got {probs.shape}"
                 )
             if not np.isclose(probs.sum(), 1.0) or (probs < 0).any():
                 raise DataError("class_probs must be a probability vector")
-            labels = rng.choice(spec.num_classes, size=n, p=probs)
+            labels = rng.choice(NUM_CLASSES, size=n, p=probs)
         else:
-            labels = rng.integers(0, spec.num_classes, size=n)
+            labels = rng.integers(0, NUM_CLASSES, size=n)
         modes = rng.integers(0, spec.modes_per_class, size=n)
         latents = self._prototypes[labels, modes]
         latents = latents + rng.normal(0.0, spec.latent_jitter, size=latents.shape)
@@ -232,7 +210,7 @@ class SyntheticImageDataset:
         observed = labels.copy()
         if spec.label_noise > 0:
             flip = rng.random(n) < spec.label_noise
-            observed[flip] = rng.integers(0, spec.num_classes, size=int(flip.sum()))
+            observed[flip] = rng.integers(0, NUM_CLASSES, size=int(flip.sum()))
         x = pixels  # float64 by construction
         if not flat:
             x = x.reshape((n, *spec.image_shape))

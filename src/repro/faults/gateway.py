@@ -49,6 +49,10 @@ from repro.utils.events import Simulator
 #: rejections, reverts, unknown contract/method — is permanent.
 RETRYABLE_ERRORS = (TransientGatewayError, GatewayTimeoutError)
 
+#: Oldest earlier read, in simulated seconds, an injected stale fault may
+#: serve; an older one is re-read fresh.
+STALE_WINDOW = 30.0
+
 
 class FaultyGateway:
     """Gateway decorator injecting the faults an injector schedules.
@@ -120,7 +124,7 @@ class FaultyGateway:
         if entry is None:
             return False, None
         value, at = entry
-        if (self.inner.now() - at) > self.injector.spec.stale_window:
+        if (self.inner.now() - at) > STALE_WINDOW:
             return False, None
         return True, value
 

@@ -21,7 +21,7 @@ transient-only plans byte-equivalent to fault-free runs once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ConfigError, require_finite
@@ -31,8 +31,12 @@ from repro.utils.rng import RngFactory
 #: compared against.  Order is part of the reproducibility contract.
 FAULT_KINDS = ("transient", "timeout", "latency", "duplicate", "stale")
 
-#: Kinds that surface as raised errors (subject to ``max_consecutive``).
+#: Kinds that surface as raised errors (subject to :data:`MAX_CONSECUTIVE`).
 ERROR_KINDS = frozenset({"transient", "timeout"})
+
+#: Most error faults injected in a row on one (peer, method); below the
+#: default ``RetryPolicy.max_attempts``, so a retry loop always converges.
+MAX_CONSECUTIVE = 2
 
 #: Minimum peers that must stay live through any crash window.
 MIN_LIVE_PEERS = 2
@@ -40,8 +44,10 @@ MIN_LIVE_PEERS = 2
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/breaker knobs for :class:`ResilientGateway`.
+    """Retry/backoff/breaker behaviour of a :class:`ResilientGateway`.
 
+    The driver's resilient stacks all run the defaults; the gateway takes
+    a policy as an optional parameter so a test can substitute one.
     Backoff is deterministic capped exponential — attempt ``k`` waits
     ``min(backoff_base * 2**(k-1), backoff_cap)`` simulated seconds,
     *accounted* against the per-method budget rather than physically
@@ -99,7 +105,8 @@ class FaultSpec:
     ``[crash_round, crash_round + crash_rounds)`` (rounds are 1-based;
     a window may run past the last round), capped so at least
     :data:`MIN_LIVE_PEERS` stay live.  ``resilience`` toggles the
-    retry/backoff layer; with it off, injected faults surface raw.
+    retry/backoff layer (the default :class:`RetryPolicy`); with it off,
+    injected faults surface raw.
     """
 
     transient_rate: float = 0.0
@@ -108,13 +115,10 @@ class FaultSpec:
     latency_spike: float = 5.0
     duplicate_rate: float = 0.0
     stale_read_rate: float = 0.0
-    stale_window: float = 30.0
-    max_consecutive: int = 2
     crash_fraction: float = 0.0
     crash_round: int = 2
     crash_rounds: int = 1
     resilience: bool = True
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -135,12 +139,6 @@ class FaultSpec:
             )
         if self.latency_spike <= 0:
             raise ConfigError(f"latency_spike must be positive, got {self.latency_spike}")
-        if self.stale_window <= 0:
-            raise ConfigError(f"stale_window must be positive, got {self.stale_window}")
-        if self.max_consecutive < 1:
-            raise ConfigError(
-                f"max_consecutive must be >= 1, got {self.max_consecutive}"
-            )
         if not 0.0 <= self.crash_fraction <= 1.0:
             raise ConfigError(
                 f"crash_fraction must be in [0, 1], got {self.crash_fraction}"
@@ -149,12 +147,6 @@ class FaultSpec:
             raise ConfigError(
                 f"need crash_round >= 1 (rounds are 1-based) and "
                 f"crash_rounds >= 1, got {self.crash_round}/{self.crash_rounds}"
-            )
-        if self.resilience and self.max_consecutive >= self.retry.max_attempts:
-            raise ConfigError(
-                f"retry.max_attempts ({self.retry.max_attempts}) must exceed "
-                f"max_consecutive ({self.max_consecutive}) or retries cannot "
-                f"be guaranteed to converge"
             )
 
     def rates(self) -> tuple[float, ...]:
@@ -223,10 +215,10 @@ class FaultInjector:
     to the intercepted method (duplicates only make sense on ``submit``,
     stale serves only on reads) resolves to "no fault" with the draw
     consumed, keeping stream consumption uniform per call.  Error faults
-    (transient/timeout) are bounded: after ``max_consecutive`` in a row
-    on the same (peer, method) the next would-be error is forced clean
-    and the counter resets — with ``retry.max_attempts`` above the bound,
-    a retry loop always reaches a clean attempt.
+    (transient/timeout) are bounded: after :data:`MAX_CONSECUTIVE` in a
+    row on the same (peer, method) the next would-be error is forced clean
+    and the counter resets — with the retry policy's ``max_attempts``
+    above the bound, a retry loop always reaches a clean attempt.
 
     Every delivered fault is appended to ``trace`` so two injectors built
     from the same spec, cohort, and seed yield identical traces (the
@@ -299,7 +291,7 @@ class FaultInjector:
         key = (peer_id, method)
         if kind in ERROR_KINDS:
             seen = self._consecutive.get(key, 0)
-            if seen >= self.spec.max_consecutive:
+            if seen >= MAX_CONSECUTIVE:
                 self._consecutive[key] = 0
                 kind = None
             else:

@@ -7,8 +7,8 @@ walks a closed registry of those types (``{"__spec__": <class name>,
 "fields": {...}}``) instead of pickling, per the wire-discipline rule.
 
 Decoding coerces JSON lists back to tuples: every sequence field in the
-spec tree is a tuple (``client_ids``, ``volumes``, ``times``, ``crash``
-windows), and the frozen dataclasses must stay hashable after a
+spec tree is a tuple (``client_ids``, ``times``, availability
+``windows``), and the frozen dataclasses must stay hashable after a
 round-trip because :class:`~repro.scenarios.runner.ScenarioContext`
 memoizes datasets on spec-derived keys.
 """
@@ -21,7 +21,7 @@ from typing import Any
 from repro.data.synthetic import SyntheticSpec
 from repro.errors import WireProtocolError
 from repro.core.participation import ParticipationSpec
-from repro.faults import FaultSpec, RetryPolicy
+from repro.faults import FaultSpec
 from repro.fl.async_policy import Deadline, WaitForAll, WaitForK
 from repro.scenarios.spec import (
     AdversarySpec,
@@ -44,7 +44,6 @@ SPEC_TYPES: dict[str, type] = {
         ChainSpec,
         FaultSpec,
         ParticipationSpec,
-        RetryPolicy,
         SyntheticSpec,
         WaitForAll,
         WaitForK,

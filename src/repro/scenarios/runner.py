@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import AbstractSet, Callable, Optional
 
@@ -260,13 +260,8 @@ def _cohort_datasets(
     for index, client_id in enumerate(client_ids):
         if only is not None and client_id not in only:
             continue
-        probs = client_class_probs(
-            index,
-            len(client_ids),
-            spec.data_spec.num_classes,
-            skew=spec.cohort.label_skew,
-        )
-        volume = spec.cohort.volume_of(index)
+        probs = client_class_probs(index, len(client_ids), skew=spec.cohort.label_skew)
+        volume = spec.cohort.train_samples
         train_key = (spec.data_spec, spec.seed, "train", client_id, volume,
                      index, len(client_ids), spec.cohort.label_skew,
                      spec.participation)
@@ -471,12 +466,8 @@ def decentralized_inputs(
         model_builder = _initial_model(builder, init_rng_seed, len(train_sets))
     training_times = spec.heterogeneity.training_times(client_ids, rngs.get("hetero"))
 
-    # Every DecentralizedConfig field is a ScenarioSpec field of the same
-    # name (the chain/faults/participation sub-specs pass through whole),
-    # so a field added to the driver's config cannot be left behind here.
-    dec_config = DecentralizedConfig(
-        **{f.name: getattr(spec, f.name) for f in fields(DecentralizedConfig)}
-    )
+    # The projection the spec validated itself with at construction.
+    dec_config = DecentralizedConfig.project(spec)
     train_config = _train_config(spec)
     peer_configs = [
         PeerConfig(

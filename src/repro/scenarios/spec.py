@@ -8,13 +8,12 @@ A :class:`ScenarioSpec` composes independent axes:
   what fraction of the cohort;
 * **heterogeneity** — the distribution of simulated local-training times
   (the situation that motivates not waiting);
-* **chain** — block interval, hashrate, gossip batching, link latency,
-  message drop rate, gateway backend, scale-out
+* **chain** — message drop rate, gateway backend, scale-out
   (:class:`~repro.chain.spec.ChainSpec`, declared in the chain layer and
   re-exported here);
 * **faults** — deterministic fault injection at the FL <-> chain seam
   (:class:`~repro.faults.FaultSpec`: transient/timeout/latency/duplicate/
-  stale rates, crash windows, retry policy);
+  stale rates, crash windows, the resilience toggle);
 * plus the waiting policy, operating mode, combination-selection strategy,
   and the usual model/rounds/seed knobs.
 
@@ -32,13 +31,13 @@ from typing import Optional
 import numpy as np
 
 from repro.chain.spec import ChainSpec
+from repro.core.decentralized import DecentralizedConfig
 from repro.core.participation import ParticipationSpec
-from repro.data.synthetic import SyntheticSpec
+from repro.data.synthetic import NUM_CLASSES, SyntheticSpec
 from repro.errors import ConfigError, require_finite
 from repro.faults import FaultSpec
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
 from repro.fl.poisoning import Attacker, LabelFlipAttacker, NoiseAttacker, ScaleAttacker
-from repro.nn.models import NUM_CLASSES
 
 #: The paper's three clients; cohorts of three reproduce the tables exactly.
 PAPER_CLIENT_IDS = ("A", "B", "C")
@@ -59,6 +58,16 @@ RUNTIME_KINDS = ("inprocess", "multiprocess")
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _require_unread_at_default(spec, reads: dict[str, tuple[str, ...]], noun: str) -> None:
+    """Raise unless every field ``spec.kind`` does not read (``reads[kind]``)
+    keeps its default: a knob its kind ignores is silently dropped."""
+    for spec_field in fields(spec):
+        name = spec_field.name
+        if name not in ("kind",) + reads[spec.kind] and getattr(spec, name) != spec_field.default:
+            readers = " / ".join(kind for kind, names in reads.items() if name in names)
+            raise ConfigError(f"{name} is read only by {readers} {noun}, not {spec.kind!r}")
+
+
 def default_client_ids(size: int) -> tuple[str, ...]:
     """Generated cohort ids: ``A..Z`` up to 26 peers, ``P00, P01, ...`` beyond.
 
@@ -75,10 +84,9 @@ def default_client_ids(size: int) -> tuple[str, ...]:
 class CohortSpec:
     """Who participates and what data they hold.
 
-    ``volumes`` (explicit per-client training-set sizes) overrides
-    ``train_samples``; ``volume_profile="linear"`` spreads sizes from
-    0.5x to 1.5x of ``train_samples`` across the cohort (per-client data
-    volume heterogeneity with the same total budget).
+    Every client trains on ``train_samples`` samples and tests on
+    ``test_samples``; ``label_skew`` tilts each client's label
+    distribution (:func:`~repro.data.synthetic.client_class_probs`).
     """
 
     size: int = 3
@@ -86,8 +94,6 @@ class CohortSpec:
     label_skew: float = 1.0
     train_samples: int = 800
     test_samples: int = 500
-    volume_profile: str = "uniform"                # "uniform" | "linear"
-    volumes: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -104,27 +110,10 @@ class CohortSpec:
             raise ConfigError(f"label_skew must be non-negative, got {self.label_skew}")
         if min(self.train_samples, self.test_samples) < 1:
             raise ConfigError("train_samples and test_samples must be >= 1")
-        if self.volume_profile not in ("uniform", "linear"):
-            raise ConfigError(f"unknown volume_profile {self.volume_profile!r}")
-        if self.volumes is not None:
-            if len(self.volumes) != self.size:
-                raise ConfigError(
-                    f"volumes has {len(self.volumes)} entries for cohort size {self.size}"
-                )
-            if min(self.volumes) < 1:
-                raise ConfigError("every per-client volume must be >= 1")
 
     def ids(self) -> tuple[str, ...]:
         """Resolved client ids."""
         return self.client_ids if self.client_ids is not None else default_client_ids(self.size)
-
-    def volume_of(self, index: int) -> int:
-        """Training-set size of client ``index``."""
-        if self.volumes is not None:
-            return self.volumes[index]
-        if self.volume_profile == "linear" and self.size > 1:
-            return max(1, round(self.train_samples * (0.5 + index / (self.size - 1))))
-        return self.train_samples
 
 
 @dataclass(frozen=True)
@@ -135,8 +124,17 @@ class AdversarySpec:
     cohort ids, with a floor of one for any positive fraction
     (deterministic; matches the ablation benches where client ``C``
     attacks).  Kind-specific knobs mirror the attacker dataclasses in
-    :mod:`repro.fl.poisoning`.
+    :mod:`repro.fl.poisoning`; a knob its kind does not read must keep its
+    default.
     """
+
+    #: The knobs each kind reads.
+    READS = {
+        "none": (),
+        "label_flip": ("fraction", "flip_fraction", "target_class"),
+        "noise": ("fraction", "noise_std"),
+        "scale": ("fraction", "scale"),
+    }
 
     kind: str = "none"        # "none" | "label_flip" | "noise" | "scale"
     fraction: float = 0.0
@@ -147,7 +145,7 @@ class AdversarySpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.kind not in ("none", "label_flip", "noise", "scale"):
+        if self.kind not in self.READS:
             raise ConfigError(f"unknown attacker kind {self.kind!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigError(
@@ -155,25 +153,25 @@ class AdversarySpec:
             )
         if self.kind != "none" and self.fraction == 0.0:
             raise ConfigError(f"attacker kind {self.kind!r} needs fraction > 0")
-        if self.kind == "none" and self.fraction > 0.0:
-            raise ConfigError(
-                f"attacker_fraction {self.fraction} needs an attacker kind "
-                "(label_flip, noise, or scale)"
-            )
+        _require_unread_at_default(self, self.READS, "attackers")
         # Kind-specific knobs fail here, not when a sweep point finally
-        # instantiates the attacker mid-grid.
-        if self.kind == "label_flip" and not 0.0 < self.flip_fraction <= 1.0:
+        # instantiates the attacker mid-grid (a kind that does not read a
+        # knob holds its valid default).
+        if not 0.0 < self.flip_fraction <= 1.0:
             raise ConfigError(f"flip_fraction must be in (0, 1], got {self.flip_fraction}")
-        if self.kind == "label_flip" and self.target_class < 0:
-            raise ConfigError(f"target_class must be >= 0, got {self.target_class}")
-        if self.kind == "noise" and self.noise_std <= 0:
+        if not 0 <= self.target_class < NUM_CLASSES:
+            raise ConfigError(
+                f"label-flip target_class {self.target_class} is out of range "
+                f"for {NUM_CLASSES} classes"
+            )
+        if self.noise_std <= 0:
             raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
-        if self.kind == "scale" and self.scale == 1.0:
+        if self.scale == 1.0:
             raise ConfigError("scale of 1.0 is not an attack")
 
     def build_attacker(self) -> Optional[Attacker]:
         """Instantiate the configured attacker (``None`` when honest)."""
-        if self.kind == "none" or self.fraction == 0.0:
+        if self.kind == "none":
             return None
         if self.kind == "label_flip":
             return LabelFlipAttacker(
@@ -188,7 +186,7 @@ class AdversarySpec:
         but — like the stragglers convention — any positive fraction
         corrupts at least one client (an attack axis point is never
         silently honest; the honest baseline is ``kind="none"``)."""
-        if self.kind == "none" or self.fraction == 0.0:
+        if self.kind == "none":
             return ()
         count = min(len(client_ids), max(1, round(self.fraction * len(client_ids))))
         return tuple(client_ids[len(client_ids) - count:])
@@ -209,7 +207,18 @@ class HeterogeneitySpec:
       fraction straggles at least one client, 0.0 straggles none — the
       honest baseline of a straggler-fraction sweep);
     * ``custom`` — explicit per-client ``times``.
+
+    A knob its kind does not read must keep its default.
     """
+
+    #: The knobs each kind reads.
+    READS = {
+        "homogeneous": ("base_time",),
+        "uniform": ("base_time", "spread"),
+        "lognormal": ("base_time", "spread"),
+        "stragglers": ("base_time", "straggler_fraction", "straggler_factor"),
+        "custom": ("times",),
+    }
 
     kind: str = "homogeneous"   # homogeneous | uniform | lognormal | stragglers | custom
     base_time: float = 30.0
@@ -220,8 +229,9 @@ class HeterogeneitySpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.kind not in ("homogeneous", "uniform", "lognormal", "stragglers", "custom"):
+        if self.kind not in self.READS:
             raise ConfigError(f"unknown heterogeneity kind {self.kind!r}")
+        _require_unread_at_default(self, self.READS, "heterogeneity")
         if self.base_time <= 0:
             raise ConfigError(f"base_time must be positive, got {self.base_time}")
         if self.spread < 0 or (self.kind == "uniform" and self.spread >= self.base_time):
@@ -238,11 +248,6 @@ class HeterogeneitySpec:
             )
         if self.kind == "custom" and not self.times:
             raise ConfigError(f"custom heterogeneity needs explicit times, got {self.times!r}")
-        if self.kind != "custom" and self.times is not None:
-            raise ConfigError(
-                f"explicit times are read only by custom heterogeneity, "
-                f"not {self.kind!r}"
-            )
         if self.times and min(self.times) <= 0:
             raise ConfigError("every training time must be positive")
 
@@ -308,9 +313,7 @@ class ScenarioSpec:
     mode: str = "personalized"             # decentralized operating mode
     policy: AsyncPolicy = field(default_factory=WaitForAll)
     selection: str = "auto"                # "exhaustive" | "greedy" | "auto"
-    exhaustive_limit: int = 6
     enable_reputation: bool = False
-    reputation_fitness_margin: float = 0.10
     cohort: CohortSpec = field(default_factory=CohortSpec)
     adversary: AdversarySpec = field(default_factory=AdversarySpec)
     heterogeneity: HeterogeneitySpec = field(default_factory=HeterogeneitySpec)
@@ -332,18 +335,10 @@ class ScenarioSpec:
             raise ConfigError(
                 f"unknown model kind {self.model_kind!r}; choose from {sorted(MODEL_LEARNING_RATES)}"
             )
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
         if self.local_epochs < 1 or self.batch_size < 1:
             raise ConfigError("local_epochs and batch_size must be >= 1")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.mode not in ("personalized", "global_vote"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.selection not in ("exhaustive", "greedy", "auto"):
-            raise ConfigError(f"unknown selection strategy {self.selection!r}")
-        if self.exhaustive_limit < 1:
-            raise ConfigError("exhaustive_limit must be >= 1")
         if self.aggregator_test_samples < 1:
             raise ConfigError("aggregator_test_samples must be >= 1")
         if self.backbone_sigma <= 0:
@@ -365,44 +360,16 @@ class ScenarioSpec:
                 "fault injection targets the FL <-> chain seam; "
                 'the "vanilla" centralized deployment has none'
             )
-        if self.faults.crash_fraction > 0 and self.faults.crash_round > self.rounds:
-            raise ConfigError(
-                f"crash_round {self.faults.crash_round} is after the last "
-                f"round {self.rounds} (rounds are 1-based): no peer would crash"
-            )
+        # The driver's own checks (rounds, mode, selection, windows against
+        # rounds) on the config the runner builds from this spec.
+        DecentralizedConfig.project(self)
         if self.kind == "vanilla" and self.participation.engaged:
             raise ConfigError(
                 "the participation axis (sampling, windows, churn) targets "
                 'the decentralized deployment; the "vanilla" kind always '
                 "trains every client"
             )
-        if (
-            self.participation.sampled_k is not None
-            and self.participation.sampled_k > self.cohort.size
-        ):
-            raise ConfigError(
-                f"sampled_k {self.participation.sampled_k} exceeds the "
-                f"cohort size {self.cohort.size}"
-            )
-        for window in self.participation.windows:
-            if window[0] >= self.cohort.size:
-                raise ConfigError(
-                    f"availability window peer index {window[0]} is out of "
-                    f"range for cohort size {self.cohort.size}"
-                )
-        if self.data_spec.num_classes > NUM_CLASSES:
-            raise ConfigError(
-                f"data_spec has {self.data_spec.num_classes} classes but the "
-                f"models output {NUM_CLASSES}"
-            )
-        if (
-            self.adversary.kind == "label_flip"
-            and self.adversary.target_class >= self.data_spec.num_classes
-        ):
-            raise ConfigError(
-                f"label-flip target_class {self.adversary.target_class} is out "
-                f"of range for {self.data_spec.num_classes} classes"
-            )
+        self.participation.check_cohort(self.cohort.size)
         if self.heterogeneity.times is not None and len(self.heterogeneity.times) != self.cohort.size:
             raise ConfigError(
                 f"heterogeneity times has {len(self.heterogeneity.times)} entries "
@@ -433,8 +400,6 @@ class ScenarioSpec:
                 self.cohort,
                 train_samples=min(self.cohort.train_samples, 200),
                 test_samples=min(self.cohort.test_samples, 150),
-                volumes=None if self.cohort.volumes is None
-                else tuple(min(v, 200) for v in self.cohort.volumes),
             ),
             aggregator_test_samples=min(self.aggregator_test_samples, 150),
         )

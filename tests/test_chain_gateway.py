@@ -1232,7 +1232,11 @@ class TestChainStatsDigests:
     and ``gateway.transport`` moved (``calls``, ``batch_calls``,
     ``batched_reads``, ``contract_checks``, their request/response bytes
     and the two derived totals); ``faults`` and ``batching``, whose stacks
-    have no view token, still poll every event.  Beside each digest the fixture
+    have no view token, still poll every event.  ``multiprocess`` was
+    re-recorded once more when 21 spec fields nothing set became
+    constants: the ``init`` frame's encoded spec lost 499 bytes per
+    worker, and ``gateway.wire.bytes_sent`` was the only counter that
+    moved.  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

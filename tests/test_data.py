@@ -6,6 +6,7 @@ import pytest
 from repro.data.dataset import Dataset, batch_indices
 from repro.data.synthetic import (
     CIFAR10_LABELS,
+    NUM_CLASSES,
     SyntheticImageDataset,
     SyntheticSpec,
     client_class_probs,
@@ -107,10 +108,6 @@ class TestSyntheticSpec:
     def test_flat_dim(self):
         assert SyntheticSpec().flat_dim == 3072
 
-    def test_invalid_hard_classes(self):
-        with pytest.raises(DataError):
-            SyntheticSpec(hard_classes=11)
-
     def test_invalid_label_noise(self):
         with pytest.raises(DataError):
             SyntheticSpec(label_noise=1.0)
@@ -126,7 +123,6 @@ class TestSyntheticSpec:
             {"latent_jitter": -1e-3},
             {"brightness_std": -0.05},
             {"latent_dim": 0},
-            {"num_classes": 0},
             {"image_shape": (0, 32, 3)},
             {"image_shape": (32, 32, 0)},
         ],
@@ -198,10 +194,6 @@ class TestSyntheticGeneration:
         noisy = SyntheticImageDataset(noisy_spec).sample(500, np.random.default_rng(1))
         assert (clean.y != noisy.y).mean() > 0.2
 
-    def test_hard_classes_antipodal(self):
-        factory = SyntheticImageDataset(SyntheticSpec(hard_classes=2))
-        np.testing.assert_allclose(factory.mode_of(0, 0), -factory.mode_of(0, 1))
-
     def test_class_probs_skew(self, rng):
         factory = SyntheticImageDataset(SyntheticSpec(label_noise=0.0))
         probs = np.zeros(10)
@@ -220,7 +212,7 @@ class TestSyntheticGeneration:
         spec = SyntheticSpec()
         projection, anchors = SyntheticImageDataset(spec).pretrained_backbone()
         assert projection.shape == (3072, spec.latent_dim)
-        assert anchors.shape == (spec.num_classes * spec.modes_per_class, spec.latent_dim)
+        assert anchors.shape == (NUM_CLASSES * spec.modes_per_class, spec.latent_dim)
 
     def test_backbone_mismatch_deterministic(self):
         factory = SyntheticImageDataset(SyntheticSpec())

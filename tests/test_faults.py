@@ -31,6 +31,8 @@ from repro.faults import (
     ResilientGateway,
     RetryPolicy,
 )
+from repro.faults.gateway import STALE_WINDOW
+from repro.faults.plan import MAX_CONSECUTIVE
 from repro.fl.scoring import weights_fingerprint
 from repro.fl.trainer import TrainConfig
 from repro.nn.layers import Dense, ReLU
@@ -86,14 +88,9 @@ class TestFaultSpec:
         assert plan.down(1) == {"D", "E"}
 
     def test_resilient_retries_must_outnumber_consecutive_faults(self):
-        with pytest.raises(ConfigError):
-            FaultSpec(
-                transient_rate=0.1,
-                max_consecutive=4,
-                retry=RetryPolicy(max_attempts=4),
-            )
-        # With resilience off the bound is irrelevant.
-        FaultSpec(transient_rate=0.1, max_consecutive=4, resilience=False)
+        # The driver's resilient stacks run the default policy against the
+        # injector's bound: a retry loop always reaches a clean attempt.
+        assert MAX_CONSECUTIVE < RetryPolicy().max_attempts
 
     def test_retry_policy_validation(self):
         with pytest.raises(ConfigError):
@@ -191,12 +188,12 @@ class TestFaultInjector:
 
     def test_consecutive_error_bound(self):
         # Rate ~1: every draw would be a transient error, but the bound
-        # forces a clean call after max_consecutive.
-        spec = FaultSpec(transient_rate=0.99, max_consecutive=2)
+        # forces a clean call after MAX_CONSECUTIVE.
+        spec = FaultSpec(transient_rate=0.99)
         injector = make_injector(spec)
         injector.begin_round(1)
         kinds = [injector.decide("A", "call") for _ in range(9)]
-        assert kinds == ["transient", "transient", None] * 3
+        assert kinds == (["transient"] * MAX_CONSECUTIVE + [None]) * 3
 
     def test_duplicate_only_fires_on_submit(self):
         spec = FaultSpec(duplicate_rate=0.99)
@@ -344,7 +341,7 @@ class TestFaultyGateway:
 
     def test_stale_read_served_within_window(self):
         inner = StubTransport()
-        spec = FaultSpec(stale_read_rate=0.1, stale_window=30.0)
+        spec = FaultSpec(stale_read_rate=0.1)
         gateway = FaultyGateway(inner, "A", ScriptedInjector([None, "stale"], spec=spec))
         first = gateway.call("0x1", "get", k=1)
         assert gateway.call("0x1", "get", k=1) == first  # served stale
@@ -354,12 +351,12 @@ class TestFaultyGateway:
     def test_stale_beyond_window_reads_fresh(self):
         sim = Simulator()
         inner = StubTransport(sim)
-        spec = FaultSpec(stale_read_rate=0.1, stale_window=5.0)
+        spec = FaultSpec(stale_read_rate=0.1)
         gateway = FaultyGateway(
             inner, "A", ScriptedInjector([None, "stale"], spec=spec), simulator=sim
         )
         first = gateway.call("0x1", "get", k=1)
-        sim.schedule_at(10.0, lambda: None)
+        sim.schedule_at(STALE_WINDOW + 5.0, lambda: None)
         sim.run()
         assert gateway.call("0x1", "get", k=1) == first + 1  # too old: fresh read
         assert gateway.stats.cache_hits == 0
@@ -708,6 +705,11 @@ class TestSpecThreading:
         )
         # With nothing to crash the window is never read.
         ScenarioSpec(rounds=1, faults=FaultSpec(crash_round=5))
+
+    def test_a_hand_built_driver_rejects_a_crash_after_the_last_round(self):
+        with pytest.raises(ConfigError, match="crash_round 5"):
+            DecentralizedConfig(rounds=2, faults=FaultSpec(crash_fraction=0.4, crash_round=5))
+        DecentralizedConfig(rounds=2, faults=FaultSpec(crash_fraction=0.4, crash_round=2))
 
     def test_vanilla_scenarios_reject_faults(self):
         with pytest.raises(ConfigError):

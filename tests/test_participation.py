@@ -31,7 +31,7 @@ from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential
 from repro.scenarios import ScenarioContext, get_scenario, run_scenario
 from repro.scenarios.registry import cohort_scenario
-from repro.scenarios.spec import ScenarioSpec, replace_axis
+from repro.scenarios.spec import CohortSpec, ScenarioSpec, replace_axis
 from repro.fl.scoring import weights_fingerprint
 from repro.utils.rng import RngFactory
 
@@ -95,6 +95,16 @@ class TestParticipationSpec:
         spec = cohort_scenario(5)
         with pytest.raises(ConfigError):
             replace_axis(spec, "participation.windows", ((5, 1, 1),))
+
+    def test_a_window_after_the_last_round_is_rejected(self):
+        """A window opening after the last round never takes its peer offline."""
+        late = ParticipationSpec(windows=((1, 5, 1),))
+        with pytest.raises(ConfigError, match="opens at round 5, after the last round 2"):
+            ScenarioSpec(rounds=2, cohort=CohortSpec(size=4), participation=late)
+        with pytest.raises(ConfigError, match="opens at round 5, after the last round 2"):
+            DecentralizedConfig(rounds=2, participation=late)
+        # The last round may open a window, and the window may run past it.
+        DecentralizedConfig(rounds=2, participation=ParticipationSpec(windows=((1, 2, 3),)))
 
 
 class TestRegistryNames:

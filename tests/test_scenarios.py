@@ -1,10 +1,11 @@
 """Tests for the declarative scenario API (spec, registry, runner, sweep)."""
 
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
+from repro.core.decentralized import DecentralizedConfig
 from repro.data.synthetic import SyntheticSpec
 from repro.errors import ConfigError, DataError
 from repro.faults import RetryPolicy
@@ -59,10 +60,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             CohortSpec(size=3, client_ids=("A", "B"))
 
-    def test_cohort_volumes_must_match_size(self):
-        with pytest.raises(ConfigError):
-            CohortSpec(size=3, volumes=(100, 100))
-
     def test_attacker_fraction_range(self):
         with pytest.raises(ConfigError):
             AdversarySpec(kind="label_flip", fraction=1.5)
@@ -99,25 +96,62 @@ class TestSpecValidation:
 
         with pytest.raises(ConfigError, match="target_class 12 .* 10 classes"):
             flip_to(12)
-        with pytest.raises(ConfigError, match="target_class 5 .* 5 classes"):
-            flip_to(5, data_spec=SyntheticSpec(num_classes=5))
+        with pytest.raises(ConfigError, match="target_class 10 .* 10 classes"):
+            flip_to(10)
         assert flip_to(9).adversary.target_class == 9
 
-    @pytest.mark.parametrize("kind", ["decentralized", "vanilla"])
-    def test_dataset_classes_must_fit_the_model_outputs(self, kind):
-        with pytest.raises(ConfigError, match="12 classes .* output 10"):
-            tiny_spec(kind=kind, data_spec=SyntheticSpec(num_classes=12))
-        assert tiny_spec(kind=kind, data_spec=SyntheticSpec(num_classes=10)).data_spec.num_classes == 10
-
     def test_sweep_axes_revalidate_classes(self):
-        """A grid that sweeps the dataset or the flip target fails before any run."""
-        with pytest.raises(ConfigError, match="11 classes"):
-            replace_axis(tiny_spec(), "data_spec.num_classes", 11)
+        """A grid that sweeps the flip target fails before any run."""
         flipped = tiny_spec(adversary=AdversarySpec(kind="label_flip", fraction=0.34, target_class=3))
-        with pytest.raises(ConfigError, match="target_class 3 .* 3 classes"):
-            replace_axis(flipped, "data_spec.num_classes", 3)
-        with pytest.raises(ConfigError, match="target_class"):
+        assert replace_axis(flipped, "adversary.target_class", 9).adversary.target_class == 9
+        with pytest.raises(ConfigError, match="target_class 10 .* 10 classes"):
             replace_axis(flipped, "adversary.target_class", 10)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(kind="custom", times=(1.0, 2.0, 3.0), base_time=99.0),
+            dict(kind="custom", times=(1.0, 2.0, 3.0), spread=5.0),
+            dict(kind="homogeneous", spread=5.0),
+            dict(kind="homogeneous", straggler_factor=2.0),
+            dict(kind="uniform", spread=5.0, straggler_fraction=0.5),
+            dict(kind="lognormal", spread=0.5, straggler_factor=2.0),
+            dict(kind="stragglers", spread=5.0),
+        ],
+        ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()),
+    )
+    def test_heterogeneity_knobs_its_kind_ignores_are_rejected(self, knobs):
+        """A knob the kind never reads used to validate and be dropped."""
+        ignored = [name for name in knobs if name not in ("kind", "times")][-1]
+        with pytest.raises(ConfigError, match=f"{ignored} is read only by"):
+            HeterogeneitySpec(**knobs)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(kind="noise", flip_fraction=0.5),
+            dict(kind="noise", scale=2.0),
+            dict(kind="scale", noise_std=0.1),
+            dict(kind="label_flip", scale=2.0),
+            dict(kind="label_flip", noise_std=0.1),
+            dict(kind="scale", target_class=3),
+        ],
+        ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()),
+    )
+    def test_attacker_knobs_its_kind_ignores_are_rejected(self, knobs):
+        ignored = [name for name in knobs if name != "kind"][-1]
+        with pytest.raises(ConfigError, match=f"{ignored} is read only by"):
+            AdversarySpec(fraction=0.3, **knobs)
+        with pytest.raises(ConfigError, match=ignored):
+            AdversarySpec(**{name: value for name, value in knobs.items() if name != "kind"})
+
+    def test_knobs_each_kind_reads_are_accepted(self):
+        HeterogeneitySpec(kind="uniform", base_time=60.0, spread=40.0)
+        HeterogeneitySpec(kind="lognormal", base_time=10.0, spread=0.5)
+        HeterogeneitySpec(kind="stragglers", base_time=10.0, straggler_fraction=0.4, straggler_factor=3.0)
+        AdversarySpec(kind="label_flip", fraction=0.3, flip_fraction=0.5, target_class=9)
+        AdversarySpec(kind="noise", fraction=0.3, noise_std=0.1)
+        AdversarySpec(kind="scale", fraction=0.3, scale=2.0)
 
     def test_unknown_heterogeneity_kind(self):
         with pytest.raises(ConfigError):
@@ -230,17 +264,56 @@ class TestSpecValidation:
             tiny_spec(rounds=0)
 
 
+def _default(spec_field):
+    if spec_field.default_factory is not MISSING:
+        return spec_field.default_factory()
+    return spec_field.default
+
+
+class TestDriverProjection:
+    """A spec validates with, and the runner drives, one DecentralizedConfig."""
+
+    def test_every_driver_field_is_a_spec_field_with_the_same_default(self):
+        spec_fields = {spec_field.name: spec_field for spec_field in fields(ScenarioSpec)}
+        for driver_field in fields(DecentralizedConfig):
+            assert driver_field.name in spec_fields, driver_field.name
+            assert _default(spec_fields[driver_field.name]) == _default(driver_field), (
+                driver_field.name
+            )
+
+    def test_the_runner_drives_the_config_the_spec_validated(self, monkeypatch):
+        validated = []
+        check = DecentralizedConfig.__post_init__
+
+        def record(config):
+            check(config)
+            validated.append(config)
+
+        monkeypatch.setattr(DecentralizedConfig, "__post_init__", record)
+        spec = tiny_spec(
+            rounds=2,
+            policy=WaitForK(2),
+            mode="global_vote",
+            enable_reputation=True,
+            selection="greedy",
+            chain=ChainSpec(gateway="batching"),
+            faults=FaultSpec(transient_rate=0.1),
+            participation=ParticipationSpec(sampled_k=2),
+        )
+        assert len(validated) == 1
+        for driver_field in fields(DecentralizedConfig):  # every field is exercised
+            assert getattr(validated[0], driver_field.name) != _default(driver_field)
+        inputs = decentralized_inputs(
+            spec, RngFactory(spec.seed), ScenarioContext(), materialize=frozenset()
+        )
+        assert inputs.config == validated[0]
+
+
 class TestSpecAxes:
     def test_default_client_ids(self):
         assert default_client_ids(3) == ("A", "B", "C")
         assert default_client_ids(26)[-1] == "Z"
         assert default_client_ids(30)[:2] == ("P00", "P01")
-
-    def test_linear_volume_profile(self):
-        cohort = CohortSpec(size=5, train_samples=100, volume_profile="linear")
-        volumes = [cohort.volume_of(i) for i in range(5)]
-        assert volumes[0] == 50 and volumes[-1] == 150
-        assert volumes == sorted(volumes)
 
     def test_adversary_ids_are_last_clients(self):
         ids = default_client_ids(3)
@@ -408,13 +481,12 @@ class TestRunner:
     def test_label_flip_to_the_last_class_runs(self, kind):
         spec = tiny_spec(
             kind=kind,
-            data_spec=SyntheticSpec(num_classes=5),
-            adversary=AdversarySpec(kind="label_flip", fraction=0.34, target_class=4),
+            adversary=AdversarySpec(kind="label_flip", fraction=0.34, target_class=9),
         )
         from repro.scenarios.runner import _cohort_datasets
 
         train_sets, _, _ = _cohort_datasets(spec, RngFactory(spec.seed), ScenarioContext())
-        assert (train_sets["C"].y == 4).all()
+        assert (train_sets["C"].y == 9).all()
         result = run_scenario(spec)
         assert result.adversaries == ("C",)
         assert all(len(series) == 1 for series in result.client_accuracy.values())
