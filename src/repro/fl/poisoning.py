@@ -49,7 +49,8 @@ class LabelFlipAttacker(Attacker):
         y = dataset.y.copy()
         mask = rng.random(len(y)) < self.flip_fraction
         y[mask] = self.target_class
-        return Dataset(dataset.x.copy(), y, f"{dataset.name}/label_flipped")
+        # Only labels change, so the poisoned split shares the samples.
+        return Dataset(dataset.x, y, f"{dataset.name}/label_flipped")
 
 
 @dataclass

@@ -48,6 +48,10 @@ class LocalTrainer:
     Every epoch draws one permutation from ``rng``. A fresh :class:`SGD` is
     created per :meth:`train` call, so its step counter restarts after each
     global update, matching the paper's per-round PyTorch training.
+
+    The model holds training scratch (gradients, cached batch inputs, ReLU
+    masks) only while :meth:`train` runs: nothing reads it between rounds,
+    so :meth:`train` releases it before it returns.
     """
 
     def __init__(self, config: TrainConfig, rng: Optional[np.random.Generator] = None) -> None:
@@ -76,6 +80,7 @@ class LocalTrainer:
             if epoch_losses:
                 last_loss = float(np.mean(epoch_losses))
                 loss_history.append(last_loss)
+        model.release_scratch()
         return TrainResult(
             epochs_run=config.epochs,
             batches_run=batches,

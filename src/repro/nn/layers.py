@@ -1,11 +1,12 @@
 """Neural-network layers with explicit forward/backward passes.
 
-Each layer owns named parameters (``params``) and matching gradients
-(``grads``).  ``forward`` caches what ``backward`` needs; ``backward``
-receives dL/d(output), writes the parameter gradients of that one pass
-into ``grads`` and returns dL/d(input).  A layer trains exactly when it
-has parameters: the frozen backbone holds its weights outside ``params``,
-so FedAvg never ships them and the optimizer never steps them.
+Each layer owns named parameters (``params``) and, while it trains,
+matching gradients (``grads``).  ``forward`` caches what ``backward``
+needs; ``backward`` receives dL/d(output), writes the parameter gradients
+of that one pass into ``grads`` and returns dL/d(input).  A layer trains
+exactly when it has parameters: the frozen backbone holds its weights
+outside ``params``, so FedAvg never ships them and the optimizer never
+steps them.
 
 ``forward_stacked`` is the inference pass for several candidate parameter
 sets at once (:meth:`repro.nn.model.Sequential.predict_stacked`): candidate
@@ -27,7 +28,14 @@ from repro.nn.initializers import he_init, zeros_init
 
 
 class Layer:
-    """Base layer: parameter bookkeeping plus the forward/backward contract."""
+    """Base layer: parameter bookkeeping plus the forward/backward contract.
+
+    Training scratch — ``grads`` and what a training ``forward`` caches for
+    ``backward`` (a batch input, a mask, a shape) — exists only from a
+    layer's first training step until :meth:`release_scratch`, which
+    :meth:`repro.fl.trainer.LocalTrainer.train` calls when it returns: a
+    built layer that has not trained holds none.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name or type(self).__name__.lower()
@@ -57,6 +65,12 @@ class Layer:
         """Reset the gradients to zero."""
         for key, value in self.params.items():
             self.grads[key] = np.zeros_like(value)
+
+    def release_scratch(self) -> None:
+        """Drop the training scratch: the gradients and, in subclasses, what
+        ``forward`` cached for ``backward``; ``backward`` then needs a new
+        training ``forward`` first."""
+        self.grads = {}
 
     def frozen_token(self) -> Optional[str]:
         """Content hash of all that a frozen, parameterless layer's output
@@ -122,7 +136,6 @@ class Dense(Layer):
             "W": he_init(rng, (fan_in, self.units), fan_in=fan_in),
             "b": zeros_init((self.units,)),
         }
-        self.zero_grads()
         self.built = True
         return (self.units,)
 
@@ -201,6 +214,10 @@ class Dense(Layer):
             return None
         return grad_out @ self.params["W"].T
 
+    def release_scratch(self) -> None:
+        super().release_scratch()
+        self._cache_x = None
+
 
 class ReLU(Layer):
     """Rectified linear activation."""
@@ -227,6 +244,10 @@ class ReLU(Layer):
             raise NotBuiltError(f"{self.name}: backward before forward")
         return grad_out * self._mask
 
+    def release_scratch(self) -> None:
+        super().release_scratch()
+        self._mask = None
+
 
 class Flatten(Layer):
     """Collapse all non-batch dimensions."""
@@ -248,6 +269,10 @@ class Flatten(Layer):
         if self._input_shape is None:
             raise NotBuiltError(f"{self.name}: backward before forward")
         return grad_out.reshape(self._input_shape)
+
+    def release_scratch(self) -> None:
+        super().release_scratch()
+        self._input_shape = None
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
@@ -314,7 +339,6 @@ class Conv2D(Layer):
             "W": he_init(rng, (k, k, c, self.filters), fan_in=fan_in),
             "b": zeros_init((self.filters,)),
         }
-        self.zero_grads()
         if self.padding == "same":
             total = max(k - self.stride, 0) if h % self.stride == 0 else max(k - h % self.stride, 0)
             self._pad = (total // 2, total - total // 2)
@@ -368,6 +392,10 @@ class Conv2D(Layer):
             dxp = dxp[:, lo : dxp.shape[1] - hi, lo : dxp.shape[2] - hi, :]
         return dxp.reshape(x_shape)
 
+    def release_scratch(self) -> None:
+        super().release_scratch()
+        self._cache = None
+
 
 class MaxPool2D(Layer):
     """Max pooling over NHWC input with non-overlapping windows.
@@ -413,6 +441,10 @@ class MaxPool2D(Layer):
         ties = mask.sum(axis=(2, 4))
         scaled = (grad_out / ties)[:, :, None, :, None, :]
         return (scaled * mask).reshape(x_shape)
+
+    def release_scratch(self) -> None:
+        super().release_scratch()
+        self._cache = None
 
 
 class PretrainedRBFBackbone(Layer):

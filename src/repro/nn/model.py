@@ -90,6 +90,12 @@ class Sequential:
         for layer in self.layers:
             layer.zero_grads()
 
+    def release_scratch(self) -> None:
+        """Drop every layer's training scratch
+        (:meth:`~repro.nn.layers.Layer.release_scratch`)."""
+        for layer in self.layers:
+            layer.release_scratch()
+
     def lowest_trainable(self) -> int:
         """Index of the first layer with parameters — a layer trains exactly
         when it has some — or ``len(layers)`` when none does: nothing below

@@ -58,8 +58,9 @@ class ScenarioContext:
     Dataset splits are deterministic functions of (data spec, experiment
     seed, split name, size, class skew), so memoizing them is
     behaviour-preserving: a cache hit returns byte-identical arrays to what
-    a fresh run would sample.  Consumers treat datasets as read-only
-    (adversarial corruption copies before mutating).
+    a fresh run would sample.  The arrays are read-only, so that holds
+    whatever a consumer does (adversarial corruption writes new labels
+    beside the shared samples).
 
     Multiprocess runs borrow their worker fleet from :meth:`fleet`, one per
     worker count, launched by the first run that needs it.  Close the
@@ -114,9 +115,14 @@ class ScenarioContext:
         return self._backbones[key]
 
     def dataset(self, key: tuple, sample) -> Dataset:
-        """Memoized split: ``sample()`` runs only on a cache miss."""
+        """Memoized split: ``sample()`` runs only on a cache miss.  The split's
+        ``x`` and ``y`` come back read-only, so no consumer can change the
+        bytes a later hit hands out."""
         if key not in self._datasets:
-            self._datasets[key] = sample()
+            split = sample()
+            split.x.flags.writeable = False
+            split.y.flags.writeable = False
+            self._datasets[key] = split
         else:
             self._dataset_hits += 1
         return self._datasets[key]
@@ -236,13 +242,13 @@ def _cohort_datasets(
     rngs: RngFactory,
     ctx: ScenarioContext,
     only: Optional[AbstractSet[str]] = None,
-) -> tuple[dict[str, Dataset], dict[str, Dataset], Dataset]:
-    """Per-client train/test splits plus the aggregator's default test set.
+) -> tuple[dict[str, Dataset], dict[str, Dataset]]:
+    """Per-client train/test splits.
 
-    Streams: ``data/train/<id>`` and ``data/test/<id>`` per client,
-    ``data/test/aggregator`` for the central set — the seed layout.
-    Adversarial dataset corruption (``attack/<id>``) happens here, after
-    sampling, so honest splits stay cache-shareable across scenarios.
+    Streams: ``data/train/<id>`` and ``data/test/<id>`` per client — the
+    seed layout.  Adversarial dataset corruption (``attack/<id>``) happens
+    here, after sampling, so honest splits stay cache-shareable across
+    scenarios.
 
     ``only`` restricts materialization to the named clients (the ones a
     participation plan ever selects).  Streams are named per client, so
@@ -288,17 +294,23 @@ def _cohort_datasets(
             train_sets[client_id] = attacker.poison_dataset(
                 train_sets[client_id], rngs.get("attack", client_id)
             )
-    aggregator_key = (spec.data_spec, spec.seed, "aggregator",
-                      spec.aggregator_test_samples, spec.participation)
-    aggregator_test = ctx.dataset(
-        aggregator_key,
-        lambda: factory.sample(
+    return train_sets, test_sets
+
+
+def _aggregator_test(spec: ScenarioSpec, rngs: RngFactory, ctx: ScenarioContext) -> Dataset:
+    """The central aggregator's test set, from stream ``data/test/aggregator``
+    — the seed layout.  Only the vanilla deployment has an aggregator; the
+    stream is named, so not sampling it moves no other draw."""
+    key = (spec.data_spec, spec.seed, "aggregator",
+           spec.aggregator_test_samples, spec.participation)
+    return ctx.dataset(
+        key,
+        lambda: ctx.factory(spec.data_spec).sample(
             spec.aggregator_test_samples,
             rngs.get("data", "test", "aggregator"),
             name="test/aggregator",
         ),
     )
-    return train_sets, test_sets, aggregator_test
 
 
 def _builder(spec: ScenarioSpec, ctx: ScenarioContext):
@@ -361,7 +373,8 @@ def _train_config(spec: ScenarioSpec) -> TrainConfig:
 def _run_vanilla(
     spec: ScenarioSpec, rngs: RngFactory, ctx: ScenarioContext
 ) -> ScenarioResult:
-    train_sets, test_sets, aggregator_test = _cohort_datasets(spec, rngs, ctx)
+    train_sets, test_sets = _cohort_datasets(spec, rngs, ctx)
+    aggregator_test = _aggregator_test(spec, rngs, ctx)
     builder = _builder(spec, ctx)
     client_ids = spec.client_ids()
     attacker = spec.adversary.build_attacker()
@@ -459,7 +472,7 @@ def decentralized_inputs(
         ).ever_active
     builds = materialize is None or bool(materialize)
     if builds:
-        train_sets, test_sets, _ = _cohort_datasets(spec, rngs, ctx, only=materialize)
+        train_sets, test_sets = _cohort_datasets(spec, rngs, ctx, only=materialize)
         builder = _builder(spec, ctx)
     init_rng_seed = rngs.integers("model-init")
     if builds:

@@ -287,6 +287,9 @@ class ScenarioSpec:
     ``kind`` selects the deployment: ``"vanilla"`` (centralized aggregator,
     Table I) or ``"decentralized"`` (blockchain peers, Tables II-IV).
     ``learning_rate=None`` resolves to the calibrated per-model rate.
+    ``aggregator_test_samples`` sizes the central aggregator's default test
+    set: only the ``"vanilla"`` kind has an aggregator and reads it, so a
+    decentralized run never samples that split.
 
     ``runtime`` selects how a decentralized cohort executes:
     ``"inprocess"`` (default) runs everything in the calling process;
@@ -391,10 +394,15 @@ class ScenarioSpec:
         return self.cohort.ids()
 
     def quick(self) -> "ScenarioSpec":
-        """Test-scale variant: 2 rounds, 1 epoch, small splits, same cohort."""
+        """Test-scale variant: 2 rounds, 1 epoch, small splits, same cohort.
+
+        A crash window or availability window that opens after the quick
+        run's last round opens at that round instead, so every spec shrinks.
+        """
+        rounds = min(self.rounds, 2)
         return replace(
             self,
-            rounds=min(self.rounds, 2),
+            rounds=rounds,
             local_epochs=1,
             cohort=replace(
                 self.cohort,
@@ -402,6 +410,14 @@ class ScenarioSpec:
                 test_samples=min(self.cohort.test_samples, 150),
             ),
             aggregator_test_samples=min(self.aggregator_test_samples, 150),
+            faults=replace(self.faults, crash_round=min(self.faults.crash_round, rounds)),
+            participation=replace(
+                self.participation,
+                windows=tuple(
+                    (peer_index, min(first_round, rounds), length)
+                    for peer_index, first_round, length in self.participation.windows
+                ),
+            ),
         )
 
 

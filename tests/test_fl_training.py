@@ -254,6 +254,7 @@ class TestPoisoning:
         poisoned = attacker.poison_dataset(dataset, rng)
         assert (poisoned.y == 0).all()
         assert (dataset.y != 0).any()  # original untouched
+        assert poisoned.x is dataset.x  # only the labels are rewritten
 
     def test_label_flip_partial(self):
         rng = np.random.default_rng(0)

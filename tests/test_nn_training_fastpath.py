@@ -21,7 +21,7 @@ import pytest
 
 from repro.data.dataset import FEATURE_CHUNK, Dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, NotBuiltError
 from repro.fl.evaluation import evaluate_on, evaluate_weights
 from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.nn import model as model_module
@@ -237,6 +237,45 @@ class TestOnlyWhatTrainsRuns:
 
 def _pretrained(backbone=BACKBONE, seed=3):
     return build_efficientnet_b0_sim(np.random.default_rng(seed), backbone=backbone)
+
+
+class TestTrainingScratchIsReleased:
+    """A model holds gradients, cached batch inputs and ReLU masks only while
+    ``LocalTrainer.train`` runs, and releasing them changes nothing."""
+
+    @staticmethod
+    def _train_twice(kind):
+        model = BUILDERS[kind](np.random.default_rng(3))
+        config = TrainConfig(epochs=1, batch_size=BATCH, learning_rate=0.05)
+        trainer = LocalTrainer(config, rng=np.random.default_rng(9))
+        results = [trainer.train(model, _dataset(43)) for _round in range(2)]
+        return model, results
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_a_built_model_holds_no_gradients(self, kind):
+        assert BUILDERS[kind](np.random.default_rng(3)).gradients() == {}
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_train_releases_the_scratch(self, kind):
+        model, _results = self._train_twice(kind)
+        assert model.gradients() == {}
+        for layer in model.layers:
+            if isinstance(layer, Dense):
+                with pytest.raises(NotBuiltError, match="backward before forward"):
+                    layer.backward(np.ones((1, layer.units)))
+            if isinstance(layer, ReLU):
+                assert layer._mask is None
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_a_second_train_equals_training_without_the_release(self, kind, monkeypatch):
+        released, released_results = self._train_twice(kind)
+        monkeypatch.setattr(Sequential, "release_scratch", lambda self: None)
+        kept, kept_results = self._train_twice(kind)
+        assert kept.gradients()  # the scratch really was kept this time
+        assert released_results == kept_results
+        wanted = kept.get_weights()
+        for key, value in released.get_weights().items():
+            assert value.tobytes() == wanted[key].tobytes(), key
 
 
 class TestFeatureCacheContract:

@@ -556,8 +556,8 @@ class TestOwnership:
         runtime = WorkerRuntime(channel=None, index=0)
         runtime.dispatch("init", {"spec": encode_spec(spec), "peers": hand})
         assert sorted(runtime.shard.peers) == sorted(hand)
-        # A train and a test split per owned peer, plus the aggregator's.
-        assert runtime.context.stats["dataset_misses"] == 2 * len(hand) + 1
+        # A train and a test split per owned peer; no aggregator split.
+        assert runtime.context.stats["dataset_misses"] == 2 * len(hand)
 
     def test_sampled_hands_are_balanced(self):
         driver = two_worker_driver(self.unbalanced_spec())

@@ -372,6 +372,22 @@ class TestSpecAxes:
         assert spec.aggregator_test_samples == 150
         assert spec.client_ids() == ("A", "B", "C")
 
+    @pytest.mark.parametrize(
+        "late",
+        [
+            {"faults": FaultSpec(crash_fraction=0.3, crash_round=4)},
+            {"participation": ParticipationSpec(windows=((1, 4, 1),))},
+        ],
+        ids=["crash_window", "availability_window"],
+    )
+    def test_quick_opens_late_windows_at_its_last_round(self, late):
+        spec = ScenarioSpec(rounds=5, cohort=CohortSpec(size=4), **late).quick()
+        assert spec.rounds == 2
+        assert spec.faults.crash_round == 2
+        assert [first for _peer, first, _length in spec.participation.windows] == (
+            [2] if "participation" in late else []
+        )
+
 
 class TestRegistry:
     def test_expected_names_registered(self):
@@ -472,10 +488,34 @@ class TestRunner:
         spec = tiny_spec(adversary=AdversarySpec(kind="label_flip", fraction=1 / 3))
         from repro.scenarios.runner import _cohort_datasets
 
-        train_sets, _, _ = _cohort_datasets(spec, RngFactory(spec.seed), ScenarioContext())
+        context = ScenarioContext()
+        honest, _ = _cohort_datasets(tiny_spec(), RngFactory(spec.seed), context)
+        train_sets, _ = _cohort_datasets(spec, RngFactory(spec.seed), context)
         assert train_sets["C"].name.endswith("label_flipped")
         assert (train_sets["C"].y == 0).all()
         assert not (train_sets["A"].y == 0).all()
+        # The memoised honest split keeps its labels; the samples are shared.
+        assert not (honest["C"].y == 0).all()
+        assert train_sets["C"].x is honest["C"].x
+
+    def test_memoised_splits_are_read_only(self):
+        from repro.scenarios.runner import _cohort_datasets
+
+        spec = tiny_spec()
+        train_sets, test_sets = _cohort_datasets(spec, RngFactory(spec.seed), ScenarioContext())
+        for split in (*train_sets.values(), *test_sets.values()):
+            assert not split.x.flags.writeable and not split.y.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            train_sets["A"].y[0] = 1
+
+    def test_only_the_vanilla_kind_samples_the_aggregator_split(self):
+        spec = tiny_spec()
+        with ScenarioContext() as ctx:
+            inputs = decentralized_inputs(spec, RngFactory(spec.seed), ctx)
+            assert ctx.stats["dataset_misses"] == 2 * len(inputs.train_sets) == 6
+            run_scenario(replace(spec, kind="vanilla"), context=ctx)
+            # The peers' splits hit the memo; the central test set is new.
+            assert ctx.stats["dataset_misses"] == 7
 
     @pytest.mark.parametrize("kind", ["decentralized", "vanilla"])
     def test_label_flip_to_the_last_class_runs(self, kind):
@@ -485,7 +525,7 @@ class TestRunner:
         )
         from repro.scenarios.runner import _cohort_datasets
 
-        train_sets, _, _ = _cohort_datasets(spec, RngFactory(spec.seed), ScenarioContext())
+        train_sets, _ = _cohort_datasets(spec, RngFactory(spec.seed), ScenarioContext())
         assert (train_sets["C"].y == 9).all()
         result = run_scenario(spec)
         assert result.adversaries == ("C",)
