@@ -17,7 +17,7 @@ Subpackages
 ``repro.data``
     Synthetic CIFAR-10-like dataset with per-client label skew.
 ``repro.fl``
-    Chain-agnostic FL: local training, FedAvg (+ robust baselines), the
+    Chain-agnostic FL: local training, FedAvg, the
     "consider" combination selection, async waiting policies, poisoning.
 ``repro.core``
     The paper's contribution — fully coupled blockchain-based FL peers,

@@ -40,7 +40,7 @@ from repro.chain.transaction import Transaction
 from repro.core.peer import FullPeer, PeerConfig, peer_keypair
 from repro.data.dataset import Dataset
 from repro.fl.aggregation import ModelUpdate, fedavg
-from repro.fl.scoring import CombinationEngine
+from repro.fl.scoring import CombinationEngine, FirstLayerMemo
 from repro.fl.selection import pick_best
 from repro.nn.model import Sequential
 from repro.nn.serialize import WeightArchive, as_archive, weights_to_bytes
@@ -113,6 +113,10 @@ class PeerShard:
         #: scores only: its rows are per viewer (a peer's own test set is
         #: in them) and are released when the search returns.
         self.engines: dict[str, CombinationEngine] = {}
+        #: The first-layer stack every engine's activation pass uses: built
+        #: once per view the round's viewers share, dropped when the next
+        #: round begins and with the shard.
+        self.first_layer = FirstLayerMemo()
         self.addresses: dict[str, Address] = {}
         self.id_of_address: dict[Address, str] = {}
         self._round: Optional[int] = None
@@ -141,7 +145,9 @@ class PeerShard:
         )
         self.peers[pc.peer_id] = peer
         if peer.client is not None:
-            self.engines[pc.peer_id] = CombinationEngine(peer.client.model, peer.client.test_set)
+            self.engines[pc.peer_id] = CombinationEngine(
+                peer.client.model, peer.client.test_set, first_layer=self.first_layer
+            )
 
     def configure(
         self, model_store: Address, coordinator: Address, addresses: dict[str, Address]
@@ -159,14 +165,16 @@ class PeerShard:
         """Reset the per-round memos on the first step of a new round.
 
         Scores never carry across rounds (every peer retrains), so the
-        engine caches are cleared to bound memory; they are
-        content-addressed, so clearing is never a correctness requirement.
-        Within a round the solo scores stay live for the rating pass.
+        engine caches and the first-layer stack are cleared to bound
+        memory; they are content-addressed, so clearing is never a
+        correctness requirement.  Within a round the solo scores stay live
+        for the rating pass.
         """
         if round_id == self._round:
             return
         self._round = round_id
         self._views.clear()
+        self.first_layer.clear()
         for engine in self.engines.values():
             engine.cache.clear()
 

@@ -3,9 +3,9 @@
 Implements the training/aggregation machinery both evaluation settings use:
 
 * local training (:mod:`repro.fl.trainer`, :mod:`repro.fl.client`),
-* FedAvg and robust baselines (:mod:`repro.fl.aggregation`),
+* FedAvg (:mod:`repro.fl.aggregation`),
 * the "consider" combination search and fitness-threshold filtering
-  (:mod:`repro.fl.selection`), and its memoized/parallel fast path
+  (:mod:`repro.fl.selection`), and its batched fast path
   (:mod:`repro.fl.scoring`),
 * wait-for-all / wait-for-k asynchronous policies (:mod:`repro.fl.async_policy`),
 * the centralized Vanilla FL orchestrator (:mod:`repro.fl.vanilla`), and
@@ -15,13 +15,7 @@ Implements the training/aggregation machinery both evaluation settings use:
 
 from repro.fl.client import FLClient, ClientConfig
 from repro.fl.trainer import LocalTrainer, TrainConfig, TrainResult
-from repro.fl.aggregation import (
-    fedavg,
-    uniform_average,
-    coordinate_median,
-    trimmed_mean,
-    ModelUpdate,
-)
+from repro.fl.aggregation import fedavg, ModelUpdate
 from repro.fl.selection import (
     enumerate_combinations,
     best_combination,
@@ -49,9 +43,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "fedavg",
-    "uniform_average",
-    "coordinate_median",
-    "trimmed_mean",
     "ModelUpdate",
     "enumerate_combinations",
     "best_combination",

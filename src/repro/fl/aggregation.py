@@ -1,9 +1,7 @@
-"""Model aggregation: FedAvg plus robust baselines.
+"""Model aggregation: FedAvg.
 
 ``fedavg`` is the paper's aggregation algorithm (McMahan et al. [1]):
-sample-count-weighted averaging of weight dicts.  The robust alternatives
-(coordinate median, trimmed mean) serve the poisoning ablation, where plain
-averaging is the vulnerable baseline.
+sample-count-weighted averaging of weight dicts.
 """
 
 from __future__ import annotations
@@ -85,49 +83,3 @@ def fedavg(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
         weights = np.array([update.num_samples / total for update in updates])
         aggregated[key] = np.tensordot(weights, stacked, axes=1)
     return aggregated
-
-
-def uniform_average(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
-    """Unweighted mean — what FedAvg reduces to for equal client sizes."""
-    keys = _check_compatible(updates)
-    return {
-        key: np.stack([update.weights[key] for update in updates]).mean(axis=0)
-        for key in keys
-    }
-
-
-def coordinate_median(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
-    """Coordinate-wise median: robust to a minority of arbitrary updates."""
-    keys = _check_compatible(updates)
-    return {
-        key: np.median(np.stack([update.weights[key] for update in updates]), axis=0)
-        for key in keys
-    }
-
-
-def trimmed_mean(updates: Sequence[ModelUpdate], trim_ratio: float = 0.2) -> dict[str, np.ndarray]:
-    """Coordinate-wise trimmed mean, dropping the ``trim_ratio`` extremes.
-
-    With ``k = floor(trim_ratio * n)`` values trimmed from each end; falls
-    back to the plain mean when ``n`` is too small to trim.
-    """
-    if not 0.0 <= trim_ratio < 0.5:
-        raise AggregationError(f"trim_ratio must be in [0, 0.5), got {trim_ratio}")
-    keys = _check_compatible(updates)
-    n = len(updates)
-    k = int(trim_ratio * n)
-    result: dict[str, np.ndarray] = {}
-    for key in keys:
-        stacked = np.sort(np.stack([update.weights[key] for update in updates]), axis=0)
-        trimmed = stacked[k : n - k] if n - 2 * k >= 1 else stacked
-        result[key] = trimmed.mean(axis=0)
-    return result
-
-
-#: Registry used by experiment configs and the poisoning ablation.
-AGGREGATORS = {
-    "fedavg": fedavg,
-    "uniform": uniform_average,
-    "median": coordinate_median,
-    "trimmed_mean": trimmed_mean,
-}

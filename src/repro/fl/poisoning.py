@@ -86,8 +86,7 @@ class NoiseAttacker(Attacker):
 class ScaleAttacker(Attacker):
     """Scale the update by a large factor (model-replacement flavour).
 
-    Against plain FedAvg a single scaled update dominates the average;
-    median/trimmed-mean baselines resist it.
+    Against plain FedAvg a single scaled update dominates the average.
     """
 
     scale: float = 10.0

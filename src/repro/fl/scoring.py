@@ -16,7 +16,7 @@ under a **content-addressed** key ``(weights_id, test_set_id)``:
 * ``test_set_id`` is a SHA-256 over the test set's ``x``/``y`` buffers,
   computed once per :class:`~repro.data.dataset.Dataset` object — distinct
   test sets can share one cache without ever sharing entries.
-* For raw weight dicts (solo models, external callers) ``weights_id`` is
+* For raw weight dicts (solo models) ``weights_id`` is
   :func:`~repro.nn.serialize.weights_fingerprint`, a SHA-256 over the
   sorted ``(key, dtype, shape, buffer)`` stream, so a *mutated* weight
   dict never produces a stale hit.  Updates fetched from the off-chain
@@ -57,17 +57,21 @@ parameters after the split]`` — 3 000 + 754 floats for ``simple_nn`` on
 ``efficientnet_b0_sim``, whose candidates' logits are then the FedAvg of
 the solo logits.  The pass is one GEMM per ``batch_size`` chunk of the
 test set by the *first-layer stack*, all ``K`` updates' ``W_k`` side by
-side, which the viewers of a round share.  The 3072-wide product is paid
-once per (viewer, update), never per candidate.
+side.  Its owner is a :class:`FirstLayerMemo`: a
+:class:`~repro.core.shard.PeerShard` hands its one memo to every engine it
+builds, so the viewers of a round share the stack, and empties it when the
+next round begins.  The 3072-wide product is paid once per (viewer,
+update), never per candidate.
 
 Rows are keyed ``(update fingerprint, num_samples)`` on the engine and
 **search-scoped**: they are built when :meth:`CombinationEngine.enumerate`
 or :meth:`~CombinationEngine.greedy` first needs them — greedy's solo pass
 and its steps share one set — and released when the outermost search
-returns.  Between searches an engine holds scores, never rows.  Packing
-needs one float dtype shared by the updates, the model and the test
-inputs; anything else is aggregated per subset by
-:func:`~repro.fl.aggregation.fedavg` itself and keyed by content hash.
+returns.  Between searches an engine holds scores, never rows.  A row is
+one vector of the model's float dtype, so every parameter keeps its
+arithmetic: the engine refuses a test set of another dtype
+(:class:`~repro.errors.ConfigError`) and an update of another dtype
+(:class:`~repro.errors.SelectionError`).
 
 Batched evaluation
 ------------------
@@ -92,12 +96,15 @@ over a few hundred KB.  Memory traffic, temporaries and numpy call
 overhead set its pace, so that tail allocates one array per step where it
 can and reduces over contiguous rows (``ReLU.forward``, :func:`_decided`).
 
-Raw weight dicts (``threshold_filter``, ``solo_accuracy``,
-``score_weights``, a non-packable subset's aggregate) are copied into a
-process-wide workspace of :data:`BATCH_WIDTH` whole weight sets and scored
-from the first layer by :meth:`~repro.nn.model.Sequential.evaluate_stacked`,
-bit for bit a forward pass with the dict installed — the **exact kernel**,
-which is also what re-scores any candidate the guard below does not pass.
+Raw weight dicts (``threshold_filter``, ``solo_accuracy``, a seeded
+greedy's first member) are copied into room for :data:`BATCH_WIDTH` whole
+weight sets, which a batch allocates the first time it needs it and drops
+with itself, and scored from the first layer by
+:meth:`~repro.nn.model.Sequential.evaluate_stacked`, bit for bit a forward
+pass with the dict installed — the **exact kernel**, which is also what
+re-scores any candidate the guard below does not pass.  Nothing in this
+module is process-wide: what a search allocates lives on its batch, its
+engine or the memo its caller owns.
 
 Determinism contract
 --------------------
@@ -148,7 +155,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations as iter_combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -156,15 +162,15 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.errors import ConfigError, SelectionError
 from repro.fl.aggregation import ModelUpdate, _check_compatible, fedavg
-from repro.fl.selection import CombinationResult, pick_best
+from repro.fl.selection import CombinationResult
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_fingerprint
 
-#: Candidates evaluated per kernel call.  The workspace holds this many
-#: weight sets: 8 x 62k float64 parameters = 4 MB for ``simple_nn``, 2.3 %
-#: of ``paper3_tradeoff``'s resident set, whose ``peak_rss_mb`` bound is 5 %.
-#: Sixteen slots score ~15 % faster per candidate and cost twice that.
+#: Candidates evaluated per kernel call.  A batch that needs the exact
+#: kernel holds this many whole weight sets: 8 x 62k float64 parameters =
+#: 4 MB for ``simple_nn``.  Sixteen slots score ~15 % faster per candidate
+#: and cost twice that.
 BATCH_WIDTH = 8
 
 #: A row-space score stands only where every sample's top-two logit gap
@@ -172,26 +178,6 @@ BATCH_WIDTH = 8
 #: docstring, "Determinism contract"); seven orders above the measured
 #: reassociation error.
 GUARD = 1e-6
-
-#: ``(architecture, stack)``: the process's one whole-weights workspace,
-#: rebuilt when an engine with another architecture needs it.
-_WORKSPACE: Optional[tuple[tuple, dict[str, np.ndarray]]] = None
-
-#: ``(row keys, (W, b))``: the process's one first-layer stack, rebuilt
-#: when an activation pass covers other updates (:func:`_first_layer`).
-_FIRST_LAYER: Optional[tuple[tuple, tuple[np.ndarray, ...]]] = None
-
-
-def _workspace(model: Sequential) -> dict[str, np.ndarray]:
-    """The shared :data:`BATCH_WIDTH`-slot candidate stack for ``model``."""
-    global _WORKSPACE
-    architecture = tuple(
-        (key, value.shape, value.dtype.str) for key, value in model.parameters().items()
-    )
-    if _WORKSPACE is None or _WORKSPACE[0] != architecture:
-        _WORKSPACE = (architecture, model.candidate_stack(BATCH_WIDTH))
-    return _WORKSPACE[1]
-
 
 def _split(model: Sequential) -> int:
     """How many leading layers an activation pass stands in for: through
@@ -205,20 +191,38 @@ def _split(model: Sequential) -> int:
     raise ConfigError(f"{model.name!r}: the first layer with parameters must be a Dense")
 
 
-def _first_layer(
-    missing: list[tuple[tuple[str, int], ModelUpdate]], head: list[str], dtype: np.dtype
-) -> tuple[np.ndarray, ...]:
-    """``(W, b)``: ``missing``'s split-``Dense`` parameters side by side, ``W``
-    one C-contiguous ``(fan_in, K * units)`` matrix.  Every viewer whose pass
-    covers the same updates in the same order shares it; the key is their
-    row keys, content hashes, so a hit is never stale."""
-    global _FIRST_LAYER
-    keys = tuple(key for key, _update in missing)
-    if _FIRST_LAYER is None or _FIRST_LAYER[0] != keys:
-        _FIRST_LAYER = None  # the old stack goes before the new one is built
-        stack = [[update.weights[name] for _key, update in missing] for name in head]
-        _FIRST_LAYER = (keys, tuple(np.concatenate(part, -1, dtype=dtype) for part in stack))
-    return _FIRST_LAYER[1]
+class FirstLayerMemo:
+    """The last first-layer stack built, for the engines that share it.
+
+    One entry: the row keys of the updates an activation pass covered and
+    their split-``Dense`` parameters side by side.  Rebuilding the stack
+    per viewer would cost one ``np.concatenate`` of every update's ``W_k``
+    per viewer, about as much as the GEMM it feeds.  Whoever builds the
+    engines owns the memo and decides how long it lives
+    (:class:`~repro.core.shard.PeerShard`: one round); an engine built
+    without one makes its own.
+    """
+
+    def __init__(self) -> None:
+        self._entry: Optional[tuple[tuple, tuple[np.ndarray, ...]]] = None
+
+    def stack(
+        self, missing: list[tuple[tuple[str, int], ModelUpdate]], head: list[str], dtype: np.dtype
+    ) -> tuple[np.ndarray, ...]:
+        """``(W, b)``: ``missing``'s split-``Dense`` parameters side by side,
+        ``W`` one C-contiguous ``(fan_in, K * units)`` matrix.  Every pass
+        that covers the same updates in the same order shares it; the key
+        is their row keys, content hashes, so a hit is never stale."""
+        keys = tuple(key for key, _update in missing)
+        if self._entry is None or self._entry[0] != keys:
+            self._entry = None  # the old stack goes before the new one is built
+            parts = [[update.weights[name] for _key, update in missing] for name in head]
+            self._entry = (keys, tuple(np.concatenate(part, -1, dtype=dtype) for part in parts))
+        return self._entry[1]
+
+    def clear(self) -> None:
+        """Drop the stack."""
+        self._entry = None
 
 
 def _decided(logits: np.ndarray) -> np.ndarray:
@@ -248,7 +252,7 @@ def _decided(logits: np.ndarray) -> np.ndarray:
 def _install_fedavg(
     stack: dict[str, np.ndarray], members: Sequence[ModelUpdate], slot: int
 ) -> None:
-    """Write ``members``' FedAvg, in weight space, into workspace ``slot``.
+    """Write ``members``' FedAvg, in weight space, into ``stack``'s ``slot``.
 
     Element for element the sum the rows run: ``n_a * w_a`` plus each later
     ``n_k * w_k`` left to right, over the sample total; a single member is
@@ -388,7 +392,7 @@ class _PackedSums:
         """Rows for ``missing``'s updates: one activation pass.
 
         Each ``batch_size`` chunk of the test inputs is multiplied by the
-        round's first-layer stack (:func:`_first_layer`) in one GEMM,
+        engine's first-layer stack (:meth:`FirstLayerMemo.stack`) in one GEMM,
         ``K * units`` columns wide, and each update's column block, times
         its sample count, lands in its row.
         """
@@ -398,7 +402,7 @@ class _PackedSums:
             row = engine._rows[key] = np.empty_like(self.slots[0])
             for name, (begin, end) in self._tail:
                 np.multiply(update.weights[name].reshape(-1), update.num_samples, out=row[begin:end])
-        weights, bias = _first_layer(missing, self._head, self.slots.dtype)
+        weights, bias = engine.first_layer.stack(missing, self._head, self.slots.dtype)
         activations = [  # each row's leading (samples, units) block
             engine._rows[key][: self.inputs[0].size].reshape(self.inputs.shape[1:])
             for key, _update in missing
@@ -440,21 +444,25 @@ class _Batch:
     :meth:`claim` either answers a request (cache hit, or a key already
     waiting in this batch) or hands out a slot for the caller to write the
     candidate into — a slot of ``packed`` when the batch scores row sums,
-    of the whole-weights workspace (:attr:`stack`) when it scores raw
-    dicts; :meth:`finish` returns one accuracy per request.  Dropping a
-    batch (a search that raised) leaves nothing behind: slots are scratch
-    and the cache only learns results.
+    of its whole weight sets (:attr:`stack`) when it scores raw dicts;
+    :meth:`finish` returns one accuracy per request.  Dropping a batch (a
+    search that raised) leaves nothing behind: slots are scratch and the
+    cache only learns results.
     """
 
     def __init__(self, engine: "CombinationEngine", packed: Optional[_PackedSums] = None) -> None:
         self.engine = engine
         self.packed = packed
-        #: ``stack[key][slot]`` is where a raw dict's ``key`` goes.
-        self.stack = _workspace(engine.model)
         self.accuracies: list[Optional[float]] = []
         self._slots: dict[object, int] = {}  # key -> request position, in slot order
         self._members: list[Sequence[ModelUpdate]] = []  # per slot, for the exact kernel
         self._repeats: list[tuple[int, object]] = []
+
+    @functools.cached_property
+    def stack(self) -> dict[str, np.ndarray]:
+        """``stack[key][slot]`` is where a raw dict's ``key`` goes: the exact
+        kernel's room, allocated the first time this batch needs it."""
+        return self.engine.model.candidate_stack(BATCH_WIDTH)
 
     def claim(self, key: object, members: Sequence[ModelUpdate] = ()) -> Optional[int]:
         """Register a request for ``key``'s accuracy.
@@ -481,7 +489,7 @@ class _Batch:
         return len(self._slots) - 1
 
     def _exact(self, count: int) -> list[float]:
-        """The exact kernel over the workspace's first ``count`` slots."""
+        """The exact kernel over :attr:`stack`'s first ``count`` slots."""
         engine = self.engine
         x, enter = engine.test_inputs()
         return engine.model.evaluate_stacked(
@@ -539,29 +547,32 @@ class CombinationEngine:
 
     One engine wraps one scratch ``model`` (read for its architecture,
     never written) and one private ``test_set`` and exposes the same
-    searches as :mod:`repro.fl.selection` — :meth:`enumerate`,
-    :meth:`best`, :meth:`greedy`, :meth:`threshold_filter` — with
-    identical results (see the module docstring's determinism contract).
-    The model's first layer with parameters must be a ``Dense``; any other
-    architecture raises :class:`~repro.errors.ConfigError` here.
+    searches as :mod:`repro.fl.selection` — :meth:`enumerate` (with
+    :func:`~repro.fl.selection.pick_best` and :meth:`materialize`),
+    :meth:`greedy`, :meth:`threshold_filter` — with identical results (see
+    the module docstring's determinism contract).  The model's first layer
+    with parameters must be a ``Dense``, its parameters and the test
+    inputs must share one float dtype; anything else raises
+    :class:`~repro.errors.ConfigError` here.
 
-    ``instrument``, when set, is called with the cache key of every
-    *real* model evaluation, in evaluation order (cache hits never fire
-    it).  :attr:`rechecked` counts the candidates the guard sent to the
-    exact kernel.
+    ``first_layer`` is the memo whose first-layer stack the engine's
+    activation passes use; engines that score the same round's views share
+    one (:class:`FirstLayerMemo`).  ``instrument``, when set, is called
+    with the cache key of every *real* model evaluation, in evaluation
+    order (cache hits never fire it).  :attr:`rechecked` counts the
+    candidates the guard sent to the exact kernel.
     """
 
-    #: Every engine aggregates with ``fedavg``, so subsets are summed from
-    #: rows and keyed structurally whenever the updates pack
-    #: (:meth:`_packable`).  Constant; kept only because the perf harness's
-    #: tracer test reads it.
+    #: Every engine aggregates with ``fedavg``: subsets are summed from rows
+    #: and keyed structurally.  Constant; kept only because the perf
+    #: harness's tracer test reads it.
     _incremental = True
 
     def __init__(
         self,
         model: Sequential,
         test_set: Dataset,
-        cache: Optional[EvaluationCache] = None,
+        first_layer: Optional[FirstLayerMemo] = None,
         batch_size: int = 512,
         instrument: Optional[Callable[[object], None]] = None,
     ) -> None:
@@ -569,9 +580,16 @@ class CombinationEngine:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         #: Leading layers an activation pass stands in for (:func:`_split`).
         self.split = _split(model)
+        dtypes = {value.dtype for value in model.parameters().values()}
+        if dtypes != {test_set.x.dtype} or not np.issubdtype(test_set.x.dtype, np.floating):
+            raise ConfigError(
+                f"test inputs of dtype {test_set.x.dtype} do not match {model.name!r}'s "
+                f"parameters ({', '.join(sorted(map(str, dtypes)))}): one float dtype is required"
+            )
         self.model = model
         self.test_set = test_set
-        self.cache = cache if cache is not None else EvaluationCache()
+        self.first_layer = first_layer if first_layer is not None else FirstLayerMemo()
+        self.cache = EvaluationCache()
         self.batch_size = batch_size
         self.instrument = instrument
         self.rechecked = 0
@@ -594,15 +612,16 @@ class CombinationEngine:
         slot = batch.claim(key)
         if slot is not None:
             # Raw dicts arrive from arbitrary callers (threshold_filter,
-            # score_weights), so every one is re-validated: a partial dict
+            # solo_accuracy), so every one is re-validated: a partial dict
             # must never be scored with a previous candidate's leftovers.
             self._check_against_model(weights)
             for name, value in weights.items():
                 np.copyto(batch.stack[name][slot], value)
 
     def _check_against_model(self, weights: dict[str, np.ndarray]) -> None:
-        """Keys and shapes must be the model's: np.copyto / ``out=`` would
-        otherwise broadcast a mismatch silently."""
+        """Keys, shapes and dtypes must be the model's: np.copyto / ``out=``
+        would otherwise broadcast a mismatch or cast another precision
+        silently."""
         params = self.model.parameters()
         if set(weights) != set(params):
             raise SelectionError(
@@ -613,15 +632,10 @@ class CombinationEngine:
                 raise SelectionError(
                     f"{name}: shape {np.shape(value)} != model {params[name].shape}"
                 )
-
-    def _packable(self, weights: dict[str, np.ndarray]) -> bool:
-        """Whether rows of one vector keep every parameter's arithmetic:
-        the updates, the model and the test inputs share one float dtype
-        (mixed or integer dtypes would be computed in another precision)."""
-        dtypes = {value.dtype for value in weights.values()}
-        dtypes.add(self.test_set.x.dtype)
-        dtypes.update(value.dtype for value in self.model.parameters().values())
-        return len(dtypes) == 1 and np.issubdtype(dtypes.pop(), np.floating)
+            if params[name].dtype != np.result_type(value):
+                raise SelectionError(
+                    f"{name}: dtype {np.result_type(value)} != model {params[name].dtype}"
+                )
 
     def _score(self, key: object, weights: dict[str, np.ndarray]) -> float:
         batch = _Batch(self)
@@ -635,10 +649,6 @@ class CombinationEngine:
     def solo_accuracy(self, update: ModelUpdate) -> float:
         """Accuracy of one update's own model (cached)."""
         return self._score(self.solo_key(update), update.weights)
-
-    def score_weights(self, weights: dict[str, np.ndarray]) -> float:
-        """Accuracy of an arbitrary weight dict (content-hash cached)."""
-        return self._score((weights_fingerprint(weights), self.test_set_id), weights)
 
     def _subset_key(self, trace: tuple[tuple[str, int], ...]) -> tuple:
         """Structural cache key for a FedAvg aggregate (evaluation order);
@@ -672,26 +682,10 @@ class CombinationEngine:
         limit = min(max_size if max_size is not None else len(ordered), len(ordered))
         if min_size > limit:
             scored = []  # the reference's empty size range
-        elif self._packable(ordered[0].weights):
-            scored = self._enumerate_fedavg(ordered, min_size, limit)
         else:
-            scored = self._enumerate_generic(ordered, min_size, limit)
+            scored = self._enumerate_fedavg(ordered, min_size, limit)
         scored.sort(key=lambda result: (-result.accuracy, result.members))
         return scored
-
-    def _enumerate_generic(
-        self, ordered: list[ModelUpdate], min_size: int, limit: int
-    ) -> list[ScoredSubset]:
-        """Per-subset ``fedavg`` calls for updates that do not pack into
-        rows (keys fall back to content hashes of the aggregated weights)."""
-        batch = _Batch(self)
-        members = []
-        for size in range(min_size, limit + 1):
-            for subset in iter_combinations(ordered, size):
-                weights = fedavg(subset)
-                self._request(batch, (weights_fingerprint(weights), self.test_set_id), weights)
-                members.append(tuple(update.client_id for update in subset))
-        return [ScoredSubset(subset, accuracy) for subset, accuracy in zip(members, batch.finish())]
 
     def _enumerate_fedavg(
         self, ordered: list[ModelUpdate], min_size: int, limit: int
@@ -735,6 +729,11 @@ class CombinationEngine:
                     visit(index + 1, new_chosen, new_trace, new_sums, new_total)
 
         visit(0, (), (), None, 0)
+        # ``visit`` holds itself through its closure; unbinding it breaks
+        # that cycle, so the batch (and the stack it may have allocated),
+        # the slots and the scratch rows go when this returns, not at the
+        # next garbage collection.
+        del visit
         return [
             ScoredSubset(tuple(update.client_id for update in subset), accuracy)
             for subset, accuracy in zip(out_subsets, batch.finish())
@@ -752,14 +751,6 @@ class CombinationEngine:
         weights = fedavg([by_id[member] for member in members])
         return CombinationResult(members=tuple(members), accuracy=accuracy, weights=weights)
 
-    def best(
-        self, updates: Sequence[ModelUpdate], rng: Optional[np.random.Generator] = None
-    ) -> CombinationResult:
-        """Best-scoring subset with the reference tie-break semantics."""
-        scored = self.enumerate(updates)
-        chosen = pick_best(scored, rng)
-        return self.materialize(chosen.members, updates, chosen.accuracy)
-
     @_search_scoped
     def greedy(
         self, updates: Sequence[ModelUpdate], seed_client: Optional[str] = None
@@ -770,8 +761,7 @@ class CombinationEngine:
         members' rows (insertion order) plus the candidate's and keyed
         structurally, so each step costs one add + scale per candidate and
         one kernel call per :data:`BATCH_WIDTH` candidates — on the rows
-        the solo pass already built; updates that do not pack into rows
-        pay one ``fedavg`` call per candidate and content-hash keys.
+        the solo pass already built.
         """
         if not updates:
             raise SelectionError("no updates to combine")
@@ -785,31 +775,21 @@ class CombinationEngine:
             solos = self.enumerate(list(pool.values()), min_size=1, max_size=1)
             chosen = [pool.pop(solos[0].members[0])]
         first = chosen[0]
-        incremental = self._packable(first.weights)
-        if incremental:
-            # Scratch row 0 is the chosen members' running sum, row 1 the
-            # candidate's: the same adds, in the same order, as enumerate.
-            hashes = [_fingerprint(update) for update in updates]
-            packed = _PackedSums(self, updates, hashes, 2)
-            scaled = {update.client_id: row for update, row in zip(updates, packed.scaled)}
-            fingerprints = {update.client_id: hashed for update, hashed in zip(updates, hashes)}
-            trace = ((fingerprints[first.client_id], first.num_samples),)
-            sums = scaled[first.client_id]
-            total = first.num_samples
-            best_acc = self._score(self._subset_key(trace), first.weights)
-        else:
-            packed = None
-            weights = fedavg(chosen)
-            best_acc = self._score((weights_fingerprint(weights), self.test_set_id), weights)
+        # Scratch row 0 is the chosen members' running sum, row 1 the
+        # candidate's: the same adds, in the same order, as enumerate.
+        hashes = [_fingerprint(update) for update in updates]
+        packed = _PackedSums(self, updates, hashes, 2)
+        scaled = {update.client_id: row for update, row in zip(updates, packed.scaled)}
+        fingerprints = {update.client_id: hashed for update, hashed in zip(updates, hashes)}
+        trace = ((fingerprints[first.client_id], first.num_samples),)
+        sums = scaled[first.client_id]
+        total = first.num_samples
+        best_acc = self._score(self._subset_key(trace), first.weights)
         while pool:
             batch = _Batch(self, packed)
             candidates = sorted(pool)
             for client_id in candidates:
                 candidate = pool[client_id]
-                if not incremental:
-                    weights = fedavg(chosen + [candidate])
-                    self._request(batch, (weights_fingerprint(weights), self.test_set_id), weights)
-                    continue
                 slot = batch.claim(
                     self._subset_key(trace + ((fingerprints[client_id], candidate.num_samples),)),
                     chosen + [candidate],
@@ -826,10 +806,9 @@ class CombinationEngine:
                 break
             candidate = pool.pop(best_candidate)
             chosen.append(candidate)
-            if incremental:
-                sums = np.add(sums, scaled[best_candidate], out=packed.scratch[0])
-                total += candidate.num_samples
-                trace = trace + ((fingerprints[best_candidate], candidate.num_samples),)
+            sums = np.add(sums, scaled[best_candidate], out=packed.scratch[0])
+            total += candidate.num_samples
+            trace = trace + ((fingerprints[best_candidate], candidate.num_samples),)
         return self.materialize(
             tuple(update.client_id for update in chosen), updates, best_acc
         )

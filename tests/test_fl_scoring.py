@@ -97,20 +97,21 @@ class TestFingerprints:
 
 class TestCacheCorrectness:
     def test_mutated_weights_reevaluate(self, scratch_model, test_set):
-        """A weight dict changed in place never produces a stale hit."""
+        """A hand-built update's weights changed in place never produce a
+        stale hit: its weights are hashed on every request."""
         engine = CombinationEngine(scratch_model, test_set)
-        weights = good_weights()
-        first = engine.score_weights(weights)
+        update = upd("A", good_weights())
+        first = engine.solo_accuracy(update)
         assert first == 1.0
-        weights["head/W"] *= -1.0  # in-place: now classifies inverted
-        second = engine.score_weights(weights)
+        update.weights["head/W"] *= -1.0  # in-place: now classifies inverted
+        second = engine.solo_accuracy(update)
         assert second == 0.0
         assert engine.cache.stats == {"hits": 0, "misses": 2}
 
     def test_identical_content_hits(self, scratch_model, test_set):
         engine = CombinationEngine(scratch_model, test_set)
-        engine.score_weights(good_weights())
-        engine.score_weights(good_weights())  # distinct object, same bytes
+        engine.solo_accuracy(upd("A", good_weights()))
+        engine.solo_accuracy(upd("B", good_weights()))  # distinct objects, same bytes
         assert engine.cache.stats["hits"] == 1
         assert engine.cache.stats["misses"] == 1
 
@@ -120,10 +121,11 @@ class TestCacheCorrectness:
         x = rng.normal(size=(50, 2))
         other = Dataset(x, (x[:, 1] <= x[:, 0]).astype(np.int64))  # inverted labels
         shared = EvaluationCache()
-        engine_a = CombinationEngine(scratch_model, test_set, cache=shared)
-        engine_b = CombinationEngine(scratch_model, other, cache=shared)
-        acc_a = engine_a.score_weights(good_weights())
-        acc_b = engine_b.score_weights(good_weights())
+        engine_a = CombinationEngine(scratch_model, test_set)
+        engine_b = CombinationEngine(scratch_model, other)
+        engine_a.cache = engine_b.cache = shared
+        acc_a = engine_a.solo_accuracy(upd("A", good_weights()))
+        acc_b = engine_b.solo_accuracy(upd("A", good_weights()))
         assert shared.stats["misses"] == 2  # no cross-test-set hit
         assert len(shared) == 2
         assert acc_a == 1.0 and acc_b == 0.0
@@ -139,11 +141,11 @@ class TestCacheCorrectness:
 
     def test_clear_drops_entries_keeps_stats(self, scratch_model, test_set):
         engine = CombinationEngine(scratch_model, test_set)
-        engine.score_weights(good_weights())
+        engine.solo_accuracy(upd("A", good_weights()))
         engine.cache.clear()
         assert len(engine.cache) == 0
         assert engine.cache.stats["misses"] == 1
-        engine.score_weights(good_weights())
+        engine.solo_accuracy(upd("A", good_weights()))
         assert engine.cache.stats["misses"] == 2  # re-evaluated after clear
 
 
@@ -179,7 +181,7 @@ class TestExceptionSafety:
     def test_mismatched_keys_rejected(self, scratch_model, test_set):
         engine = CombinationEngine(scratch_model, test_set)
         with pytest.raises(SelectionError):
-            engine.score_weights({"other/W": np.zeros((2, 2))})
+            engine.solo_accuracy(upd("A", {"other/W": np.zeros((2, 2))}))
 
     def test_partial_dict_rejected_mid_session(self, scratch_model, test_set):
         """A malformed update after a valid one must error, not silently
@@ -358,38 +360,28 @@ class TestEngineSearches:
         with pytest.raises(SelectionError):
             engine.greedy([upd("A", good_weights())], seed_client="Z")
 
-    @staticmethod
-    def unpackable(weights):
-        """float32 updates on a float64 model do not pack into rows."""
-        return {name: value.astype(np.float32) for name, value in weights.items()}
+    #: Each way an update reaches the engine.
+    SEARCHES = {
+        "enumerate": lambda engine, updates: engine.enumerate(updates),
+        "greedy": lambda engine, updates: engine.greedy(updates),
+        "seeded_greedy": lambda engine, updates: engine.greedy(updates, seed_client="A"),
+        "threshold_filter": lambda engine, updates: engine.threshold_filter(updates, 0.0),
+    }
 
-    def test_unpackable_updates_enumerate_like_the_reference(self, scratch_model, test_set):
-        """Updates whose dtype is not the model's fall back to per-subset
-        ``fedavg`` with content-hash keys (no structural shortcut)."""
-        updates = [
-            upd("A", self.unpackable(good_weights()), n=10),
-            upd("B", self.unpackable(bad_weights()), n=1000),
-        ]
-        reference = enumerate_combinations(updates, scratch_model, test_set)
-        keys = []
-        scored = CombinationEngine(scratch_model, test_set, instrument=keys.append).enumerate(updates)
-        assert [(r.members, r.accuracy) for r in reference] == [
-            (s.members, s.accuracy) for s in scored
-        ]
-        assert len(keys) == 3 and not any(key[0] == "fedavg" for key in keys)
-
-    def test_unpackable_updates_greedy_like_the_reference(self, scratch_model, test_set):
-        updates = [
-            upd("A", self.unpackable(good_weights()), n=10),
-            upd("B", self.unpackable(bad_weights()), n=1000),
-            upd("C", self.unpackable(good_weights()), n=5),
-        ]
-        reference = greedy_combination(updates, scratch_model, test_set)
-        candidate = CombinationEngine(scratch_model, test_set).greedy(updates)
-        assert reference.members == candidate.members
-        assert reference.accuracy == candidate.accuracy
-        for key in reference.weights:
-            np.testing.assert_array_equal(reference.weights[key], candidate.weights[key])
+    @pytest.mark.parametrize("search", [*SEARCHES, "test_set"])
+    def test_a_dtype_other_than_the_models_is_refused(self, scratch_model, test_set, search):
+        """Rows are one vector of the model's float dtype: a float32 update
+        on a float64 model is a SelectionError wherever it is scored, also
+        after a float64 one, and a float32 test set is a ConfigError."""
+        if search == "test_set":
+            with pytest.raises(ConfigError, match="dtype"):
+                CombinationEngine(scratch_model, Dataset(test_set.x.astype(np.float32), test_set.y))
+            return
+        float32 = {name: value.astype(np.float32) for name, value in good_weights().items()}
+        engine = CombinationEngine(scratch_model, test_set)
+        with pytest.raises(SelectionError, match="dtype"):
+            self.SEARCHES[search](engine, [upd("A", good_weights()), upd("B", float32)])
+        assert engine._rows is None
 
     def test_engine_aggregates_only_by_fedavg(self, scratch_model, test_set):
         """Other aggregators are the serial reference's business; the engine

@@ -11,6 +11,8 @@ every candidate, walk the test-set sizes around ``batch_size``, and measure
 the deviation the guard is sized against on the driver-outcome specs.
 """
 
+import gc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -28,17 +30,18 @@ from repro.fl.evaluation import evaluate_weights
 from repro.fl.scoring import (
     GUARD,
     CombinationEngine,
+    FirstLayerMemo,
     _install_fedavg,
     _decided,
     _PackedSums,
     _split,
-    _workspace,
 )
 from repro.fl.selection import enumerate_combinations, greedy_combination, threshold_filter
 from repro.nn.layers import Dense, Layer, ReLU
 from repro.nn.model import Sequential
 from repro.nn.models import build_efficientnet_b0_sim, build_simple_nn
 from repro.nn.serialize import weights_fingerprint
+from repro.scenarios import get_scenario, run_scenario
 
 INPUT_DIM = 48
 
@@ -269,6 +272,56 @@ class TestGuard:
         engine.enumerate(perturbed_updates(model, 4))
         assert engine.rechecked == 0
 
+    def test_the_clean_case_allocates_no_recheck_stack(self, monkeypatch):
+        """The exact kernel's room is made on first need: searches whose row
+        sums the guard vouches for never allocate one."""
+        built = []
+        candidate_stack = Sequential.candidate_stack
+
+        def counting(model, width):
+            built.append(width)
+            return candidate_stack(model, width)
+
+        monkeypatch.setattr(Sequential, "candidate_stack", counting)
+        model = simple_nn()
+        updates = perturbed_updates(model, 4)
+        engine = CombinationEngine(model, private_test_set(model, 30))
+        engine.enumerate(updates)
+        engine.greedy(updates)
+        assert engine.rechecked == 0 and engine.cache.stats["misses"] > 0
+        assert built == []
+
+    def test_a_recheck_stack_goes_when_its_search_returns(self, monkeypatch):
+        """Every candidate is rechecked, so every batch allocates the exact
+        kernel's stack; with the cyclic collector off, each one is freed by
+        the time its search returns."""
+        built = []
+        candidate_stack = Sequential.candidate_stack
+
+        def recording(model, width):
+            stack = candidate_stack(model, width)
+            built.extend(
+                weakref.ref(room if room.base is None else room.base) for room in stack.values()
+            )
+            return stack
+
+        monkeypatch.setattr(Sequential, "candidate_stack", recording)
+        model = simple_nn()
+        updates = perturbed_updates(model, 4)
+        for update in updates:
+            update.weights["head/W"][:] = 0.0
+            update.weights["head/b"][:] = 0.0
+        engine = CombinationEngine(model, private_test_set(model, 30))
+        gc.disable()
+        try:
+            engine.enumerate(updates)
+            engine.greedy(updates)
+            alive = [ref for ref in built if ref() is not None]
+        finally:
+            gc.enable()
+        assert built and engine.rechecked == engine.cache.stats["misses"]
+        assert alive == []
+
 
 class TestSizes:
     """The activation pass and the scoring after it walk the test set in
@@ -292,24 +345,25 @@ class TestSizes:
 
 
 class TestFirstLayerStack:
-    """The round's viewers share one first-layer stack (``_first_layer``):
-    built once when their views agree, rebuilt when they do not."""
+    """A shard's viewers share one first-layer stack through the shard's
+    :class:`FirstLayerMemo`: built once when their views agree, rebuilt when
+    they do not, dropped at the next round and with the run."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The updates of each stack built, not served from the entry."""
+        """Per stack built, not served from a memo's entry: the memo and
+        the updates the stack covers."""
         built = []
-        first_layer = scoring._first_layer
+        stack = FirstLayerMemo.stack
 
-        def counting(missing, *rest):
-            entry = scoring._FIRST_LAYER
-            stack = first_layer(missing, *rest)
-            if scoring._FIRST_LAYER is not entry:
-                built.append([update for _key, update in missing])
-            return stack
+        def counting(memo, missing, *rest):
+            entry = memo._entry
+            result = stack(memo, missing, *rest)
+            if memo._entry is not entry:
+                built.append((memo, [update for _key, update in missing]))
+            return result
 
-        monkeypatch.setattr(scoring, "_FIRST_LAYER", None)
-        monkeypatch.setattr(scoring, "_first_layer", counting)
+        monkeypatch.setattr(FirstLayerMemo, "stack", counting)
         return built
 
     def test_a_wait_for_all_round_builds_it_once(self, builds):
@@ -317,25 +371,100 @@ class TestFirstLayerStack:
         driver.run()
         views = {peer_id: driver.peers[peer_id].visible_submissions(1) for peer_id in driver.peers}
         assert all(len(view) == 4 for view in views.values())
-        assert [len(updates) for updates in builds] == [4]
+        assert [(memo, len(updates)) for memo, updates in builds] == [(driver.shard.first_layer, 4)]
+        assert all(engine.first_layer is builds[0][0] for engine in driver.shard.engines.values())
 
     def test_views_that_differ_by_one_update_rebuild_it(self, builds):
         model = simple_nn()
         updates = perturbed_updates(model, 5)
+        memo = FirstLayerMemo()
         for view in (updates[:4], updates[:3] + updates[4:]):
             test_set = private_test_set(model, 30, seed=len(builds))
-            engine = CombinationEngine(model, test_set)
+            engine = CombinationEngine(model, test_set, first_layer=memo)
             reference = enumerate_combinations(view, model, test_set)
             assert table(engine.enumerate(view)) == table(reference)
             assert engine.rechecked == 0
-        assert [[u.client_id for u in built] for built in builds] == [list("ABCD"), list("ABCE")]
+        assert [[u.client_id for u in built] for _memo, built in builds] == [
+            list("ABCD"),
+            list("ABCE"),
+        ]
+
+    def test_a_memo_serves_one_view_until_cleared(self, builds):
+        """The same row keys get the same stack back; ``clear`` frees it."""
+        model = simple_nn()
+        updates = perturbed_updates(model, 3)
+        missing = [((weights_fingerprint(u.weights), u.num_samples), u) for u in updates]
+        dense = model.layers[0]
+        head = [f"{dense.name}/{name}" for name in dense.params]
+        memo = FirstLayerMemo()
+        first = memo.stack(missing, head, np.float64)
+        assert memo.stack(list(missing), head, np.float64) is first
+        assert len(builds) == 1
+        for name, part in zip(head, first):
+            assert part.flags.c_contiguous
+            np.testing.assert_array_equal(part, np.concatenate([u.weights[name] for u in updates], -1))
+        refs = [weakref.ref(part) for part in first]
+        del first, part
+        memo.clear()
+        assert all(ref() is None for ref in refs)
+
+    def test_shards_never_share_it_and_a_new_round_drops_it(self, builds):
+        """Two runs of one spec: the same views, one stack per shard."""
+        drivers = [make_driver(rounds=1) for _ in range(2)]
+        for driver in drivers:
+            driver.run()
+        memos = [driver.shard.first_layer for driver in drivers]
+        assert [memo for memo, _updates in builds] == memos and memos[0] is not memos[1]
+        stacks = [memo._entry[1] for memo in memos]
+        assert all(a is not b for a, b in zip(*stacks))
+        assert all(np.array_equal(a, b) for a, b in zip(*stacks))
+        drivers[0].shard._begin_round(2)
+        assert memos[0]._entry is None and memos[1]._entry is not None
+
+    def test_nothing_outlives_the_run(self, monkeypatch):
+        """After a run returns, the scorer's module holds no array and the
+        run's first-layer stacks are garbage."""
+        built = []
+        stack = FirstLayerMemo.stack
+
+        def recording(memo, *args):
+            result = stack(memo, *args)
+            built.extend(weakref.ref(part) for part in result)
+            return result
+
+        monkeypatch.setattr(FirstLayerMemo, "stack", recording)
+        (spec,) = get_scenario("cohort/25").build(seed=1, quick=True)
+        run_scenario(spec)
+        gc.collect()
+        assert arrays_in(vars(scoring)) == []
+        assert built and all(ref() is None for ref in built)
+
+
+def arrays_in(value, seen=None):
+    """Every ndarray reachable from ``value`` through containers and the
+    classes :mod:`repro.fl.scoring` defines."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        items = list(value)
+    elif isinstance(value, type) and value.__module__ == scoring.__name__:
+        items = list(vars(value).values())
+    else:
+        return []
+    return [array for item in items for array in arrays_in(item, seen)]
 
 
 def deviation(engine, updates):
     """Largest ``|row-space logit - weight-space logit|`` over the largest
     ``|weight-space logit|``, over every subset of ``updates``."""
     fingerprints = [weights_fingerprint(update.weights) for update in updates]
-    workspace = _workspace(engine.model)
+    workspace = engine.model.candidate_stack(1)
     worst = 0.0
     engine._rows = {}
     try:

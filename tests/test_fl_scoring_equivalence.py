@@ -26,6 +26,7 @@ from repro.fl.selection import (
     best_combination,
     enumerate_combinations,
     greedy_combination,
+    pick_best,
     threshold_filter,
 )
 from repro.nn.layers import Dense
@@ -111,7 +112,8 @@ class TestExhaustiveEquivalence:
         rng_ref = np.random.default_rng(rng_seed)
         rng_eng = np.random.default_rng(rng_seed)
         best_ref = best_combination(updates, model, test_set, rng=rng_ref)
-        best_eng = engine.best(updates, rng=rng_eng)
+        top = pick_best(engine.enumerate(updates), rng_eng)
+        best_eng = engine.materialize(top.members, updates, top.accuracy)
         assert_same_combination(best_ref, best_eng)
         # Identical RNG consumption: one draw per multi-way tie, none
         # otherwise — the generators must land in the same state.
