@@ -9,7 +9,8 @@ executed by :class:`repro.chain.runtime.ContractRuntime`:
 * :class:`AggregationCoordinator` — round lifecycle, wait-for-k quorum
   tracking, and finalization votes for the "common global model" mode.
 * :class:`ReputationLedger` — score-based incentive extension (the paper's
-  related-work/future-work direction, used by ablation benchmarks).
+  related-work/future-work direction, used by the
+  ``adversarial/reputation`` scenario).
 """
 
 from repro.contracts.registry import ParticipantRegistry

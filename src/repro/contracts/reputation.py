@@ -3,9 +3,9 @@
 The paper's related work (BESIFL, Biscotti, VFChain) and its future-work
 section motivate credit-based participant scoring.  This contract provides
 that extension: peers rate each other's model submissions after evaluating
-them locally; scores feed the poisoning-ablation benchmark, where a peer
-whose models repeatedly fail the fitness threshold loses reputation and can
-be excluded from future aggregations.
+them locally; scores feed the ``adversarial/reputation`` scenario, where a
+peer whose models repeatedly fail the fitness threshold loses reputation and
+can be excluded from future aggregations.
 """
 
 from __future__ import annotations

@@ -26,28 +26,20 @@ from repro.core.offchain import OffchainStore
 from repro.data.dataset import Dataset
 from repro.errors import ConfigError
 from repro.fl.aggregation import ModelUpdate
-from repro.fl.client import ClientConfig, FLClient
-from repro.fl.poisoning import Attacker
+from repro.fl.client import FLClient
 from repro.fl.trainer import TrainConfig
 from repro.nn.model import Sequential
 
 
 @dataclass
 class PeerConfig:
-    """Identity plus FL hyperparameters for one peer.
-
-    ``attacker`` makes the peer adversarial: the hook is forwarded to the
-    embedded :class:`~repro.fl.client.FLClient`, so every update the peer
-    commits on chain has passed through
-    :meth:`~repro.fl.poisoning.Attacker.poison_update`.
-    """
+    """Identity plus FL hyperparameters for one peer."""
 
     peer_id: str                      # display id, e.g. "A"
     train_config: TrainConfig
     model_kind: str = "simple_nn"
     training_time: float = 30.0       # simulated seconds of local training
     training_time_jitter: float = 5.0
-    attacker: Optional[Attacker] = None
 
     def __post_init__(self) -> None:
         if not self.peer_id:
@@ -97,7 +89,6 @@ class FullPeer:
         test_set: Optional[Dataset],
         model_builder: Optional[Callable[[np.random.Generator], Sequential]],
         rng: np.random.Generator,
-        attack_rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.config = config
         self.peer_id = config.peer_id
@@ -112,16 +103,7 @@ class FullPeer:
         self.client: Optional[FLClient] = None
         if train_set is not None and test_set is not None and model_builder is not None:
             self.client = FLClient(
-                ClientConfig(
-                    client_id=config.peer_id,
-                    train_config=config.train_config,
-                    attacker=config.attacker,
-                ),
-                train_set,
-                test_set,
-                model_builder,
-                rng,
-                attack_rng=attack_rng,
+                config.peer_id, config.train_config, train_set, test_set, model_builder, rng
             )
         self.model_store_address: Optional[Address] = None
         self.coordinator_address: Optional[Address] = None

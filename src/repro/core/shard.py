@@ -83,8 +83,8 @@ class PeerShard:
 
     ``config`` is the driver's :class:`~repro.core.decentralized
     .DecentralizedConfig` (its ``selection`` is read here); ``rngs`` is the
-    chain-spawned factory whose ``peer/<id>`` and ``attack/<id>`` streams
-    are derived from (seed, label), so a peer draws the same numbers
+    chain-spawned factory whose ``peer/<id>`` streams are derived from
+    (seed, label), so a peer draws the same numbers
     whichever shard holds it.  A peer added without datasets is chain-only
     — it signs and reads the ledger and has no engine; the multiprocess
     coordinator holds the whole cohort that way.  A peer added without a
@@ -139,9 +139,6 @@ class PeerShard:
             test_set=test_set,
             model_builder=self.model_builder,
             rng=self.rngs.get("peer", pc.peer_id),
-            attack_rng=(
-                self.rngs.get("attack", pc.peer_id) if pc.attacker is not None else None
-            ),
         )
         self.peers[pc.peer_id] = peer
         if peer.client is not None:

@@ -5,9 +5,10 @@ dataset preserving what the paper's experiments actually measure — the
 *relative* behaviour of aggregation policies across two model complexities.
 The construction:
 
-* Each of the :data:`NUM_CLASSES` classes owns ``modes_per_class``
-  latent prototypes, independent random unit directions — a class is a
-  small mixture of "poses", not one template.
+* Each of the :data:`NUM_CLASSES` classes owns :data:`MODES_PER_CLASS`
+  latent prototypes, independent random unit directions in
+  :data:`LATENT_DIM` dimensions — a class is a small mixture of "poses",
+  not one template.
 * A sample is its latent prototype (plus latent jitter) pushed through a
   fixed random "renderer" into 32x32x3 pixel space, plus heavy Gaussian
   pixel noise — the reason a 62k-parameter pixel-space model climbs slowly
@@ -37,6 +38,10 @@ from repro.errors import DataError, require_finite
 
 IMAGE_SHAPE = (32, 32, 3)
 NUM_CLASSES = 10
+#: Latent prototypes ("poses") per class.
+MODES_PER_CLASS = 2
+#: Dimension of the latent space the renderer maps to pixels.
+LATENT_DIM = 32
 
 #: CIFAR-10 label names, kept for API familiarity.
 CIFAR10_LABELS = (
@@ -61,11 +66,10 @@ class SyntheticSpec:
     ``repro.scenarios.registry.paper_spec``): they land a 3-client FedAvg of
     SimpleNN near the paper's 0.28->0.60 trajectory and the transfer-
     learning analog near 0.78->0.85.  The class count is
-    :data:`NUM_CLASSES`, what both registered models output.
+    :data:`NUM_CLASSES`, what both registered models output; the latent
+    shape is :data:`MODES_PER_CLASS` x :data:`LATENT_DIM`.
     """
 
-    modes_per_class: int = 2
-    latent_dim: int = 32
     noise_std: float = 2.5           # per-pixel Gaussian noise
     latent_jitter: float = 0.12      # within-mode latent variation
     brightness_std: float = 0.05
@@ -75,8 +79,6 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         require_finite(self, DataError)
-        if self.latent_dim < 1:
-            raise DataError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if len(self.image_shape) != 3 or min(self.image_shape) < 1:
             raise DataError(
                 f"image_shape must be three sizes >= 1, got {self.image_shape}"
@@ -84,8 +86,6 @@ class SyntheticSpec:
         for name in ("noise_std", "latent_jitter", "brightness_std"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.modes_per_class < 1:
-            raise DataError("modes_per_class must be >= 1")
         if not 0.0 <= self.label_noise < 1.0:
             raise DataError("label_noise must be in [0, 1)")
 
@@ -108,18 +108,17 @@ class SyntheticImageDataset:
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
         # Renderer: latent -> pixels through fixed random unit rows.
-        renderer = rng.normal(size=(spec.latent_dim, spec.flat_dim))
+        renderer = rng.normal(size=(LATENT_DIM, spec.flat_dim))
         self._renderer = renderer / np.linalg.norm(renderer, axis=1, keepdims=True)
         self._prototypes = self._build_prototypes(rng)
 
     def _build_prototypes(self, rng: np.random.Generator) -> np.ndarray:
-        """(NUM_CLASSES, modes_per_class, latent_dim) independent random
+        """(NUM_CLASSES, MODES_PER_CLASS, LATENT_DIM) independent random
         unit prototypes."""
-        spec = self.spec
-        prototypes = np.zeros((NUM_CLASSES, spec.modes_per_class, spec.latent_dim))
+        prototypes = np.zeros((NUM_CLASSES, MODES_PER_CLASS, LATENT_DIM))
         for class_id in range(NUM_CLASSES):
-            for mode_id in range(spec.modes_per_class):
-                vec = rng.normal(size=spec.latent_dim)
+            for mode_id in range(MODES_PER_CLASS):
+                vec = rng.normal(size=LATENT_DIM)
                 prototypes[class_id, mode_id] = vec / np.linalg.norm(vec)
         return prototypes
 
@@ -129,22 +128,21 @@ class SyntheticImageDataset:
 
     @property
     def renderer(self) -> np.ndarray:
-        """The fixed (latent_dim, flat_dim) rendering matrix."""
+        """The fixed (LATENT_DIM, flat_dim) rendering matrix."""
         return self._renderer
 
     def mode_of(self, class_id: int, mode_id: int) -> np.ndarray:
         """Latent prototype of one (class, mode) pair."""
-        spec = self.spec
         if not 0 <= class_id < NUM_CLASSES:
             raise DataError(f"class_id {class_id} out of range")
-        if not 0 <= mode_id < spec.modes_per_class:
+        if not 0 <= mode_id < MODES_PER_CLASS:
             raise DataError(f"mode_id {mode_id} out of range")
         return self._prototypes[class_id, mode_id].copy()
 
     def pretrained_backbone(self, mismatch: float = 0.075) -> tuple[np.ndarray, np.ndarray]:
         """What a domain-pretrained trunk knows: (projection, anchors).
 
-        ``projection`` is the (flat_dim, latent_dim) map recovering latent
+        ``projection`` is the (flat_dim, LATENT_DIM) map recovering latent
         codes from pixels (the renderer's transpose); ``anchors`` are the
         mode prototypes — the visual "concepts" a pretrained network
         clusters images around.  These feed the frozen RBF trunk of
@@ -163,7 +161,7 @@ class SyntheticImageDataset:
             mis_rng = np.random.default_rng(spec.seed + 777_000_001)
             perturbation = mis_rng.normal(size=projection.shape) / np.sqrt(spec.flat_dim)
             projection = projection + mismatch * perturbation
-        anchors = self._prototypes.reshape(-1, spec.latent_dim).copy()
+        anchors = self._prototypes.reshape(-1, LATENT_DIM).copy()
         return projection, anchors
 
     # ------------------------------------------------------------------
@@ -200,7 +198,7 @@ class SyntheticImageDataset:
             labels = rng.choice(NUM_CLASSES, size=n, p=probs)
         else:
             labels = rng.integers(0, NUM_CLASSES, size=n)
-        modes = rng.integers(0, spec.modes_per_class, size=n)
+        modes = rng.integers(0, MODES_PER_CLASS, size=n)
         latents = self._prototypes[labels, modes]
         latents = latents + rng.normal(0.0, spec.latent_jitter, size=latents.shape)
         pixels = latents @ self._renderer * np.sqrt(spec.flat_dim)

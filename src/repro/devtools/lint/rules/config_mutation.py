@@ -34,7 +34,6 @@ CONFIG_TYPES = {
     "HeterogeneitySpec",
     "TrainConfig",
     "PeerConfig",
-    "ClientConfig",
     "NodeConfig",
     "GenesisSpec",
     "SyntheticSpec",

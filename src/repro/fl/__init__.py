@@ -9,11 +9,11 @@ Implements the training/aggregation machinery both evaluation settings use:
   (:mod:`repro.fl.scoring`),
 * wait-for-all / wait-for-k asynchronous policies (:mod:`repro.fl.async_policy`),
 * the centralized Vanilla FL orchestrator (:mod:`repro.fl.vanilla`), and
-* poisoning/noise attackers for abnormal-model experiments
+* the label-flip attacker for abnormal-model experiments
   (:mod:`repro.fl.poisoning`).
 """
 
-from repro.fl.client import FLClient, ClientConfig
+from repro.fl.client import FLClient
 from repro.fl.trainer import LocalTrainer, TrainConfig, TrainResult
 from repro.fl.aggregation import fedavg, ModelUpdate
 from repro.fl.selection import (
@@ -33,12 +33,11 @@ from repro.fl.scoring import (
 )
 from repro.fl.async_policy import WaitForAll, WaitForK, Deadline, AsyncPolicy
 from repro.fl.vanilla import VanillaFL, VanillaConfig, VanillaRoundLog
-from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker, ScaleAttacker
+from repro.fl.poisoning import LabelFlipAttacker
 from repro.fl.evaluation import evaluate_on, evaluate_weights
 
 __all__ = [
     "FLClient",
-    "ClientConfig",
     "LocalTrainer",
     "TrainConfig",
     "TrainResult",
@@ -63,8 +62,6 @@ __all__ = [
     "VanillaConfig",
     "VanillaRoundLog",
     "LabelFlipAttacker",
-    "NoiseAttacker",
-    "ScaleAttacker",
     "evaluate_on",
     "evaluate_weights",
 ]

@@ -24,7 +24,6 @@ class ModelUpdate:
     num_samples: int
     round_id: int = -1
     reported_accuracy: float = 0.0
-    metadata: dict = field(default_factory=dict)
     #: ``weights_fingerprint(weights)`` when whoever built the update already
     #: knows it (fetched, read-only weights); None means "hash the buffers".
     fingerprint: Optional[str] = None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -11,29 +10,8 @@ from repro.data.dataset import Dataset
 from repro.errors import ConfigError
 from repro.fl.aggregation import ModelUpdate
 from repro.fl.evaluation import evaluate_on, evaluate_weights
-from repro.fl.poisoning import Attacker
 from repro.fl.trainer import LocalTrainer, TrainConfig, TrainResult
 from repro.nn.model import Sequential
-
-
-@dataclass
-class ClientConfig:
-    """Identity and training setup for one client.
-
-    ``attacker`` optionally turns the client adversarial: its
-    :meth:`~repro.fl.poisoning.Attacker.poison_update` hook runs on every
-    update the client produces (dataset-level poisoning is applied by the
-    scenario runner before the client is built, so the honest path here
-    stays untouched).
-    """
-
-    client_id: str
-    train_config: TrainConfig
-    attacker: Optional[Attacker] = None
-
-    def __post_init__(self) -> None:
-        if not self.client_id:
-            raise ConfigError("client_id must be non-empty")
 
 
 class FLClient:
@@ -42,28 +20,27 @@ class FLClient:
     The ``model_builder`` callable receives the client's RNG and returns a
     built :class:`Sequential`; every client of an experiment uses the same
     builder so architectures match for aggregation (the paper's shared-model
-    assumption).
+    assumption).  An adversarial client is built from a poisoned
+    ``train_set``; the client itself trains and reports honestly.
     """
 
     def __init__(
         self,
-        config: ClientConfig,
+        client_id: str,
+        train_config: TrainConfig,
         train_set: Dataset,
         test_set: Dataset,
         model_builder: Callable[[np.random.Generator], Sequential],
         rng: np.random.Generator,
-        attack_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        self.config = config
-        self.client_id = config.client_id
+        if not client_id:
+            raise ConfigError("client_id must be non-empty")
+        self.client_id = client_id
         self.train_set = train_set
         self.test_set = test_set
         self.rng = rng
-        # Adversarial draws live on their own stream so that enabling an
-        # attacker never perturbs the honest training randomness.
-        self.attack_rng = attack_rng if attack_rng is not None else rng
         self.model = model_builder(rng)
-        self.trainer = LocalTrainer(config.train_config, rng=rng)
+        self.trainer = LocalTrainer(train_config, rng=rng)
         self.rounds_trained = 0
         self.last_train_result: Optional[TrainResult] = None
 
@@ -77,16 +54,13 @@ class FLClient:
         result = self.trainer.train(self.model, self.train_set)
         self.last_train_result = result
         self.rounds_trained += 1
-        update = ModelUpdate(
+        return ModelUpdate(
             client_id=self.client_id,
             weights=self.model.get_weights(),
             num_samples=self.num_samples,
             round_id=round_id,
             reported_accuracy=self.evaluate(),
         )
-        if self.config.attacker is not None:
-            update = self.config.attacker.poison_update(update, self.attack_rng)
-        return update
 
     def evaluate(self) -> float:
         """Accuracy of the current local model on the private test set."""

@@ -15,7 +15,7 @@ out via quorum rounds and rejoin catch-up).  Unknown names raise
 
 Register project-specific workloads with :func:`register_scenario`::
 
-    @register_scenario("mylab/night-run", "50 peers, scale attack, wait-for-10")
+    @register_scenario("mylab/night-run", "50 peers, label flip, wait-for-10")
     def _night_run(seed=42, quick=False, models=None):
         return (replace(cohort_scenario(50, seed=seed), ...),)
 """

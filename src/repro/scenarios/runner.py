@@ -35,7 +35,7 @@ from repro.core.participation import ParticipationPlan
 from repro.core.peer import PeerConfig
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec, client_class_probs
-from repro.fl.client import ClientConfig, FLClient
+from repro.fl.client import FLClient
 from repro.fl.trainer import TrainConfig
 from repro.fl.vanilla import VanillaConfig, VanillaFL
 from repro.nn.model import Sequential
@@ -377,7 +377,6 @@ def _run_vanilla(
     aggregator_test = _aggregator_test(spec, rngs, ctx)
     builder = _builder(spec, ctx)
     client_ids = spec.client_ids()
-    attacker = spec.adversary.build_attacker()
     adversary_ids = spec.adversary.adversary_ids(client_ids)
     # All clients start from identical initial weights (the shared model),
     # matching both the paper's deployment and standard FedAvg.
@@ -386,18 +385,12 @@ def _run_vanilla(
     train_config = _train_config(spec)
     clients = [
         FLClient(
-            ClientConfig(
-                client_id=client_id,
-                train_config=train_config,
-                attacker=attacker if client_id in adversary_ids else None,
-            ),
+            client_id,
+            train_config,
             train_sets[client_id],
             test_sets[client_id],
             model_builder,
             rngs.get("client", client_id),
-            attack_rng=(
-                rngs.get("attack", client_id) if client_id in adversary_ids else None
-            ),
         )
         for client_id in client_ids
     ]
@@ -457,7 +450,6 @@ def decentralized_inputs(
     agree on every value whichever datasets they built.
     """
     client_ids = spec.client_ids()
-    attacker = spec.adversary.build_attacker()
     adversary_ids = spec.adversary.adversary_ids(client_ids)
     train_sets: dict[str, Dataset] = {}
     test_sets: dict[str, Dataset] = {}
@@ -488,7 +480,6 @@ def decentralized_inputs(
             train_config=train_config,
             model_kind=spec.model_kind,
             training_time=training_times[client_id],
-            attacker=attacker if client_id in adversary_ids else None,
         )
         for client_id in client_ids
     ]

@@ -4,8 +4,8 @@ A :class:`ScenarioSpec` composes independent axes:
 
 * **cohort** — how many clients, how their ids are generated, how skewed
   their label distributions are, and how much data each holds;
-* **adversary** — which attacker (from :mod:`repro.fl.poisoning`) corrupts
-  what fraction of the cohort;
+* **adversary** — what fraction of the cohort flips its training labels
+  (:mod:`repro.fl.poisoning`);
 * **heterogeneity** — the distribution of simulated local-training times
   (the situation that motivates not waiting);
 * **chain** — message drop rate, gateway backend, scale-out
@@ -33,11 +33,11 @@ import numpy as np
 from repro.chain.spec import ChainSpec
 from repro.core.decentralized import DecentralizedConfig
 from repro.core.participation import ParticipationSpec
-from repro.data.synthetic import NUM_CLASSES, SyntheticSpec
+from repro.data.synthetic import SyntheticSpec
 from repro.errors import ConfigError, require_finite
 from repro.faults import FaultSpec
 from repro.fl.async_policy import AsyncPolicy, WaitForAll
-from repro.fl.poisoning import Attacker, LabelFlipAttacker, NoiseAttacker, ScaleAttacker
+from repro.fl.poisoning import LabelFlipAttacker
 
 #: The paper's three clients; cohorts of three reproduce the tables exactly.
 PAPER_CLIENT_IDS = ("A", "B", "C")
@@ -122,9 +122,9 @@ class AdversarySpec:
 
     The adversarial clients are the *last* ``round(fraction * size)``
     cohort ids, with a floor of one for any positive fraction
-    (deterministic; matches the ablation benches where client ``C``
-    attacks).  Kind-specific knobs mirror the attacker dataclasses in
-    :mod:`repro.fl.poisoning`; a knob its kind does not read must keep its
+    (deterministic, so the same clients attack at every seed).  The one
+    attack is label flipping (:class:`~repro.fl.poisoning.LabelFlipAttacker`,
+    whose knobs these mirror); a knob its kind does not read must keep its
     default.
     """
 
@@ -132,16 +132,12 @@ class AdversarySpec:
     READS = {
         "none": (),
         "label_flip": ("fraction", "flip_fraction", "target_class"),
-        "noise": ("fraction", "noise_std"),
-        "scale": ("fraction", "scale"),
     }
 
-    kind: str = "none"        # "none" | "label_flip" | "noise" | "scale"
+    kind: str = "none"        # "none" | "label_flip"
     fraction: float = 0.0
     flip_fraction: float = 1.0
     target_class: int = 0
-    noise_std: float = 0.5
-    scale: float = 10.0
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -154,32 +150,17 @@ class AdversarySpec:
         if self.kind != "none" and self.fraction == 0.0:
             raise ConfigError(f"attacker kind {self.kind!r} needs fraction > 0")
         _require_unread_at_default(self, self.READS, "attackers")
-        # Kind-specific knobs fail here, not when a sweep point finally
-        # instantiates the attacker mid-grid (a kind that does not read a
-        # knob holds its valid default).
-        if not 0.0 < self.flip_fraction <= 1.0:
-            raise ConfigError(f"flip_fraction must be in (0, 1], got {self.flip_fraction}")
-        if not 0 <= self.target_class < NUM_CLASSES:
-            raise ConfigError(
-                f"label-flip target_class {self.target_class} is out of range "
-                f"for {NUM_CLASSES} classes"
-            )
-        if self.noise_std <= 0:
-            raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
-        if self.scale == 1.0:
-            raise ConfigError("scale of 1.0 is not an attack")
+        # The attacker's own knobs fail here, not when a sweep point
+        # finally instantiates it mid-grid.
+        self.build_attacker()
 
-    def build_attacker(self) -> Optional[Attacker]:
+    def build_attacker(self) -> Optional[LabelFlipAttacker]:
         """Instantiate the configured attacker (``None`` when honest)."""
         if self.kind == "none":
             return None
-        if self.kind == "label_flip":
-            return LabelFlipAttacker(
-                flip_fraction=self.flip_fraction, target_class=self.target_class
-            )
-        if self.kind == "noise":
-            return NoiseAttacker(noise_std=self.noise_std)
-        return ScaleAttacker(scale=self.scale)
+        return LabelFlipAttacker(
+            flip_fraction=self.flip_fraction, target_class=self.target_class
+        )
 
     def adversary_ids(self, client_ids: tuple[str, ...]) -> tuple[str, ...]:
         """Which cohort members attack: the last ``round(fraction * n)`` ids,
@@ -234,9 +215,11 @@ class HeterogeneitySpec:
         _require_unread_at_default(self, self.READS, "heterogeneity")
         if self.base_time <= 0:
             raise ConfigError(f"base_time must be positive, got {self.base_time}")
-        if self.spread < 0 or (self.kind == "uniform" and self.spread >= self.base_time):
+        if self.spread < 0:
+            raise ConfigError(f"spread must be non-negative, got {self.spread}")
+        if self.kind == "uniform" and self.spread >= self.base_time:
             raise ConfigError(
-                f"spread must be in [0, base_time) for uniform heterogeneity, got {self.spread}"
+                f"spread must be < base_time for uniform heterogeneity, got {self.spread}"
             )
         if not 0.0 <= self.straggler_fraction <= 1.0:
             raise ConfigError(

@@ -1,7 +1,7 @@
 """Deterministic random-number management.
 
 Every stochastic component in the library (dataset synthesis, weight
-initialization, mining jitter, network latency, attacker noise) draws from a
+initialization, mining jitter, network latency, label flipping) draws from a
 named stream derived from a single experiment seed.  This guarantees that
 tables and figures regenerate bit-identically while keeping the streams
 independent: adding draws to one stream never perturbs another.

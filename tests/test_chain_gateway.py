@@ -1236,7 +1236,11 @@ class TestChainStatsDigests:
     re-recorded once more when 21 spec fields nothing set became
     constants: the ``init`` frame's encoded spec lost 499 bytes per
     worker, and ``gateway.wire.bytes_sent`` was the only counter that
-    moved.  Beside each digest the fixture
+    moved.  It was re-recorded once more when the adversary's
+    ``noise_std`` / ``scale`` and the generator's ``modes_per_class`` /
+    ``latent_dim`` left the spec: the ``init`` frame lost 65 bytes per
+    worker (``gateway.wire.bytes_sent`` 4 000 024 -> 3 999 894, the only
+    counter that moved).  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

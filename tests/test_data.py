@@ -6,6 +6,8 @@ import pytest
 from repro.data.dataset import Dataset, batch_indices
 from repro.data.synthetic import (
     CIFAR10_LABELS,
+    LATENT_DIM,
+    MODES_PER_CLASS,
     NUM_CLASSES,
     SyntheticImageDataset,
     SyntheticSpec,
@@ -113,8 +115,10 @@ class TestSyntheticSpec:
             SyntheticSpec(label_noise=1.0)
 
     def test_invalid_modes(self):
-        with pytest.raises(DataError):
-            SyntheticSpec(modes_per_class=0)
+        factory = SyntheticImageDataset(SyntheticSpec())
+        assert factory.mode_of(NUM_CLASSES - 1, MODES_PER_CLASS - 1).shape == (LATENT_DIM,)
+        with pytest.raises(DataError, match="mode_id"):
+            factory.mode_of(0, MODES_PER_CLASS)
 
     @pytest.mark.parametrize(
         "field",
@@ -122,7 +126,6 @@ class TestSyntheticSpec:
             {"noise_std": -0.1},
             {"latent_jitter": -1e-3},
             {"brightness_std": -0.05},
-            {"latent_dim": 0},
             {"image_shape": (0, 32, 3)},
             {"image_shape": (32, 32, 0)},
         ],
@@ -211,8 +214,8 @@ class TestSyntheticGeneration:
     def test_pretrained_backbone_shapes(self):
         spec = SyntheticSpec()
         projection, anchors = SyntheticImageDataset(spec).pretrained_backbone()
-        assert projection.shape == (3072, spec.latent_dim)
-        assert anchors.shape == (NUM_CLASSES * spec.modes_per_class, spec.latent_dim)
+        assert projection.shape == (3072, LATENT_DIM)
+        assert anchors.shape == (NUM_CLASSES * MODES_PER_CLASS, LATENT_DIM)
 
     def test_backbone_mismatch_deterministic(self):
         factory = SyntheticImageDataset(SyntheticSpec())

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.errors import ConfigError
-from repro.fl.client import ClientConfig, FLClient
+from repro.fl.client import FLClient
 from repro.fl.trainer import TrainConfig
 from repro.fl.vanilla import VanillaConfig, VanillaFL
 from repro.nn.layers import Dense, ReLU
@@ -32,7 +32,8 @@ def clients():
     data_rng = np.random.default_rng(0)
     return [
         FLClient(
-            ClientConfig(client_id=cid, train_config=TrainConfig(epochs=2, learning_rate=0.1)),
+            cid,
+            TrainConfig(epochs=2, learning_rate=0.1),
             easy_dataset(data_rng),
             easy_dataset(data_rng, n=60),
             shared_builder,

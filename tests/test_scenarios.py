@@ -1,16 +1,23 @@
 """Tests for the declarative scenario API (spec, registry, runner, sweep)."""
 
-from dataclasses import MISSING, fields, replace
+import contextlib
+import hashlib
+import io
+import json
+from dataclasses import MISSING, asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_core_decentralized import platform_key
 
+from repro import experiments as cli
 from repro.core.decentralized import DecentralizedConfig
 from repro.data.synthetic import SyntheticSpec
 from repro.errors import ConfigError, DataError
 from repro.faults import RetryPolicy
 from repro.fl.async_policy import WaitForK
-from repro.fl.poisoning import LabelFlipAttacker, NoiseAttacker, ScaleAttacker
+from repro.fl.poisoning import LabelFlipAttacker
 from repro.fl.trainer import TrainConfig
 from repro.nn.optimizers import SGD
 from repro.scenarios import (
@@ -35,6 +42,8 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import _train_config, decentralized_inputs
 from repro.utils.rng import RngFactory
+
+ADVERSARY_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "adversary_digests.json"
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -67,24 +76,23 @@ class TestSpecValidation:
             AdversarySpec(kind="label_flip", fraction=-0.1)
 
     def test_attacker_kind_needs_fraction(self):
-        with pytest.raises(ConfigError):
-            AdversarySpec(kind="noise", fraction=0.0)
+        with pytest.raises(ConfigError, match="needs fraction"):
+            AdversarySpec(kind="label_flip", fraction=0.0)
 
-    def test_unknown_attacker_kind(self):
-        with pytest.raises(ConfigError):
-            AdversarySpec(kind="gradient_inversion", fraction=0.5)
+    @pytest.mark.parametrize("kind", ["gradient_inversion", "noise", "scale"])
+    def test_unknown_attacker_kind(self, kind):
+        with pytest.raises(ConfigError, match="unknown attacker kind"):
+            AdversarySpec(kind=kind, fraction=0.5)
 
     def test_attacker_fraction_needs_a_kind(self):
         with pytest.raises(ConfigError):
             AdversarySpec(kind="none", fraction=0.3)
 
     def test_attacker_knobs_validated_at_construction(self):
-        with pytest.raises(ConfigError):
-            AdversarySpec(kind="noise", fraction=0.5, noise_std=0.0)
-        with pytest.raises(ConfigError):
-            AdversarySpec(kind="scale", fraction=0.5, scale=1.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="flip_fraction"):
             AdversarySpec(kind="label_flip", fraction=0.5, flip_fraction=0.0)
+        with pytest.raises(ConfigError, match="flip_fraction"):
+            AdversarySpec(kind="label_flip", fraction=0.5, flip_fraction=1.5)
         with pytest.raises(ConfigError, match="target_class"):
             AdversarySpec(kind="label_flip", fraction=0.34, target_class=-1)
 
@@ -129,33 +137,38 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "knobs",
         [
-            dict(kind="noise", flip_fraction=0.5),
-            dict(kind="noise", scale=2.0),
-            dict(kind="scale", noise_std=0.1),
-            dict(kind="label_flip", scale=2.0),
-            dict(kind="label_flip", noise_std=0.1),
-            dict(kind="scale", target_class=3),
+            dict(kind="none", flip_fraction=0.5),
+            dict(kind="none", target_class=3),
         ],
         ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()),
     )
     def test_attacker_knobs_its_kind_ignores_are_rejected(self, knobs):
         ignored = [name for name in knobs if name != "kind"][-1]
-        with pytest.raises(ConfigError, match=f"{ignored} is read only by"):
-            AdversarySpec(fraction=0.3, **knobs)
-        with pytest.raises(ConfigError, match=ignored):
-            AdversarySpec(**{name: value for name, value in knobs.items() if name != "kind"})
+        with pytest.raises(ConfigError, match=f"{ignored} is read only by label_flip"):
+            AdversarySpec(**knobs)
 
     def test_knobs_each_kind_reads_are_accepted(self):
         HeterogeneitySpec(kind="uniform", base_time=60.0, spread=40.0)
         HeterogeneitySpec(kind="lognormal", base_time=10.0, spread=0.5)
         HeterogeneitySpec(kind="stragglers", base_time=10.0, straggler_fraction=0.4, straggler_factor=3.0)
         AdversarySpec(kind="label_flip", fraction=0.3, flip_fraction=0.5, target_class=9)
-        AdversarySpec(kind="noise", fraction=0.3, noise_std=0.1)
-        AdversarySpec(kind="scale", fraction=0.3, scale=2.0)
 
-    def test_unknown_heterogeneity_kind(self):
-        with pytest.raises(ConfigError):
-            HeterogeneitySpec(kind="bimodal")
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (dict(kind="bimodal"), "unknown heterogeneity kind"),
+            (dict(kind="uniform", spread=-0.5), "spread must be non-negative"),
+            (dict(kind="lognormal", spread=-0.5), "spread must be non-negative"),
+            (dict(kind="uniform", spread=30.0), "< base_time for uniform"),
+        ],
+        ids=["kind=bimodal", "kind=uniform,spread=-0.5", "kind=lognormal,spread=-0.5",
+             "kind=uniform,spread=30.0"],
+    )
+    def test_invalid_heterogeneity_rejected(self, knobs, message):
+        """Only ``uniform`` has an upper bound on ``spread``; a negative
+        spread is refused as such for every kind that reads it."""
+        with pytest.raises(ConfigError, match=message):
+            HeterogeneitySpec(**knobs)
 
     def test_custom_heterogeneity_needs_times(self):
         with pytest.raises(ConfigError):
@@ -318,19 +331,12 @@ class TestSpecAxes:
     def test_adversary_ids_are_last_clients(self):
         ids = default_client_ids(3)
         assert AdversarySpec(kind="label_flip", fraction=1 / 3).adversary_ids(ids) == ("C",)
-        assert AdversarySpec(kind="noise", fraction=1.0).adversary_ids(ids) == ids
+        assert AdversarySpec(kind="label_flip", fraction=1.0).adversary_ids(ids) == ids
         assert AdversarySpec().adversary_ids(ids) == ()
 
     def test_build_attacker_types(self):
-        assert isinstance(
-            AdversarySpec(kind="label_flip", fraction=0.5).build_attacker(), LabelFlipAttacker
-        )
-        assert isinstance(
-            AdversarySpec(kind="noise", fraction=0.5).build_attacker(), NoiseAttacker
-        )
-        assert isinstance(
-            AdversarySpec(kind="scale", fraction=0.5).build_attacker(), ScaleAttacker
-        )
+        spec = AdversarySpec(kind="label_flip", fraction=0.5, flip_fraction=0.5, target_class=3)
+        assert spec.build_attacker() == LabelFlipAttacker(flip_fraction=0.5, target_class=3)
         assert AdversarySpec().build_attacker() is None
 
     def test_straggler_times_deterministic(self):
@@ -462,7 +468,7 @@ class TestRunner:
     def test_same_seed_identical_result(self):
         spec = tiny_spec(
             cohort=CohortSpec(size=4, train_samples=60, test_samples=40),
-            adversary=AdversarySpec(kind="noise", fraction=0.25, noise_std=0.3),
+            adversary=AdversarySpec(kind="label_flip", fraction=0.25, flip_fraction=0.5),
             heterogeneity=HeterogeneitySpec(kind="uniform", base_time=30.0, spread=15.0),
         )
         assert run_scenario(spec) == run_scenario(spec)
@@ -473,16 +479,18 @@ class TestRunner:
 
     def test_adversaries_recorded_and_effective(self):
         honest = tiny_spec()
-        attacked = replace(
-            honest, adversary=AdversarySpec(kind="scale", fraction=1 / 3, scale=50.0)
-        )
+        attacked = replace(honest, adversary=AdversarySpec(kind="label_flip", fraction=1 / 3))
         honest_result = run_scenario(honest)
         attacked_result = run_scenario(attacked)
         assert honest_result.adversaries == ()
         assert attacked_result.adversaries == ("C",)
-        # The attacker's committed update really is scaled: any combination
-        # containing C scores differently than in the honest run.
+        # C commits a model of flipped labels: the combinations containing
+        # it score differently than in the honest run, the others do not.
         assert attacked_result.combination_accuracy != honest_result.combination_accuracy
+        for rater, table in honest_result.combination_accuracy.items():
+            for combination, series in table.items():
+                if "C" not in combination:
+                    assert attacked_result.combination_accuracy[rater][combination] == series
 
     def test_label_flip_poisons_training_data(self):
         spec = tiny_spec(adversary=AdversarySpec(kind="label_flip", fraction=1 / 3))
@@ -868,3 +876,50 @@ class TestReputationScenario:
         for client_id in ("A", "B", "C"):
             assert 0.0 <= result.exclusion_rate(client_id) <= 1.0
         assert result.exclusion_rate("nobody") == 1.0  # never adoptable
+
+
+#: ``run <scenario> --quick --seed 1 --model <model>`` for every registered
+#: adversarial scenario and both models.
+ADVERSARY_RUNS = [
+    f"{scenario} --model {model}"
+    for scenario in ("adversarial/label_flip", "adversarial/reputation")
+    for model in ("simple_nn", "efficientnet_b0_sim")
+]
+
+
+def adversary_digest(case: str) -> str:
+    """SHA-256 of one adversarial case of ``adversary_digests.json``.
+
+    An ``ADVERSARY_RUNS`` case hashes the CLI's stdout; ``vanilla/label_flip``
+    (no registered scenario runs it) hashes a vanilla label-flip
+    ``tiny_spec`` result's accuracy series, adversaries and round logs.
+    """
+    if case == "vanilla/label_flip":
+        result = run_scenario(tiny_spec(
+            kind="vanilla", rounds=2,
+            adversary=AdversarySpec(kind="label_flip", fraction=1 / 3),
+        ))
+        payload = json.dumps({
+            "client_accuracy": result.client_accuracy,
+            "adversaries": result.adversaries,
+            "round_logs": [asdict(log) for log in result.round_logs],
+        }, sort_keys=True)
+    else:
+        scenario, _, model = case.split()
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert cli.main(["run", scenario, "--quick", "--seed", "1", "--model", model]) == 0
+        payload = buffer.getvalue()
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestAdversaryDigests:
+    """The adversarial path, pinned byte for byte (platform-keyed: float
+    results are exact only on the numpy build and CPU that recorded them)."""
+
+    @pytest.mark.parametrize("case", [*ADVERSARY_RUNS, "vanilla/label_flip"])
+    def test_adversarial_runs_match_their_pinned_digests(self, case):
+        fixture = json.loads(ADVERSARY_FIXTURE.read_text())
+        if fixture["platform"] != platform_key():
+            pytest.skip(f"adversary digests were recorded on {fixture['platform']!r}")
+        assert adversary_digest(case) == fixture["digests"][case]
