@@ -170,6 +170,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=message):
             HeterogeneitySpec(**knobs)
 
+    def test_lognormal_spread_has_no_upper_bound(self):
+        """``spread`` is a sigma for ``lognormal``, not an offset from
+        ``base_time``: a value at or past ``base_time`` is accepted and
+        still draws positive times."""
+        spec = HeterogeneitySpec(kind="lognormal", base_time=30.0, spread=30.0)
+        times = spec.training_times(("a", "b", "c"), np.random.default_rng(0))
+        assert set(times) == {"a", "b", "c"}
+        assert all(t > 0 for t in times.values())
+
     def test_custom_heterogeneity_needs_times(self):
         with pytest.raises(ConfigError):
             HeterogeneitySpec(kind="custom")
