@@ -23,13 +23,13 @@ class Dataset:
     y: np.ndarray
     name: str = "dataset"
     #: Extractor token -> what that extractor makes of ``x`` (see
-    #: :meth:`features`).  Belongs to this object: ``subset`` / ``take`` /
-    #: ``flattened`` copies start empty.
+    #: :meth:`features`).  Belongs to this object: a new dataset built from
+    #: the same rows starts empty.
     _features: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     #: :func:`repro.fl.scoring.dataset_fingerprint` of this object, once
-    #: computed; copies start without one.
+    #: computed; a new dataset built from the same rows starts without one.
     fingerprint: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     feature_hits: int = field(default=0, init=False, repr=False, compare=False)
     feature_misses: int = field(default=0, init=False, repr=False, compare=False)
@@ -70,24 +70,6 @@ class Dataset:
         else:
             self.feature_hits += 1
         return rows
-
-    def subset(self, indices: np.ndarray, name: Optional[str] = None) -> "Dataset":
-        """Row-select a new dataset (copies, so slices are independent)."""
-        return Dataset(self.x[indices].copy(), self.y[indices].copy(), name or self.name)
-
-    def flattened(self) -> "Dataset":
-        """View with images flattened to vectors (for MLP models)."""
-        return Dataset(self.x.reshape(len(self.x), -1), self.y, self.name)
-
-    def class_counts(self, num_classes: int) -> np.ndarray:
-        """Histogram of labels."""
-        return np.bincount(self.y, minlength=num_classes)
-
-    def take(self, n: int) -> "Dataset":
-        """First ``n`` samples."""
-        if not 0 <= n <= len(self):
-            raise DataError(f"cannot take {n} from {len(self)} samples")
-        return Dataset(self.x[:n].copy(), self.y[:n].copy(), self.name)
 
 
 def batch_indices(

@@ -10,7 +10,7 @@ The construction:
   :data:`LATENT_DIM` dimensions — a class is a small mixture of "poses",
   not one template.
 * A sample is its latent prototype (plus latent jitter) pushed through a
-  fixed random "renderer" into 32x32x3 pixel space, plus heavy Gaussian
+  fixed random "renderer" into :data:`FLAT_DIM` pixels, plus heavy Gaussian
   pixel noise — the reason a 62k-parameter pixel-space model climbs slowly
   across rounds and saturates near 0.6 (CIFAR-10's pose/colour variation
   plays that role for the paper's SimpleNN) while a denoising pretrained
@@ -36,7 +36,11 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.errors import DataError, require_finite
 
+#: CIFAR-10's image shape, where a sample's width comes from; samples are
+#: never image-shaped here, only :data:`FLAT_DIM`-vectors.
 IMAGE_SHAPE = (32, 32, 3)
+#: Width of one sample, the input dimension of both registered models.
+FLAT_DIM = math.prod(IMAGE_SHAPE)
 NUM_CLASSES = 10
 #: Latent prototypes ("poses") per class.
 MODES_PER_CLASS = 2
@@ -74,26 +78,15 @@ class SyntheticSpec:
     latent_jitter: float = 0.12      # within-mode latent variation
     brightness_std: float = 0.05
     label_noise: float = 0.12
-    image_shape: tuple[int, int, int] = IMAGE_SHAPE
     seed: int = 1234
 
     def __post_init__(self) -> None:
         require_finite(self, DataError)
-        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
-            raise DataError(
-                f"image_shape must be three sizes >= 1, got {self.image_shape}"
-            )
         for name in ("noise_std", "latent_jitter", "brightness_std"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.label_noise < 1.0:
             raise DataError("label_noise must be in [0, 1)")
-
-    @property
-    def flat_dim(self) -> int:
-        """Flattened image dimension."""
-        h, w, c = self.image_shape
-        return h * w * c
 
 
 class SyntheticImageDataset:
@@ -108,7 +101,7 @@ class SyntheticImageDataset:
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
         # Renderer: latent -> pixels through fixed random unit rows.
-        renderer = rng.normal(size=(LATENT_DIM, spec.flat_dim))
+        renderer = rng.normal(size=(LATENT_DIM, FLAT_DIM))
         self._renderer = renderer / np.linalg.norm(renderer, axis=1, keepdims=True)
         self._prototypes = self._build_prototypes(rng)
 
@@ -128,7 +121,7 @@ class SyntheticImageDataset:
 
     @property
     def renderer(self) -> np.ndarray:
-        """The fixed (LATENT_DIM, flat_dim) rendering matrix."""
+        """The fixed (LATENT_DIM, FLAT_DIM) rendering matrix."""
         return self._renderer
 
     def mode_of(self, class_id: int, mode_id: int) -> np.ndarray:
@@ -142,7 +135,7 @@ class SyntheticImageDataset:
     def pretrained_backbone(self, mismatch: float = 0.075) -> tuple[np.ndarray, np.ndarray]:
         """What a domain-pretrained trunk knows: (projection, anchors).
 
-        ``projection`` is the (flat_dim, LATENT_DIM) map recovering latent
+        ``projection`` is the (FLAT_DIM, LATENT_DIM) map recovering latent
         codes from pixels (the renderer's transpose); ``anchors`` are the
         mode prototypes — the visual "concepts" a pretrained network
         clusters images around.  These feed the frozen RBF trunk of
@@ -156,10 +149,10 @@ class SyntheticImageDataset:
         behaviour the paper reports for the complex model.
         """
         spec = self.spec
-        projection = self._renderer.T / np.sqrt(spec.flat_dim)
+        projection = self._renderer.T / np.sqrt(FLAT_DIM)
         if mismatch > 0:
             mis_rng = np.random.default_rng(spec.seed + 777_000_001)
-            perturbation = mis_rng.normal(size=projection.shape) / np.sqrt(spec.flat_dim)
+            perturbation = mis_rng.normal(size=projection.shape) / np.sqrt(FLAT_DIM)
             projection = projection + mismatch * perturbation
         anchors = self._prototypes.reshape(-1, LATENT_DIM).copy()
         return projection, anchors
@@ -172,15 +165,12 @@ class SyntheticImageDataset:
         self,
         n: int,
         rng: np.random.Generator,
-        flat: bool = True,
         name: str = "synthetic",
         class_probs: np.ndarray | None = None,
     ) -> Dataset:
-        """Draw ``n`` labelled samples.
+        """Draw ``n`` labelled samples: (n, :data:`FLAT_DIM`) float64
+        vectors, what both registered models take.
 
-        ``flat=True`` returns the (n, 3072) vectors both registered models
-        take; ``flat=False`` returns (n, 32, 32, 3) images, which no
-        registered model takes.
         ``class_probs`` optionally skews the label distribution — the
         per-client heterogeneity knob (see :func:`client_class_probs`).
         """
@@ -201,7 +191,7 @@ class SyntheticImageDataset:
         modes = rng.integers(0, MODES_PER_CLASS, size=n)
         latents = self._prototypes[labels, modes]
         latents = latents + rng.normal(0.0, spec.latent_jitter, size=latents.shape)
-        pixels = latents @ self._renderer * np.sqrt(spec.flat_dim)
+        pixels = latents @ self._renderer * np.sqrt(FLAT_DIM)
         pixels += rng.normal(0.0, spec.noise_std, size=pixels.shape)
         if spec.brightness_std > 0:
             pixels += rng.normal(0.0, spec.brightness_std, size=(n, 1))
@@ -209,10 +199,7 @@ class SyntheticImageDataset:
         if spec.label_noise > 0:
             flip = rng.random(n) < spec.label_noise
             observed[flip] = rng.integers(0, NUM_CLASSES, size=int(flip.sum()))
-        x = pixels  # float64 by construction
-        if not flat:
-            x = x.reshape((n, *spec.image_shape))
-        return Dataset(x, observed.astype(np.int64), name)
+        return Dataset(pixels, observed.astype(np.int64), name)
 
 
 def client_class_probs(client_index: int, num_clients: int, num_classes: int = NUM_CLASSES, skew: float = 1.0) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from repro.data.dataset import Dataset
 from repro.errors import ConfigError
 from repro.fl.aggregation import ModelUpdate
 from repro.fl.evaluation import evaluate_on, evaluate_weights
-from repro.fl.trainer import LocalTrainer, TrainConfig, TrainResult
+from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.nn.model import Sequential
 
 
@@ -38,11 +38,9 @@ class FLClient:
         self.client_id = client_id
         self.train_set = train_set
         self.test_set = test_set
-        self.rng = rng
         self.model = model_builder(rng)
         self.trainer = LocalTrainer(train_config, rng=rng)
         self.rounds_trained = 0
-        self.last_train_result: Optional[TrainResult] = None
 
     @property
     def num_samples(self) -> int:
@@ -51,8 +49,7 @@ class FLClient:
 
     def train_local(self, round_id: int) -> ModelUpdate:
         """Run local epochs and package the resulting update."""
-        result = self.trainer.train(self.model, self.train_set)
-        self.last_train_result = result
+        self.trainer.train(self.model, self.train_set)
         self.rounds_trained += 1
         return ModelUpdate(
             client_id=self.client_id,

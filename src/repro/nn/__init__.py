@@ -2,10 +2,8 @@
 
 Provides the pieces FedAvg-style federated learning needs:
 
-* layers with explicit forward/backward (:mod:`repro.nn.layers`) — the
-  conv/pooling hot paths are vectorized (stride-tricks im2col, a col2im
-  scatter whose formulation was chosen by measurement, tie-normalized
-  pooling backward),
+* layers with explicit forward/backward over flat ``(batch, features)``
+  input (:mod:`repro.nn.layers`),
 * the one loss (:mod:`repro.nn.losses`) and the one optimizer, plain
   :class:`~repro.nn.optimizers.SGD`,
 * a :class:`~repro.nn.model.Sequential` container with named parameters,
@@ -24,9 +22,6 @@ from repro.nn.layers import (
     Layer,
     Dense,
     ReLU,
-    Flatten,
-    Conv2D,
-    MaxPool2D,
     PretrainedRBFBackbone,
 )
 from repro.nn.losses import CrossEntropyLoss
@@ -49,9 +44,6 @@ __all__ = [
     "Layer",
     "Dense",
     "ReLU",
-    "Flatten",
-    "Conv2D",
-    "MaxPool2D",
     "PretrainedRBFBackbone",
     "CrossEntropyLoss",
     "SGD",

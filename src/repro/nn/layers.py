@@ -11,9 +11,12 @@ steps them.
 ``forward_stacked`` is the inference pass for several candidate parameter
 sets at once (:meth:`repro.nn.model.Sequential.predict_stacked`): candidate
 ``c``'s output is bit-for-bit what ``forward(..., training=False)`` returns
-with candidate ``c``'s parameters installed.  Only :class:`Dense` and
-:class:`ReLU` implement it — the layers a scored model runs per candidate;
-the convolution, pooling and flatten layers only train.
+with candidate ``c``'s parameters installed.  :class:`Dense` and
+:class:`ReLU` implement it — the layers a scored model runs per candidate.
+
+Every layer reads flat ``(batch, features)`` input: the program's samples
+are :data:`~repro.data.synthetic.FLAT_DIM`-vectors from synthesis to
+scoring.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class Layer:
     """Base layer: parameter bookkeeping plus the forward/backward contract.
 
     Training scratch — ``grads`` and what a training ``forward`` caches for
-    ``backward`` (a batch input, a mask, a shape) — exists only from a
+    ``backward`` (a batch input, a mask) — exists only from a
     layer's first training step until :meth:`release_scratch`, which
     :meth:`repro.fl.trainer.LocalTrainer.train` calls when it returns: a
     built layer that has not trained holds none.
@@ -247,204 +250,6 @@ class ReLU(Layer):
     def release_scratch(self) -> None:
         super().release_scratch()
         self._mask = None
-
-
-class Flatten(Layer):
-    """Collapse all non-batch dimensions."""
-
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name)
-        self._input_shape: Optional[tuple[int, ...]] = None
-
-    def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        self.built = True
-        return (int(np.prod(input_shape)),)
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if training:
-            self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise NotBuiltError(f"{self.name}: backward before forward")
-        return grad_out.reshape(self._input_shape)
-
-    def release_scratch(self) -> None:
-        super().release_scratch()
-        self._input_shape = None
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Rearrange (N, H, W, C) into (N, OH, OW, kh*kw*C) patches."""
-    n, h, w, c = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    strides = x.strides
-    shape = (n, oh, ow, kh, kw, c)
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=shape,
-        strides=(strides[0], strides[1] * stride, strides[2] * stride, strides[1], strides[2], strides[3]),
-        writeable=False,
-    )
-    return view.reshape(n, oh, ow, kh * kw * c), oh, ow
-
-
-def _col2im(dcols: np.ndarray, xp_shape: tuple[int, ...], k: int, stride: int) -> np.ndarray:
-    """Scatter (N, OH, OW, k, k, C) patch gradients back onto the input grid.
-
-    Non-overlapping windows (``stride == k``, the patch-embedding case) are
-    a pure transpose/reshape assignment — no unfold at all.  Overlapping
-    windows need summation into shared cells, done as a bounded ``k*k``
-    unfold of full-array strided adds.  Loop-free alternatives were
-    measured and rejected: a dilated full-correlation matmul and an
-    einsum over a sliding-window view are both 2-10x slower here because
-    they materialize the k^2-times-larger column tensor, while this
-    unfold is at most 25 fully vectorized adds.
-    """
-    n, oh, ow = dcols.shape[:3]
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    if stride == k and oh * k <= xp_shape[1] and ow * k <= xp_shape[2]:
-        target = dxp[:, : oh * k, : ow * k, :].reshape(n, oh, k, ow, k, xp_shape[3])
-        target[...] = dcols.transpose(0, 1, 3, 2, 4, 5)
-        return dxp
-    for i in range(k):
-        for j in range(k):
-            dxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += dcols[:, :, :, i, j, :]
-    return dxp
-
-
-class Conv2D(Layer):
-    """2D convolution over NHWC input with 'valid' or 'same' padding."""
-
-    def __init__(self, filters: int, kernel_size: int = 3, stride: int = 1, padding: str = "same", name: str = "") -> None:
-        super().__init__(name or f"conv_{filters}")
-        if padding not in ("same", "valid"):
-            raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-        self.filters = filters
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self._cache: Optional[tuple] = None
-        self._pad: tuple[int, int] = (0, 0)
-
-    def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(input_shape) != 3:
-            raise ShapeError(f"Conv2D expects (H, W, C) input, got {input_shape}")
-        h, w, c = input_shape
-        k = self.kernel_size
-        fan_in = k * k * c
-        self.params = {
-            "W": he_init(rng, (k, k, c, self.filters), fan_in=fan_in),
-            "b": zeros_init((self.filters,)),
-        }
-        if self.padding == "same":
-            total = max(k - self.stride, 0) if h % self.stride == 0 else max(k - h % self.stride, 0)
-            self._pad = (total // 2, total - total // 2)
-            oh = int(np.ceil(h / self.stride))
-            ow = int(np.ceil(w / self.stride))
-        else:
-            self._pad = (0, 0)
-            oh = (h - k) // self.stride + 1
-            ow = (w - k) // self.stride + 1
-        self.built = True
-        return (oh, ow, self.filters)
-
-    def _padded(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self._pad
-        if lo == 0 and hi == 0:
-            return x
-        return np.pad(x, ((0, 0), (lo, hi), (lo, hi), (0, 0)))
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._require_built()
-        k = self.kernel_size
-        xp = self._padded(x)
-        cols, oh, ow = _im2col(xp, k, k, self.stride)
-        w_mat = self.params["W"].reshape(-1, self.filters)
-        out = cols @ w_mat + self.params["b"]
-        if training:
-            self._cache = (x.shape, xp.shape, cols)
-        return out
-
-    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
-        self._require_built()
-        if self._cache is None:
-            raise NotBuiltError(f"{self.name}: backward before forward")
-        x_shape, xp_shape, cols = self._cache
-        n, oh, ow, _ = grad_out.shape
-        k = self.kernel_size
-        s = self.stride
-        c = xp_shape[3]
-
-        grad_flat = grad_out.reshape(-1, self.filters)
-        self.grads["W"] = (cols.reshape(-1, cols.shape[-1]).T @ grad_flat).reshape(self.params["W"].shape)
-        self.grads["b"] = grad_flat.sum(axis=0)
-        if not input_grad:
-            return None  # col2im, the expensive half, scatters only dL/dx
-
-        w_mat = self.params["W"].reshape(-1, self.filters)
-        dcols = (grad_flat @ w_mat.T).reshape(n, oh, ow, k, k, c)
-        dxp = _col2im(dcols, xp_shape, k, s)
-        lo, hi = self._pad
-        if lo or hi:
-            dxp = dxp[:, lo : dxp.shape[1] - hi, lo : dxp.shape[2] - hi, :]
-        return dxp.reshape(x_shape)
-
-    def release_scratch(self) -> None:
-        super().release_scratch()
-        self._cache = None
-
-
-class MaxPool2D(Layer):
-    """Max pooling over NHWC input with non-overlapping windows.
-
-    Forward is a reshape + axis max (no copies beyond the output).
-    Backward broadcasts each output gradient across its window's maxima
-    mask, *split equally among ties*: the previous formulation handed
-    every tied maximum the full gradient, inflating it by the tie count
-    (common after ReLU zeros).  Equal split is the symmetric subgradient
-    and costs one small reduction.  An argmax/index-scatter variant was
-    measured 2-3x slower than this mask formulation.
-    """
-
-    def __init__(self, pool_size: int = 2, name: str = "") -> None:
-        super().__init__(name)
-        self.pool_size = pool_size
-        self._cache: Optional[tuple] = None
-
-    def build(self, rng: np.random.Generator, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        h, w, c = input_shape
-        p = self.pool_size
-        if h % p or w % p:
-            raise ShapeError(f"MaxPool2D: input {input_shape} not divisible by pool {p}")
-        self.built = True
-        return (h // p, w // p, c)
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        n, h, w, c = x.shape
-        p = self.pool_size
-        windows = x.reshape(n, h // p, p, w // p, p, c)
-        out = windows.max(axis=(2, 4))
-        if training:
-            # Cache the window view (no copy) and the maxima; the mask is
-            # built on demand in backward, keeping forward allocation-free.
-            self._cache = (x.shape, windows, out)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise NotBuiltError(f"{self.name}: backward before forward")
-        x_shape, windows, out = self._cache
-        mask = windows == out[:, :, None, :, None, :]
-        ties = mask.sum(axis=(2, 4))
-        scaled = (grad_out / ties)[:, :, None, :, None, :]
-        return (scaled * mask).reshape(x_shape)
-
-    def release_scratch(self) -> None:
-        super().release_scratch()
-        self._cache = None
 
 
 class PretrainedRBFBackbone(Layer):

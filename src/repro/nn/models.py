@@ -2,9 +2,10 @@
 
 * **SimpleNN** — the paper's hand-built network ("constructed from scratch
   with only 62K parameters").  Ours is a two-hidden-layer MLP over the
-  flattened 32x32x3 image, sized to land near 62k parameters, trained from
-  scratch.  Its signature dynamic: starts near chance and climbs slowly
-  (paper: 0.14 -> 0.58 over ten rounds).
+  flat 3072-vector sample (a 32x32x3 image's worth of pixels), sized to
+  land near 62k parameters, trained from scratch.  Its signature dynamic:
+  starts near chance and climbs slowly (paper: 0.14 -> 0.58 over ten
+  rounds).
 
 * **EfficientNetB0Sim** — the paper fine-tunes EfficientNet-B0 (5.3M
   params) by "modifying its final layer" (transfer learning).  Our analog
@@ -20,16 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.synthetic import FLAT_DIM, NUM_CLASSES
 from repro.errors import ConfigError
 from repro.nn.layers import Dense, PretrainedRBFBackbone, ReLU
 from repro.nn.model import Sequential
-
-#: Input shape of the (synthetic) CIFAR-10-like images.
-IMAGE_SHAPE = (32, 32, 3)
-NUM_CLASSES = 10
-
-#: Flattened input dimension for MLP-style models.
-FLAT_DIM = int(np.prod(IMAGE_SHAPE))
 
 
 def build_simple_nn(rng: np.random.Generator, input_dim: int = FLAT_DIM, num_classes: int = NUM_CLASSES) -> Sequential:

@@ -66,7 +66,7 @@ def tiny_factory(tiny_spec) -> SyntheticImageDataset:
 
 @pytest.fixture
 def tiny_dataset(tiny_factory, rng) -> Dataset:
-    """120 easy samples, flattened."""
+    """120 easy samples."""
     return tiny_factory.sample(120, rng)
 
 

@@ -1240,7 +1240,10 @@ class TestChainStatsDigests:
     ``noise_std`` / ``scale`` and the generator's ``modes_per_class`` /
     ``latent_dim`` left the spec: the ``init`` frame lost 65 bytes per
     worker (``gateway.wire.bytes_sent`` 4 000 024 -> 3 999 894, the only
-    counter that moved).  Beside each digest the fixture
+    counter that moved).  It was re-recorded once more when the
+    generator's ``image_shape`` left the spec: the ``init`` frame lost 24
+    bytes per worker (``gateway.wire.bytes_sent`` 3 999 894 -> 3 999 846,
+    the only counter that moved).  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

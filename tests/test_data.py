@@ -1,4 +1,4 @@
-"""Tests for the dataset container, batching, synthetic generator, transforms."""
+"""Tests for the dataset container, batching and the synthetic generator."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,13 @@ import pytest
 from repro.data.dataset import Dataset, batch_indices
 from repro.data.synthetic import (
     CIFAR10_LABELS,
+    FLAT_DIM,
     LATENT_DIM,
     MODES_PER_CLASS,
     NUM_CLASSES,
     SyntheticImageDataset,
     SyntheticSpec,
     client_class_probs,
-)
-from repro.data.transforms import (
-    augment_batch,
-    normalize,
-    per_dataset_stats,
-    random_crop_shift,
-    random_flip,
 )
 from repro.errors import DataError, ShapeError
 
@@ -53,33 +47,6 @@ class TestDataset:
         with pytest.raises(DataError, match="labels must be"):
             Dataset(np.zeros((3, 2)), labels)
 
-    def test_subset_copies(self, dataset):
-        sub = dataset.subset(np.array([0, 1, 2]))
-        sub.x[...] = 0.0
-        assert not np.allclose(dataset.x[:3], 0.0)
-
-    def test_flattened(self, rng):
-        images = Dataset(rng.normal(size=(4, 2, 2, 3)), rng.integers(0, 2, size=4))
-        flat = images.flattened()
-        assert flat.x.shape == (4, 12)
-
-    def test_class_counts(self):
-        ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 2, 2]))
-        np.testing.assert_array_equal(ds.class_counts(3), [2, 0, 2])
-
-    def test_take(self, dataset):
-        assert len(dataset.take(10)) == 10
-        with pytest.raises(DataError):
-            dataset.take(1000)
-
-    @pytest.mark.parametrize("n", [-1, -2])
-    def test_take_negative_rejected(self, n):
-        """``x[:-2]`` is every row but two: a negative count is no count."""
-        ds = Dataset(np.zeros((5, 1)), np.zeros(5, dtype=int))
-        with pytest.raises(DataError, match=str(n)):
-            ds.take(n)
-        assert len(ds.take(0)) == 0
-
 
 class TestBatchIterator:
     def test_covers_everything(self, dataset):
@@ -108,7 +75,7 @@ class TestBatchIterator:
 
 class TestSyntheticSpec:
     def test_flat_dim(self):
-        assert SyntheticSpec().flat_dim == 3072
+        assert FLAT_DIM == 3072
 
     def test_invalid_label_noise(self):
         with pytest.raises(DataError):
@@ -126,8 +93,6 @@ class TestSyntheticSpec:
             {"noise_std": -0.1},
             {"latent_jitter": -1e-3},
             {"brightness_std": -0.05},
-            {"image_shape": (0, 32, 3)},
-            {"image_shape": (32, 32, 0)},
         ],
         ids=lambda field: ",".join(f"{k}={v}" for k, v in field.items()),
     )
@@ -138,7 +103,7 @@ class TestSyntheticSpec:
     def test_zero_noise_is_allowed(self):
         spec = SyntheticSpec(noise_std=0.0, latent_jitter=0.0, brightness_std=0.0)
         ds = SyntheticImageDataset(spec).sample(3, np.random.default_rng(0))
-        assert ds.x.shape == (3, spec.flat_dim)
+        assert ds.x.shape == (3, FLAT_DIM)
 
     def test_labels_available(self):
         assert len(CIFAR10_LABELS) == 10
@@ -151,15 +116,9 @@ class TestSyntheticGeneration:
         assert ds.x.shape == (20, 3072)
         assert ds.y.shape == (20,)
 
-    @pytest.mark.parametrize("flat", [True, False])
-    def test_samples_are_float64(self, rng, flat):
-        ds = SyntheticImageDataset(SyntheticSpec()).sample(4, rng, flat=flat)
+    def test_samples_are_float64(self, rng):
+        ds = SyntheticImageDataset(SyntheticSpec()).sample(4, rng)
         assert ds.x.dtype == np.float64
-
-    def test_shapes_image(self, rng):
-        factory = SyntheticImageDataset(SyntheticSpec())
-        ds = factory.sample(8, rng, flat=False)
-        assert ds.x.shape == (8, 32, 32, 3)
 
     def test_labels_in_range(self, rng):
         factory = SyntheticImageDataset(SyntheticSpec())
@@ -256,48 +215,3 @@ class TestClientClassProbs:
         """``skew < 0`` lets NaN and +inf through to a NaN probability vector."""
         with pytest.raises(DataError, match="finite"):
             client_class_probs(0, 3, skew=skew)
-
-
-class TestTransforms:
-    def test_normalize(self):
-        x = np.array([2.0, 4.0])
-        np.testing.assert_allclose(normalize(x, mean=3.0, std=1.0), [-1.0, 1.0])
-
-    def test_normalize_zero_std_safe(self):
-        assert np.isfinite(normalize(np.ones(3), std=0.0)).all()
-
-    def test_per_dataset_stats_images(self, rng):
-        x = rng.normal(2.0, 3.0, size=(50, 4, 4, 3))
-        mean, std = per_dataset_stats(x)
-        assert mean.shape == (3,)
-        np.testing.assert_allclose(mean, 2.0, atol=0.5)
-        np.testing.assert_allclose(std, 3.0, atol=0.5)
-
-    def test_flip_preserves_shape(self, rng):
-        x = rng.normal(size=(10, 8, 8, 3))
-        assert random_flip(x, rng).shape == x.shape
-
-    def test_flip_p1_mirrors(self, rng):
-        x = rng.normal(size=(2, 4, 4, 1))
-        flipped = random_flip(x, rng, p=1.0)
-        np.testing.assert_array_equal(flipped, x[:, :, ::-1, :])
-
-    def test_flip_p0_identity(self, rng):
-        x = rng.normal(size=(2, 4, 4, 1))
-        np.testing.assert_array_equal(random_flip(x, rng, p=0.0), x)
-
-    def test_shift_preserves_shape(self, rng):
-        x = rng.normal(size=(5, 8, 8, 3))
-        assert random_crop_shift(x, rng).shape == x.shape
-
-    def test_zero_shift_identity(self, rng):
-        x = rng.normal(size=(3, 4, 4, 2))
-        np.testing.assert_array_equal(random_crop_shift(x, rng, max_shift=0), x)
-
-    def test_augment_batch(self, rng):
-        x = rng.normal(size=(6, 8, 8, 3))
-        assert augment_batch(x, rng).shape == x.shape
-
-    def test_non_nhwc_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            random_flip(rng.normal(size=(4, 8)), rng)

@@ -6,9 +6,8 @@ finite differences.
 """
 
 import numpy as np
-import pytest
 
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
 
@@ -72,48 +71,7 @@ class TestDenseGradients:
         np.testing.assert_allclose(input_grad, numeric_x, atol=TOL)
 
 
-class TestConvGradients:
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    def test_param_and_input_grads(self, padding):
-        rng = np.random.default_rng(1)
-        layer = Conv2D(2, kernel_size=3, padding=padding)
-        layer.build(rng, (5, 5, 2))
-        x = rng.normal(size=(2, 5, 5, 2))
-
-        out = layer.forward(x, training=True)
-        layer.zero_grads()
-        input_grad = layer.backward(out)
-
-        for key in ("W", "b"):
-            numeric = numeric_param_grad(layer, x, key, quadratic_loss)
-            np.testing.assert_allclose(layer.grads[key], numeric, atol=TOL)
-
-        numeric_x = numeric_input_grad(lambda v: layer.forward(v, training=True), x, quadratic_loss)
-        np.testing.assert_allclose(input_grad, numeric_x, atol=TOL)
-
-    def test_strided_input_grad(self):
-        rng = np.random.default_rng(2)
-        layer = Conv2D(2, kernel_size=2, stride=2, padding="valid")
-        layer.build(rng, (4, 4, 1))
-        x = rng.normal(size=(1, 4, 4, 1))
-        out = layer.forward(x, training=True)
-        layer.zero_grads()
-        input_grad = layer.backward(out)
-        numeric_x = numeric_input_grad(lambda v: layer.forward(v, training=True), x, quadratic_loss)
-        np.testing.assert_allclose(input_grad, numeric_x, atol=TOL)
-
-
 class TestPoolAndActivationGradients:
-    def test_maxpool_input_grad(self):
-        rng = np.random.default_rng(3)
-        layer = MaxPool2D(2)
-        layer.build(rng, (4, 4, 2))
-        x = rng.normal(size=(2, 4, 4, 2))
-        out = layer.forward(x, training=True)
-        input_grad = layer.backward(out)
-        numeric_x = numeric_input_grad(lambda v: layer.forward(v, training=True), x, quadratic_loss)
-        np.testing.assert_allclose(input_grad, numeric_x, atol=TOL)
-
     def test_relu_input_grad(self):
         rng = np.random.default_rng(4)
         layer = ReLU()
@@ -173,14 +131,3 @@ class TestEndToEndGradient:
                 flat[i] = original
                 num_flat[i] = (plus - minus) / (2 * EPS)
             np.testing.assert_allclose(analytic[key], numeric, atol=TOL, err_msg=key)
-
-    def test_flatten_conv_chain_shapes(self):
-        rng = np.random.default_rng(11)
-        model = Sequential(
-            [Conv2D(2, kernel_size=3), ReLU(), MaxPool2D(2), Flatten(), Dense(3)]
-        ).build(rng, (4, 4, 1))
-        x = rng.normal(size=(2, 4, 4, 1))
-        logits = model.forward(x, training=True)
-        assert logits.shape == (2, 3)
-        grad = model.backward(np.ones_like(logits))
-        assert grad.shape == x.shape

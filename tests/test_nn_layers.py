@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import NotBuiltError, ShapeError
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Flatten,
-    MaxPool2D,
-    PretrainedRBFBackbone,
-    ReLU,
-)
+from repro.nn.layers import Dense, PretrainedRBFBackbone, ReLU
 
 
 @pytest.fixture
@@ -132,86 +125,6 @@ class TestReLU:
         layer.forward(np.array([[-1.0, 2.0]]))
         layer.forward(np.array([[2.0, -1.0]]), training=False)
         np.testing.assert_array_equal(layer.backward(np.ones((1, 2))), [[0.0, 1.0]])
-
-
-class TestFlatten:
-    def test_shape(self, rng):
-        layer = Flatten()
-        assert layer.build(rng, (4, 4, 3)) == (48,)
-        out = layer.forward(rng.normal(size=(2, 4, 4, 3)))
-        assert out.shape == (2, 48)
-
-    def test_backward_restores_shape(self, rng):
-        layer = Flatten()
-        layer.build(rng, (4, 4, 3))
-        layer.forward(rng.normal(size=(2, 4, 4, 3)))
-        grad = layer.backward(rng.normal(size=(2, 48)))
-        assert grad.shape == (2, 4, 4, 3)
-
-
-class TestConv2D:
-    def test_same_padding_shape(self, rng):
-        layer = Conv2D(8, kernel_size=3, padding="same")
-        assert layer.build(rng, (8, 8, 3)) == (8, 8, 8)
-        out = layer.forward(rng.normal(size=(2, 8, 8, 3)))
-        assert out.shape == (2, 8, 8, 8)
-
-    def test_valid_padding_shape(self, rng):
-        layer = Conv2D(4, kernel_size=3, padding="valid")
-        assert layer.build(rng, (8, 8, 3)) == (6, 6, 4)
-
-    def test_stride(self, rng):
-        layer = Conv2D(4, kernel_size=3, stride=2, padding="same")
-        assert layer.build(rng, (8, 8, 3)) == (4, 4, 4)
-
-    def test_identity_kernel(self, rng):
-        # A 1x1 identity kernel passes the channel through.
-        layer = Conv2D(1, kernel_size=1, padding="valid")
-        layer.build(rng, (4, 4, 1))
-        layer.params["W"][...] = 1.0
-        layer.params["b"][...] = 0.0
-        x = rng.normal(size=(1, 4, 4, 1))
-        np.testing.assert_allclose(layer.forward(x), x)
-
-    def test_invalid_padding(self):
-        with pytest.raises(ValueError):
-            Conv2D(4, padding="reflect")
-
-    def test_bad_input_rank(self, rng):
-        with pytest.raises(ShapeError):
-            Conv2D(4).build(rng, (10,))
-
-    def test_backward_shape(self, rng):
-        layer = Conv2D(4, kernel_size=3, padding="same")
-        layer.build(rng, (6, 6, 2))
-        x = rng.normal(size=(2, 6, 6, 2))
-        out = layer.forward(x)
-        grad = layer.backward(np.ones_like(out))
-        assert grad.shape == x.shape
-
-
-class TestMaxPool2D:
-    def test_shape(self, rng):
-        layer = MaxPool2D(2)
-        assert layer.build(rng, (8, 8, 3)) == (4, 4, 3)
-
-    def test_takes_maximum(self, rng):
-        layer = MaxPool2D(2)
-        layer.build(rng, (2, 2, 1))
-        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
-        np.testing.assert_allclose(layer.forward(x), [[[[4.0]]]])
-
-    def test_indivisible_raises(self, rng):
-        with pytest.raises(ShapeError):
-            MaxPool2D(3).build(rng, (8, 8, 3))
-
-    def test_backward_routes_to_max(self, rng):
-        layer = MaxPool2D(2)
-        layer.build(rng, (2, 2, 1))
-        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
-        layer.forward(x)
-        grad = layer.backward(np.array([[[[10.0]]]]))
-        np.testing.assert_allclose(grad[0, :, :, 0], [[0.0, 0.0], [0.0, 10.0]])
 
 
 class TestPretrainedRBFBackbone:

@@ -4,9 +4,10 @@
 candidate weight sets against one input in a single sweep.  The contract
 pinned here is *bitwise*: candidate ``c``'s logits are ``np.array_equal``
 to ``Sequential.predict`` with candidate ``c`` installed, and its accuracy
-equals ``evaluate_accuracy`` — for random ``Dense`` stacks and the paper's
-two model shapes; for every candidate count up to the engine's batch
-width; for test sets shorter and longer than ``batch_size``.
+equals ``evaluate_accuracy`` — for random ``Dense`` / ``ReLU`` stacks over
+flat input and the paper's two model shapes; for every candidate count up
+to the engine's batch width; for test sets shorter and longer than
+``batch_size``.
 
 Whether one wide GEMM reproduces the per-candidate products depends on
 the BLAS, the operand shapes and the thread count, which is why CI runs
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, ShapeError
 from repro.fl.scoring import BATCH_WIDTH
-from repro.nn.layers import Dense, Flatten, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential
 from repro.nn.models import build_efficientnet_b0_sim, build_simple_nn
 
@@ -65,9 +66,9 @@ counts = st.integers(min_value=1, max_value=BATCH_WIDTH)
 
 @st.composite
 def dense_stacks(draw):
-    """A random MLP: optional leading Flatten, 1-3 Dense layers, ReLUs."""
+    """A random MLP: optional leading ReLU, 1-3 Dense layers, ReLUs."""
     fan_in = draw(st.integers(min_value=1, max_value=12))
-    layers = [Flatten()] if draw(st.booleans()) else []
+    layers = [ReLU()] if draw(st.booleans()) else []
     depth = draw(st.integers(min_value=1, max_value=3))
     for index in range(depth):
         layers.append(Dense(draw(st.integers(min_value=1, max_value=9)), name=f"d{index}"))
@@ -123,8 +124,8 @@ class TestStackedEqualsInstalled:
         assert_stacked_equals_installed(model, x, y, count, batch_size)
 
     def test_parameterless_model_broadcasts(self):
-        model = Sequential([Flatten(), ReLU()]).build(np.random.default_rng(0), (2, 2))
-        x = np.arange(-4.0, 4.0).reshape(2, 2, 2)
+        model = Sequential([ReLU()]).build(np.random.default_rng(0), (4,))
+        x = np.arange(-4.0, 4.0).reshape(2, 4)
         out = model.predict_stacked(x, model.candidate_stack(3), 3)
         assert out.shape == (3, 2, 4)
         assert all(np.array_equal(out[slot], model.predict(x)) for slot in range(3))

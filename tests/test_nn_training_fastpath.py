@@ -309,7 +309,13 @@ class TestFeatureCacheContract:
         dataset = _dataset(40)
         model = _pretrained()
         features = model.inputs(dataset).features
-        for copy in (dataset.subset(np.arange(5, 25)), dataset.take(20), dataset.flattened()):
+        x, y = dataset.x, dataset.y
+        copies = (
+            Dataset(x[5:25].copy(), y[5:25].copy()),
+            Dataset(x[:20].copy(), y[:20].copy()),
+            Dataset(x.reshape(len(x), -1), y),
+        )
+        for copy in copies:
             assert (copy.feature_misses, copy.feature_hits) == (0, 0)
             again = model.inputs(copy).features
             assert again is not features and copy.feature_misses == 1
