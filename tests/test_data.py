@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import Dataset, batch_indices
+from repro.data.dataset import FEATURE_CHUNK, Dataset, batch_indices
 from repro.data.synthetic import (
     CIFAR10_LABELS,
     FLAT_DIM,
@@ -47,6 +47,43 @@ class TestDataset:
         with pytest.raises(DataError, match="labels must be"):
             Dataset(np.zeros((3, 2)), labels)
 
+    @pytest.mark.parametrize(
+        "rows", [1, FEATURE_CHUNK - 1, FEATURE_CHUNK, FEATURE_CHUNK + 1, 2 * FEATURE_CHUNK + 3]
+    )
+    def test_features_cover_every_row_in_bounded_chunks(self, rows):
+        x = np.arange(rows * 3, dtype=np.float64).reshape(rows, 3)
+        dataset = Dataset(x, np.zeros(rows, dtype=np.int64))
+        chunks = []
+
+        def extract(block):
+            chunks.append(len(block))
+            return block.sum(axis=1, keepdims=True)
+
+        features = dataset.features("sum", extract)
+        np.testing.assert_array_equal(features, x.sum(axis=1, keepdims=True))
+        assert sum(chunks) == rows
+        assert len(chunks) == -(-rows // FEATURE_CHUNK)
+        assert all(size <= FEATURE_CHUNK for size in chunks)
+
+    def test_features_are_extracted_once_per_token(self, dataset):
+        calls = []
+
+        def extract(block):
+            calls.append(len(block))
+            return block * 2.0
+
+        first = dataset.features("double", extract)
+        assert dataset.features("double", extract) is first
+        assert (dataset.feature_misses, dataset.feature_hits) == (1, 1)
+        other = dataset.features("other", extract)
+        assert other is not first and dataset.feature_misses == 2
+        assert calls == [len(dataset), len(dataset)]
+
+    def test_features_are_read_only(self, dataset):
+        features = dataset.features("copy", lambda block: block.copy())
+        with pytest.raises(ValueError, match="read-only"):
+            features[0, 0] = 1.0
+
 
 class TestBatchIterator:
     def test_covers_everything(self, dataset):
@@ -71,6 +108,22 @@ class TestBatchIterator:
     def test_invalid_batch_size(self, dataset):
         with pytest.raises(DataError):
             list(batch_indices(len(dataset), 0))
+
+    def test_negative_batch_size_rejected(self):
+        with pytest.raises(DataError, match="batch_size"):
+            list(batch_indices(10, -4))
+
+    @pytest.mark.parametrize(
+        "size,batch_size", [(1, 1), (5, 1), (5, 5), (5, 7), (17, 4), (64, 16)]
+    )
+    def test_batches_partition_the_epoch(self, size, batch_size):
+        batches = list(batch_indices(size, batch_size, rng=np.random.default_rng(size)))
+        assert [len(batch) for batch in batches[:-1]] == [batch_size] * (len(batches) - 1)
+        assert 1 <= len(batches[-1]) <= batch_size
+        np.testing.assert_array_equal(np.sort(np.concatenate(batches)), np.arange(size))
+
+    def test_empty_epoch_yields_no_batch(self):
+        assert list(batch_indices(0, 8)) == []
 
 
 class TestSyntheticSpec:
@@ -100,6 +153,18 @@ class TestSyntheticSpec:
         with pytest.raises(DataError):
             SyntheticSpec(**field)
 
+    @pytest.mark.parametrize(
+        "name", ["noise_std", "latent_jitter", "brightness_std", "label_noise"]
+    )
+    def test_non_finite_values_rejected(self, name):
+        """``x < 0`` and ``0 <= x < 1`` range checks let NaN through."""
+        with pytest.raises(DataError, match="finite"):
+            SyntheticSpec(**{name: float("nan")})
+
+    def test_negative_label_noise_rejected(self):
+        with pytest.raises(DataError, match="label_noise"):
+            SyntheticSpec(label_noise=-0.1)
+
     def test_zero_noise_is_allowed(self):
         spec = SyntheticSpec(noise_std=0.0, latent_jitter=0.0, brightness_std=0.0)
         ds = SyntheticImageDataset(spec).sample(3, np.random.default_rng(0))
@@ -119,6 +184,47 @@ class TestSyntheticGeneration:
     def test_samples_are_float64(self, rng):
         ds = SyntheticImageDataset(SyntheticSpec()).sample(4, rng)
         assert ds.x.dtype == np.float64
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("n", [1, 33])
+    def test_rows_are_flat_float64_vectors(self, n, skewed):
+        """Every sample is one C-contiguous :data:`FLAT_DIM`-vector, what
+        both registered models read; labels are one int64 per row."""
+        probs = np.linspace(1.0, 2.0, NUM_CLASSES) if skewed else None
+        ds = SyntheticImageDataset(SyntheticSpec()).sample(
+            n, np.random.default_rng(n),
+            class_probs=None if probs is None else probs / probs.sum(),
+        )
+        assert ds.x.shape == (n, FLAT_DIM) and ds.x.dtype == np.float64
+        assert ds.x.flags.c_contiguous
+        assert ds.y.shape == (n,) and ds.y.dtype == np.int64
+
+    def test_noiseless_sample_is_a_rendered_prototype(self):
+        """With every noise source off a row is exactly one (class, mode)
+        prototype pushed through the renderer, and its label is that class."""
+        spec = SyntheticSpec(noise_std=0.0, latent_jitter=0.0, brightness_std=0.0, label_noise=0.0)
+        factory = SyntheticImageDataset(spec)
+        ds = factory.sample(12, np.random.default_rng(5))
+        for row, label in zip(ds.x, ds.y):
+            rendered = [
+                factory.mode_of(label, mode) @ factory.renderer * np.sqrt(FLAT_DIM)
+                for mode in range(MODES_PER_CLASS)
+            ]
+            assert any(np.allclose(row, image) for image in rendered)
+
+    def test_renderer_rows_are_unit_vectors(self):
+        renderer = SyntheticImageDataset(SyntheticSpec()).renderer
+        assert renderer.shape == (LATENT_DIM, FLAT_DIM)
+        np.testing.assert_allclose(np.linalg.norm(renderer, axis=1), 1.0)
+
+    def test_prototypes_are_unit_vectors(self):
+        factory = SyntheticImageDataset(SyntheticSpec())
+        norms = [
+            np.linalg.norm(factory.mode_of(class_id, mode_id))
+            for class_id in range(NUM_CLASSES)
+            for mode_id in range(MODES_PER_CLASS)
+        ]
+        np.testing.assert_allclose(norms, 1.0)
 
     def test_labels_in_range(self, rng):
         factory = SyntheticImageDataset(SyntheticSpec())
@@ -163,6 +269,30 @@ class TestSyntheticGeneration:
         ds = factory.sample(50, rng, class_probs=probs)
         assert (ds.y == 3).all()
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            np.ones(NUM_CLASSES),
+            np.r_[-0.1, 1.1, np.zeros(NUM_CLASSES - 2)],
+            np.ones(5) / 5,
+            np.ones((1, NUM_CLASSES)) / NUM_CLASSES,
+        ],
+        ids=["unnormalized", "negative_entry", "too_few_classes", "two_dimensional"],
+    )
+    def test_class_probs_rejected(self, rng, probs):
+        factory = SyntheticImageDataset(SyntheticSpec())
+        with pytest.raises(DataError, match="class_probs"):
+            factory.sample(5, rng, class_probs=probs)
+
+    @pytest.mark.parametrize(
+        "class_id,mode_id",
+        [(-1, 0), (NUM_CLASSES, 0), (0, -1), (0, MODES_PER_CLASS)],
+    )
+    def test_mode_of_out_of_range(self, class_id, mode_id):
+        factory = SyntheticImageDataset(SyntheticSpec())
+        with pytest.raises(DataError, match="out of range"):
+            factory.mode_of(class_id, mode_id)
+
     def test_class_probs_validation(self, rng):
         factory = SyntheticImageDataset(SyntheticSpec())
         with pytest.raises(DataError):
@@ -175,6 +305,21 @@ class TestSyntheticGeneration:
         projection, anchors = SyntheticImageDataset(spec).pretrained_backbone()
         assert projection.shape == (3072, LATENT_DIM)
         assert anchors.shape == (NUM_CLASSES * MODES_PER_CLASS, LATENT_DIM)
+
+    def test_backbone_anchors_are_the_mode_prototypes(self):
+        factory = SyntheticImageDataset(SyntheticSpec())
+        _, anchors = factory.pretrained_backbone()
+        expected = [
+            factory.mode_of(class_id, mode_id)
+            for class_id in range(NUM_CLASSES)
+            for mode_id in range(MODES_PER_CLASS)
+        ]
+        np.testing.assert_array_equal(anchors, expected)
+
+    def test_matched_backbone_inverts_the_renderer(self):
+        factory = SyntheticImageDataset(SyntheticSpec())
+        projection, _ = factory.pretrained_backbone(mismatch=0.0)
+        np.testing.assert_array_equal(projection, factory.renderer.T / np.sqrt(FLAT_DIM))
 
     def test_backbone_mismatch_deterministic(self):
         factory = SyntheticImageDataset(SyntheticSpec())

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.data.synthetic import FLAT_DIM, IMAGE_SHAPE
 from repro.errors import NotBuiltError, ShapeError
+from repro.nn.initializers import he_init, zeros_init
 from repro.nn.layers import Dense, PretrainedRBFBackbone, ReLU
 
 
@@ -12,7 +14,54 @@ def rng():
     return np.random.default_rng(0)
 
 
+class TestInitializers:
+    @pytest.mark.parametrize("fan_in", [1, 20, FLAT_DIM])
+    def test_he_std_follows_fan_in(self, fan_in):
+        weights = he_init(np.random.default_rng(fan_in), (200, 100), fan_in=fan_in)
+        assert weights.dtype == np.float64 and weights.shape == (200, 100)
+        assert weights.std() == pytest.approx(np.sqrt(2.0 / fan_in), rel=0.03)
+        assert abs(weights.mean()) < 0.05 * np.sqrt(2.0 / fan_in)
+
+    def test_he_needs_fan_in(self):
+        """No fan-in is guessed from the shape: the caller states it."""
+        with pytest.raises(TypeError, match="fan_in"):
+            he_init(np.random.default_rng(0), (4, 3))
+
+    def test_he_zero_fan_in_draws_like_one(self):
+        zero = he_init(np.random.default_rng(3), (5, 2), fan_in=0)
+        one = he_init(np.random.default_rng(3), (5, 2), fan_in=1)
+        np.testing.assert_array_equal(zero, one)
+
+    def test_he_is_a_function_of_the_generator(self):
+        a = he_init(np.random.default_rng(9), (6, 4), fan_in=6)
+        b = he_init(np.random.default_rng(9), (6, 4), fan_in=6)
+        np.testing.assert_array_equal(a, b)
+
+    def test_zeros(self):
+        bias = zeros_init((7,))
+        assert bias.dtype == np.float64 and bias.shape == (7,)
+        assert not bias.any()
+
+
 class TestDense:
+    def test_build_draws_he_weights_and_zero_bias(self):
+        layer = Dense(50)
+        layer.build(np.random.default_rng(4), (FLAT_DIM,))
+        expected = he_init(np.random.default_rng(4), (FLAT_DIM, 50), fan_in=FLAT_DIM)
+        np.testing.assert_array_equal(layer.params["W"], expected)
+        np.testing.assert_array_equal(layer.params["b"], np.zeros(50))
+
+    def test_build_rejects_image_shaped_input(self, rng):
+        """Samples are flat vectors: an (H, W, C) input shape is an error."""
+        with pytest.raises(ShapeError, match="flat input"):
+            Dense(4).build(rng, IMAGE_SHAPE)
+
+    def test_forward_rejects_image_shaped_batch(self, rng):
+        layer = Dense(4)
+        layer.build(rng, (FLAT_DIM,))
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros((2, *IMAGE_SHAPE)))
+
     def test_output_shape(self, rng):
         layer = Dense(8)
         assert layer.build(rng, (5,)) == (8,)
@@ -159,6 +208,11 @@ class TestPretrainedRBFBackbone:
     def test_dim_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
             PretrainedRBFBackbone(rng.normal(size=(20, 4)), rng.normal(size=(6, 5)))
+
+    def test_build_rejects_image_shaped_input(self, rng):
+        layer = PretrainedRBFBackbone(rng.normal(size=(FLAT_DIM, 4)), rng.normal(size=(6, 4)))
+        with pytest.raises(ShapeError, match="flat input"):
+            layer.build(rng, IMAGE_SHAPE)
 
     def test_bad_sigma(self, rng):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
+from repro.data.synthetic import FLAT_DIM, NUM_CLASSES, SyntheticImageDataset, SyntheticSpec
 from repro.errors import ConfigError
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import (
@@ -108,6 +108,21 @@ class TestTrainsExactlyWhatHasParameters:
             assert (trunk.projection.tobytes(), trunk.anchors.tobytes()) == frozen
             untrained = build_model(kind, np.random.default_rng(2), **kwargs).layers[0]
             assert trunk.frozen_token() == untrained.frozen_token()
+
+
+class TestFlatInput:
+    """Both registered models read the generator's flat vectors."""
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_BUILDERS))
+    def test_built_for_flat_samples(self, kind, rng):
+        factory = SyntheticImageDataset(SyntheticSpec())
+        kwargs = {"backbone": factory.pretrained_backbone()} if kind == "efficientnet_b0_sim" else {}
+        model = build_model(kind, rng, **kwargs)
+        assert model.input_shape == (FLAT_DIM,)
+        batch = factory.sample(5, np.random.default_rng(1))
+        out = model.predict(batch.x)
+        assert out.shape == (5, NUM_CLASSES)
+        assert np.isfinite(out).all()
 
 
 class TestRegistry:

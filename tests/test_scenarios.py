@@ -13,7 +13,7 @@ from test_core_decentralized import platform_key
 
 from repro import experiments as cli
 from repro.core.decentralized import DecentralizedConfig
-from repro.data.synthetic import SyntheticSpec
+from repro.data.synthetic import FLAT_DIM, NUM_CLASSES, SyntheticSpec
 from repro.errors import ConfigError, DataError
 from repro.faults import RetryPolicy
 from repro.fl.async_policy import WaitForK
@@ -471,6 +471,32 @@ class TestRegistry:
             assert set(result.client_accuracy) == set(spec.client_ids())
         blocks = definition.render(specs, results)
         assert blocks and all(isinstance(block, str) for block in blocks)
+
+
+    @pytest.mark.parametrize(
+        "name", [definition.name for definition in list_scenarios()]
+    )
+    def test_every_registered_scenario_feeds_flat_vectors(self, name):
+        """Every split a registered scenario hands its peers holds
+        (rows, FLAT_DIM) float64 samples, and its initial model maps them to
+        class logits, for both models (splits shrunk: shape is the point)."""
+        context = ScenarioContext()
+        specs = get_scenario(name).build(
+            seed=1, quick=True, models=("simple_nn", "efficientnet_b0_sim")
+        )
+        for spec in specs:
+            spec = replace(
+                spec, cohort=replace(spec.cohort, train_samples=12, test_samples=8)
+            )
+            inputs = decentralized_inputs(spec, RngFactory(spec.seed), context)
+            splits = [*inputs.train_sets.values(), *inputs.test_sets.values()]
+            assert splits, (name, spec.model_kind)
+            for split in splits:
+                assert split.x.ndim == 2 and split.x.shape[1] == FLAT_DIM, split.name
+                assert split.x.dtype == np.float64, split.name
+            model = inputs.model_builder(np.random.default_rng(0))
+            assert model.input_shape == (FLAT_DIM,)
+            assert model.predict(splits[0].x).shape == (len(splits[0]), NUM_CLASSES)
 
 
 class TestRunner:
