@@ -81,7 +81,6 @@ class NetworkStats:
     blocks_broadcast: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
-    messages_duplicated: int = 0
     messages_delayed: int = 0
     batches_delivered: int = 0
     blocks_mined: int = 0
@@ -97,7 +96,6 @@ class NetworkStats:
             "blocks_broadcast": self.blocks_broadcast,
             "messages_delivered": self.messages_delivered,
             "messages_dropped": self.messages_dropped,
-            "messages_duplicated": self.messages_duplicated,
             "messages_delayed": self.messages_delayed,
             "batches_delivered": self.batches_delivered,
             "blocks_mined": self.blocks_mined,

@@ -46,6 +46,11 @@ NUM_CLASSES = 10
 MODES_PER_CLASS = 2
 #: Dimension of the latent space the renderer maps to pixels.
 LATENT_DIM = 32
+#: Std of the Gaussian jitter around a sample's latent prototype
+#: (within-mode variation).
+LATENT_JITTER = 0.12
+#: Std of the per-sample brightness offset added to every pixel.
+BRIGHTNESS_STD = 0.05
 
 #: CIFAR-10 label names, kept for API familiarity.
 CIFAR10_LABELS = (
@@ -71,20 +76,19 @@ class SyntheticSpec:
     SimpleNN near the paper's 0.28->0.60 trajectory and the transfer-
     learning analog near 0.78->0.85.  The class count is
     :data:`NUM_CLASSES`, what both registered models output; the latent
-    shape is :data:`MODES_PER_CLASS` x :data:`LATENT_DIM`.
+    shape is :data:`MODES_PER_CLASS` x :data:`LATENT_DIM`, and every
+    sample carries :data:`LATENT_JITTER` latent jitter and a
+    :data:`BRIGHTNESS_STD` brightness offset.
     """
 
     noise_std: float = 2.5           # per-pixel Gaussian noise
-    latent_jitter: float = 0.12      # within-mode latent variation
-    brightness_std: float = 0.05
     label_noise: float = 0.12
     seed: int = 1234
 
     def __post_init__(self) -> None:
         require_finite(self, DataError)
-        for name in ("noise_std", "latent_jitter", "brightness_std"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.noise_std < 0:
+            raise DataError(f"noise_std must be >= 0, got {self.noise_std}")
         if not 0.0 <= self.label_noise < 1.0:
             raise DataError("label_noise must be in [0, 1)")
 
@@ -190,11 +194,10 @@ class SyntheticImageDataset:
             labels = rng.integers(0, NUM_CLASSES, size=n)
         modes = rng.integers(0, MODES_PER_CLASS, size=n)
         latents = self._prototypes[labels, modes]
-        latents = latents + rng.normal(0.0, spec.latent_jitter, size=latents.shape)
+        latents = latents + rng.normal(0.0, LATENT_JITTER, size=latents.shape)
         pixels = latents @ self._renderer * np.sqrt(FLAT_DIM)
         pixels += rng.normal(0.0, spec.noise_std, size=pixels.shape)
-        if spec.brightness_std > 0:
-            pixels += rng.normal(0.0, spec.brightness_std, size=(n, 1))
+        pixels += rng.normal(0.0, BRIGHTNESS_STD, size=(n, 1))
         observed = labels.copy()
         if spec.label_noise > 0:
             flip = rng.random(n) < spec.label_noise

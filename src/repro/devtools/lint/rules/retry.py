@@ -15,9 +15,9 @@ The rule flags ``try`` blocks whose body calls through a gateway
 (any ``*.gateway.<method>(...)`` / ``gateway.<method>(...)`` chain)
 and whose handlers either catch everything bare, or catch
 ``Exception``/``BaseException`` only to ``pass``.  Catching a *specific*
-error type — even with a ``pass`` body, like the benign
-``except TransactionRejectedError: pass`` on a duplicate re-delivery —
-is exactly the discipline the rule wants, and is never flagged.
+error type — even with a ``pass`` body, like
+``except TransactionRejectedError: pass`` — is exactly the discipline
+the rule wants, and is never flagged.
 """
 
 from __future__ import annotations

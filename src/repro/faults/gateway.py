@@ -4,9 +4,8 @@
 :class:`~repro.faults.plan.FaultInjector` on every operation: injected
 transient errors and timeouts are raised *before* the wrapped call takes
 effect (the call never reached the ledger, so a retry is the first real
-delivery), latency spikes advance the simulated clock, stale decisions
-serve a bounded-stale earlier read, and duplicate decisions deliver a
-``submit`` twice.  A crashed peer's gateway refuses everything with
+delivery), and latency spikes advance the simulated clock.  A crashed
+peer's gateway refuses everything with
 :class:`~repro.errors.GatewayUnavailableError`.
 
 :class:`ResilientGateway` sits at the top of the stack and absorbs the
@@ -49,18 +48,13 @@ from repro.utils.events import Simulator
 #: rejections, reverts, unknown contract/method — is permanent.
 RETRYABLE_ERRORS = (TransientGatewayError, GatewayTimeoutError)
 
-#: Oldest earlier read, in simulated seconds, an injected stale fault may
-#: serve; an older one is re-read fresh.
-STALE_WINDOW = 30.0
-
 
 class FaultyGateway:
     """Gateway decorator injecting the faults an injector schedules.
 
     ``network_stats`` (the shared :class:`~repro.chain.network.NetworkStats`)
-    is credited for delivered duplicates and latency spikes so fault
-    benches can report what the injector actually did alongside the
-    organic network counters.
+    is credited for latency spikes so fault benches can report what the
+    injector actually did alongside the organic network counters.
     """
 
     def __init__(
@@ -77,7 +71,6 @@ class FaultyGateway:
         self.simulator = simulator
         self.network_stats = network_stats
         self.stats = GatewayStats()
-        self._seen: dict[tuple, tuple[Any, float]] = {}
 
     # -- injection core ----------------------------------------------------
 
@@ -94,83 +87,46 @@ class FaultyGateway:
         self.simulator.schedule_at(target, lambda: None, label="fault-latency")
         self.simulator.run(until=target)
 
-    def _intercept(self, method: str) -> Optional[str]:
-        """Apply crash/latency/error faults; return kinds needing method help."""
+    def _intercept(self, method: str) -> None:
+        """Apply the crash, latency or error fault scheduled for this call."""
         if self.injector.crashed(self.peer_id):
             raise GatewayUnavailableError(
                 f"peer {self.peer_id} is crashed this round"
             )
         kind = self.injector.decide(self.peer_id, method)
         if kind is None:
-            return None
+            return
         self.stats.faults_injected += 1
         if kind == "latency":
             self._delay(self.injector.spec.latency_spike)
             if self.network_stats is not None:
                 self.network_stats.messages_delayed += 1
-            return None
-        if kind == "transient":
+        elif kind == "transient":
             raise TransientGatewayError(
                 f"injected transient failure on {method} for peer {self.peer_id}"
             )
-        if kind == "timeout":
+        else:
             raise GatewayTimeoutError(
                 f"injected timeout on {method} for peer {self.peer_id}"
             )
-        return kind  # "duplicate" / "stale": handled by the method itself
-
-    def _stale_fresh(self, key: tuple) -> tuple[bool, Any]:
-        entry = self._seen.get(key)
-        if entry is None:
-            return False, None
-        value, at = entry
-        if (self.inner.now() - at) > STALE_WINDOW:
-            return False, None
-        return True, value
 
     # -- reads -------------------------------------------------------------
 
     def call(self, contract: Address, method: str, **args: Any) -> Any:
         self.stats.calls += 1
-        kind = self._intercept("call")
-        key = ("call",) + CallRequest(contract, method, args).key()
-        if kind == "stale":
-            usable, value = self._stale_fresh(key)
-            if usable:
-                self.stats.cache_hits += 1
-                return value
-        value = self.inner.call(contract, method, **args)
-        self._seen[key] = (value, self.inner.now())
-        return value
+        self._intercept("call")
+        return self.inner.call(contract, method, **args)
 
     def batch_call(self, requests: Sequence[CallRequest]) -> list[Any]:
         self.stats.batch_calls += 1
         self.stats.batched_reads += len(requests)
-        kind = self._intercept("batch_call")
-        keys = [("call",) + request.key() for request in requests]
-        if kind == "stale":
-            remembered = [self._stale_fresh(key) for key in keys]
-            if remembered and all(usable for usable, _ in remembered):
-                self.stats.cache_hits += len(keys)
-                return [value for _, value in remembered]
-        values = self.inner.batch_call(requests)
-        now = self.inner.now()
-        for key, value in zip(keys, values):
-            self._seen[key] = (value, now)
-        return values
+        self._intercept("batch_call")
+        return self.inner.batch_call(requests)
 
     def has_contract(self, address: Address) -> bool:
         self.stats.contract_checks += 1
-        kind = self._intercept("has_contract")
-        key = ("has_contract", address)
-        if kind == "stale":
-            usable, value = self._stale_fresh(key)
-            if usable:
-                self.stats.cache_hits += 1
-                return value
-        value = self.inner.has_contract(address)
-        self._seen[key] = (value, self.inner.now())
-        return value
+        self._intercept("has_contract")
+        return self.inner.has_contract(address)
 
     def height(self) -> int:
         self.stats.height_reads += 1
@@ -203,27 +159,12 @@ class FaultyGateway:
     # -- writes ------------------------------------------------------------
 
     def submit(self, tx: Transaction) -> str:
-        """Submit with pre-effect error faults and duplicate delivery.
-
-        Error faults fire *before* ``inner.submit`` — the transaction
-        never reached the ledger, so a retry is the first delivery.  A
-        duplicate decision delivers the accepted transaction a second
-        time; the mempool treats the re-delivery as benign, and a typed
-        rejection (e.g. the nonce already advanced) is deliberately
-        swallowed — exactly the at-least-once delivery a real gossip
-        layer exhibits.
-        """
+        """Submit with pre-effect error faults: they fire *before*
+        ``inner.submit``, so the transaction never reached the ledger and
+        a retry is its first delivery."""
         self.stats.submits += 1
-        kind = self._intercept("submit")
-        tx_hash = self.inner.submit(tx)
-        if kind == "duplicate":
-            try:
-                self.inner.submit(tx)
-            except TransactionRejectedError:
-                pass
-            if self.network_stats is not None:
-                self.network_stats.messages_duplicated += 1
-        return tx_hash
+        self._intercept("submit")
+        return self.inner.submit(tx)
 
     # -- clock / waits -----------------------------------------------------
 

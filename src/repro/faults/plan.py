@@ -1,14 +1,14 @@
 """Deterministic fault plans: seeded schedules of injected chain faults.
 
 A :class:`FaultSpec` declares *rates* (per-gateway-call probabilities of
-transient errors, timeouts, latency spikes, duplicate deliveries, stale
-reads) and *windows* (which rounds which peers are crashed).  A
-:class:`FaultPlan` resolves the spec against a concrete cohort, and a
-:class:`FaultInjector` turns it into per-call decisions drawn from the
-experiment's named rng streams (``faults/<peer_id>``, mirroring the
-``attack/<id>`` streams of the adversary axis) — so the same seed always
-produces the same injected-fault trace, and changing fault intensity
-never perturbs any other stream.
+transient errors, timeouts and latency spikes) and *windows* (which
+rounds which peers are crashed).  A :class:`FaultPlan` resolves the spec
+against a concrete cohort, and a :class:`FaultInjector` turns it into
+per-call decisions drawn from the experiment's named rng streams
+(``faults/<peer_id>``, mirroring the ``attack/<id>`` streams of the
+adversary axis) — so the same seed always produces the same
+injected-fault trace, and changing fault intensity never perturbs any
+other stream.
 
 The injector is consulted by :class:`~repro.faults.gateway.FaultyGateway`
 *before* the wrapped operation takes effect: an injected transient error
@@ -29,7 +29,7 @@ from repro.utils.rng import RngFactory
 
 #: Fault kinds in threshold order — the fixed bands one uniform draw is
 #: compared against.  Order is part of the reproducibility contract.
-FAULT_KINDS = ("transient", "timeout", "latency", "duplicate", "stale")
+FAULT_KINDS = ("transient", "timeout", "latency")
 
 #: Kinds that surface as raised errors (subject to :data:`MAX_CONSECUTIVE`).
 ERROR_KINDS = frozenset({"transient", "timeout"})
@@ -113,8 +113,6 @@ class FaultSpec:
     timeout_rate: float = 0.0
     latency_rate: float = 0.0
     latency_spike: float = 5.0
-    duplicate_rate: float = 0.0
-    stale_read_rate: float = 0.0
     crash_fraction: float = 0.0
     crash_round: int = 2
     crash_rounds: int = 1
@@ -122,13 +120,7 @@ class FaultSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for name in (
-            "transient_rate",
-            "timeout_rate",
-            "latency_rate",
-            "duplicate_rate",
-            "stale_read_rate",
-        ):
+        for name in ("transient_rate", "timeout_rate", "latency_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {rate}")
@@ -151,13 +143,7 @@ class FaultSpec:
 
     def rates(self) -> tuple[float, ...]:
         """Per-call rates in :data:`FAULT_KINDS` order."""
-        return (
-            self.transient_rate,
-            self.timeout_rate,
-            self.latency_rate,
-            self.duplicate_rate,
-            self.stale_read_rate,
-        )
+        return (self.transient_rate, self.timeout_rate, self.latency_rate)
 
     @property
     def call_faults_active(self) -> bool:
@@ -211,10 +197,8 @@ class FaultInjector:
     """Draws per-call fault decisions from seeded ``faults/<peer>`` streams.
 
     One uniform draw per intercepted call, partitioned into cumulative
-    bands in :data:`FAULT_KINDS` order; a band whose kind does not apply
-    to the intercepted method (duplicates only make sense on ``submit``,
-    stale serves only on reads) resolves to "no fault" with the draw
-    consumed, keeping stream consumption uniform per call.  Error faults
+    bands in :data:`FAULT_KINDS` order; every kind applies to every
+    method, so stream consumption is one draw per call.  Error faults
     (transient/timeout) are bounded: after :data:`MAX_CONSECUTIVE` in a
     row on the same (peer, method) the next would-be error is forced clean
     and the counter resets — with the retry policy's ``max_attempts``
@@ -224,10 +208,6 @@ class FaultInjector:
     from the same spec, cohort, and seed yield identical traces (the
     reproducibility contract the fault tests pin).
     """
-
-    #: Methods whose decisions only make sense for specific kinds.
-    _DUPLICATE_METHODS = frozenset({"submit"})
-    _STALE_METHODS = frozenset({"call", "batch_call", "has_contract"})
 
     def __init__(self, plan: FaultPlan, rngs: RngFactory) -> None:
         self.plan = plan
@@ -284,10 +264,6 @@ class FaultInjector:
                 if draw < upper:
                     kind = candidate
                     break
-        if kind == "duplicate" and method not in self._DUPLICATE_METHODS:
-            kind = None
-        elif kind == "stale" and method not in self._STALE_METHODS:
-            kind = None
         key = (peer_id, method)
         if kind in ERROR_KINDS:
             seen = self._consecutive.get(key, 0)

@@ -280,7 +280,7 @@ class PretrainedRBFBackbone(Layer):
     final layer").
     """
 
-    def __init__(self, projection: np.ndarray, anchors: np.ndarray, sigma: float = 0.6, name: str = "") -> None:
+    def __init__(self, projection: np.ndarray, anchors: np.ndarray, sigma: float, name: str = "") -> None:
         super().__init__(name or "pretrained_backbone")
         if projection.ndim != 2 or anchors.ndim != 2:
             raise ShapeError("projection and anchors must be 2-D")

@@ -14,16 +14,6 @@ class CrossEntropyLoss:
     backward pass numerically stable (``softmax - onehot``).
     """
 
-    def _probs(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Softmax of ``logits``, after checking both shapes."""
-        if logits.ndim != 2:
-            raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
-        if labels.shape != logits.shape[:1]:
-            raise ShapeError(f"labels of shape {labels.shape} for {logits.shape[0]} logits")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
     def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross entropy over the batch."""
         return self.loss_and_grad(logits, labels)[0]
@@ -35,17 +25,26 @@ class CrossEntropyLoss:
     def loss_and_grad(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         """Both loss and gradient from one softmax.
 
+        The loss is a log-softmax, ``log sum(exp(shifted)) - shifted[label]``
+        per row, so it stays exact however small a label's probability is.
         Each row's label column is indexed instead of multiplying by a
         one-hot matrix: every other term of the one-hot product is a
-        signed zero, so the loss and ``softmax - onehot`` come out bit for
-        bit the same.  Labels index columns, so they must be non-negative
+        signed zero, so ``softmax - onehot`` comes out bit for bit the
+        same.  Labels index columns, so they must be non-negative
         integers — which :class:`~repro.data.dataset.Dataset` checks once,
         where it is free; one at or past the class count raises
         ``IndexError`` here.
         """
-        probs = self._probs(logits, labels)
+        if logits.ndim != 2:
+            raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
+        if labels.shape != logits.shape[:1]:
+            raise ShapeError(f"labels of shape {labels.shape} for {logits.shape[0]} logits")
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        total = exp.sum(axis=1, keepdims=True)
         rows = np.arange(labels.shape[0])
-        loss = float(-np.log(probs[rows, labels] + 1e-12).mean())
+        loss = float((np.log(total[:, 0]) - shifted[rows, labels]).mean())
+        probs = exp / total
         probs[rows, labels] -= 1.0
         probs /= logits.shape[0]
         return loss, probs

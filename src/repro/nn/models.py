@@ -52,7 +52,7 @@ def build_efficientnet_b0_sim(
     backbone: tuple[np.ndarray, np.ndarray],
     input_dim: int = FLAT_DIM,
     num_classes: int = NUM_CLASSES,
-    sigma: float = 0.6,
+    sigma: float = 0.55,
 ) -> Sequential:
     """Transfer-learning analog of EfficientNet-B0.
 
@@ -65,7 +65,8 @@ def build_efficientnet_b0_sim(
     — a trunk pretrained on the experiment's visual domain, which is what
     gives the paper's round-1 ~0.78 accuracy.  The trunk holds no
     parameters, so the head's ``W`` and ``b`` are all that trains and all
-    that FedAvg ships.
+    that FedAvg ships.  ``sigma``, the trunk's RBF width, defaults to the
+    calibrated value every scenario runs with.
     """
     projection, anchors = backbone
     model = Sequential(

@@ -204,8 +204,6 @@ def paper_spec(
         ),
         data_spec=SyntheticSpec(seed=CALIBRATED_DATA_SEED),
         aggregator_test_samples=500,
-        backbone_sigma=0.55,
-        backbone_mismatch=0.075,
         **overrides,
     )
 
@@ -696,12 +694,7 @@ def _build_stragglers(seed: int = 42, quick: bool = False, models=None) -> tuple
                 rounds=5,
                 local_epochs=2,
                 cohort=CohortSpec(size=5, train_samples=400, test_samples=300),
-                heterogeneity=HeterogeneitySpec(
-                    kind="stragglers",
-                    base_time=30.0,
-                    straggler_fraction=0.2,
-                    straggler_factor=5.0,
-                ),
+                heterogeneity=HeterogeneitySpec(kind="stragglers", base_time=30.0),
                 policy=WaitForAll(),
                 seed=seed,
                 aggregator_test_samples=300,

@@ -71,7 +71,7 @@ class ScenarioContext:
 
     def __init__(self) -> None:
         self._factories: dict[SyntheticSpec, SyntheticImageDataset] = {}
-        self._backbones: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._backbones: dict[SyntheticSpec, tuple[np.ndarray, np.ndarray]] = {}
         self._datasets: dict[tuple, Dataset] = {}
         self._dataset_hits = 0
         self._fleets: dict = {}
@@ -107,12 +107,11 @@ class ScenarioContext:
             self._factories[data_spec] = SyntheticImageDataset(data_spec)
         return self._factories[data_spec]
 
-    def backbone(self, data_spec: SyntheticSpec, mismatch: float):
+    def backbone(self, data_spec: SyntheticSpec):
         """Cached pretrained trunk for the transfer-learning model."""
-        key = (data_spec, mismatch)
-        if key not in self._backbones:
-            self._backbones[key] = self.factory(data_spec).pretrained_backbone(mismatch=mismatch)
-        return self._backbones[key]
+        if data_spec not in self._backbones:
+            self._backbones[data_spec] = self.factory(data_spec).pretrained_backbone()
+        return self._backbones[data_spec]
 
     def dataset(self, key: tuple, sample) -> Dataset:
         """Memoized split: ``sample()`` runs only on a cache miss.  The split's
@@ -316,10 +315,7 @@ def _aggregator_test(spec: ScenarioSpec, rngs: RngFactory, ctx: ScenarioContext)
 def _builder(spec: ScenarioSpec, ctx: ScenarioContext):
     """Shared-architecture builder; init seed comes from the caller's rng."""
     if spec.model_kind == "efficientnet_b0_sim":
-        backbone = ctx.backbone(spec.data_spec, spec.backbone_mismatch)
-        return partial(
-            build_model, spec.model_kind, backbone=backbone, sigma=spec.backbone_sigma
-        )
+        return partial(build_model, spec.model_kind, backbone=ctx.backbone(spec.data_spec))
     return partial(build_model, spec.model_kind)
 
 

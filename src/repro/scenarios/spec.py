@@ -12,8 +12,8 @@ A :class:`ScenarioSpec` composes independent axes:
   (:class:`~repro.chain.spec.ChainSpec`, declared in the chain layer and
   re-exported here);
 * **faults** — deterministic fault injection at the FL <-> chain seam
-  (:class:`~repro.faults.FaultSpec`: transient/timeout/latency/duplicate/
-  stale rates, crash windows, the resilience toggle);
+  (:class:`~repro.faults.FaultSpec`: transient/timeout/latency rates,
+  crash windows, the resilience toggle);
 * plus the waiting policy, operating mode, combination-selection strategy,
   and the usual model/rounds/seed knobs.
 
@@ -173,6 +173,13 @@ class AdversarySpec:
         return tuple(client_ids[len(client_ids) - count:])
 
 
+#: Share of a ``stragglers`` cohort that straggles: the last
+#: ``round(STRAGGLER_FRACTION * n)`` clients, at least one.
+STRAGGLER_FRACTION = 0.2
+#: How many times ``base_time`` a straggler's training takes.
+STRAGGLER_FACTOR = 5.0
+
+
 @dataclass(frozen=True)
 class HeterogeneitySpec:
     """Distribution of simulated local-training durations.
@@ -182,11 +189,9 @@ class HeterogeneitySpec:
     * ``uniform`` — ``base_time`` ± ``spread``, drawn per client;
     * ``lognormal`` — ``base_time`` times a log-normal factor of sigma
       ``spread`` (long-tailed device speeds);
-    * ``stragglers`` — ``base_time`` for most, ``base_time *
-      straggler_factor`` for the last ``round(straggler_fraction * n)``
-      clients (deterministic, like the adversary convention; any positive
-      fraction straggles at least one client, 0.0 straggles none — the
-      honest baseline of a straggler-fraction sweep);
+    * ``stragglers`` — ``base_time`` for most, :data:`STRAGGLER_FACTOR`
+      times it for the last :data:`STRAGGLER_FRACTION` of the cohort, at
+      least one client (deterministic, like the adversary convention);
     * ``custom`` — explicit per-client ``times``.
 
     A knob its kind does not read must keep its default.
@@ -197,15 +202,13 @@ class HeterogeneitySpec:
         "homogeneous": ("base_time",),
         "uniform": ("base_time", "spread"),
         "lognormal": ("base_time", "spread"),
-        "stragglers": ("base_time", "straggler_fraction", "straggler_factor"),
+        "stragglers": ("base_time",),
         "custom": ("times",),
     }
 
     kind: str = "homogeneous"   # homogeneous | uniform | lognormal | stragglers | custom
     base_time: float = 30.0
     spread: float = 0.0
-    straggler_fraction: float = 0.2
-    straggler_factor: float = 5.0
     times: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
@@ -220,14 +223,6 @@ class HeterogeneitySpec:
         if self.kind == "uniform" and self.spread >= self.base_time:
             raise ConfigError(
                 f"spread must be < base_time for uniform heterogeneity, got {self.spread}"
-            )
-        if not 0.0 <= self.straggler_fraction <= 1.0:
-            raise ConfigError(
-                f"straggler_fraction must be in [0, 1], got {self.straggler_fraction}"
-            )
-        if self.straggler_factor < 1.0:
-            raise ConfigError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
             )
         if self.kind == "custom" and not self.times:
             raise ConfigError(f"custom heterogeneity needs explicit times, got {self.times!r}")
@@ -256,10 +251,10 @@ class HeterogeneitySpec:
             draws = rng.lognormal(0.0, self.spread, size=n)
             return {cid: float(self.base_time * d) for cid, d in zip(client_ids, draws)}
         times = {cid: self.base_time for cid in client_ids}
-        if self.kind == "stragglers" and self.straggler_fraction > 0.0:
-            count = min(n, max(1, round(self.straggler_fraction * n)))
+        if self.kind == "stragglers":
+            count = min(n, max(1, round(STRAGGLER_FRACTION * n)))
             for cid in client_ids[n - count:]:
-                times[cid] = self.base_time * self.straggler_factor
+                times[cid] = self.base_time * STRAGGLER_FACTOR
         return times
 
 
@@ -308,8 +303,6 @@ class ScenarioSpec:
     participation: ParticipationSpec = field(default_factory=ParticipationSpec)
     data_spec: SyntheticSpec = field(default_factory=SyntheticSpec)
     aggregator_test_samples: int = 500
-    backbone_sigma: float = 0.55
-    backbone_mismatch: float = 0.075
     runtime: str = "inprocess"             # "inprocess" | "multiprocess"
     runtime_workers: int = 2               # worker processes (multiprocess)
 
@@ -327,12 +320,6 @@ class ScenarioSpec:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.aggregator_test_samples < 1:
             raise ConfigError("aggregator_test_samples must be >= 1")
-        if self.backbone_sigma <= 0:
-            raise ConfigError(f"backbone_sigma must be positive, got {self.backbone_sigma}")
-        if self.backbone_mismatch < 0:
-            raise ConfigError(
-                f"backbone_mismatch must be non-negative, got {self.backbone_mismatch}"
-            )
         if self.runtime not in RUNTIME_KINDS:
             raise ConfigError(
                 f"unknown runtime {self.runtime!r}; choose from {RUNTIME_KINDS}"

@@ -1111,13 +1111,7 @@ def digest_specs() -> dict:
         "batching": replace(base, chain=replace(base.chain, gateway="batching")),
         "faults": replace(
             base,
-            faults=FaultSpec(
-                transient_rate=0.05,
-                timeout_rate=0.02,
-                latency_rate=0.1,
-                duplicate_rate=0.05,
-                stale_read_rate=0.1,
-            ),
+            faults=FaultSpec(transient_rate=0.05, timeout_rate=0.02, latency_rate=0.1),
         ),
         "cold_storage_sampling": replace(
             sampled,
@@ -1243,7 +1237,13 @@ class TestChainStatsDigests:
     counter that moved).  It was re-recorded once more when the
     generator's ``image_shape`` left the spec: the ``init`` frame lost 24
     bytes per worker (``gateway.wire.bytes_sent`` 3 999 894 -> 3 999 846,
-    the only counter that moved).  Beside each digest the fixture
+    the only counter that moved).  All five were re-recorded when the
+    duplicate and stale fault kinds went: ``faults`` was first re-recorded
+    without its two rates for those kinds, then every entry lost the
+    always-zero ``messages_duplicated`` counter, and ``multiprocess`` also
+    lost 182 bytes per worker of ``init`` frame with the eight spec fields
+    that became constants (``gateway.wire.bytes_sent`` 3 999 846 ->
+    3 999 482; no other counter moved).  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

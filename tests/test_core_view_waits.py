@@ -35,13 +35,7 @@ POLICIES = {"wait-for-all": WaitForAll(), "wait-for-1": WaitForK(1), "deadline":
 
 FAULTS = {
     "fault-free": FaultSpec(),
-    "faults": FaultSpec(
-        transient_rate=0.05,
-        timeout_rate=0.02,
-        latency_rate=0.1,
-        duplicate_rate=0.05,
-        stale_read_rate=0.1,
-    ),
+    "faults": FaultSpec(transient_rate=0.05, timeout_rate=0.02, latency_rate=0.1),
 }
 
 

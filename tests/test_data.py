@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import synthetic
 from repro.data.dataset import FEATURE_CHUNK, Dataset, batch_indices
 from repro.data.synthetic import (
     CIFAR10_LABELS,
@@ -142,20 +143,14 @@ class TestSyntheticSpec:
 
     @pytest.mark.parametrize(
         "field",
-        [
-            {"noise_std": -0.1},
-            {"latent_jitter": -1e-3},
-            {"brightness_std": -0.05},
-        ],
+        [{"noise_std": -0.1}],
         ids=lambda field: ",".join(f"{k}={v}" for k, v in field.items()),
     )
     def test_values_sample_cannot_honour_are_rejected_at_construction(self, field):
         with pytest.raises(DataError):
             SyntheticSpec(**field)
 
-    @pytest.mark.parametrize(
-        "name", ["noise_std", "latent_jitter", "brightness_std", "label_noise"]
-    )
+    @pytest.mark.parametrize("name", ["noise_std", "label_noise"])
     def test_non_finite_values_rejected(self, name):
         """``x < 0`` and ``0 <= x < 1`` range checks let NaN through."""
         with pytest.raises(DataError, match="finite"):
@@ -165,9 +160,10 @@ class TestSyntheticSpec:
         with pytest.raises(DataError, match="label_noise"):
             SyntheticSpec(label_noise=-0.1)
 
-    def test_zero_noise_is_allowed(self):
-        spec = SyntheticSpec(noise_std=0.0, latent_jitter=0.0, brightness_std=0.0)
-        ds = SyntheticImageDataset(spec).sample(3, np.random.default_rng(0))
+    def test_zero_noise_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "LATENT_JITTER", 0.0)
+        monkeypatch.setattr(synthetic, "BRIGHTNESS_STD", 0.0)
+        ds = SyntheticImageDataset(SyntheticSpec(noise_std=0.0)).sample(3, np.random.default_rng(0))
         assert ds.x.shape == (3, FLAT_DIM)
 
     def test_labels_available(self):
@@ -199,11 +195,12 @@ class TestSyntheticGeneration:
         assert ds.x.flags.c_contiguous
         assert ds.y.shape == (n,) and ds.y.dtype == np.int64
 
-    def test_noiseless_sample_is_a_rendered_prototype(self):
+    def test_noiseless_sample_is_a_rendered_prototype(self, monkeypatch):
         """With every noise source off a row is exactly one (class, mode)
         prototype pushed through the renderer, and its label is that class."""
-        spec = SyntheticSpec(noise_std=0.0, latent_jitter=0.0, brightness_std=0.0, label_noise=0.0)
-        factory = SyntheticImageDataset(spec)
+        monkeypatch.setattr(synthetic, "LATENT_JITTER", 0.0)
+        monkeypatch.setattr(synthetic, "BRIGHTNESS_STD", 0.0)
+        factory = SyntheticImageDataset(SyntheticSpec(noise_std=0.0, label_noise=0.0))
         ds = factory.sample(12, np.random.default_rng(5))
         for row, label in zip(ds.x, ds.y):
             rendered = [

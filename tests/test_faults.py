@@ -7,6 +7,9 @@ gateway change nothing), and round-level degradation (quorum rounds with
 crashed peers, rejoin catch-up).
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -31,13 +34,12 @@ from repro.faults import (
     ResilientGateway,
     RetryPolicy,
 )
-from repro.faults.gateway import STALE_WINDOW
 from repro.faults.plan import MAX_CONSECUTIVE
 from repro.fl.scoring import weights_fingerprint
 from repro.fl.trainer import TrainConfig
 from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential
-from repro.scenarios import ScenarioSpec, fault_scenario
+from repro.scenarios import ScenarioSpec, fault_scenario, get_scenario, run_scenario
 from repro.scenarios.spec import ChainSpec
 from repro.utils.events import Simulator
 from repro.utils.rng import RngFactory
@@ -55,15 +57,9 @@ class TestFaultSpec:
         assert not spec.call_faults_active
 
     def test_rates_in_kind_order(self):
-        spec = FaultSpec(
-            transient_rate=0.1,
-            timeout_rate=0.2,
-            latency_rate=0.3,
-            duplicate_rate=0.05,
-            stale_read_rate=0.15,
-        )
-        assert spec.rates() == (0.1, 0.2, 0.3, 0.05, 0.15)
-        assert len(FAULT_KINDS) == len(spec.rates())
+        spec = FaultSpec(transient_rate=0.1, timeout_rate=0.2, latency_rate=0.3)
+        assert spec.rates() == (0.1, 0.2, 0.3)
+        assert FAULT_KINDS == ("transient", "timeout", "latency")
 
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -195,19 +191,13 @@ class TestFaultInjector:
         kinds = [injector.decide("A", "call") for _ in range(9)]
         assert kinds == (["transient"] * MAX_CONSECUTIVE + [None]) * 3
 
-    def test_duplicate_only_fires_on_submit(self):
-        spec = FaultSpec(duplicate_rate=0.99)
-        injector = make_injector(spec)
-        injector.begin_round(1)
-        assert injector.decide("A", "call") is None
-        assert injector.decide("A", "submit") == "duplicate"
-
-    def test_stale_only_fires_on_reads(self):
-        spec = FaultSpec(stale_read_rate=0.99)
-        injector = make_injector(spec)
-        injector.begin_round(1)
-        assert injector.decide("A", "submit") is None
-        assert injector.decide("A", "call") == "stale"
+    @pytest.mark.parametrize("method", ["call", "batch_call", "has_contract", "submit", "height"])
+    def test_every_kind_fires_on_every_method(self, method):
+        for kind in FAULT_KINDS:
+            injector = make_injector(FaultSpec(**{f"{kind}_rate": 0.99}))
+            injector.begin_round(1)
+            assert injector.decide("A", method) == kind
+            assert injector.trace[-1].method == method
 
     def test_crashed_tracks_round_window(self):
         spec = FaultSpec(crash_fraction=0.5, crash_round=2)
@@ -310,55 +300,23 @@ class TestFaultyGateway:
         assert sim.now == pytest.approx(before + 4.0)
         assert stats.messages_delayed == 1
 
-    def test_duplicate_delivers_twice_and_swallows_rejection(self):
+    def test_a_submit_is_delivered_once(self):
         inner = StubTransport()
         stats = NetworkStats()
-        gateway = FaultyGateway(
-            inner, "A", ScriptedInjector(["duplicate"]), network_stats=stats
-        )
-        tx = FakeTx()
-        assert gateway.submit(tx) == tx.tx_hash
-        assert len(inner.submits) == 2  # at-least-once delivery
-        assert stats.messages_duplicated == 1
+        injector = ScriptedInjector([None, "latency"], spec=FaultSpec(latency_rate=0.1))
+        gateway = FaultyGateway(inner, "A", injector, network_stats=stats)
+        for tx in (FakeTx("0xa"), FakeTx("0xb")):
+            assert gateway.submit(tx) == tx.tx_hash
+        assert [tx.tx_hash for tx in inner.submits] == ["0xa", "0xb"]
+        assert stats.messages_delayed == 1
 
-    def test_duplicate_rejection_is_swallowed(self):
+    def test_every_read_reaches_the_transport(self):
         inner = StubTransport()
-        gateway = FaultyGateway(inner, "A", ScriptedInjector(["duplicate"]))
-        tx = FakeTx()
-        # First delivery accepted, the duplicate rejected: still success.
-        original_submit = inner.submit
-        delivered = []
-
-        def submit_once_then_reject(t):
-            if delivered:
-                raise TransactionRejectedError("duplicate")
-            delivered.append(t)
-            return original_submit(t)
-
-        inner.submit = submit_once_then_reject
-        assert gateway.submit(tx) == tx.tx_hash
-        assert delivered == [tx]
-
-    def test_stale_read_served_within_window(self):
-        inner = StubTransport()
-        spec = FaultSpec(stale_read_rate=0.1)
-        gateway = FaultyGateway(inner, "A", ScriptedInjector([None, "stale"], spec=spec))
-        first = gateway.call("0x1", "get", k=1)
-        assert gateway.call("0x1", "get", k=1) == first  # served stale
-        assert gateway.stats.cache_hits == 1
-        assert inner.value == 1  # transport touched once
-
-    def test_stale_beyond_window_reads_fresh(self):
-        sim = Simulator()
-        inner = StubTransport(sim)
-        spec = FaultSpec(stale_read_rate=0.1)
         gateway = FaultyGateway(
-            inner, "A", ScriptedInjector([None, "stale"], spec=spec), simulator=sim
+            inner, "A", ScriptedInjector([None, "latency", None], spec=FaultSpec(latency_rate=0.1))
         )
-        first = gateway.call("0x1", "get", k=1)
-        sim.schedule_at(STALE_WINDOW + 5.0, lambda: None)
-        sim.run()
-        assert gateway.call("0x1", "get", k=1) == first + 1  # too old: fresh read
+        values = [gateway.call("0x1", "get", k=1) for _ in range(3)]
+        assert values == [1, 2, 3]  # nothing served from an earlier read
         assert gateway.stats.cache_hits == 0
 
     def test_crashed_peer_refuses_everything(self):
@@ -576,6 +534,29 @@ class TestDriverByteEquivalence:
         assert first.fault_injector.trace == second.fault_injector.trace
         assert first.fault_injector.trace
 
+    def test_lossy_scenario_trace_is_pinned(self, monkeypatch):
+        """The fault schedule of ``run faults/lossy --quick --seed 1`` is
+        pinned: ``(seq, peer, method, kind)`` of every injected fault,
+        hashed.  It follows from the named ``faults/<peer>`` streams and
+        the simulated clock alone, so the pin holds on any platform; a
+        change to the kinds' band order or to which calls draw moves it."""
+        injectors = []
+
+        class Recording(FaultInjector):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                injectors.append(self)
+
+        monkeypatch.setattr("repro.core.decentralized.FaultInjector", Recording)
+        (spec,) = get_scenario("faults/lossy").build(seed=1, quick=True)
+        run_scenario(spec)
+        (injector,) = injectors
+        rows = [(e.seq, e.peer_id, e.method, e.kind) for e in injector.trace]
+        assert len(rows) == 21
+        assert {kind for *_, kind in rows} == {"latency", "transient"}
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "1e842ca7d0ca96fe620f870a9102d2448aff71892f639d92a2e0bd5c7f264723"
+
     def test_batching_backend_composes_with_faults(self):
         faulty = make_driver(
             rounds=2, faults=TRANSIENT_FAULTS, chain=ChainSpec(gateway="batching")
@@ -679,7 +660,7 @@ class TestNetworkDropStream:
 
     def test_network_stats_dict_has_fault_counters(self):
         payload = NetworkStats().as_dict()
-        assert payload["messages_duplicated"] == 0
+        assert payload["messages_dropped"] == 0
         assert payload["messages_delayed"] == 0
 
 

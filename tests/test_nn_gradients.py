@@ -185,11 +185,10 @@ class TestEndToEndGradient:
     @pytest.mark.parametrize("kind", sorted(MODEL_BUILDERS))
     def test_registered_model_on_flat_samples(self, kind):
         """Each registered model's backward on synthetic FLAT_DIM samples
-        matches finite differences at a few entries of every parameter.
-
-        An untrained model's logits on raw pixels are large enough that
-        some label's probability falls under the loss's 1e-12 log floor, so
-        the finite differences take the exact, unfloored cross entropy."""
+        matches finite differences of ``loss()`` at a few entries of every
+        parameter.  An untrained model's logits on raw pixels are large
+        enough that some label's probability falls under 1e-12, so this
+        holds only while the reported loss is the exact cross entropy."""
         factory = SyntheticImageDataset(SyntheticSpec())
         kwargs = {"backbone": factory.pretrained_backbone()} if kind == "efficientnet_b0_sim" else {}
         model = build_model(kind, np.random.default_rng(0), **kwargs)
@@ -202,11 +201,8 @@ class TestEndToEndGradient:
         model.backward(grad)
         analytic = {k: v.copy() for k, v in model.gradients().items()}
 
-        def exact_loss():
-            logits = model.forward(batch.x, training=True)
-            top = logits.max(axis=1)
-            log_norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
-            return float((log_norm - logits[np.arange(len(logits)), batch.y]).mean())
+        def loss():
+            return loss_fn.loss(model.forward(batch.x, training=True), batch.y)
 
         picks = np.random.default_rng(2)
         for key, param in model.parameters().items():
@@ -214,9 +210,9 @@ class TestEndToEndGradient:
             for i in picks.choice(flat.size, size=min(flat.size, 6), replace=False):
                 original = flat[i]
                 flat[i] = original + EPS
-                plus = exact_loss()
+                plus = loss()
                 flat[i] = original - EPS
-                minus = exact_loss()
+                minus = loss()
                 flat[i] = original
                 numeric = (plus - minus) / (2 * EPS)
                 assert analytic[key].ravel()[i] == pytest.approx(numeric, abs=TOL), (key, i)

@@ -207,10 +207,10 @@ class TestPretrainedRBFBackbone:
 
     def test_dim_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
-            PretrainedRBFBackbone(rng.normal(size=(20, 4)), rng.normal(size=(6, 5)))
+            PretrainedRBFBackbone(rng.normal(size=(20, 4)), rng.normal(size=(6, 5)), sigma=1.0)
 
     def test_build_rejects_image_shaped_input(self, rng):
-        layer = PretrainedRBFBackbone(rng.normal(size=(FLAT_DIM, 4)), rng.normal(size=(6, 4)))
+        layer = PretrainedRBFBackbone(rng.normal(size=(FLAT_DIM, 4)), rng.normal(size=(6, 4)), sigma=1.0)
         with pytest.raises(ShapeError, match="flat input"):
             layer.build(rng, IMAGE_SHAPE)
 

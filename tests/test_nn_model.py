@@ -185,6 +185,13 @@ class TestLosses:
             with pytest.raises(ShapeError):
                 check(np.zeros((3, 2)), np.zeros((3, 1), dtype=int))
 
+    def test_cross_entropy_is_exact_for_a_vanishing_label_probability(self):
+        """A label whose probability underflows costs its full logit gap,
+        not a floor's ``-log(1e-12)``: the loss is a log-softmax."""
+        logits = np.array([[0.0, 100.0], [0.0, 0.0]])
+        labels = np.array([0, 0])
+        assert CrossEntropyLoss().loss(logits, labels) == pytest.approx((100.0 + np.log(2)) / 2)
+
     def test_loss_and_grad_are_loss_and_gradient(self):
         rng = np.random.default_rng(0)
         logits, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, size=6)
@@ -204,7 +211,8 @@ class TestLosses:
             exp = np.exp(shifted)
             probs = exp / exp.sum(axis=1, keepdims=True)
             targets = np.eye(logits.shape[1])[labels]
-            loss = float(-(targets * np.log(probs + 1e-12)).sum(axis=1).mean())
+            log_norm = np.log(exp.sum(axis=1))
+            loss = float((log_norm - (targets * shifted).sum(axis=1)).mean())
             return loss, (probs - targets) / logits.shape[0]
 
         rng = np.random.default_rng(7)

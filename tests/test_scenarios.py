@@ -40,6 +40,7 @@ from repro.scenarios import (
     run_grid,
     run_scenario,
 )
+from repro.scenarios import spec as spec_module
 from repro.scenarios.runner import _train_config, decentralized_inputs
 from repro.utils.rng import RngFactory
 
@@ -121,9 +122,6 @@ class TestSpecValidation:
             dict(kind="custom", times=(1.0, 2.0, 3.0), base_time=99.0),
             dict(kind="custom", times=(1.0, 2.0, 3.0), spread=5.0),
             dict(kind="homogeneous", spread=5.0),
-            dict(kind="homogeneous", straggler_factor=2.0),
-            dict(kind="uniform", spread=5.0, straggler_fraction=0.5),
-            dict(kind="lognormal", spread=0.5, straggler_factor=2.0),
             dict(kind="stragglers", spread=5.0),
         ],
         ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()),
@@ -150,7 +148,7 @@ class TestSpecValidation:
     def test_knobs_each_kind_reads_are_accepted(self):
         HeterogeneitySpec(kind="uniform", base_time=60.0, spread=40.0)
         HeterogeneitySpec(kind="lognormal", base_time=10.0, spread=0.5)
-        HeterogeneitySpec(kind="stragglers", base_time=10.0, straggler_fraction=0.4, straggler_factor=3.0)
+        HeterogeneitySpec(kind="stragglers", base_time=10.0)
         AdversarySpec(kind="label_flip", fraction=0.3, flip_fraction=0.5, target_class=9)
 
     @pytest.mark.parametrize(
@@ -215,26 +213,6 @@ class TestSpecValidation:
             CohortSpec(size=3, client_ids=("A", "A", "B"))
         with pytest.raises(ConfigError):
             CohortSpec(label_skew=-1.0)
-
-    @pytest.mark.parametrize("model_kind", ["simple_nn", "efficientnet_b0_sim"])
-    @pytest.mark.parametrize(
-        "field_name, bad",
-        [
-            ("backbone_sigma", 0.0),
-            ("backbone_sigma", -0.55),
-            ("backbone_mismatch", -0.075),
-            ("backbone_mismatch", -1e-9),
-        ],
-    )
-    def test_backbone_knobs_validated_at_construction(self, model_kind, field_name, bad):
-        """A bad trunk fails as a ConfigError when the spec is built, for
-        either model, not mid-run (sigma) or never (a negative mismatch)."""
-        with pytest.raises(ConfigError, match=field_name):
-            tiny_spec(model_kind=model_kind, **{field_name: bad})
-
-    def test_a_zero_backbone_mismatch_is_allowed(self):
-        spec = tiny_spec(model_kind="efficientnet_b0_sim", backbone_mismatch=0.0)
-        assert spec.backbone_mismatch == 0.0
 
     @pytest.mark.parametrize(
         "spec_type",
@@ -348,17 +326,18 @@ class TestSpecAxes:
         assert spec.build_attacker() == LabelFlipAttacker(flip_fraction=0.5, target_class=3)
         assert AdversarySpec().build_attacker() is None
 
-    def test_straggler_times_deterministic(self):
-        hetero = HeterogeneitySpec(
-            kind="stragglers", base_time=10.0, straggler_fraction=0.4, straggler_factor=3.0
-        )
+    def test_straggler_times_deterministic(self, monkeypatch):
+        monkeypatch.setattr(spec_module, "STRAGGLER_FRACTION", 0.4)
+        monkeypatch.setattr(spec_module, "STRAGGLER_FACTOR", 3.0)
+        hetero = HeterogeneitySpec(kind="stragglers", base_time=10.0)
         times = hetero.training_times(default_client_ids(5), RngFactory(0).get("hetero"))
         assert times["A"] == 10.0 and times["D"] == 30.0 and times["E"] == 30.0
 
-    def test_zero_straggler_fraction_is_homogeneous(self):
-        hetero = HeterogeneitySpec(kind="stragglers", base_time=10.0, straggler_fraction=0.0)
-        times = hetero.training_times(default_client_ids(4), RngFactory(0).get("hetero"))
-        assert set(times.values()) == {10.0}
+    def test_stragglers_slow_one_client_in_five(self):
+        """The registered ``hetero/stragglers`` cohort: one 5x device."""
+        hetero = HeterogeneitySpec(kind="stragglers", base_time=30.0)
+        times = hetero.training_times(default_client_ids(5), RngFactory(0).get("hetero"))
+        assert times == {"A": 30.0, "B": 30.0, "C": 30.0, "D": 30.0, "E": 150.0}
 
     def test_uniform_times_draw_from_stream(self):
         hetero = HeterogeneitySpec(kind="uniform", base_time=30.0, spread=10.0)
@@ -668,8 +647,6 @@ class TestPaperSpec:
             ),
             data_spec=SyntheticSpec(seed=1234),
             aggregator_test_samples=500,
-            backbone_sigma=0.55,
-            backbone_mismatch=0.075,
         )
 
     def test_overrides_land_on_the_spec(self):
