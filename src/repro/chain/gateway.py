@@ -144,9 +144,8 @@ class GatewayStats:
     batched round trips (each batch is one trip carrying ``batched_reads``
     reads) — ``contract_call_round_trips`` is the number the batching
     benchmark compares across backends.  ``head_checks`` counts head-hash
-    observations on any layer; ``cache_hits`` counts reads a decorator
-    answered from its own memory — the batching backend's cache, or a stale
-    read the fault layer served.  The transport's :class:`ReadMemo` is
+    observations on any layer; ``cache_hits`` counts reads the batching
+    backend answered from its own cache.  The transport's :class:`ReadMemo` is
     invisible here: a replayed read moves exactly the counters an executed
     one would.
     """

@@ -209,6 +209,35 @@ class TestSyntheticGeneration:
             ]
             assert any(np.allclose(row, image) for image in rendered)
 
+    def test_brightness_offsets_a_whole_row(self, monkeypatch):
+        """With only the brightness draw on, each row is a rendered
+        prototype plus one offset shared by all its pixels."""
+        monkeypatch.setattr(synthetic, "LATENT_JITTER", 0.0)
+        factory = SyntheticImageDataset(SyntheticSpec(noise_std=0.0, label_noise=0.0))
+        ds = factory.sample(12, np.random.default_rng(5))
+        offsets = []
+        for row, label in zip(ds.x, ds.y):
+            residuals = [
+                row - factory.mode_of(label, mode) @ factory.renderer * np.sqrt(FLAT_DIM)
+                for mode in range(MODES_PER_CLASS)
+            ]
+            residual = min(residuals, key=lambda r: np.ptp(r))
+            np.testing.assert_allclose(residual, residual[0], atol=1e-9)
+            offsets.append(residual[0])
+        assert all(offset != 0.0 for offset in offsets)
+
+    def test_latent_jitter_stays_in_the_renderer_span(self, monkeypatch):
+        """With only the latent jitter on, a row leaves its prototype's
+        image but not the renderer's row space."""
+        monkeypatch.setattr(synthetic, "BRIGHTNESS_STD", 0.0)
+        factory = SyntheticImageDataset(SyntheticSpec(noise_std=0.0, label_noise=0.0))
+        ds = factory.sample(6, np.random.default_rng(6))
+        latents, *_ = np.linalg.lstsq(factory.renderer.T * np.sqrt(FLAT_DIM), ds.x.T, rcond=None)
+        np.testing.assert_allclose(latents.T @ factory.renderer * np.sqrt(FLAT_DIM), ds.x, atol=1e-8)
+        for latent, label in zip(latents.T, ds.y):
+            gaps = [np.linalg.norm(latent - factory.mode_of(label, m)) for m in range(MODES_PER_CLASS)]
+            assert 0.0 < min(gaps) < 1.0
+
     def test_renderer_rows_are_unit_vectors(self):
         renderer = SyntheticImageDataset(SyntheticSpec()).renderer
         assert renderer.shape == (LATENT_DIM, FLAT_DIM)

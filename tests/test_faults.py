@@ -25,6 +25,7 @@ from repro.errors import (
     TransientGatewayError,
 )
 from repro.faults import (
+    ERROR_KINDS,
     FAULT_KINDS,
     FaultInjector,
     FaultPlan,
@@ -199,6 +200,51 @@ class TestFaultInjector:
             assert injector.decide("A", method) == kind
             assert injector.trace[-1].method == method
 
+    def test_one_draw_is_partitioned_in_kind_order(self):
+        """Each call's kind is the band its uniform draw falls in:
+        transient, then timeout, then latency, then a clean call."""
+        injector = make_injector(FaultSpec(transient_rate=0.2, timeout_rate=0.3, latency_rate=0.4))
+        injector.begin_round(1)
+        replay = RngFactory(7).get("faults", "A")
+        for i in range(200):
+            # A fresh method per call keeps the consecutive-error bound out.
+            kind = injector.decide("A", f"method{i}")
+            draw = float(replay.random())
+            want = "transient" if draw < 0.2 else "timeout" if draw < 0.5 else (
+                "latency" if draw < 0.9 else None
+            )
+            assert kind == want
+
+    @pytest.mark.parametrize("zero", FAULT_KINDS)
+    def test_a_zero_rate_kind_never_fires(self, zero):
+        rates = {f"{kind}_rate": 0.0 if kind == zero else 0.3 for kind in FAULT_KINDS}
+        injector = make_injector(FaultSpec(**rates))
+        injector.begin_round(1)
+        for i in range(300):
+            injector.decide("A", f"method{i % 7}")
+        fired = {event.kind for event in injector.trace}
+        assert fired == set(FAULT_KINDS) - {zero}
+
+    def test_latency_ends_a_run_of_errors(self):
+        """The bound counts errors in a row: a latency fault in between
+        starts the count afresh, and no run outgrows the bound."""
+        injector = make_injector(FaultSpec(transient_rate=0.45, latency_rate=0.45))
+        injector.begin_round(1)
+        kinds = [injector.decide("A", "call") for _ in range(400)]
+        run = longest = 0
+        for kind in kinds:
+            run = run + 1 if kind in ERROR_KINDS else 0
+            longest = max(longest, run)
+        assert longest == MAX_CONSECUTIVE
+        assert "latency" in kinds
+
+    def test_error_runs_are_counted_per_method(self):
+        injector = make_injector(FaultSpec(transient_rate=0.99))
+        injector.begin_round(1)
+        kinds = [injector.decide("A", method) for _ in range(3) for method in ("call", "submit")]
+        # call and submit interleave; each keeps its own run of two.
+        assert kinds == ["transient"] * 4 + [None] * 2
+
     def test_crashed_tracks_round_window(self):
         spec = FaultSpec(crash_fraction=0.5, crash_round=2)
         injector = make_injector(spec, peers=("A", "B", "C", "D"))
@@ -274,6 +320,66 @@ class FakeTx:
         self.tx_hash = tx_hash
 
 
+class RecordingInjector(ScriptedInjector):
+    """Scripted injector that also records who asked about which method."""
+
+    def __init__(self, script, down=()):
+        super().__init__(script, down=down)
+        self.asked = []
+
+    def decide(self, peer_id, method):
+        self.asked.append((peer_id, method))
+        return super().decide(peer_id, method)
+
+
+class RecordingTransport:
+    """Transport answering every gateway method with its own name."""
+
+    def __init__(self):
+        self.seen = []
+
+    def _answer(self, method):
+        self.seen.append(method)
+        return f"{method}-result"
+
+    def call(self, contract, method, **args):
+        return self._answer("call")
+
+    def batch_call(self, requests):
+        return self._answer("batch_call")
+
+    def has_contract(self, address):
+        return self._answer("has_contract")
+
+    def height(self):
+        return self._answer("height")
+
+    def head_hash(self):
+        return self._answer("head_hash")
+
+    def get_logs(self, address=None, topic=None, from_block=0, to_block=None):
+        return self._answer("get_logs")
+
+    def next_nonce(self, address):
+        return self._answer("next_nonce")
+
+    def submit(self, tx):
+        return self._answer("submit")
+
+
+#: Each intercepted :class:`FaultyGateway` method: its stats counter and a call.
+GATEWAY_OPS = {
+    "call": ("calls", lambda gw: gw.call("0x1", "get", k=1)),
+    "batch_call": ("batch_calls", lambda gw: gw.batch_call([])),
+    "has_contract": ("contract_checks", lambda gw: gw.has_contract("0x1")),
+    "height": ("height_reads", lambda gw: gw.height()),
+    "head_hash": ("head_checks", lambda gw: gw.head_hash()),
+    "get_logs": ("log_queries", lambda gw: gw.get_logs(topic="t")),
+    "next_nonce": ("nonce_reads", lambda gw: gw.next_nonce("0x1")),
+    "submit": ("submits", lambda gw: gw.submit(FakeTx())),
+}
+
+
 class TestFaultyGateway:
     def test_transient_raised_before_transport_effect(self):
         inner = StubTransport()
@@ -325,6 +431,39 @@ class TestFaultyGateway:
             gateway.height()
         with pytest.raises(GatewayUnavailableError):
             gateway.submit(FakeTx())
+
+    @pytest.mark.parametrize("method", sorted(GATEWAY_OPS))
+    def test_each_method_counts_intercepts_then_delegates(self, method):
+        """Every operation counts itself, asks the injector under its own
+        name, and reaches the transport only on a clean call."""
+        counter, invoke = GATEWAY_OPS[method]
+        inner = RecordingTransport()
+        injector = RecordingInjector(["transient", None])
+        gateway = FaultyGateway(inner, "A", injector)
+        with pytest.raises(TransientGatewayError):
+            invoke(gateway)
+        assert inner.seen == []
+        assert invoke(gateway) == f"{method}-result"
+        assert inner.seen == [method]
+        assert injector.asked == [("A", method)] * 2
+        assert getattr(gateway.stats, counter) == 2
+        assert gateway.stats.faults_injected == 1
+
+    def test_a_crashed_peer_draws_no_fault(self):
+        injector = RecordingInjector(["transient"], down=("A",))
+        gateway = FaultyGateway(RecordingTransport(), "A", injector)
+        with pytest.raises(GatewayUnavailableError):
+            gateway.call("0x1", "get")
+        assert injector.asked == [] and injector.script == ["transient"]
+        assert gateway.stats.faults_injected == 0
+
+    def test_clock_and_waits_are_not_intercepted(self):
+        injector = RecordingInjector(["transient"])
+        gateway = FaultyGateway(StubTransport(), "A", injector)
+        assert gateway.now() == 0.0
+        assert gateway.wait_for(lambda: True, "anything") == 0.0
+        assert gateway.view_token() is None
+        assert injector.asked == [] and gateway.stats.waits == 1
 
 
 # ---------------------------------------------------------------------------

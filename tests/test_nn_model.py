@@ -192,6 +192,35 @@ class TestLosses:
         labels = np.array([0, 0])
         assert CrossEntropyLoss().loss(logits, labels) == pytest.approx((100.0 + np.log(2)) / 2)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_loss_is_the_mean_negative_log_softmax(self, scale):
+        """Against ``np.logaddexp.reduce``, a normaliser computed another way."""
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(16, 10)) * scale
+        labels = rng.integers(0, 10, size=16)
+        log_norm = np.logaddexp.reduce(logits, axis=1)
+        want = float((log_norm - logits[np.arange(16), labels]).mean())
+        assert CrossEntropyLoss().loss(logits, labels) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_a_per_row_shift_changes_nothing(self):
+        rng = np.random.default_rng(4)
+        logits, labels = rng.normal(size=(8, 5)), rng.integers(0, 5, size=8)
+        shifted = logits + rng.normal(size=(8, 1)) * 50.0
+        loss_fn = CrossEntropyLoss()
+        loss, grad = loss_fn.loss_and_grad(logits, labels)
+        shifted_loss, shifted_grad = loss_fn.loss_and_grad(shifted, labels)
+        assert shifted_loss == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(shifted_grad, grad, rtol=1e-9, atol=1e-15)
+
+    def test_loss_is_non_negative_and_gradient_rows_sum_to_zero(self):
+        rng = np.random.default_rng(5)
+        logits, labels = rng.normal(size=(12, 7)) * 30.0, rng.integers(0, 7, size=12)
+        loss, grad = CrossEntropyLoss().loss_and_grad(logits, labels)
+        assert loss >= 0.0
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
+        # Only the label column pulls its logit up.
+        assert (grad[np.arange(12), labels] <= 0).all()
+
     def test_loss_and_grad_are_loss_and_gradient(self):
         rng = np.random.default_rng(0)
         logits, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, size=6)

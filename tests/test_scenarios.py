@@ -13,12 +13,13 @@ from test_core_decentralized import platform_key
 
 from repro import experiments as cli
 from repro.core.decentralized import DecentralizedConfig
-from repro.data.synthetic import FLAT_DIM, NUM_CLASSES, SyntheticSpec
+from repro.data.synthetic import FLAT_DIM, NUM_CLASSES, SyntheticImageDataset, SyntheticSpec
 from repro.errors import ConfigError, DataError
 from repro.faults import RetryPolicy
 from repro.fl.async_policy import WaitForK
 from repro.fl.poisoning import LabelFlipAttacker
 from repro.fl.trainer import TrainConfig
+from repro.nn.models import build_efficientnet_b0_sim
 from repro.nn.optimizers import SGD
 from repro.scenarios import (
     AdversarySpec,
@@ -338,6 +339,34 @@ class TestSpecAxes:
         hetero = HeterogeneitySpec(kind="stragglers", base_time=30.0)
         times = hetero.training_times(default_client_ids(5), RngFactory(0).get("hetero"))
         assert times == {"A": 30.0, "B": 30.0, "C": 30.0, "D": 30.0, "E": 150.0}
+
+    @pytest.mark.parametrize("size,count", [(1, 1), (2, 1), (5, 1), (6, 1), (8, 2), (10, 2), (11, 2), (13, 3)])
+    def test_stragglers_are_the_cohort_tail(self, size, count):
+        """``round(STRAGGLER_FRACTION * n)`` clients, at least one, from
+        the end of the cohort, each ``STRAGGLER_FACTOR`` times slower."""
+        ids = default_client_ids(size)
+        hetero = HeterogeneitySpec(kind="stragglers", base_time=30.0)
+        times = hetero.training_times(ids, RngFactory(0).get("hetero"))
+        assert [times[cid] for cid in ids] == [30.0] * (size - count) + [150.0] * count
+
+    def test_stragglers_draw_nothing_from_the_stream(self):
+        stream = RngFactory(3).get("hetero")
+        HeterogeneitySpec(kind="stragglers").training_times(default_client_ids(5), stream)
+        assert float(stream.random()) == float(RngFactory(3).get("hetero").random())
+
+    def test_efficientnet_runs_build_the_default_trunk(self):
+        """A scenario's trunk is the one ``build_efficientnet_b0_sim`` and
+        ``pretrained_backbone`` give by default: same sigma, same arrays."""
+        spec = tiny_spec(model_kind="efficientnet_b0_sim")
+        inputs = decentralized_inputs(
+            spec, RngFactory(spec.seed), ScenarioContext(), materialize=frozenset({"A"})
+        )
+        trunk = inputs.model_builder(np.random.default_rng(0)).layers[0]
+        backbone = SyntheticImageDataset(spec.data_spec).pretrained_backbone()
+        default = build_efficientnet_b0_sim(np.random.default_rng(0), backbone=backbone).layers[0]
+        assert trunk.sigma == default.sigma == 0.55
+        np.testing.assert_array_equal(trunk.projection, default.projection)
+        np.testing.assert_array_equal(trunk.anchors, default.anchors)
 
     def test_uniform_times_draw_from_stream(self):
         hetero = HeterogeneitySpec(kind="uniform", base_time=30.0, spread=10.0)
