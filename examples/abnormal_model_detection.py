@@ -43,7 +43,7 @@ def main() -> None:
         p: factory.sample(200, rngs.get("test", p), name=f"test/{p}") for p in peers
     }
     # Client C's training data is poisoned: every label flipped to class 0.
-    attacker = LabelFlipAttacker(flip_fraction=1.0, target_class=0)
+    attacker = LabelFlipAttacker()
     train_sets["C"] = attacker.poison_dataset(train_sets["C"], rngs.get("attack"))
     print("Client C's training labels have been flipped to class 0 (poisoning).")
 

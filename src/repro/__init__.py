@@ -11,9 +11,10 @@ Subpackages
     The FL contract suite: participant registry, model commitment store,
     aggregation coordinator, reputation ledger.
 ``repro.nn``
-    From-scratch numpy deep learning: layers, losses, SGD, the two
-    evaluation models (SimpleNN and the EfficientNet-B0 transfer-learning
-    analog), weight serialization for on-chain commitment.
+    From-scratch numpy deep learning: layers, the cross-entropy loss, a
+    plain gradient-descent training step, the two evaluation models
+    (SimpleNN and the EfficientNet-B0 transfer-learning analog), weight
+    serialization for on-chain commitment.
 ``repro.data``
     Synthetic CIFAR-10-like dataset with per-client label skew.
 ``repro.fl``

@@ -39,7 +39,7 @@ from repro.errors import ConfigError, require_finite
 from repro.utils.rng import RngFactory
 
 #: A sampled round still needs two participants: the FL passes compare and
-#: aggregate across peers, and a 1-peer "cohort" degenerates to local SGD.
+#: aggregate across peers, and a 1-peer "cohort" degenerates to local training.
 MIN_SAMPLED_K = 2
 
 

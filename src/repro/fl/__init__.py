@@ -14,7 +14,7 @@ Implements the training/aggregation machinery both evaluation settings use:
 """
 
 from repro.fl.client import FLClient
-from repro.fl.trainer import LocalTrainer, TrainConfig, TrainResult
+from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.fl.aggregation import fedavg, ModelUpdate
 from repro.fl.selection import (
     enumerate_combinations,
@@ -40,7 +40,6 @@ __all__ = [
     "FLClient",
     "LocalTrainer",
     "TrainConfig",
-    "TrainResult",
     "fedavg",
     "ModelUpdate",
     "enumerate_combinations",

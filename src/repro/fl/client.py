@@ -40,7 +40,6 @@ class FLClient:
         self.test_set = test_set
         self.model = model_builder(rng)
         self.trainer = LocalTrainer(train_config, rng=rng)
-        self.rounds_trained = 0
 
     @property
     def num_samples(self) -> int:
@@ -50,7 +49,6 @@ class FLClient:
     def train_local(self, round_id: int) -> ModelUpdate:
         """Run local epochs and package the resulting update."""
         self.trainer.train(self.model, self.train_set)
-        self.rounds_trained += 1
         return ModelUpdate(
             client_id=self.client_id,
             weights=self.model.get_weights(),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations as iter_combinations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class CombinationResult:
     def label(self) -> str:
         """Human-readable combination label, e.g. ``"A,B,C"``."""
         return ",".join(self.members)
-
-
-Aggregator = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
 
 
 def pick_best(results: Sequence, rng: Optional[np.random.Generator] = None):
@@ -70,7 +67,6 @@ def enumerate_combinations(
     test_set: Dataset,
     min_size: int = 1,
     max_size: Optional[int] = None,
-    aggregator: Aggregator = fedavg,
 ) -> list[CombinationResult]:
     """Score every subset of ``updates`` with ``min_size <= |S| <= max_size``.
 
@@ -86,7 +82,7 @@ def enumerate_combinations(
     ordered = sorted(updates, key=lambda update: update.client_id)
     for size in range(min_size, min(limit, len(ordered)) + 1):
         for subset in iter_combinations(ordered, size):
-            weights = aggregator(subset)
+            weights = fedavg(subset)
             acc = evaluate_weights(model, weights, test_set)
             results.append(
                 CombinationResult(
@@ -104,7 +100,6 @@ def best_combination(
     model: Sequential,
     test_set: Dataset,
     rng: Optional[np.random.Generator] = None,
-    aggregator: Aggregator = fedavg,
 ) -> CombinationResult:
     """The "consider" aggregator: best-scoring subset on the local test set.
 
@@ -112,7 +107,7 @@ def best_combination(
     one of them randomly" — pass ``rng`` to reproduce that; without it, the
     lexicographically-first tied combination wins.
     """
-    results = enumerate_combinations(updates, model, test_set, aggregator=aggregator)
+    results = enumerate_combinations(updates, model, test_set)
     return pick_best(results, rng)
 
 
@@ -147,7 +142,6 @@ def greedy_combination(
     model: Sequential,
     test_set: Dataset,
     seed_client: Optional[str] = None,
-    aggregator: Aggregator = fedavg,
 ) -> CombinationResult:
     """Forward selection for large cohorts (O(n^2) instead of O(2^n)).
 
@@ -162,17 +156,17 @@ def greedy_combination(
             raise SelectionError(f"seed client {seed_client!r} not among updates")
         chosen = [pool.pop(seed_client)]
     else:
-        solos = enumerate_combinations(list(pool.values()), model, test_set, min_size=1, max_size=1, aggregator=aggregator)
+        solos = enumerate_combinations(list(pool.values()), model, test_set, min_size=1, max_size=1)
         best_solo = solos[0].members[0]
         chosen = [pool.pop(best_solo)]
-    best_weights = aggregator(chosen)
+    best_weights = fedavg(chosen)
     best_acc = evaluate_weights(model, best_weights, test_set)
     improved = True
     while improved and pool:
         improved = False
         best_candidate = None
         for client_id in sorted(pool):
-            candidate_weights = aggregator(chosen + [pool[client_id]])
+            candidate_weights = fedavg(chosen + [pool[client_id]])
             acc = evaluate_weights(model, candidate_weights, test_set)
             if acc > best_acc:
                 best_acc = acc

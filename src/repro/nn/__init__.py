@@ -4,9 +4,10 @@ Provides the pieces FedAvg-style federated learning needs:
 
 * layers with explicit forward/backward over flat ``(batch, features)``
   input (:mod:`repro.nn.layers`),
-* the one loss (:mod:`repro.nn.losses`) and the one optimizer, plain
-  :class:`~repro.nn.optimizers.SGD`,
+* the one loss, softmax cross entropy (:mod:`repro.nn.losses`),
 * a :class:`~repro.nn.model.Sequential` container with named parameters,
+  whose :meth:`~repro.nn.model.Sequential.train_step` is one plain
+  stochastic-gradient-descent step,
 * weight (de)serialization for on-chain commitment
   (:mod:`repro.nn.serialize`), centred on the cached
   :class:`~repro.nn.serialize.WeightArchive` whose single encoding serves
@@ -24,8 +25,7 @@ from repro.nn.layers import (
     ReLU,
     PretrainedRBFBackbone,
 )
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optimizers import SGD
+from repro.nn.losses import cross_entropy, cross_entropy_grad
 from repro.nn.model import Sequential
 from repro.nn.serialize import (
     SERIALIZATION_STATS,
@@ -45,8 +45,8 @@ __all__ = [
     "Dense",
     "ReLU",
     "PretrainedRBFBackbone",
-    "CrossEntropyLoss",
-    "SGD",
+    "cross_entropy",
+    "cross_entropy_grad",
     "Sequential",
     "SERIALIZATION_STATS",
     "WeightArchive",

@@ -5,8 +5,8 @@ matching gradients (``grads``).  ``forward`` caches what ``backward``
 needs; ``backward`` receives dL/d(output), writes the parameter gradients
 of that one pass into ``grads`` and returns dL/d(input).  A layer trains
 exactly when it has parameters: the frozen backbone holds its weights
-outside ``params``, so FedAvg never ships them and the optimizer never
-steps them.
+outside ``params``, so FedAvg never ships them and a training step never
+moves them.
 
 ``forward_stacked`` is the inference pass for several candidate parameter
 sets at once (:meth:`repro.nn.model.Sequential.predict_stacked`): candidate

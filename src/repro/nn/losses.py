@@ -1,4 +1,8 @@
-"""The loss of local training: softmax cross entropy, with its input gradient."""
+"""The loss of local training: softmax cross entropy, and its logit gradient.
+
+Local training needs only the gradient (:meth:`~repro.nn.model.Sequential.train_step`);
+the loss value is for tests and gradient checks.
+"""
 
 from __future__ import annotations
 
@@ -7,44 +11,38 @@ import numpy as np
 from repro.errors import ShapeError
 
 
-class CrossEntropyLoss:
-    """Softmax + cross entropy over integer class labels.
+def _shifted(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``logits`` less each row's maximum, after checking the shapes.
 
-    Operates on raw logits; combining softmax with the loss keeps the
-    backward pass numerically stable (``softmax - onehot``).
+    Labels index columns, so they must be non-negative integers — which
+    :class:`~repro.data.dataset.Dataset` checks once, where it is free; one
+    at or past the class count raises ``IndexError``.
     """
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
+    if labels.shape != logits.shape[:1]:
+        raise ShapeError(f"labels of shape {labels.shape} for {logits.shape[0]} logits")
+    return logits - logits.max(axis=1, keepdims=True)
 
-    def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        """Mean cross entropy over the batch."""
-        return self.loss_and_grad(logits, labels)[0]
 
-    def gradient(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """dL/dlogits, already averaged over the batch."""
-        return self.loss_and_grad(logits, labels)[1]
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross entropy over the batch, as a log-softmax:
+    ``log sum(exp(shifted)) - shifted[label]`` per row, so it stays exact
+    however small a label's probability is."""
+    shifted = _shifted(logits, labels)
+    rows = np.arange(labels.shape[0])
+    return float((np.log(np.exp(shifted).sum(axis=1)) - shifted[rows, labels]).mean())
 
-    def loss_and_grad(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """Both loss and gradient from one softmax.
 
-        The loss is a log-softmax, ``log sum(exp(shifted)) - shifted[label]``
-        per row, so it stays exact however small a label's probability is.
-        Each row's label column is indexed instead of multiplying by a
-        one-hot matrix: every other term of the one-hot product is a
-        signed zero, so ``softmax - onehot`` comes out bit for bit the
-        same.  Labels index columns, so they must be non-negative
-        integers — which :class:`~repro.data.dataset.Dataset` checks once,
-        where it is free; one at or past the class count raises
-        ``IndexError`` here.
-        """
-        if logits.ndim != 2:
-            raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
-        if labels.shape != logits.shape[:1]:
-            raise ShapeError(f"labels of shape {labels.shape} for {logits.shape[0]} logits")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        total = exp.sum(axis=1, keepdims=True)
-        rows = np.arange(labels.shape[0])
-        loss = float((np.log(total[:, 0]) - shifted[rows, labels]).mean())
-        probs = exp / total
-        probs[rows, labels] -= 1.0
-        probs /= logits.shape[0]
-        return loss, probs
+def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """dL/dlogits, already averaged over the batch: ``(softmax - onehot) / n``.
+
+    Each row's label column is indexed instead of subtracting a one-hot
+    matrix: every other term of that subtraction is a signed zero, so the
+    result comes out bit for bit the same.
+    """
+    exp = np.exp(_shifted(logits, labels))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs[np.arange(labels.shape[0]), labels] -= 1.0
+    probs /= logits.shape[0]
+    return probs

@@ -15,7 +15,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.errors import ConfigError, NotBuiltError, ShapeError
 from repro.nn.layers import Layer
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.losses import cross_entropy_grad
 
 #: (prefix token, dataset shape, dtype, rows) -> did that many gathered
 #: feature rows equal the prefix run on the same rows of samples, bit for
@@ -172,14 +172,10 @@ class Sequential:
     # ------------------------------------------------------------------
 
     def train_step(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        loss_fn: CrossEntropyLoss,
-        optimizer,
-        start: int = 0,
-    ) -> float:
-        """One forward/backward/update step; returns the batch loss.
+        self, x: np.ndarray, y: np.ndarray, learning_rate: float, start: int = 0
+    ) -> None:
+        """One gradient-descent step on the batch's cross entropy, in place:
+        each parameter less ``learning_rate`` times its gradient.
 
         ``x`` is the input of layer ``start`` (:meth:`FrozenInputs.rows`).
         Every layer's ``grads`` are this step's when it returns.
@@ -188,10 +184,10 @@ class Sequential:
         if start > lowest:
             raise ConfigError(f"layer {lowest} trains but the batch enters at layer {start}")
         logits = self.forward(x, training=True, start=start)
-        loss, grad = loss_fn.loss_and_grad(logits, y)
-        self.backward(grad, lowest=lowest)
-        optimizer.step(self.parameters(), self.gradients())
-        return loss
+        self.backward(cross_entropy_grad(logits, y), lowest=lowest)
+        grads = self.gradients()
+        for key, value in self.parameters().items():
+            value -= learning_rate * grads[key]
 
     def evaluate_accuracy(
         self, x: np.ndarray, y: np.ndarray, batch_size: int = 512, start: int = 0

@@ -123,21 +123,18 @@ class AdversarySpec:
     The adversarial clients are the *last* ``round(fraction * size)``
     cohort ids, with a floor of one for any positive fraction
     (deterministic, so the same clients attack at every seed).  The one
-    attack is label flipping (:class:`~repro.fl.poisoning.LabelFlipAttacker`,
-    whose knobs these mirror); a knob its kind does not read must keep its
-    default.
+    attack is label flipping (:class:`~repro.fl.poisoning.LabelFlipAttacker`);
+    a knob its kind does not read must keep its default.
     """
 
     #: The knobs each kind reads.
     READS = {
         "none": (),
-        "label_flip": ("fraction", "flip_fraction", "target_class"),
+        "label_flip": ("fraction",),
     }
 
     kind: str = "none"        # "none" | "label_flip"
     fraction: float = 0.0
-    flip_fraction: float = 1.0
-    target_class: int = 0
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -150,17 +147,12 @@ class AdversarySpec:
         if self.kind != "none" and self.fraction == 0.0:
             raise ConfigError(f"attacker kind {self.kind!r} needs fraction > 0")
         _require_unread_at_default(self, self.READS, "attackers")
-        # The attacker's own knobs fail here, not when a sweep point
-        # finally instantiates it mid-grid.
-        self.build_attacker()
 
     def build_attacker(self) -> Optional[LabelFlipAttacker]:
         """Instantiate the configured attacker (``None`` when honest)."""
         if self.kind == "none":
             return None
-        return LabelFlipAttacker(
-            flip_fraction=self.flip_fraction, target_class=self.target_class
-        )
+        return LabelFlipAttacker()
 
     def adversary_ids(self, client_ids: tuple[str, ...]) -> tuple[str, ...]:
         """Which cohort members attack: the last ``round(fraction * n)`` ids,

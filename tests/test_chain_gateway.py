@@ -1243,7 +1243,11 @@ class TestChainStatsDigests:
     always-zero ``messages_duplicated`` counter, and ``multiprocess`` also
     lost 182 bytes per worker of ``init`` frame with the eight spec fields
     that became constants (``gateway.wire.bytes_sent`` 3 999 846 ->
-    3 999 482; no other counter moved).  Beside each digest the fixture
+    3 999 482; no other counter moved).  ``multiprocess`` was re-recorded
+    once more when the adversary's ``flip_fraction`` / ``target_class``
+    became constants: the ``init`` frame lost 37 bytes per worker
+    (``gateway.wire.bytes_sent`` 3 999 482 -> 3 999 408, the only counter
+    that moved).  Beside each digest the fixture
     keeps the flattened counters it was computed from (recorded at the
     commit before the ``Round`` refactor), so a failure names what moved."""
 

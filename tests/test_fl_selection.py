@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.errors import SelectionError
-from repro.fl.aggregation import ModelUpdate
+from repro.fl.aggregation import ModelUpdate, fedavg
 from repro.fl.selection import (
     CombinationResult,
     best_combination,
@@ -79,6 +79,19 @@ class TestEnumerate:
     def test_invalid_min_size(self, scratch_model, test_set):
         with pytest.raises(SelectionError):
             enumerate_combinations([upd("A", good_weights())], scratch_model, test_set, min_size=0)
+
+    def test_every_result_is_the_fedavg_of_its_members(self, scratch_model, test_set):
+        rng = np.random.default_rng(2)
+        updates = [
+            upd(name, {"head/W": rng.normal(size=(2, 2)), "head/b": rng.normal(size=2)}, n=n)
+            for name, n in (("A", 30), ("B", 100), ("C", 7))
+        ]
+        by_id = {update.client_id: update for update in updates}
+        for result in enumerate_combinations(updates, scratch_model, test_set):
+            wanted = fedavg([by_id[member] for member in result.members])
+            assert result.weights.keys() == wanted.keys()
+            for key, value in result.weights.items():
+                assert value.tobytes() == wanted[key].tobytes(), (result.label, key)
 
     def test_model_unchanged_by_evaluation(self, scratch_model, test_set):
         before = scratch_model.get_weights()
@@ -194,6 +207,21 @@ class TestGreedy:
     def test_empty_rejected(self, scratch_model, test_set):
         with pytest.raises(SelectionError):
             greedy_combination([], scratch_model, test_set)
+
+    def test_result_is_the_fedavg_of_its_members(self, scratch_model, test_set):
+        # A and C each lean to one class; only their average is unbiased.
+        lean = {"A": np.array([0.5, -0.5]), "C": np.array([-0.5, 0.5])}
+        updates = [
+            upd("A", {**good_weights(), "head/b": lean["A"]}),
+            upd("B", bad_weights(), n=10),
+            upd("C", {**good_weights(), "head/b": lean["C"]}),
+        ]
+        by_id = {update.client_id: update for update in updates}
+        result = greedy_combination(updates, scratch_model, test_set)
+        assert len(result.members) == 2
+        wanted = fedavg([by_id[member] for member in result.members])
+        for key, value in result.weights.items():
+            assert value.tobytes() == wanted[key].tobytes(), key
 
     def test_greedy_matches_exhaustive_on_small_case(self, scratch_model, test_set):
         updates = [upd("A", good_weights()), upd("B", bad_weights()), upd("C", good_weights())]

@@ -1,5 +1,7 @@
 """Tests for local training, clients, async policies, and poisoning."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from repro.errors import ConfigError
 from repro.fl.async_policy import Deadline, WaitForAll, WaitForK
 from repro.fl.client import FLClient
 from repro.fl.evaluation import evaluate_on, evaluate_weights
+from repro.fl import poisoning
 from repro.fl.poisoning import LabelFlipAttacker
 from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.nn.layers import Dense, ReLU
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn import losses
+from repro.nn.losses import cross_entropy
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -39,6 +42,8 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="-1.0"):
+            TrainConfig(learning_rate=-1.0)
 
 
 class TestLocalTrainer:
@@ -48,19 +53,36 @@ class TestLocalTrainer:
         model = builder(np.random.default_rng(1))
         before = model.evaluate_accuracy(dataset.x, dataset.y)
         trainer = LocalTrainer(TrainConfig(epochs=10, learning_rate=0.1), rng=rng)
-        result = trainer.train(model, dataset)
+        assert trainer.train(model, dataset) is None
         after = model.evaluate_accuracy(dataset.x, dataset.y)
         assert after > max(before, 0.8)
-        assert result.epochs_run == 10
-        assert result.batches_run == 10 * 7  # ceil(200/32) = 7 batches/epoch
-        assert len(result.loss_history) == 10
 
     def test_loss_decreases(self):
         rng = np.random.default_rng(0)
         trainer = LocalTrainer(TrainConfig(epochs=8, learning_rate=0.1), rng=rng)
         model = builder(np.random.default_rng(1))
-        result = trainer.train(model, easy_dataset(rng))
-        assert result.loss_history[-1] < result.loss_history[0]
+        dataset = easy_dataset(rng)
+        before = cross_entropy(model.predict(dataset.x), dataset.y)
+        trainer.train(model, dataset)
+        assert cross_entropy(model.predict(dataset.x), dataset.y) < before
+
+    def test_training_never_evaluates_the_loss(self, monkeypatch):
+        """A round reads only the trained weights, so no step computes the
+        loss value: ``cross_entropy`` raises wherever it is bound."""
+
+        def refuse(logits, labels):
+            raise AssertionError("local training evaluated the loss")
+
+        real = losses.cross_entropy
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "cross_entropy", None) is real:
+                monkeypatch.setattr(module, "cross_entropy", refuse)
+        dataset = easy_dataset(np.random.default_rng(0))
+        model = builder(np.random.default_rng(1))
+        before = model.get_weights()
+        LocalTrainer(TrainConfig(epochs=2), rng=np.random.default_rng(2)).train(model, dataset)
+        after = model.get_weights()
+        assert any(not np.array_equal(before[key], after[key]) for key in before)
 
     def test_deterministic_given_seeds(self):
         dataset = easy_dataset(np.random.default_rng(0))
@@ -85,21 +107,39 @@ class TestLocalTrainer:
             reference.shuffle(np.arange(50))
         assert rng.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "size, batch_size, epochs", [(200, 32, 2), (40, 40, 1), (41, 40, 1), (5, 64, 3)]
+    )
+    def test_each_minibatch_is_one_step_at_the_configured_rate(
+        self, size, batch_size, epochs, monkeypatch
+    ):
+        steps = []
+        real = Sequential.train_step
+
+        def spy(model, x, y, learning_rate, start=0):
+            steps.append((len(x), learning_rate))
+            return real(model, x, y, learning_rate, start=start)
+
+        monkeypatch.setattr(Sequential, "train_step", spy)
+        config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.03)
+        LocalTrainer(config, rng=np.random.default_rng(0)).train(
+            builder(np.random.default_rng(1)), easy_dataset(np.random.default_rng(2), n=size)
+        )
+        full, rest = divmod(size, batch_size)
+        assert steps == ([(batch_size, 0.03)] * full + [(rest, 0.03)] * bool(rest)) * epochs
+
     def test_one_full_batch_epoch_is_one_sgd_step(self):
         dataset = easy_dataset(np.random.default_rng(0), n=40)
         model = builder(np.random.default_rng(1))
         trainer = LocalTrainer(
             TrainConfig(epochs=1, batch_size=40, learning_rate=0.07), rng=np.random.default_rng(5)
         )
-        result = trainer.train(model, dataset)
+        trainer.train(model, dataset)
 
         reference = builder(np.random.default_rng(1))
         order = np.arange(40)
         np.random.default_rng(5).shuffle(order)
-        loss = reference.train_step(
-            dataset.x[order], dataset.y[order], CrossEntropyLoss(), SGD(0.07)
-        )
-        assert result.final_loss == loss
+        reference.train_step(dataset.x[order], dataset.y[order], 0.07)
         expected = reference.get_weights()
         for key, value in model.get_weights().items():
             np.testing.assert_array_equal(value, expected[key])
@@ -124,7 +164,16 @@ class TestFLClient:
         assert update.num_samples == 200
         assert update.round_id == 1
         assert 0.0 <= update.reported_accuracy <= 1.0
-        assert client.rounds_trained == 1
+
+    def test_train_local_is_one_local_training_call(self):
+        """The client's rng builds its model and then shuffles its batches."""
+        update = self._client().train_local(round_id=1)
+        rng = np.random.default_rng(3)
+        model = builder(rng)
+        train_set = easy_dataset(np.random.default_rng(0))
+        LocalTrainer(TrainConfig(epochs=2), rng=rng).train(model, train_set)
+        for key, value in model.get_weights().items():
+            assert update.weights[key].tobytes() == value.tobytes(), key
 
     def test_update_weights_detached(self):
         client = self._client()
@@ -243,24 +292,22 @@ class TestPoisoning:
     def test_label_flip_flips(self):
         rng = np.random.default_rng(0)
         dataset = easy_dataset(rng)
-        attacker = LabelFlipAttacker(flip_fraction=1.0, target_class=0)
-        poisoned = attacker.poison_dataset(dataset, rng)
+        poisoned = LabelFlipAttacker().poison_dataset(dataset, rng)
         assert (poisoned.y == 0).all()
         assert (dataset.y != 0).any()  # original untouched
         assert poisoned.x is dataset.x  # only the labels are rewritten
 
-    def test_label_flip_partial(self):
+    def test_label_flip_partial(self, monkeypatch):
+        monkeypatch.setattr(poisoning, "FLIP_FRACTION", 0.3)
         rng = np.random.default_rng(0)
         dataset = easy_dataset(rng, n=1000)
-        attacker = LabelFlipAttacker(flip_fraction=0.3, target_class=0)
-        poisoned = attacker.poison_dataset(dataset, rng)
+        poisoned = LabelFlipAttacker().poison_dataset(dataset, rng)
         changed = (poisoned.y != dataset.y).mean()
         assert 0.05 < changed < 0.35
 
-    def test_label_flip_validation(self):
-        with pytest.raises(ConfigError):
-            LabelFlipAttacker(flip_fraction=0.0)
-        with pytest.raises(ConfigError, match="target_class 10 .* 10 classes"):
-            LabelFlipAttacker(target_class=10)
-        with pytest.raises(ConfigError, match="target_class -1 .* 10 classes"):
-            LabelFlipAttacker(target_class=-1)
+    def test_label_flip_draws_one_uniform_per_label(self):
+        dataset = easy_dataset(np.random.default_rng(0), n=37)
+        rng, reference = np.random.default_rng(6), np.random.default_rng(6)
+        LabelFlipAttacker().poison_dataset(dataset, rng)
+        reference.random(37)
+        assert rng.bit_generator.state == reference.bit_generator.state

@@ -38,7 +38,7 @@ class TestPoisoningDefense:
         for index, client_id in enumerate(["A", "B", "C"]):
             dataset = easy_dataset(np.random.default_rng(10 + index))
             if poison_one and client_id == "C":
-                attacker = LabelFlipAttacker(flip_fraction=1.0, target_class=0)
+                attacker = LabelFlipAttacker()
                 dataset = attacker.poison_dataset(dataset, rng)
             model = builder(np.random.default_rng(42))
             trainer = LocalTrainer(TrainConfig(epochs=6, learning_rate=0.1), rng=np.random.default_rng(20 + index))

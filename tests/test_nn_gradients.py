@@ -10,7 +10,7 @@ import pytest
 
 from repro.data.synthetic import FLAT_DIM, SyntheticImageDataset, SyntheticSpec
 from repro.nn.layers import Dense, ReLU
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.losses import cross_entropy, cross_entropy_grad
 from repro.nn.model import Sequential
 from repro.nn.models import MODEL_BUILDERS, build_model
 
@@ -125,10 +125,9 @@ class TestPoolAndActivationGradients:
 class TestLossGradients:
     def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(7)
-        loss_fn = CrossEntropyLoss()
         logits = rng.normal(size=(6, 5))
         labels = rng.integers(0, 5, size=6)
-        analytic = loss_fn.gradient(logits, labels)
+        analytic = cross_entropy_grad(logits, labels)
 
         numeric = np.zeros_like(logits)
         flat = logits.ravel()
@@ -136,9 +135,9 @@ class TestLossGradients:
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + EPS
-            plus = loss_fn.loss(logits, labels)
+            plus = cross_entropy(logits, labels)
             flat[i] = original - EPS
-            minus = loss_fn.loss(logits, labels)
+            minus = cross_entropy(logits, labels)
             flat[i] = original
             num_flat[i] = (plus - minus) / (2 * EPS)
         np.testing.assert_allclose(analytic, numeric, atol=TOL)
@@ -146,11 +145,10 @@ class TestLossGradients:
     @pytest.mark.parametrize("batch,classes", [(1, 2), (4, 10), (9, 3)])
     def test_cross_entropy_gradient_across_shapes(self, batch, classes):
         rng = np.random.default_rng(batch + classes)
-        loss_fn = CrossEntropyLoss()
         logits = rng.normal(scale=3.0, size=(batch, classes))
         labels = rng.integers(0, classes, size=batch)
-        analytic = loss_fn.gradient(logits, labels)
-        numeric = numeric_input_grad(lambda v: loss_fn.loss(v, labels), logits, float)
+        analytic = cross_entropy_grad(logits, labels)
+        numeric = numeric_input_grad(lambda v: cross_entropy(v, labels), logits, float)
         np.testing.assert_allclose(analytic, numeric, atol=TOL)
 
 
@@ -159,14 +157,11 @@ class TestEndToEndGradient:
         """Full model backward matches finite differences on the loss."""
         rng = np.random.default_rng(10)
         model = Sequential([Dense(6), ReLU(), Dense(3)]).build(rng, (4,))
-        loss_fn = CrossEntropyLoss()
         x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
 
         model.zero_grads()
-        logits = model.forward(x, training=True)
-        _loss, grad = loss_fn.loss_and_grad(logits, y)
-        model.backward(grad)
+        model.backward(cross_entropy_grad(model.forward(x, training=True), y))
         analytic = {k: v.copy() for k, v in model.gradients().items()}
 
         for key, param in model.parameters().items():
@@ -175,9 +170,9 @@ class TestEndToEndGradient:
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + EPS
-                plus = loss_fn.loss(model.forward(x, training=True), y)
+                plus = cross_entropy(model.forward(x, training=True), y)
                 flat[i] = original - EPS
-                minus = loss_fn.loss(model.forward(x, training=True), y)
+                minus = cross_entropy(model.forward(x, training=True), y)
                 flat[i] = original
                 num_flat[i] = (plus - minus) / (2 * EPS)
             np.testing.assert_allclose(analytic[key], numeric, atol=TOL, err_msg=key)
@@ -194,15 +189,13 @@ class TestEndToEndGradient:
         model = build_model(kind, np.random.default_rng(0), **kwargs)
         batch = factory.sample(4, np.random.default_rng(1))
         assert batch.x.shape == (4, FLAT_DIM)
-        loss_fn = CrossEntropyLoss()
 
         model.zero_grads()
-        _loss, grad = loss_fn.loss_and_grad(model.forward(batch.x, training=True), batch.y)
-        model.backward(grad)
+        model.backward(cross_entropy_grad(model.forward(batch.x, training=True), batch.y))
         analytic = {k: v.copy() for k, v in model.gradients().items()}
 
         def loss():
-            return loss_fn.loss(model.forward(batch.x, training=True), batch.y)
+            return cross_entropy(model.forward(batch.x, training=True), batch.y)
 
         picks = np.random.default_rng(2)
         for key, param in model.parameters().items():

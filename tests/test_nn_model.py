@@ -1,13 +1,12 @@
-"""Tests for the Sequential container, SGD, losses, serialization."""
+"""Tests for the Sequential container, its training step, the loss, serialization."""
 
 import numpy as np
 import pytest
 
 from repro.errors import NotBuiltError, SerializationError, ShapeError
 from repro.nn.layers import Dense, ReLU
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.losses import cross_entropy, cross_entropy_grad
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD
 from repro.nn.serialize import (
     weights_from_bytes,
     weights_hash,
@@ -97,14 +96,52 @@ class TestWeightsRoundTrip:
 class TestTraining:
     def test_train_step_reduces_loss(self, rng):
         model = small_model(rng)
-        loss_fn = CrossEntropyLoss()
-        optimizer = SGD(0.5)
         x = rng.normal(size=(32, 4))
         y = (x[:, 0] > 0).astype(np.int64)  # learnable binary-ish task
-        first = model.train_step(x, y, loss_fn, optimizer)
+        first = cross_entropy(model.predict(x), y)
         for _ in range(50):
-            last = model.train_step(x, y, loss_fn, optimizer)
-        assert last < first
+            assert model.train_step(x, y, 0.5) is None
+        assert cross_entropy(model.predict(x), y) < first
+
+    @staticmethod
+    def _this_steps_gradients(model, x, y):
+        """The gradients one step on ``(x, y)`` takes, from a twin of ``model``."""
+        twin = small_model(np.random.default_rng(0))
+        twin.set_weights(model.get_weights())
+        twin.backward(cross_entropy_grad(twin.forward(x), y))
+        return {key: value.copy() for key, value in twin.gradients().items()}
+
+    def test_step_is_exact_gradient_descent(self, rng):
+        """Each parameter becomes ``w - lr * g``, ``g`` being the gradient
+        of this batch's cross entropy."""
+        model = small_model(rng)
+        x, y = rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)
+        grads = self._this_steps_gradients(model, x, y)
+        expected = {key: value - 0.05 * grads[key] for key, value in model.parameters().items()}
+        model.train_step(x, y, 0.05)
+        for key, value in model.parameters().items():
+            assert value.tobytes() == expected[key].tobytes(), key
+
+    def test_updates_parameters_in_place_and_leaves_grads(self, rng):
+        # Models hand out live parameter references; the step must write into them.
+        model = small_model(rng)
+        params = model.parameters()
+        x, y = rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)
+        grads = self._this_steps_gradients(model, x, y)
+        model.train_step(x, y, 0.5)
+        for key, value in model.parameters().items():
+            assert value is params[key]
+        assert model.gradients().keys() == grads.keys()
+        for key, value in model.gradients().items():
+            assert value.tobytes() == grads[key].tobytes(), key
+
+    def test_a_failed_step_moves_no_parameter(self, rng):
+        model = small_model(rng)
+        before = model.get_weights()
+        with pytest.raises(ShapeError):
+            model.train_step(rng.normal(size=(8, 4)), np.zeros(7, dtype=np.int64), 0.5)
+        for key, value in model.parameters().items():
+            assert value.tobytes() == before[key].tobytes(), key
 
     def test_evaluate_accuracy_batched(self, rng):
         model = small_model(rng)
@@ -119,65 +156,19 @@ class TestTraining:
         assert model.evaluate_accuracy(np.zeros((0, 4)), np.zeros(0, dtype=int)) == 0.0
 
 
-class TestOptimizers:
-    def _quadratic_steps(self, optimizer, steps=60):
-        # Minimize f(w) = ||w||^2 by following its gradient.
-        params = {"w": np.array([5.0, -3.0])}
-        for _ in range(steps):
-            grads = {"w": 2 * params["w"]}
-            optimizer.step(params, grads)
-        return params["w"]
-
-    def test_sgd_converges(self):
-        w = self._quadratic_steps(SGD(0.1))
-        np.testing.assert_allclose(w, 0.0, atol=1e-4)
-
-    def test_step_is_exact_gradient_descent(self):
-        params = {"a": np.array([1.0, -2.0]), "b": np.array([[0.5]])}
-        grads = {"a": np.array([0.3, 0.7]), "b": np.array([[-1.25]])}
-        expected = {key: params[key] - 0.05 * grads[key] for key in params}
-        SGD(0.05).step(params, grads)
-        for key in params:
-            np.testing.assert_array_equal(params[key], expected[key])
-
-    def test_updates_parameters_in_place_and_leaves_grads(self):
-        # Models hand out live parameter references; the step must write into them.
-        param, grad = np.array([1.0, 2.0]), np.array([1.0, 1.0])
-        params, grads = {"w": param}, {"w": grad}
-        SGD(0.5).step(params, grads)
-        assert params["w"] is param
-        np.testing.assert_array_equal(grad, [1.0, 1.0])
-
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ValueError):
-            SGD(0.0)
-
-    def test_negative_learning_rate_rejected(self):
-        with pytest.raises(ValueError, match="-1.0"):
-            SGD(-1.0)
-
-    def test_steps_counted(self):
-        optimizer = SGD(0.1)
-        params = {"w": np.zeros(2)}
-        optimizer.step(params, {"w": np.zeros(2)})
-        optimizer.step(params, {"w": np.zeros(2)})
-        assert optimizer.steps == 2
-
-
 class TestLosses:
     def test_cross_entropy_perfect_prediction_near_zero(self):
         logits = np.array([[100.0, 0.0], [0.0, 100.0]])
         labels = np.array([0, 1])
-        assert CrossEntropyLoss().loss(logits, labels) < 1e-6
+        assert cross_entropy(logits, labels) < 1e-6
 
     def test_cross_entropy_uniform_is_log_k(self):
         logits = np.zeros((4, 10))
         labels = np.arange(4)
-        assert CrossEntropyLoss().loss(logits, labels) == pytest.approx(np.log(10))
+        assert cross_entropy(logits, labels) == pytest.approx(np.log(10))
 
     def test_shape_validation(self):
-        loss_fn = CrossEntropyLoss()
-        for check in (loss_fn.loss, loss_fn.gradient, loss_fn.loss_and_grad):
+        for check in (cross_entropy, cross_entropy_grad):
             with pytest.raises(ShapeError):
                 check(np.zeros((3,)), np.zeros(3, dtype=int))
             with pytest.raises(ShapeError):
@@ -190,7 +181,7 @@ class TestLosses:
         not a floor's ``-log(1e-12)``: the loss is a log-softmax."""
         logits = np.array([[0.0, 100.0], [0.0, 0.0]])
         labels = np.array([0, 0])
-        assert CrossEntropyLoss().loss(logits, labels) == pytest.approx((100.0 + np.log(2)) / 2)
+        assert cross_entropy(logits, labels) == pytest.approx((100.0 + np.log(2)) / 2)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_loss_is_the_mean_negative_log_softmax(self, scale):
@@ -200,34 +191,26 @@ class TestLosses:
         labels = rng.integers(0, 10, size=16)
         log_norm = np.logaddexp.reduce(logits, axis=1)
         want = float((log_norm - logits[np.arange(16), labels]).mean())
-        assert CrossEntropyLoss().loss(logits, labels) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert cross_entropy(logits, labels) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_a_per_row_shift_changes_nothing(self):
         rng = np.random.default_rng(4)
         logits, labels = rng.normal(size=(8, 5)), rng.integers(0, 5, size=8)
         shifted = logits + rng.normal(size=(8, 1)) * 50.0
-        loss_fn = CrossEntropyLoss()
-        loss, grad = loss_fn.loss_and_grad(logits, labels)
-        shifted_loss, shifted_grad = loss_fn.loss_and_grad(shifted, labels)
-        assert shifted_loss == pytest.approx(loss, rel=1e-12)
-        np.testing.assert_allclose(shifted_grad, grad, rtol=1e-9, atol=1e-15)
+        assert cross_entropy(shifted, labels) == pytest.approx(cross_entropy(logits, labels), rel=1e-12)
+        np.testing.assert_allclose(
+            cross_entropy_grad(shifted, labels), cross_entropy_grad(logits, labels),
+            rtol=1e-9, atol=1e-15,
+        )
 
     def test_loss_is_non_negative_and_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(5)
         logits, labels = rng.normal(size=(12, 7)) * 30.0, rng.integers(0, 7, size=12)
-        loss, grad = CrossEntropyLoss().loss_and_grad(logits, labels)
+        loss, grad = cross_entropy(logits, labels), cross_entropy_grad(logits, labels)
         assert loss >= 0.0
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
         # Only the label column pulls its logit up.
         assert (grad[np.arange(12), labels] <= 0).all()
-
-    def test_loss_and_grad_are_loss_and_gradient(self):
-        rng = np.random.default_rng(0)
-        logits, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, size=6)
-        loss_fn = CrossEntropyLoss()
-        loss, grad = loss_fn.loss_and_grad(logits, labels)
-        assert loss == loss_fn.loss(logits, labels)
-        np.testing.assert_array_equal(grad, loss_fn.gradient(logits, labels))
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_loss_and_grad_are_bit_identical_to_the_one_hot_formula(self, scale):
@@ -245,7 +228,6 @@ class TestLosses:
             return loss, (probs - targets) / logits.shape[0]
 
         rng = np.random.default_rng(7)
-        loss_fn = CrossEntropyLoss()
         for case in range(200):
             rows, classes = int(rng.integers(1, 33)), int(rng.integers(2, 11))
             logits = rng.normal(size=(rows, classes)) * scale
@@ -253,13 +235,22 @@ class TestLosses:
                 logits = np.round(logits)
             labels = rng.integers(0, classes, size=rows)
             want_loss, want_grad = one_hot(logits, labels)
-            loss, grad = loss_fn.loss_and_grad(logits, labels)
+            loss, grad = cross_entropy(logits, labels), cross_entropy_grad(logits, labels)
             assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
             assert grad.tobytes() == want_grad.tobytes()
 
     def test_a_label_past_the_class_count_raises(self):
-        with pytest.raises(IndexError):
-            CrossEntropyLoss().loss_and_grad(np.zeros((2, 3)), np.array([0, 3]))
+        for check in (cross_entropy, cross_entropy_grad):
+            with pytest.raises(IndexError):
+                check(np.zeros((2, 3)), np.array([0, 3]))
+
+    def test_gradient_leaves_the_logits_unwritten(self):
+        rng = np.random.default_rng(8)
+        logits, labels = rng.normal(size=(5, 4)), rng.integers(0, 4, size=5)
+        before = logits.copy()
+        cross_entropy_grad(logits, labels)
+        cross_entropy(logits, labels)
+        assert logits.tobytes() == before.tobytes()
 
 
 class TestSerialization:

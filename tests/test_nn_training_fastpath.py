@@ -6,8 +6,7 @@ the lowest layer that trains, and a layer's ``backward`` writes each gradient
 once.  Every test here trains the same model twice from one seed: through
 ``LocalTrainer`` and through the reference loop below — zeroed gradients that
 this step's are added to, the full backward pass, every step on pixels — and
-requires the weights, the loss history and the trainer's rng state to come
-out bit-identical.
+requires the weights and the trainer's rng state to come out bit-identical.
 
 The features of a selection of rows are used only where the per-row-count
 probe (``FrozenInputs.rows``) found them bit-identical to the prefix run on
@@ -26,10 +25,9 @@ from repro.fl.evaluation import evaluate_on, evaluate_weights
 from repro.fl.trainer import LocalTrainer, TrainConfig
 from repro.nn import model as model_module
 from repro.nn.layers import Dense, ReLU
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.losses import cross_entropy_grad
 from repro.nn.model import Sequential
 from repro.nn.models import build_efficientnet_b0_sim, build_simple_nn
-from repro.nn.optimizers import SGD
 
 BATCH = 16
 FACTORY = SyntheticImageDataset(SyntheticSpec(seed=5))
@@ -56,38 +54,30 @@ def _dataset(size: int) -> Dataset:
 
 def _reference_train(model, dataset, config, rng):
     """The training loop before any work was skipped."""
-    loss_fn = CrossEntropyLoss()
-    optimizer = SGD(config.learning_rate)
-    history = []
     for _epoch in range(config.epochs):
         indices = np.arange(len(dataset))
         rng.shuffle(indices)
-        losses = []
         for begin in range(0, len(indices), config.batch_size):
             batch = indices[begin : begin + config.batch_size]
             model.zero_grads()
             zeros = model.gradients()
             logits = model.forward(dataset.x[batch], training=True)
-            losses.append(loss_fn.loss(logits, dataset.y[batch]))
-            model.backward(loss_fn.gradient(logits, dataset.y[batch]))
+            model.backward(cross_entropy_grad(logits, dataset.y[batch]))
             grads = {key: zeros[key] + grad for key, grad in model.gradients().items()}
-            optimizer.step(model.parameters(), grads)
-        history.append(float(np.mean(losses)))
-    return history
+            for key, value in model.parameters().items():
+                value -= config.learning_rate * grads[key]
 
 
 def _assert_same_training(kind, dataset, epochs=2):
     config = TrainConfig(epochs=epochs, batch_size=BATCH, learning_rate=0.05)
     reference = BUILDERS[kind](np.random.default_rng(3))
     reference_rng = np.random.default_rng(9)
-    expected = _reference_train(reference, dataset, config, reference_rng)
+    _reference_train(reference, dataset, config, reference_rng)
 
     model = BUILDERS[kind](np.random.default_rng(3))
     trainer = LocalTrainer(config, rng=np.random.default_rng(9))
-    result = trainer.train(model, dataset)
+    trainer.train(model, dataset)
 
-    assert result.loss_history == expected
-    assert result.batches_run == epochs * -(-len(dataset) // BATCH)
     weights, wanted = model.get_weights(), reference.get_weights()
     assert weights.keys() == wanted.keys()
     for key, value in weights.items():
@@ -97,7 +87,8 @@ def _assert_same_training(kind, dataset, epochs=2):
 
 
 class TestBitIdenticalToReferenceLoop:
-    # SGD is the only optimizer; the parameter names it in each case's id.
+    # Plain gradient descent is the only update rule; the parameter names it
+    # in each case's id.
     @pytest.mark.parametrize("optimizer", ["sgd"])
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_every_model_and_optimizer(self, kind, optimizer):
@@ -117,11 +108,11 @@ class TestBitIdenticalToReferenceLoop:
         config = TrainConfig(epochs=1, batch_size=64, learning_rate=0.05)
         model = BUILDERS["efficientnet_pretrained"](np.random.default_rng(3))
         reference = BUILDERS["efficientnet_pretrained"](np.random.default_rng(3))
-        result = LocalTrainer(config, rng=np.random.default_rng(9)).train(model, dataset)
-        assert result.loss_history == _reference_train(
-            reference, dataset, config, np.random.default_rng(9)
-        )
-        assert model.get_weights()["head/W"].tobytes() == reference.get_weights()["head/W"].tobytes()
+        LocalTrainer(config, rng=np.random.default_rng(9)).train(model, dataset)
+        _reference_train(reference, dataset, config, np.random.default_rng(9))
+        wanted = reference.get_weights()
+        for key, value in model.get_weights().items():
+            assert value.tobytes() == wanted[key].tobytes(), key
         assert evaluate_on(model, dataset, batch_size=100) == reference.evaluate_accuracy(
             dataset.x, dataset.y, batch_size=100
         )
@@ -179,12 +170,11 @@ class TestOnlyWhatTrainsRuns:
         if start == 0:
             pytest.skip("this BLAS does not reproduce 16-row features; nothing to skip")
         trunk, head = _Spy(model.layers[0]), _Spy(model.layers[1])
-        optimizer = SGD(0.05)
         for begin in range(0, len(dataset), BATCH):
             batch = np.arange(begin, begin + BATCH)
             x, start = inputs.rows(batch)
             assert start == 1 and x.shape == (BATCH, 20)
-            model.train_step(x, dataset.y[batch], CrossEntropyLoss(), optimizer, start=start)
+            model.train_step(x, dataset.y[batch], 0.05, start=start)
         assert (trunk.forwards, trunk.backwards) == (0, [])
         assert head.forwards == 3
         assert [(kwargs, grad) for kwargs, grad in head.backwards] == [({"input_grad": False}, None)] * 3
@@ -197,7 +187,7 @@ class TestOnlyWhatTrainsRuns:
         assert lowest == {"relu_first": 1}.get(kind, 0)
         assert model.frozen_depth() == 0  # nothing below `lowest` vouches for its content
         spies = [_Spy(layer) for layer in model.layers]
-        model.train_step(dataset.x, dataset.y, CrossEntropyLoss(), SGD(0.05))
+        model.train_step(dataset.x, dataset.y, 0.05)
         assert all(spy.forwards == 1 for spy in spies)
         assert all(spy.backwards == [] for spy in spies[:lowest])
         assert [(kwargs, grad) for kwargs, grad in spies[lowest].backwards] == [({"input_grad": False}, None)]
@@ -229,10 +219,7 @@ class TestOnlyWhatTrainsRuns:
     def test_batch_may_not_enter_above_a_layer_that_trains(self):
         model = build_simple_nn(np.random.default_rng(0), input_dim=8)
         with pytest.raises(ConfigError, match="enters at layer 2"):
-            model.train_step(
-                np.zeros((4, 20)), np.zeros(4, dtype=int), CrossEntropyLoss(),
-                SGD(0.05), start=2,
-            )
+            model.train_step(np.zeros((4, 20)), np.zeros(4, dtype=int), 0.05, start=2)
 
 
 def _pretrained(backbone=BACKBONE, seed=3):
@@ -248,8 +235,9 @@ class TestTrainingScratchIsReleased:
         model = BUILDERS[kind](np.random.default_rng(3))
         config = TrainConfig(epochs=1, batch_size=BATCH, learning_rate=0.05)
         trainer = LocalTrainer(config, rng=np.random.default_rng(9))
-        results = [trainer.train(model, _dataset(43)) for _round in range(2)]
-        return model, results
+        for _round in range(2):
+            trainer.train(model, _dataset(43))
+        return model
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_a_built_model_holds_no_gradients(self, kind):
@@ -257,7 +245,7 @@ class TestTrainingScratchIsReleased:
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_train_releases_the_scratch(self, kind):
-        model, _results = self._train_twice(kind)
+        model = self._train_twice(kind)
         assert model.gradients() == {}
         for layer in model.layers:
             if isinstance(layer, Dense):
@@ -268,11 +256,10 @@ class TestTrainingScratchIsReleased:
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_a_second_train_equals_training_without_the_release(self, kind, monkeypatch):
-        released, released_results = self._train_twice(kind)
+        released = self._train_twice(kind)
         monkeypatch.setattr(Sequential, "release_scratch", lambda self: None)
-        kept, kept_results = self._train_twice(kind)
+        kept = self._train_twice(kind)
         assert kept.gradients()  # the scratch really was kept this time
-        assert released_results == kept_results
         wanted = kept.get_weights()
         for key, value in released.get_weights().items():
             assert value.tobytes() == wanted[key].tobytes(), key
