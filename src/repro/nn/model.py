@@ -8,6 +8,7 @@ serializer turns them into bytes for on-chain commitment, and
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -180,6 +181,8 @@ class Sequential:
         ``x`` is the input of layer ``start`` (:meth:`FrozenInputs.rows`).
         Every layer's ``grads`` are this step's when it returns.
         """
+        if not 0 < learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
         lowest = self.lowest_trainable()
         if start > lowest:
             raise ConfigError(f"layer {lowest} trains but the batch enters at layer {start}")

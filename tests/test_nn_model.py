@@ -1,9 +1,11 @@
 """Tests for the Sequential container, its training step, the loss, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.errors import NotBuiltError, SerializationError, ShapeError
+from repro.errors import ConfigError, NotBuiltError, SerializationError, ShapeError
 from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import cross_entropy, cross_entropy_grad
 from repro.nn.model import Sequential
@@ -154,6 +156,28 @@ class TestTraining:
     def test_empty_dataset_accuracy_zero(self, rng):
         model = small_model(rng)
         assert model.evaluate_accuracy(np.zeros((0, 4)), np.zeros(0, dtype=int)) == 0.0
+
+
+class TestOptimizers:
+    """The update rule of :meth:`Sequential.train_step` refuses a learning
+    rate that is not positive and finite, before any parameter moves."""
+
+    def _refused(self, rng, learning_rate):
+        model = small_model(rng)
+        before = model.get_weights()
+        x, y = rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)
+        with pytest.raises(ConfigError, match="learning_rate") as caught:
+            model.train_step(x, y, learning_rate)
+        for key, value in model.parameters().items():
+            assert value.tobytes() == before[key].tobytes(), key
+        return str(caught.value)
+
+    def test_invalid_learning_rate(self, rng):
+        for learning_rate in (0.0, math.inf, math.nan):
+            self._refused(rng, learning_rate)
+
+    def test_negative_learning_rate_rejected(self, rng):
+        assert "-1.0" in self._refused(rng, -1.0)
 
 
 class TestLosses:
